@@ -21,10 +21,11 @@ Verdicts:
 The report also carries a ``storage`` section: shared-memory
 compatibility of :class:`~repro.storage.column.Column` payloads. Numeric
 and date columns are flat numpy arrays (shareable via
-``multiprocessing.shared_memory`` as-is); string/null-padded columns use
-``dtype=object`` arrays, which must be serialized — the report pins the
-exact construction sites so the multi-process roadmap item knows what to
-convert.
+``multiprocessing.shared_memory`` as-is); string columns are flat int32
+codes plus a dictionary whose entry array is the one remaining
+``dtype=object`` payload — the report pins every such construction site
+under ``storage/`` so the multi-process roadmap item knows what is left
+to serialize.
 
 The machine-readable report is committed at ``analysis/shippability.json``
 and asserted against a fresh regeneration in CI, so an operator cannot
@@ -161,21 +162,21 @@ def _class_def(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
     return None
 
 
-def _object_dtype_sites(column_path: Path) -> List[dict]:
+def _object_dtype_sites(storage_dir: Path) -> List[dict]:
     sites: List[dict] = []
-    tree = parse_file(column_path)
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.keyword)
-            and node.arg == "dtype"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "object"
-        ):
-            sites.append({
-                "path": norm_path(str(column_path)),
-                "line": node.value.lineno,
-            })
-    sites.sort(key=lambda s: s["line"])
+    for path in sorted(storage_dir.glob("*.py")):
+        for node in ast.walk(parse_file(path)):
+            if (
+                isinstance(node, ast.keyword)
+                and node.arg == "dtype"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                sites.append({
+                    "path": norm_path(str(path)),
+                    "line": node.value.lineno,
+                })
+    sites.sort(key=lambda s: (s["path"], s["line"]))
     return sites
 
 
@@ -264,20 +265,17 @@ def build_shippability_report(src_root) -> dict:
         })
     operators.sort(key=lambda o: o["name"])
 
-    column_path = src_root / "repro" / "storage" / "column.py"
     storage = {
         "numeric_columns": "flat numpy arrays; shared-memory compatible as-is",
         "string_columns": (
-            "dtype=object arrays; must be serialized (or dictionary-encoded "
-            "to flat arrays) before crossing a process boundary"
+            "flat int32 code arrays plus a per-column dictionary; only the "
+            "dictionary's entry array (dtype=object, one str per distinct "
+            "value) must be serialized before crossing a process boundary"
         ),
-        "object_dtype_sites": (
-            [
-                {"path": rel(s["path"]), "line": s["line"]}
-                for s in _object_dtype_sites(column_path)
-            ]
-            if column_path.is_file() else []
-        ),
+        "object_dtype_sites": [
+            {"path": rel(s["path"]), "line": s["line"]}
+            for s in _object_dtype_sites(src_root / "repro" / "storage")
+        ],
     }
     return {
         "schema_version": SCHEMA_VERSION,

@@ -361,16 +361,8 @@ class _MonolithicRunner:
                 for field, column in zip(batch.schema, batch.columns):
                     if field.name in keys:
                         continue
-                    values = (
-                        np.full(num, "", dtype=object)
-                        if column.dtype is DataType.STRING
-                        else np.zeros(num, dtype=column.dtype.numpy_dtype)
-                    )
-                    valid = np.zeros(num, dtype=bool)
-                    values[local] = column.values
-                    valid[local] = column.valid_mask()
                     fields.append(Field(field.name, column.dtype))
-                    columns.append(Column(column.dtype, values, valid))
+                    columns.append(column.scatter(local, num))
             return Batch(Schema(fields), columns)
 
         result = self.ctx.parallel_for("groupby-join", [None], join)

@@ -14,6 +14,7 @@ Semantics implemented here (and mirrored exactly by both evaluators):
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Any, Dict, Optional, Sequence, Set
 
@@ -22,6 +23,7 @@ import numpy as np
 from ..errors import BindError, ExecutionError
 from ..storage.batch import Batch
 from ..storage.column import Column
+from ..storage.dictionary import StringDictionary, object_array
 from ..types import DataType, Schema, common_numeric_type, date_to_days
 from . import functions as fn_registry
 from .nodes import (
@@ -174,7 +176,7 @@ def _eval_cast(expr: Cast, batch: Batch) -> Column:
     if inner.dtype is expr.dtype:
         return inner
     if expr.dtype is DataType.STRING:
-        values = np.array([str(v) for v in inner.values], dtype=object)
+        values = object_array([str(v) for v in inner.values])
     else:
         values = inner.values.astype(expr.dtype.numpy_dtype)
     return Column(expr.dtype, values, inner.valid)
@@ -185,10 +187,14 @@ def _eval_in_list(expr: InList, batch: Batch) -> Column:
     result = np.zeros(len(operand), dtype=bool)
     for item in expr.items:
         item_col = evaluate(item, batch)
-        if operand.dtype is DataType.STRING:
-            result |= np.equal(operand.values, item_col.values)
+        if _any_strings(operand, item_col):
+            equal = _compare_strings("=", operand, item_col)
         else:
-            result |= operand.values == item_col.values
+            equal = operand.values == item_col.values
+        if item_col.valid is not None:
+            # A NULL member matches nothing (its placeholder value might).
+            equal = equal & item_col.valid
+        result |= equal
     if expr.negated:
         result = ~result
     return Column(DataType.BOOL, result, operand.valid)
@@ -206,24 +212,17 @@ def _eval_unary(expr: UnaryOp, batch: Batch) -> Column:
 def _eval_case(expr: CaseExpr, batch: Batch) -> Column:
     n = len(batch)
     result_type = infer_dtype(expr, batch.schema)
-    values = np.zeros(n, dtype=result_type.numpy_dtype)
-    if result_type is DataType.STRING:
-        values = np.full(n, "", dtype=object)
-    valid = np.zeros(n, dtype=bool)
+    result = Column.nulls(result_type, n)
     remaining = np.ones(n, dtype=bool)
     for cond_expr, value_expr in expr.whens:
         cond = evaluate(cond_expr, batch)
         cond_true = cond.values.astype(bool) & cond.valid_mask() & remaining
         if cond_true.any():
-            value = evaluate(value_expr, batch)
-            values[cond_true] = value.values[cond_true].astype(values.dtype, copy=False)
-            valid[cond_true] = value.valid_mask()[cond_true]
+            result = result.overlay(cond_true, evaluate(value_expr, batch))
         remaining &= ~cond_true
     if expr.default is not None and remaining.any():
-        value = evaluate(expr.default, batch)
-        values[remaining] = value.values[remaining].astype(values.dtype, copy=False)
-        valid[remaining] = value.valid_mask()[remaining]
-    return Column(result_type, values, valid)
+        result = result.overlay(remaining, evaluate(expr.default, batch))
+    return result
 
 
 def _eval_func(expr: FuncCall, batch: Batch) -> Column:
@@ -234,7 +233,25 @@ def _eval_func(expr: FuncCall, batch: Batch) -> Column:
     if func.handles_nulls:
         return _eval_null_aware(expr.name, args, result_type)
     valid = _combine_valid(*args)
-    raw = func.vector_fn(*[a.values for a in args])
+    strings = [a for a in args if a.dictionary is not None]
+    text = strings[0] if len(strings) == 1 else None
+    if (
+        text is not None
+        and len(text.dictionary) < len(batch)
+        and all(isinstance(e, Literal) or a is text for e, a in zip(expr.args, args))
+    ):
+        # One string argument, the rest constants: evaluate once per
+        # dictionary entry and gather the results by code.
+        entries = len(text.dictionary)
+        raw = func.vector_fn(*[
+            text.dictionary.strings if a is text else a.values[:entries] for a in args
+        ])
+        if result_type is DataType.STRING:
+            mapping, dictionary = StringDictionary.encode(raw)
+            return Column(result_type, mapping[text.data], valid, dictionary)
+        raw = raw[text.data]
+    else:
+        raw = func.vector_fn(*[a.values for a in args])
     if result_type is not DataType.STRING and raw.dtype != result_type.numpy_dtype:
         raw = raw.astype(result_type.numpy_dtype)
     return Column(result_type, raw, valid)
@@ -243,32 +260,65 @@ def _eval_func(expr: FuncCall, batch: Batch) -> Column:
 def _eval_null_aware(name: str, args: Sequence[Column], result_type: DataType) -> Column:
     if name == "nullif":
         left, right = args
-        equal = (left.values == right.values) & left.valid_mask() & right.valid_mask()
-        valid = left.valid_mask() & ~equal
-        return Column(result_type, left.values.copy(), valid)
+        if _any_strings(left, right):
+            equal = _compare_strings("=", left, right)
+        else:
+            equal = left.values == right.values
+        equal = equal & left.valid_mask() & right.valid_mask()
+        return left.with_valid(left.valid_mask() & ~equal)
     if name == "coalesce":
-        values = args[0].values.copy()
-        valid = args[0].valid_mask().copy()
+        result = args[0]
         for alt in args[1:]:
-            need = ~valid
-            if not need.any():
+            if result.valid is None:
                 break
-            alt_valid = alt.valid_mask()
-            fill = need & alt_valid
-            values[fill] = alt.values[fill].astype(values.dtype, copy=False)
-            valid |= fill
-        return Column(result_type, values, valid)
+            result = result.overlay(~result.valid & alt.valid_mask(), alt)
+        return result
     raise ExecutionError(f"unknown null-aware function {name!r}")
 
 
-_LIKE_CACHE: Dict[str, "re.Pattern"] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _like_regex(pattern: str) -> "re.Pattern":
-    if pattern not in _LIKE_CACHE:
-        regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-        _LIKE_CACHE[pattern] = re.compile(f"^{regex}$", re.DOTALL)
-    return _LIKE_CACHE[pattern]
+    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
+    return re.compile(f"^{regex}$", re.DOTALL)
+
+
+_COMPARE = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+
+
+def _any_strings(*columns: Column) -> bool:
+    return any(col.dictionary is not None for col in columns)
+
+
+def _compare_strings(op: str, left: Column, right: Column) -> np.ndarray:
+    """Row-wise string comparison without touching a string per row.
+
+    Against a single-entry dictionary (a literal) the comparison runs once
+    per entry of the other side and is gathered by code; two real columns
+    are unified into one code space and compare exact codes for (in)equality
+    or merged-dictionary ranks for order. A NULL literal on either side
+    compares as an all-NULL string column."""
+    if left.dictionary is None:
+        left = left.retyped_nulls(DataType.STRING)
+    if right.dictionary is None:
+        right = right.retyped_nulls(DataType.STRING)
+    compare = _COMPARE[op]
+    if len(right.dictionary) == 1:
+        return compare(left.dictionary.strings, right.dictionary.strings[0])[left.data]
+    if len(left.dictionary) == 1:
+        return compare(left.dictionary.strings[0], right.dictionary.strings)[right.data]
+    merged, mapping = left.dictionary.unify(right.dictionary)
+    left_codes = left.data
+    right_codes = right.data if mapping is None else mapping[right.data]
+    if op in ("=", "<>"):
+        return compare(left_codes, right_codes)
+    return compare(merged.rank[left_codes], merged.rank[right_codes])
 
 
 def _eval_binary(expr: BinaryOp, batch: Batch) -> Column:
@@ -282,8 +332,8 @@ def _eval_binary(expr: BinaryOp, batch: Batch) -> Column:
         if isinstance(pattern_literal, Literal) and isinstance(pattern_literal.value, str):
             regex = _like_regex(pattern_literal.value)
             values = np.array(
-                [bool(regex.match(s)) for s in left.values], dtype=bool
-            )
+                [bool(regex.match(s)) for s in left.dictionary.strings], dtype=bool
+            )[left.data]
         else:
             values = np.array(
                 [bool(_like_regex(p).match(s)) for s, p in zip(left.values, right.values)],
@@ -291,19 +341,10 @@ def _eval_binary(expr: BinaryOp, batch: Batch) -> Column:
             )
         return Column(DataType.BOOL, values, valid)
     if expr.op in COMPARISON_OPS:
-        lv, rv = left.values, right.values
-        if expr.op == "=":
-            values = lv == rv
-        elif expr.op == "<>":
-            values = lv != rv
-        elif expr.op == "<":
-            values = lv < rv
-        elif expr.op == "<=":
-            values = lv <= rv
-        elif expr.op == ">":
-            values = lv > rv
+        if _any_strings(left, right):
+            values = _compare_strings(expr.op, left, right)
         else:
-            values = lv >= rv
+            values = _COMPARE[expr.op](left.values, right.values)
         return Column(DataType.BOOL, np.asarray(values, dtype=bool), valid)
     if expr.op in ARITHMETIC_OPS:
         return _eval_arithmetic(expr.op, left, right, valid)

@@ -89,6 +89,11 @@ class CardinalityEstimator:
             return self._aggregate_rows(plan)
         return 1000.0  # unknown operator: neutral guess
 
+    def dictionary_bytes(self, scan: Scan) -> int:
+        """Bytes of the string dictionaries a scan of this table carries."""
+        stats = self._statistics.table_stats(scan.table_name)
+        return sum(column.dictionary_bytes for column in stats.columns.values())
+
     # ------------------------------------------------------------------
     def column_distinct(self, plan: LogicalPlan, name: str) -> float:
         """Estimated distinct count of ``name`` in the plan's output."""

@@ -106,15 +106,7 @@ class CombineOp(Lolepop):
             for field, column in zip(batch.schema, batch.columns):
                 if field.name in self.key_names:
                     continue
-                values = (
-                    np.full(num_groups, "", dtype=object)
-                    if column.dtype is DataType.STRING
-                    else np.zeros(num_groups, dtype=column.dtype.numpy_dtype)
-                )
-                valid = np.zeros(num_groups, dtype=bool)
-                values[local_codes] = column.values
-                valid[local_codes] = column.valid_mask()
-                out.append(Column(column.dtype, values, valid))
+                out.append(column.scatter(local_codes, num_groups))
             return out
 
         placed = ctx.parallel_for("combine", list(enumerate(batches)), place)

@@ -28,25 +28,23 @@ def merge_two_sorted(left: Batch, right: Batch, keys: List[Tuple[str, bool]]) ->
         return right
     if len(right) == 0:
         return left
-    name, desc = keys[0]
-    if len(keys) == 1 and left.column(name).dtype.value != "string":
-        # Fast path: numeric sort keys are value-stable across batches.
-        # (String sort_key() rank-encodes per batch, so strings take the
-        # concatenate-and-stable-sort path below.)
-        ka = left.column(name).sort_key(descending=desc)
-        kb = right.column(name).sort_key(descending=desc)
+    # Concatenating first puts string keys of both runs into one dictionary,
+    # so their sort keys compare across the runs like numeric ones.
+    merged = Batch.concat([left, right])
+    if len(keys) == 1:
+        name, desc = keys[0]
+        key = merged.column(name).sort_key(descending=desc)
+        ka, kb = key[: len(left)], key[len(left) :]
         positions = np.searchsorted(ka, kb, side="right") + np.arange(len(kb))
         total = len(ka) + len(kb)
         from_right = np.zeros(total, dtype=bool)
         from_right[positions] = True
-        merged = Batch.concat([left, right])
         take = np.empty(total, dtype=np.int64)
         take[~from_right] = np.arange(len(ka))
         take[from_right] = len(ka) + np.arange(len(kb))
         return merged.take(take)
-    # Multi-key: concatenate and stable-sort. numpy has no adaptive
+    # Multi-key: stable-sort the concatenation. numpy has no adaptive
     # multi-key merge primitive; the work is still charged to MERGE.
-    merged = Batch.concat([left, right])
     order = lexsort_indices(
         [merged.column(n) for n, _ in keys], [d for _, d in keys]
     )

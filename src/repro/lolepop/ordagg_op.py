@@ -169,21 +169,12 @@ class OrdAggOp(Lolepop):
         run_starts, run_lengths, run_codes = (
             run_starts[keep], run_lengths[keep], run_codes[keep]
         )
-        group_valid = np.zeros(num_groups, dtype=bool)
-        if arg.dtype is DataType.STRING:
-            values = np.full(num_groups, "", dtype=object)
-        else:
-            values = np.zeros(num_groups, dtype=arg.dtype.numpy_dtype)
-        if len(run_starts):
-            # (code asc, length desc, position asc): the first row per code
-            # is the winning run.
-            order = np.lexsort((run_starts, -run_lengths, run_codes))
-            winners_codes = run_codes[order]
-            present, first = np.unique(winners_codes, return_index=True)
-            winner_rows = run_starts[order][first]
-            values[present] = arg.values[winner_rows]
-            group_valid[present] = True
-        return Column(arg.dtype, values, group_valid)
+        # (code asc, length desc, position asc): the first row per code is
+        # the winning run.
+        order = np.lexsort((run_starts, -run_lengths, run_codes))
+        present, first = np.unique(run_codes[order], return_index=True)
+        winner_rows = run_starts[order][first]
+        return arg.take(winner_rows).scatter(present, num_groups)
 
     def _percentile(
         self,
@@ -202,8 +193,7 @@ class OrdAggOp(Lolepop):
         if task.func == "percentile_disc":
             offsets = np.ceil(fraction * safe_counts).astype(np.int64) - 1
             offsets = np.clip(offsets, 0, safe_counts - 1)
-            gathered = arg.take(starts + offsets)
-            return Column(arg.dtype, gathered.values, group_valid)
+            return arg.take(starts + offsets).with_valid(group_valid)
         positions = fraction * (safe_counts - 1)
         lower = np.floor(positions).astype(np.int64)
         upper = np.ceil(positions).astype(np.int64)

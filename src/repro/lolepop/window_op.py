@@ -243,14 +243,10 @@ def _lag_lead(
     in_range = (target >= range_lo) & (target < range_hi)
     safe = np.clip(target, 0, len(batch) - 1)
     gathered = values.take(safe)
-    valid = in_range & gathered.valid_mask()
-    result = Column(values.dtype, gathered.values.copy(), valid.copy())
+    result = gathered.with_valid(in_range & gathered.valid_mask())
     if call.default is not None and (~in_range).any():
         default = evaluate(call.default, batch)
-        fill = ~in_range & default.valid_mask()
-        result.values[fill] = default.values[fill]
-        new_valid = valid | fill
-        return Column(values.dtype, result.values, new_valid)
+        result = result.overlay(~in_range & default.valid_mask(), default)
     return result
 
 
@@ -329,8 +325,7 @@ def _positional(
     in_frame = (target >= lo) & (target < hi)
     safe = np.clip(target, 0, len(batch) - 1)
     gathered = values.take(safe)
-    valid = in_frame & gathered.valid_mask()
-    return Column(values.dtype, gathered.values, valid)
+    return gathered.with_valid(in_frame & gathered.valid_mask())
 
 
 def _frame_aggregate(
@@ -407,18 +402,10 @@ def _window_mode(
     run_starts, run_lengths, run_codes = (
         run_starts[keep], run_lengths[keep], run_codes[keep]
     )
-    group_valid = np.zeros(num_groups, dtype=bool)
-    if values.dtype is DataType.STRING:
-        per_group = np.full(num_groups, "", dtype=object)
-    else:
-        per_group = np.zeros(num_groups, dtype=values.dtype.numpy_dtype)
-    if len(run_starts):
-        winner_order = np.lexsort((run_starts, -run_lengths, run_codes))
-        present, first = np.unique(run_codes[winner_order], return_index=True)
-        winner_rows = run_starts[winner_order][first]
-        per_group[present] = sorted_vals.values[winner_rows]
-        group_valid[present] = True
-    return Column(values.dtype, per_group[codes], group_valid[codes])
+    winner_order = np.lexsort((run_starts, -run_lengths, run_codes))
+    present, first = np.unique(run_codes[winner_order], return_index=True)
+    winner_rows = run_starts[winner_order][first]
+    return sorted_vals.take(winner_rows).scatter(present, num_groups).take(codes)
 
 
 def _window_percentile(
@@ -453,8 +440,7 @@ def _window_percentile(
     if call.func in ("percentile_disc",):
         offsets = np.clip(np.ceil(fraction * safe).astype(np.int64) - 1, 0, safe - 1)
         per_group = sorted_vals.take(group_starts + offsets)
-        result = per_group.take(codes)
-        return Column(values.dtype, result.values, group_valid[codes])
+        return per_group.take(codes).with_valid(group_valid[codes])
     positions = fraction * (safe - 1)
     lower = np.floor(positions).astype(np.int64)
     upper = np.ceil(positions).astype(np.int64)

@@ -10,7 +10,7 @@ NULL join keys never match (SQL equality semantics).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,16 +19,36 @@ from ..storage.column import Column
 from ..storage.keys import _normalize_values
 
 
-def _composite(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray]:
+def _composite(
+    columns: Sequence[Column], build_keys: Optional[Sequence[Column]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """(record array usable with np.unique/searchsorted, non-null mask).
 
-    Uses the *stable* value encoding: build-side and probe-side batches must
-    agree on the representation of equal keys."""
-    parts = [_normalize_values(col, stable=True) for col in columns]
+    Both sides of a join must agree on the representation of equal keys:
+    string keys compare as *build-side dictionary codes*. Probe columns
+    (``build_keys`` given) are translated into that code space; a probe
+    string the build dictionary lacks cannot match and is masked out."""
     valid = np.ones(len(columns[0]), dtype=bool)
-    for col in columns:
+    parts = []
+    for position, col in enumerate(columns):
         if col.valid is not None:
             valid &= col.valid
+        build = None if build_keys is None else build_keys[position]
+        if build is not None and (col.dictionary is None) != (build.dictionary is None):
+            # A string key against a NULL literal's placeholder type.
+            valid[:] = False
+            parts.append(np.zeros(len(col), dtype=np.int64))
+            continue
+        if col.dictionary is None:
+            parts.append(_normalize_values(col))
+            continue
+        codes = col.data
+        if build is not None:
+            mapping = build.dictionary.translate(col.dictionary)
+            if mapping is not None:
+                codes = mapping[codes]
+                valid &= codes >= 0
+        parts.append(codes.astype(np.int64))
     if len(parts) == 1:
         return parts[0], valid
     stacked = np.column_stack(parts)
@@ -44,7 +64,8 @@ class HashJoinTable:
     def __init__(self, build: Batch, key_names: Sequence[str]):
         self.build = build
         self.key_names = list(key_names)
-        keys, valid = _composite([build.column(k) for k in key_names])
+        self._build_keys = [build.column(k) for k in key_names]
+        keys, valid = _composite(self._build_keys)
         rows = np.flatnonzero(valid)
         self._uniques, codes = np.unique(keys[rows], return_inverse=True)
         order = np.argsort(codes, kind="stable")
@@ -59,7 +80,9 @@ class HashJoinTable:
     # ------------------------------------------------------------------
     def _probe_codes(self, probe: Batch, key_names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
         """(code per probe row, matched mask). Unmatched rows get code -1."""
-        keys, valid = _composite([probe.column(k) for k in key_names])
+        keys, valid = _composite(
+            [probe.column(k) for k in key_names], self._build_keys
+        )
         if len(self._uniques) == 0:
             return np.full(len(probe), -1, dtype=np.int64), np.zeros(len(probe), bool)
         positions = np.searchsorted(self._uniques, keys)

@@ -104,18 +104,12 @@ def _grouped_minmax(
 ) -> Column:
     counts = np.bincount(codes[valid], minlength=num_groups)
     group_valid = counts > 0
-    if values.dtype is DataType.STRING:
-        out = np.full(num_groups, "", dtype=object)
-        order = np.argsort(codes[valid], kind="stable")
-        data = values.values[valid][order]
-        sorted_codes = codes[valid][order]
-        bounds = np.searchsorted(sorted_codes, np.arange(num_groups + 1))
-        reducer = min if func == "min" else max
-        for group in range(num_groups):
-            lo, hi = bounds[group], bounds[group + 1]
-            if lo < hi:
-                out[group] = reducer(data[lo:hi])
-        return Column(DataType.STRING, out, group_valid)
+    if values.dictionary is not None:
+        # Reduce per-entry ranks, then map each winning rank back to its code.
+        ranks = Column(DataType.INT64, values.dictionary.rank[values.data])
+        winners = _grouped_minmax(func, ranks, codes, num_groups, valid).data
+        winners = values.dictionary.order[winners].astype(np.int32)
+        return Column(DataType.STRING, winners, group_valid, values.dictionary)
     fill = np.inf if func == "min" else -np.inf
     data = values.values.astype(np.float64)
     out = np.full(num_groups, fill, dtype=np.float64)
@@ -133,15 +127,8 @@ def _grouped_any(
     values: Column, codes: np.ndarray, num_groups: int, valid: np.ndarray
 ) -> Column:
     # First non-NULL value per group: write back-to-front so the first wins.
-    if values.dtype is DataType.STRING:
-        out = np.full(num_groups, "", dtype=object)
-    else:
-        out = np.zeros(num_groups, dtype=values.dtype.numpy_dtype)
-    group_valid = np.zeros(num_groups, dtype=bool)
     idx = np.flatnonzero(valid)[::-1]
-    out[codes[idx]] = values.values[idx]
-    group_valid[codes[idx]] = True
-    return Column(values.dtype, out, group_valid)
+    return values.take(idx).scatter(codes[idx], num_groups)
 
 
 def merge_reduce(

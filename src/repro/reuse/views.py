@@ -35,6 +35,7 @@ from ..relational.kernels import MERGE_FUNC, grouped_reduce, merge_reduce
 from ..storage.batch import Batch
 from ..storage.column import Column
 from ..storage.keys import group_codes
+from ..storage.spill import approx_column_bytes
 from ..types import DataType
 from .signature import apply_stages, source_chain, view_fragment
 
@@ -102,12 +103,10 @@ class ViewState:
         self.source_rows = source_rows
 
     def approx_bytes(self) -> int:
-        total = 0
-        for col in list(self.groups.values()) + list(self.partials.values()):
-            total += int(col.values.nbytes)
-            if col.valid is not None:
-                total += int(col.valid.nbytes)
-        return total
+        return sum(
+            approx_column_bytes(col)
+            for col in list(self.groups.values()) + list(self.partials.values())
+        )
 
 
 def build_state(

@@ -26,13 +26,13 @@ from ..errors import AdmissionError
 from ..logical.plan import LogicalPlan, Scan
 from ..types import DataType, Schema
 
-#: Approximate in-memory bytes per value (strings use the spill module's
-#: 48-byte object estimate).
+#: In-memory bytes per value. A string is its int32 dictionary code; the
+#: dictionary itself is counted once per scan, not per row.
 _TYPE_BYTES = {
     DataType.INT64: 8,
     DataType.FLOAT64: 8,
     DataType.BOOL: 1,
-    DataType.STRING: 48,
+    DataType.STRING: 4,
     DataType.DATE: 4,
 }
 
@@ -44,13 +44,15 @@ def row_bytes(schema: Schema) -> int:
 
 def estimate_memory_bytes(plan: LogicalPlan, estimator) -> float:
     """Estimated working-set bytes of a query: every base-table scan it
-    reads plus its materialized output, via the cardinality estimator."""
+    reads (rows plus the table's string dictionaries) plus its materialized
+    output, via the cardinality estimator."""
     total = estimator.rows(plan) * row_bytes(plan.schema)
     stack = [plan]
     while stack:
         node = stack.pop()
         if isinstance(node, Scan):
             total += estimator.rows(node) * row_bytes(node.schema)
+            total += estimator.dictionary_bytes(node)
         stack.extend(node.children)
     return total
 

@@ -24,7 +24,6 @@ import numpy as np
 from .storage.column import Column
 from .storage.keys import _normalize_values
 from .storage.table import Table
-from .types import DataType
 
 DEFAULT_SAMPLE_SIZE = 10_000
 
@@ -32,7 +31,9 @@ DEFAULT_SAMPLE_SIZE = 10_000
 class ColumnStats:
     """Distribution summary of one column."""
 
-    __slots__ = ("distinct", "null_fraction", "minimum", "maximum")
+    __slots__ = (
+        "distinct", "null_fraction", "minimum", "maximum", "dictionary_bytes",
+    )
 
     def __init__(
         self,
@@ -40,11 +41,15 @@ class ColumnStats:
         null_fraction: float,
         minimum: Any = None,
         maximum: Any = None,
+        dictionary_bytes: int = 0,
     ):
         self.distinct = max(1.0, float(distinct))
         self.null_fraction = float(null_fraction)
         self.minimum = minimum
         self.maximum = maximum
+        #: Footprint of a string column's dictionary (0 for other types);
+        #: a scan carries it once, whatever its row count.
+        self.dictionary_bytes = dictionary_bytes
 
     def __repr__(self) -> str:
         return (
@@ -95,13 +100,12 @@ def _column_stats(column: Column, total_rows: int, sample_rows: int) -> ColumnSt
     if sample_rows >= total_rows:
         estimate = float(len(uniques))
     estimate = min(estimate, float(total_rows))
-    minimum = maximum = None
-    if column.dtype is not DataType.STRING:
-        raw = column.values[valid]
-        if len(raw):
-            minimum = raw.min()
-            maximum = raw.max()
-    return ColumnStats(estimate, null_fraction, minimum, maximum)
+    if column.dictionary is not None:
+        return ColumnStats(
+            estimate, null_fraction, dictionary_bytes=column.dictionary.nbytes
+        )
+    raw = column.values[valid]
+    return ColumnStats(estimate, null_fraction, raw.min(), raw.max())
 
 
 def collect_table_stats(

@@ -109,7 +109,7 @@ class BufferPartition:
             return 0
         from .spill import approx_batch_bytes
 
-        return sum(approx_batch_bytes(chunk) for chunk in self.chunks)
+        return approx_batch_bytes(*self.chunks)
 
     # ------------------------------------------------------------------
     @property
@@ -321,7 +321,13 @@ class TupleBuffer:
         self.memory_budget = memory_budget
 
     def approx_bytes(self) -> int:
-        return sum(p.approx_bytes() for p in self.partitions)
+        """Loaded footprint; a dictionary shared across partitions (every
+        slice of a table column) counts once for the whole buffer."""
+        from .spill import approx_batch_bytes
+
+        return approx_batch_bytes(
+            *(chunk for p in self.partitions if not p.is_spilled for chunk in p.chunks)
+        )
 
     def spill_over_budget(self) -> int:
         """Spill largest-first until the loaded footprint fits the budget;

@@ -1,8 +1,14 @@
 """Typed column vectors with null support.
 
-A :class:`Column` is the smallest physical unit: a numpy array of values plus
-an optional boolean validity mask (``True`` = value present). A missing mask
+A :class:`Column` is the smallest physical unit: a flat numpy array plus an
+optional boolean validity mask (``True`` = value present). A missing mask
 means "no nulls", which keeps the common all-valid path allocation-free.
+
+``STRING`` columns are dictionary-encoded: ``data`` holds int32 codes into an
+immutable :class:`~repro.storage.dictionary.StringDictionary` that ``take`` /
+``filter`` / ``slice`` carry by reference. ``values`` decodes on demand (a
+fresh object array per call — result rendering, CSV and the row oracles read
+it; the data plane works on codes). NULL rows carry an arbitrary valid code.
 
 SQL null semantics live here in one place: :meth:`Column.valid_mask` and the
 constructors normalize the representation so operators never need to branch
@@ -18,29 +24,46 @@ import numpy as np
 from ..analysis.sanitizer import SAN as _SAN
 from ..errors import ExecutionError
 from ..types import DataType, date_to_days, days_to_date
+from .dictionary import EMPTY, StringDictionary, object_array
 
 
 class Column:
     """A typed value vector with an optional validity mask."""
 
-    __slots__ = ("dtype", "values", "valid")
+    __slots__ = ("dtype", "data", "valid", "dictionary")
 
     def __init__(
         self,
         dtype: DataType,
         values: np.ndarray,
         valid: Optional[np.ndarray] = None,
+        dictionary: Optional[StringDictionary] = None,
     ):
+        """``values`` is the physical array — for ``STRING`` either int32
+        codes with their ``dictionary``, or an object array of ``str`` that
+        is encoded here, once."""
         if not isinstance(values, np.ndarray):
             raise ExecutionError("Column values must be a numpy array")
+        if dtype is DataType.STRING and dictionary is None:
+            values, dictionary = StringDictionary.encode(values)
         if valid is not None:
             if valid.shape != values.shape:
                 raise ExecutionError("validity mask shape mismatch")
             if bool(valid.all()):
                 valid = None  # normalize: all-valid columns carry no mask
         self.dtype = dtype
-        self.values = values
+        self.data = values
         self.valid = valid
+        self.dictionary = dictionary
+
+    @property
+    def values(self) -> np.ndarray:
+        """The logical values: ``data`` itself, or for ``STRING`` a freshly
+        decoded object array (never cached, so a table column does not pin
+        one pointer per row)."""
+        if self.dictionary is None:
+            return self.data
+        return self.dictionary.strings[self.data]
 
     # ------------------------------------------------------------------
     # Constructors
@@ -52,9 +75,7 @@ class Column:
         valid = np.array([item is not None for item in items], dtype=bool)
         np_dtype = dtype.numpy_dtype
         if dtype is DataType.STRING:
-            values = np.array(
-                [item if item is not None else "" for item in items], dtype=object
-            )
+            values = object_array([item if item is not None else "" for item in items])
         elif dtype is DataType.DATE:
             values = np.array(
                 [date_to_days(item) if item is not None else 0 for item in items],
@@ -75,26 +96,28 @@ class Column:
         if dtype is DataType.DATE:
             value = date_to_days(value)
         if dtype is DataType.STRING:
-            values = np.full(length, value, dtype=object)
-        else:
-            values = np.full(length, value, dtype=dtype.numpy_dtype)
-        return cls(dtype, values)
+            return cls(
+                dtype,
+                np.zeros(length, dtype=np.int32),
+                None,
+                StringDictionary(object_array([value])),
+            )
+        return cls(dtype, np.full(length, value, dtype=dtype.numpy_dtype))
 
     @classmethod
     def nulls(cls, dtype: DataType, length: int) -> "Column":
         """An all-NULL column."""
+        valid = np.zeros(length, dtype=bool)
         if dtype is DataType.STRING:
-            values = np.full(length, "", dtype=object)
-        else:
-            fill = False if dtype is DataType.BOOL else 0
-            values = np.full(length, fill, dtype=dtype.numpy_dtype)
-        return cls(dtype, values, np.zeros(length, dtype=bool))
+            return cls(dtype, np.zeros(length, dtype=np.int32), valid, EMPTY)
+        fill = False if dtype is DataType.BOOL else 0
+        return cls(dtype, np.full(length, fill, dtype=dtype.numpy_dtype), valid)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.data)
 
     @property
     def has_nulls(self) -> bool:
@@ -103,7 +126,7 @@ class Column:
     def valid_mask(self) -> np.ndarray:
         """A boolean mask (always materialized) of non-null positions."""
         if self.valid is None:
-            return np.ones(len(self.values), dtype=bool)
+            return np.ones(len(self.data), dtype=bool)
         return self.valid
 
     def null_count(self) -> int:
@@ -119,7 +142,9 @@ class Column:
         DATE columns). Used by result rendering and the naive engine."""
         if self.is_null(row):
             return None
-        raw = self.values[row]
+        raw = self.data[row]
+        if self.dictionary is not None:
+            return self.dictionary.strings[raw]
         if self.dtype is DataType.DATE:
             return days_to_date(int(raw))
         if self.dtype is DataType.INT64:
@@ -140,40 +165,94 @@ class Column:
         """Gather rows by position (the permutation-vector access path)."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "r")
-        values = self.values[indices]
         valid = None if self.valid is None else self.valid[indices]
-        return Column(self.dtype, values, valid)
+        return Column(self.dtype, self.data[indices], valid, self.dictionary)
 
     def filter(self, mask: np.ndarray) -> "Column":
         if _SAN.active is not None:
             _SAN.active.on_access(self, "r")
-        values = self.values[mask]
         valid = None if self.valid is None else self.valid[mask]
-        return Column(self.dtype, values, valid)
+        return Column(self.dtype, self.data[mask], valid, self.dictionary)
 
     def slice(self, start: int, stop: int) -> "Column":
-        values = self.values[start:stop]
         valid = None if self.valid is None else self.valid[start:stop]
-        return Column(self.dtype, values, valid)
+        return Column(self.dtype, self.data[start:stop], valid, self.dictionary)
+
+    def with_valid(self, valid: Optional[np.ndarray]) -> "Column":
+        """The same values under another validity mask."""
+        return Column(self.dtype, self.data, valid, self.dictionary)
+
+    def retyped_nulls(self, dtype: DataType) -> "Column":
+        """This all-NULL column as a column of ``dtype``. A NULL literal is
+        typed before its context is known (``CASE ... ELSE NULL``), so it
+        meets string columns without a dictionary of its own."""
+        if self.valid_mask().any():
+            raise ExecutionError(
+                f"cannot use {self.dtype.value} values as {dtype.value}"
+            )
+        return Column.nulls(dtype, len(self))
+
+    def overlay(self, mask: np.ndarray, source: "Column") -> "Column":
+        """This column with the rows selected by ``mask`` taken from
+        ``source`` (values cast to this column's type). String columns
+        merge dictionaries and move codes, so e.g. a CASE over string
+        literals never materializes a string per row."""
+        if (self.dictionary is None) != (source.dictionary is None):
+            source = source.retyped_nulls(self.dtype)
+        data = self.data.copy()
+        dictionary = self.dictionary
+        picked = source.data[mask]
+        if dictionary is not None:
+            dictionary, mapping = dictionary.unify(source.dictionary)
+            data[mask] = picked if mapping is None else mapping[picked]
+        else:
+            data[mask] = picked.astype(data.dtype, copy=False)
+        valid = self.valid_mask().copy()
+        valid[mask] = source.valid_mask()[mask]
+        return Column(self.dtype, data, valid, dictionary)
+
+    def scatter(self, positions: np.ndarray, length: int) -> "Column":
+        """A ``length``-row column that is NULL except that row
+        ``positions[i]`` holds this column's row ``i`` (on duplicate
+        positions the last row wins)."""
+        data = np.zeros(length, dtype=self.data.dtype)
+        valid = np.zeros(length, dtype=bool)
+        data[positions] = self.data
+        valid[positions] = self.valid_mask()
+        return Column(self.dtype, data, valid, self.dictionary)
 
     @staticmethod
     def concat(columns: Sequence["Column"]) -> "Column":
-        """Concatenate columns of the same type."""
+        """Concatenate columns of the same type. String columns are brought
+        into one code space first: free when they share a dictionary (or a
+        prefix-extension of it), otherwise one lookup per dictionary entry
+        — never per row."""
         if not columns:
             raise ExecutionError("cannot concatenate zero columns")
         dtype = columns[0].dtype
         if any(col.dtype is not dtype for col in columns):
             raise ExecutionError("concat over mismatched column types")
-        values = np.concatenate([col.values for col in columns])
+        parts = [col.data for col in columns]
+        dictionary = columns[0].dictionary
+        if any(col.dictionary is not dictionary for col in columns):
+            # Grow the largest dictionary: its codes need no remap.
+            dictionary = max((col.dictionary for col in columns), key=len)
+            mappings: dict = {}
+            for i, col in enumerate(columns):
+                key = id(col.dictionary)
+                if key not in mappings:
+                    dictionary, mappings[key] = dictionary.unify(col.dictionary)
+                if mappings[key] is not None:
+                    parts[i] = mappings[key][col.data]
         if any(col.valid is not None for col in columns):
             valid = np.concatenate([col.valid_mask() for col in columns])
         else:
             valid = None
-        return Column(dtype, values, valid)
+        return Column(dtype, np.concatenate(parts), valid, dictionary)
 
     def copy(self) -> "Column":
         valid = None if self.valid is None else self.valid.copy()
-        return Column(self.dtype, self.values.copy(), valid)
+        return Column(self.dtype, self.data.copy(), valid, self.dictionary)
 
     # ------------------------------------------------------------------
     # Ordering keys
@@ -181,18 +260,15 @@ class Column:
     def sort_key(self, descending: bool = False, nulls_last: bool = True) -> np.ndarray:
         """A numpy array usable as one key of ``np.lexsort``.
 
-        NULLs sort after non-NULLs by default (SQL's ``NULLS LAST``); for
-        string columns the values are rank-encoded first, because object
-        arrays with mixed content cannot be lexsorted directly.
+        NULLs sort after non-NULLs by default (SQL's ``NULLS LAST``); string
+        columns sort by their dictionary's per-entry rank.
         """
-        if self.dtype is DataType.STRING:
-            # Rank-encode: unique() on object arrays of str compares lexically.
-            _, codes = np.unique(self.values, return_inverse=True)
-            key = codes.astype(np.int64)
+        if self.dictionary is not None:
+            key = self.dictionary.rank[self.data]
         elif self.dtype is DataType.BOOL:
-            key = self.values.astype(np.int64)
+            key = self.data.astype(np.int64)
         else:
-            key = self.values
+            key = self.data
         if descending:
             if key.dtype == np.float64:
                 key = -key

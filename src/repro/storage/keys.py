@@ -8,7 +8,8 @@ primitives everything else builds on:
   the vectorized equivalent of building a hash table over the key columns.
   NULL keys follow GROUP BY semantics: NULL equals NULL (one NULL group).
 - :func:`hash_codes` / :func:`partition_ids` — stable 64-bit hashes of the
-  key columns, used by PARTITION and HASHAGG to scatter rows.
+  key columns, used by PARTITION and HASHAGG to scatter rows. A hash only
+  ever picks a partition; no caller decides equality on it.
 - :func:`lexsort_indices` — a stable multi-key argsort honoring
   ascending/descending and NULLS LAST per key.
 """
@@ -25,61 +26,60 @@ from .column import Column
 _HASH_PRIME = np.uint64(0x9E3779B97F4A7C15)
 _MIX_PRIME = np.uint64(0xBF58476D1CE4E5B9)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_STRING_HASH_CACHE: dict = {}
+_NULL_SENTINEL = np.iinfo(np.int64).min + 1
 
 
-def _fnv1a(text: str) -> int:
-    """Deterministic 64-bit FNV-1a (no PYTHONHASHSEED dependence)."""
-    cached = _STRING_HASH_CACHE.get(text)
-    if cached is not None:
-        return cached
-    value = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        value = ((value ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    # Keep it in int64 range (numpy int64 arrays).
-    value &= 0x7FFFFFFFFFFFFFFF
-    _STRING_HASH_CACHE[text] = value
-    return value
-
-
-def _stable_string_values(values: np.ndarray) -> np.ndarray:
-    """Value-stable int64 encoding of a string column: equal strings map to
-    equal integers *across batches* (required by partitioning, two-phase
-    merges, and join key comparison). Hash collisions would conflate
-    distinct values; with 63-bit FNV-1a over the (small) distinct sets the
-    evaluation uses, the probability is negligible — see DESIGN.md."""
-    uniques, inverse = np.unique(values, return_inverse=True)
-    hashed = np.array([_fnv1a(u) for u in uniques], dtype=np.int64)
-    return hashed[inverse]
-
-
-def _normalize_values(column: Column, stable: bool = False) -> np.ndarray:
+def _normalize_values(column: Column, entries: str = "rank") -> np.ndarray:
     """Map column values to an int64 array where equal values have equal
     representation and NULLs are distinguishable.
 
-    With ``stable=False`` string columns are rank-encoded (collision-free,
-    but only comparable *within* one batch — fine for grouping, sorting and
-    range detection). With ``stable=True`` strings use a deterministic hash
-    that is comparable across batches (required for partitioning and join
-    keys)."""
-    if column.dtype is DataType.STRING:
-        if stable:
-            values = _stable_string_values(column.values)
-        else:
-            _, codes = np.unique(column.values, return_inverse=True)
-            values = codes.astype(np.int64)
+    Strings gather a per-entry array of their dictionary by code: ``rank``
+    (order-preserving and collision-free, comparable within one column —
+    grouping, sorting, range detection) or ``hash`` (equal for equal strings
+    in *any* dictionary — partitioning only, never equality)."""
+    if column.dictionary is not None:
+        values = getattr(column.dictionary, entries)[column.data]
     elif column.dtype is DataType.FLOAT64:
         # Normalize -0.0 to 0.0 so they hash/group together.
-        values = column.values + 0.0
+        values = column.data + 0.0
         values = values.view(np.int64).astype(np.int64)
     else:
-        values = column.values.astype(np.int64)
+        values = column.data.astype(np.int64)
     if column.valid is not None:
         values = values.copy()
-        values[~column.valid] = np.iinfo(np.int64).min + 1
+        values[~column.valid] = _NULL_SENTINEL
     return values
+
+
+def _pack_keys(columns: Sequence[Column]) -> Optional[Tuple[np.ndarray, int]]:
+    """``(packed, capacity)``: the composite key as one mixed-radix int64 per
+    row in ``[0, capacity)``, most significant digit first (so packed order
+    is lexicographic key order), or ``None`` when the product of the
+    per-column ranges does not fit in 63 bits.
+
+    A column's digit is its value's offset from the column minimum plus one;
+    zero is NULL, so NULL keys sort first and equal only each other."""
+    packed = np.zeros(len(columns[0]), dtype=np.int64)
+    capacity = 1
+    for column in columns:
+        values = _normalize_values(column)
+        valid = column.valid
+        low = high = 0
+        if column.dictionary is not None:
+            high = len(column.dictionary) - 1
+        else:
+            present = values if valid is None else values[valid]
+            if len(present):
+                low, high = int(present.min()), int(present.max())
+        radix = high - low + 2
+        capacity *= radix
+        if capacity >= 1 << 63:
+            return None
+        digits = (values - low) + 1
+        if valid is not None:
+            digits[~valid] = 0
+        packed = packed * radix + digits
+    return packed, capacity
 
 
 def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -87,38 +87,50 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
 
     Returns ``(codes, representatives, num_groups)`` where ``codes[i]`` is the
     dense id (0..num_groups-1) of row ``i``'s key, and ``representatives[g]``
-    is the index of one row belonging to group ``g``. Group ids are assigned
-    in order of each group's first occurrence is *not* guaranteed; they are
-    assigned in key-sorted order (np.unique semantics).
+    is the index of the first row belonging to group ``g``. Group ids are
+    assigned in lexicographic key order (NULL first within a column), not
+    in order of first occurrence.
     """
     if not columns:
         raise ValueError("group_codes requires at least one key column")
     n = len(columns[0])
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    normalized = [_normalize_values(col) for col in columns]
-    null_flags = [
-        (~col.valid).astype(np.int8) if col.valid is not None else None
-        for col in columns
-    ]
+    packing = _pack_keys(columns)
+    if packing is not None:
+        packed, capacity = packing
+        if capacity > 2 * n:
+            uniques, first_index, codes = np.unique(
+                packed, return_index=True, return_inverse=True
+            )
+            return codes.astype(np.int64), first_index.astype(np.int64), len(uniques)
+        # Few possible keys per row (dictionary ranks, narrow ints): a direct
+        # table over the key range replaces the sort — measured 3x faster
+        # than np.unique at capacity = 2n, even at 8n, slower beyond; 2n
+        # also bounds the table to twice the key array. Assigning row
+        # numbers back to front leaves each key's first row in its slot.
+        first_row = np.full(capacity, n, dtype=np.int64)
+        first_row[packed[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+        present = first_row < n
+        codes = (np.cumsum(present) - 1)[packed]
+        first_index = first_row[present]
+        return codes, first_index, len(first_index)
+    # Ranges too wide to pack: stable lexsort, then number the runs.
     parts: List[np.ndarray] = []
-    for values, nulls in zip(normalized, null_flags):
-        parts.append(values)
-        if nulls is not None:
-            parts.append(nulls.astype(np.int64))
-    if len(parts) == 1:
-        uniques, first_index, codes = np.unique(
-            parts[0], return_index=True, return_inverse=True
-        )
-        return codes.astype(np.int64), first_index.astype(np.int64), len(uniques)
-    stacked = np.column_stack(parts)
-    record = np.ascontiguousarray(stacked).view(
-        np.dtype((np.void, stacked.dtype.itemsize * stacked.shape[1]))
-    ).ravel()
-    uniques, first_index, codes = np.unique(
-        record, return_index=True, return_inverse=True
-    )
-    return codes.astype(np.int64), first_index.astype(np.int64), len(uniques)
+    for column in columns:
+        parts.append(_normalize_values(column))
+        if column.valid is not None:
+            parts.append(column.valid.astype(np.int64))
+    order = np.lexsort(tuple(reversed(parts)))
+    starts = np.zeros(n, dtype=bool)
+    starts[0] = True
+    for part in parts:
+        ordered = part[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = np.cumsum(starts) - 1
+    first_index = order[starts]
+    return codes, first_index.astype(np.int64), len(first_index)
 
 
 def hash_codes(columns: Sequence[Column]) -> np.ndarray:
@@ -133,7 +145,7 @@ def hash_codes(columns: Sequence[Column]) -> np.ndarray:
     n = len(columns[0])
     acc = np.full(n, np.uint64(0x243F6A8885A308D3), dtype=np.uint64)
     for column in columns:
-        values = _normalize_values(column, stable=True).astype(np.uint64)
+        values = _normalize_values(column, "hash").astype(np.uint64)
         values = (values ^ (values >> np.uint64(30))) * _MIX_PRIME
         values ^= values >> np.uint64(27)
         acc = (acc ^ values) * _HASH_PRIME

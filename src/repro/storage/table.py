@@ -88,13 +88,17 @@ class Table:
         """Append rows given as numpy arrays (no nulls). This is the fast
         path used by the TPC-H generator."""
         columns = []
-        for field in self.schema:
+        for field, current in zip(self.schema, self._columns):
             if field.name not in data:
                 raise CatalogError(f"missing column in insert: {field.name!r}")
             raw = np.asarray(data[field.name])
             if field.dtype is DataType.STRING:
-                values = raw.astype(object)
-            elif field.dtype is DataType.DATE and raw.dtype.kind == "M":
+                # Encode straight against the table's dictionary: one lookup
+                # per appended row, and the concat below is a codes memcpy.
+                codes, dictionary = current.dictionary.encode_more(raw.astype(object))
+                columns.append(Column(field.dtype, codes, None, dictionary))
+                continue
+            if field.dtype is DataType.DATE and raw.dtype.kind == "M":
                 # numpy datetime64 arrays: day numbers since the epoch.
                 values = raw.astype("datetime64[D]").astype(np.int32)
             elif field.dtype is DataType.DATE and raw.dtype.kind not in "iu":

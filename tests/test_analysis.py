@@ -336,11 +336,10 @@ def test_shippability_report_classifies_every_registered_lolepop():
             assert set(entry) == {
                 "attr", "defined_in", "line", "class", "reason"
             }
-    # Storage section pins every dtype=object construction site.
+    # Storage section pins every dtype=object construction site: only the
+    # string dictionary's entry array is left.
     sites = report["storage"]["object_dtype_sites"]
-    assert sites and all(
-        s["path"].endswith("storage/column.py") for s in sites
-    )
+    assert [s["path"].rsplit("/", 1)[-1] for s in sites] == ["dictionary.py"]
 
 
 def test_shippability_thunk_sources_need_rebind_core_ops_ship():

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Database, EngineConfig
 
-from tests.helpers import assert_engines_agree
+from tests.helpers import assert_engines_agree, normalized_rows
 
 FIXED_QUERIES = [
     # associative flavors
@@ -170,3 +170,106 @@ def test_randomized_differential():
         ]
         for sql in queries:
             assert_engines_agree(database, sql)
+
+
+# ----------------------------------------------------------------------
+# Layer toggles on string keys: serial / parallel / spill / reuse
+# ----------------------------------------------------------------------
+def _string_db(reuse=None) -> Database:
+    """Two tables whose string columns have different dictionaries (other
+    entries, another order), NULLs and an empty string."""
+    database = Database(reuse=reuse)
+    database.create_table("people", {"name": "string", "city": "string", "x": "int64"})
+    database.create_table("cities", {"city": "string", "region": "string"})
+    rng = np.random.default_rng(15)
+    towns = ["Ulm", "aachen", "Zürich", "", "Bonn", "Örebro", None]
+    database.insert(
+        "people",
+        {
+            "name": [f"p{(i * 37) % 400:03d}" for i in range(400)],
+            "city": [towns[v] for v in rng.integers(0, len(towns), 400)],
+            "x": [int(v) for v in rng.integers(0, 100, 400)],
+        },
+    )
+    database.insert(
+        "cities",
+        {
+            "city": ["Zürich", "Bonn", "Kiel", "", "Ulm", None],
+            "region": ["south", "west", "north", "nowhere", "south", "void"],
+        },
+    )
+    return database
+
+
+STRING_QUERIES = [
+    # string join key across two tables
+    "SELECT p.name, p.city, c.region FROM people p JOIN cities c ON p.city = c.city",
+    "SELECT c.region, count(*), sum(p.x) FROM people p JOIN cities c ON p.city = c.city "
+    "GROUP BY c.region",
+    # CASE-produced strings grouped together with table strings
+    "SELECT label, count(*), min(x) FROM (SELECT CASE WHEN x > 80 THEN 'big' "
+    "WHEN x < 5 THEN 'Ulm' ELSE city END AS label, x FROM people) AS t GROUP BY label",
+    "SELECT city, upper(city) AS u, count(*) FROM people WHERE city >= 'Bonn' "
+    "GROUP BY city, upper(city)",
+    "SELECT city, min(name), max(name), count(DISTINCT name) FROM people GROUP BY city",
+    "SELECT city, name, row_number() OVER (PARTITION BY city ORDER BY name DESC) AS rn "
+    "FROM people",
+    "SELECT city, count(*) FROM (SELECT city FROM people UNION ALL SELECT city FROM cities) "
+    "AS u GROUP BY city",
+    # an untyped NULL literal meeting string columns (it has no dictionary)
+    "SELECT name, CASE WHEN x > 50 THEN 'hi' ELSE NULL END AS c FROM people",
+    "SELECT CASE WHEN x > 50 THEN city ELSE NULL END AS c, count(*) FROM people "
+    "GROUP BY CASE WHEN x > 50 THEN city ELSE NULL END",
+    "SELECT name, coalesce(city, NULL) AS c, nullif(city, NULL) AS d FROM people",
+    "SELECT name FROM people WHERE city IN ('Ulm', NULL, '')",
+    "SELECT name FROM people WHERE city NOT IN ('Ulm', NULL)",
+    "SELECT name, lag(city, 1, NULL) OVER (ORDER BY name) AS prev FROM people",
+    "SELECT p.name, n.k FROM people p LEFT JOIN (SELECT NULL AS k, city AS c FROM cities) "
+    "AS n ON p.city = n.k",
+]
+
+#: Total orders: the row *sequence* must match, not just the multiset.
+STRING_ORDER_QUERIES = [
+    "SELECT city, name FROM people ORDER BY city DESC NULLS LAST, name",
+    "SELECT name, city FROM people ORDER BY name",  # MERGE on one string key
+    "SELECT name FROM people ORDER BY name DESC LIMIT 17",
+]
+
+
+def _string_layers(tmp_path):
+    plain, reusing = _string_db(), _string_db(reuse=True)
+    return {
+        "serial": (plain, EngineConfig(num_partitions=4, morsel_size=64)),
+        "parallel4": (
+            plain,
+            EngineConfig(
+                num_threads=4, num_partitions=4, morsel_size=64, execution_mode="parallel"
+            ),
+        ),
+        "spill": (
+            plain,
+            EngineConfig(
+                num_partitions=4, morsel_size=64, memory_budget_bytes=1024,
+                spill_directory=str(tmp_path),
+            ),
+        ),
+        "reuse": (reusing, EngineConfig(num_partitions=4, morsel_size=64)),
+        "reuse-warm": (reusing, EngineConfig(num_partitions=4, morsel_size=64)),
+    }
+
+
+@pytest.mark.parametrize("sql", STRING_QUERIES + STRING_ORDER_QUERIES)
+def test_string_keys_are_invisible_to_every_layer(sql, tmp_path):
+    ordered = sql in STRING_ORDER_QUERIES
+    shape = list if ordered else normalized_rows
+    layers = _string_layers(tmp_path)
+    reference = shape(layers["serial"][0].sql(sql, engine="naive").rows())
+    assert reference
+    for layer, (database, config) in layers.items():
+        result = database.sql(sql, config=config)
+        assert shape(result.rows()) == reference, f"{layer} diverges on: {sql}"
+        if layer == "spill" and (ordered or "OVER" in sql):
+            # Buffered plans really went through the string spill format.
+            assert result.spill["events"] > 0
+    monolithic = shape(layers["serial"][0].sql(sql, engine="monolithic").rows())
+    assert monolithic == reference

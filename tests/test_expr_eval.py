@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BindError
+from repro.errors import BindError, ExecutionError
 from repro.expr import BinaryOp, CaseExpr, Cast, ColumnRef, FuncCall, InList, IsNull, UnaryOp, col, evaluate, evaluate_row, infer_dtype, lit, columns_referenced
 from repro.storage import Batch
 from repro.types import DataType, Schema
@@ -164,6 +164,99 @@ class TestConstructs:
     def test_arity_check(self):
         with pytest.raises(BindError):
             evaluate(FuncCall("abs", [col("a"), col("b")]), make_batch(ROWS))
+
+
+STRING_ROWS = [
+    {"a": 1, "s": "Pear"}, {"a": 2, "s": "apple"}, {"a": 3, "s": None},
+    {"a": 4, "s": ""}, {"a": 5, "s": "Pear"}, {"a": 6, "s": "éclair"},
+    {"a": 7, "s": "apple"}, {"a": 8, "s": "fig"},
+]
+
+
+class TestStringsOverTheDictionary:
+    """String expressions run per dictionary entry and gather by code; they
+    must still agree with the row evaluator on every row."""
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_compare_with_literal_and_with_column(self, op):
+        both_ways(BinaryOp(op, col("s"), lit("apple")), STRING_ROWS)
+        both_ways(BinaryOp(op, lit("fig"), col("s")), STRING_ROWS)
+        # Two real columns with different dictionaries: lower(s) vs s.
+        both_ways(BinaryOp(op, FuncCall("lower", [col("s")]), col("s")), STRING_ROWS)
+
+    def test_in_list_and_like(self):
+        expr = InList(col("s"), [lit("fig"), lit("Pear"), lit("absent")])
+        assert both_ways(expr, STRING_ROWS) == [
+            True, False, None, False, True, False, False, True,
+        ]
+        both_ways(BinaryOp("like", col("s"), lit("%p%")), STRING_ROWS)
+
+    def test_functions_merge_equal_results(self):
+        lowered = evaluate(FuncCall("lower", [col("s")]), make_batch(STRING_ROWS))
+        assert lowered.to_pylist() == [
+            "pear", "apple", None, "", "pear", "éclair", "apple", "fig",
+        ]
+        entries = lowered.dictionary.strings.tolist()
+        assert len(entries) == len(set(entries))
+        both_ways(FuncCall("upper", [col("s")]), STRING_ROWS)
+        both_ways(FuncCall("substr", [col("s"), lit(2), lit(3)]), STRING_ROWS)
+        both_ways(FuncCall("length", [col("s")]), STRING_ROWS)
+        both_ways(FuncCall("concat", [col("s"), lit("-"), col("s")]), STRING_ROWS)
+
+    def test_case_over_literals_emits_codes(self):
+        expr = CaseExpr(
+            [
+                (BinaryOp(">", col("a"), lit(6)), lit("deep")),
+                (BinaryOp(">", col("a"), lit(3)), lit("mid")),
+                (BinaryOp("=", col("a"), lit(2)), col("s")),
+            ],
+            lit("low"),
+        )
+        result = evaluate(expr, make_batch(STRING_ROWS))
+        assert both_ways(expr, STRING_ROWS) == [
+            "low", "apple", "low", "mid", "mid", "mid", "deep", "deep",
+        ]
+        assert result.data.dtype.kind == "i"
+        assert {"deep", "mid", "low"} <= set(result.dictionary.strings.tolist())
+
+    def test_coalesce_and_nullif(self):
+        assert both_ways(FuncCall("coalesce", [col("s"), lit("?")]), STRING_ROWS)[2] == "?"
+        assert both_ways(FuncCall("nullif", [col("s"), lit("Pear")]), STRING_ROWS) == [
+            None, "apple", None, "", None, "éclair", "apple", "fig",
+        ]
+
+
+    def test_null_literal_meets_strings(self):
+        """A NULL literal is typed INT64 before its context is known, so its
+        column has no dictionary; it contributes NULLs, never codes."""
+        null = lit(None)
+        big = BinaryOp(">", col("a"), lit(4))
+        assert both_ways(CaseExpr([(big, lit("x"))], null), STRING_ROWS) == [
+            None, None, None, None, "x", "x", "x", "x",
+        ]
+        both_ways(CaseExpr([(big, null)], col("s")), STRING_ROWS)
+        both_ways(FuncCall("coalesce", [col("s"), null]), STRING_ROWS)
+        both_ways(FuncCall("nullif", [col("s"), null]), STRING_ROWS)
+        for op in ("=", "<", ">="):
+            assert both_ways(BinaryOp(op, col("s"), null), STRING_ROWS) == [None] * 8
+            assert both_ways(BinaryOp(op, null, col("s")), STRING_ROWS) == [None] * 8
+        # "" is a value: the NULL member's placeholder must not match it.
+        for negated in (False, True):
+            both_ways(InList(col("s"), [lit("fig"), null], negated), STRING_ROWS)
+            both_ways(InList(col("a"), [lit(3), null], negated), [{"a": 0}, {"a": 3}])
+        with pytest.raises(ExecutionError, match="string values as int64"):
+            evaluate(FuncCall("coalesce", [null, col("s")]), make_batch(STRING_ROWS))
+
+
+def test_like_pattern_cache_is_bounded():
+    from repro.expr.eval import _like_regex
+
+    _like_regex.cache_clear()
+    for i in range(1000):  # never-repeating ad-hoc patterns
+        _like_regex(f"adhoc-{i}%")
+    info = _like_regex.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
+    assert _like_regex("a%") is _like_regex("a%")
 
 
 class TestIntrospection:

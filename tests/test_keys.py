@@ -59,6 +59,74 @@ class TestGroupCodes:
         assert n == 1
 
 
+def _python_grouping(rows):
+    """Expected ``(codes, first-occurrence representatives)`` of composite
+    keys: groups in lexicographic order, NULL before any value."""
+    order_key = lambda row: tuple((v is not None, v) for v in row)  # noqa: E731
+    distinct = sorted(set(rows), key=order_key)
+    code_of = {row: code for code, row in enumerate(distinct)}
+    return [code_of[row] for row in rows], [rows.index(row) for row in distinct]
+
+
+class TestCompositeKeys:
+    """Composite keys pack into one mixed-radix int64 when their ranges
+    allow and fall back to a lexsort otherwise; both number groups in
+    lexicographic key order."""
+
+    INTS = [3, -7, None, 3, 1000, -7, None, 0]
+    STRS = ["b", None, "a", "b", "", "a", "a", None]
+    WIDE = [2**62, -(2**62), None, 2**62, 5, -(2**62), 7, 2**62 - 1]
+
+    def _check(self, columns, rows):
+        codes, reps, n = keys.group_codes(columns)
+        expected_codes, expected_reps = _python_grouping(rows)
+        assert codes.tolist() == expected_codes
+        assert reps.tolist() == expected_reps
+        assert n == len(expected_reps)
+
+    def test_packed_ints_strings_and_nulls(self):
+        columns = [int_col(self.INTS), str_col(self.STRS), int_col(self.INTS[::-1])]
+        assert keys._pack_keys(columns) is not None
+        self._check(columns, list(zip(self.INTS, self.STRS, self.INTS[::-1])))
+
+    def test_overflow_falls_back_to_lexsort(self):
+        columns = [int_col(self.WIDE), int_col(self.WIDE[::-1]), str_col(self.STRS)]
+        assert keys._pack_keys(columns) is None
+        self._check(columns, list(zip(self.WIDE, self.WIDE[::-1], self.STRS)))
+
+    def test_single_wide_column_still_packs(self):
+        assert keys._pack_keys([int_col([2**62, 0, 5])]) is not None
+        self._check([int_col([2**62, 0, 5, 0])], [(2**62,), (0,), (5,), (0,)])
+
+    def test_narrow_ranges_use_a_direct_table_and_all_paths_agree(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        data = [
+            [int(v) for v in rng.integers(-5, 5, 300)],
+            [["x", "y", None, "zz"][v] for v in rng.integers(0, 4, 300)],
+            [bool(v) for v in rng.integers(0, 2, 300)],
+        ]
+        columns = [
+            int_col(data[0]), str_col(data[1]), Column.from_values(DataType.BOOL, data[2]),
+        ]
+        _, capacity = keys._pack_keys(columns)
+        assert capacity < 300  # fewer possible keys than rows: no sort needed
+        self._check(columns, list(zip(*data)))
+        packed = keys.group_codes(columns)
+        monkeypatch.setattr(keys, "_pack_keys", lambda columns: None)
+        fallback = keys.group_codes(columns)
+        assert packed[2] == fallback[2]
+        assert np.array_equal(packed[0], fallback[0])
+        assert np.array_equal(packed[1], fallback[1])
+
+    def test_no_void_records(self, monkeypatch):
+        """Neither path builds an ``np.void`` view of stacked keys."""
+        monkeypatch.setattr(
+            np, "column_stack", lambda *a, **k: pytest.fail("column_stack called")
+        )
+        keys.group_codes([int_col(self.INTS), str_col(self.STRS)])
+        keys.group_codes([int_col(self.WIDE), int_col(self.WIDE)])
+
+
 class TestHashing:
     def test_deterministic(self):
         col = str_col(["x", "y", "x"])

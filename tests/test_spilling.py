@@ -7,7 +7,7 @@ import pytest
 
 from repro import Database, EngineConfig
 from repro.storage import Batch, TupleBuffer
-from repro.storage.spill import SpillManager, approx_batch_bytes
+from repro.storage.spill import SpillManager, approx_batch_bytes, approx_column_bytes
 from repro.types import Schema
 
 from tests.helpers import normalized_rows
@@ -43,6 +43,60 @@ class TestSpillManager:
         )
         loaded = manager.read_batch(manager.write_batch(batch), SCHEMA)
         assert list(loaded.rows()) == [(1, None, "a"), (None, 2.0, None)]
+
+    @pytest.mark.parametrize(
+        "strings",
+        [
+            ["", None, "", None, "x"],  # "" is a value, NULL is not
+            ["naïve", "日本語", "emoji \U0001f600", "nul\x00inside", "trailing\x00"],
+            [f"distinct-{i}" for i in range(300)],
+            [None, None, None],
+        ],
+        ids=["empty_vs_null", "non_ascii", "all_distinct", "all_null"],
+    )
+    def test_string_roundtrip_is_exact_and_pickle_free(self, tmp_path, strings):
+        manager = SpillManager(str(tmp_path))
+        n = len(strings)
+        batch = Batch.from_pydict(
+            SCHEMA, {"k": list(range(n)), "v": [0.5] * n, "s": strings}
+        )
+        # A filtered partition references few of its dictionary's entries;
+        # only those are written.
+        keep = np.arange(n) % 2 == 0
+        for piece in (batch, batch.filter(keep)):
+            path = manager.write_batch(piece)
+            with np.load(path, allow_pickle=False) as payload:
+                assert all(payload[name].dtype != object for name in payload.files)
+            loaded = manager.read_batch(path, SCHEMA)
+            assert list(loaded.rows()) == list(piece.rows())
+            used = {s for s in piece.column("s").to_pylist() if s is not None}
+            assert len(loaded.column("s").dictionary) <= max(len(used), 1) + 1
+
+    def test_byte_estimate_counts_codes_and_the_dictionary_once(self):
+        column = Batch.from_pydict(
+            SCHEMA, {"k": [0] * 1000, "v": [0.0] * 1000, "s": ["ab", "cd"] * 500}
+        ).column("s")
+        assert approx_column_bytes(column) == 4 * 1000 + column.dictionary.nbytes
+        assert column.dictionary.nbytes < 200
+
+    def test_byte_estimate_counts_a_shared_dictionary_once_per_buffer(self):
+        # Morsel-wise appends of one all-distinct table column: every chunk
+        # of every partition references the same dictionary.
+        n = 4096
+        batch = Batch.from_pydict(
+            SCHEMA,
+            {"k": list(range(n)), "v": [0.0] * n, "s": [f"distinct-{i:05d}" for i in range(n)]},
+        )
+        dictionary = batch.column("s").dictionary
+        buffer = TupleBuffer(SCHEMA, 16, ("k",))
+        for start in range(0, n, 64):
+            buffer.append_partitioned(batch.slice(start, start + 64))
+        assert sum(len(p.chunks) for p in buffer.partitions) > 16
+        flat = n * (8 + 8 + 4)
+        assert buffer.approx_bytes() == flat + dictionary.nbytes
+        for partition in buffer.partitions:
+            rows = partition.num_rows
+            assert partition.approx_bytes() == rows * (8 + 8 + 4) + dictionary.nbytes
 
     def test_release_deletes(self, tmp_path):
         manager = SpillManager(str(tmp_path))

@@ -70,9 +70,27 @@ class TestFigure8Traces:
 
     def test_query1_preaggregation_dominates(self, db):
         """The paper: the first scan pipeline dominates; reaggregation
-        pipelines are barely visible."""
-        trace = self.run_trace(db, 1)
-        assert trace.total_work("hashagg") > 1.5 * trace.total_work("hashagg-merge")
+        pipelines are barely visible.
+
+        Rows decide that: the first HASHAGG reads the table, the other two
+        grouping sets reaggregate its groups. In wall time the margin is thin
+        at 12k rows (~3.6 ms of pre-aggregation against ~2 ms for 36 merge
+        items of mostly fixed cost; one trace's ratio spreads 1.45-2.2), so
+        times are compared best-of-five."""
+        config = EngineConfig(
+            num_threads=4, num_partitions=16, morsel_size=2000, collect_metrics=True
+        )
+        profile = db.sql(FIGURE8_QUERIES[1], config=config).profile
+        first, *reaggregations = [
+            stats for _, _, name, _, stats in profile.operator_stats() if name == "HASHAGG"
+        ]
+        assert len(reaggregations) == 2
+        assert all(first.rows_in > 50 * other.rows_in for other in reaggregations)
+
+        traces = [self.run_trace(db, 1) for _ in range(5)]
+        preaggregation = min(trace.total_work("hashagg") for trace in traces)
+        merge = min(trace.total_work("hashagg-merge") for trace in traces)
+        assert preaggregation > 1.5 * merge
 
     def test_query2_shared_buffer_pipeline(self, db):
         """MAD query: partition → sort → window → (re)sort → ordagg."""
