@@ -175,10 +175,11 @@ def global_decls(fn: ast.AST) -> Set[str]:
 # ----------------------------------------------------------------------
 # Buffer-mutator derivation (shared semantics with tools/lint_engine.py)
 # ----------------------------------------------------------------------
-#: Spill machinery: moves rows between memory and disk without changing
+#: Spill machinery: moves rows from memory to disk without changing
 #: logical contents; calling it on a foreign buffer is resource
-#: management, not a contract-relevant mutation.
-SPILL_MACHINERY = frozenset({"spill", "ensure_loaded"})
+#: management, not a contract-relevant mutation. (Reads of a spilled
+#: partition are transient and mutate nothing.)
+SPILL_MACHINERY = frozenset({"spill", "spill_over_budget"})
 
 #: Physical-layout-only methods: rewrite the chunk list (compaction)
 #: without changing logical row order or schema, so read paths like

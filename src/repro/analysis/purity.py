@@ -55,9 +55,9 @@ from .findings import Finding
 #: :func:`derive_mutating_methods` derives from the real source — the
 #: agreement is pinned by a unit test.
 DEFAULT_BUFFER_MUTATORS = frozenset({
-    "set_ordering", "add_columns", "add_column", "sort_inplace",
-    "sort_permutation", "apply_sort_order", "replace", "append_pieces",
-    "append_partitioned", "enable_spilling", "append", "extend",
+    "set_ordering", "append_columns", "columns_appended", "sort_inplace",
+    "sort_permutation", "apply_sort_order", "append_pieces",
+    "append_partitioned", "enable_spilling", "append",
 })
 
 _REGION_METHODS = {"parallel_for": 2, "run_region": 3}  # fn-arg position

@@ -107,8 +107,9 @@ class NaiveRowEngine:
 
     def _scan(self, plan: Scan) -> List[Row]:
         table = self.catalog.get(plan.table_name)
-        names = table.schema.names()
-        return [dict(zip(names, row)) for row in table.to_batch().rows()]
+        names = plan.schema.names()
+        rows = table.to_batch().select(names).rows()
+        return [dict(zip(names, row)) for row in rows]
 
     # ------------------------------------------------------------------
     def _join(self, plan: Join) -> List[Row]:

@@ -69,6 +69,12 @@ class ExecutionError(ReproError):
     strict mode, buffer misuse)."""
 
 
+class SpillError(ExecutionError):
+    """Raised when a partition's spill file cannot be created, written or
+    read back (an ``OSError`` from the file system, or a file shorter than
+    the bytes the partition wrote). The message names the partition file."""
+
+
 class NotSupportedError(ReproError):
     """Raised for SQL features that are recognized but outside the
     reproduction's scope (see DESIGN.md section 7)."""

@@ -95,8 +95,12 @@ class EngineConfig:
         self.reaggregate_grouping_sets = reaggregate_grouping_sets
         self.two_phase_hashagg = two_phase_hashagg
         self.permutation_vectors = permutation_vectors
-        #: When set, tuple buffers spill partitions to disk to keep their
-        #: loaded footprint under this many bytes.
+        #: When set, the bytes a tuple buffer's partitions keep loaded
+        #: *between work items* stay within this many bytes: PARTITION
+        #: spills what does not fit, and a work item of SORT / WINDOW /
+        #: ORDAGG loads at most one spilled partition. It bounds buffers,
+        #: not the process — operator input streams are materialized
+        #: (docs/architecture.md §2).
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_directory = spill_directory
         #: Use the cost model + cardinality estimates to choose between the
@@ -205,27 +209,22 @@ class ExecutionContext:
         return self._spill_manager
 
     def spill_counters(self) -> dict:
-        """Spill byte/event totals so far (zeros when nothing spilled)."""
-        manager = self._spill_manager
-        if manager is None:
-            return {
-                "bytes_written": 0,
-                "bytes_read": 0,
-                "events": 0,
-                "loads": 0,
-            }
-        return {
-            "bytes_written": manager.spilled_bytes,
-            "bytes_read": manager.loaded_bytes,
-            "events": manager.spill_events,
-            "loads": manager.load_events,
-        }
+        """Spill byte/event totals so far (zeros when nothing spilled):
+        bytes appended to / read from spill files, the number of appends
+        (``events``) and reads (``loads``), and ``release_failures`` — spill
+        files or directories that could not be deleted."""
+        if self._spill_manager is None:
+            return dict.fromkeys(
+                ("bytes_written", "bytes_read", "events", "loads", "release_failures"), 0
+            )
+        return self._spill_manager.counters()
 
     def cleanup(self) -> None:
-        """Remove spill files created during this query."""
+        """Remove spill files created during this query. The manager stays
+        for :meth:`spill_counters`, which then include what cleanup could
+        not delete."""
         if self._spill_manager is not None:
             self._spill_manager.cleanup()
-            self._spill_manager = None
 
     # ------------------------------------------------------------------
     def next_phase(self) -> str:

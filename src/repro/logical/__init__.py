@@ -5,7 +5,8 @@ Plans are *normalized*: grouping keys, join keys, sort keys and aggregate /
 window arguments are plain column references into a child projection that
 computes any needed expressions. This single invariant keeps every consumer
 (the LOLEPOP translator and all three baseline engines) free of expression
-plumbing.
+plumbing. Binding ends with :func:`~repro.logical.prune.prune_columns`, so
+every operator's input carries only the columns something above it reads.
 """
 
 from .plan import (
@@ -22,6 +23,7 @@ from .plan import (
     UnionAll,
     explain_plan,
 )
+from .prune import prune_columns
 
 __all__ = [
     "LogicalPlan",
@@ -36,4 +38,5 @@ __all__ = [
     "Limit",
     "UnionAll",
     "explain_plan",
+    "prune_columns",
 ]

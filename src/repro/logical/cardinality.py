@@ -90,9 +90,13 @@ class CardinalityEstimator:
         return 1000.0  # unknown operator: neutral guess
 
     def dictionary_bytes(self, scan: Scan) -> int:
-        """Bytes of the string dictionaries a scan of this table carries."""
+        """Bytes of the string dictionaries of the columns the scan reads."""
         stats = self._statistics.table_stats(scan.table_name)
-        return sum(column.dictionary_bytes for column in stats.columns.values())
+        return sum(
+            column.dictionary_bytes
+            for name, column in stats.columns.items()
+            if scan.schema.has(name)
+        )
 
     # ------------------------------------------------------------------
     def column_distinct(self, plan: LogicalPlan, name: str) -> float:

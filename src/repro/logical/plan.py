@@ -21,13 +21,18 @@ class LogicalPlan:
 
     schema: Schema
     children: List["LogicalPlan"]
+    #: Provenance of the logical rewrites that produced this plan, set on the
+    #: root by the pass (:class:`~repro.observability.provenance.RewriteEvent`
+    #: records); the engine copies them into the query profile.
+    rewrites: Tuple[str, ...] = ()
 
     def label(self) -> str:
         return type(self).__name__.upper()
 
 
 class Scan(LogicalPlan):
-    """Scan of a named base table."""
+    """Scan of a named base table; ``schema`` lists the table columns read
+    (all of them as bound, the referenced ones after column pruning)."""
 
     def __init__(self, table_name: str, schema: Schema):
         self.table_name = table_name
@@ -81,7 +86,12 @@ class JoinKind(enum.Enum):
 
 class Join(LogicalPlan):
     """Equi-join on column names, with optional residual predicate evaluated
-    over the concatenated row."""
+    over the concatenated row.
+
+    The output is the left row followed by the right row, right-side names
+    suffixed on collision (:meth:`Schema.concat`). ``output_names`` overrides
+    the derived names position by position: column pruning passes the names
+    the unpruned join exposed, which the operators above reference."""
 
     def __init__(
         self,
@@ -91,6 +101,7 @@ class Join(LogicalPlan):
         left_keys: Sequence[str],
         right_keys: Sequence[str],
         residual: Optional[Expr] = None,
+        output_names: Optional[Sequence[str]] = None,
     ):
         if len(left_keys) != len(right_keys):
             raise PlanError("join key arity mismatch")
@@ -103,6 +114,11 @@ class Join(LogicalPlan):
             self.schema = left.schema
         else:
             self.schema = left.schema.concat(right.schema)
+            if output_names is not None:
+                self.schema = Schema(
+                    Field(name, field.dtype)
+                    for name, field in zip(output_names, self.schema)
+                )
 
     @property
     def left(self) -> LogicalPlan:

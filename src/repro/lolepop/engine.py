@@ -57,7 +57,7 @@ class QueryResult:
         #: was configured with ``collect_metrics=True``; ``None`` otherwise.
         self.profile = profile
         #: Spill counters dict (``bytes_written``/``bytes_read``/``events``/
-        #: ``loads``) for LOLEPOP runs — present even without a profile so
+        #: ``loads``/``release_failures``) for LOLEPOP runs — present even without a profile so
         #: the telemetry layer can record spill per query; ``None`` for the
         #: baseline engines (they never spill).
         self.spill = spill
@@ -154,15 +154,16 @@ class LolepopEngine:
             profile.execution_mode = self.config.execution_mode
             if plan_cache_hit:
                 profile.count("plan_cache.hit")
+            profile.rewrites.extend(plan.rewrites)  # logical passes first
             runner.ctx.profile = profile
         try:
             batches = runner.execute_stream(plan)
             batch = (
                 Batch.concat(batches) if batches else Batch.empty(plan.schema)
             )
-            spill = runner.ctx.spill_counters()
         finally:
             runner.ctx.cleanup()
+        spill = runner.ctx.spill_counters()
         if profile is not None:
             for key, value in spill.items():
                 if value:

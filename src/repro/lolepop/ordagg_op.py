@@ -87,13 +87,9 @@ class OrdAggOp(Lolepop):
         partitions = [p for p in buffer.partitions if p.num_rows]
 
         def aggregate_one(partition) -> Batch:
-            was_spilled = partition.is_spilled
-            result = self._aggregate_partition(
+            return self._aggregate_partition(
                 partition.ordered_batch(), out_schema
             )
-            if buffer.spilling and was_spilled:
-                partition.spill(buffer.spill_manager)
-            return result
 
         results = ctx.parallel_for(
             "ordagg", partitions, aggregate_one, splittable=True

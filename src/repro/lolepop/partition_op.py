@@ -10,6 +10,11 @@ Mirrors the paper's §4.4: per-thread scatter, cross-thread chunk-list merge
 (free in our single-address-space emulation), then an optional *compaction*
 step producing one chunk per partition when a downstream operator asked for
 in-place modification (SORT does).
+
+Under a memory budget the partitions that do not fit are spilled right after
+the scatter. What the budget bounds is the buffer's loaded footprint from
+then on; the input stream itself is fully materialized operator-at-a-time
+before PARTITION sees it, so peak memory is not bounded by the budget.
 """
 
 from __future__ import annotations
@@ -76,6 +81,26 @@ class PartitionOp(Lolepop):
             ctx.parallel_for(
                 "partition", [t for t in targets if t[1]], scatter
             )
+        if ctx.config.memory_budget_bytes is not None:
+            # The spilling LOLEPOP variant (paper §7): keep the buffer's
+            # loaded footprint under the memory budget. A partition goes to
+            # disk straight from its scattered pieces (the file is the
+            # compacted partition), so this runs before compaction; the
+            # write cost is charged like any other work.
+            buffer.enable_spilling(
+                ctx.spill_manager, ctx.config.memory_budget_bytes
+            )
+            if ctx.profile is not None:
+                # What write amplification is measured against.
+                ctx.profile.count(
+                    "spill.partition_input_bytes", buffer.approx_bytes()
+                )
+            ctx.next_phase()
+            spilled = ctx.parallel_for(
+                "spill", [buffer], lambda b: b.spill_over_budget()
+            )
+            if self.stats is not None and spilled:
+                self.stats.extra["spilled_partitions"] = spilled[0]
         if self.compact:
             ctx.next_phase()
             ctx.parallel_for(
@@ -84,24 +109,11 @@ class PartitionOp(Lolepop):
                 lambda p: p.compact(),
                 splittable=True,
             )
-        if ctx.config.memory_budget_bytes is not None:
-            # The spilling LOLEPOP variant (paper §7): keep the buffer's
-            # loaded footprint under the memory budget. The serialization
-            # cost is charged like any other work.
-            buffer.enable_spilling(
-                ctx.spill_manager, ctx.config.memory_budget_bytes
-            )
-            ctx.next_phase()
-            spilled = ctx.parallel_for(
-                "spill", [buffer], lambda b: b.spill_over_budget()
-            )
-            if self.stats is not None and spilled:
-                self.stats.extra["spilled_partitions"] = spilled[0]
         if self.stats is not None:
             self.stats.extra["scatter_keys"] = (
                 ",".join(self.keys) or "round-robin"
             )
-        if self.reuse_capture is not None and not buffer.spilling:
+        if self.reuse_capture is not None:
             manager = getattr(ctx.config, "reuse", None)
             if manager is not None:
                 manager.offer_buffer(self.reuse_capture, buffer)

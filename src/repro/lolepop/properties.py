@@ -624,7 +624,7 @@ def _window_derive(node: WindowOp, ins: Sequence[Optional[PhysProps]]) -> PhysPr
         "buffer",
         schema=schema,
         partitioned_by=source.partitioned_by,
-        ordered_by=source.ordered_by,  # add_columns preserves the order
+        ordered_by=source.ordered_by,  # append_columns preserves the order
         unique_on=source.unique_on,
     )
 

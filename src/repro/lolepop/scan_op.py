@@ -48,19 +48,22 @@ class ScanOp(Lolepop):
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         source = inputs[0]
         if isinstance(source, TupleBuffer):
-            batches = [p.ordered_batch() for p in source.partitions if p.num_rows]
-            if not batches:
-                batches = [Batch.empty(source.schema)]
+            # Partitions are read (a spilled one from its file) inside the
+            # scan work items, one each.
+            items = [p for p in source.partitions if p.num_rows]
+            if not items:
+                items = [Batch.empty(source.schema)]
         else:
-            batches = source
+            items = source
 
-        def scan_one(batch: Batch) -> Batch:
+        def scan_one(item) -> Batch:
+            batch = item if isinstance(item, Batch) else item.ordered_batch()
             if self.project is not None:
                 columns = [evaluate(expr, batch) for _, expr in self.project]
                 batch = Batch(self.project_schema, columns)
             return batch
 
-        outputs = ctx.parallel_for("scan", batches, scan_one)
+        outputs = ctx.parallel_for("scan", items, scan_one)
         outputs = [b for b in outputs if len(b)] or [outputs[0]]
         if self.offset or self.limit is not None:
             outputs = _apply_limit(outputs, self.limit, self.offset)

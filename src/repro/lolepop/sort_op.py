@@ -4,7 +4,8 @@ Operates *in place* on its input buffer and returns the same object; the
 paper's morsel-driven BlockQuicksort is modeled by marking the per-partition
 sort work items as splittable (DESIGN.md §4 item 2). Two access paths match
 §4.2: physical reordering of the compacted chunk, or a *permutation vector*
-(indices + copied key columns) for wide tuples.
+(indices + copied key columns) for wide tuples — and for every spilled
+partition, whose file then only grows by the vector.
 
 Sort elision (optimizer step E): when the buffer's existing ordering already
 has the required ordering as a prefix, the sort is a no-op.
@@ -37,50 +38,37 @@ class PartitionSortTask(SplittableTask):
 
     def __init__(
         self,
-        buffer: TupleBuffer,
         partition: BufferPartition,
         key_names: Sequence[str],
         descending: Sequence[bool],
         mode: str,
         prefix: int,
     ):
-        self.buffer = buffer
         self.partition = partition
         self.key_names = list(key_names)
         self.descending = list(descending)
-        self.mode = mode
+        # A spilled partition's tuples are written once: its sort appends a
+        # permutation vector (§4.2) instead of rewriting them.
+        self.mode = "permutation" if partition.is_spilled else mode
         self.prefix = prefix
         self._finalize_order = None
 
     # -- whole-item path ----------------------------------------------
     def run(self) -> None:
-        partition = self.partition
-        # The fast path requires the previous order to be physical (and
-        # spilled partitions were stored in logical order).
-        was_spilled = partition.is_spilled
-        usable_prefix = self.prefix if partition.permutation is None else 0
-        if self.mode == "permutation" and not self.buffer.spilling:
-            partition.sort_permutation(
-                self.key_names, self.descending, usable_prefix
-            )
-        else:
-            partition.sort_inplace(
-                self.key_names, self.descending, usable_prefix
-            )
-        if self.buffer.spilling and was_spilled:
-            # Partition-at-a-time processing: write back and release.
-            partition.spill(self.buffer.spill_manager)
+        sort = (
+            self.partition.sort_permutation
+            if self.mode == "permutation"
+            else self.partition.sort_inplace
+        )
+        sort(self.key_names, self.descending, self.prefix)
 
     # -- split path ----------------------------------------------------
     def split(self, max_parts: int) -> Optional[List]:
-        partition = self.partition
-        if self.buffer.spilling or partition.is_spilled:
+        if self.prefix or self.partition.is_spilled:
+            # The presorted-prefix fast path beats a split re-sort, and a
+            # spilled partition is read inside one work item only.
             return None
-        if self.prefix and partition.permutation is None:
-            # The presorted-prefix fast path beats a split re-sort.
-            return None
-        chunk = partition.compact()
-        columns = [chunk.column(name) for name in self.key_names]
+        columns = self.partition.logical_columns(self.key_names)
         plan = split_lexsort(columns, self.descending, max_parts)
         if plan is None:
             return None
@@ -89,8 +77,7 @@ class PartitionSortTask(SplittableTask):
 
     def finalize(self, sub_results: List) -> None:
         order = self._finalize_order(sub_results)
-        mode = "permutation" if self.mode == "permutation" else "inplace"
-        self.partition.apply_sort_order(order, self.key_names, mode)
+        self.partition.apply_sort_order(order, self.key_names, self.mode)
 
 
 class SortOp(Lolepop):
@@ -138,8 +125,8 @@ class SortOp(Lolepop):
         first_sort = not buffer.ordered_by
         mode = self._resolve_mode(buffer, ctx)
         # How many leading keys the buffer is already ordered by (a prior
-        # in-place SORT of the same buffer): a re-sort then only needs a
-        # suffix sort per key range.
+        # SORT of the same buffer): a re-sort then only needs a suffix sort
+        # per key range.
         prefix = 0
         if ctx.config.elide_sorts:
             existing = buffer.ordered_by
@@ -151,19 +138,22 @@ class SortOp(Lolepop):
                 prefix += 1
 
         tasks = [
-            PartitionSortTask(buffer, p, key_names, descending, mode, prefix)
+            PartitionSortTask(p, key_names, descending, mode, prefix)
             for p in buffer.partitions
             if p.num_rows > 1
         ]
         if self.stats is not None:
-            self.stats.extra["mode"] = mode
+            # What the partitions actually did (spilled ones always permute).
+            self.stats.extra["mode"] = "/".join(
+                sorted({task.mode for task in tasks})
+            ) or mode
             self.stats.extra["presorted_prefix"] = prefix
             self.stats.extra["sorted_partitions"] = len(tasks)
         ctx.parallel_for(
             "sort", tasks, PartitionSortTask.run, splittable=True
         )
         buffer.set_ordering(required)
-        if first_sort and not buffer.spilling:
+        if first_sort:
             spec = self._capture_spec()
             if spec is not None:
                 manager = getattr(ctx.config, "reuse", None)

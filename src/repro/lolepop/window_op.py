@@ -30,7 +30,7 @@ from ..expr.nodes import Expr
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
-from ..types import DataType
+from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
 from .ranges import key_change_flags, ranges_of
 from .segment_tree import PrefixSums, SparseTable
@@ -66,54 +66,42 @@ class WindowOp(Lolepop):
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         buffer: TupleBuffer = inputs[0]
-        schema = buffer.schema
         part_names = [ref.name for ref in self.calls[0].partition_by]
         order_names = [ref.name for ref, _ in self.calls[0].order_by]
 
-        fields: List[Tuple[str, DataType]] = []
+        fields: List[Field] = list(buffer.schema.fields)
         for call in self.calls:
-            arg_types = [infer_dtype(a, schema) for a in call.args]
-            fields.append((call.name, call.spec.result_type(arg_types)))
+            arg_types = [infer_dtype(a, buffer.schema) for a in call.args]
+            fields.append(Field(call.name, call.spec.result_type(arg_types)))
+        window_schema = Schema(fields)
+        call_fields = fields[len(buffer.schema):]
+        for name, expr in self.post_items:
+            fields.append(Field(name, infer_dtype(expr, window_schema)))
+        schema = Schema(fields) if self.post_items else window_schema
 
-        def compute(partition) -> List[Column]:
+        def compute(partition) -> None:
+            # One work item reads, evaluates and writes back one partition,
+            # so a spilled buffer never has more than that one loaded.
             batch = partition.ordered_batch()
             starts, ends, codes = ranges_of(batch, part_names)
-            columns = []
-            for call, (_, dtype) in zip(self.calls, fields):
-                columns.append(
-                    evaluate_window_call(
-                        call, dtype, batch, starts, ends, codes,
-                        part_names, order_names,
-                    )
+            columns = [
+                evaluate_window_call(
+                    call, field.dtype, batch, starts, ends, codes,
+                    part_names, order_names,
                 )
-            return columns
+                for call, field in zip(self.calls, call_fields)
+            ]
+            if self.post_items:
+                extended = Batch(window_schema, batch.columns + columns)
+                columns += [evaluate(expr, extended) for _, expr in self.post_items]
+            partition.append_columns(schema, columns)
 
-        per_partition = ctx.parallel_for(
-            "window", buffer.partitions, compute, splittable=True
-        )
-        buffer.add_columns(fields, per_partition)
+        ctx.parallel_for("window", buffer.partitions, compute, splittable=True)
+        buffer.columns_appended(schema)
         if self.stats is not None:
             self.stats.extra["window_calls"] = len(self.calls)
             self.stats.buffer_reuse_hits += 1  # computed columns written
             # into the shared buffer instead of a fresh materialization.
-
-        if self.post_items:
-            post_fields = [
-                (name, infer_dtype(expr, buffer.schema))
-                for name, expr in self.post_items
-            ]
-
-            def compute_post(partition) -> List[Column]:
-                batch = partition.ordered_batch()
-                return [evaluate(expr, batch) for _, expr in self.post_items]
-
-            post_columns = ctx.parallel_for(
-                "window", buffer.partitions, compute_post, splittable=True
-            )
-            buffer.add_columns(post_fields, post_columns)
-        if buffer.spilling:
-            ctx.next_phase()
-            ctx.parallel_for("spill", [buffer], lambda b: b.spill_over_budget())
         return buffer
 
 

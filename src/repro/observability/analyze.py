@@ -275,9 +275,14 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
     )
     spill_w = profile.counters.get("spill.bytes_written", 0)
     spill_r = profile.counters.get("spill.bytes_read", 0)
+    spill_in = profile.counters.get("spill.partition_input_bytes", 0)
+    # Write amplification: bytes written per byte that entered a budgeted
+    # PARTITION (1.0 = every tuple written once and nothing else).
+    amplification = f", {spill_w / spill_in:.2f}× partition input" if spill_in else ""
     lines.append(
         f"buffer-reuse: {reuse_total}  sort-elisions: {elide_total}  "
         f"spill: {_format_bytes(spill_w)} written / {_format_bytes(spill_r)} read"
+        + amplification
     )
     if profile.rewrites:
         lines.append("rewrites:")

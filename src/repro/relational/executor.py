@@ -78,7 +78,7 @@ class RelationalExecutor:
     def _source_batches(self, plan: LogicalPlan) -> List[Batch]:
         if isinstance(plan, Scan):
             table = self.catalog.get(plan.table_name)
-            batches = table.scan(self.context.config.morsel_size)
+            batches = table.scan(self.context.config.morsel_size, plan.schema)
             # Scanning is work too; charge a cheap pass over the morsels.
             # ("tablescan" distinguishes base-table scans from the SCAN
             # LOLEPOP's buffer scans in traces.)

@@ -57,7 +57,10 @@ def chain_signature(plan: LogicalPlan) -> Optional[Tuple]:
     if chain is None:
         return None
     scan, stages = chain
-    parts: List[Tuple] = [("scan", scan.table_name.lower())]
+    # The columns read are part of the identity: column pruning narrows the
+    # scan per statement, and a cached buffer holds exactly those columns.
+    columns = tuple(name.lower() for name in scan.schema.names())
+    parts: List[Tuple] = [("scan", scan.table_name.lower(), columns)]
     parts.extend(_stage_sig(stage) for stage in stages)
     return tuple(parts)
 

@@ -65,6 +65,7 @@ from ..logical import (
     Window,
 )
 from ..logical.assemble import assemble_grouped, attach_window_stage
+from ..logical.prune import prune_columns
 from ..storage.table import Catalog
 from ..types import DataType, parse_type
 from . import ast as sql_ast
@@ -74,10 +75,11 @@ def bind(stmt, catalog: Catalog) -> LogicalPlan:
     """Bind a parsed statement against ``catalog`` and return a plan.
 
     An :class:`~repro.sql.ast.ExplainStmt` binds its inner SELECT — the
-    EXPLAIN mode is handled by the API layer, not the plan."""
+    EXPLAIN mode is handled by the API layer, not the plan. The last step
+    is column pruning (:func:`~repro.logical.prune.prune_columns`)."""
     if isinstance(stmt, sql_ast.ExplainStmt):
         stmt = stmt.select
-    return _Binder(catalog).bind_statement(stmt)
+    return prune_columns(_Binder(catalog).bind_statement(stmt))
 
 
 def _split_and(expr: Optional[sql_ast.SqlExpr]) -> List[sql_ast.SqlExpr]:

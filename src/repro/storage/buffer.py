@@ -21,7 +21,9 @@ Following the paper, a partition can be accessed three ways:
 compacted chunk) or ``permutation`` (only build the permutation vector). The
 optimizer picks the mode from the tuple width; consumers go through
 :meth:`BufferPartition.ordered_batch`, which hides the distinction — the
-iterator-abstraction trick of Figure 5.
+iterator-abstraction trick of Figure 5. It also hides where the partition
+lives: under a memory budget a partition may be *spilled*
+(:mod:`repro.storage.spill`), and the same access paths then read its file.
 """
 
 from __future__ import annotations
@@ -35,22 +37,49 @@ from ..errors import ExecutionError
 from ..types import DataType, Schema
 from .batch import Batch
 from .column import Column
+from .spill import approx_batch_bytes, flat_batch_bytes
 from . import keys as keys_mod
 
 Ordering = Tuple[Tuple[str, bool], ...]
 
 
+def _sort_indices(
+    keys: Sequence[Column], descending: Sequence[bool], presorted_prefix: int = 0
+) -> np.ndarray:
+    """Stable sort permutation of the key columns, exploiting an existing
+    ordering.
+
+    When the rows are already ordered by the first ``presorted_prefix`` keys
+    (a previous SORT of this buffer — the re-sort case of Figure 8 query 2),
+    only the remaining suffix needs a comparison sort; the prefix is restored
+    with a radix pass over dense range codes. This is the paper's
+    "significantly faster since the hash partitions are already sorted by the
+    key" effect.
+    """
+    if 0 < presorted_prefix == len(keys) - 1:
+        flags = np.zeros(len(keys[0]), dtype=bool)
+        flags[0] = True
+        for col in keys[:presorted_prefix]:
+            values = keys_mod._normalize_values(col)
+            flags[1:] |= values[1:] != values[:-1]
+        codes = (np.cumsum(flags) - 1).astype(np.int64)
+        suffix = keys[-1].sort_key(descending=descending[-1])
+        order = np.argsort(suffix, kind="stable")
+        return order[np.argsort(codes[order], kind="stable")]
+    return keys_mod.lexsort_indices(keys, descending)
+
+
 class BufferPartition:
     """One hash partition: a chunk list plus optional permutation vector.
 
-    A partition may be *spilled* — its (logically ordered) rows serialized
-    to disk by a :class:`~repro.storage.spill.SpillManager`; every access
-    path loads it back transparently."""
+    The *physical* row order is the chunk list's; the *logical* order is the
+    physical one read through the permutation vector, when there is one.
+    A partition may be *spilled*: chunk list and permutation then live in a
+    :class:`~repro.storage.spill.SpillFile` and every access path reads them
+    from there — transiently, the partition stays spilled, and nothing that
+    is only read is ever written again."""
 
-    __slots__ = (
-        "schema", "chunks", "permutation", "key_cache",
-        "_spill_manager", "_spill_path", "_spilled_rows", "_spill_schema",
-    )
+    __slots__ = ("schema", "chunks", "permutation", "key_cache", "_spill", "_share")
 
     def __init__(self, schema: Schema, chunks: Optional[List[Batch]] = None):
         self.schema = schema
@@ -62,60 +91,45 @@ class BufferPartition:
         #: aligned with ``permutation``. Mirrors the paper's "tuple address
         #: followed by copied key attributes".
         self.key_cache: dict = {}
-        self._spill_manager = None
-        self._spill_path: Optional[str] = None
-        self._spilled_rows = 0
-        self._spill_schema: Optional[Schema] = None
+        #: The partition's file while it is spilled.
+        self._spill = None
+        #: ``(spill manager, bytes)`` while the partition is loaded inside a
+        #: budgeted buffer: its share of the buffer's memory budget (see
+        #: :meth:`TupleBuffer.spill_over_budget`).
+        self._share = None
 
     # ------------------------------------------------------------------
     # Spilling
     # ------------------------------------------------------------------
     @property
     def is_spilled(self) -> bool:
-        return self._spill_path is not None
+        return self._spill is not None
 
     def spill(self, manager) -> None:
-        """Write the partition's rows (in logical order) to disk and drop
-        the in-memory chunks."""
+        """Move the partition to disk: the chunk list is written column by
+        column straight from the chunks (the file is the compacted
+        partition), then the permutation vector if there is one."""
         if self.is_spilled or self.num_rows == 0:
             return
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        batch = self.ordered_batch()
-        self._spill_manager = manager
-        self._spill_path = manager.write_batch(batch)
-        self._spilled_rows = len(batch)
-        self._spill_schema = batch.schema
+        file = manager.spill_chunks(self.chunks)
+        if self.permutation is not None:
+            file.append_permutation(self.permutation)
+        self._spill = file
         self.chunks = []
         self.permutation = None
         self.key_cache = {}
 
-    def ensure_loaded(self) -> None:
-        if not self.is_spilled:
-            return
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
-        batch = self._spill_manager.read_batch(
-            self._spill_path, self._spill_schema
-        )
-        self._spill_manager.release(self._spill_path)
-        self._spill_path = None
-        self._spilled_rows = 0
-        self.chunks = [batch]
-        self.permutation = None
-
     def approx_bytes(self) -> int:
-        if self.is_spilled:
-            return 0
-        from .spill import approx_batch_bytes
-
+        """Loaded footprint (0 while spilled)."""
         return approx_batch_bytes(*self.chunks)
 
     # ------------------------------------------------------------------
     @property
     def num_rows(self) -> int:
         if self.is_spilled:
-            return self._spilled_rows
+            return self._spill.rows
         return sum(len(chunk) for chunk in self.chunks)
 
     @property
@@ -127,29 +141,25 @@ class BufferPartition:
             return
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        self.ensure_loaded()
+        if self.is_spilled:
+            raise ExecutionError("cannot append rows to a spilled partition")
         if self.permutation is not None:
             raise ExecutionError("cannot append to a partition with a permutation vector")
         self.chunks.append(batch)
 
-    def extend(self, other: "BufferPartition") -> None:
-        """Merge another partition's chunk list (cross-thread merge step)."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
-            _SAN.active.on_access(other, "r")
-        other.ensure_loaded()
-        for chunk in other.chunks:
-            self.append(chunk)
-
     def compact(self) -> Batch:
-        """Merge the chunk list into a single chunk and return it."""
+        """The partition's rows in physical order as a single chunk: merges
+        the chunk list in place, or reads a spilled partition's file."""
+        if self.is_spilled:
+            if _SAN.active is not None:
+                _SAN.active.on_access(self, "r")
+            return self._spill.read_batch(self.schema)
         if _SAN.active is not None:
             # Rewrites the chunk list unless already compacted: two
             # concurrent lazy compactions of one partition are a real race.
             _SAN.active.on_access(
                 self, "r" if len(self.chunks) == 1 else "w"
             )
-        self.ensure_loaded()
         if not self.chunks:
             empty = Batch.empty(self.schema)
             self.chunks = [empty]
@@ -158,41 +168,30 @@ class BufferPartition:
             self.chunks = [Batch.concat(self.chunks)]
         return self.chunks[0]
 
+    def _permutation(self) -> Optional[np.ndarray]:
+        if self.is_spilled:
+            return self._spill.read_permutation()
+        return self.permutation
+
     # ------------------------------------------------------------------
     # Sorting access paths
     # ------------------------------------------------------------------
-    def _sort_indices(
-        self,
-        chunk: Batch,
-        key_names: Sequence[str],
-        descending: Sequence[bool],
-        presorted_prefix: int = 0,
-    ) -> np.ndarray:
-        """Sort permutation, exploiting an existing physical ordering.
-
-        When the chunk is already ordered by the first ``presorted_prefix``
-        keys (a previous SORT of this buffer — the re-sort case of Figure 8
-        query 2), only the remaining suffix needs a comparison sort; the
-        prefix is restored with a radix pass over dense range codes. This is
-        the paper's "significantly faster since the hash partitions are
-        already sorted by the key" effect.
-        """
-        if 0 < presorted_prefix == len(key_names) - 1:
-            prefix_cols = [chunk.column(n) for n in key_names[:presorted_prefix]]
-            flags = np.zeros(len(chunk), dtype=bool)
-            flags[0] = True
-            for col in prefix_cols:
-                values = keys_mod._normalize_values(col)
-                flags[1:] |= values[1:] != values[:-1]
-            codes = (np.cumsum(flags) - 1).astype(np.int64)
-            suffix = chunk.column(key_names[-1]).sort_key(
-                descending=descending[-1]
-            )
-            order = np.argsort(suffix, kind="stable")
-            return order[np.argsort(codes[order], kind="stable")]
-        return keys_mod.lexsort_indices(
-            [chunk.column(name) for name in key_names], descending
-        )
+    def logical_columns(self, names: Sequence[str]) -> List[Column]:
+        """The named columns in logical row order — the copied keys of the
+        permutation vector where it has them, gathered otherwise."""
+        if _SAN.active is not None:
+            _SAN.active.on_access(self, "r")
+        columns = [self.key_cache.get(name) for name in names]
+        if any(column is None for column in columns):
+            chunk = self.compact()
+            permutation = self._permutation()
+            for index, name in enumerate(names):
+                if columns[index] is None:
+                    column = chunk.column(name)
+                    if permutation is not None:
+                        column = column.take(permutation)
+                    columns[index] = column
+        return columns
 
     def sort_inplace(
         self,
@@ -201,16 +200,7 @@ class BufferPartition:
         presorted_prefix: int = 0,
     ) -> None:
         """Physically reorder the (compacted) chunk by the sort keys."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
-        chunk = self.compact()
-        if len(chunk) <= 1:
-            self.permutation = None
-            return
-        order = self._sort_indices(chunk, key_names, descending, presorted_prefix)
-        self.chunks = [chunk.take(order)]
-        self.permutation = None
-        self.key_cache = {}
+        self._sort(key_names, descending, presorted_prefix, "inplace")
 
     def sort_permutation(
         self,
@@ -219,40 +209,63 @@ class BufferPartition:
         presorted_prefix: int = 0,
     ) -> None:
         """Build a permutation vector (indices + copied keys) without moving
-        the tuples themselves."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
-        chunk = self.compact()
-        if len(chunk) <= 1:
-            self.permutation = np.arange(len(chunk), dtype=np.int64)
+        the tuples themselves. A spilled partition appends the vector to its
+        file; its tuples are never written twice."""
+        self._sort(key_names, descending, presorted_prefix, "permutation")
+
+    def _sort(
+        self,
+        key_names: Sequence[str],
+        descending: Sequence[bool],
+        presorted_prefix: int,
+        mode: str,
+    ) -> None:
+        rows = self.num_rows
+        if rows <= 1:
+            if _SAN.active is not None:
+                _SAN.active.on_access(self, "w")
+            if mode == "permutation" and not self.is_spilled:
+                self.compact()
+                self.permutation = np.arange(rows, dtype=np.int64)
             return
-        columns = [chunk.column(name) for name in key_names]
-        order = self._sort_indices(chunk, key_names, descending, presorted_prefix)
-        self.permutation = order
-        self.key_cache = {
-            name: col.take(order) for name, col in zip(key_names, columns)
-        }
+        keys = self.logical_columns(key_names)
+        order = _sort_indices(keys, descending, presorted_prefix)
+        self.apply_sort_order(order, key_names, mode, keys)
 
     def apply_sort_order(
         self,
         order: np.ndarray,
         key_names: Sequence[str],
         mode: str = "inplace",
+        keys: Optional[Sequence[Column]] = None,
     ) -> None:
-        """Install an externally computed sort permutation over the
-        compacted chunk — the merge step of a parallel split sort. Matches
-        what :meth:`sort_inplace` / :meth:`sort_permutation` would have
-        produced from the same permutation."""
+        """Make ``order`` — a permutation of the current *logical* order,
+        e.g. a stable sort of :meth:`logical_columns` or the merge step of a
+        parallel split sort — the new logical order. Composed with an
+        existing permutation vector (``perm[order]``), so a re-sort is stable
+        over the previous sort whichever mode either ran in. ``keys`` are the
+        sort key columns in the current logical order, if the caller has
+        them."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        chunk = self.compact()
-        if mode == "permutation":
-            self.permutation = order
+        previous = self._permutation()
+        composed = order if previous is None else previous[order]
+        if self.is_spilled:
+            if mode != "permutation":
+                raise ExecutionError(
+                    "a spilled partition is sorted through its permutation vector"
+                )
+            self._spill.append_permutation(composed)
+        elif mode == "permutation":
+            if keys is None:
+                keys = self.logical_columns(key_names)
+            self.compact()
+            self.permutation = composed
             self.key_cache = {
-                name: chunk.column(name).take(order) for name in key_names
+                name: col.take(order) for name, col in zip(key_names, keys)
             }
         else:
-            self.chunks = [chunk.take(order)]
+            self.chunks = [self.compact().take(composed)]
             self.permutation = None
             self.key_cache = {}
 
@@ -265,21 +278,47 @@ class BufferPartition:
         if _SAN.active is not None:
             _SAN.active.on_access(self, "r")
         chunk = self.compact()
-        if self.permutation is None:
+        permutation = self._permutation()
+        if permutation is None:
             return chunk
-        return chunk.take(self.permutation)
+        return chunk.take(permutation)
 
-    def replace(self, batch: Batch) -> None:
-        """Replace partition contents with ``batch`` (in logical order)."""
+    def append_columns(self, schema: Schema, columns: Sequence[Column]) -> None:
+        """Append computed columns, given in *logical* row order — the
+        WINDOW write-back, called from the partition's own work item.
+        ``schema`` is the partition's schema extended by the new fields.
+
+        Tuples do not move: under a permutation vector the new columns are
+        scattered back to the physical order it indexes (logical row ``i``
+        is physical row ``perm[i]``), and a spilled partition appends them to
+        its file."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        self.chunks = [batch]
-        self.permutation = None
-        self.key_cache = {}
+        rows = self.num_rows
+        if len(schema) != len(self.schema) + len(columns) or any(
+            len(col) != rows for col in columns
+        ):
+            raise ExecutionError("window column length mismatch")
+        permutation = self._permutation()
+        if permutation is not None:
+            columns = [col.scatter(permutation, rows) for col in columns]
+        if not self.is_spilled:
+            chunk = Batch(schema, self.compact().columns + list(columns))
+            if self._share is None or approx_batch_bytes(chunk) <= self._share[1]:
+                self.chunks = [chunk]
+            else:
+                # It would outgrow its share of the buffer's budget: the
+                # partition goes to disk first, in this work item.
+                self.spill(self._share[0])
+        if self.is_spilled:
+            self._spill.append_columns([[col] for col in columns])
+        self.schema = schema
 
     def __repr__(self) -> str:
-        mode = "perm" if self.permutation is not None else (
-            "compact" if self.is_compacted else f"{len(self.chunks)} chunks"
+        mode = "spilled" if self.is_spilled else (
+            "perm" if self.permutation is not None else (
+                "compact" if self.is_compacted else f"{len(self.chunks)} chunks"
+            )
         )
         return f"BufferPartition({self.num_rows} rows, {mode})"
 
@@ -323,28 +362,42 @@ class TupleBuffer:
     def approx_bytes(self) -> int:
         """Loaded footprint; a dictionary shared across partitions (every
         slice of a table column) counts once for the whole buffer."""
-        from .spill import approx_batch_bytes
-
         return approx_batch_bytes(
-            *(chunk for p in self.partitions if not p.is_spilled for chunk in p.chunks)
+            *(chunk for p in self.partitions for chunk in p.chunks)
         )
 
     def spill_over_budget(self) -> int:
         """Spill largest-first until the loaded footprint fits the budget;
-        returns the number of partitions spilled."""
+        returns the number of partitions spilled.
+
+        The partitions that stay loaded divide what is left of the budget
+        among themselves in proportion to their size: a partition that a
+        later work item would grow beyond its share (WINDOW appending
+        columns) spills itself there instead, so the loaded footprint stays
+        within the budget without any further buffer-wide pass."""
         if not self.spilling:
             return 0
+        budget = self.memory_budget or 0
+        loaded = [
+            (flat_batch_bytes(*p.chunks), p)
+            for p in self.partitions
+            if p.num_rows and not p.is_spilled
+        ]
+        loaded.sort(key=lambda entry: entry[0], reverse=True)
+        flat = sum(size for size, _ in loaded)
+        # Dictionaries are shared: they count as loaded while any partition is.
+        shared = self.approx_bytes() - flat
         spilled = 0
-        candidates = sorted(
-            (p for p in self.partitions if not p.is_spilled and p.num_rows),
-            key=lambda p: p.approx_bytes(),
-            reverse=True,
-        )
-        for partition in candidates:
-            if self.approx_bytes() <= (self.memory_budget or 0):
+        for size, partition in loaded:
+            if flat + shared <= budget:
                 break
             partition.spill(self.spill_manager)
+            flat -= size
             spilled += 1
+        headroom = budget - (flat + shared)
+        for size, partition in loaded[spilled:]:
+            share = partition.approx_bytes() + headroom * size // max(flat, 1)
+            partition._share = (self.spill_manager, share)
         return spilled
 
     # ------------------------------------------------------------------
@@ -457,43 +510,16 @@ class TupleBuffer:
             return False
         return tuple(self.ordered_by[: len(required)]) == tuple(required)
 
-    def add_column(self, name: str, dtype: DataType, per_partition: List[Column]) -> None:
-        """Append one computed column to every partition (see
-        :meth:`add_columns`)."""
-        self.add_columns([(name, dtype)], [[col] for col in per_partition])
-
-    def add_columns(
-        self,
-        fields: List[Tuple[str, DataType]],
-        per_partition: List[List[Column]],
-    ) -> None:
-        """Append computed columns to every partition *in logical order*
-        (the WINDOW write-back path). Physically re-materializes partitions
-        in their logical order first, matching the compaction the paper
-        performs before in-place modification.
-
-        ``per_partition[p]`` holds one column per new field, aligned with
-        partition ``p``'s logical row order.
-        """
-        if len(per_partition) != self.num_partitions:
-            raise ExecutionError("per-partition column count mismatch")
+    def columns_appended(self, schema: Schema) -> None:
+        """Adopt the schema every partition was extended to by
+        :meth:`BufferPartition.append_columns` (the WINDOW write-back runs
+        partition by partition inside work items; this is its serial
+        epilogue)."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        from ..types import Field
-
-        new_schema = Schema(
-            list(self.schema.fields)
-            + [Field(name, dtype) for name, dtype in fields]
-        )
-        for partition, columns in zip(self.partitions, per_partition):
-            ordered = partition.ordered_batch()
-            if any(len(col) != len(ordered) for col in columns):
-                raise ExecutionError("window column length mismatch")
-            partition.replace(
-                Batch(new_schema, list(ordered.columns) + list(columns))
-            )
-            partition.schema = new_schema
-        self.schema = new_schema
+        if any(p.schema is not schema for p in self.partitions):
+            raise ExecutionError("per-partition column count mismatch")
+        self.schema = schema
 
     def clone_layout(self) -> "TupleBuffer":
         """An empty buffer with identical schema/partitioning."""

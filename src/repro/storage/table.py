@@ -147,9 +147,14 @@ class Table:
         # need no lock.
         return Batch(self.schema, list(self._columns))
 
-    def scan(self, morsel_size: Optional[int] = None) -> List[Batch]:
-        """The table as a list of batches (morsels)."""
+    def scan(
+        self, morsel_size: Optional[int] = None, schema: Optional[Schema] = None
+    ) -> List[Batch]:
+        """The table as a list of batches (morsels) — of the columns in
+        ``schema`` (a subset of the table's, by name) when given."""
         batch = self.to_batch()
+        if schema is not None and schema is not self.schema:
+            batch = Batch(schema, [batch.column(f.name) for f in schema])
         if morsel_size is None or len(batch) <= morsel_size:
             return [batch]
         return list(batch.morsels(morsel_size))

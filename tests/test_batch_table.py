@@ -82,6 +82,11 @@ class TestTableCatalog:
         table.insert_pydict({"x": [3], "y": ["c"]})
         assert table.num_rows == 3
         assert [len(b) for b in table.scan(morsel_size=2)] == [2, 1]
+        # A column-selecting scan reads just the named columns, as views.
+        narrow = table.scan(morsel_size=2, schema=Schema.of(("y", "string")))
+        assert [b.schema.names() for b in narrow] == [["y"], ["y"]]
+        assert [v for b in narrow for v in b.column("y").to_pylist()] == ["a", "b", "c"]
+        assert narrow[0].column("y").dictionary is table.column("y").dictionary
 
     def test_insert_validates_columns(self):
         catalog = Catalog()

@@ -103,27 +103,64 @@ class TestOrderingProperty:
 
 
 class TestAddColumns:
+    EXTENDED = Schema.of(("k", "int64"), ("v", "float64"), ("rn", "int64"))
+
     def test_window_write_back(self):
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
         buffer.append_partitioned(make_batch([1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4]))
-        per_partition = []
         for partition in buffer.partitions:
             n = partition.num_rows
-            per_partition.append(
-                [Column.from_values(DataType.INT64, list(range(n)))]
+            partition.append_columns(
+                self.EXTENDED, [Column.from_values(DataType.INT64, list(range(n)))]
             )
-        buffer.add_columns([("rn", DataType.INT64)], per_partition)
+        buffer.columns_appended(self.EXTENDED)
         assert buffer.schema.names() == ["k", "v", "rn"]
         assert buffer.num_rows == 4
+
+    def test_write_back_is_in_logical_order_and_moves_no_tuple(self):
+        """Columns are handed over in sort order; under a permutation vector
+        they are scattered back to the physical order it indexes."""
+        buffer = TupleBuffer(SCHEMA, 1)
+        partition = buffer.partitions[0]
+        partition.append(make_batch([3, 1, 2], [0.3, 0.1, 0.2]))
+        partition.sort_permutation(["k"], [False])
+        physical = partition.compact()
+        partition.append_columns(
+            self.EXTENDED, [Column.from_values(DataType.INT64, [10, 20, 30])]
+        )
+        assert partition.compact().columns[0] is physical.columns[0]
+        assert list(partition.compact().rows()) == [(3, 0.3, 30), (1, 0.1, 10), (2, 0.2, 20)]
+        assert list(partition.ordered_batch().rows()) == [
+            (1, 0.1, 10), (2, 0.2, 20), (3, 0.3, 30)
+        ]
+
+    def test_resort_is_stable_over_the_previous_sort_in_either_mode(self):
+        """A second sort breaks ties by the first sort's order whether either
+        ran in place or through the permutation vector (``perm[order]``)."""
+        results = []
+        for first in ("sort_inplace", "sort_permutation"):
+            for second in ("sort_inplace", "sort_permutation"):
+                buffer = TupleBuffer(SCHEMA, 1)
+                partition = buffer.partitions[0]
+                partition.append(make_batch([1, 1, 2, 2, 1], [0.5, 0.1, 0.4, 0.2, 0.3]))
+                getattr(partition, first)(["v"], [True])
+                getattr(partition, second)(["k"], [False])
+                results.append(list(partition.ordered_batch().rows()))
+        assert results[0] == [(1, 0.5), (1, 0.3), (1, 0.1), (2, 0.4), (2, 0.2)]
+        assert all(rows == results[0] for rows in results)
 
     def test_length_mismatch_rejected(self):
         buffer = TupleBuffer(SCHEMA, 1)
         buffer.partitions[0].append(make_batch([1, 2], [0.1, 0.2]))
         with pytest.raises(ExecutionError):
-            buffer.add_columns(
-                [("x", DataType.INT64)],
-                [[Column.from_values(DataType.INT64, [1])]],
+            buffer.partitions[0].append_columns(
+                self.EXTENDED, [Column.from_values(DataType.INT64, [1])]
             )
+
+    def test_schema_adopted_only_when_every_partition_has_it(self):
+        buffer = TupleBuffer(SCHEMA, 2)
+        with pytest.raises(ExecutionError):
+            buffer.columns_appended(self.EXTENDED)
 
 
 @settings(max_examples=40, deadline=None)

@@ -273,3 +273,137 @@ def test_string_keys_are_invisible_to_every_layer(sql, tmp_path):
             assert result.spill["events"] > 0
     monolithic = shape(layers["serial"][0].sql(sql, engine="monolithic").rows())
     assert monolithic == reference
+
+
+# ----------------------------------------------------------------------
+# Column pruning is result-invisible: bind() against the binder's own
+# unpruned plan, and the buffer layers over the pruned corpus
+# ----------------------------------------------------------------------
+#: Shapes where pruning has to get a name or a position right. ``u`` shares
+#: the column names k, q and s with ``r``, so joins rename on collision.
+PRUNING_QUERIES = [
+    # window over a join with colliding names on both sides
+    "SELECT a.k, b.q, a.s, b.s, row_number() OVER (PARTITION BY a.k, b.s ORDER BY "
+    "b.q, a.q, a.e, a.d) AS rn FROM r a JOIN u b ON a.k = b.k",
+    "SELECT b.q + a.q AS t, sum(b.z) OVER (PARTITION BY b.s ORDER BY a.q, a.e, a.d) AS c "
+    "FROM r a JOIN u b ON a.k = b.k WHERE b.q > 1",
+    # SELECT * above a window / above a renaming join
+    "SELECT * FROM (SELECT k, q, e, d, row_number() OVER (PARTITION BY k ORDER BY q, e, d) "
+    "AS rn FROM r) AS t",
+    "SELECT * FROM (SELECT a.q, b.q, b.z, a.s FROM r a JOIN u b ON a.k = b.k) AS t",
+    # window, then re-aggregate (the sensor corpus's se10 shape)
+    "SELECT k, max(run) AS longest FROM (SELECT k, cumsum(CASE WHEN q > 0.5 THEN 1.0 ELSE "
+    "0.0 END) OVER (PARTITION BY k ORDER BY q, e, d) AS run FROM r) AS t GROUP BY k ORDER BY k",
+    # ORDER BY an expression that is not in the select list
+    "SELECT k, q FROM r ORDER BY q * 2 - k DESC, 1, 2",
+    "SELECT k, count(*) AS c FROM r GROUP BY k ORDER BY c * -1, k LIMIT 4",
+    # count(*) reads no column: one must survive, wherever it sits
+    "SELECT count(*) FROM r a JOIN u b ON a.k = b.k",
+    "SELECT count(*) FROM (SELECT k, q FROM r) AS t",
+    "SELECT count(*) FROM (SELECT k FROM r UNION ALL SELECT k FROM u) AS x",
+    "SELECT count(*) FROM (SELECT row_number() OVER (PARTITION BY k ORDER BY q, e, d) AS rn "
+    "FROM r) AS t",
+    # EXISTS / SEMI / ANTI: the right side keeps only its keys
+    "SELECT k, q FROM r WHERE EXISTS (SELECT z FROM u WHERE u.k = r.k AND u.z > 1)",
+    "SELECT s, count(*) FROM r WHERE NOT EXISTS (SELECT 1 FROM u WHERE u.k = r.n) GROUP BY s",
+    "SELECT a.q, a.s FROM r a SEMI JOIN u b ON a.k = b.k AND a.s = b.s",
+    "SELECT a.q FROM r a ANTI JOIN u b ON a.n = b.k",
+    # LEFT JOIN padding
+    "SELECT a.n, a.q, b.z, b.s FROM r a LEFT JOIN u b ON a.n = b.k",
+    "SELECT b.s, count(*), count(b.z) FROM r a LEFT JOIN u b ON a.n = b.k GROUP BY b.s",
+    # UNION ALL: branches line up by position, also when one cannot narrow
+    "SELECT k FROM (SELECT k, q FROM r WHERE q > 0.5 UNION ALL SELECT k, q FROM u WHERE z > 1) "
+    "AS x",
+    "SELECT n FROM (SELECT DISTINCT k, n FROM r UNION ALL SELECT k, z FROM u) AS x",
+    "SELECT q, sum(k) FROM (SELECT k, q, s FROM u UNION ALL SELECT n, e, s FROM r) AS x "
+    "GROUP BY q",
+    # a CTE referenced twice with different column needs
+    "WITH c AS (SELECT k, n, q, e, s FROM r) SELECT k, sum(q) FROM c GROUP BY k UNION ALL "
+    "SELECT n, max(e) FROM c GROUP BY n",
+    "WITH c AS (SELECT k, n, q, e FROM r WHERE b) SELECT x.q, y.e FROM c x JOIN "
+    "(SELECT n, max(e) AS e FROM c GROUP BY n) AS y ON x.k = y.n",
+    # GROUPING SETS over a join
+    "SELECT a.s, b.s, sum(a.q), grouping_id FROM r a JOIN u b ON a.k = b.k GROUP BY "
+    "GROUPING SETS ((a.s, b.s), (b.s), ())",
+]
+
+
+@pytest.fixture
+def joined_db(db):
+    db.create_table("u", {"k": "int64", "q": "float64", "s": "string", "z": "int64"})
+    db.insert(
+        "u",
+        {
+            "k": [0, 1, 2, 3, 3, None, 9],
+            "q": [1.5, 2.5, None, 0.25, 4.0, 1.0, 7.0],
+            "s": ["red", "mauve", "blue", "red", None, "cyan", "blue"],
+            "z": [1, 2, 3, None, 5, 6, 7],
+        },
+    )
+    return db
+
+
+@pytest.mark.parametrize("sql", FIXED_QUERIES + PRUNING_QUERIES)
+def test_pruning_is_result_invisible(joined_db, sql):
+    from repro.baseline import MonolithicEngine, NaiveRowEngine as NaiveEngine
+    from repro.lolepop import LolepopEngine
+    from repro.sql import bind, parse_sql
+    from repro.sql.binder import _Binder
+
+    catalog = joined_db.catalog
+    pruned = bind(parse_sql(sql), catalog)
+    unpruned = _Binder(catalog).bind_statement(parse_sql(sql))
+    assert pruned.schema == unpruned.schema
+    assert not unpruned.rewrites
+    # Every statement here leaves some column of r unread.
+    assert any(event.pass_name == "prune-columns" for event in pruned.rewrites)
+    reference = normalized_rows(NaiveEngine(catalog).run(unpruned))
+    for engine in (NaiveEngine, MonolithicEngine, LolepopEngine):
+        got = normalized_rows(engine(catalog).run(pruned))
+        assert got == reference, f"{engine.name} diverges under pruning on: {sql}"
+    assert normalized_rows(LolepopEngine(catalog).run(unpruned)) == reference
+
+
+def test_pruning_narrows_what_flows_below_windows_and_joins(joined_db):
+    from repro.logical import Join, Scan, Window
+    from repro.sql import bind, parse_sql
+
+    def widths(sql, kind):
+        found, stack = [], [bind(parse_sql(sql), joined_db.catalog)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, kind):
+                found.append(node.schema.names())
+            stack.extend(node.children)
+        return found
+
+    sql = "SELECT row_number() OVER (PARTITION BY k ORDER BY q, e, d) AS rn FROM r"
+    assert widths(sql, Scan) == [["k", "q", "e", "d"]]
+    assert widths(sql, Window) == [["k", "q", "e", "d", "_win0"]]
+    # The join keeps the unpruned output names: b.q is q_1 with or without
+    # a.q next to it.
+    sql = "SELECT b.q, a.e FROM r a JOIN u b ON a.k = b.k"
+    assert widths(sql, Join) == [["k", "e", "k_1", "q_1"]]
+    assert sorted(widths(sql, Scan)) == [["k", "e"], ["k", "q"]]
+
+
+LAYERS = {
+    "serial": {},
+    "parallel4": {"num_threads": 4, "execution_mode": "parallel"},
+    "budget": {"memory_budget_bytes": 1024},
+    "budget+parallel4": {
+        "memory_budget_bytes": 1024, "num_threads": 4, "execution_mode": "parallel",
+    },
+}
+
+
+@pytest.mark.parametrize("sql", FIXED_QUERIES + PRUNING_QUERIES)
+def test_budget_and_threads_are_invisible_on_the_corpus(joined_db, sql, tmp_path):
+    """Serial / 4 threads / 1 KiB budget / both: identical answers."""
+    reference = normalized_rows(joined_db.sql(sql, engine="naive"))
+    for layer, knobs in LAYERS.items():
+        config = EngineConfig(
+            num_partitions=4, morsel_size=64, spill_directory=str(tmp_path), **knobs
+        )
+        got = normalized_rows(joined_db.sql(sql, config=config))
+        assert got == reference, f"{layer} diverges on: {sql}"

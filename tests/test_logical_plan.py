@@ -46,6 +46,22 @@ class TestSchemaPropagation:
         plan = Join(scan(), scan("u", RIGHT), JoinKind.INNER, ["a"], ["a"])
         assert plan.schema.names() == ["a", "b", "a_1", "c"]
 
+    def test_join_output_names_survive_narrowed_children(self):
+        """Column pruning rebuilds a join over narrower children but keeps
+        the unpruned output names: a_1 stays a_1 although the left side no
+        longer carries b and re-deriving would still say a_1 — and c stays c
+        even when the collision that renamed it is pruned away."""
+        from repro.logical import prune_columns
+
+        clash = Schema.of(("a", "int64"), ("b", "string"))
+        join = Join(scan(), scan("u", clash), JoinKind.INNER, ["a"], ["a"])
+        assert join.schema.names() == ["a", "b", "a_1", "b_1"]
+        pruned = prune_columns(Project(join, [("x", ColumnRef("b_1"))]))
+        assert pruned.child.schema.names() == ["a", "a_1", "b_1"]
+        assert pruned.child.left.schema.names() == ["a"]
+        assert [str(event) for event in pruned.rewrites] == ["prune-columns: t 2→1"]
+        assert join.schema.names() == ["a", "b", "a_1", "b_1"]  # input untouched
+
     def test_semi_join_keeps_left_schema(self):
         plan = Join(scan(), scan("u", RIGHT), JoinKind.SEMI, ["a"], ["a"])
         assert plan.schema == LEFT

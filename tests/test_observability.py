@@ -258,6 +258,36 @@ class TestExplainAnalyze:
         assert "measured mode" in report or "parallel mode" in report
         assert "rows=" in report
 
+    def test_spill_line_reports_write_amplification(self, db, tmp_path):
+        sql = "SELECT k, sum(v) OVER (PARTITION BY k ORDER BY v) AS c FROM r"
+        assert "partition input" not in db.explain_analyze(sql)  # nothing spilled
+        config = EngineConfig(
+            num_partitions=4, memory_budget_bytes=1024, spill_directory=str(tmp_path)
+        )
+        report = db.explain_analyze(sql, config=config)
+        # 2000 rows: (k, v) once, a permutation vector and one float64
+        # window column, over the 16 bytes a row that entered PARTITION
+        # (g is pruned).
+        assert "spill: 62.5KB written / " in report
+        assert f"read, {(16 + 8 + 8) / 16:.2f}× partition input" in report
+        profile = db.sql(
+            sql, config=config.clone(collect_metrics=True)
+        ).profile
+        assert profile.counters["spill.partition_input_bytes"] == 2000 * 16
+
+    def test_pruning_is_in_the_rewrite_log(self, db):
+        result = db.sql(
+            "SELECT k, median(v) FROM r GROUP BY k",
+            config=EngineConfig(collect_metrics=True),
+        )
+        event = result.profile.rewrites[0]
+        assert event == "prune-columns: r 3→2"
+        assert event.pass_name == "prune-columns" and event.nodes == ("SCAN r",)
+        assert result.profile.to_dict()["rewrite_events"][0]["pass"] == "prune-columns"
+        assert "  prune-columns: r 3→2" in db.explain_analyze(
+            "SELECT k, median(v) FROM r GROUP BY k"
+        )
+
     def test_q_error(self):
         assert q_error(10, 10) == 1.0
         assert q_error(100, 10) == 10.0

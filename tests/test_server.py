@@ -218,7 +218,19 @@ class TestCancellation:
             follow = service.submit("SELECT count(*) FROM t")
             assert follow.result(timeout=30).rows() == [(3000,)]
 
-    def test_timeout_frees_spill_files(self, tmp_path):
+    def test_timeout_frees_spill_files(self, tmp_path, monkeypatch):
+        from repro.storage.spill import SpillManager
+
+        # The deadline passes while the first partition file is being
+        # written, whatever the speed of the box: the query is cancelled at
+        # the next region barrier with spill files on disk.
+        stalled = []
+
+        def stall_first_write(operation, path):
+            if operation == "write" and not stalled:
+                stalled.append(path)
+                time.sleep(0.05)
+
         db = make_db(rows=20000)
         spill_config = db.config.clone(
             memory_budget_bytes=2048, spill_directory=str(tmp_path)
@@ -229,12 +241,16 @@ class TestCancellation:
             config=spill_config.clone(collect_trace=True),
         )
         assert "spill" in [r.operator for r in traced.trace.records]
+        monkeypatch.setattr(
+            SpillManager, "io_hook", staticmethod(stall_first_write)
+        )
         with service_for(db) as service:
             ticket = service.submit(
                 SLOW_SQL, config=spill_config, timeout=0.02
             )
             with pytest.raises(QueryCancelled):
                 ticket.result(timeout=60)
+        assert stalled
         # Cancellation ran the engine's cleanup path: nothing left on disk.
         leftovers = [
             os.path.join(root, name)

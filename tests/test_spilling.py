@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Database, EngineConfig
+from repro.errors import ExecutionError
 from repro.storage import Batch, TupleBuffer
 from repro.storage.spill import SpillManager, approx_batch_bytes, approx_column_bytes
 from repro.types import Schema
@@ -31,18 +32,36 @@ class TestSpillManager:
     def test_roundtrip(self, tmp_path):
         manager = SpillManager(str(tmp_path))
         batch = make_batch(50)
-        path = manager.write_batch(batch)
-        assert os.path.exists(path)
-        loaded = manager.read_batch(path, SCHEMA)
+        file = manager.spill_chunks([batch])
+        assert os.path.exists(file.path)
+        loaded = file.read_batch(SCHEMA)
         assert list(loaded.rows()) == list(batch.rows())
+        # Reading leaves the file in place and can be repeated.
+        assert list(file.read_batch(SCHEMA).rows()) == list(batch.rows())
+        assert manager.counters()["events"] == 1
+        assert manager.counters()["loads"] == 2
 
     def test_roundtrip_with_nulls(self, tmp_path):
         manager = SpillManager(str(tmp_path))
         batch = Batch.from_pydict(
             SCHEMA, {"k": [1, None], "v": [None, 2.0], "s": ["a", None]}
         )
-        loaded = manager.read_batch(manager.write_batch(batch), SCHEMA)
+        loaded = manager.spill_chunks([batch]).read_batch(SCHEMA)
         assert list(loaded.rows()) == [(1, None, "a"), (None, 2.0, None)]
+
+    def test_chunk_list_is_written_column_contiguous(self, tmp_path):
+        """A file written from many chunks (NULLs in only some of them,
+        strings from different dictionaries) reads back as the compacted
+        partition."""
+        manager = SpillManager(str(tmp_path))
+        chunks = [
+            make_batch(7, seed=1),
+            Batch.from_pydict(SCHEMA, {"k": [None, 3], "v": [1.5, None], "s": [None, "zz"]}),
+            make_batch(5, seed=2),
+        ]
+        file = manager.spill_chunks(chunks)
+        assert file.rows == 14
+        assert list(file.read_batch(SCHEMA).rows()) == list(Batch.concat(chunks).rows())
 
     @pytest.mark.parametrize(
         "strings",
@@ -64,10 +83,12 @@ class TestSpillManager:
         # only those are written.
         keep = np.arange(n) % 2 == 0
         for piece in (batch, batch.filter(keep)):
-            path = manager.write_batch(piece)
-            with np.load(path, allow_pickle=False) as payload:
-                assert all(payload[name].dtype != object for name in payload.files)
-            loaded = manager.read_batch(path, SCHEMA)
+            written = manager.counters()["bytes_written"]
+            file = manager.spill_chunks([piece])
+            # Raw segments back to back: no container, no header, no pickle.
+            assert os.path.getsize(file.path) == file.size
+            assert file.size == manager.counters()["bytes_written"] - written
+            loaded = file.read_batch(SCHEMA)
             assert list(loaded.rows()) == list(piece.rows())
             used = {s for s in piece.column("s").to_pylist() if s is not None}
             assert len(loaded.column("s").dictionary) <= max(len(used), 1) + 1
@@ -100,16 +121,32 @@ class TestSpillManager:
 
     def test_release_deletes(self, tmp_path):
         manager = SpillManager(str(tmp_path))
-        path = manager.write_batch(make_batch(5))
-        manager.release(path)
-        assert not os.path.exists(path)
+        file = manager.spill_chunks([make_batch(5)])
+        manager.release(file)
+        assert not os.path.exists(file.path)
+        assert manager.counters()["release_failures"] == 0
+
+    def test_release_failure_is_counted(self, tmp_path):
+        manager = SpillManager(str(tmp_path))
+        file = manager.spill_chunks([make_batch(5)])
+        os.unlink(file.path)
+        os.mkdir(file.path)  # unlink() of a directory fails
+        manager.release(file)
+        assert manager.counters()["release_failures"] == 1
+        manager.cleanup()  # the leaked entry keeps the directory alive
+        assert manager.counters()["release_failures"] == 2
+        os.rmdir(file.path)
+        manager.cleanup()
+        assert not os.path.exists(manager.directory)
 
     def test_cleanup_removes_own_directory(self):
         manager = SpillManager()
-        manager.write_batch(make_batch(5))
+        manager.spill_chunks([make_batch(5)])
         directory = manager.directory
         manager.cleanup()
         assert not os.path.exists(directory)
+        manager.cleanup()  # idempotent
+        assert manager.counters()["release_failures"] == 0
 
     def test_byte_estimate_positive(self):
         assert approx_batch_bytes(make_batch(10)) > 0
@@ -125,9 +162,14 @@ class TestBufferSpilling:
         count = partition.num_rows
         partition.spill(manager)
         assert partition.is_spilled
+        assert partition.approx_bytes() == 0
         assert partition.num_rows == count  # row count survives spilling
         assert list(partition.ordered_batch().rows()) == rows_before
-        assert not partition.is_spilled  # access loads it back
+        assert list(partition.compact().rows()) == rows_before
+        # Reading is transient: the partition stays spilled, nothing is
+        # written again.
+        assert partition.is_spilled and partition.approx_bytes() == 0
+        assert manager.counters()["events"] == 1
 
     def test_spill_over_budget(self, tmp_path):
         manager = SpillManager(str(tmp_path))
@@ -147,9 +189,16 @@ class TestBufferSpilling:
         for partition in buffer.partitions:
             partition.spill(manager)
         for partition in buffer.partitions:
-            partition.sort_inplace(["k", "v"], [False, False])
+            physical = list(partition.compact().rows())
+            written = manager.counters()["bytes_written"]
+            partition.sort_permutation(["k", "v"], [False, False])
             rows = list(partition.ordered_batch().rows())
             assert rows == sorted(rows)
+            # Only the permutation vector was appended; tuples did not move.
+            assert manager.counters()["bytes_written"] - written == 8 * len(rows)
+            assert list(partition.compact().rows()) == physical
+            with pytest.raises(ExecutionError):
+                partition.sort_inplace(["k"], [False])
 
 
 class TestSpillingEndToEnd:
@@ -243,15 +292,16 @@ class TestConcurrentSpilling:
 
         a = SpillManager(str(tmp_path))
         b = SpillManager(str(tmp_path))
-        path_a = a.write_batch(make_batch(20, seed=1))
-        path_b = b.write_batch(make_batch(20, seed=2))
-        assert path_a != path_b  # both are "part-000001.npz" by counter
-        assert a.read_batch(path_a, SCHEMA).to_pydict() != b.read_batch(
-            path_b, SCHEMA
+        file_a = a.spill_chunks([make_batch(20, seed=1)])
+        file_b = b.spill_chunks([make_batch(20, seed=2)])
+        assert file_a.name == file_b.name  # both "part-000001.bin" by counter
+        assert file_a.path != file_b.path
+        assert file_a.read_batch(SCHEMA).to_pydict() != file_b.read_batch(
+            SCHEMA
         ).to_pydict()
         a.cleanup()
         # b's file survives a's cleanup.
-        assert os.path.exists(path_b)
+        assert os.path.exists(file_b.path)
         b.cleanup()
         assert os.listdir(str(tmp_path)) == []
 
@@ -305,4 +355,315 @@ class TestConcurrentSpilling:
             service.shutdown()
         for result in results:
             assert "spill" in [r.operator for r in result.trace.records]
+        assert os.listdir(str(tmp_path)) == []
+
+
+# ----------------------------------------------------------------------
+# The budget is a bound
+# ----------------------------------------------------------------------
+def _operator_classes():
+    from repro.lolepop.base import Lolepop
+
+    found, stack = [], [Lolepop]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if "execute" in vars(cls):
+            found.append(cls)
+    return found
+
+
+class TestBudgetIsABound:
+    """What ``memory_budget_bytes`` promises: the loaded bytes a budgeted
+    buffer holds between work items stay within it, and a work item loads
+    at most one spilled partition. (PARTITION's input stream is outside the
+    promise: it is materialized operator-at-a-time before it is scattered.)"""
+
+    BUDGET = 4096
+    QUERIES = [
+        # two ordering groups sharing one buffer: SORT, WINDOW, SORT, WINDOW
+        "SELECT g, rank() OVER (PARTITION BY g ORDER BY x, o) AS r, "
+        "sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t",
+        # window, then ORDAGG over the same buffer
+        "SELECT g, median(x - median(x)) FROM t GROUP BY g",
+        "SELECT g, percentile_disc(0.25) WITHIN GROUP (ORDER BY x), "
+        "percentile_disc(0.75) WITHIN GROUP (ORDER BY o) FROM t GROUP BY g",
+        "SELECT g, x FROM t ORDER BY x LIMIT 10",
+    ]
+
+    @pytest.fixture
+    def db(self):
+        database = Database()
+        database.create_table("t", {"g": "int64", "x": "float64", "o": "int64"})
+        rng = np.random.default_rng(3)
+        n = 4000
+        database.insert(
+            "t",
+            {"g": rng.integers(0, 40, n), "x": rng.random(n).round(4), "o": rng.permutation(n)},
+        )
+        return database
+
+    @pytest.fixture
+    def sanitizer(self):
+        from repro.analysis import sanitizer as san
+
+        instance = san.enable()
+        instance.reset()
+        yield instance
+        san.disable()
+
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"execution_mode": "parallel", "num_threads": 4}],
+        ids=["serial", "parallel4"],
+    )
+    def test_loaded_bytes_stay_within_the_budget(
+        self, db, tmp_path, monkeypatch, sanitizer, mode
+    ):
+        import threading
+
+        from repro.execution.context import ExecutionContext
+
+        budgeted, violations, regions = [], [], set()
+        reading = {}  # worker thread -> partition files it read in this item
+
+        def check(where):
+            for buffer in budgeted:
+                loaded = buffer.approx_bytes()
+                if loaded > self.BUDGET:
+                    violations.append(f"{where}: {loaded} bytes loaded")
+
+        enable = TupleBuffer.enable_spilling
+
+        def enable_and_register(buffer, manager, memory_budget):
+            budgeted.append(buffer)
+            enable(buffer, manager, memory_budget)
+
+        def observe_reads(operation, path):
+            if operation == "read":
+                reading.setdefault(threading.get_ident(), set()).add(path)
+
+        parallel_for = ExecutionContext.parallel_for
+
+        def checked_parallel_for(ctx, operator, items, fn, splittable=False):
+            if operator not in ("sort", "window", "ordagg"):
+                return parallel_for(ctx, operator, items, fn, splittable)
+            regions.add(operator)
+
+            def item(value):
+                reading.pop(threading.get_ident(), None)
+                result = fn(value)
+                files = reading.pop(threading.get_ident(), set())
+                if len(files) > 1:
+                    violations.append(f"{operator}: one item read {sorted(files)}")
+                check(f"after a {operator} item")
+                return result
+
+            return parallel_for(ctx, operator, items, item, splittable)
+
+        monkeypatch.setattr(TupleBuffer, "enable_spilling", enable_and_register)
+        monkeypatch.setattr(SpillManager, "io_hook", staticmethod(observe_reads))
+        monkeypatch.setattr(ExecutionContext, "parallel_for", checked_parallel_for)
+        for cls in _operator_classes():
+
+            def execute(op, ctx, inputs, _execute=cls.execute, _name=cls.__name__):
+                result = _execute(op, ctx, inputs)
+                check(f"after {_name}.execute")
+                return result
+
+            monkeypatch.setattr(cls, "execute", execute)
+
+        config = EngineConfig(
+            num_partitions=8, morsel_size=512, memory_budget_bytes=self.BUDGET,
+            spill_directory=str(tmp_path), **mode,
+        )
+        for sql in self.QUERIES:
+            expected = normalized_rows(db.sql(sql, engine="naive"))
+            assert normalized_rows(db.sql(sql, config=config)) == expected
+        assert budgeted and regions == {"sort", "window", "ordagg"}
+        assert violations == []
+        assert sanitizer.races == []
+
+    def test_a_loaded_partition_that_outgrows_its_share_spills_itself(self, tmp_path):
+        """Half the buffer fits the budget and stays loaded; WINDOW then
+        widens every partition, and the loaded ones go to disk inside their
+        own work items instead of breaking the bound."""
+        manager = SpillManager(str(tmp_path))
+        buffer = TupleBuffer(SCHEMA, 4, ("k",))
+        buffer.append_partitioned(make_batch(400))
+        budget = buffer.approx_bytes() // 2
+        buffer.enable_spilling(manager, budget)
+        spilled = buffer.spill_over_budget()
+        assert 0 < spilled < 4 and buffer.approx_bytes() <= budget
+        loaded = [p for p in buffer.partitions if not p.is_spilled]
+        tuples_written = manager.counters()["bytes_written"]
+        wide = Schema.of(
+            ("k", "int64"), ("v", "float64"), ("s", "string"),
+            ("a", "float64"), ("b", "float64"), ("c", "float64"),
+        )
+        for partition in buffer.partitions:
+            rows = partition.num_rows
+            column = Batch.from_pydict(
+                Schema.of(("a", "float64")), {"a": [0.5] * rows}
+            ).columns[0]
+            partition.append_columns(wide, [column, column, column])
+            assert buffer.approx_bytes() <= budget
+        buffer.columns_appended(wide)
+        assert any(p.is_spilled for p in loaded)
+        assert manager.counters()["bytes_written"] > tuples_written
+        assert sum(len(b) for b in buffer.scan_batches()) == 400
+        assert buffer.scan_batches()[0].schema == wide
+
+    def test_read_only_consumers_write_nothing(self, db, tmp_path):
+        """ORDAGG and SCAN over a spilled buffer add 0 to bytes_written."""
+        config = EngineConfig(
+            num_partitions=8, memory_budget_bytes=1024, spill_directory=str(tmp_path),
+            collect_metrics=True,
+        )
+        result = db.sql(
+            "SELECT g, percentile_disc(0.5) WITHIN GROUP (ORDER BY x) FROM t GROUP BY g",
+            config=config,
+        )
+        windowed = db.sql(
+            "SELECT g, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t", config=config
+        )
+        def by_operator(profile):
+            return {name: stats for _, _, name, _, stats in profile.operator_stats()}
+
+        ordered, window = by_operator(result.profile), by_operator(windowed.profile)
+        for stats in (ordered["ORDAGG"], window["SCAN"]):
+            assert stats.spill_bytes_read > 0
+            assert stats.spill_bytes_written == 0
+        for stats in (ordered["SORT"], window["SORT"]):
+            # 8 bytes a row: the permutation vector, no tuple.
+            assert stats.spill_bytes_written == 8 * 4000
+        # Tuples once, the permutation vector, one float64 window column.
+        assert windowed.spill["bytes_written"] == 4000 * (3 * 8 + 8 + 8)
+
+
+# ----------------------------------------------------------------------
+# Fault injection through SpillManager.io_hook
+# ----------------------------------------------------------------------
+class _Fault:
+    """Counts ``operation``s; raises ``OSError`` on the ``nth``."""
+
+    def __init__(self, operation, nth=None):
+        self.operation, self.nth, self.seen = operation, nth, 0
+
+    def __call__(self, operation, path):
+        if operation == self.operation:
+            self.seen += 1
+            if self.seen == self.nth:
+                raise OSError(5, f"injected {operation} failure")
+
+
+class TestSpillFaults:
+    SQL = "SELECT g, x, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t"
+
+    @pytest.fixture
+    def db(self):
+        database = Database()
+        database.create_table("t", {"g": "int64", "x": "float64", "o": "int64"})
+        rng = np.random.default_rng(1)
+        n = 2000
+        database.insert(
+            "t",
+            {"g": rng.integers(0, 6, n), "x": rng.random(n).round(4), "o": rng.permutation(n)},
+        )
+        return database
+
+    def config(self, tmp_path, **knobs):
+        return EngineConfig(
+            num_partitions=4, memory_budget_bytes=1024, spill_directory=str(tmp_path), **knobs
+        )
+
+    def count(self, db, tmp_path, monkeypatch, operation):
+        counter = _Fault(operation)
+        monkeypatch.setattr(SpillManager, "io_hook", staticmethod(counter))
+        db.sql(self.SQL, config=self.config(tmp_path))
+        assert counter.seen >= 3
+        return counter.seen
+
+    @pytest.mark.parametrize("operation", ["open", "write", "read"])
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"execution_mode": "parallel", "num_threads": 4}],
+        ids=["serial", "parallel4"],
+    )
+    def test_io_error_is_typed_and_leaves_nothing_behind(
+        self, db, tmp_path, monkeypatch, operation, mode
+    ):
+        from repro.errors import SpillError
+
+        expected = normalized_rows(db.sql(self.SQL))
+        total = self.count(db, tmp_path, monkeypatch, operation)
+        for nth in (1, total // 2, total):
+            fault = _Fault(operation, nth)
+            monkeypatch.setattr(SpillManager, "io_hook", staticmethod(fault))
+            with pytest.raises(SpillError) as raised:
+                db.sql(self.SQL, config=self.config(tmp_path, **mode))
+            assert isinstance(raised.value, ExecutionError)
+            assert "part-0" in str(raised.value)  # names the partition file
+            assert "injected" in str(raised.value)
+            assert os.listdir(str(tmp_path)) == []  # no file, no query-* directory
+            # The hook stays installed (its count is past nth): the next
+            # query on the same database spills again and answers.
+            follow = db.sql(self.SQL, config=self.config(tmp_path, **mode))
+            assert normalized_rows(follow) == expected
+            assert follow.spill["events"] > 0 and follow.spill["release_failures"] == 0
+
+    @pytest.mark.parametrize("operation", ["open", "write", "read"])
+    def test_failed_query_releases_its_admission_reservation(
+        self, db, tmp_path, monkeypatch, operation
+    ):
+        from repro import QueryService, ServiceConfig
+        from repro.errors import SpillError
+
+        expected = normalized_rows(db.sql(self.SQL))
+        monkeypatch.setattr(
+            SpillManager, "io_hook", staticmethod(_Fault(operation, nth=3))
+        )
+        config = self.config(tmp_path)
+        service = QueryService(db, ServiceConfig(max_concurrent=1))
+        try:
+            failed = service.submit(self.SQL, config=config, use_result_cache=False)
+            with pytest.raises(SpillError):
+                failed.result(timeout=60)
+            assert failed.state == "failed"
+            stats = service.stats()
+            assert stats["running"] == 0 and stats["reserved_bytes"] == 0
+            follow = service.submit(self.SQL, config=config, use_result_cache=False)
+            assert normalized_rows(follow.result(timeout=60)) == expected
+        finally:
+            service.shutdown()
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_truncated_file_is_detected_by_length(self, tmp_path):
+        from repro.errors import SpillError
+
+        manager = SpillManager(str(tmp_path))
+        file = manager.spill_chunks([make_batch(50)])
+        os.truncate(file.path, file.size - 1)
+        with pytest.raises(SpillError, match=r"part-000001\.bin is truncated: .* bytes on disk"):
+            file.read_batch(SCHEMA)
+        manager.cleanup()
+
+    def test_file_cut_short_while_being_read(self, db, tmp_path, monkeypatch):
+        """The length check passed and then the file shrank: the short read
+        is reported as such, no half-filled array reaches a kernel."""
+        from repro.errors import SpillError
+
+        seen = []
+
+        def truncate_on_third_read(operation, path):
+            if operation == "read":
+                seen.append(path)
+                if len(seen) == 3:
+                    os.truncate(path, 0)
+
+        monkeypatch.setattr(
+            SpillManager, "io_hook", staticmethod(truncate_on_third_read)
+        )
+        with pytest.raises(SpillError, match="truncated: short read"):
+            db.sql(self.SQL, config=self.config(tmp_path))
         assert os.listdir(str(tmp_path)) == []

@@ -11,12 +11,12 @@ R1  kind-vs-return — a :class:`Lolepop` subclass whose ``produces`` says
     displays/comprehensions, and ``x or [...]`` fallbacks.
 
 R2  undeclared-mutation — ``execute`` may not call a mutating
-    ``TupleBuffer`` method (``set_ordering``, ``add_columns``,
+    ``TupleBuffer`` method (``set_ordering``, ``append_columns``,
     ``sort_inplace``, …) or assign through an input buffer unless the
     class declares ``mutates_input = True``. Tainted names are those bound
     from ``inputs[i]`` inside ``execute``; the declaration is what the
     plan verifier's buffer-race analysis trusts, so it must not lie.
-    (``spill`` is excluded: it moves bytes between memory and disk without
+    (``spill`` is excluded: it moves bytes from memory to disk without
     changing the buffer's logical contents.)
 
 R3  unlocked-metrics — outside ``observability/metrics.py`` nobody may
@@ -58,14 +58,12 @@ from typing import Dict, List, Optional, Set, Tuple
 #: derived set equal to this fallback.
 MUTATING_BUFFER_METHODS = {
     "set_ordering",
-    "add_columns",
-    "add_column",
+    "append_columns",
+    "columns_appended",
     "sort_inplace",
     "sort_permutation",
     "apply_sort_order",
-    "replace",
     "append",
-    "extend",
     "append_pieces",
     "append_partitioned",
     "enable_spilling",
