@@ -1,15 +1,16 @@
-"""Engine concurrency analyzer + process-shippability report.
+"""Engine static analyzer: concurrency passes + engine contract rules.
 
-Static passes (stdlib ``ast`` only, same zero-dependency constraint as
-``tools/lint_engine.py``):
+Static passes (stdlib ``ast`` only — the analyzer runs anywhere the
+engine runs):
 
 - pass 1 — :mod:`repro.analysis.shared_state`: lockset inference over
   module-global and long-lived-object mutable state (rules ``A1-*``);
 - pass 2 — :mod:`repro.analysis.purity`: scatter-phase purity by
   assignment/aliasing dataflow over every parallel-region work callable
-  (rules ``A2-*``), generalizing lint R2;
-- pass 3 — :mod:`repro.analysis.shippability`: per-operator process-
-  shippability verdicts (rule ``A3-*`` + ``analysis/shippability.json``).
+  (rules ``A2-*``), and the same dataflow over ``execute`` itself
+  (``R2-undeclared-mutation``);
+- pass 3 — :mod:`repro.analysis.contracts`: kind-vs-return, unlocked
+  metrics writes, stringly rewrites (``R1``/``R3``/``R5``).
 
 Runtime cross-check — :mod:`repro.analysis.sanitizer`: writer/reader
 epoch tracking on the storage structures (``REPRO_SANITIZE=on``), used by
@@ -34,8 +35,7 @@ _LAZY = {
     "load_allowlist": "repro.analysis.findings",
     "analyze_shared_state": "repro.analysis.shared_state",
     "analyze_purity": "repro.analysis.purity",
-    "analyze_shippability": "repro.analysis.shippability",
-    "build_shippability_report": "repro.analysis.shippability",
+    "analyze_contracts": "repro.analysis.contracts",
     "derive_mutating_methods": "repro.analysis.astutils",
     "Sanitizer": "repro.analysis.sanitizer",
     "SAN": "repro.analysis.sanitizer",

@@ -2,9 +2,9 @@
 
 Everything here is pure syntax-tree bookkeeping: root-name resolution for
 assignment/aliasing dataflow, lock-held traversal for the lockset pass,
-and the derivation of the buffer-mutator method set from
-``storage/buffer.py`` source (the de-drifted replacement for lint R2's
-hand-maintained list).
+operator-class lookup for the contract rules, and the derivation of the
+buffer-mutator method set from ``storage/buffer.py`` source (so the set
+cannot drift from the implementation).
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def iter_py_files(root) -> List[Path]:
 
 def walk_own_scope(node: ast.AST) -> Iterator[ast.AST]:
     """All descendants of ``node`` without entering nested function,
-    lambda, or class scopes (mirrors lint_engine's traversal)."""
+    lambda, or class scopes (their returns and assignments belong to the
+    closure, not to the scope under analysis)."""
     for child in ast.iter_child_nodes(node):
         yield child
         if isinstance(child, _SCOPE_NODES):
@@ -63,6 +64,60 @@ def own_functions(tree: ast.AST) -> List[ast.AST]:
         node for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
     ]
+
+
+def assign_targets(node: ast.AST) -> List[ast.AST]:
+    """The store/delete targets of an assignment-like statement (empty
+    for every other node)."""
+    if isinstance(node, ast.Assign):
+        return list(node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    if isinstance(node, ast.Delete):
+        return list(node.targets)
+    return []
+
+
+# ----------------------------------------------------------------------
+# Class lookups
+# ----------------------------------------------------------------------
+#: Base-class names that make a class a plan operator for the contract
+#: rules (``SourceOp`` is the one operator base that is itself subclassed).
+OPERATOR_BASES = frozenset({"Lolepop", "SourceOp"})
+
+
+def operator_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            call_terminal_name(base) in OPERATOR_BASES for base in node.bases
+        ):
+            yield node
+
+
+def class_method(cls: ast.ClassDef, name: str) -> Optional[ast.AST]:
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == name:
+            return node
+    return None
+
+
+def class_constant(cls: ast.ClassDef, name: str):
+    """The literal a class body assigns to ``name`` (``produces =
+    "buffer"``, ``mutates_input = True``); ``None`` when the attribute is
+    absent or not a literal."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, ast.Constant) and any(
+            isinstance(t, ast.Name) and t.id == name for t in targets
+        ):
+            return value.value
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +228,7 @@ def global_decls(fn: ast.AST) -> Set[str]:
 
 
 # ----------------------------------------------------------------------
-# Buffer-mutator derivation (shared semantics with tools/lint_engine.py)
+# Buffer-mutator derivation
 # ----------------------------------------------------------------------
 #: Spill machinery: moves rows from memory to disk without changing
 #: logical contents; calling it on a foreign buffer is resource
@@ -210,15 +265,7 @@ def derive_mutating_methods(
 
     def directly_mutates(fn: ast.AST) -> bool:
         for node in walk_own_scope(fn):
-            if isinstance(node, ast.Assign):
-                targets: List[ast.AST] = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = list(node.targets)
-            else:
-                targets = []
-            for target in targets:
+            for target in assign_targets(node):
                 for root, bare in target_roots(target):
                     if root == "self" and not bare:
                         return True

@@ -1,12 +1,11 @@
 """Finding type + allowlist shared by the static analysis passes.
 
-Findings print in the same ``path:line: [rule] message`` format as
-``tools/lint_engine.py`` and serialize to JSON for the CI artifact. The
-checked-in allowlist (``analysis/allowlist.json``) suppresses *justified*
-pre-existing findings; entries match on ``(rule, path, symbol)`` — never
-on line numbers, so unrelated edits don't invalidate them — and any entry
-the analyzer no longer reports is *stale* and fails CI, keeping the
-allowlist honest.
+Findings print as ``path:line: [rule] message`` and serialize to JSON
+for the CI artifact. The checked-in allowlist (``analysis/allowlist.json``)
+suppresses *justified* pre-existing findings; entries match on ``(rule,
+path, symbol)`` — never on line numbers, so unrelated edits don't
+invalidate them — and any entry the analyzer no longer reports is *stale*
+and fails CI, keeping the allowlist honest.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class Finding:
-    """One analyzer finding, formatted like a lint_engine finding."""
+    """One analyzer finding."""
 
     __slots__ = ("rule", "path", "line", "message", "symbol", "severity")
 

@@ -7,11 +7,10 @@ work item and objects it freshly created — never the enclosing
 operator's ``self``, never an input buffer beyond what the operator's
 ``mutates_input`` / :class:`~repro.lolepop.properties.OperatorContract`
 declaration admits, and never module-global or closure-shared state.
-Lint R2 approximates this with a method-name blocklist over tainted
-names; this pass generalizes it to dataflow: every region call site is
-located, its work callable resolved (lambda, local def, module function,
-``Class.method`` reference, bound-method reference), and every store in
-the callable's body is traced to a *root class*:
+Every region call site is located, its work callable resolved (lambda,
+local def, module function, ``Class.method`` reference, bound-method
+reference), and every store in the callable's body is traced to a *root
+class*:
 
 - ``item``  — the callable's parameters (incl. ``self`` when the callable
   is an unbound task method such as ``PartitionSortTask.run``): morsel
@@ -30,21 +29,33 @@ the callable's body is traced to a *root class*:
 Aliasing propagates through plain assignments (``x = self.buf`` taints
 ``x`` with the ``self`` class); calls break aliases (``x = list(self.y)``
 is fresh).
+
+The same environment, applied to an operator's ``execute`` body itself,
+gives rule ``R2-undeclared-mutation``: ``execute`` may not call a buffer
+mutator on, or store through, an ``input``-class name unless the class
+declares ``mutates_input = True`` — the declaration is what the plan
+verifier's buffer-race analysis trusts, so it must not lie. (``spill`` is
+not a mutator: it moves bytes to disk without changing the buffer's
+logical contents.)
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .astutils import (
     CONTAINER_MUTATORS,
+    assign_targets,
     attr_chain,
     attr_root,
+    class_constant,
+    class_method,
     derive_mutating_methods,
     find_buffer_module,
     iter_py_files,
+    operator_classes,
     parse_file,
     walk_own_scope,
 )
@@ -53,7 +64,7 @@ from .findings import Finding
 #: Fallback buffer-mutator set when the scanned tree does not include
 #: ``storage/buffer.py`` (synthetic test corpora); mirrors what
 #: :func:`derive_mutating_methods` derives from the real source — the
-#: agreement is pinned by a unit test.
+#: agreement is pinned by ``tests/test_analysis.py``.
 DEFAULT_BUFFER_MUTATORS = frozenset({
     "set_ordering", "append_columns", "columns_appended", "sort_inplace",
     "sort_permutation", "apply_sort_order", "append_pieces",
@@ -167,19 +178,7 @@ class _Module:
                     self.mutable_globals.add(target.id)
 
     def declares_mutates_input(self, cls: Optional[ast.ClassDef]) -> bool:
-        if cls is None:
-            return False
-        for node in cls.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id == "mutates_input"
-                        and isinstance(node.value, ast.Constant)
-                        and node.value.value is True
-                    ):
-                        return True
-        return False
+        return cls is not None and class_constant(cls, "mutates_input") is True
 
 
 def _enclosing_env(module: _Module, fn: ast.AST, cls: Optional[ast.ClassDef]) -> Dict[str, str]:
@@ -219,12 +218,27 @@ def _local_def(fn: ast.AST, name: str) -> Optional[ast.AST]:
     return None
 
 
-def _class_method(cls: ast.ClassDef, name: str) -> Optional[ast.AST]:
-    for node in cls.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name == name:
-            return node
-    return None
+def _mutation_sites(
+    scope: ast.AST, mutators: Set[str]
+) -> Iterator[Tuple[str, int, str]]:
+    """``(root name, line, description)`` of every store *through* a name
+    (``x.attr = ...``, ``x[i] = ...``, ``del x[i]``) and every mutator
+    call on a name-rooted chain anywhere under ``scope``. Chains that
+    bottom out in a call or literal mutate a fresh object and are
+    skipped."""
+    for node in ast.walk(scope):
+        for target in assign_targets(node):
+            if not isinstance(target, (ast.Attribute, ast.Subscript)):
+                continue  # bare names / tuple elements bind locals
+            chain = attr_chain(target)
+            if chain is not None:
+                yield chain[0], node.lineno, f"store to {'.'.join(chain)}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in mutators:
+            chain = attr_chain(node.func)
+            if chain is not None:
+                yield chain[0], node.lineno, \
+                    f"call to mutator {'.'.join(chain)}()"
 
 
 def _check_callable(
@@ -242,11 +256,6 @@ def _check_callable(
     )
     if check.param_class_self:
         env["self"] = "item"
-
-    def classify(root: Optional[str]) -> Optional[str]:
-        if root is None:
-            return None
-        return env.get(root)
 
     def flag(cls: Optional[str], line: int, what: str) -> None:
         if cls == "self":
@@ -280,34 +289,31 @@ def _check_callable(
             nonlocal_names.update(node.names)
 
     for node in ast.walk(check.node):
-        if isinstance(node, ast.Assign):
-            targets: List[ast.AST] = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        else:
-            targets = []
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if target.id in nonlocal_names:
-                    flag("global", node.lineno,
-                         f"rebinds {target.id} via global/nonlocal")
-                continue
-            if isinstance(target, (ast.Tuple, ast.List, ast.Starred)):
-                continue  # element Names handled as locals
-            root = attr_root(target)
-            cls = classify(root)
-            chain = attr_chain(target)
-            what = ".".join(chain) if chain else (root or "?")
-            flag(cls, node.lineno, f"store to {what}")
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in module.mutators:
-                root = attr_root(node.func.value)
-                cls = classify(root)
-                chain = attr_chain(node.func)
-                what = ".".join(chain) if chain else node.func.attr
-                flag(cls, node.lineno, f"call to mutator {what}()")
+        for target in assign_targets(node):
+            if isinstance(target, ast.Name) and target.id in nonlocal_names:
+                flag("global", node.lineno,
+                     f"rebinds {target.id} via global/nonlocal")
+    for root, line, what in _mutation_sites(check.node, module.mutators):
+        flag(env.get(root), line, what)
+
+
+def _check_execute(
+    module: _Module,
+    cls: ast.ClassDef,
+    execute: ast.AST,
+    findings: List[Finding],
+) -> None:
+    """R2: ``execute`` itself, not only its region callables, may mutate
+    an input buffer only under ``mutates_input = True``."""
+    env = _enclosing_env(module, execute, cls)
+    for root, line, what in _mutation_sites(execute, module.mutators):
+        if env.get(root) == "input":
+            findings.append(Finding(
+                "R2-undeclared-mutation", module.path, line,
+                f"{cls.name}.execute mutates an input buffer ({what}) but "
+                f"the class does not declare mutates_input = True",
+                symbol=f"{cls.name}.execute", severity="error",
+            ))
 
 
 def _resolve_fn_arg(
@@ -338,12 +344,12 @@ def _resolve_fn_arg(
             # Unbound task method: Class.method — ``self`` is the item.
             cls = module.classes[receiver.id]
             names = [method]
-            if any(m != method and _class_method(cls, m) for m in _SPLIT_METHODS):
-                names = [m for m in _SPLIT_METHODS if _class_method(cls, m)]
+            if any(m != method and class_method(cls, m) for m in _SPLIT_METHODS):
+                names = [m for m in _SPLIT_METHODS if class_method(cls, m)]
                 if method not in names:
                     names.append(method)
             for name in names:
-                node = _class_method(cls, name)
+                node = class_method(cls, name)
                 if node is not None:
                     checks.append(_CallableCheck(
                         node, True, f"{receiver.id}.{name}()"
@@ -351,7 +357,7 @@ def _resolve_fn_arg(
             return checks, findings
         if isinstance(receiver, ast.Name) and receiver.id == "self" \
                 and enclosing_cls is not None:
-            node = _class_method(enclosing_cls, method)
+            node = class_method(enclosing_cls, method)
             if node is not None:
                 checks.append(_CallableCheck(
                     node, False, f"self.{method}()"
@@ -373,7 +379,7 @@ def _resolve_fn_arg(
 
 
 def analyze_purity(root) -> List[Finding]:
-    """Run pass 2 over every module under ``root``."""
+    """Run pass 2 (``A2-*`` and ``R2``) over every module under ``root``."""
     root = Path(root)
     paths = iter_py_files(root)
     buffer_path = find_buffer_module(paths)
@@ -386,6 +392,11 @@ def analyze_purity(root) -> List[Finding]:
     for path in paths:
         tree = parse_file(path)
         module = _Module(path, tree, mutators)
+
+        for cls in operator_classes(tree):
+            execute = class_method(cls, "execute")
+            if execute is not None and not module.declares_mutates_input(cls):
+                _check_execute(module, cls, execute, findings)
 
         # Map each function to its (directly) enclosing class, if any.
         enclosing_class: Dict[int, ast.ClassDef] = {}

@@ -1,12 +1,12 @@
 """Orchestrator: run all static passes and assemble the report.
 
 ``analyze(root)`` runs pass 1 (lockset/shared-state,
-:mod:`~repro.analysis.shared_state`), pass 2 (scatter purity,
-:mod:`~repro.analysis.purity`) and the static half of pass 3
-(shippability inventory, :mod:`~repro.analysis.shippability`) over a
-source tree and returns the sorted findings. ``tools/analyze_engine.py``
-is the CLI; ``tests/test_analysis.py`` pins each pass's detection power
-on seeded-corruption corpora.
+:mod:`~repro.analysis.shared_state`), pass 2 (scatter purity and
+undeclared input mutation, :mod:`~repro.analysis.purity`) and pass 3
+(engine contract rules, :mod:`~repro.analysis.contracts`) over a source
+tree and returns the sorted findings. ``tools/analyze_engine.py`` is the
+CLI; ``tests/test_analysis.py`` pins each pass's detection power on
+seeded-corruption corpora.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .findings import (
     load_allowlist,
     sort_findings,
 )
+from .contracts import analyze_contracts
 from .purity import analyze_purity
 from .shared_state import analyze_shared_state
-from .shippability import analyze_shippability
 
 
 def analyze(root) -> List[Finding]:
@@ -33,7 +33,7 @@ def analyze(root) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(analyze_shared_state(root))
     findings.extend(analyze_purity(root))
-    findings.extend(analyze_shippability(root))
+    findings.extend(analyze_contracts(root))
     return sort_findings(findings)
 
 

@@ -18,8 +18,8 @@ Two granularities:
   (``A1-unlocked-global-write``); unguarded reads are inventory
   (``A1-unlocked-global-read``, info). Mutable globals written from
   function code with *no* lock anywhere are ``A1-unguarded-global``
-  (info) — an inventory entry for the shippability report, not a gate,
-  because single-threaded build paths legitimately exist.
+  (info) — an inventory entry, not a gate, because single-threaded
+  build paths legitimately exist.
 
 - **instance attributes** of classes that own a lock (``self._lock =
   threading.Lock()``): an attribute accessed under the lock in one

@@ -79,7 +79,6 @@ class Database:
         #: per query.
         self.telemetry = telemetry if telemetry is not None else GLOBAL_TELEMETRY
         self._direct_ids = itertools.count(1)
-        self._estimator_cache = None
         if self.plan_cache is not None:
             self.plan_cache.on_evict = self._on_plan_evict
         #: Cross-query materialization manager (``src/repro/reuse``). Off by
@@ -112,6 +111,22 @@ class Database:
             self.feedback = FeedbackStore(
                 feedback_dir, telemetry=self.telemetry
             )
+        #: The one cardinality estimator of this database — telemetry's
+        #: Q-error tracking, :meth:`estimate`, EXPLAIN ANALYZE, the query
+        #: service's admission estimate and the translator's cost-based
+        #: decisions all read it, so they agree on every plan. Building it
+        #: samples nothing: statistics are collected per table on first
+        #: use and invalidated per table version, and the feedback
+        #: calibration is a live view over the store.
+        from .logical.cardinality import CardinalityEstimator
+        from .stats import StatisticsCache
+
+        self.estimator = CardinalityEstimator(
+            StatisticsCache(self.catalog),
+            calibration=(
+                self.feedback.calibration() if self.feedback is not None else None
+            ),
+        )
         #: fingerprint -> template observation count at the last
         #: drift-triggered replan, so a persistently drifting template does
         #: not discard its plan-cache entry on every query.
@@ -310,7 +325,10 @@ class Database:
             and getattr(run_config, "reuse", None) is None
         ):
             run_config = run_config.clone(reuse=self.reuse)
-        runner = _ENGINES[engine](self.catalog, run_config)
+        if engine == "lolepop":
+            runner = LolepopEngine(self.catalog, run_config, self.estimator)
+        else:
+            runner = _ENGINES[engine](self.catalog, run_config)
         telemetry = self.telemetry
         if telemetry is None or not telemetry.enabled:
             # Disabled fast path: one branch, no timing, no allocations.
@@ -463,9 +481,8 @@ class Database:
             root_observation,
         )
 
-        estimator = self._telemetry_estimator()
         if result.profile is not None and result.dags:
-            observations = profile_observations(result.profile, estimator)
+            observations = profile_observations(result.profile, self.estimator)
         else:
             est = prepared.est_rows
             if est is not None and est < 0.0:
@@ -522,7 +539,7 @@ class Database:
 
             if result.profile is not None and result.dags:
                 worst = profile_max_q_error(
-                    result.profile, self._telemetry_estimator()
+                    result.profile, self.estimator
                 )
                 if worst is not None:
                     return worst
@@ -530,7 +547,7 @@ class Database:
                 try:
                     prepared.est_rows = max(
                         0.0,
-                        float(self._telemetry_estimator().rows(prepared.plan)),
+                        float(self.estimator.rows(prepared.plan)),
                     )
                 except Exception:  # noqa: BLE001 — remember the failure
                     prepared.est_rows = -1.0
@@ -539,26 +556,6 @@ class Database:
         except Exception:  # noqa: BLE001
             return None
         return None
-
-    def _telemetry_estimator(self):
-        """Cardinality estimator cached per catalog version (statistics
-        sampling is too expensive to redo per query)."""
-        version = self.catalog.version
-        cached = self._estimator_cache
-        if cached is None or cached[0] != version:
-            from .logical.cardinality import CardinalityEstimator
-            from .stats import StatisticsCache
-
-            calibration = (
-                self.feedback.calibration() if self.feedback is not None else None
-            )
-            self._estimator_cache = (
-                version,
-                CardinalityEstimator(
-                    StatisticsCache(self.catalog), calibration=calibration
-                ),
-            )
-        return self._estimator_cache[1]
 
     def _on_plan_evict(self, key, entry) -> None:
         """Plan-cache capacity eviction → flight-recorder breadcrumb."""
@@ -590,7 +587,7 @@ class Database:
             result = engine.run(plan, query=query)
             text = render_analyze(
                 result, self.catalog, run_config,
-                estimator=self._telemetry_estimator(),
+                estimator=self.estimator,
             )
             trace = result.trace
             dags = result.dags
@@ -620,7 +617,7 @@ class Database:
         store is attached, observed actuals for recognized plan shapes
         override the model — the same calibrated estimator telemetry's
         Q-error tracking uses."""
-        return self._telemetry_estimator().rows(self.plan(query))
+        return self.estimator.rows(self.plan(query))
 
     def explain_lolepop(self, query: str) -> str:
         """The LOLEPOP DAG of the query's top statistics region."""

@@ -1,12 +1,12 @@
-"""Benchmark workload definitions, the reporting harness, and snapshots.
+"""Benchmark workload definitions and the paper-table reporting harness.
 
 One module per concern: :mod:`~repro.bench.workloads` holds every query of
 the paper's evaluation (Tables 2/3, Figures 7/8);
 :mod:`~repro.bench.corpora` adds the self-verifying decision-support and
-sensor/edge workload families; :mod:`~repro.bench.harness` runs queries on
-configured engines and prints the paper-shaped rows;
-:mod:`~repro.bench.snapshot` persists ``BENCH_<pr>.json`` trajectories and
-gates regressions between them.
+sensor/edge workload families (``benchmarks/ledger/`` builds its inputs
+from their generators); :mod:`~repro.bench.harness` runs queries on
+configured engines and prints the paper-shaped rows. Performance claims
+are made on the ledger (``benchmarks/ledger/README.md``), not here.
 """
 
 from .workloads import (

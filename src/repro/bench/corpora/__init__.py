@@ -177,7 +177,7 @@ SENSOR_EDGE_CORPUS = Corpus(
     engine_profile=EDGE_PROFILE,
 )
 
-#: Registry of every benchmark family, in snapshot order.
+#: Registry of every benchmark family.
 CORPORA: Dict[str, Corpus] = {
     corpus.name: corpus
     for corpus in (TPCH_CORPUS, STAR_DS_CORPUS, SENSOR_EDGE_CORPUS)

@@ -44,7 +44,7 @@ SENSOR_SCHEMAS = {
 
 #: Edge-device engine profile: ~64 KiB loaded-buffer budget (spill-heavy at
 #: every scale), 2k-row morsels, 8 partitions. Passed as EngineConfig
-#: keyword overrides by the corpus runner and the snapshot tool.
+#: keyword overrides by :meth:`Corpus.config`.
 EDGE_PROFILE: Dict[str, Any] = {
     "memory_budget_bytes": 64 * 1024,
     "morsel_size": 2048,

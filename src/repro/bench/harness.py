@@ -9,7 +9,6 @@ measured serial time plus the makespan at the configured thread count
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Dict, List, NamedTuple, Optional
 
 from ..api import Database
@@ -21,9 +20,7 @@ class BenchResult(NamedTuple):
 
     ``makespan`` is the wall time at the configured thread count: the
     *measured* parallel wall time in parallel mode, the list-scheduled
-    makespan in simulated mode. (It was historically named
-    ``simulated_time``, which misread in parallel mode; the old name
-    survives as a deprecated alias.)
+    makespan in simulated mode.
     """
 
     query: str
@@ -33,18 +30,6 @@ class BenchResult(NamedTuple):
     makespan: float
     rows: int
     execution_mode: str = "simulated"
-
-    @property
-    def simulated_time(self) -> float:
-        """Deprecated alias of :attr:`makespan`."""
-        warnings.warn(
-            "BenchResult.simulated_time is deprecated; use "
-            "BenchResult.makespan (in parallel mode it holds measured, "
-            "not simulated, wall time)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.makespan
 
     @property
     def time(self) -> float:

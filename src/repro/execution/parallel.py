@@ -1,6 +1,7 @@
 """Real multi-threaded morsel scheduler.
 
-:class:`ParallelScheduler` implements the same ``run_region`` barrier API as
+:class:`ParallelScheduler` shares the ``run_region`` bracket of
+:class:`~repro.execution.scheduler.RegionScheduler` with
 :class:`~repro.execution.scheduler.SimulatedScheduler`, but actually executes
 work items on a :class:`concurrent.futures.ThreadPoolExecutor`. The numpy
 kernels the operators are built from (sorting, hashing, gathers, reductions)
@@ -40,16 +41,11 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..analysis.sanitizer import SAN as _SAN
-from .scheduler import SplittableTask
+from .scheduler import RegionScheduler, SplittableTask
 from .trace import ExecutionTrace, RegionSpan, TraceRecord
 
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
-
-#: Items smaller than this are not worth a dispatch of their own when
-#: deciding how many sub-thunks to request from a splittable item.
-_MIN_SUBTASKS = 1
 
 
 def shared_pool(num_threads: int) -> ThreadPoolExecutor:
@@ -65,7 +61,7 @@ def shared_pool(num_threads: int) -> ThreadPoolExecutor:
         return pool
 
 
-class ParallelScheduler:
+class ParallelScheduler(RegionScheduler):
     """Morsel-driven execution on a real thread pool with region barriers."""
 
     def __init__(
@@ -74,16 +70,7 @@ class ParallelScheduler:
         trace: Optional[ExecutionTrace] = None,
         cancellation=None,
     ):
-        if num_threads < 1:
-            raise ValueError("need at least one thread")
-        self.num_threads = num_threads
-        self.trace = trace
-        #: Optional :class:`~repro.execution.cancellation.CancellationToken`
-        #: checked when entering every region barrier.
-        self.cancellation = cancellation
-        #: Total measured per-item work (comparable to the simulated
-        #: scheduler's serial_time).
-        self.serial_time = 0.0
+        super().__init__(num_threads, trace, cancellation)
         #: Measured wall-clock time spent inside regions (barrier to
         #: barrier); the parallel analogue of the simulated makespan.
         self._elapsed = 0.0
@@ -98,50 +85,21 @@ class ParallelScheduler:
         API parity with the simulated scheduler."""
         return self._elapsed
 
-    @property
-    def wall_time(self) -> float:
-        """Alias for :attr:`sim_time` under its honest name."""
-        return self._elapsed
-
     def reset(self) -> None:
+        super().reset()
         self._elapsed = 0.0
-        self.serial_time = 0.0
         self._worker_ids.clear()
-        if self.trace is not None:
-            self.trace.records.clear()
-            self.trace.regions.clear()
 
     # ------------------------------------------------------------------
-    def run_region(
+    def _execute_items(
         self,
         operator: str,
         phase: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool = False,
+        splittable: bool,
     ) -> List:
-        """Execute ``fn(item)`` for every item on the worker pool as one
-        parallel region. Returns results in item order."""
-        if _SAN.active is not None:  # sanitizer epoch brackets the barrier
-            _SAN.active.begin_region(operator, phase)
-            try:
-                return self._run_region_impl(
-                    operator, phase, items, fn, splittable
-                )
-            finally:
-                _SAN.active.end_region()
-        return self._run_region_impl(operator, phase, items, fn, splittable)
-
-    def _run_region_impl(
-        self,
-        operator: str,
-        phase: str,
-        items: Sequence,
-        fn: Callable,
-        splittable: bool = False,
-    ) -> List:
-        if self.cancellation is not None:
-            self.cancellation.check()
+        """Run the items on the worker pool and wait for all of them."""
         items = list(items)
         if not items:
             return []
@@ -208,32 +166,6 @@ class ParallelScheduler:
                 )
             )
         return results
-
-    # ------------------------------------------------------------------
-    def account(
-        self,
-        operator: str,
-        phase: str,
-        durations: Sequence[float],
-        splittable: bool = False,
-    ) -> None:
-        """API parity with the simulated scheduler: charge externally
-        measured durations as one already-executed serial region."""
-        if self.cancellation is not None:
-            self.cancellation.check()
-        self.serial_time += sum(durations)
-        start = self._elapsed
-        for duration in durations:
-            if self.trace is not None:
-                self.trace.add(
-                    TraceRecord(0, start, start + duration, operator, phase)
-                )
-            start += duration
-        if self.trace is not None and durations:
-            self.trace.add_region(
-                RegionSpan(operator, phase, self._elapsed, start, len(durations))
-            )
-        self._elapsed = start
 
     # ------------------------------------------------------------------
     def _record(

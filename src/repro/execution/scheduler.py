@@ -69,8 +69,11 @@ class SplittableTask:
         raise NotImplementedError
 
 
-class SimulatedScheduler:
-    """Greedy list scheduler over T virtual threads with region barriers."""
+class RegionScheduler:
+    """What every scheduler shares: per-query state and the region
+    bracket. ``run_region`` is one parallel region with a barrier at both
+    ends — sanitizer epoch, cancellation check on entry, then the
+    subclass's :meth:`_execute_items`."""
 
     def __init__(
         self,
@@ -85,25 +88,15 @@ class SimulatedScheduler:
         #: Optional :class:`~repro.execution.cancellation.CancellationToken`
         #: checked when entering every region barrier.
         self.cancellation = cancellation
-        #: Simulated clock per virtual thread.
-        self._clocks = [0.0] * num_threads
-        #: Total measured serial work (the "1 thread" time).
+        #: Total measured per-item work (the "1 thread" time).
         self.serial_time = 0.0
 
-    # ------------------------------------------------------------------
-    @property
-    def sim_time(self) -> float:
-        """Current simulated wall clock (max over threads)."""
-        return max(self._clocks)
-
     def reset(self) -> None:
-        self._clocks = [0.0] * self.num_threads
         self.serial_time = 0.0
         if self.trace is not None:
             self.trace.records.clear()
             self.trace.regions.clear()
 
-    # ------------------------------------------------------------------
     def run_region(
         self,
         operator: str,
@@ -112,29 +105,64 @@ class SimulatedScheduler:
         fn: Callable,
         splittable: bool = False,
     ) -> List:
-        """Execute ``fn(item)`` for every item, measure, and schedule the
-        measured durations as one parallel region. Returns results in item
-        order."""
-        if _SAN.active is not None:  # sanitizer epoch brackets the barrier
-            _SAN.active.begin_region(operator, phase)
-            try:
-                return self._run_region_impl(
-                    operator, phase, items, fn, splittable
-                )
-            finally:
-                _SAN.active.end_region()
-        return self._run_region_impl(operator, phase, items, fn, splittable)
+        """Execute ``fn(item)`` for every item as one parallel region.
+        Returns results in item order."""
+        sanitizer = _SAN.active
+        if sanitizer is not None:  # sanitizer epoch brackets the barrier
+            sanitizer.begin_region(operator, phase)
+        try:
+            if self.cancellation is not None:
+                self.cancellation.check()
+            return self._execute_items(operator, phase, items, fn, splittable)
+        finally:
+            if sanitizer is not None:
+                sanitizer.end_region()
 
-    def _run_region_impl(
+    def _execute_items(
         self,
         operator: str,
         phase: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool = False,
+        splittable: bool,
     ) -> List:
-        if self.cancellation is not None:
-            self.cancellation.check()
+        raise NotImplementedError
+
+
+class SimulatedScheduler(RegionScheduler):
+    """Greedy list scheduler over T virtual threads with region barriers."""
+
+    def __init__(
+        self,
+        num_threads: int,
+        trace: Optional[ExecutionTrace] = None,
+        cancellation=None,
+    ):
+        super().__init__(num_threads, trace, cancellation)
+        #: Simulated clock per virtual thread.
+        self._clocks = [0.0] * num_threads
+
+    # ------------------------------------------------------------------
+    @property
+    def sim_time(self) -> float:
+        """Current simulated wall clock (max over threads)."""
+        return max(self._clocks)
+
+    def reset(self) -> None:
+        super().reset()
+        self._clocks = [0.0] * self.num_threads
+
+    # ------------------------------------------------------------------
+    def _execute_items(
+        self,
+        operator: str,
+        phase: str,
+        items: Sequence,
+        fn: Callable,
+        splittable: bool,
+    ) -> List:
+        """Run the items serially, measure, and schedule the measured
+        durations as one region."""
         results = []
         durations = []
         for item in items:

@@ -7,13 +7,16 @@ docstring for the normalization invariant.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..aggregates import AggregateCall, WindowCall
 from ..errors import PlanError
 from ..expr.eval import infer_dtype
 from ..expr.nodes import Expr
 from ..types import DataType, Field, Schema
+
+if TYPE_CHECKING:
+    from ..observability.provenance import RewriteEvent
 
 
 class LogicalPlan:
@@ -24,7 +27,7 @@ class LogicalPlan:
     #: Provenance of the logical rewrites that produced this plan, set on the
     #: root by the pass (:class:`~repro.observability.provenance.RewriteEvent`
     #: records); the engine copies them into the query profile.
-    rewrites: Tuple[str, ...] = ()
+    rewrites: Tuple[RewriteEvent, ...] = ()
 
     def label(self) -> str:
         return type(self).__name__.upper()

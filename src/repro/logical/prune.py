@@ -29,7 +29,7 @@ which is how the tests compare the two.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional
 
 from ..expr.eval import columns_referenced
 from ..expr.nodes import ColumnRef, Expr
@@ -47,6 +47,9 @@ from .plan import (
     UnionAll,
     Window,
 )
+
+if TYPE_CHECKING:
+    from ..observability.provenance import RewriteEvent
 
 Names = FrozenSet[str]  # lower-cased column names
 
@@ -79,7 +82,7 @@ def _refs(exprs: Iterable[Optional[Expr]]) -> Names:
 
 class _Pruner:
     def __init__(self) -> None:
-        self.events: List[str] = []
+        self.events: List[RewriteEvent] = []
 
     def prune(self, plan: LogicalPlan, required: Names) -> LogicalPlan:
         """A plan computing ``plan``'s rows whose schema is an

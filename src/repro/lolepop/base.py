@@ -13,12 +13,15 @@ nodes in a topological order over both data and ordering edges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ExecutionError, PlanError
 from ..execution.context import ExecutionContext
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
+
+if TYPE_CHECKING:
+    from ..observability.provenance import RewriteEvent
 
 OpResult = Union[List[Batch], TupleBuffer]
 
@@ -32,7 +35,7 @@ class Lolepop:
     #: Does ``execute`` mutate its input TupleBuffer in place (SORT
     #: reorders, WINDOW appends columns)? Must agree with the operator's
     #: contract in :mod:`repro.lolepop.properties`; checked at registration
-    #: time and by ``tools/lint_engine.py``.
+    #: time and by analyzer rule ``R2-undeclared-mutation``.
     mutates_input = False
 
     def __init__(self, inputs: Sequence["Lolepop"] = ()):
@@ -113,9 +116,9 @@ class Dag:
         #: Rewrite log: which optimizer passes / translator reuse decisions
         #: fired while building this DAG. Entries are
         #: :class:`~repro.observability.provenance.RewriteEvent` records
-        #: (``str`` subclasses, so string consumers keep working) appended
-        #: via :meth:`record_rewrite` — never bare strings (lint rule R5).
-        self.rewrites: List[str] = []
+        #: appended via :meth:`record_rewrite` — never bare strings
+        #: (analyzer rule ``R5-stringly-rewrite``).
+        self.rewrites: List[RewriteEvent] = []
         #: The statistics-region logical plan this DAG implements, when
         #: known — EXPLAIN ANALYZE uses it for cardinality estimates.
         self.region_plan = None
@@ -123,21 +126,21 @@ class Dag:
     def record_rewrite(
         self,
         text: str,
-        pass_name: Optional[str] = None,
+        pass_name: str,
         detail: str = "",
         nodes: Sequence[str] = (),
         cost_before: Optional[float] = None,
         cost_after: Optional[float] = None,
-    ):
+    ) -> RewriteEvent:
         """Append one structured
         :class:`~repro.observability.provenance.RewriteEvent` to the
         rewrite log and return it. The single sanctioned append path —
-        ``tools/lint_engine.py`` rule R5 flags direct string appends."""
+        analyzer rule ``R5-stringly-rewrite`` flags direct string appends."""
         from ..observability.provenance import RewriteEvent
 
         event = RewriteEvent(
             text,
-            pass_name=pass_name,
+            pass_name,
             detail=detail,
             nodes=nodes,
             cost_before=cost_before,

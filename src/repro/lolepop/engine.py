@@ -127,9 +127,18 @@ class LolepopEngine:
 
     name = "lolepop"
 
-    def __init__(self, catalog: Catalog, config: Optional[EngineConfig] = None):
+    def __init__(
+        self,
+        catalog: Catalog,
+        config: Optional[EngineConfig] = None,
+        estimator=None,
+    ):
         self.catalog = catalog
         self.config = config or EngineConfig()
+        #: :class:`~repro.logical.cardinality.CardinalityEstimator` for the
+        #: translator's cost-based decisions (``Database`` passes its own);
+        #: without one those decisions fall back to their heuristics.
+        self.estimator = estimator
 
     # ------------------------------------------------------------------
     def run(
@@ -144,7 +153,10 @@ class LolepopEngine:
         statistics region clones its cached template instead of re-running
         the translator, and a freshly translated region stores its template
         back on the entry."""
-        runner = _Runner(self.catalog, self.config, prepared=prepared)
+        runner = _Runner(
+            self.catalog, self.config, prepared=prepared,
+            estimator=self.estimator,
+        )
         profile = None
         if self.config.collect_metrics:
             from ..observability.metrics import QueryProfile
@@ -219,14 +231,18 @@ class LolepopEngine:
 class _Runner:
     """Per-query execution state."""
 
-    def __init__(self, catalog: Catalog, config: EngineConfig, prepared=None):
+    def __init__(
+        self, catalog: Catalog, config: EngineConfig, prepared=None,
+        estimator=None,
+    ):
         self.catalog = catalog
         self.ctx = ExecutionContext(config)
         self.dags: List[Dag] = []
         #: Seconds spent in translate_statistics across all regions of this
         #: run (zero when every region came from a cached DAG template).
         self.translate_time = 0.0
-        self._estimator = None
+        #: Handed to the translator only for cost-based decisions.
+        self.estimator = estimator if config.cost_based_distinct else None
         #: Plan-cache entry whose ``dag_templates`` this run reads/extends;
         #: ``None`` when the query did not come through the cache.
         self._prepared = prepared
@@ -242,18 +258,6 @@ class _Runner:
 
     def execute_stream(self, plan: LogicalPlan) -> List[Batch]:
         return self._relational.execute(plan)
-
-    @property
-    def estimator(self):
-        """Lazily built cardinality estimator (cost-based decisions only)."""
-        if self._estimator is None and self.ctx.config.cost_based_distinct:
-            from ..logical.cardinality import CardinalityEstimator
-            from ..stats import StatisticsCache
-
-            self._estimator = CardinalityEstimator(
-                StatisticsCache(self.catalog)
-            )
-        return self._estimator
 
     def _handle_statistics(self, plan: LogicalPlan) -> List[Batch]:
         dag = self._cached_dag(plan)

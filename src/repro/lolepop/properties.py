@@ -212,7 +212,7 @@ class OperatorContract:
         self.max_inputs = max_inputs
         #: Declared in-place mutation of the input buffer; must agree with
         #: the class's ``mutates_input`` attribute (checked at registration
-        #: and by ``tools/lint_engine.py``).
+        #: and by analyzer rule ``R2-undeclared-mutation``).
         self.mutates_input = mutates_input
         #: 'creates' — the output is a fresh TupleBuffer (PARTITION /
         #: COMBINE / MERGE); 'forwards' — the output is the *same* buffer

@@ -268,7 +268,7 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
         lines.append("max Q-error: n/a (no estimates)")
 
     reuse_total = sum(
-        1 for entry in profile.rewrites if entry.startswith("buffer-reuse")
+        1 for event in profile.rewrites if event.pass_name == "buffer-reuse"
     )
     elide_total = sum(
         stats.sort_elisions for *_rest, stats in profile.operator_stats()
@@ -286,9 +286,9 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
     )
     if profile.rewrites:
         lines.append("rewrites:")
-        for entry in profile.rewrites:
-            cost = entry.render_cost() if hasattr(entry, "render_cost") else ""
-            lines.append(f"  {entry}" + (f"  {cost}" if cost else ""))
+        for event in profile.rewrites:
+            cost = event.render_cost()
+            lines.append(f"  {event}" + (f"  {cost}" if cost else ""))
     skew_lines = render_morsel_skew(result.trace)
     if skew_lines:
         lines.append("morsel skew (top phases):")

@@ -29,6 +29,8 @@ from typing import (
     Union,
 )
 
+from .provenance import RewriteEvent, rewrite_events_to_dicts
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -336,7 +338,7 @@ class QueryProfile:
         #: submitting thread, after region barriers).
         self.counters: Dict[str, float] = {}
         #: Optimizer / translator rewrite log across all executed DAGs.
-        self.rewrites: List[str] = []
+        self.rewrites: List[RewriteEvent] = []
         #: Executed DAGs in construction order (nodes carry their stats).
         #: ``Any`` (not ``object``): the DAG type lives in ``repro.lolepop``
         #: and importing it here would cycle.
@@ -380,7 +382,7 @@ class QueryProfile:
             "makespan_s": self.makespan,
             "counters": dict(self.counters),
             "rewrites": [str(entry) for entry in self.rewrites],
-            "rewrite_events": _rewrite_events_to_dicts(self.rewrites),
+            "rewrite_events": rewrite_events_to_dicts(self.rewrites),
             "dags": [
                 {
                     "index": dag_index,
@@ -404,9 +406,3 @@ class QueryProfile:
 
             payload["trace_events"] = chrome_trace_events(trace)
         return payload
-
-
-def _rewrite_events_to_dicts(rewrites: List[str]) -> List[Dict[str, object]]:
-    from .provenance import rewrite_events_to_dicts
-
-    return rewrite_events_to_dicts(rewrites)

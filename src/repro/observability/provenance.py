@@ -5,19 +5,19 @@ buffer-reuse substitution, a cost-based strategy pick — is recorded as one
 :class:`RewriteEvent` on the owning :attr:`Dag.rewrites
 <repro.lolepop.base.Dag.rewrites>` log instead of an opaque string.
 
-A :class:`RewriteEvent` *is* a ``str`` (its value is the human-readable
-rewrite text every existing consumer renders), subclassed to carry the
-machine-checkable fields regression attribution needs: the pass name, the
-names of the affected DAG nodes, and the estimated plan cost before/after
-the rewrite (priced by :func:`repro.costmodel.dag_cost`). Serialization
-through ``QueryProfile.to_dict`` therefore stays backward compatible — the
-``rewrites`` list remains a list of strings — while a parallel
-``rewrite_events`` list exposes the structure (see
-:func:`rewrite_events_to_dicts`).
+A :class:`RewriteEvent` is a plain record: ``str(event)`` is the
+human-readable rewrite text, and the fields carry what regression
+attribution needs — the pass name, the names of the affected DAG nodes, and
+the estimated plan cost before/after the rewrite (priced by
+:func:`repro.costmodel.dag_cost`). The *serialized* profile
+(``QueryProfile.to_dict``) keeps a ``rewrites`` list of strings beside the
+structured ``rewrite_events`` list (see :func:`rewrite_events_to_dicts`),
+which is the shape ``tools/plan_diff.py`` and ``.profile json`` read.
 
-``tools/lint_engine.py`` rule R5 enforces that engine code appends through
-:meth:`Dag.record_rewrite <repro.lolepop.base.Dag.record_rewrite>` (which
-constructs events), never a bare string.
+Analyzer rule ``R5-stringly-rewrite`` (:mod:`repro.analysis.contracts`)
+enforces that engine code appends through :meth:`Dag.record_rewrite
+<repro.lolepop.base.Dag.record_rewrite>` (which constructs events), never a
+bare string.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from typing import Iterable, List, Optional, Tuple
 __all__ = ["RewriteEvent", "rewrite_events_to_dicts"]
 
 
-class RewriteEvent(str):
+class RewriteEvent:
     """One recorded plan-rewrite decision.
 
-    The string value is the legacy display text (``"elide_redundant_sorts
-    x2"``, ``"buffer-reuse: ..."``); the attributes carry the structure:
-
+    - ``text`` — the display text (``"elide_redundant_sorts x2"``,
+      ``"buffer-reuse: ..."``), also ``str(event)``;
     - ``pass_name`` — the pass / decision family that fired;
     - ``detail`` — free-text qualifier (counts, reuse-spec summary);
     - ``nodes`` — ``describe()``-style names of the DAG nodes the rewrite
@@ -40,27 +39,33 @@ class RewriteEvent(str):
     - ``cost_before`` / ``cost_after`` — estimated whole-DAG cost (see
       :func:`repro.costmodel.dag_cost`) around the rewrite, ``None`` for
       construction-time decisions where the "before" DAG never existed.
-
-    (No ``__slots__``: CPython forbids nonempty slots on subclasses of
-    variable-length builtins like ``str``.)
     """
 
-    def __new__(
-        cls,
+    __slots__ = (
+        "text", "pass_name", "detail", "nodes", "cost_before", "cost_after",
+    )
+
+    def __init__(
+        self,
         text: str,
-        pass_name: Optional[str] = None,
+        pass_name: str,
         detail: str = "",
         nodes: Iterable[str] = (),
         cost_before: Optional[float] = None,
         cost_after: Optional[float] = None,
-    ) -> "RewriteEvent":
-        event = super().__new__(cls, text)
-        event.pass_name = pass_name if pass_name is not None else _infer_pass(text)
-        event.detail = detail
-        event.nodes = tuple(nodes)
-        event.cost_before = cost_before
-        event.cost_after = cost_after
-        return event
+    ) -> None:
+        self.text = text
+        self.pass_name = pass_name
+        self.detail = detail
+        self.nodes: Tuple[str, ...] = tuple(nodes)
+        self.cost_before = cost_before
+        self.cost_after = cost_after
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __repr__(self) -> str:
+        return f"RewriteEvent({self.text!r}, pass_name={self.pass_name!r})"
 
     # ------------------------------------------------------------------
     @property
@@ -73,7 +78,7 @@ class RewriteEvent(str):
 
     def to_dict(self) -> dict:
         out: dict = {
-            "text": str(self),
+            "text": self.text,
             "pass": self.pass_name,
         }
         if self.detail:
@@ -99,55 +104,8 @@ class RewriteEvent(str):
             f"({self.cost_before:.0f} -> {self.cost_after:.0f})"
         )
 
-    # ------------------------------------------------------------------
-    # str subclass plumbing: copy.copy / pickling used by Dag.clone paths
-    # must preserve the structured fields, not decay to a plain str.
-    def __copy__(self) -> "RewriteEvent":
-        return self
 
-    def __deepcopy__(self, memo) -> "RewriteEvent":
-        return self
-
-    def __reduce__(self):
-        return (
-            _rebuild_event,
-            (
-                str(self), self.pass_name, self.detail, self.nodes,
-                self.cost_before, self.cost_after,
-            ),
-        )
-
-
-def _rebuild_event(
-    text: str,
-    pass_name: Optional[str],
-    detail: str,
-    nodes: Tuple[str, ...],
-    cost_before: Optional[float],
-    cost_after: Optional[float],
-) -> RewriteEvent:
-    return RewriteEvent(
-        text, pass_name=pass_name, detail=detail, nodes=nodes,
-        cost_before=cost_before, cost_after=cost_after,
-    )
-
-
-def _infer_pass(text: str) -> str:
-    """Best-effort pass name from a display text: the prefix before the
-    first ``:`` or the first token (``"elide_redundant_sorts x2"`` →
-    ``"elide_redundant_sorts"``)."""
-    head = text.split(":", 1)[0]
-    return head.split(" ", 1)[0] if " " in head and ":" not in text else head
-
-
-def rewrite_events_to_dicts(rewrites: Iterable[str]) -> List[dict]:
-    """Structured view of a rewrites log. Plain-string entries (none should
-    exist after lint rule R5, but profiles loaded from old JSON may carry
-    them) degrade to ``{"text": ...}``."""
-    out: List[dict] = []
-    for entry in rewrites:
-        if isinstance(entry, RewriteEvent):
-            out.append(entry.to_dict())
-        else:
-            out.append({"text": str(entry), "pass": _infer_pass(str(entry))})
-    return out
+def rewrite_events_to_dicts(rewrites: Iterable[RewriteEvent]) -> List[dict]:
+    """Structured view of a rewrites log (the profile's
+    ``rewrite_events`` list)."""
+    return [event.to_dict() for event in rewrites]

@@ -483,7 +483,8 @@ class Telemetry:
         }
 
     def summary(self) -> dict:
-        """Compact roll-up (embedded in benchmark snapshots)."""
+        """Compact roll-up (``QueryService.stats()["telemetry"]`` and the
+        server-throughput benchmark report embed it)."""
         recorder = self.recorder.stats()
         summary = {
             "queries_recorded": self.queries_recorded,

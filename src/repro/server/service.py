@@ -211,8 +211,6 @@ class QueryService:
         #: Live (not yet finished) tickets by query id.
         self._tickets: Dict[str, QueryTicket] = {}
         self._tickets_lock = threading.Lock()
-        self._estimator = None
-        self._estimator_lock = threading.Lock()
         self._closed = False
         if self.result_cache is not None:
             self.result_cache.on_evict = self._on_result_evict
@@ -334,7 +332,7 @@ class QueryService:
             and prepared.plan is not None
         ):
             ticket.est_bytes = estimate_memory_bytes(
-                prepared.plan, self._get_estimator()
+                prepared.plan, self.db.estimator
             )
 
         with self._tickets_lock:
@@ -528,17 +526,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def _get_estimator(self):
-        with self._estimator_lock:
-            if self._estimator is None:
-                from ..logical.cardinality import CardinalityEstimator
-                from ..stats import StatisticsCache
-
-                self._estimator = CardinalityEstimator(
-                    StatisticsCache(self.db.catalog)
-                )
-            return self._estimator
-
     def _count(self, name: str) -> None:
         self.metrics.counter(name).inc()
 

@@ -11,12 +11,13 @@ statistics by sampling:
   number of values seen exactly once/twice — a standard species-richness
   estimator that behaves well on both low- and high-cardinality columns).
 
-Statistics are cached per table and invalidated by inserts (tables carry a
-version counter).
+Statistics are cached per table and invalidated by inserts into that
+table (tables carry a version counter).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -129,11 +130,15 @@ def collect_table_stats(
 
 
 class StatisticsCache:
-    """Per-catalog statistics with version-based invalidation."""
+    """Per-catalog statistics, invalidated per table: an entry is reused
+    only for the same :class:`Table` object at the same version, so an
+    insert re-samples that table alone and a dropped-and-recreated name
+    never serves its predecessor's statistics."""
 
     def __init__(self, catalog, sample_size: int = DEFAULT_SAMPLE_SIZE):
         self._catalog = catalog
         self._sample_size = sample_size
+        #: name -> (weakref to the table, its version, stats)
         self._cache: Dict[str, tuple] = {}
 
     def table_stats(self, name: str) -> TableStats:
@@ -141,8 +146,12 @@ class StatisticsCache:
         key = name.lower()
         version = getattr(table, "version", table.num_rows)
         cached = self._cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        if (
+            cached is not None
+            and cached[0]() is table
+            and cached[1] == version
+        ):
+            return cached[2]
         stats = collect_table_stats(table, self._sample_size)
-        self._cache[key] = (version, stats)
+        self._cache[key] = (weakref.ref(table), version, stats)
         return stats

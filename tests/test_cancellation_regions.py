@@ -1,0 +1,161 @@
+"""Cancellation at every region entry.
+
+Both schedulers share one ``run_region`` bracket
+(:class:`~repro.execution.scheduler.RegionScheduler`), so one probe on it
+reaches every barrier of a query. For a PARTITION→SORT→WINDOW statement
+the probe cancels the query's token on entry to the N-th region, for every
+N the statement has, under both schedulers with and without a 64 KiB
+buffer budget, directly and through :class:`~repro.QueryService`. Each
+cancelled run must raise :class:`~repro.QueryCancelled` and leak nothing:
+no spill file or ``query-*`` directory, no failed spill release, no
+admission reservation — and the next query on the same ``Database`` must
+answer correctly.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+
+import numpy as np
+import pytest
+
+from repro import Database, EngineConfig, QueryCancelled, QueryService, ServiceConfig
+from repro.execution import CancellationToken
+from repro.execution.context import ExecutionContext
+from repro.execution.scheduler import RegionScheduler
+from repro.observability.metrics import MetricsRegistry
+
+from tests.helpers import normalized_rows
+
+WINDOW_SQL = "SELECT g, o, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t"
+FOLLOW_SQL = "SELECT g, count(*), sum(o) FROM t GROUP BY g"
+ROWS = 20_000
+
+SCHEDULERS = {
+    "serial": {"execution_mode": "simulated", "num_threads": 1},
+    "parallel4": {"execution_mode": "parallel", "num_threads": 4},
+}
+BUDGETS = {"unbudgeted": None, "64KiB": 64 * 1024}
+
+
+class RegionProbe:
+    """Counts ``run_region`` entries and cancels the running query's token
+    on entry to the ``cancel_at``-th; records the spill counters every
+    execution context reports after its cleanup."""
+
+    def __init__(self, monkeypatch):
+        self.entered = 0
+        self.cancel_at = None
+        self.spill_counters = []
+        run_region = RegionScheduler.run_region
+        cleanup = ExecutionContext.cleanup
+
+        def probed_run_region(scheduler, *args, **kwargs):
+            self.entered += 1
+            if self.entered == self.cancel_at:
+                scheduler.cancellation.cancel()
+            return run_region(scheduler, *args, **kwargs)
+
+        def probed_cleanup(ctx):
+            cleanup(ctx)
+            self.spill_counters.append(ctx.spill_counters())
+
+        monkeypatch.setattr(RegionScheduler, "run_region", probed_run_region)
+        monkeypatch.setattr(ExecutionContext, "cleanup", probed_cleanup)
+
+    def arm(self, cancel_at):
+        self.entered = 0
+        self.cancel_at = cancel_at
+        self.spill_counters.clear()
+
+
+@pytest.fixture()
+def probe(monkeypatch):
+    return RegionProbe(monkeypatch)
+
+
+def make_db():
+    db = Database()
+    db.create_table("t", {"g": "int64", "x": "float64", "o": "int64"})
+    rng = np.random.default_rng(5)
+    db.insert(
+        "t",
+        {
+            "g": rng.integers(0, 6, ROWS),
+            "x": rng.random(ROWS).round(4),
+            "o": rng.permutation(ROWS),
+        },
+    )
+    return db
+
+
+def prepare(probe, spill_dir, scheduler, budget):
+    """``(db, config, expected follow-up answer, regions)`` where
+    ``regions`` counts the ``run_region`` entries of one uncancelled run
+    (which must really be the PARTITION→SORT→WINDOW plan, and really spill
+    under the budget)."""
+    db = make_db()
+    config = EngineConfig(
+        memory_budget_bytes=BUDGETS[budget],
+        spill_directory=str(spill_dir),
+        **SCHEDULERS[scheduler],
+    )
+    expected = normalized_rows(db.sql(FOLLOW_SQL, engine="naive"))
+    probe.arm(None)
+    result = db.sql(WINDOW_SQL, config=config.clone(collect_trace=True))
+    operators = {record.operator for record in result.trace.records}
+    assert {"partition", "sort", "window"} <= operators
+    assert bool(result.spill["bytes_written"]) == (BUDGETS[budget] is not None)
+    assert probe.entered >= 3
+    return db, config, expected, probe.entered
+
+
+def assert_nothing_leaked(probe, spill_dir):
+    assert os.listdir(spill_dir) == []
+    assert probe.spill_counters, "the cancelled run never reached cleanup"
+    assert all(c["release_failures"] == 0 for c in probe.spill_counters)
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_cancel_on_entry_to_every_region(probe, tmp_path, scheduler, budget):
+    db, config, expected, regions = prepare(probe, tmp_path, scheduler, budget)
+    for n in range(1, regions + 1):
+        probe.arm(n)
+        token = CancellationToken()
+        with pytest.raises(QueryCancelled):
+            db.sql(WINDOW_SQL, config=config.clone(cancellation=token))
+        assert probe.entered == n, "cancellation took effect at a later region"
+        assert_nothing_leaked(probe, tmp_path)
+        probe.arm(None)
+        assert normalized_rows(db.sql(FOLLOW_SQL, config=config)) == expected
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_cancel_at_every_region_releases_the_admission_reservation(
+    probe, tmp_path, scheduler, budget
+):
+    db, config, expected, regions = prepare(probe, tmp_path, scheduler, budget)
+    service_config = ServiceConfig(
+        memory_budget_bytes=1 << 40, result_cache_size=0, health_interval_s=0
+    )
+    with QueryService(db, service_config, registry=MetricsRegistry()) as service:
+        admission = service.admission
+        for n in range(1, regions + 1):
+            probe.arm(n)
+            ticket = service.submit(WINDOW_SQL, config=config)
+            assert ticket.est_bytes > 0
+            with pytest.raises(QueryCancelled):
+                ticket.result(timeout=60)
+            assert ticket.state == "cancelled"
+            deadline = time.monotonic() + 30
+            while admission.running and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert admission.running == 0
+            assert admission.reserved_bytes == 0.0
+            assert_nothing_leaked(probe, tmp_path)
+            probe.arm(None)
+            follow = service.submit(FOLLOW_SQL, config=config)
+            assert normalized_rows(follow.result(timeout=60)) == expected

@@ -2,8 +2,8 @@
 
 Every corpus query must byte-match (canonicalized: sorted rows, floats
 rounded) the naive row engine's reference answer in serial *and* parallel
-mode under ``verify_plans="strict"`` — the property the benchmark snapshot
-tool relies on to double as a differential correctness run. The sensor
+mode under ``verify_plans="strict"`` — the property that lets a benchmark
+run double as a differential correctness run. The sensor
 family must actually spill under its edge profile, otherwise the "edge"
 configuration tests nothing.
 """

@@ -281,7 +281,7 @@ class TestExplainAnalyze:
             config=EngineConfig(collect_metrics=True),
         )
         event = result.profile.rewrites[0]
-        assert event == "prune-columns: r 3→2"
+        assert str(event) == "prune-columns: r 3→2"
         assert event.pass_name == "prune-columns" and event.nodes == ("SCAN r",)
         assert result.profile.to_dict()["rewrite_events"][0]["pass"] == "prune-columns"
         assert "  prune-columns: r 3→2" in db.explain_analyze(

@@ -19,7 +19,6 @@ from repro.execution import (
     EXECUTION_MODES,
     ExecutionTrace,
     ParallelScheduler,
-    SimulatedScheduler,
     SplittableTask,
 )
 
@@ -235,14 +234,13 @@ def test_mixed_region_split_and_whole_results_stay_ordered():
 
 
 # ----------------------------------------------------------------------
-# Timing, tracing, account()
+# Timing, tracing
 # ----------------------------------------------------------------------
 def test_serial_time_and_wall_time_accumulate():
     sched = ParallelScheduler(2)
     sched.run_region("op", "p0", range(4), lambda i: time.sleep(0.002))
     assert sched.serial_time > 0.0
     assert sched.sim_time > 0.0
-    assert sched.wall_time == sched.sim_time
     before = sched.sim_time
     sched.run_region("op", "p1", range(2), lambda i: i)
     assert sched.sim_time > before
@@ -262,16 +260,6 @@ def test_trace_records_use_rebased_abutting_regions():
     assert all(r.end >= r.start for r in trace.records)
     # Worker ids are dense indices, not OS thread idents.
     assert {r.thread for r in trace.records} <= set(range(sched.num_threads))
-
-
-def test_account_matches_simulated_scheduler_semantics():
-    par, sim = ParallelScheduler(3), SimulatedScheduler(3)
-    durations = [0.25, 0.5, 0.125]
-    par.account("scan", "p0", durations)
-    sim.account("scan", "p0", durations)
-    assert par.serial_time == pytest.approx(sim.serial_time)
-    # account() replays serially in both modes (externally measured work).
-    assert par.sim_time == pytest.approx(sum(durations))
 
 
 def test_reset_clears_all_per_query_state():

@@ -4,7 +4,6 @@ persistent cardinality-feedback store, and the closed Q-error loop."""
 
 from __future__ import annotations
 
-import ast
 import copy
 import importlib.util
 import json
@@ -62,7 +61,7 @@ DRIFT_SQL = "SELECT a, b, sum(v) FROM c GROUP BY a, b"
 
 
 # ---------------------------------------------------------------------------
-# RewriteEvent: string compatibility + structured payload
+# RewriteEvent: display text + structured payload
 # ---------------------------------------------------------------------------
 class TestRewriteEvent:
     def make(self):
@@ -75,12 +74,10 @@ class TestRewriteEvent:
             cost_after=400.0,
         )
 
-    def test_is_a_string(self):
+    def test_renders_as_its_text(self):
         event = self.make()
-        assert isinstance(event, str)
-        assert event == "elide_redundant_sorts x2"
-        assert event.startswith("elide_redundant_sorts")
-        assert "; ".join([event]) == "elide_redundant_sorts x2"
+        assert str(event) == event.text == "elide_redundant_sorts x2"
+        assert f"  {event}" == "  elide_redundant_sorts x2"
 
     def test_structured_fields(self):
         event = self.make()
@@ -98,17 +95,15 @@ class TestRewriteEvent:
 
     def test_copy_and_pickle_survive(self):
         event = self.make()
-        assert copy.copy(event) is event
-        assert copy.deepcopy(event) is event
-        restored = pickle.loads(pickle.dumps(event))
-        assert restored == event
-        assert restored.pass_name == "elide_sorts"
-        assert restored.cost_delta == pytest.approx(-500.0)
+        for restored in (
+            copy.deepcopy(event), pickle.loads(pickle.dumps(event))
+        ):
+            assert restored.to_dict() == event.to_dict()
+            assert restored.nodes == event.nodes
 
-    def test_plain_strings_degrade_in_event_dicts(self):
-        docs = rewrite_events_to_dicts(["buffer-reuse SORT->MERGE"])
-        assert docs[0]["text"] == "buffer-reuse SORT->MERGE"
-        assert "cost_delta" not in docs[0] or docs[0]["cost_delta"] is None
+    def test_event_dicts_mirror_the_log(self):
+        event = self.make()
+        assert rewrite_events_to_dicts([event]) == [event.to_dict()]
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +129,9 @@ class TestProvenanceEndToEnd:
         result = db.sql(
             self.SQL, config=EngineConfig(collect_metrics=True)
         )
-        events = [
-            entry
-            for entry in result.profile.rewrites
-            if isinstance(entry, RewriteEvent)
-        ]
+        events = result.profile.rewrites
         assert events, "optimizer recorded no structured rewrite events"
+        assert all(isinstance(entry, RewriteEvent) for entry in events)
         costed = [e for e in events if e.cost_delta is not None]
         assert costed, "no rewrite carried an estimated cost delta"
         assert all(e.cost_delta <= 0.0 for e in costed)
@@ -374,6 +366,30 @@ class TestClosedLoop:
         estimate = second.estimate(DRIFT_SQL)
         assert estimate == pytest.approx(40.0, rel=0.5)
 
+    def test_admission_sees_the_calibrated_row_count(self, tmp_path):
+        """The query service sizes its reservation with the database's own
+        (feedback-calibrated) estimator, so admission and ``db.estimate``
+        agree on the same plan."""
+        from repro import QueryService, ServiceConfig
+        from repro.logical.cardinality import CardinalityEstimator
+        from repro.server.admission import estimate_memory_bytes
+        from repro.stats import StatisticsCache
+
+        first = correlated_db(tmp_path / "fb")
+        self.run_workload(first)
+        first.feedback.flush()
+        second = correlated_db(tmp_path / "fb")
+        plan = second.plan(DRIFT_SQL)
+        uncalibrated = estimate_memory_bytes(
+            plan, CardinalityEstimator(StatisticsCache(second.catalog))
+        )
+        config = ServiceConfig(memory_budget_bytes=1 << 40, health_interval_s=0)
+        with QueryService(second, config) as service:
+            ticket = service.submit(DRIFT_SQL)
+            ticket.result(timeout=30)
+        assert ticket.est_bytes == estimate_memory_bytes(plan, second.estimator)
+        assert ticket.est_bytes < uncalibrated
+
     def test_drift_triggers_replan_and_cache_discard(self, tmp_path):
         telemetry = fresh_telemetry()
         db = correlated_db(tmp_path / "fb", telemetry=telemetry)
@@ -454,7 +470,7 @@ class TestDisabledPath:
 
 
 # ---------------------------------------------------------------------------
-# Tools: lint rule R5 and plan_diff
+# Tools: plan_diff
 # ---------------------------------------------------------------------------
 def _load_tool(name):
     path = os.path.join(
@@ -466,49 +482,6 @@ def _load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-class TestLintR5:
-    def findings_for(self, source):
-        from pathlib import Path
-
-        lint = _load_tool("lint_engine")
-        findings = []
-        lint.check_stringly_rewrites(
-            Path("synthetic.py"), ast.parse(source), findings
-        )
-        return findings
-
-    def test_flags_plain_string_appends(self):
-        source = (
-            "def f(dag, n):\n"
-            "    dag.rewrites.append('literal')\n"
-            "    dag.rewrites.append(f'elide x{n}')\n"
-            "    dag.rewrites.append('a' + str(n))\n"
-        )
-        findings = self.findings_for(source)
-        assert len(findings) == 3
-        assert all(f.rule == "stringly-rewrite" for f in findings)
-
-    def test_allows_record_rewrite_and_event_appends(self):
-        source = (
-            "def f(dag):\n"
-            "    dag.record_rewrite('fine: builds a RewriteEvent')\n"
-            "    dag.rewrites.append(make_event())\n"
-            "    other.history.append('unrelated list of strings')\n"
-        )
-        assert self.findings_for(source) == []
-
-    def test_src_tree_is_clean(self):
-        from pathlib import Path
-
-        lint = _load_tool("lint_engine")
-        findings = [
-            f
-            for f in lint.lint(Path("src"))
-            if f.rule == "stringly-rewrite"
-        ]
-        assert findings == []
 
 
 class TestPlanDiff:
@@ -564,29 +537,7 @@ class TestPlanDiff:
         changed = report["operators_changed"]
         assert changed and changed[0]["wall_delta_s"] == pytest.approx(0.05)
 
-    def test_snapshot_diff(self):
-        plan_diff = _load_tool("plan_diff")
-        base = {
-            "pr": 8,
-            "families": {
-                "fam": {"queries": {"q1": {"wall_s": 0.10}}},
-            },
-            "server": {
-                "throughput_qps": 100.0,
-                "latency_ms": {"p50": 1.0, "p95": 2.0},
-            },
-        }
-        fresh = json.loads(json.dumps(base))
-        fresh["pr"] = 9
-        fresh["families"]["fam"]["queries"]["q1"]["wall_s"] = 0.12
-        fresh["server"]["throughput_qps"] = 90.0
-        report = plan_diff.diff_snapshots(base, fresh)
-        assert report["queries"][0]["wall_delta_pct"] == pytest.approx(20.0)
-        assert report["server"]["throughput_qps_delta"] == pytest.approx(
-            -10.0
-        )
-
-    def test_cli_rejects_mixed_kinds(self, tmp_path):
+    def test_cli_rejects_a_document_that_is_not_a_profile(self, tmp_path):
         plan_diff = _load_tool("plan_diff")
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -233,8 +233,8 @@ def test_dynamic_race_without_static_finding_is_a_false_negative():
         rule = "A2-scatter-self-write"
         path = "src/repro/reuse/manager.py"
 
-    class WrongRule:  # A3 inventory findings never cover a race
-        rule = "A3-unpicklable-attr"
+    class WrongRule:  # contract-rule findings never cover a race
+        rule = "R3-unlocked-metrics"
         path = "src/repro/execution/parallel.py"
 
     assert analyzer_false_negatives([race], [Elsewhere(), WrongRule()]) == [

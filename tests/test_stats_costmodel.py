@@ -74,6 +74,39 @@ class TestStatistics:
         after = cache.table_stats("t").rows
         assert after == before + 1
 
+    def test_insert_into_one_table_does_not_resample_another(
+        self, db, monkeypatch
+    ):
+        """``Database`` keeps one estimator whose statistics invalidate
+        per table, not on any catalog-version bump."""
+        import repro.stats
+
+        db.create_table("u", {"y": "int64"})
+        db.insert("u", {"y": [1, 2, 3]})
+        sampled = []
+        collect = repro.stats.collect_table_stats
+
+        def counting_collect(table, *args, **kwargs):
+            sampled.append(table.name)
+            return collect(table, *args, **kwargs)
+
+        monkeypatch.setattr(repro.stats, "collect_table_stats", counting_collect)
+        assert db.estimate("SELECT * FROM t") == 20_000
+        assert db.estimate("SELECT * FROM u") == 3
+        assert sorted(sampled) == ["t", "u"]
+        db.insert("u", {"y": [4]})
+        assert db.estimate("SELECT * FROM t") == 20_000
+        assert db.estimate("SELECT * FROM u") == 4
+        assert sorted(sampled) == ["t", "u", "u"]
+
+    def test_recreated_table_does_not_serve_its_predecessors_statistics(self):
+        database = Database()
+        for rows in (100, 7):  # both incarnations sit at table version 1
+            database.create_table("r", {"x": "int64"})
+            database.insert("r", {"x": list(range(rows))})
+            assert database.estimate("SELECT * FROM r") == rows
+            database.drop_table("r")
+
 
 class TestCardinality:
     def estimator(self, db):

@@ -110,7 +110,8 @@ class TestFlightRecorder:
         recorder.record("query.finish", query_id="q1", rows=3)
         path = str(tmp_path / "flight.json")
         assert recorder.dump_json(path) == 1
-        doc = json.load(open(path))
+        with open(path) as handle:
+            doc = json.load(handle)
         assert doc["stats"]["recorded"] == 1
         assert doc["events"][0]["kind"] == "query.finish"
         assert doc["events"][0]["query_id"] == "q1"
@@ -555,7 +556,8 @@ class TestConfig:
                 db.sql("SELECT definitely broken syntax !!!")
         dumps = [n for n in os.listdir(tmp_path) if n.startswith("flight_")]
         assert len(dumps) == 1  # rate limit: one dump per interval
-        doc = json.load(open(tmp_path / dumps[0]))
+        with open(tmp_path / dumps[0]) as handle:
+            doc = json.load(handle)
         assert any(e["kind"] == "query.error" for e in doc["events"])
 
 
@@ -755,58 +757,3 @@ class TestConcurrentLoad:
         kinds = {e["kind"] for e in telemetry.recorder.snapshot()}
         assert kinds <= set(EVENT_KINDS)
 
-
-class TestSnapshotTelemetryBlock:
-    def test_validator_accepts_and_rejects(self):
-        from repro.bench.snapshot import validate_snapshot
-
-        doc = {
-            "schema_version": 1,
-            "pr": 7,
-            "created_utc": "2026-01-01T00:00:00Z",
-            "host": {
-                "cpu_count": 1,
-                "platform": "Linux",
-                "machine": "x86_64",
-                "python": "3.12",
-            },
-            "config": {"scale_factor": 0.01, "threads": 1, "repeats": 1},
-            "families": {
-                "f": {
-                    "description": "d",
-                    "engine_profile": {},
-                    "queries": {
-                        "q": {
-                            "wall_s": 0.1,
-                            "parallel_wall_s": 0.1,
-                            "parallel_speedup": 1.0,
-                            "rows": 1,
-                            "verified": True,
-                        }
-                    },
-                }
-            },
-            "server": {
-                "throughput_qps": 1.0,
-                "completed": 1,
-                "incorrect": 0,
-                "latency_ms": {"p50": 1, "p95": 1, "p99": 1, "mean": 1},
-                "plan_cache_hit_rate": 0.5,
-                "telemetry": {
-                    "queries_recorded": 1,
-                    "events_recorded": 2,
-                    "events_dropped": 0,
-                    "fingerprints": 1,
-                    "slow_queries": 0,
-                },
-            },
-            "correctness": {"queries_verified": 1, "mismatches": []},
-        }
-        assert validate_snapshot(doc) == []
-        # The block is optional (pre-PR-7 snapshots lack it) ...
-        del doc["server"]["telemetry"]
-        assert validate_snapshot(doc) == []
-        # ... but a malformed one is an error.
-        doc["server"]["telemetry"] = {"queries_recorded": -1}
-        errors = validate_snapshot(doc)
-        assert any("telemetry" in e for e in errors)

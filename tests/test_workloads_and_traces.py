@@ -5,6 +5,7 @@ import pytest
 
 from repro import Database, EngineConfig
 from repro.bench import (
+    BenchResult,
     FIGURE8_QUERIES,
     TABLE2_QUERIES,
     TABLE3_CATEGORIES,
@@ -51,6 +52,20 @@ class TestWorkloadDefinitions:
             "Single": 3, "Ordered-Set": 4, "Grouping-Sets": 5,
             "Window": 3, "Nested": 3,
         }
+
+
+class TestBenchResult:
+    def make(self, mode):
+        return BenchResult("q", "lolepop", 4, 1.0, 0.4, 10, mode)
+
+    def test_makespan_field(self):
+        assert self.make("parallel").makespan == 0.4
+
+    def test_time_semantics(self):
+        assert self.make("parallel").time == 0.4
+        assert self.make("simulated").time == 0.4  # threads > 1 → makespan
+        one_thread = BenchResult("q", "lolepop", 1, 1.0, 0.4, 10, "simulated")
+        assert one_thread.time == 1.0
 
 
 class TestFigure8Traces:

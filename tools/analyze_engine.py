@@ -1,22 +1,17 @@
 #!/usr/bin/env python
-"""Engine concurrency analyzer CLI (stdlib-only, like lint_engine).
+"""Engine static-analyzer CLI (stdlib-only).
 
-Runs the three static passes from :mod:`repro.analysis` over a source
-tree and prints findings in lint_engine's ``path:line: [rule] message``
-format. Exit status 1 when any *error* finding is active (not covered by
-the allowlist), when the allowlist carries stale entries, or when the
-committed shippability report drifts from a fresh regeneration.
+Runs the static passes from :mod:`repro.analysis` (lockset ``A1-*``,
+scatter purity ``A2-*``, engine contract rules ``R1``/``R2``/``R3``/``R5``)
+over a source tree and prints findings as ``path:line: [rule] message``.
+Exit status 1 when any *error* finding is active (not covered by the
+allowlist) or when the allowlist carries stale entries.
 
 Usage (CI invocation)::
 
     python tools/analyze_engine.py src \
         --allowlist analysis/allowlist.json \
-        --json out/findings.json \
-        --shippability out/shippability.json \
-        --check-shippability analysis/shippability.json
-
-``--write-shippability analysis/shippability.json`` refreshes the
-committed report after an intentional operator change.
+        --json out/findings.json
 """
 
 from __future__ import annotations
@@ -30,15 +25,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.findings import findings_json, load_allowlist  # noqa: E402
+from repro.analysis.findings import (  # noqa: E402
+    apply_allowlist,
+    findings_json,
+    load_allowlist,
+)
 from repro.analysis.report import analyze  # noqa: E402
-from repro.analysis.findings import apply_allowlist  # noqa: E402
-from repro.analysis.shippability import build_shippability_report  # noqa: E402
-
-
-def _dump(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv) -> int:
@@ -47,12 +39,6 @@ def main(argv) -> int:
     parser.add_argument("--allowlist", help="analysis/allowlist.json")
     parser.add_argument("--json", dest="json_out",
                         help="write the findings JSON artifact here")
-    parser.add_argument("--shippability",
-                        help="write a fresh shippability report here")
-    parser.add_argument("--check-shippability", metavar="COMMITTED",
-                        help="fail if COMMITTED differs from a fresh report")
-    parser.add_argument("--write-shippability", metavar="PATH",
-                        help="regenerate the committed report in place")
     parser.add_argument("--show-info", action="store_true",
                         help="also print info-severity findings")
     args = parser.parse_args(argv[1:])
@@ -87,45 +73,18 @@ def main(argv) -> int:
         )
         status = 1
 
-    payload = findings_json(
-        findings,
-        extra={
-            "active": len(result.active),
-            "suppressed": len(result.suppressed),
-            "stale_allowlist_entries": len(result.stale),
-        },
-    )
     if args.json_out:
-        _dump(payload, Path(args.json_out))
-
-    needs_report = (
-        args.shippability or args.check_shippability or args.write_shippability
-    )
-    if needs_report:
-        report = build_shippability_report(root)
-        if args.shippability:
-            _dump(report, Path(args.shippability))
-        if args.write_shippability:
-            _dump(report, Path(args.write_shippability))
-        if args.check_shippability:
-            committed_path = Path(args.check_shippability)
-            if not committed_path.is_file():
-                print(
-                    f"committed shippability report missing: {committed_path}",
-                    file=sys.stderr,
-                )
-                status = 1
-            else:
-                committed = json.loads(committed_path.read_text())
-                if committed != report:
-                    print(
-                        "shippability drift: committed "
-                        f"{committed_path} differs from a fresh regeneration; "
-                        "run tools/analyze_engine.py --write-shippability "
-                        f"{committed_path}",
-                        file=sys.stderr,
-                    )
-                    status = 1
+        payload = findings_json(
+            findings,
+            extra={
+                "active": len(result.active),
+                "suppressed": len(result.suppressed),
+                "stale_allowlist_entries": len(result.stale),
+            },
+        )
+        path = Path(args.json_out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     if status == 0:
         suppressed = (

@@ -1,29 +1,23 @@
 #!/usr/bin/env python
-"""Regression attribution: diff two query-profile JSONs or two benchmark
-snapshots and attribute the movement to operators and rewrite events.
+"""Regression attribution: diff two query-profile JSONs and attribute the
+movement to operators and rewrite events.
 
-Two input shapes are auto-detected:
-
-- **profile JSON** (``QueryProfile.to_dict``, e.g. the shell's ``.profile
-  json`` or the benchmark ``--profile-dir`` output): operators are matched
-  by ``(dag index, operator id, name)``; per-operator wall-time, rows,
-  spill, and bytes-materialized deltas are reported, operators that
-  appeared/disappeared are listed, and disappeared operators are
-  attributed to the rewrite events that name them (``rewrite_events``
-  carries the optimizer's structured provenance, including per-rewrite
-  estimated-cost deltas).
-- **benchmark snapshot** (``tools/bench_snapshot.py``'s
-  ``BENCH_<pr>.json``): per-family query wall-time deltas plus the server
-  throughput/latency block.
+Input is the profile JSON (``QueryProfile.to_dict``, e.g. the shell's
+``.profile json`` or the benchmark ``--profile-dir`` output): operators are
+matched by ``(dag index, operator id, name)``; per-operator wall-time,
+rows, spill, and bytes-materialized deltas are reported, operators that
+appeared/disappeared are listed, and disappeared operators are attributed
+to the rewrite events that name them (``rewrite_events`` carries the
+optimizer's structured provenance, including per-rewrite estimated-cost
+deltas).
 
 Usage::
 
-    PYTHONPATH=src python tools/plan_diff.py before.json after.json
-    PYTHONPATH=src python tools/plan_diff.py BENCH_8.json fresh.json \
+    PYTHONPATH=src python tools/plan_diff.py before.json after.json \
         --json report.json
 
-Exit status: 0 on success (any delta — this tool attributes, the bench
-gate judges), 2 on unreadable input or mismatched document kinds.
+Exit status: 0 on success (any delta — this tool attributes, the ledger
+judges), 2 on unreadable input or a document that is not a profile.
 """
 
 from __future__ import annotations
@@ -45,14 +39,6 @@ def _load(path: str) -> Optional[dict]:
         print(f"error: {path} is not a JSON object", file=sys.stderr)
         return None
     return doc
-
-
-def _kind(doc: dict) -> Optional[str]:
-    if "dags" in doc:
-        return "profile"
-    if "families" in doc:
-        return "snapshot"
-    return None
 
 
 def _fmt_s(seconds: float) -> str:
@@ -228,122 +214,26 @@ def _render_profile(report: dict) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Snapshot diff
-# ----------------------------------------------------------------------
-
-def diff_snapshots(before: dict, after: dict) -> dict:
-    queries: List[dict] = []
-    families_a = before.get("families", {})
-    families_b = after.get("families", {})
-    for family in sorted(set(families_a) & set(families_b)):
-        queries_a = families_a[family].get("queries", {})
-        queries_b = families_b[family].get("queries", {})
-        for name in sorted(set(queries_a) & set(queries_b)):
-            wall_a = float(queries_a[name].get("wall_s", 0.0))
-            wall_b = float(queries_b[name].get("wall_s", 0.0))
-            if wall_a <= 0.0:
-                continue
-            queries.append(
-                {
-                    "family": family,
-                    "query": name,
-                    "wall_before_s": wall_a,
-                    "wall_after_s": wall_b,
-                    "wall_delta_s": wall_b - wall_a,
-                    "wall_delta_pct": (wall_b - wall_a) / wall_a * 100.0,
-                }
-            )
-    queries.sort(key=lambda e: -abs(e["wall_delta_pct"]))
-
-    server: Dict[str, object] = {}
-    server_a, server_b = before.get("server"), after.get("server")
-    if isinstance(server_a, dict) and isinstance(server_b, dict):
-        qps_a = float(server_a.get("throughput_qps", 0.0))
-        qps_b = float(server_b.get("throughput_qps", 0.0))
-        server["throughput_qps_delta"] = qps_b - qps_a
-        if qps_a > 0.0:
-            server["throughput_delta_pct"] = (qps_b - qps_a) / qps_a * 100.0
-        lat_a = server_a.get("latency_ms", {})
-        lat_b = server_b.get("latency_ms", {})
-        server["latency_ms_delta"] = {
-            key: float(lat_b.get(key, 0.0)) - float(lat_a.get(key, 0.0))
-            for key in ("p50", "p95", "p99", "mean")
-            if key in lat_a or key in lat_b
-        }
-    return {
-        "kind": "snapshot",
-        "before_pr": before.get("pr"),
-        "after_pr": after.get("pr"),
-        "queries": queries,
-        "server": server,
-    }
-
-
-def _render_snapshot(report: dict, top: int) -> List[str]:
-    lines = [
-        "plan diff (bench snapshot): "
-        f"PR {report.get('before_pr')} -> PR {report.get('after_pr')}"
-    ]
-    queries = report["queries"]
-    if queries:
-        lines.append(f"query wall-time movement (top {top} by |%|):")
-        for entry in queries[:top]:
-            lines.append(
-                f"  {entry['family']}/{entry['query']}: "
-                f"{entry['wall_delta_pct']:+.1f}% "
-                f"({entry['wall_before_s'] * 1000:.2f}ms -> "
-                f"{entry['wall_after_s'] * 1000:.2f}ms)"
-            )
-    else:
-        lines.append("no overlapping queries between the snapshots")
-    server = report["server"]
-    if server:
-        qps = server.get("throughput_qps_delta", 0.0)
-        pct = server.get("throughput_delta_pct")
-        pct_text = f" ({pct:+.1f}%)" if pct is not None else ""
-        lines.append(f"server throughput: {qps:+.1f} qps{pct_text}")
-        deltas = server.get("latency_ms_delta", {})
-        if deltas:
-            lines.append(
-                "server latency: "
-                + " ".join(f"{k}{v:+.3f}ms" for k, v in sorted(deltas.items()))
-            )
-    return lines
-
-
-# ----------------------------------------------------------------------
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("before", help="baseline profile or snapshot JSON")
-    parser.add_argument("after", help="current profile or snapshot JSON")
+    parser.add_argument("before", help="baseline profile JSON")
+    parser.add_argument("after", help="current profile JSON")
     parser.add_argument(
         "--json", metavar="PATH", help="also write the structured report here"
-    )
-    parser.add_argument(
-        "--top", type=int, default=10,
-        help="max per-query rows in snapshot mode (default 10)",
     )
     args = parser.parse_args(argv)
 
     before, after = _load(args.before), _load(args.after)
     if before is None or after is None:
         return 2
-    kind_a, kind_b = _kind(before), _kind(after)
-    if kind_a is None or kind_b is None or kind_a != kind_b:
-        print(
-            f"error: cannot diff {kind_a or 'unknown'} against "
-            f"{kind_b or 'unknown'} documents",
-            file=sys.stderr,
-        )
-        return 2
+    for path, doc in ((args.before, before), (args.after, after)):
+        if "dags" not in doc:
+            print(f"error: {path} is not a query profile", file=sys.stderr)
+            return 2
 
-    if kind_a == "profile":
-        report = diff_profiles(before, after)
-        lines = _render_profile(report)
-    else:
-        report = diff_snapshots(before, after)
-        lines = _render_snapshot(report, args.top)
+    report = diff_profiles(before, after)
+    lines = _render_profile(report)
     print("\n".join(lines))
     if args.json:
         try:
