@@ -262,6 +262,12 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
                 parts.append("{" + note + "}")
             lines.append(head + "  " + " ".join(parts))
 
+    for join in profile.joins:
+        lines.append(
+            f"{join['join']}  build={join['build_rows']} "
+            f"keys={join['keys']} table={join['table']} {join['shape']} "
+            f"probe={join['probe_rows']} matched={join['matched_rows']}"
+        )
     if worst is not None:
         lines.append(f"max Q-error: {worst[0]:.2f} at {worst[1]}")
     else:

@@ -343,6 +343,10 @@ class QueryProfile:
         #: ``Any`` (not ``object``): the DAG type lives in ``repro.lolepop``
         #: and importing it here would cycle.
         self.dags: List[Any] = []
+        #: One entry per executed join, in execution order: what its
+        #: :class:`~repro.relational.hash_join.HashJoinTable` chose plus the
+        #: probe / matched row counts (appended on the submitting thread).
+        self.joins: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
     def count(self, name: str, amount: float = 1.0) -> None:
@@ -381,6 +385,7 @@ class QueryProfile:
             "serial_time_s": self.serial_time,
             "makespan_s": self.makespan,
             "counters": dict(self.counters),
+            "joins": [dict(join) for join in self.joins],
             "rewrites": [str(entry) for entry in self.rewrites],
             "rewrite_events": rewrite_events_to_dicts(self.rewrites),
             "dags": [

@@ -146,4 +146,27 @@ class RelationalExecutor:
                 return Batch(plan.schema, joined.columns)
 
         outputs = self.context.parallel_for("join-probe", probe_batches, probe)
+        profile = self.context.profile
+        if profile is not None:
+            # Recorded on the submitting thread, after the region barrier. A
+            # matched output row is one that is not LEFT padding (its build
+            # key is not NULL) resp. not ANTI's complement.
+            probe_rows = sum(len(b) for b in probe_batches)
+            matched = sum(len(b) for b in outputs)
+            if plan.kind is JoinKind.ANTI:
+                matched = probe_rows - matched
+            elif plan.kind is JoinKind.LEFT:
+                key = len(plan.left.schema) + plan.right.schema.index_of(plan.right_keys[0])
+                matched -= sum(b.columns[key].null_count() for b in outputs)
+            profile.joins.append(
+                {
+                    "join": plan.label(),
+                    "build_rows": len(build),
+                    "keys": table.num_keys,
+                    "table": table.form,
+                    "shape": "N:1" if table.unique else "N:M",
+                    "probe_rows": probe_rows,
+                    "matched_rows": matched,
+                }
+            )
         return [b for b in outputs if len(b)] or [Batch.empty(plan.schema)]

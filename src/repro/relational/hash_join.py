@@ -1,100 +1,113 @@
-"""Vectorized hash join.
+"""Vectorized hash join in the packed key space.
 
-Build side: dense-code dictionary over the build keys plus, per code, the
-list of build row indices (CSR layout: ``offsets`` + ``row_ids``). Probe
-side: map probe keys to codes via sorted-unique binary search, then expand
-matches. Supports INNER, LEFT, SEMI and ANTI joins.
+Build side: :func:`~repro.storage.keys.fit_keys` makes each build key one
+mixed-radix int64, and the "hash table" is an array indexed by *slot*:
+``direct`` — the packed key itself, when the key range is dense (capacity <=
+``DIRECT_TABLE_FACTOR`` x build rows: surrogate keys, dictionary ranks), so
+nothing is sorted or searched; ``sorted`` — the key's position among the
+sorted distinct packed keys, one int64 ``searchsorted`` per probe; ``wide``
+— key ranges beyond 63 bits, where each probe numbers build and probe keys
+together with :func:`~repro.storage.keys.group_codes`.
 
-NULL join keys never match (SQL equality semantics).
+When no build key repeats (N:1) a slot holds its build row: the probe is one
+gather and the probe columns pass through by reference (all rows matched, or
+LEFT) or one filter. Otherwise (N:M) slots address a CSR layout (``offsets``
++ ``row_ids``) and matches are expanded. Output order is probe order, then
+build row order; NULL join keys never match (SQL equality semantics).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..storage.batch import Batch
 from ..storage.column import Column
-from ..storage.keys import _normalize_values
-
-
-def _composite(
-    columns: Sequence[Column], build_keys: Optional[Sequence[Column]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(record array usable with np.unique/searchsorted, non-null mask).
-
-    Both sides of a join must agree on the representation of equal keys:
-    string keys compare as *build-side dictionary codes*. Probe columns
-    (``build_keys`` given) are translated into that code space; a probe
-    string the build dictionary lacks cannot match and is masked out."""
-    valid = np.ones(len(columns[0]), dtype=bool)
-    parts = []
-    for position, col in enumerate(columns):
-        if col.valid is not None:
-            valid &= col.valid
-        build = None if build_keys is None else build_keys[position]
-        if build is not None and (col.dictionary is None) != (build.dictionary is None):
-            # A string key against a NULL literal's placeholder type.
-            valid[:] = False
-            parts.append(np.zeros(len(col), dtype=np.int64))
-            continue
-        if col.dictionary is None:
-            parts.append(_normalize_values(col))
-            continue
-        codes = col.data
-        if build is not None:
-            mapping = build.dictionary.translate(col.dictionary)
-            if mapping is not None:
-                codes = mapping[codes]
-                valid &= codes >= 0
-        parts.append(codes.astype(np.int64))
-    if len(parts) == 1:
-        return parts[0], valid
-    stacked = np.column_stack(parts)
-    record = np.ascontiguousarray(stacked).view(
-        np.dtype((np.void, stacked.dtype.itemsize * stacked.shape[1]))
-    ).ravel()
-    return record, valid
+from ..storage.keys import DIRECT_TABLE_FACTOR, encode_keys, fit_keys, group_codes
+from ..types import DataType
 
 
 class HashJoinTable:
-    """Materialized build side of a hash join."""
+    """Materialized build side of a hash join. ``form`` (direct / sorted /
+    wide), ``unique`` (N:1, else N:M) and ``num_keys`` say what it chose."""
 
     def __init__(self, build: Batch, key_names: Sequence[str]):
         self.build = build
         self.key_names = list(key_names)
-        self._build_keys = [build.column(k) for k in key_names]
-        keys, valid = _composite(self._build_keys)
-        rows = np.flatnonzero(valid)
-        self._uniques, codes = np.unique(keys[rows], return_inverse=True)
-        order = np.argsort(codes, kind="stable")
-        self._row_ids = rows[order]
-        counts = np.bincount(codes, minlength=len(self._uniques))
-        self._offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    @property
-    def num_keys(self) -> int:
-        return len(self._uniques)
+        self._keys = [build.column(k) for k in key_names]
+        self._space = fit_keys(self._keys)
+        self._uniques: Optional[np.ndarray] = None
+        rows = np.arange(len(build), dtype=np.int64)
+        if self._space is None:
+            self.form = "wide"
+            for column in self._keys:
+                rows = rows if column.valid is None else rows[column.valid[rows]]
+            slots, _, num_slots = group_codes([c.take(rows) for c in self._keys])
+            self._wide = (rows, slots)
+        else:
+            slots, matchable = encode_keys(self._space, self._keys)
+            if matchable is not None:
+                rows = rows[matchable]
+                slots = slots[rows]
+            num_slots = self._space[1]
+            self.form = "direct"
+            if num_slots > DIRECT_TABLE_FACTOR * len(build):
+                self.form = "sorted"
+                uniques, slots = np.unique(slots, return_inverse=True)
+                num_slots = len(uniques)
+                # A last entry no packed key reaches: misses land on it.
+                self._uniques = np.append(uniques, np.iinfo(np.int64).max)
+        #: One more slot that stays empty: where a key without a match goes.
+        self._miss = num_slots
+        counts = np.bincount(slots, minlength=num_slots + 1)
+        self.num_keys = int(np.count_nonzero(counts))
+        #: No build key repeats (N:1): a slot is its build row.
+        self.unique = int(counts.max()) <= 1
+        if self.unique:
+            self._row_of = np.full(num_slots + 1, -1, dtype=np.int64)
+            self._row_of[slots] = rows
+        else:
+            self._row_ids = np.append(rows[np.argsort(slots, kind="stable")], 0)
+            self._offsets = np.concatenate(([0], np.cumsum(counts)))
 
     # ------------------------------------------------------------------
-    def _probe_codes(self, probe: Batch, key_names: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-        """(code per probe row, matched mask). Unmatched rows get code -1."""
-        keys, valid = _composite(
-            [probe.column(k) for k in key_names], self._build_keys
-        )
-        if len(self._uniques) == 0:
-            return np.full(len(probe), -1, dtype=np.int64), np.zeros(len(probe), bool)
-        positions = np.searchsorted(self._uniques, keys)
-        positions = np.clip(positions, 0, len(self._uniques) - 1)
-        matched = (self._uniques[positions] == keys) & valid
-        codes = np.where(matched, positions, -1)
-        return codes.astype(np.int64), matched
+    def _slots(self, probe: Batch, key_names: Sequence[str]) -> np.ndarray:
+        """The table slot of each probe row's key (an empty one: no match)."""
+        keys = [probe.column(k) for k in key_names]
+        if self._space is None:
+            return self._wide_slots(keys)
+        packed, _ = encode_keys(self._space, keys)
+        if self._uniques is None:
+            return packed
+        slots = np.searchsorted(self._uniques, packed)
+        slots[self._uniques[slots] != packed] = len(self._uniques) - 1
+        return slots
+
+    def _wide_slots(self, keys: List[Column]) -> np.ndarray:
+        """Keys too wide to pack: number build and probe rows together, then
+        carry the build rows' slots over to the probe rows of equal number."""
+        rows, build_slots = self._wide
+        both = []
+        for ours, theirs in zip(self._keys, keys):
+            if ours.dtype is not theirs.dtype:
+                # As ``=`` compares. (An all-NULL placeholder type matches nothing.)
+                ours, theirs = (
+                    Column(DataType.FLOAT64, c.data.astype(np.float64), c.valid)
+                    for c in (ours, theirs)
+                )
+            both.append(Column.concat([ours, theirs]))
+        codes, _, groups = group_codes(both)
+        slot_of = np.full(groups, self._miss, dtype=np.int64)
+        slot_of[codes[rows]] = build_slots
+        return slot_of[codes[len(self.build):]]
 
     def semi_mask(self, probe: Batch, key_names: Sequence[str]) -> np.ndarray:
         """Probe rows that have at least one build match."""
-        _, matched = self._probe_codes(probe, key_names)
-        return matched
+        slots = self._slots(probe, key_names)
+        if self.unique:
+            return self._row_of[slots] >= 0
+        return self._offsets[slots + 1] > self._offsets[slots]
 
     def probe(
         self, probe: Batch, key_names: Sequence[str], left_outer: bool = False
@@ -102,33 +115,37 @@ class HashJoinTable:
         """INNER (or LEFT when ``left_outer``) join of ``probe`` against the
         build side; output schema = probe schema ++ build schema (renamed on
         collision)."""
-        codes, matched = self._probe_codes(probe, key_names)
-        match_rows = np.flatnonzero(matched)
-        match_codes = codes[match_rows]
-        starts = self._offsets[match_codes]
-        ends = self._offsets[match_codes + 1]
-        counts = ends - starts
-        probe_idx = np.repeat(match_rows, counts)
-        # Expand build row ids: for each probe match, the slice of row_ids.
-        build_idx = _expand_slices(self._row_ids, starts, counts)
+        left = probe.columns
         out_schema = probe.schema.concat(self.build.schema)
+        if left_outer and len(self.build) == 0:
+            right = [Column.nulls(col.dtype, len(probe)) for col in self.build.columns]
+            return Batch(out_schema, left + right)
+        slots = self._slots(probe, key_names)
+        if self.unique:
+            build_idx = self._row_of[slots]
+            matched = build_idx >= 0
+            if matched.all():
+                left_outer = False
+            elif left_outer:
+                build_idx = np.where(matched, build_idx, 0)
+            else:
+                left = [col.filter(matched) for col in left]
+                build_idx = build_idx[matched]
+        else:
+            starts = self._offsets[slots]
+            counts = self._offsets[slots + 1] - starts
+            matched = counts > 0
+            if left_outer:
+                # An unmatched row reads one (padding) entry of ``row_ids``.
+                counts = np.maximum(counts, 1)
+                matched = np.repeat(matched, counts)
+            probe_idx = np.repeat(np.arange(len(probe)), counts)
+            left = [col.take(probe_idx) for col in left]
+            build_idx = _expand_slices(self._row_ids, starts, counts)
+        right = [col.take(build_idx) for col in self.build.columns]
         if left_outer:
-            missing = np.flatnonzero(~matched)
-            probe_idx = np.concatenate([probe_idx, missing])
-            order = np.argsort(probe_idx, kind="stable")
-            columns: List[Column] = []
-            n_match = len(build_idx)
-            for col in probe.columns:
-                columns.append(col.take(probe_idx[order]))
-            for col in self.build.columns:
-                values = col.take(build_idx)
-                pad = Column.nulls(col.dtype, len(missing))
-                merged = Column.concat([values, pad]) if len(missing) else values
-                columns.append(merged.take(order))
-            return Batch(out_schema, columns)
-        columns = [col.take(probe_idx) for col in probe.columns]
-        columns.extend(col.take(build_idx) for col in self.build.columns)
-        return Batch(out_schema, columns)
+            right = [col.with_valid(col.valid_mask() & matched) for col in right]
+        return Batch(out_schema, left + right)
 
 
 def _expand_slices(

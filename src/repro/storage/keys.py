@@ -28,6 +28,18 @@ _MIX_PRIME = np.uint64(0xBF58476D1CE4E5B9)
 
 _NULL_SENTINEL = np.iinfo(np.int64).min + 1
 
+#: A table over the packed key range itself (grouping, join build) replaces
+#: the sort up to this many slots per row: measured 3x faster than
+#: ``np.unique`` at 2n, even at 8n, slower beyond; 2n also bounds its size.
+DIRECT_TABLE_FACTOR = 2
+
+
+def _key_ints(data: np.ndarray, as_bits: bool) -> np.ndarray:
+    """The int64 a number compares by: itself, or its float64 bits (-0.0 as 0.0)."""
+    if as_bits:
+        return (data.astype(np.float64, copy=False) + 0.0).view(np.int64)
+    return data.astype(np.int64, copy=False)
+
 
 def _normalize_values(column: Column, entries: str = "rank") -> np.ndarray:
     """Map column values to an int64 array where equal values have equal
@@ -39,47 +51,79 @@ def _normalize_values(column: Column, entries: str = "rank") -> np.ndarray:
     in *any* dictionary — partitioning only, never equality)."""
     if column.dictionary is not None:
         values = getattr(column.dictionary, entries)[column.data]
-    elif column.dtype is DataType.FLOAT64:
-        # Normalize -0.0 to 0.0 so they hash/group together.
-        values = column.data + 0.0
-        values = values.view(np.int64).astype(np.int64)
     else:
-        values = column.data.astype(np.int64)
+        values = _key_ints(column.data, column.dtype is DataType.FLOAT64)
     if column.valid is not None:
         values = values.copy()
         values[~column.valid] = _NULL_SENTINEL
     return values
 
 
-def _pack_keys(columns: Sequence[Column]) -> Optional[Tuple[np.ndarray, int]]:
-    """``(packed, capacity)``: the composite key as one mixed-radix int64 per
-    row in ``[0, capacity)``, most significant digit first (so packed order
-    is lexicographic key order), or ``None`` when the product of the
-    per-column ranges does not fit in 63 bits.
-
-    A column's digit is its value's offset from the column minimum plus one;
-    zero is NULL, so NULL keys sort first and equal only each other."""
-    packed = np.zeros(len(columns[0]), dtype=np.int64)
-    capacity = 1
+def fit_keys(columns: Sequence[Column]) -> Optional[Tuple[list, int]]:
+    """The packed key space of ``columns``, ``(digits, capacity)``: composite
+    keys as one mixed-radix int64 in ``[0, capacity)``, most significant
+    digit first (so packed order is lexicographic key order), or ``None``
+    when the product of the per-column ranges does not fit in 63 bits.
+    ``digits`` holds ``(low, radix, column)`` per column: a value's digit is
+    its offset from the column minimum plus one; zero is NULL, so NULL keys
+    sort first and equal only each other."""
+    digits, capacity = [], 1
     for column in columns:
-        values = _normalize_values(column)
-        valid = column.valid
         low = high = 0
         if column.dictionary is not None:
             high = len(column.dictionary) - 1
         else:
-            present = values if valid is None else values[valid]
+            present = _key_ints(column.data, column.dtype is DataType.FLOAT64)
+            if column.valid is not None:
+                present = present[column.valid]
             if len(present):
                 low, high = int(present.min()), int(present.max())
-        radix = high - low + 2
-        capacity *= radix
-        if capacity >= 1 << 63:
-            return None
+        digits.append((low, high - low + 2, column))
+        capacity *= high - low + 2
+    return (digits, capacity) if capacity < 1 << 63 else None
+
+
+def encode_keys(
+    space: Tuple[list, int], columns: Sequence[Column]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(packed, matchable)``: ``columns`` mapped into ``space``, and which
+    rows hold a key of it (``None``: all). A NULL, a value outside the fitted
+    range — tested before the offset is taken, so no ``int64`` extreme wraps
+    into a digit — or a string the fitted dictionary lacks gets digit zero,
+    which no fitted value has. Strings compare by the fitted dictionary's
+    ranks, numbers the way ``=`` does whatever the two column types."""
+    packed = np.zeros(len(columns[0]), dtype=np.int64)
+    matchable = []
+    for column, (low, radix, fitted) in zip(columns, space[0]):
+        data, masks = column.data, [column.valid]
+        as_bits = fitted.dtype is DataType.FLOAT64
+        if (column.dictionary is None) != (fitted.dictionary is None):
+            # A string key against a NULL literal's placeholder type.
+            values = np.zeros(len(data), dtype=np.int64)
+            masks.append(values != 0)
+        elif fitted.dictionary is not None:
+            mapping = fitted.dictionary.translate(column.dictionary)
+            if mapping is not None:
+                data = mapping[data]
+                masks.append(data >= 0)
+            values = fitted.dictionary.rank[data]
+        else:
+            if column.dtype is DataType.FLOAT64 and column is not fitted:
+                if as_bits:
+                    masks.append(data == data)  # NaN equals nothing
+                else:  # only a whole float equals an integer
+                    masks.append((data == np.floor(data)) & (np.abs(data) < 2.0**63))
+                    data = np.where(masks[-1], data, 0.0)
+            values = _key_ints(data, as_bits)
+            if column is not fitted:
+                masks.append((values >= low) & (values <= low + radix - 2))
         digits = (values - low) + 1
-        if valid is not None:
-            digits[~valid] = 0
+        masks = [mask for mask in masks if mask is not None]
+        if masks:
+            matchable.append(np.logical_and.reduce(masks))
+            digits[~matchable[-1]] = 0
         packed = packed * radix + digits
-    return packed, capacity
+    return packed, np.logical_and.reduce(matchable) if matchable else None
 
 
 def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -96,19 +140,16 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
     n = len(columns[0])
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    packing = _pack_keys(columns)
-    if packing is not None:
-        packed, capacity = packing
-        if capacity > 2 * n:
+    space = fit_keys(columns)
+    if space is not None:
+        packed, capacity = encode_keys(space, columns)[0], space[1]
+        if capacity > DIRECT_TABLE_FACTOR * n:
             uniques, first_index, codes = np.unique(
                 packed, return_index=True, return_inverse=True
             )
             return codes.astype(np.int64), first_index.astype(np.int64), len(uniques)
-        # Few possible keys per row (dictionary ranks, narrow ints): a direct
-        # table over the key range replaces the sort — measured 3x faster
-        # than np.unique at capacity = 2n, even at 8n, slower beyond; 2n
-        # also bounds the table to twice the key array. Assigning row
-        # numbers back to front leaves each key's first row in its slot.
+        # Few possible keys per row (dictionary ranks, narrow ints): no sort.
+        # Assigning rows back to front leaves each key's first row in its slot.
         first_row = np.full(capacity, n, dtype=np.int64)
         first_row[packed[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
         present = first_row < n

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Database, EngineConfig
 
-from tests.helpers import assert_engines_agree, normalized_rows
+from tests.helpers import ENGINES, assert_engines_agree, normalized_rows
 
 FIXED_QUERIES = [
     # associative flavors
@@ -325,6 +325,13 @@ PRUNING_QUERIES = [
     # GROUPING SETS over a join
     "SELECT a.s, b.s, sum(a.q), grouping_id FROM r a JOIN u b ON a.k = b.k GROUP BY "
     "GROUPING SETS ((a.s, b.s), (b.s), ())",
+    # int64 = float64 join keys, either side building (u.q holds 1.0 and 4.0)
+    "SELECT a.k, b.q, b.z FROM r a JOIN u b ON a.k = b.q",
+    "SELECT b.q, b.z, a.s FROM u b JOIN r a ON b.q = a.k",
+    "SELECT a.n, b.q, b.s FROM r a LEFT JOIN u b ON a.n = b.q",
+    "SELECT b.q, a.k FROM u b LEFT JOIN r a ON b.q = a.k",
+    "SELECT a.s, count(*) FROM r a SEMI JOIN u b ON a.k = b.q GROUP BY a.s",
+    "SELECT b.q, b.z FROM u b ANTI JOIN r a ON b.q = a.n",
 ]
 
 
@@ -407,3 +414,29 @@ def test_budget_and_threads_are_invisible_on_the_corpus(joined_db, sql, tmp_path
         )
         got = normalized_rows(joined_db.sql(sql, config=config))
         assert got == reference, f"{layer} diverges on: {sql}"
+
+
+MIXED_KEY_JOINS = {
+    "SELECT k, w FROM a JOIN b ON k = f": [(1, 10), (2, 20)],
+    "SELECT f, w, k FROM b JOIN a ON f = k": [(1.0, 10, 1), (2.0, 20, 2)],
+    "SELECT k, w FROM a LEFT JOIN b ON k = f": [(1, 10), (2, 20), (3, None), (None, None)],
+    "SELECT w, k FROM b LEFT JOIN a ON f = k": [(10, 1), (20, 2), (30, None), (40, None)],
+    "SELECT k FROM a SEMI JOIN b ON k = f": [(1,), (2,)],
+    "SELECT w FROM b SEMI JOIN a ON f = k": [(10,), (20,)],
+    "SELECT k FROM a ANTI JOIN b ON k = f": [(3,), (None,)],
+    "SELECT w FROM b ANTI JOIN a ON f = k": [(30,), (40,)],
+}
+
+
+@pytest.mark.parametrize("sql", MIXED_KEY_JOINS)
+def test_mixed_int_float_join_keys(sql):
+    """``k = f`` joins an int64 to a float64 key by value, whichever side
+    builds: 2 matches 2.0, -0.0 and NaN match no int here, NULL nothing."""
+    database = Database()
+    database.create_table("a", {"k": "int64"})
+    database.create_table("b", {"f": "float64", "w": "int64"})
+    database.insert("a", {"k": [1, 2, 3, None]})
+    database.insert("b", {"f": [1.0, 2.0, -0.0, float("nan")], "w": [10, 20, 30, 40]})
+    expected = normalized_rows(MIXED_KEY_JOINS[sql])
+    for engine in ["naive"] + ENGINES:
+        assert normalized_rows(database.sql(sql, engine=engine)) == expected, engine

@@ -86,16 +86,16 @@ class TestCompositeKeys:
 
     def test_packed_ints_strings_and_nulls(self):
         columns = [int_col(self.INTS), str_col(self.STRS), int_col(self.INTS[::-1])]
-        assert keys._pack_keys(columns) is not None
+        assert keys.fit_keys(columns) is not None
         self._check(columns, list(zip(self.INTS, self.STRS, self.INTS[::-1])))
 
     def test_overflow_falls_back_to_lexsort(self):
         columns = [int_col(self.WIDE), int_col(self.WIDE[::-1]), str_col(self.STRS)]
-        assert keys._pack_keys(columns) is None
+        assert keys.fit_keys(columns) is None
         self._check(columns, list(zip(self.WIDE, self.WIDE[::-1], self.STRS)))
 
     def test_single_wide_column_still_packs(self):
-        assert keys._pack_keys([int_col([2**62, 0, 5])]) is not None
+        assert keys.fit_keys([int_col([2**62, 0, 5])]) is not None
         self._check([int_col([2**62, 0, 5, 0])], [(2**62,), (0,), (5,), (0,)])
 
     def test_narrow_ranges_use_a_direct_table_and_all_paths_agree(self, monkeypatch):
@@ -108,11 +108,11 @@ class TestCompositeKeys:
         columns = [
             int_col(data[0]), str_col(data[1]), Column.from_values(DataType.BOOL, data[2]),
         ]
-        _, capacity = keys._pack_keys(columns)
+        _, capacity = keys.fit_keys(columns)
         assert capacity < 300  # fewer possible keys than rows: no sort needed
         self._check(columns, list(zip(*data)))
         packed = keys.group_codes(columns)
-        monkeypatch.setattr(keys, "_pack_keys", lambda columns: None)
+        monkeypatch.setattr(keys, "fit_keys", lambda columns: None)
         fallback = keys.group_codes(columns)
         assert packed[2] == fallback[2]
         assert np.array_equal(packed[0], fallback[0])
@@ -125,6 +125,85 @@ class TestCompositeKeys:
         )
         keys.group_codes([int_col(self.INTS), str_col(self.STRS)])
         keys.group_codes([int_col(self.WIDE), int_col(self.WIDE)])
+
+
+class TestFitEncode:
+    """``fit_keys`` takes a key space from one set of columns; ``encode_keys``
+    maps any columns into it. What the space does not hold is digit zero."""
+
+    #: ``group_codes`` of the parent commit (before fit/encode existed).
+    RECORDED = {
+        "packed": ([4, 1, 0, 5, 6, 2, 0, 3], [2, 1, 5, 7, 0, 3, 4], 7),
+        "sparse": ([4, 1, 0, 4, 5, 2, 0, 3], [2, 1, 5, 7, 0, 4], 6),
+        "wide": ([7, 2, 0, 6, 3, 1, 4, 5], [2, 5, 1, 4, 6, 7, 3, 0], 8),
+        "float": ([6, 3, 0, 4, 2, 5, 7, 1], [2, 7, 4, 1, 3, 5, 0, 6], 8),
+    }
+
+    def test_group_codes_unchanged_from_the_parent(self):
+        ints, strs, wide = (getattr(TestCompositeKeys, n) for n in ("INTS", "STRS", "WIDE"))
+        floats = [0.5, -0.0, None, 0.0, -2.25, 0.5, float("inf"), -2.25]
+        cases = {
+            "packed": [int_col(ints), str_col(strs), int_col(ints[::-1])],
+            "sparse": [int_col([v if v is None else v * 1000 for v in ints]), str_col(strs)],
+            "wide": [int_col(wide), int_col(wide[::-1]), str_col(strs)],
+            "float": [Column.from_values(DataType.FLOAT64, floats), int_col(ints)],
+        }
+        for name, columns in cases.items():
+            codes, reps, n = keys.group_codes(columns)
+            assert (codes.tolist(), reps.tolist(), n) == self.RECORDED[name], name
+            assert codes.dtype == reps.dtype == np.int64
+
+    def test_what_the_space_lacks_is_no_match_never_a_digit(self):
+        build = [int_col([10, 12, None, 14]), str_col(["x", "y", "x", None])]
+        space = keys.fit_keys(build)
+        packed, matchable = keys.encode_keys(space, build)
+        assert matchable.tolist() == [True, True, False, False]
+        probe = [
+            int_col([10, 9, 15, None, 14, 12, 2**63 - 1, -(2**63)]),
+            str_col(["x", "x", "y", "y", "q", "y", "x", "x"]),
+        ]
+        got, matchable = keys.encode_keys(space, probe)
+        assert matchable.tolist() == [True, False, False, False, False, True, False, False]
+        assert got[0] == packed[0] and got[5] == packed[1]
+        # Every other row carries a zero digit, which no build key has.
+        radix = space[0][1][1]
+        zero_digit = (got // radix == 0) | (got % radix == 0)
+        assert zero_digit.tolist() == (~matchable).tolist()
+        assert not set(got[~matchable].tolist()) & set(packed[:2].tolist())
+
+    def test_int64_extremes_do_not_wrap_into_the_range(self):
+        space = keys.fit_keys([int_col([2**63 - 3, 2**63 - 1])])
+        _, matchable = keys.encode_keys(
+            space, [int_col([-(2**63), -(2**63) + 2, 2**63 - 2, 2**63 - 1])]
+        )
+        assert matchable.tolist() == [False, False, True, True]
+
+    def test_numbers_compare_by_value_across_types(self):
+        floats = Column.from_values(
+            DataType.FLOAT64, [1.0, 2.5, -0.0, float("nan"), float("inf"), 2.0**63, None]
+        )
+        ints = int_col([1, 2, 0, None])
+        packed, _ = keys.encode_keys(keys.fit_keys([ints]), [ints])
+        got, matchable = keys.encode_keys(keys.fit_keys([ints]), [floats])
+        assert matchable.tolist() == [True, False, True, False, False, False, False]
+        assert got[0] == packed[0] and got[2] == packed[2]
+        space = keys.fit_keys([floats])
+        packed, _ = keys.encode_keys(space, [floats])
+        got, matchable = keys.encode_keys(space, [ints])
+        assert matchable.tolist() == [True, True, True, False]  # 2.0 is in range
+        assert got[0] == packed[0] and got[2] == packed[2]
+        assert got[1] not in packed.tolist()
+        # A NaN probe matches nothing, a NaN among the fitted keys included.
+        _, matchable = keys.encode_keys(space, [floats.copy()])
+        assert matchable.tolist() == [True, True, True, False, True, True, False]
+
+    def test_capacity_bound_picks_packed_or_fallback(self):
+        # One column: capacity = high - low + 2.
+        assert keys.fit_keys([int_col([0, 2**63 - 3])])[1] == 2**63 - 1
+        assert keys.fit_keys([int_col([0, 2**63 - 2])]) is None
+        columns = [int_col([0, 2**63 - 2, 0, 5])]
+        codes, reps, n = keys.group_codes(columns)  # the lexsort fallback
+        assert (codes.tolist(), reps.tolist(), n) == ([0, 2, 0, 1], [0, 3, 1], 3)
 
 
 class TestHashing:

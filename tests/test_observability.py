@@ -258,6 +258,38 @@ class TestExplainAnalyze:
         assert "measured mode" in report or "parallel mode" in report
         assert "rows=" in report
 
+    def test_one_line_per_join_says_what_the_build_chose(self, db):
+        db.create_table("dim", {"id": "int64", "name": "string"})
+        db.insert("dim", {"id": [0, 1, 2, 3, 9_000_000], "name": list("abcde")})
+        config = EngineConfig(num_threads=2, morsel_size=500, execution_mode="parallel")
+        sql = (
+            "SELECT name, count(*) FROM r LEFT JOIN dim ON k = id "
+            "WHERE EXISTS (SELECT 1 FROM r AS o WHERE o.g = r.k) GROUP BY name"
+        )
+        result = db.sql(sql, config=config.clone(collect_metrics=True))
+        by_kind = {join["join"].split()[0]: join for join in result.profile.joins}
+        assert set(by_kind) == {"LEFT", "SEMI"}
+        k = db.sql("SELECT k FROM r").batch.to_pydict()["k"]
+        probed = sum(1 for v in k if v <= 3)  # ids and g hold 0..3, k 0..5
+        # 5 distinct ids over a range of 9 M: searched, not laid out; N:1.
+        assert by_kind["LEFT"] == {
+            "join": "LEFT JOIN ON k=id", "build_rows": 5, "keys": 5, "table": "sorted",
+            "shape": "N:1", "probe_rows": 2000, "matched_rows": probed,
+        }
+        # 2 000 rows over 4 keys: the range itself is the table; N:M. The
+        # counts are summed over four morsels after the barrier.
+        assert by_kind["SEMI"] == {
+            "join": "SEMI JOIN ON k=g", "build_rows": 2000, "keys": 4, "table": "direct",
+            "shape": "N:M", "probe_rows": 2000, "matched_rows": probed,
+        }
+        assert result.profile.to_dict()["joins"] == result.profile.joins
+        report = db.explain_analyze(sql, config=config)
+        assert (
+            f"LEFT JOIN ON k=id  build=5 keys=5 table=sorted N:1 probe=2000 "
+            f"matched={probed}" in report.splitlines()
+        )
+        assert sum(" JOIN ON " in line for line in report.splitlines()) == 2
+
     def test_spill_line_reports_write_amplification(self, db, tmp_path):
         sql = "SELECT k, sum(v) OVER (PARTITION BY k ORDER BY v) AS c FROM r"
         assert "partition input" not in db.explain_analyze(sql)  # nothing spilled

@@ -96,6 +96,31 @@ class TestJoins:
         assert (0, 0, None, None) in got
 
 
+    def test_key_preserving_join_copies_nothing_on_the_probe_side(self, setup):
+        """Every ``t`` row matches exactly one ``d`` row: INNER and LEFT hand
+        the probe morsels' columns on as they came, slices of the table."""
+        import numpy as np
+
+        catalog, _ = setup
+        d = catalog.create_table("d", {"a": "int64", "name": "string"})
+        d.insert_pydict({"a": list(range(12)), "name": [f"n{i}" for i in range(12)]})
+        config = EngineConfig(num_threads=2, morsel_size=4, execution_mode="parallel")
+        executor = RelationalExecutor(catalog, ExecutionContext(config))
+        stored = catalog.get("t").to_batch()
+        for kind in (JoinKind.INNER, JoinKind.LEFT):
+            plan = Join(
+                Scan("t", catalog.get("t").schema), Scan("d", d.schema), kind, ["a"], ["a"]
+            )
+            batches = executor.execute(plan)
+            assert [len(b) for b in batches] == [4, 4, 2]
+            for batch in batches:
+                for position in (0, 1):
+                    assert np.shares_memory(
+                        batch.columns[position].data, stored.columns[position].data
+                    )
+            assert rows_of(batches) == [(i, i * 10, i, f"n{i}") for i in range(10)]
+
+
 class TestUnionAll:
     def test_concatenates(self, setup):
         catalog, context = setup
