@@ -113,7 +113,7 @@ class _MonolithicRunner:
         self,
         batches: List[Batch],
         partition_keys: Tuple[str, ...],
-        sort_keys: List[Tuple[str, bool]],
+        sort_order: List[Tuple[str, bool]],
         operator: str,
     ) -> TupleBuffer:
         schema = batches[0].schema
@@ -125,8 +125,8 @@ class _MonolithicRunner:
         for piece_list in pieces:
             buffer.append_pieces(piece_list)
         self.ctx.next_phase()
-        key_names = [name for name, _ in sort_keys]
-        descending = [desc for _, desc in sort_keys]
+        key_names = [name for name, _ in sort_order]
+        descending = [desc for _, desc in sort_order]
         # HyPer sorts each partition on a single thread: not splittable.
         self.ctx.parallel_for(
             f"{operator}-sort",
@@ -134,7 +134,7 @@ class _MonolithicRunner:
             lambda p: p.sort_inplace(key_names, descending),
             splittable=False,
         )
-        buffer.set_ordering(tuple(sort_keys))
+        buffer.set_ordering(tuple(sort_order))
         return buffer
 
     # ------------------------------------------------------------------
@@ -190,9 +190,9 @@ class _MonolithicRunner:
         evaluate — no reuse of earlier materializations."""
         part_names = [ref.name for ref in calls[0].partition_by]
         order_keys = [(ref.name, desc) for ref, desc in calls[0].order_by]
-        sort_keys = [(name, False) for name in part_names] + order_keys
+        sort_order = [(name, False) for name in part_names] + order_keys
         buffer = self._partition_and_sort(
-            batches, tuple(part_names), sort_keys, "window"
+            batches, tuple(part_names), sort_order, "window"
         )
         self.ctx.next_phase()
         schema = buffer.schema

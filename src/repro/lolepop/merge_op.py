@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..execution.context import ExecutionContext
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
@@ -23,7 +21,9 @@ from .base import Lolepop, OpResult
 
 
 def merge_two_sorted(left: Batch, right: Batch, keys: List[Tuple[str, bool]]) -> Batch:
-    """Stable two-way merge of batches already sorted by ``keys``."""
+    """Stable two-way merge of batches already sorted by ``keys``: the stable
+    sort of their concatenation, which numpy *merges* when the keys pack into
+    one segment (two sorted runs back to back) and re-sorts otherwise."""
     if len(left) == 0:
         return right
     if len(right) == 0:
@@ -31,20 +31,6 @@ def merge_two_sorted(left: Batch, right: Batch, keys: List[Tuple[str, bool]]) ->
     # Concatenating first puts string keys of both runs into one dictionary,
     # so their sort keys compare across the runs like numeric ones.
     merged = Batch.concat([left, right])
-    if len(keys) == 1:
-        name, desc = keys[0]
-        key = merged.column(name).sort_key(descending=desc)
-        ka, kb = key[: len(left)], key[len(left) :]
-        positions = np.searchsorted(ka, kb, side="right") + np.arange(len(kb))
-        total = len(ka) + len(kb)
-        from_right = np.zeros(total, dtype=bool)
-        from_right[positions] = True
-        take = np.empty(total, dtype=np.int64)
-        take[~from_right] = np.arange(len(ka))
-        take[from_right] = len(ka) + np.arange(len(kb))
-        return merged.take(take)
-    # Multi-key: stable-sort the concatenation. numpy has no adaptive
-    # multi-key merge primitive; the work is still charged to MERGE.
     order = lexsort_indices(
         [merged.column(n) for n, _ in keys], [d for _, d in keys]
     )

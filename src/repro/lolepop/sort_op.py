@@ -42,7 +42,6 @@ class PartitionSortTask(SplittableTask):
         key_names: Sequence[str],
         descending: Sequence[bool],
         mode: str,
-        prefix: int,
     ):
         self.partition = partition
         self.key_names = list(key_names)
@@ -50,7 +49,6 @@ class PartitionSortTask(SplittableTask):
         # A spilled partition's tuples are written once: its sort appends a
         # permutation vector (§4.2) instead of rewriting them.
         self.mode = "permutation" if partition.is_spilled else mode
-        self.prefix = prefix
         self._finalize_order = None
 
     # -- whole-item path ----------------------------------------------
@@ -60,13 +58,12 @@ class PartitionSortTask(SplittableTask):
             if self.mode == "permutation"
             else self.partition.sort_inplace
         )
-        sort(self.key_names, self.descending, self.prefix)
+        sort(self.key_names, self.descending)
 
     # -- split path ----------------------------------------------------
     def split(self, max_parts: int) -> Optional[List]:
-        if self.prefix or self.partition.is_spilled:
-            # The presorted-prefix fast path beats a split re-sort, and a
-            # spilled partition is read inside one work item only.
+        if self.partition.is_spilled:
+            # A spilled partition is read inside one work item only.
             return None
         columns = self.partition.logical_columns(self.key_names)
         plan = split_lexsort(columns, self.descending, max_parts)
@@ -124,21 +121,8 @@ class SortOp(Lolepop):
         # bytes differ from a fresh PARTITION → SORT of the same fragment.
         first_sort = not buffer.ordered_by
         mode = self._resolve_mode(buffer, ctx)
-        # How many leading keys the buffer is already ordered by (a prior
-        # SORT of the same buffer): a re-sort then only needs a suffix sort
-        # per key range.
-        prefix = 0
-        if ctx.config.elide_sorts:
-            existing = buffer.ordered_by
-            while (
-                prefix < len(self.keys)
-                and prefix < len(existing)
-                and existing[prefix] == self.keys[prefix]
-            ):
-                prefix += 1
-
         tasks = [
-            PartitionSortTask(p, key_names, descending, mode, prefix)
+            PartitionSortTask(p, key_names, descending, mode)
             for p in buffer.partitions
             if p.num_rows > 1
         ]
@@ -147,7 +131,6 @@ class SortOp(Lolepop):
             self.stats.extra["mode"] = "/".join(
                 sorted({task.mode for task in tasks})
             ) or mode
-            self.stats.extra["presorted_prefix"] = prefix
             self.stats.extra["sorted_partitions"] = len(tasks)
         ctx.parallel_for(
             "sort", tasks, PartitionSortTask.run, splittable=True

@@ -292,7 +292,7 @@ class _Translator:
         for index, group in enumerate(groups):
             part_keys = tuple(ref.name for ref in group[0].partition_by)
             order_keys = [(ref.name, desc) for ref, desc in group[0].order_by]
-            sort_keys = [(k, False) for k in part_keys] + order_keys
+            sort_order = [(k, False) for k in part_keys] + order_keys
             compatible = (
                 current is not None
                 and self.config.reuse_buffers
@@ -316,7 +316,7 @@ class _Translator:
                     detail="window ordering group shares buffer",
                     nodes=("WINDOW",),
                 )
-            sort = self.dag.add(SortOp(current, sort_keys))
+            sort = self.dag.add(SortOp(current, sort_order))
             if last_window is not None:
                 sort.run_after(last_window)
             is_last = index == len(groups) - 1
@@ -548,8 +548,8 @@ class _Translator:
                 cost_before=decision.hash_cost,
                 cost_after=decision.sort_cost,
             )
-            sort_keys = [(name, False) for name in group_names] + [(arg, False)]
-            sort = self.dag.add(SortOp(chain_buffer, sort_keys))
+            sort_order = [(name, False) for name in group_names] + [(arg, False)]
+            sort = self.dag.add(SortOp(chain_buffer, sort_order))
             if chain_last is not None:
                 sort.run_after(chain_last)
             ordagg = self.dag.add(
@@ -602,10 +602,10 @@ class _Translator:
             )
         units: List[Lolepop] = []
         for index, (order_key, calls_here) in enumerate(sort_specs):
-            sort_keys = [(name, False) for name in group_names]
+            sort_order = [(name, False) for name in group_names]
             if order_key is not None:
-                sort_keys.append(order_key)
-            sort = self.dag.add(SortOp(buffer_op, sort_keys))
+                sort_order.append(order_key)
+            sort = self.dag.add(SortOp(buffer_op, sort_order))
             if previous is not None:
                 sort.run_after(previous)
             tasks = [

@@ -30,6 +30,7 @@ from ..expr.nodes import Expr
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
+from ..storage.keys import lexsort_indices
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
 from .ranges import key_change_flags, ranges_of
@@ -368,20 +369,12 @@ def _window_mode(
         raise ExecutionError("mode as a window requires an unbounded frame")
     values = evaluate(call.args[0], batch)
     descending = bool(call.order_by[0][1]) if call.order_by else False
-    order = np.lexsort((values.sort_key(descending=descending), codes))
+    order = lexsort_indices([Column(DataType.INT64, codes), values], [False, descending])
     sorted_vals = values.take(order)
     sorted_codes = codes[order]
     n = len(batch)
     num_groups = len(starts)
-    change = np.zeros(n, dtype=bool)
-    if n:
-        change[0] = True
-        from ..storage.keys import _normalize_values
-
-        normalized = _normalize_values(sorted_vals)
-        change[1:] = (normalized[1:] != normalized[:-1]) | (
-            sorted_codes[1:] != sorted_codes[:-1]
-        )
+    change = key_change_flags([Column(DataType.INT64, sorted_codes), sorted_vals])
     run_starts = np.flatnonzero(change)
     run_ends = np.append(run_starts[1:], n)
     run_lengths = (run_ends - run_starts).astype(np.int64)
@@ -414,7 +407,7 @@ def _window_percentile(
     # Ordered-set windows honor their WITHIN GROUP direction (the monolithic
     # engine's GROUP-BY rewrite routes DESC percentiles through here).
     descending = bool(call.order_by[0][1]) if call.order_by else False
-    order = np.lexsort((values.sort_key(descending=descending), codes))
+    order = lexsort_indices([Column(DataType.INT64, codes), values], [False, descending])
     sorted_vals = values.take(order)
     sorted_codes = codes[order]
     num_groups = len(starts)

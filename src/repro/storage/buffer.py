@@ -43,32 +43,6 @@ from . import keys as keys_mod
 Ordering = Tuple[Tuple[str, bool], ...]
 
 
-def _sort_indices(
-    keys: Sequence[Column], descending: Sequence[bool], presorted_prefix: int = 0
-) -> np.ndarray:
-    """Stable sort permutation of the key columns, exploiting an existing
-    ordering.
-
-    When the rows are already ordered by the first ``presorted_prefix`` keys
-    (a previous SORT of this buffer — the re-sort case of Figure 8 query 2),
-    only the remaining suffix needs a comparison sort; the prefix is restored
-    with a radix pass over dense range codes. This is the paper's
-    "significantly faster since the hash partitions are already sorted by the
-    key" effect.
-    """
-    if 0 < presorted_prefix == len(keys) - 1:
-        flags = np.zeros(len(keys[0]), dtype=bool)
-        flags[0] = True
-        for col in keys[:presorted_prefix]:
-            values = keys_mod._normalize_values(col)
-            flags[1:] |= values[1:] != values[:-1]
-        codes = (np.cumsum(flags) - 1).astype(np.int64)
-        suffix = keys[-1].sort_key(descending=descending[-1])
-        order = np.argsort(suffix, kind="stable")
-        return order[np.argsort(codes[order], kind="stable")]
-    return keys_mod.lexsort_indices(keys, descending)
-
-
 class BufferPartition:
     """One hash partition: a chunk list plus optional permutation vector.
 
@@ -193,33 +167,17 @@ class BufferPartition:
                     columns[index] = column
         return columns
 
-    def sort_inplace(
-        self,
-        key_names: Sequence[str],
-        descending: Sequence[bool],
-        presorted_prefix: int = 0,
-    ) -> None:
+    def sort_inplace(self, key_names: Sequence[str], descending: Sequence[bool]) -> None:
         """Physically reorder the (compacted) chunk by the sort keys."""
-        self._sort(key_names, descending, presorted_prefix, "inplace")
+        self._sort(key_names, descending, "inplace")
 
-    def sort_permutation(
-        self,
-        key_names: Sequence[str],
-        descending: Sequence[bool],
-        presorted_prefix: int = 0,
-    ) -> None:
+    def sort_permutation(self, key_names: Sequence[str], descending: Sequence[bool]) -> None:
         """Build a permutation vector (indices + copied keys) without moving
         the tuples themselves. A spilled partition appends the vector to its
         file; its tuples are never written twice."""
-        self._sort(key_names, descending, presorted_prefix, "permutation")
+        self._sort(key_names, descending, "permutation")
 
-    def _sort(
-        self,
-        key_names: Sequence[str],
-        descending: Sequence[bool],
-        presorted_prefix: int,
-        mode: str,
-    ) -> None:
+    def _sort(self, key_names: Sequence[str], descending: Sequence[bool], mode: str) -> None:
         rows = self.num_rows
         if rows <= 1:
             if _SAN.active is not None:
@@ -229,7 +187,7 @@ class BufferPartition:
                 self.permutation = np.arange(rows, dtype=np.int64)
             return
         keys = self.logical_columns(key_names)
-        order = _sort_indices(keys, descending, presorted_prefix)
+        order = keys_mod.lexsort_indices(keys, descending)
         self.apply_sort_order(order, key_names, mode, keys)
 
     def apply_sort_order(

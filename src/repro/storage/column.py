@@ -254,31 +254,6 @@ class Column:
         valid = None if self.valid is None else self.valid.copy()
         return Column(self.dtype, self.data.copy(), valid, self.dictionary)
 
-    # ------------------------------------------------------------------
-    # Ordering keys
-    # ------------------------------------------------------------------
-    def sort_key(self, descending: bool = False, nulls_last: bool = True) -> np.ndarray:
-        """A numpy array usable as one key of ``np.lexsort``.
-
-        NULLs sort after non-NULLs by default (SQL's ``NULLS LAST``); string
-        columns sort by their dictionary's per-entry rank.
-        """
-        if self.dictionary is not None:
-            key = self.dictionary.rank[self.data]
-        elif self.dtype is DataType.BOOL:
-            key = self.data.astype(np.int64)
-        else:
-            key = self.data
-        if descending:
-            if key.dtype == np.float64:
-                key = -key
-            else:
-                key = -key.astype(np.int64)
-        if self.valid is not None:
-            key = key.astype(np.float64, copy=True)
-            key[~self.valid] = np.inf if nulls_last else -np.inf
-        return key
-
     def __repr__(self) -> str:
         preview = ", ".join(repr(v) for v in self.to_pylist()[:6])
         more = ", ..." if len(self) > 6 else ""

@@ -1,17 +1,20 @@
 """Multi-column key encoding.
 
-Hashing, grouping, partitioning and sorting all operate on composite keys
-(several columns, possibly with NULLs). This module provides the two
-primitives everything else builds on:
+Hashing, grouping, joining, partitioning and sorting all operate on
+composite keys (several columns, possibly with NULLs). This module is the
+only place that knows how a value becomes a key:
 
-- :func:`group_codes` — dense group ids per row plus representative indices,
-  the vectorized equivalent of building a hash table over the key columns.
-  NULL keys follow GROUP BY semantics: NULL equals NULL (one NULL group).
+- :func:`fit_keys` / :func:`encode_keys` — the *packed key space*: composite
+  keys as one mixed-radix int64, for equality (grouping, join build and
+  probe). :func:`group_codes` numbers the groups in it. NULL keys follow
+  GROUP BY semantics: NULL equals NULL (one NULL group).
+- :func:`sort_segments` — the same digits in ORDER BY's order: per-key
+  direction, NULLS LAST, a new int64 segment whenever 63 bits are full, floats
+  as themselves. :func:`lexsort_indices`, :func:`split_lexsort`, the MERGE
+  step and ``group_codes`` past 63 bits all sort these arrays and no others.
 - :func:`hash_codes` / :func:`partition_ids` — stable 64-bit hashes of the
   key columns, used by PARTITION and HASHAGG to scatter rows. A hash only
   ever picks a partition; no caller decides equality on it.
-- :func:`lexsort_indices` — a stable multi-key argsort honoring
-  ascending/descending and NULLS LAST per key.
 """
 
 from __future__ import annotations
@@ -59,6 +62,19 @@ def _normalize_values(column: Column, entries: str = "rank") -> np.ndarray:
     return values
 
 
+def _key_range(column: Column) -> Tuple[int, int]:
+    """``(low, high)`` of the int64s the column's values compare by (strings:
+    their dictionary's ranks, no pass over the rows); NULLs do not count."""
+    if column.dictionary is not None:
+        return 0, len(column.dictionary) - 1
+    present = _key_ints(column.data, column.dtype is DataType.FLOAT64)
+    if column.valid is not None:
+        present = present[column.valid]
+    if not len(present):
+        return 0, 0
+    return int(present.min()), int(present.max())
+
+
 def fit_keys(columns: Sequence[Column]) -> Optional[Tuple[list, int]]:
     """The packed key space of ``columns``, ``(digits, capacity)``: composite
     keys as one mixed-radix int64 in ``[0, capacity)``, most significant
@@ -69,15 +85,7 @@ def fit_keys(columns: Sequence[Column]) -> Optional[Tuple[list, int]]:
     sort first and equal only each other."""
     digits, capacity = [], 1
     for column in columns:
-        low = high = 0
-        if column.dictionary is not None:
-            high = len(column.dictionary) - 1
-        else:
-            present = _key_ints(column.data, column.dtype is DataType.FLOAT64)
-            if column.valid is not None:
-                present = present[column.valid]
-            if len(present):
-                low, high = int(present.min()), int(present.max())
+        low, high = _key_range(column)
         digits.append((low, high - low + 2, column))
         capacity *= high - low + 2
     return (digits, capacity) if capacity < 1 << 63 else None
@@ -156,13 +164,17 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
         codes = (np.cumsum(present) - 1)[packed]
         first_index = first_row[present]
         return codes, first_index, len(first_index)
-    # Ranges too wide to pack: stable lexsort, then number the runs.
-    parts: List[np.ndarray] = []
-    for column in columns:
-        parts.append(_normalize_values(column))
-        if column.valid is not None:
-            parts.append(column.valid.astype(np.int64))
-    order = np.lexsort(tuple(reversed(parts)))
+    # Ranges too wide to pack: stable lexsort, then number the runs. Floats
+    # group by their bits, as above; descending NULLS LAST, complemented, is
+    # ascending NULLS FIRST — the order the packed path numbers groups in.
+    ints = [
+        Column(DataType.INT64, _key_ints(column.data, True), column.valid)
+        if column.dtype is DataType.FLOAT64
+        else column
+        for column in columns
+    ]
+    parts = [~segment for segment in sort_segments(ints, [True] * len(ints))]
+    order = np.lexsort(parts[::-1])
     starts = np.zeros(n, dtype=bool)
     starts[0] = True
     for part in parts:
@@ -200,27 +212,83 @@ def partition_ids(columns: Sequence[Column], num_partitions: int) -> np.ndarray:
     return (hashes % np.uint64(num_partitions)).astype(np.int64)
 
 
+def sort_segments(
+    columns: Sequence[Column], descending: Optional[Sequence[bool]] = None
+) -> List[np.ndarray]:
+    """The fewest arrays whose lexicographic order — first array most
+    significant, ties left to a stable sort — is ORDER BY's: ``descending[i]``
+    flips the i-th key, NULLs come last within their key either way.
+
+    Consecutive int, date, bool and string keys share a mixed-radix int64
+    *segment* while their ranges fit 63 bits: an ascending digit is the offset
+    from the column minimum, a descending one the offset from the maximum
+    (nothing is negated, so no extreme wraps), NULL the digit past both. A
+    float key, or an int key as wide as int64 itself, is a segment of its
+    own; its NULL flag is the last digit of the segment before it, so no
+    value ties with NULL (NaN sorts after every number, before NULL)."""
+    if descending is None:
+        descending = [False] * len(columns)
+    segments: List[np.ndarray] = []
+    packed: Optional[np.ndarray] = None  # the open segment
+    capacity = 1
+
+    def push(digits: np.ndarray, radix: int) -> None:
+        nonlocal packed, capacity
+        if capacity * radix >= 1 << 63:
+            close()
+        packed = digits if packed is None else packed * radix + digits
+        capacity *= radix
+
+    def close() -> None:
+        nonlocal packed, capacity
+        if packed is not None:
+            segments.append(packed)
+        packed, capacity = None, 1
+
+    for index, (column, desc) in enumerate(zip(columns, descending)):
+        valid, is_float = column.valid, column.dtype is DataType.FLOAT64
+        values = column.data
+        if column.dictionary is not None:
+            values = column.dictionary.rank[values]
+        elif not is_float:
+            values = values.astype(np.int64, copy=False)
+        after = columns[index + 1] if index + 1 < len(columns) else None
+        if valid is None and not desc and packed is None and (
+            after is None or (after.dtype is DataType.FLOAT64 and after.valid is None)
+        ):
+            # Nothing to pack with: the column as it stands, no range pass.
+            segments.append(values)
+            continue
+        low, high = (0, 0) if is_float else _key_range(column)
+        if is_float or high - low + 2 >= 1 << 63:
+            if valid is not None:
+                push((~valid).astype(np.int64), 2)
+            close()
+            if desc:
+                values = -values if is_float else ~values
+            segments.append(values if valid is None else np.where(valid, values, 0))
+        else:
+            digits = high - values if desc else values - low
+            if valid is not None:
+                digits[~valid] = high - low + 1
+            push(digits, high - low + 1 + (valid is not None))
+    close()
+    return segments
+
+
 def lexsort_indices(
     columns: Sequence[Column],
     descending: Optional[Sequence[bool]] = None,
 ) -> np.ndarray:
-    """Stable argsort by multiple keys; first column is the primary key.
-
-    ``descending[i]`` flips the i-th key. NULLs always sort last within
-    their key (SQL default NULLS LAST for ASC; we keep NULLS LAST for DESC
-    too, matching PostgreSQL's NULLS LAST when spelled explicitly — the
-    evaluation queries never depend on NULL placement).
-    """
+    """Stable argsort by multiple keys (see :func:`sort_segments`); the first
+    column is the primary key. One pass per segment, and numpy's stable sort
+    is adaptive: where the keys pack into one segment, rows that are nearly
+    in order already — a re-sort extending the previous keys, two sorted runs
+    back to back — cost a merge, not a sort."""
     if not columns:
         raise ValueError("lexsort_indices requires at least one key column")
-    if descending is None:
-        descending = [False] * len(columns)
-    keys = [
-        col.sort_key(descending=desc, nulls_last=True)
-        for col, desc in zip(columns, descending)
-    ]
     # np.lexsort treats the *last* key as primary.
-    return np.lexsort(tuple(reversed(keys)))
+    return np.lexsort(sort_segments(columns, descending)[::-1])
 
 
 #: Below this row count, splitting a sort costs more than it saves.
@@ -236,8 +304,8 @@ def split_lexsort(
 
     The paper's SORT is a morsel-driven partition sort (§4.4): one large
     hash partition is itself parallel work. We range-partition the rows on
-    the primary sort key using sampled splitters (all rows with equal
-    primary key land in the same bucket, buckets are contiguous key
+    the first sort segment using sampled splitters (all rows with an equal
+    first segment land in the same bucket, buckets are contiguous key
     ranges), stable-sort each bucket independently — that is the thunk the
     parallel scheduler fans out — and concatenate the per-bucket orders.
 
@@ -253,13 +321,8 @@ def split_lexsort(
     n = len(columns[0])
     if parts < 2 or n < SPLIT_SORT_MIN_ROWS:
         return None
-    if descending is None:
-        descending = [False] * len(columns)
-    keys = [
-        col.sort_key(descending=desc, nulls_last=True)
-        for col, desc in zip(columns, descending)
-    ]
-    primary = keys[0]
+    segments = sort_segments(columns, descending)
+    primary = segments[0]
     # Sampled splitters at bucket quantiles (deterministic stride sample).
     sample = np.sort(primary[:: max(1, n // 1024)], kind="stable")
     positions = (np.arange(1, parts) * len(sample)) // parts
@@ -268,11 +331,10 @@ def split_lexsort(
     # Stable distribution: bucket-major, original order within a bucket.
     order = np.argsort(buckets, kind="stable")
     bounds = np.searchsorted(buckets[order], np.arange(parts + 1))
-    reversed_keys = tuple(reversed(keys))
 
     def make_thunk(indices: np.ndarray):
         def thunk() -> np.ndarray:
-            local = np.lexsort(tuple(k[indices] for k in reversed_keys))
+            local = np.lexsort([segment[indices] for segment in segments[::-1]])
             return indices[local]
 
         return thunk

@@ -80,30 +80,6 @@ class TestTransforms:
             Column.concat([])
 
 
-class TestSortKeys:
-    def test_nulls_sort_last_ascending(self):
-        col = Column.from_values(DataType.INT64, [2, None, 1])
-        key = col.sort_key()
-        order = np.argsort(key, kind="stable")
-        assert list(order) == [2, 0, 1]
-
-    def test_nulls_sort_last_descending(self):
-        col = Column.from_values(DataType.INT64, [2, None, 3])
-        key = col.sort_key(descending=True)
-        order = np.argsort(key, kind="stable")
-        assert list(order) == [2, 0, 1]
-
-    def test_string_rank_keys(self):
-        col = Column.from_values(DataType.STRING, ["pear", "apple", "fig"])
-        order = np.argsort(col.sort_key(), kind="stable")
-        assert list(order) == [1, 2, 0]
-
-    def test_bool_keys(self):
-        col = Column.from_values(DataType.BOOL, [True, False])
-        order = np.argsort(col.sort_key(), kind="stable")
-        assert list(order) == [1, 0]
-
-
 class TestValueAccess:
     def test_python_types(self):
         assert isinstance(

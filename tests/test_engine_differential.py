@@ -440,3 +440,65 @@ def test_mixed_int_float_join_keys(sql):
     expected = normalized_rows(MIXED_KEY_JOINS[sql])
     for engine in ["naive"] + ENGINES:
         assert normalized_rows(database.sql(sql, engine=engine)) == expected, engine
+
+
+# ----------------------------------------------------------------------
+# Sort keys at the edges of their types
+# ----------------------------------------------------------------------
+def _extremes_db() -> Database:
+    """Keys a float64 or a negation cannot carry: nullable int64 beyond
+    2**53, int64 min under DESC, infinities next to NULL, signed zeros."""
+    inf = float("inf")
+    cycles = {
+        "big": [2**53 + 1, 2**53, None, 2**53 + 2, -(2**53) - 1, 7],
+        "low": [-(2**63), 0, 5, None, 2**63 - 1, -1, -(2**63) + 1],
+        "f": [None, inf, 1.0, -inf, -0.0, 0.0, 1e308, -1e308, 0.5],
+        "s": ["b", None, "", "ä", "a"],
+    }
+    database = Database()
+    database.create_table(
+        "x",
+        {"id": "int64", "big": "int64", "low": "int64", "f": "float64", "s": "string"},
+    )
+    rows = 63
+    database.insert(
+        "x",
+        {
+            "id": list(range(rows)),
+            **{name: [c[i % len(c)] for i in range(rows)] for name, c in cycles.items()},
+        },
+    )
+    return database
+
+
+#: Total orders (``id`` breaks every tie): the row sequence must match.
+EXTREME_ORDER_QUERIES = [
+    "SELECT id, big FROM x ORDER BY big, id",
+    "SELECT id, low FROM x ORDER BY low DESC, id",
+    "SELECT id, f FROM x ORDER BY f, id DESC",
+    "SELECT id, s, f, low, big FROM x ORDER BY s DESC, f DESC, low, big DESC, id",
+    "SELECT id, low, big FROM x ORDER BY low, big DESC, id LIMIT 20",
+]
+
+EXTREME_WINDOW_QUERIES = [
+    "SELECT id, row_number() OVER (ORDER BY f, id) AS rn FROM x",
+    "SELECT id, row_number() OVER (ORDER BY f DESC, id) AS rn FROM x",
+    "SELECT id, rank() OVER (PARTITION BY s ORDER BY low DESC) AS rk, "
+    "lag(id) OVER (PARTITION BY s ORDER BY big, f, id) AS lg FROM x",
+    "SELECT s, percentile_disc(0.5) WITHIN GROUP (ORDER BY low DESC), "
+    "median(low), mode() WITHIN GROUP (ORDER BY big DESC) FROM x GROUP BY s",
+]
+
+
+@pytest.mark.parametrize("sql", EXTREME_ORDER_QUERIES + EXTREME_WINDOW_QUERIES)
+def test_extreme_sort_keys_order_like_the_oracle(sql, tmp_path):
+    database = _extremes_db()
+    shape = list if sql in EXTREME_ORDER_QUERIES else normalized_rows
+    reference = shape(database.sql(sql, engine="naive").rows())
+    for layer, knobs in LAYERS.items():
+        config = EngineConfig(
+            num_partitions=4, morsel_size=8, spill_directory=str(tmp_path), **knobs
+        )
+        got = shape(database.sql(sql, config=config).rows())
+        assert got == reference, f"{layer} diverges on: {sql}"
+    assert shape(database.sql(sql, engine="monolithic").rows()) == reference

@@ -1,12 +1,16 @@
 """Unit + property tests for multi-column key encoding (repro.storage.keys)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import Column, keys
-from repro.types import DataType
+from repro.baseline.naive import _null_safe_sort
+from repro.lolepop.merge_op import merge_two_sorted
+from repro.storage import Batch, Column, TupleBuffer, keys
+from repro.types import DataType, Schema
 
 
 def int_col(values):
@@ -15,6 +19,10 @@ def int_col(values):
 
 def str_col(values):
     return Column.from_values(DataType.STRING, values)
+
+
+def float_col(values):
+    return Column.from_values(DataType.FLOAT64, values)
 
 
 class TestGroupCodes:
@@ -251,6 +259,92 @@ class TestLexsort:
         order = keys.lexsort_indices([int_col([1, 1, 1])])
         assert list(order) == [0, 1, 2]
 
+    def test_nulls_sort_last_ascending(self):
+        order = keys.lexsort_indices([int_col([2, None, 1])])
+        assert list(order) == [2, 0, 1]
+
+    def test_nulls_sort_last_descending(self):
+        order = keys.lexsort_indices([int_col([2, None, 3])], [True])
+        assert list(order) == [2, 0, 1]
+
+    def test_string_rank_keys(self):
+        order = keys.lexsort_indices([str_col(["pear", "apple", "fig"])])
+        assert list(order) == [1, 2, 0]
+
+    def test_bool_keys(self):
+        col = Column.from_values(DataType.BOOL, [True, False])
+        assert list(keys.lexsort_indices([col])) == [1, 0]
+        assert list(keys.lexsort_indices([col, int_col([1, 2])], [True, False])) == [0, 1]
+
+    def test_nullable_int64_above_two_to_the_53(self):
+        col = int_col([2**53 + 1, 2**53, None])
+        assert list(keys.lexsort_indices([col])) == [1, 0, 2]
+        assert list(keys.lexsort_indices([col], [True])) == [0, 1, 2]
+
+    def test_descending_int64_min(self):
+        col = int_col([-(2**63), 0, 5])
+        assert list(keys.lexsort_indices([col], [True])) == [2, 1, 0]
+        # Wider than one digit with a NULL, and next to a second key.
+        wide = int_col([-(2**63), None, 2**63 - 1, -(2**63)])
+        tie = int_col([1, 0, 0, 0])
+        assert list(keys.lexsort_indices([wide, tie], [True, False])) == [2, 3, 0, 1]
+        assert list(keys.lexsort_indices([wide, tie], [False, True])) == [0, 3, 2, 1]
+
+    def test_infinity_does_not_tie_with_null(self):
+        asc = float_col([None, float("inf"), 1.0])
+        assert list(keys.lexsort_indices([asc])) == [2, 1, 0]
+        desc = float_col([None, float("-inf"), 1.0])
+        assert list(keys.lexsort_indices([desc], [True])) == [2, 1, 0]
+
+    def test_all_null_keys_leave_the_order_to_the_next_key(self):
+        later = int_col([3, 1, 2])
+        for nulls in (int_col([None] * 3), float_col([None] * 3), str_col([None] * 3)):
+            for desc in (False, True):
+                assert list(keys.lexsort_indices([nulls], [desc])) == [0, 1, 2]
+                assert list(keys.lexsort_indices([nulls, later], [desc, False])) == [1, 2, 0]
+
+    def test_descending_keys_with_nulls(self):
+        a = int_col([1, None, 2, 1, None, 2])
+        b = float_col([0.5, 1.5, None, None, 2.5, 0.25])
+        assert list(keys.lexsort_indices([a, b], [True, True])) == [5, 2, 0, 3, 4, 1]
+        assert list(keys.lexsort_indices([a, b], [True, False])) == [5, 2, 0, 3, 1, 4]
+        assert list(keys.lexsort_indices([b, a], [True, False])) == [4, 1, 0, 5, 3, 2]
+
+    def test_negative_zero_ties_with_zero(self):
+        col = float_col([0.0, -0.0, -0.0, 0.0, -1.0])
+        assert list(keys.lexsort_indices([col])) == [4, 0, 1, 2, 3]
+        assert list(keys.lexsort_indices([col], [True])) == [0, 1, 2, 3, 4]
+
+    def test_nan_sorts_after_every_number_and_before_null(self):
+        col = float_col([float("nan"), 1.0, None, float("inf"), float("-inf")])
+        assert list(keys.lexsort_indices([col])) == [4, 1, 3, 0, 2]
+        assert list(keys.lexsort_indices([col], [True])) == [3, 1, 4, 0, 2]
+
+    def test_a_segment_holds_63_bits(self):
+        """Two digits of radix a and b share one int64 while a * b < 2**63."""
+        for a, b, segments in (
+            (153092023, 60247241209, 1),  # a * b == 2**63 - 1
+            (2**31, 2**32, 2),  # a * b == 2**63
+        ):
+            columns = [int_col([0, a - 1, a - 1, 0]), int_col([b - 1, 0, b - 1, 0])]
+            for descending in ([False, False], [True, False], [True, True]):
+                got = keys.sort_segments(columns, descending)
+                assert len(got) == segments and all(s.dtype == np.int64 for s in got)
+            assert list(keys.lexsort_indices(columns)) == [3, 0, 1, 2]
+            assert list(keys.lexsort_indices(columns, [True, False])) == [1, 2, 3, 0]
+
+    def test_fewest_segments(self):
+        ints, strs = int_col([3, None, 1]), str_col(["b", "a", None])
+        floats = float_col([0.5, None, 1.5])
+        assert len(keys.sort_segments([ints, strs, ints], [True, False, True])) == 1
+        # A float is a segment of its own; its NULL flag rides in the packed
+        # segment before it.
+        assert len(keys.sort_segments([ints, floats])) == 2
+        assert len(keys.sort_segments([floats, ints, strs])) == 3
+        # A NOT NULL ascending column with nothing to pack with is itself.
+        lone = int_col([5, 2**63 - 1, -(2**63)])
+        assert keys.sort_segments([lone])[0] is lone.data
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -280,3 +374,81 @@ def test_partitioning_is_value_deterministic(values, parts):
     seen = {}
     for value, pid in zip(values, ids.tolist()):
         assert seen.setdefault(value, pid) == pid
+
+
+_KEY_VALUES = {
+    DataType.INT64: st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([-(2**63), -(2**63) + 1, 2**53, 2**53 + 1, 2**63 - 1]),
+    ),
+    DataType.FLOAT64: st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, -1.5, float("inf"), float("-inf")]),
+        st.floats(allow_nan=False),
+    ),
+    DataType.STRING: st.sampled_from(["", "a", "b", "ab", "B", "Zürich", "z"]),
+    DataType.BOOL: st.booleans(),
+}
+
+
+@st.composite
+def sort_cases(draw):
+    """1-4 key columns of mixed types with NULLs and ties, a direction each."""
+    rows = draw(st.integers(1, 40))
+    dtypes = draw(st.lists(st.sampled_from(list(_KEY_VALUES)), min_size=1, max_size=4))
+    data = [
+        draw(st.lists(st.one_of(st.none(), _KEY_VALUES[d]), min_size=rows, max_size=rows))
+        for d in dtypes
+    ]
+    descending = [draw(st.booleans()) for _ in dtypes]
+    return dtypes, data, descending
+
+
+@settings(max_examples=150, deadline=None)
+@given(sort_cases(), st.integers(2, 4), st.data())
+def test_every_sort_path_orders_like_the_row_oracle(case, parts, data):
+    """``lexsort_indices``, the split sort, a re-sort over a sorted prefix in
+    either buffer mode and the two-way merge all produce the stable NULLS
+    LAST order of the naive engine's ``_null_safe_sort``."""
+    dtypes, values, descending = case
+    names = [f"c{i}" for i in range(len(dtypes))]
+    order_by = list(zip(names, descending))
+    schema = Schema.of(*((n, d.value) for n, d in zip(names, dtypes)), ("row", "int64"))
+    rows = [
+        dict(zip(names, row), row=i) for i, row in enumerate(zip(*values))
+    ]
+
+    def batch_of(some_rows):
+        return Batch.from_pydict(
+            schema, {name: [r[name] for r in some_rows] for name in names + ["row"]}
+        )
+
+    expected = [r["row"] for r in _null_safe_sort(rows, order_by)]
+    batch = batch_of(rows)
+    columns = [batch.column(name) for name in names]
+    assert keys.lexsort_indices(columns, descending).tolist() == expected
+
+    with mock.patch.object(keys, "SPLIT_SORT_MIN_ROWS", 0):
+        plan = keys.split_lexsort(columns, descending, parts)
+    if plan is not None:
+        thunks, finalize = plan
+        assert finalize([thunk() for thunk in thunks]).tolist() == expected
+
+    # Rows already sorted on a prefix of the keys: the re-sort equals the
+    # fresh sort whichever mode either sort runs in.
+    prefix = data.draw(st.integers(1, len(names)))
+    for first in ("sort_inplace", "sort_permutation"):
+        for second in ("sort_inplace", "sort_permutation"):
+            partition = TupleBuffer(schema, 1).partitions[0]
+            partition.append(batch)
+            getattr(partition, first)(names[:prefix], descending[:prefix])
+            getattr(partition, second)(names, descending)
+            assert partition.ordered_batch().column("row").to_pylist() == expected
+
+    # Two sorted runs whose strings were encoded apart merge into the stable
+    # sort of their concatenation.
+    cut = data.draw(st.integers(0, len(rows)))
+    runs = [_null_safe_sort(part, order_by) for part in (rows[:cut], rows[cut:])]
+    merged = merge_two_sorted(batch_of(runs[0]), batch_of(runs[1]), order_by)
+    assert merged.column("row").to_pylist() == [
+        r["row"] for r in _null_safe_sort(runs[0] + runs[1], order_by)
+    ]
