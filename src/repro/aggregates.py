@@ -243,6 +243,17 @@ class AggregateCall:
     def spec(self) -> AggSpec:
         return lookup(self.func)
 
+    def key(self) -> Tuple:
+        """Structural identity of the computation, output name excluded:
+        calls with equal keys compute the same column (interning)."""
+        return (
+            self.func,
+            tuple(a.key() for a in self.args),
+            self.distinct,
+            tuple((e.key(), d) for e, d in self.order_by),
+            self.fraction,
+        )
+
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)
         distinct = "DISTINCT " if self.distinct else ""
@@ -297,6 +308,19 @@ class WindowCall:
         return (
             tuple(e.key() for e in self.partition_by),
             tuple((e.key(), d) for e, d in self.order_by),
+        )
+
+    def key(self) -> Tuple:
+        """Structural identity of the computation, output name excluded
+        (see :meth:`AggregateCall.key`)."""
+        return (
+            self.func,
+            tuple(a.key() for a in self.args),
+            self.ordering_key(),
+            self.frame.key() if self.frame is not None else None,
+            self.offset,
+            self.default.key() if self.default is not None else None,
+            self.fraction,
         )
 
     def __repr__(self) -> str:

@@ -147,13 +147,7 @@ class AggregatePlanner:
             if fraction is None:
                 fraction = 0.5
         call = AggregateCall("_pending", func, args, distinct, order, fraction)
-        key = (
-            func,
-            tuple(a.key() for a in args),
-            distinct,
-            tuple((e.key(), d) for e, d in order),
-            fraction,
-        )
+        key = call.key()
         if key not in self._agg_index:
             call.name = f"_agg{len(self._aggregates)}"
             self._aggregates.append(call)
@@ -184,14 +178,7 @@ class AggregatePlanner:
             partition_by=list(self.group_exprs),
             order_by=order, frame=frame, offset=offset, fraction=fraction,
         )
-        key = (
-            func,
-            tuple(a.key() for a in args),
-            call.ordering_key(),
-            frame.key() if frame else None,
-            offset,
-            fraction,
-        )
+        key = call.key()
         if key not in self._win_index:
             call.name = f"_win{len(self._windows)}"
             self._windows.append(call)

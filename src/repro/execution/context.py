@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, List, Optional, Sequence
 
 from .parallel import ParallelScheduler
@@ -143,7 +144,10 @@ class EngineConfig:
         """Hashable summary of every knob that influences logical-plan →
         LOLEPOP-DAG translation. Two configs with equal fingerprints produce
         structurally identical DAGs for the same bound plan, which is what
-        lets the plan cache reuse translated DAG templates across queries."""
+        lets the plan cache reuse translated DAG templates across queries.
+        A *config* identity, not a plan identity: it names no plan and only
+        ever appears paired with one (a template slot, a telemetry
+        fingerprint)."""
         return (
             self.num_partitions,
             self.reuse_buffers,
@@ -159,16 +163,15 @@ class EngineConfig:
 
     def clone(self, **overrides) -> "EngineConfig":
         """A copy of this config with keyword overrides applied."""
-        import inspect
-
-        params = inspect.signature(EngineConfig.__init__).parameters
-        kwargs = {
-            name: getattr(self, name)
-            for name in params
-            if name != "self"
-        }
+        kwargs = {name: getattr(self, name) for name in _CONFIG_FIELDS}
         kwargs.update(overrides)
         return EngineConfig(**kwargs)
+
+
+#: ``EngineConfig.__init__``'s parameter names (each is stored as an attribute
+#: of the same name), read off the signature once — ``clone`` runs once per
+#: service submission.
+_CONFIG_FIELDS = tuple(inspect.signature(EngineConfig.__init__).parameters)[1:]
 
 
 class ExecutionContext:

@@ -22,6 +22,8 @@ from .plan import (
     Limit,
     UnionAll,
     explain_plan,
+    key_hash,
+    template_key,
 )
 from .prune import prune_columns
 
@@ -38,5 +40,7 @@ __all__ = [
     "Limit",
     "UnionAll",
     "explain_plan",
+    "key_hash",
+    "template_key",
     "prune_columns",
 ]

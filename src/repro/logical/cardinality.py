@@ -50,7 +50,7 @@ class CardinalityEstimator:
     ``calibration`` is an optional feedback source (duck-typed:
     ``rows_for(plan)`` and ``groups_for(plan, keys)`` returning a float or
     ``None`` — see
-    :class:`repro.observability.feedback.CalibrationOverrides`). When it
+    :class:`repro.observability.feedback.FeedbackStore`). When it
     recognizes a plan shape from observed executions its actual-row
     average overrides the model estimate; otherwise estimation falls
     through to the statistics-based rules unchanged. The indirection keeps

@@ -2,21 +2,53 @@
 
 Each node knows its output :class:`~repro.types.Schema`. See the package
 docstring for the normalization invariant.
+
+This module also owns the one plan identity: :meth:`LogicalPlan.key`, a
+hashable structural tuple over :meth:`~repro.expr.nodes.Expr.key`, and its
+two projections — :func:`template_key` (literal values dropped) and
+:func:`key_hash` (a short stable string for files and reports).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+import hashlib
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from ..aggregates import AggregateCall, WindowCall
 from ..errors import PlanError
 from ..expr.eval import infer_dtype
-from ..expr.nodes import Expr
+from ..expr.nodes import ColumnRef, Expr
 from ..types import DataType, Field, Schema
 
 if TYPE_CHECKING:
     from ..observability.provenance import RewriteEvent
+
+
+def _names(names: Iterable[str]) -> Tuple:
+    """Column names inside a plan key, spelled as column-reference keys:
+    case-folded like every other reference, and never mistakable for a
+    literal leaf by :func:`template_key`."""
+    return tuple(ColumnRef(name).key() for name in names)
+
+
+def template_key(key: Tuple) -> Tuple:
+    """``key`` with every ``("lit", dtype, value)`` leaf reduced to
+    ``("lit", dtype)``: statements that differ only in constants share a
+    template key (the unit the workload profiler aggregates by)."""
+    if len(key) == 3 and key[0] == "lit":
+        return key[:2]
+    return tuple(
+        template_key(part) if isinstance(part, tuple) else part for part in key
+    )
+
+
+def key_hash(key: Tuple) -> str:
+    """16 hex digits naming a plan key (or any tuple built around one) —
+    the stable short form used where a tuple cannot go: telemetry
+    fingerprints and the feedback store's files."""
+    text = repr(key).encode("utf-8", "backslashreplace")
+    return hashlib.blake2b(text, digest_size=8).hexdigest()
 
 
 class LogicalPlan:
@@ -32,6 +64,18 @@ class LogicalPlan:
     def label(self) -> str:
         return type(self).__name__.upper()
 
+    def node_key(self) -> Tuple:
+        """This operator's own identity — kind plus every parameter that
+        changes its output — with the children left out."""
+        raise NotImplementedError
+
+    def key(self) -> Tuple:
+        """The plan's structural identity: equal keys ⇔ the same operators
+        with the same expressions, constants and columns read, whatever SQL
+        text they were written as. Nothing is truncated (unlike
+        :meth:`label`, which is display text)."""
+        return self.node_key() + tuple(child.key() for child in self.children)
+
 
 class Scan(LogicalPlan):
     """Scan of a named base table; ``schema`` lists the table columns read
@@ -44,6 +88,9 @@ class Scan(LogicalPlan):
 
     def label(self) -> str:
         return f"SCAN {self.table_name}"
+
+    def node_key(self) -> Tuple:
+        return ("scan", self.table_name.lower(), _names(self.schema.names()))
 
 
 class Filter(LogicalPlan):
@@ -58,6 +105,9 @@ class Filter(LogicalPlan):
 
     def label(self) -> str:
         return f"FILTER {self.predicate!r}"
+
+    def node_key(self) -> Tuple:
+        return ("filter", self.predicate.key())
 
 
 class Project(LogicalPlan):
@@ -78,6 +128,9 @@ class Project(LogicalPlan):
         inner = ", ".join(f"{e!r} AS {n}" for n, e in self.items[:6])
         more = ", ..." if len(self.items) > 6 else ""
         return f"PROJECT {inner}{more}"
+
+    def node_key(self) -> Tuple:
+        return ("project", tuple((name.lower(), expr.key()) for name, expr in self.items))
 
 
 class JoinKind(enum.Enum):
@@ -134,6 +187,16 @@ class Join(LogicalPlan):
     def label(self) -> str:
         keys = ", ".join(f"{l}={r}" for l, r in zip(self.left_keys, self.right_keys))
         return f"{self.kind.value.upper()} JOIN ON {keys}"
+
+    def node_key(self) -> Tuple:
+        return (
+            "join",
+            self.kind.value,
+            _names(self.left_keys),
+            _names(self.right_keys),
+            self.residual.key() if self.residual is not None else None,
+            _names(self.schema.names()),
+        )
 
 
 class Aggregate(LogicalPlan):
@@ -202,6 +265,15 @@ class Aggregate(LogicalPlan):
         keys = ", ".join(self.group_names)
         return f"AGGREGATE [{aggs}] GROUP BY ({keys})"
 
+    def node_key(self) -> Tuple:
+        sets = self.grouping_sets
+        return (
+            "aggregate",
+            _names(self.group_names),
+            tuple((call.name.lower(), call.key()) for call in self.aggregates),
+            None if sets is None else tuple(_names(gs) for gs in sets),
+        )
+
 
 class Window(LogicalPlan):
     """Evaluate window expressions; output = child columns + one per call."""
@@ -222,6 +294,9 @@ class Window(LogicalPlan):
     def label(self) -> str:
         return "WINDOW [" + ", ".join(repr(c) for c in self.calls) + "]"
 
+    def node_key(self) -> Tuple:
+        return ("window", tuple((call.name.lower(), call.key()) for call in self.calls))
+
 
 class Sort(LogicalPlan):
     """ORDER BY over column names."""
@@ -240,6 +315,9 @@ class Sort(LogicalPlan):
     def label(self) -> str:
         keys = ", ".join(f"{n}{' DESC' if d else ''}" for n, d in self.keys)
         return f"SORT BY {keys}"
+
+    def node_key(self) -> Tuple:
+        return ("sort", tuple((ColumnRef(name).key(), desc) for name, desc in self.keys))
 
 
 class Limit(LogicalPlan):
@@ -261,6 +339,9 @@ class Limit(LogicalPlan):
             parts.append(f"OFFSET {self.offset}")
         return " ".join(parts) or "LIMIT ALL"
 
+    def node_key(self) -> Tuple:
+        return ("limit", self.limit, self.offset)
+
 
 class UnionAll(LogicalPlan):
     """Bag union of same-typed children (types must match; names come from
@@ -278,6 +359,9 @@ class UnionAll(LogicalPlan):
 
     def label(self) -> str:
         return f"UNION ALL ({len(self.children)} inputs)"
+
+    def node_key(self) -> Tuple:
+        return ("union",)
 
 
 def explain_plan(plan: LogicalPlan, indent: int = 0) -> str:

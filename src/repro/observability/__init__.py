@@ -34,7 +34,7 @@ from .metrics import (
 from .chrome import chrome_trace_events, validate_trace_events, write_chrome_trace
 from .analyze import estimate_dag_rows, render_analyze
 from .events import EVENT_KINDS, FlightRecorder, TelemetryEvent
-from .workload import TemplateStats, WorkloadStats, plan_fingerprint
+from .workload import TemplateStats, WorkloadStats
 from .telemetry import (
     GLOBAL_TELEMETRY,
     HealthSampler,
@@ -63,7 +63,6 @@ __all__ = [
     "TelemetryEvent",
     "TemplateStats",
     "WorkloadStats",
-    "plan_fingerprint",
     "GLOBAL_TELEMETRY",
     "HealthSampler",
     "QueryRecord",

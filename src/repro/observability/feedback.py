@@ -6,17 +6,19 @@ persists them as one small schema-validated JSON file per fingerprint
 under a feedback directory (``REPRO_FEEDBACK_DIR`` or the ``Database``'s
 ``feedback_dir``), survives restarts, and feeds two consumers:
 
-- :class:`CalibrationOverrides` — a live view consulted by
-  :class:`~repro.logical.cardinality.CardinalityEstimator`: when an
-  operator's *plan signature* (a stable recursive rendering of the logical
-  subplan, literals included) has enough observed executions, the smoothed
-  actual row count overrides the statistics-model estimate.
-- the drift→replan loop in :class:`repro.api.Database`: when the workload
-  profiler flags a template's Q-error as drifting, the matching plan-cache
-  entry is discarded so the next execution re-plans — now against the
-  calibrated estimator — closing the loop the
-  :class:`~repro.observability.workload.WorkloadStats` drift detector
-  only *reported* before.
+- :class:`~repro.logical.cardinality.CardinalityEstimator`, which
+  consults the store (:meth:`FeedbackStore.rows_for` /
+  :meth:`~FeedbackStore.groups_for`): once an operator's *plan signature*
+  (the hash of the logical subplan's
+  :meth:`~repro.logical.plan.LogicalPlan.key`, literals included) has been
+  observed, the smoothed actual row count overrides the statistics-model
+  estimate.
+- the drift→replan decision (:meth:`FeedbackStore.record_execution`): when
+  the workload profiler's template for the statement shows its Q-error
+  drifting, the caller is told to drop its cached plan so the next
+  execution re-plans — now against the calibrated estimator — closing the
+  loop the :class:`~repro.observability.workload.WorkloadStats` drift
+  detector only *reported* before.
 
 Durability model: actuals are advisory, so writes are throttled (first
 observation per fingerprint flushes immediately, then every
@@ -35,16 +37,24 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
+from ..logical.plan import key_hash
+from ..lolepop.base import SourceOp
+from ..lolepop.hashagg_op import HashAggOp
+from ..lolepop.ordagg_op import OrdAggOp
+from .analyze import _region_input_plan, estimate_dag_rows, q_error
+from .workload import DRIFT_THRESHOLD
+
 __all__ = [
     "SCHEMA_VERSION",
     "FeedbackStore",
-    "CalibrationOverrides",
     "plan_signature",
     "group_signature",
     "profile_observations",
 ]
 
-SCHEMA_VERSION = 1
+#: 2: signatures are hashes of :meth:`LogicalPlan.key` (1 concatenated
+#: display labels, which truncate); older files are skipped on load.
+SCHEMA_VERSION = 2
 
 #: Exponential smoothing factor for actual row counts (matches the
 #: workload profiler's recency bias).
@@ -57,36 +67,32 @@ _FILE_SUFFIX = ".json"
 #: regions a query compiles to.
 MAX_OPERATORS_PER_FINGERPRINT = 64
 
+#: After a drift-triggered replan, the same template's next one waits for
+#: this many further executions, so a persistently drifting template does
+#: not discard its plan on every query.
+REPLAN_INTERVAL = 8
+
 
 def plan_signature(plan) -> str:
-    """Stable recursive signature of a logical plan: each node's
-    ``label()`` (which renders predicates, keys, and literal values) over
-    the child signatures. Two queries with the same plan shape *and the
-    same constants* share a signature — deliberately, since selectivity
-    feedback is only transferable at that granularity."""
-    children = getattr(plan, "children", ())
-    label = plan.label()
-    if not children:
-        return label
-    inner = ",".join(plan_signature(child) for child in children)
-    return f"{label}({inner})"
+    """Calibration signature of a logical plan: the hash of its full
+    :meth:`~repro.logical.plan.LogicalPlan.key`. Two queries with the same
+    plan shape *and the same constants* share a signature — deliberately,
+    since selectivity feedback is only transferable at that granularity."""
+    return key_hash(plan.key())
 
 
 def group_signature(plan, keys: Iterable[str]) -> str:
     """Signature of a group-count estimate: the input plan plus the key
     set (order-insensitive — ``GROUP BY a, b`` and ``GROUP BY b, a``
     produce the same count)."""
-    return f"group[{','.join(sorted(keys))}]({plan_signature(plan)})"
+    names = tuple(sorted(name.lower() for name in keys))
+    return key_hash(("group", names, plan.key()))
 
 
 def _operator_signature(node, context) -> Optional[str]:
     """The calibration signature of one executed LOLEPOP, when its output
     cardinality maps onto an estimator question (SOURCE → plan rows,
     HASHAGG/ORDAGG → group count); ``None`` for pure buffer movers."""
-    from ..lolepop.base import SourceOp
-    from ..lolepop.hashagg_op import HashAggOp
-    from ..lolepop.ordagg_op import OrdAggOp
-
     if isinstance(node, SourceOp) and getattr(node, "plan", None) is not None:
         return plan_signature(node.plan)
     if isinstance(node, (HashAggOp, OrdAggOp)) and context is not None:
@@ -99,8 +105,6 @@ def profile_observations(profile, estimator) -> List[dict]:
     into feedback observations: one dict per DAG node carrying stats, with
     the operator's position (counted across all region DAGs), its estimate
     under ``estimator``, its actuals, and the resource-ledger fields."""
-    from .analyze import _region_input_plan, estimate_dag_rows
-
     observations: List[dict] = []
     position = 0
     for dag in profile.dags:
@@ -144,14 +148,6 @@ def root_observation(plan, est_rows: Optional[float], actual_rows: int) -> dict:
         "spill_bytes_written": 0,
         "peak_partition_bytes": 0,
     }
-
-
-def _q_error(est: Optional[float], actual: float) -> Optional[float]:
-    if est is None:
-        return None
-    est = max(1.0, float(est))
-    actual = max(1.0, float(actual))
-    return max(est / actual, actual / est)
 
 
 class _OperatorFeedback:
@@ -204,7 +200,7 @@ class _OperatorFeedback:
 
     @property
     def q_error(self) -> Optional[float]:
-        return _q_error(self.est_rows, self.actual_rows)
+        return q_error(self.est_rows, self.actual_rows)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -299,6 +295,9 @@ class FeedbackStore:
         #: signature -> the most-observed feedback slot carrying it, so a
         #: calibration lookup is one dict probe instead of a store scan.
         self._signature_index: Dict[str, _OperatorFeedback] = {}
+        #: fingerprint -> template execution count at its last drift-triggered
+        #: replan (see :data:`REPLAN_INTERVAL`).
+        self._replanned: Dict[str, int] = {}
         os.makedirs(directory, exist_ok=True)
         self._load()
 
@@ -378,6 +377,44 @@ class FeedbackStore:
             self._reindex_locked()
 
     # -- recording ------------------------------------------------------
+    def record_execution(self, record, prepared, result, estimator, template) -> bool:
+        """The store's one entry point, reached from
+        :meth:`~repro.observability.telemetry.Telemetry.record_execution`
+        for every successful execution that had a plan: fold the run's
+        actuals in (per operator when a profile was collected, else the root
+        cardinality against the prepare-time estimate), then decide from
+        ``template`` — the workload profiler's aggregate for this
+        fingerprint — whether the estimates have drifted far enough to
+        re-plan. On drift the prepared plan's cached estimate and DAG
+        templates are dropped, a ``feedback.replan`` breadcrumb is emitted
+        and ``True`` tells the caller to discard its plan-cache entry, so
+        the next execution plans against the now-calibrated estimator."""
+        if result.profile is not None and result.dags:
+            observations = profile_observations(result.profile, estimator)
+        else:
+            est = prepared.est_rows
+            if est is not None and est < 0.0:
+                est = None  # estimation-failure sentinel
+            observations = [root_observation(prepared.plan, est, record.rows)]
+        self.observe(record.fingerprint, record.sql, observations)
+        ratio = template.drift_ratio()
+        if ratio is None or ratio < DRIFT_THRESHOLD:
+            return False
+        with self._lock:
+            last = self._replanned.get(record.fingerprint)
+            if last is not None and template.count - last < REPLAN_INTERVAL:
+                return False
+            self._replanned[record.fingerprint] = template.count
+        prepared.est_rows = None
+        prepared.dag_templates.clear()
+        self._event(
+            "feedback.replan",
+            fingerprint=record.fingerprint,
+            drift_ratio=ratio,
+            sql=record.sql,
+        )
+        return True
+
     def observe(self, fingerprint: str, sql: str, observations: List[dict]) -> None:
         """Fold one execution's observations into the store and flush the
         fingerprint's file per the throttle policy."""
@@ -443,45 +480,18 @@ class FeedbackStore:
             }
 
     # -- calibration ----------------------------------------------------
-    def calibration(self, min_observations: int = 1) -> "CalibrationOverrides":
-        """A live estimator-override view over this store (later
-        observations are visible without rebuilding)."""
-        return CalibrationOverrides(self, min_observations=min_observations)
-
-    def _lookup_signature(
-        self, signature: str, min_observations: int
-    ) -> Optional[float]:
-        with self._lock:
-            feedback = self._signature_index.get(signature)
-            if feedback is None or feedback.observations < min_observations:
-                return None
-            return feedback.actual_rows
-
-
-class CalibrationOverrides:
-    """Duck-typed feedback source for
-    :class:`~repro.logical.cardinality.CardinalityEstimator`: maps plan /
-    group signatures to smoothed observed actuals. Lives on top of the
-    store, so estimates sharpen as executions accumulate."""
-
-    def __init__(self, store: FeedbackStore, min_observations: int = 1):
-        self._store = store
-        self.min_observations = max(1, int(min_observations))
-
+    # The feedback-source protocol of
+    # :class:`~repro.logical.cardinality.CardinalityEstimator`: a live view,
+    # so estimates sharpen as executions accumulate.
     def rows_for(self, plan) -> Optional[float]:
-        if plan is None:
-            return None
-        try:
-            signature = plan_signature(plan)
-        except Exception:  # noqa: BLE001 — foreign plan objects in tests
-            return None
-        return self._store._lookup_signature(signature, self.min_observations)
+        """Smoothed observed output rows of ``plan``, if it ever ran."""
+        return self._lookup_signature(plan_signature(plan))
 
     def groups_for(self, plan, keys) -> Optional[float]:
-        if plan is None:
-            return None
-        try:
-            signature = group_signature(plan, keys)
-        except Exception:  # noqa: BLE001
-            return None
-        return self._store._lookup_signature(signature, self.min_observations)
+        """Smoothed observed group count of ``keys`` over ``plan``."""
+        return self._lookup_signature(group_signature(plan, keys))
+
+    def _lookup_signature(self, signature: str) -> Optional[float]:
+        with self._lock:
+            feedback = self._signature_index.get(signature)
+            return None if feedback is None else feedback.actual_rows

@@ -20,12 +20,12 @@ A :class:`HealthSampler` thread owned by each
 :class:`HealthSample` points (queue depth, in-flight memory, cache hit
 rates, spill counters) into the telemetry's bounded health series.
 
-Cost model: when :attr:`Telemetry.enabled` is ``False`` every entry point
-returns after one attribute check, so a disabled server pays one branch
-per query. When enabled, the per-query cost is one DAG-shape hash, a few
-dict/deque updates under short locks, and (once per distinct prepared
-plan) one cardinality estimate — all per *query*, never per row. Memory is
-bounded everywhere: ring capacity, slow-log capacity, fingerprint-table
+Cost model: callers test :attr:`Telemetry.enabled` once per statement, so
+a disabled server pays one branch per query and builds no record. When
+enabled, the per-query cost is one :class:`QueryRecord`, a few dict/deque
+updates under short locks, and (once per distinct prepared plan) one plan
+hash and one cardinality estimate — all per *query*, never per row. Memory
+is bounded everywhere: ring capacity, slow-log capacity, fingerprint-table
 capacity, health-series capacity.
 
 :data:`GLOBAL_TELEMETRY` is the process-wide instance
@@ -39,6 +39,7 @@ recorder there.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -47,8 +48,11 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
+from ..errors import QueryCancelled
+from ..logical.plan import key_hash
+from .analyze import morsel_skew, profile_max_q_error, q_error
 from .events import FlightRecorder
-from .workload import WorkloadStats, plan_fingerprint
+from .workload import DRIFT_THRESHOLD, WorkloadStats
 
 __all__ = [
     "TelemetryConfig",
@@ -64,6 +68,9 @@ __all__ = [
 #: Seconds between automatic error dumps (an error storm must not turn the
 #: telemetry layer into a disk-filling loop).
 ERROR_DUMP_MIN_INTERVAL_S = 5.0
+
+#: Flight-recorder event kind of a finished query, by record status.
+_EVENT_KIND = {"ok": "query.finish", "error": "query.error", "cancelled": "query.cancel"}
 
 
 class TelemetryConfig:
@@ -315,6 +322,9 @@ class Telemetry:
         self._last_error_dump = 0.0
         #: Total query records observed (all of them, not just slow ones).
         self.queries_recorded = 0
+        #: Ids (``d1``, ``d2``, ...) for statements that arrive without one —
+        #: direct ``Database.sql`` calls; the query service stamps its own.
+        self._direct_ids = itertools.count(1)
         #: Zero-arg callable returning the materialization manager's stats
         #: dict, installed via :meth:`attach_reuse`; ``None`` = no manager.
         self._reuse_stats = None
@@ -367,19 +377,96 @@ class Telemetry:
         limit = self.config.max_sql_chars
         return sql if len(sql) <= limit else sql[: limit - 3] + "..."
 
-    def record_query(self, record: QueryRecord) -> None:
-        """Feed one finished query into every sink (no-op when disabled)."""
-        if not self.enabled:
-            return
+    def record_execution(
+        self,
+        engine: str,
+        prepared=None,
+        sql: Optional[str] = None,
+        config=None,
+        query_id: Optional[str] = None,
+        session_id: Optional[str] = None,
+        result=None,
+        error: Optional[BaseException] = None,
+        queue_wait_s: float = 0.0,
+        parse_bind_s: float = 0.0,
+        execute_s: float = 0.0,
+        plan_cache_hit: bool = False,
+        result_cache_hit: bool = False,
+        estimator=None,
+        feedback=None,
+    ) -> bool:
+        """Record one finished statement — the only place a
+        :class:`QueryRecord` is built. Callers check :attr:`enabled` first,
+        so the disabled path does not even evaluate the arguments.
+
+        The caller passes what it holds: the ``prepared`` plan and the
+        ``config`` it ran (or would have run) under — or, for a statement
+        that never got a plan, its normalized ``sql`` text — the ids the
+        service stamped (direct calls get a ``d<n>`` id here), the
+        ``result`` or the ``error``, the stage seconds it measured, the
+        cache flags. Derived here: status, fingerprint, rows, and for a
+        statement that actually executed (not a result-cache hit) translate
+        seconds, spill, morsel skew and max Q-error against ``estimator``.
+
+        The record feeds the flight recorder, the workload table, the slow
+        log and, for a successful execution, the ``feedback`` store. Returns
+        ``True`` when the store's drift check says the caller should discard
+        its cached plan. Never raises: it runs in ``finally`` blocks and
+        must not mask the query's own error.
+        """
+        try:
+            if prepared is not None:
+                sql = prepared.normalized
+            if prepared is not None and prepared.plan is not None:
+                fingerprint = prepared.fingerprint(engine, config)
+            else:  # parse/bind error (or a never-run EXPLAIN): name the text
+                fingerprint = key_hash((engine, "sql", sql))
+            if error is None:
+                status, error_text = "ok", None
+            elif isinstance(error, QueryCancelled):
+                status, error_text = "cancelled", str(error)
+            else:
+                status, error_text = "error", f"{type(error).__name__}: {error}"
+            executed = None if result_cache_hit else result
+            spill = getattr(executed, "spill", None) or {}
+            skew, straggler = _worst_skew(executed)
+            record = QueryRecord(
+                query_id or f"d{next(self._direct_ids)}",
+                self.truncate_sql(sql),
+                fingerprint,
+                engine=engine,
+                session_id=session_id or "-",
+                status=status,
+                error=error_text,
+                rows=len(result.batch) if result is not None else 0,
+                plan_cache_hit=plan_cache_hit,
+                result_cache_hit=result_cache_hit,
+                parse_bind_s=parse_bind_s,
+                translate_s=getattr(executed, "translate_s", 0.0) or 0.0,
+                execute_s=execute_s,
+                total_s=parse_bind_s + execute_s,
+                queue_wait_s=queue_wait_s,
+                spill_bytes_written=spill.get("bytes_written", 0),
+                spill_bytes_read=spill.get("bytes_read", 0),
+                max_q_error=_max_q_error(prepared, executed, estimator),
+                morsel_skew=skew,
+                straggler=straggler,
+            )
+            template = self._fan_out(record)
+            if feedback is not None and status == "ok" and executed is not None:
+                return feedback.record_execution(
+                    record, prepared, executed, estimator, template
+                )
+        except Exception:  # noqa: BLE001 — telemetry never takes queries down
+            pass
+        return False
+
+    def _fan_out(self, record: QueryRecord):
+        """Feed ``record`` into every sink; returns its workload template."""
         self.queries_recorded += 1
         is_error = record.status == "error"
-        kind = {
-            "ok": "query.finish",
-            "error": "query.error",
-            "cancelled": "query.cancel",
-        }.get(record.status, "query.finish")
         self.recorder.record(
-            kind,
+            _EVENT_KIND[record.status],
             query_id=record.query_id,
             session_id=record.session_id,
             fingerprint=record.fingerprint,
@@ -397,7 +484,7 @@ class Telemetry:
                 bytes_written=record.spill_bytes_written,
                 bytes_read=record.spill_bytes_read,
             )
-        self.workload.observe(
+        template = self.workload.observe(
             record.fingerprint,
             record.sql,
             record.engine,
@@ -411,6 +498,7 @@ class Telemetry:
         self.slowlog.observe(record)
         if is_error and self.config.dump_on_error_dir:
             self._dump_on_error(record)
+        return template
 
     def record_health(self, sample: Dict) -> None:
         if not self.enabled:
@@ -445,7 +533,7 @@ class Telemetry:
         return samples
 
     def report(
-        self, top: int = 20, drift_threshold: float = 2.0
+        self, top: int = 20, drift_threshold: float = DRIFT_THRESHOLD
     ) -> dict:
         """One JSON-serializable service-telemetry report."""
         health = self.health_snapshot()
@@ -515,6 +603,40 @@ class Telemetry:
         with self._health_lock:
             self._health.clear()
         self.queries_recorded = 0
+
+
+def _worst_skew(result):
+    """(worst parallel-phase morsel skew, its ``operator/phase``) from a
+    collected execution trace, or ``(None, None)`` — traces are off in the
+    serving default, so this is usually one attribute check."""
+    trace = getattr(result, "trace", None)
+    if trace is None or not trace.records:
+        return None, None
+    for entry in morsel_skew(trace):
+        if entry["items"] >= 2:
+            return entry["skew"], f"{entry['operator']}/{entry['phase']}"
+    return None, None
+
+
+def _max_q_error(prepared, result, estimator) -> Optional[float]:
+    """Per-query max Q-error, always on: node-level (the EXPLAIN ANALYZE
+    summary's number) when a profile was collected, else the root-level
+    Q-error against an estimate cached on the prepared plan — one estimator
+    call per *prepared plan*, not per execution."""
+    if result is None or estimator is None or prepared.plan is None:
+        return None
+    if result.profile is not None and result.dags:
+        worst = profile_max_q_error(result.profile, estimator)
+        if worst is not None:
+            return worst
+    if prepared.est_rows is None:
+        try:
+            prepared.est_rows = max(0.0, float(estimator.rows(prepared.plan)))
+        except Exception:  # noqa: BLE001 — remember the failure
+            prepared.est_rows = -1.0
+    if prepared.est_rows >= 0.0:
+        return q_error(prepared.est_rows, len(result.batch))
+    return None
 
 
 #: The process-wide telemetry domain (always on unless

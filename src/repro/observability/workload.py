@@ -1,13 +1,13 @@
 """Plan-fingerprinted workload profiling.
 
-A *plan fingerprint* is a stable hash of a query's executed LOLEPOP DAG
-shape: operator names, parameter summaries, and data/anti-dependency edges
-in topological order (plus the engine name). Two queries that differ only
-in literals but translate to the same physical template — the unit the
-plan cache reuses — collide on purpose, so the profiler aggregates by
-*template* rather than by SQL text. Queries without a LOLEPOP DAG (DDL,
-the baseline engines, pure-relational statements) fall back to the
-normalized SQL text.
+A *plan fingerprint*
+(:meth:`repro.server.cache.PreparedPlan.fingerprint`) is the hash of the
+engine, the logical plan's *template key* — its structural
+:meth:`~repro.logical.plan.LogicalPlan.key` with literal values dropped —
+and the config's translation identity. Two queries that differ only in
+literals collide on purpose, so the profiler aggregates by *template*
+rather than by SQL text. Statements that never got a plan (parse/bind
+errors) fall back to a hash of the normalized SQL text.
 
 :class:`WorkloadStats` keeps one bounded table of per-fingerprint streaming
 aggregates: execution count, a latency histogram, and Welford mean/variance
@@ -26,7 +26,6 @@ the ``evicted`` counter records the loss.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import List, Optional, Tuple
@@ -46,44 +45,10 @@ BASELINE_WINDOW = 8
 #: EWMA weight of the newest Q-error observation in ``q_recent``.
 RECENT_ALPHA = 0.3
 
-
-def plan_fingerprint(dags, fallback: str, engine: str = "lolepop") -> str:
-    """Hash the shape of the executed LOLEPOP DAGs into a short stable id.
-
-    ``dags`` is the :attr:`~repro.lolepop.engine.QueryResult.dags` list (any
-    iterable of objects with ``topological_order()``); ``fallback`` is the
-    normalized SQL used when there is no DAG to hash. The digest covers,
-    per node in topological order: operator name, ``describe()`` parameter
-    summary, and the indices of its data and ``after`` edges — i.e. the
-    template identity, not the data it ran over.
-    """
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(engine.encode())
-    hashed_any = False
-    for dag in dags or ():
-        try:
-            order = dag.topological_order()
-        except Exception:
-            continue
-        ids = {id(node): index for index, node in enumerate(order)}
-        for node in order:
-            try:
-                digest.update(node.name().encode())
-                digest.update(b"[")
-                digest.update(node.describe().encode())
-                digest.update(b"]")
-            except Exception:
-                digest.update(type(node).__name__.encode())
-            for dep in node.inputs:
-                digest.update(b"i%d" % ids[id(dep)])
-            for dep in node.after:
-                digest.update(b"a%d" % ids[id(dep)])
-            digest.update(b";")
-        hashed_any = True
-    if not hashed_any:
-        digest.update(b"sql:")
-        digest.update(fallback.encode())
-    return digest.hexdigest()
+#: A template has drifted when its recent EWMA Q-error is this many times
+#: its baseline mean — the one threshold behind both the report's
+#: ``drifting`` list and the feedback store's replan decision.
+DRIFT_THRESHOLD = 2.0
 
 
 class Welford:
@@ -221,16 +186,15 @@ class WorkloadStats:
     # ------------------------------------------------------------------
     def observe(
         self,
-        fingerprint: str,
+        fingerprint,
         sql: str,
         engine: str,
         latency_s: float,
         q_error: Optional[float] = None,
-        error: bool = False,
-        plan_cache_hit: bool = False,
-        spill_bytes: int = 0,
-        rows: int = 0,
+        **counts,
     ) -> TemplateStats:
+        """Fold one execution into its template (created on first sight);
+        ``counts`` are :meth:`TemplateStats.observe`'s keyword fields."""
         with self._lock:
             entry = self._templates.get(fingerprint)
             if entry is None:
@@ -241,14 +205,7 @@ class WorkloadStats:
                     self.evicted += 1
             # Least-recently-updated eviction order.
             self._templates.move_to_end(fingerprint)
-        entry.observe(
-            latency_s,
-            q_error,
-            error=error,
-            plan_cache_hit=plan_cache_hit,
-            spill_bytes=spill_bytes,
-            rows=rows,
-        )
+        entry.observe(latency_s, q_error, **counts)
         return entry
 
     # ------------------------------------------------------------------
@@ -267,7 +224,7 @@ class WorkloadStats:
         return sorted(entries, key=lambda t: -t.count)
 
     def drifting_templates(
-        self, threshold: float = 2.0, min_count: int = BASELINE_WINDOW + 4
+        self, threshold: float = DRIFT_THRESHOLD, min_count: int = BASELINE_WINDOW + 4
     ) -> List[Tuple[str, TemplateStats]]:
         """Templates whose recent Q-error degraded past ``threshold`` times
         their baseline.

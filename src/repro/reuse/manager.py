@@ -1,6 +1,7 @@
 """The cross-query materialization manager.
 
-Owns two stores keyed on structural signatures
+Owns two stores keyed on the plan keys
+(:meth:`~repro.logical.plan.LogicalPlan.key`) of reusable fragments
 (:mod:`repro.reuse.signature`):
 
 - **Buffer cache** — materialized :class:`~repro.storage.TupleBuffer`
@@ -35,18 +36,16 @@ flow through the flight recorder when a telemetry sink is attached.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 from ..storage.buffer import TupleBuffer
-from .signature import chain_signature, source_chain
+from .signature import apply_stages, source_chain
 from .views import (
     ViewState,
     analyze_view,
     build_state,
-    map_fragment,
     merge_states,
     serve_plan,
 )
@@ -80,7 +79,7 @@ class CaptureSpec:
     """Identity of one buffer-materialization site.
 
     Everything that decides the buffer's exact bytes is part of the key:
-    the fragment signature (table + stage expression identities), the
+    the fragment's plan key (table, columns read, stage expressions), the
     partition keys and count, the morsel size (batch boundaries decide
     round-robin placement and chunk order), and compaction. The table
     version pins the data snapshot the signature was taken against.
@@ -159,7 +158,7 @@ class _BufferEntry:
         self.rows = buffer.num_rows
         self.uses = 0
         self.last_used = tick
-        self.fingerprint = _fingerprint(("buffer", self.spec_key, self.ordered_by))
+        self.fingerprint = ("buffer", self.spec_key, self.ordered_by)
         self.label = spec.describe()
 
     def rebuild_cost(self) -> float:
@@ -204,7 +203,7 @@ class _ViewEntry:
         self.bytes = state.approx_bytes()
         self.uses = 0
         self.last_used = tick
-        self.fingerprint = _fingerprint(("view", key))
+        self.fingerprint = ("view", key)
 
     def rebuild_cost(self) -> float:
         from ..costmodel import hash_aggregation_cost
@@ -221,11 +220,6 @@ class _ViewEntry:
             f"{self.table_name} GROUP BY ({','.join(self.group_cols)}) "
             f"[{aggs}]"
         )
-
-
-def _fingerprint(key) -> str:
-    digest = hashlib.sha1(repr(key).encode("utf-8", "replace")).hexdigest()
-    return f"reuse:{digest[:12]}"
 
 
 def snapshot_buffer(buffer: TupleBuffer) -> TupleBuffer:
@@ -290,17 +284,16 @@ class MaterializationManager:
             return None
         if getattr(config, "memory_budget_bytes", None) is not None:
             return None  # spilling buffers are never cached
-        signature = chain_signature(source_plan)
-        if signature is None:
-            return None
         chain = source_chain(source_plan)
+        if chain is None:
+            return None
         scan, _ = chain
         try:
             table = self.catalog.get(scan.table_name)
         except Exception:
             return None
         return CaptureSpec(
-            signature,
+            source_plan.key(),
             scan.table_name.lower(),
             tuple(keys),
             num_partitions,
@@ -537,7 +530,7 @@ class MaterializationManager:
             return None
         started = time.perf_counter()
         with table._lock:
-            batch = map_fragment(stages, table.to_batch())
+            batch = apply_stages(stages, table.to_batch())
             state = build_state(batch, tuple(group_cols), tuple(agg_ids))
             key = (core, projection, tuple(group_cols), tuple(agg_ids))
             with self._lock:
@@ -617,7 +610,7 @@ class MaterializationManager:
 
     def _maintain_view(self, entry: _ViewEntry, batch) -> None:
         started = time.perf_counter()
-        delta = map_fragment(entry.stages, batch)
+        delta = apply_stages(entry.stages, batch)
         if len(delta):
             delta_state = build_state(delta, entry.group_cols, entry.agg_ids)
             with self._lock:

@@ -1,12 +1,12 @@
-"""Structural signatures for cross-query reuse.
+"""Reusable fragment shapes for cross-query reuse.
 
-A *region signature* identifies the relational fragment below a statistics
-region when it is a Scan of one base table with an optional stack of
-Filter/Project stages — the shape whose output is a pure function of
-(table contents, stage expressions). The signature is built from
-:meth:`repro.expr.nodes.Expr.key`, the same structural identity the
-expression layer uses for equality, so two textually different queries
-with the same bound fragment share one signature.
+A *source chain* is the relational fragment below a statistics region when
+it is a Scan of one base table with an optional stack of Filter/Project
+stages — the shape whose output is a pure function of (table contents,
+stage expressions). Its identity is the fragment's
+:meth:`~repro.logical.plan.LogicalPlan.key` — scan table, the columns the
+(pruned) scan reads, every stage's expressions — so two textually different
+queries with the same bound fragment share one cached buffer.
 
 :func:`apply_stages` re-evaluates the captured stage chain over a batch
 with exactly the semantics of
@@ -39,30 +39,6 @@ def source_chain(
         return None
     stages.reverse()
     return node, stages
-
-
-def _stage_sig(stage: LogicalPlan) -> Tuple:
-    if isinstance(stage, Filter):
-        return ("filter", stage.predicate.key())
-    return (
-        "project",
-        tuple((name.lower(), expr.key()) for name, expr in stage.items),
-    )
-
-
-def chain_signature(plan: LogicalPlan) -> Optional[Tuple]:
-    """Hashable structural identity of a Scan + Filter/Project fragment,
-    or ``None`` when the fragment has any other shape."""
-    chain = source_chain(plan)
-    if chain is None:
-        return None
-    scan, stages = chain
-    # The columns read are part of the identity: column pruning narrows the
-    # scan per statement, and a cached buffer holds exactly those columns.
-    columns = tuple(name.lower() for name in scan.schema.names())
-    parts: List[Tuple] = [("scan", scan.table_name.lower(), columns)]
-    parts.extend(_stage_sig(stage) for stage in stages)
-    return tuple(parts)
 
 
 def view_fragment(plan: LogicalPlan) -> Optional[Tuple[Tuple, Tuple]]:
@@ -99,9 +75,11 @@ def view_fragment(plan: LogicalPlan) -> Optional[Tuple[Tuple, Tuple]]:
                 (f.name.lower(), ColumnRef(f.name).key()) for f in out_schema
             )
         )
-    core: List[Tuple] = [("scan", scan.table_name.lower())]
-    core.extend(_stage_sig(stage) for stage in inner)
-    return tuple(core), projection
+    # Deliberately not the scan's own key: the columns it reads vary with
+    # each statement's pruning, and the projection already says which the
+    # fragment exposes.
+    core = (scan.table_name.lower(),) + tuple(s.node_key() for s in inner)
+    return core, projection
 
 
 def apply_stages(stages: List[LogicalPlan], batch: Batch) -> Batch:

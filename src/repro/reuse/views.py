@@ -30,14 +30,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..expr.nodes import ColumnRef
-from ..logical.plan import Aggregate, LogicalPlan
+from ..logical.plan import Aggregate
 from ..relational.kernels import MERGE_FUNC, grouped_reduce, merge_reduce
 from ..storage.batch import Batch
 from ..storage.column import Column
 from ..storage.keys import group_codes
 from ..storage.spill import approx_column_bytes
 from ..types import DataType
-from .signature import apply_stages, source_chain, view_fragment
+from .signature import view_fragment
 
 #: Aggregates a view can maintain and re-aggregate: associative with a
 #: declared merge function, minus the order-sensitive ``any``.
@@ -221,11 +221,6 @@ def _serve_set(
     return Batch(plan.schema, columns)
 
 
-def map_fragment(stages: List[LogicalPlan], batch: Batch) -> Batch:
-    """Map a base-table batch through the captured Filter/Project chain."""
-    return apply_stages(stages, batch)
-
-
 __all__ = [
     "VIEW_FUNCS",
     "AggId",
@@ -234,6 +229,4 @@ __all__ = [
     "build_state",
     "merge_states",
     "serve_plan",
-    "map_fragment",
-    "source_chain",
 ]

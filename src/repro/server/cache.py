@@ -1,14 +1,12 @@
 """Plan and result caches for the query service.
 
-Both caches key on *normalized SQL text* plus a version token describing
-the catalog state the entry was built against. Entries that know which
-tables they read carry **per-table version counters** plus the catalog's
-DDL version (:attr:`repro.storage.table.Catalog.ddl_version`), so DML on
-one table no longer invalidates plans and results that only touch other
-tables. Entries that cannot enumerate their dependencies (EXPLAIN text,
-plans bound against foreign catalogs) fall back to the coarse catalog-wide
-:attr:`repro.storage.table.Catalog.version` counter, which every DDL
-statement and every table mutation advances.
+Both caches key on *normalized SQL text* — a pre-parse lookup key, not a
+plan identity: it exists so a hit can skip the parser, and two spellings of
+one plan are two entries — plus a version token describing the catalog
+state the entry was built against: **per-table version counters** of the
+tables the statement reads plus the catalog's DDL version
+(:attr:`repro.storage.table.Catalog.ddl_version`), so DML on one table
+does not invalidate plans and results that only touch other tables.
 
 The plan cache holds :class:`PreparedPlan` entries: the parsed AST, the
 bound logical plan, and (filled in lazily by the LOLEPOP engine) translated
@@ -30,6 +28,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
+
+from ..logical.plan import Scan, key_hash, template_key
 
 
 def normalize_sql(text: str) -> str:
@@ -74,6 +74,21 @@ def normalize_sql(text: str) -> str:
     return "".join(out)
 
 
+def table_deps(plan, catalog) -> Tuple[Tuple[str, int], ...]:
+    """``((table, version), ...)`` for every base table the bound ``plan``
+    scans, at the tables' current versions (``()`` for no plan: EXPLAIN
+    entries are never cached) — what :meth:`PreparedPlan.is_current` later
+    validates against."""
+    names = set()
+    stack = [plan] if plan is not None else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Scan):
+            names.add(node.table_name.lower())
+        stack.extend(node.children)
+    return tuple((name, catalog.get(name).version) for name in sorted(names))
+
+
 class PreparedPlan:
     """One plan-cache entry: everything derivable from SQL text + catalog.
 
@@ -93,8 +108,8 @@ class PreparedPlan:
         "table_deps",
         "cacheable",
         "dag_templates",
-        "executions",
         "est_rows",
+        "_fingerprints",
     )
 
     def __init__(
@@ -103,37 +118,45 @@ class PreparedPlan:
         statement,
         plan,
         catalog_version: int,
+        table_deps: Tuple[Tuple[str, int], ...],
+        ddl_version: int,
         cacheable: bool = True,
-        table_deps: Optional[Tuple[Tuple[str, int], ...]] = None,
-        ddl_version: Optional[int] = None,
     ):
         self.sql = sql
         self.normalized = normalize_sql(sql)
         self.statement = statement
         self.plan = plan
+        #: Catalog-wide version at build time; informational only (the
+        #: ``cache.evict`` breadcrumb reports it), never validated against.
         self.catalog_version = catalog_version
         #: Per-table dependency versions ``((table, version), ...)`` at build
-        #: time, paired with the catalog's DDL version. ``None`` = unknown
-        #: dependencies → fall back to coarse catalog-version validation.
+        #: time, paired with the catalog's DDL version.
         self.table_deps = table_deps
         self.ddl_version = ddl_version
         self.cacheable = cacheable
         self.dag_templates: Dict[Tuple, object] = {}
-        self.executions = 0
         #: Cached root-cardinality estimate for telemetry Q-error tracking:
         #: ``None`` = not computed yet, ``< 0`` = estimation failed (don't
         #: retry every execution). Valid for this entry's catalog version.
         self.est_rows: Optional[float] = None
+        self._fingerprints: Dict[Tuple, str] = {}
+
+    def fingerprint(self, engine: str, config) -> str:
+        """The statement's telemetry fingerprint: the hash of (engine, the
+        plan's template key, the config's translation identity). Literal-only
+        variants of one statement share it; computed once per entry and
+        (engine, config identity), never per execution."""
+        variant = (engine, config.translation_fingerprint())
+        fingerprint = self._fingerprints.get(variant)
+        if fingerprint is None:
+            fingerprint = key_hash(variant + (template_key(self.plan.key()),))
+            self._fingerprints[variant] = fingerprint
+        return fingerprint
 
     def is_current(self, catalog) -> bool:
-        """Is this entry still valid against ``catalog``?
-
-        With known dependencies: the catalog's DDL version and every
-        depended-on table's version must match the values recorded at build
-        time. Without them: coarse catalog-version equality.
-        """
-        if self.table_deps is None or self.ddl_version is None:
-            return self.catalog_version == getattr(catalog, "version", None)
+        """Is this entry still valid against ``catalog``? The catalog's DDL
+        version and every depended-on table's version must match the values
+        recorded at build time."""
         if getattr(catalog, "ddl_version", None) != self.ddl_version:
             return False
         for table_name, version in self.table_deps:
@@ -151,8 +174,6 @@ class PreparedPlan:
         Reading live versions (not the build-time snapshot) means a result
         cached before DML on a depended-on table can never be served after
         it, while DML on unrelated tables leaves the key unchanged."""
-        if self.table_deps is None or self.ddl_version is None:
-            return ("catalog", getattr(catalog, "version", None))
         token: list = [getattr(catalog, "ddl_version", None)]
         for table_name, _ in self.table_deps:
             try:
@@ -259,10 +280,8 @@ class PlanCache(_LruCache):
     """LRU of :class:`PreparedPlan` keyed on normalized SQL text.
 
     Version validation happens at lookup time via
-    :meth:`PreparedPlan.is_current`: entries carrying per-table dependency
-    versions survive DML on unrelated tables; dependency-less entries fall
-    back to coarse catalog-version equality. A stale hit is discarded and
-    counts as a miss."""
+    :meth:`PreparedPlan.is_current`, so entries survive DML on tables they
+    do not read. A stale hit is discarded and counts as a miss."""
 
     def lookup(
         self,
@@ -293,21 +312,15 @@ class PlanCache(_LruCache):
 class ResultCache(_LruCache):
     """LRU of finished query results for read-only statements.
 
-    Keyed on (normalized SQL, version token, engine) where the version
-    token is either a per-table dependency token
-    (:meth:`PreparedPlan.dep_token`) or the coarse catalog version;
-    results whose row count exceeds ``max_rows`` are not stored (they would
-    evict many small, frequently repeated results for one scan-the-world
-    query).
+    Keyed on (normalized SQL, the statement's per-table dependency token
+    :meth:`PreparedPlan.dep_token`, engine); results whose row count exceeds
+    ``max_rows`` are not stored (they would evict many small, frequently
+    repeated results for one scan-the-world query).
     """
 
     def __init__(self, capacity: int, max_rows: int = 100_000):
         super().__init__(capacity)
         self.max_rows = max_rows
-
-    @staticmethod
-    def key(sql: str, version_token, engine: str) -> Tuple:
-        return (normalize_sql(sql), version_token, engine)
 
     def admit(self, key: Tuple, result) -> bool:
         """Store ``result`` unless it is over the row bound; returns whether

@@ -44,11 +44,10 @@ from ..observability.metrics import GLOBAL_METRICS, MetricsRegistry
 from ..observability.telemetry import (
     GLOBAL_TELEMETRY,
     HealthSampler,
-    QueryRecord,
     Telemetry,
 )
 from .admission import AdmissionController, estimate_memory_bytes
-from .cache import ResultCache, normalize_sql
+from .cache import ResultCache
 from .session import Session
 
 #: Histogram bounds for queue-wait times: finer than the default latency
@@ -250,13 +249,9 @@ class QueryService:
         engine = engine or (
             session.engine if session is not None else self.config.default_engine
         )
-        base_config = config
-        if base_config is None:
-            base_config = (
-                session.engine_config()
-                if session is not None
-                else self.db.config
-            )
+        if config is None and session is not None:
+            config = session.engine_config()
+        base_config = self.db.run_config(engine, config)
         if timeout is None:
             timeout = (
                 session.default_timeout
@@ -264,21 +259,20 @@ class QueryService:
                 else self.config.default_timeout
             )
 
-        prepare_started = time.perf_counter()
-        prepared, plan_hit = self.db._prepare_cached(sql)
-        parse_bind_s = time.perf_counter() - prepare_started
-        if plan_hit:
-            self._count("service.plan_cache_hits")
-
         ticket = QueryTicket(
             f"q{next(self._ids)}",
             sql,
             session.session_id if session is not None else "-",
         )
+        prepared, plan_hit, parse_bind_s = self.db.prepare_timed(
+            sql, engine, ticket.query_id, ticket.session_id
+        )
         ticket._prepared = prepared
         ticket._engine = engine
         ticket._parse_bind_s = parse_bind_s
+        ticket._plan_cache_hit = plan_hit
         if plan_hit:
+            self._count("service.plan_cache_hits")
             self.telemetry.event(
                 "cache.hit",
                 cache="plan",
@@ -299,9 +293,8 @@ class QueryService:
             # Version component = the statement's own table dependencies
             # (per-table versions + DDL version), so DML on unrelated
             # tables leaves this entry servable.
-            key = self.result_cache.key(
-                sql, prepared.dep_token(self.db.catalog), engine
-            )
+            lookup_started = time.perf_counter()
+            key = (prepared.normalized, prepared.dep_token(self.db.catalog), engine)
             ticket._cache_key = key
             cached = self.result_cache.get(key)
             if cached is not None:
@@ -316,7 +309,14 @@ class QueryService:
                     query_id=ticket.query_id,
                     session_id=ticket.session_id,
                 )
-                self._record_result_cache_hit(ticket, cached, plan_hit)
+                # Never reaches execute_prepared: recorded here.
+                self._record(
+                    ticket,
+                    base_config,
+                    result=cached,
+                    result_cache_hit=True,
+                    execute_s=time.perf_counter() - lookup_started,
+                )
                 return ticket
 
         token = CancellationToken.with_timeout(timeout, ticket.query_id)
@@ -326,7 +326,6 @@ class QueryService:
             query_id=ticket.query_id,
             session_id=ticket.session_id,
         )
-        ticket._plan_cache_hit = plan_hit
         if (
             self.config.memory_budget_bytes is not None
             and prepared.plan is not None
@@ -378,7 +377,7 @@ class QueryService:
             error = QueryCancelled("cancelled while queued", query_id)
             ticket._finish("cancelled", error=error)
             self._count("service.cancelled")
-            self._record_cancelled(ticket, error)
+            self._record(ticket, ticket._config, error=error)
             return True
         if ticket.token is not None:
             ticket.token.cancel()
@@ -432,7 +431,7 @@ class QueryService:
             if not executed:
                 # Died on the pre-execution token check: execute_prepared
                 # never ran, so no record exists yet for this query.
-                self._record_cancelled(ticket, error)
+                self._record(ticket, ticket._config, error=error)
         except BaseException as error:  # noqa: BLE001 — recorded, not lost
             ticket._finish("failed", error=error)
             self._count("service.failed")
@@ -455,64 +454,22 @@ class QueryService:
     # ------------------------------------------------------------------
     # Telemetry hooks
     # ------------------------------------------------------------------
-    def _record_result_cache_hit(
-        self, ticket: QueryTicket, result, plan_hit: bool
-    ) -> None:
-        """Result-cache hits never reach ``execute_prepared``, so the
-        service records them itself (status ok, ``result_cache_hit=True``).
-        Must never raise — it runs on the submit path."""
-        if not self.telemetry.enabled:
-            return
-        try:
-            from ..observability.workload import plan_fingerprint
-
-            normalized = normalize_sql(ticket.sql)
-            self.telemetry.record_query(
-                QueryRecord(
-                    ticket.query_id,
-                    self.telemetry.truncate_sql(normalized),
-                    plan_fingerprint(result.dags, normalized, ticket._engine),
-                    engine=ticket._engine,
-                    session_id=ticket.session_id,
-                    status="ok",
-                    rows=len(result.batch),
-                    plan_cache_hit=plan_hit,
-                    result_cache_hit=True,
-                    parse_bind_s=ticket._parse_bind_s,
-                    total_s=ticket.latency or 0.0,
-                )
+    def _record(self, ticket: QueryTicket, config, **outcome) -> None:
+        """Record a ticket that finished without reaching
+        ``Database.execute_prepared`` (which records every statement it
+        runs): a result-cache hit, or a cancel before execution started."""
+        if self.telemetry.enabled:
+            self.telemetry.record_execution(
+                ticket._engine,
+                ticket._prepared,
+                config=config,
+                query_id=ticket.query_id,
+                session_id=ticket.session_id,
+                queue_wait_s=ticket.queue_wait or 0.0,
+                parse_bind_s=ticket._parse_bind_s,
+                plan_cache_hit=ticket._plan_cache_hit,
+                **outcome,
             )
-        except Exception:  # noqa: BLE001 — telemetry never breaks submits
-            pass
-
-    def _record_cancelled(self, ticket: QueryTicket, error) -> None:
-        """Queries cancelled *before* execution started (while queued, or
-        on the pre-execution token check) never reach ``execute_prepared``,
-        so the service records them itself. No DAG was executed, so the
-        fingerprint is the SQL-text fallback. Must never raise."""
-        if not self.telemetry.enabled:
-            return
-        try:
-            from ..observability.workload import plan_fingerprint
-
-            normalized = normalize_sql(ticket.sql)
-            self.telemetry.record_query(
-                QueryRecord(
-                    ticket.query_id,
-                    self.telemetry.truncate_sql(normalized),
-                    plan_fingerprint([], normalized, ticket._engine),
-                    engine=ticket._engine,
-                    session_id=ticket.session_id,
-                    status="cancelled",
-                    error=str(error),
-                    plan_cache_hit=ticket._plan_cache_hit,
-                    parse_bind_s=ticket._parse_bind_s,
-                    queue_wait_s=ticket.queue_wait or 0.0,
-                    total_s=ticket._parse_bind_s,
-                )
-            )
-        except Exception:  # noqa: BLE001 — telemetry never breaks the driver
-            pass
 
     def _on_result_evict(self, key, value) -> None:
         """Result-cache capacity eviction → flight-recorder breadcrumb."""

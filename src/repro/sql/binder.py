@@ -169,13 +169,7 @@ class _ExprContext:
         self._win_index: Dict[Tuple, str] = {}
 
     def intern_aggregate(self, call: AggregateCall) -> str:
-        key = (
-            call.func,
-            tuple(a.key() for a in call.args),
-            call.distinct,
-            tuple((e.key(), d) for e, d in call.order_by),
-            call.fraction,
-        )
+        key = call.key()
         if key in self._agg_index:
             return self._agg_index[key]
         name = f"_agg{len(self.aggregates)}"
@@ -185,15 +179,7 @@ class _ExprContext:
         return name
 
     def intern_window(self, call: WindowCall) -> str:
-        key = (
-            call.func,
-            tuple(a.key() for a in call.args),
-            call.ordering_key(),
-            call.frame.key() if call.frame else None,
-            call.offset,
-            call.default.key() if call.default is not None else None,
-            call.fraction,
-        )
+        key = call.key()
         if key in self._win_index:
             return self._win_index[key]
         name = f"_win{len(self.windows)}"

@@ -102,7 +102,7 @@ class TestLru:
                 return self.n
 
         cache = ResultCache(4, max_rows=10)
-        key = ResultCache.key("SELECT 1", 0, "lolepop")
+        key = ("select 1", 0, "lolepop")
         assert cache.admit(key, FakeResult(11)) is False
         assert cache.get(key) is None
         assert cache.admit(key, FakeResult(10)) is True
@@ -305,8 +305,23 @@ class TestDagClone:
 # ---------------------------------------------------------------------------
 class TestPlanCacheLookup:
     class _FakeCatalog:
+        """One table ``t`` whose version the test moves by hand."""
+
         def __init__(self, version=7):
             self.version = version
+            self.ddl_version = 1
+
+        def get(self, name):
+            assert name == "t"
+            return self  # stands in for the table: carries ``version``
+
+        def entry(self, sql="SELECT 1", **kwargs):
+            return PreparedPlan(
+                sql, None, None, self.version,
+                table_deps=(("t", self.version),),
+                ddl_version=self.ddl_version,
+                **kwargs,
+            )
 
     def test_miss_then_hit(self):
         cache = PlanCache(8)
@@ -314,7 +329,7 @@ class TestPlanCacheLookup:
         built = []
 
         def build():
-            entry = PreparedPlan("SELECT 1", None, None, catalog.version)
+            entry = catalog.entry()
             built.append(entry)
             return entry
 
@@ -327,18 +342,15 @@ class TestPlanCacheLookup:
     def test_version_change_misses(self):
         cache = PlanCache(8)
         catalog = self._FakeCatalog(version=1)
-        build = lambda: PreparedPlan("SELECT 1", None, None, catalog.version)
-        cache.lookup("SELECT 1", catalog, build)
+        cache.lookup("SELECT 1", catalog, catalog.entry)
         catalog.version = 2
-        _, hit = cache.lookup("SELECT 1", catalog, build)
+        _, hit = cache.lookup("SELECT 1", catalog, catalog.entry)
         assert hit is False
 
     def test_uncacheable_not_stored(self):
         cache = PlanCache(8)
         catalog = self._FakeCatalog()
-        build = lambda: PreparedPlan(
-            "EXPLAIN SELECT 1", None, None, catalog.version, cacheable=False
-        )
+        build = lambda: catalog.entry("EXPLAIN SELECT 1", cacheable=False)
         cache.lookup("EXPLAIN SELECT 1", catalog, build)
         _, hit = cache.lookup("EXPLAIN SELECT 1", catalog, build)
         assert hit is False

@@ -9,6 +9,7 @@ import importlib.util
 import json
 import os
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from repro.observability.chrome import (
     validate_trace_events,
 )
 from repro.observability.analyze import morsel_skew
+from repro.logical import key_hash, template_key
 from repro.observability.feedback import (
     FeedbackStore,
+    group_signature,
     plan_signature,
     root_observation,
 )
@@ -32,7 +35,13 @@ from repro.observability.provenance import (
     RewriteEvent,
     rewrite_events_to_dicts,
 )
-from repro.observability.telemetry import Telemetry, TelemetryConfig
+from repro.observability.telemetry import (
+    QueryRecord,
+    Telemetry,
+    TelemetryConfig,
+)
+
+from tests.test_parallel_property import SEED, _make_db, _plans
 
 
 def fresh_telemetry(**overrides) -> Telemetry:
@@ -253,10 +262,8 @@ class TestChromeWaitSpans:
 # Feedback store: persistence, tolerance, bounds
 # ---------------------------------------------------------------------------
 class FakePlan:
-    def label(self):
-        return "SCAN fake"
-
-    children = ()
+    def key(self):
+        return ("scan", "fake", ())
 
 
 def fake_observation(actual=100, est=10.0):
@@ -291,6 +298,9 @@ class TestFeedbackStore:
         store.flush()
         (tmp_path / "fb_dead.json").write_text("{not json")
         (tmp_path / "fb_beef.json").write_text('{"schema": 999}')
+        # A file from before signatures were plan-key hashes (schema 1).
+        old = dict(store.get("abc123"), schema_version=1, fingerprint="old1")
+        (tmp_path / "fb_old1.json").write_text(json.dumps(old))
         telemetry = fresh_telemetry()
         reopened = FeedbackStore(str(tmp_path), telemetry=telemetry)
         assert reopened.fingerprints() == ["abc123"]  # good file survives
@@ -299,7 +309,7 @@ class TestFeedbackStore:
             for e in telemetry.recorder.snapshot()
             if e["kind"] == "feedback.load_error"
         ]
-        assert len(warnings) == 2
+        assert len(warnings) == 3
 
     def test_bounded_size_evicts_oldest(self, tmp_path):
         telemetry = fresh_telemetry()
@@ -321,16 +331,13 @@ class TestFeedbackStore:
     def test_calibration_lookup(self, tmp_path):
         store = FeedbackStore(str(tmp_path))
         store.observe("abc123", "select 1", [fake_observation(actual=250)])
-        calibration = store.calibration()
-        assert calibration.rows_for(FakePlan()) == pytest.approx(250.0)
+        assert store.rows_for(FakePlan()) == pytest.approx(250.0)
 
         class OtherPlan:
-            def label(self):
-                return "SCAN other"
+            def key(self):
+                return ("scan", "other", ())
 
-            children = ()
-
-        assert calibration.rows_for(OtherPlan()) is None
+        assert store.rows_for(OtherPlan()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +397,13 @@ class TestClosedLoop:
         assert ticket.est_bytes == estimate_memory_bytes(plan, second.estimator)
         assert ticket.est_bytes < uncalibrated
 
-    def test_drift_triggers_replan_and_cache_discard(self, tmp_path):
+    def test_drift_triggers_replan_and_cache_discard(self, tmp_path, monkeypatch):
         telemetry = fresh_telemetry()
         db = correlated_db(tmp_path / "fb", telemetry=telemetry)
         prepared = db.prepare(DRIFT_SQL)
         fingerprint = None
 
-        db.sql(DRIFT_SQL)
+        result = db.sql(DRIFT_SQL)
         for record_fingerprint in (
             t.fingerprint for t in telemetry.workload.templates()
         ):
@@ -410,12 +417,10 @@ class TestClosedLoop:
             def drift_ratio():
                 return 5.0
 
-        real_get = telemetry.workload.get
-        telemetry.workload.get = lambda fp: DriftingTemplate()
-        try:
-            db._maybe_replan(fingerprint, prepared)
-        finally:
-            telemetry.workload.get = real_get
+        # The store's entry point, as Telemetry.record_execution calls it.
+        record = QueryRecord("d0", DRIFT_SQL, fingerprint, rows=len(result))
+        args = (record, prepared, result, db.estimator, DriftingTemplate())
+        assert db.feedback.record_execution(*args) is True
         assert prepared.est_rows is None
         assert not prepared.dag_templates
         replans = [
@@ -426,11 +431,7 @@ class TestClosedLoop:
         assert replans and replans[0]["drift_ratio"] == pytest.approx(5.0)
         # Throttled: a second drifting observation within REPLAN_INTERVAL
         # does not discard again.
-        telemetry.workload.get = lambda fp: DriftingTemplate()
-        try:
-            db._maybe_replan(fingerprint, prepared)
-        finally:
-            telemetry.workload.get = real_get
+        assert db.feedback.record_execution(*args) is False
         assert (
             len(
                 [
@@ -441,6 +442,180 @@ class TestClosedLoop:
             )
             == 1
         )
+        # The facade discards exactly the plan-cache entry it is told to.
+        assert db.prepare(DRIFT_SQL) is prepared
+        monkeypatch.setattr(db.feedback, "record_execution", lambda *a: True)
+        db.sql(DRIFT_SQL)
+        assert db.prepare(DRIFT_SQL) is not prepared
+
+
+# ---------------------------------------------------------------------------
+# One plan identity: LogicalPlan.key() and its template projection
+# ---------------------------------------------------------------------------
+WIDE_G = (
+    "SELECT a, b, c, d, e, f, g % 2 AS k, count(*) FROM w "
+    "GROUP BY a, b, c, d, e, f, g % 2"
+)
+WIDE_H = (
+    "SELECT a, b, c, d, e, f, h % 4 AS k, count(*) FROM w "
+    "GROUP BY a, b, c, d, e, f, h % 4"
+)
+
+
+def wide_db(feedback_dir=None):
+    """Eight int columns; ``g % 2`` has 2 groups and ``h % 4`` has 4."""
+    db = Database(
+        telemetry=fresh_telemetry(),
+        feedback_dir=None if feedback_dir is None else str(feedback_dir),
+    )
+    db.create_table("w", {name: "int64" for name in "abcdefgh"})
+    data = {name: np.zeros(400, dtype=np.int64) for name in "abcdef"}
+    data["g"] = data["h"] = np.arange(400)
+    db.insert("w", data)
+    return db
+
+
+class TestSevenKeyCollision:
+    """``Project.label()`` prints six items and then ``...``: two GROUP BYs
+    that differ only in their seventh key had one label signature, so what
+    one learned calibrated the other (reproduced at 790bf17)."""
+
+    def test_signatures_differ(self):
+        db = wide_db()
+        plan_g, plan_h = db.plan(WIDE_G), db.plan(WIDE_H)
+        assert plan_signature(plan_g) != plan_signature(plan_h)
+        # The group-count question of each statement's HASHAGG.
+        agg_g, agg_h = plan_g.children[0], plan_h.children[0]
+        assert agg_g.group_names == agg_h.group_names
+        assert group_signature(agg_g.child, agg_g.group_names) != group_signature(
+            agg_h.child, agg_h.group_names
+        )
+
+    @pytest.mark.parametrize("collect_metrics", [False, True])
+    def test_no_shared_calibration_entry(self, tmp_path, collect_metrics):
+        db = wide_db(tmp_path / "fb")
+        unlearned = wide_db().estimate(WIDE_H)
+        config = db.config.clone(collect_metrics=collect_metrics)
+        for _ in range(3):
+            assert len(db.sql(WIDE_G, config=config)) == 2
+        assert db.estimate(WIDE_G) == pytest.approx(2.0)
+        # H has never run: nothing G taught may answer for it.
+        assert db.estimate(WIDE_H) == pytest.approx(unlearned)
+        for _ in range(3):
+            assert len(db.sql(WIDE_H, config=config)) == 4
+        assert db.estimate(WIDE_G) == pytest.approx(2.0)
+        assert db.estimate(WIDE_H) == pytest.approx(4.0)
+
+
+def _with_where(sql, predicate):
+    """A corpus statement (one ``FROM t``, no WHERE) with a filter added."""
+    assert sql.count(" FROM t") == 1
+    return sql.replace(" FROM t", f" FROM t WHERE {predicate}")
+
+
+@pytest.fixture(scope="module")
+def corpus_db():
+    return _make_db(random.Random(SEED))
+
+
+class TestPlanKey:
+    @pytest.mark.parametrize("case", _plans(), ids=lambda c: f"plan{c[0]}")
+    def test_corpus_properties(self, corpus_db, case):
+        _, sql = case
+        key = corpus_db.plan(sql).key()
+        hash(key)  # usable as a dict key
+        # Equal SQL (modulo spelling) => equal key.
+        assert corpus_db.plan(sql).key() == key
+        assert corpus_db.plan("  " + sql.replace(" FROM ", "  from ")).key() == key
+        # A changed literal => another key, the same template.
+        low = corpus_db.plan(_with_where(sql, "y > 1.5")).key()
+        high = corpus_db.plan(_with_where(sql, "y > 2.5")).key()
+        assert low != high and low != key
+        assert template_key(low) == template_key(high)
+        assert template_key(low) != template_key(key)
+        # A changed column or LIMIT => another template.
+        other_column = corpus_db.plan(_with_where(sql, "x > 1.5")).key()
+        assert template_key(other_column) != template_key(low)
+        limits = [corpus_db.plan(f"{sql} LIMIT {n}").key() for n in (5, 6)]
+        assert template_key(limits[0]) != template_key(limits[1])
+        assert template_key(limits[0]) != template_key(key)
+
+    def test_corpus_keys_separate_distinct_statements(self, corpus_db):
+        by_key = {}
+        for _, sql in _plans():
+            by_key.setdefault(corpus_db.plan(sql).key(), set()).add(sql)
+        assert all(len(sqls) == 1 for sqls in by_key.values())
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            # aggregate function, DISTINCT, percentile fraction
+            ("SELECT g, sum(x) FROM t GROUP BY g", "SELECT g, max(x) FROM t GROUP BY g"),
+            (
+                "SELECT g, count(x) FROM t GROUP BY g",
+                "SELECT g, count(DISTINCT x) FROM t GROUP BY g",
+            ),
+            (
+                "SELECT percentile_cont(0.25) WITHIN GROUP (ORDER BY x) FROM t",
+                "SELECT percentile_cont(0.75) WITHIN GROUP (ORDER BY x) FROM t",
+            ),
+            # frame bounds, frame mode, window order direction, lag offset
+            (
+                "SELECT sum(x) OVER (ORDER BY y ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) FROM t",
+                "SELECT sum(x) OVER (ORDER BY y ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) FROM t",
+            ),
+            (
+                "SELECT sum(x) OVER (ORDER BY y ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM t",
+                "SELECT sum(x) OVER (ORDER BY y RANGE BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM t",
+            ),
+            (
+                "SELECT rank() OVER (PARTITION BY g ORDER BY y) FROM t",
+                "SELECT rank() OVER (PARTITION BY g ORDER BY y DESC) FROM t",
+            ),
+            (
+                "SELECT lag(x, 1) OVER (ORDER BY y) FROM t",
+                "SELECT lag(x, 2) OVER (ORDER BY y) FROM t",
+            ),
+            # join key, join kind
+            (
+                "SELECT a.x FROM t a JOIN t b ON a.g = b.g",
+                "SELECT a.x FROM t a JOIN t b ON a.g = b.h",
+            ),
+            (
+                "SELECT a.x FROM t a JOIN t b ON a.g = b.g",
+                "SELECT a.x FROM t a LEFT JOIN t b ON a.g = b.g",
+            ),
+            # grouping sets, sort direction, columns read by the scan
+            (
+                "SELECT g, h, sum(x) FROM t GROUP BY ROLLUP (g, h)",
+                "SELECT g, h, sum(x) FROM t GROUP BY CUBE (g, h)",
+            ),
+            ("SELECT g FROM t ORDER BY g", "SELECT g FROM t ORDER BY g DESC"),
+            ("SELECT g FROM t", "SELECT g, h FROM t"),
+        ],
+    )
+    def test_every_node_parameter_reaches_the_template(self, corpus_db, one, other):
+        assert template_key(corpus_db.plan(one).key()) != template_key(
+            corpus_db.plan(other).key()
+        )
+
+    def test_name_lists_are_never_read_as_literals(self):
+        # ``GROUP BY lit, int64, x`` spells a three-name list that a careless
+        # template projection would take for a ("lit", dtype, value) leaf.
+        db = Database()
+        db.create_table(
+            "n", {"lit": "int64", "int64": "int64", "x": "int64", "y": "int64"}
+        )
+        one = db.plan('SELECT count(*) FROM n GROUP BY lit, "int64", x').key()
+        other = db.plan('SELECT count(*) FROM n GROUP BY lit, "int64", y').key()
+        assert template_key(one) != template_key(other)
+
+    def test_key_hash_is_short_and_stable(self, corpus_db):
+        key = corpus_db.plan("SELECT g, sum(x) FROM t WHERE y > 1 GROUP BY g").key()
+        assert key_hash(key) == key_hash(corpus_db.plan(
+            "select g, sum(x) from t where y > 1 group by g"
+        ).key())
+        assert len(key_hash(key)) == 16 and int(key_hash(key), 16) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,7 @@ from repro.observability.telemetry import (
     TelemetryConfig,
     render_report,
 )
-from repro.observability.workload import (
-    BASELINE_WINDOW,
-    WorkloadStats,
-    plan_fingerprint,
-)
+from repro.observability.workload import BASELINE_WINDOW, WorkloadStats
 
 
 def fresh_telemetry(**overrides) -> Telemetry:
@@ -234,12 +230,24 @@ class TestPlanFingerprint:
         assert sorted(e.count for e in entries) == [1, 2]
 
     def test_fallback_on_sql_text(self):
-        a = plan_fingerprint([], "select 1")
-        b = plan_fingerprint([], "select 2")
+        # A statement that never got a plan is named by its normalized text.
+        telemetry = fresh_telemetry()
+        db = make_db(telemetry)
+        for sql, engine in (
+            ("SELECT nope FROM t", "lolepop"),
+            ("SELECT nada FROM t", "lolepop"),
+            ("select  nope from T", "lolepop"),
+            ("SELECT nope FROM t", "naive"),
+        ):
+            with pytest.raises(ReproError):
+                db.sql(sql, engine=engine)
+        a, b, a_again, a_naive = (
+            r["fingerprint"] for r in telemetry.slowlog.snapshot()
+        )
         assert a != b
-        assert a == plan_fingerprint([], "select 1")
+        assert a == a_again
         # Engine scoping: the same text on another engine is another key.
-        assert a != plan_fingerprint([], "select 1", engine="naive")
+        assert a != a_naive
 
     def test_stable_across_executions(self):
         telemetry = fresh_telemetry()
@@ -496,9 +504,9 @@ class TestDisabledPath:
                 constructions.append(1)
                 super().__init__(*args, **kwargs)
 
-        import repro.api as api_module
+        import repro.observability.telemetry as telemetry_module
 
-        monkeypatch.setattr(api_module, "QueryRecord", CountingRecord)
+        monkeypatch.setattr(telemetry_module, "QueryRecord", CountingRecord)
         telemetry = Telemetry(TelemetryConfig(enabled=False))
         db = make_db(telemetry)
         db.sql("SELECT count(*) FROM t")
@@ -524,6 +532,204 @@ class TestDisabledPath:
             session.execute("SELECT count(*) FROM t", timeout=60)
             assert service.health.running is False
         assert telemetry.recorder.recorded == 0
+
+
+# ---------------------------------------------------------------------------
+# One record per statement, whichever way it ends
+# ---------------------------------------------------------------------------
+WINDOW_SQL = "SELECT g, o, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t"
+BLOCKER_SQL = "SELECT g, count(*) FROM t GROUP BY g"
+RUNTIME_ERROR_SQL = "SELECT cast(s AS int64) FROM words"
+
+#: outcome -> the entry points it can happen through.
+OUTCOMES = {
+    "ok": ("direct", "service"),
+    "parse_error": ("direct", "service"),
+    "bind_error": ("direct", "service"),
+    "execution_error": ("direct", "service"),
+    "timeout_mid_region": ("direct", "service"),
+    "cancel_while_queued": ("service",),
+    "cancel_on_pre_execution_check": ("service",),
+    "admission_reject": ("service",),
+    "result_cache_hit": ("service",),
+}
+
+
+class RegionGate:
+    """A probe on the one ``run_region`` bracket both schedulers share:
+    parks the first region of a chosen statement until released, and can
+    push a running query's deadline into the past mid-flight."""
+
+    def __init__(self, monkeypatch):
+        from repro.execution.scheduler import RegionScheduler
+
+        self.parked = threading.Event()
+        self.release = threading.Event()
+        self.park_next = False
+        self.expire_at_region = None
+        self._entered = 0
+        run_region = RegionScheduler.run_region
+
+        def probed(scheduler, *args, **kwargs):
+            self._entered += 1
+            if self.park_next:
+                self.park_next = False
+                self.parked.set()
+                assert self.release.wait(timeout=60)
+            if self._entered == self.expire_at_region:
+                scheduler.cancellation.deadline = 0.0  # long past
+            return run_region(scheduler, *args, **kwargs)
+
+        monkeypatch.setattr(RegionScheduler, "run_region", probed)
+
+
+def _drive(outcome, via, db, gate):
+    """Make ``outcome`` happen through ``via``; returns the expected
+    ``[(sql, status), ...]`` of the statements that must each have left
+    exactly one record (none for an admission reject)."""
+    from repro.execution import CancellationToken
+
+    sql, status, error = {
+        "ok": (WINDOW_SQL, "ok", None),
+        "parse_error": ("SELECT FROM nothing WHERE", "error", ReproError),
+        "bind_error": ("SELECT nope FROM t", "error", ReproError),
+        "execution_error": (RUNTIME_ERROR_SQL, "error", ValueError),
+        "timeout_mid_region": (WINDOW_SQL, "cancelled", QueryCancelled),
+    }.get(outcome, (WINDOW_SQL, None, None))
+    if outcome == "timeout_mid_region":
+        gate.expire_at_region = 2
+
+    if via == "direct":
+        config = db.config.clone(cancellation=CancellationToken.with_timeout(3600))
+        if error is None:
+            db.sql(sql, config=config)
+        else:
+            with pytest.raises(error):
+                db.sql(sql, config=config)
+        return [(sql, status)]
+
+    budget = 1 if outcome == "admission_reject" else None
+    with service_for(
+        db, max_concurrent=1, health_interval_s=0, memory_budget_bytes=budget
+    ) as service:
+        if status is not None:
+            if error is None:
+                service.submit(sql, timeout=3600).result(timeout=60)
+            else:
+                with pytest.raises(error):
+                    service.submit(sql, timeout=3600).result(timeout=60)
+            return [(sql, status)]
+        if outcome == "admission_reject":
+            with pytest.raises(AdmissionError):
+                service.submit(WINDOW_SQL)
+            return []
+        if outcome == "result_cache_hit":
+            first = service.submit(WINDOW_SQL).result(timeout=60)
+            ticket = service.submit(WINDOW_SQL)
+            assert ticket.from_result_cache and ticket.result() is first
+            return [(WINDOW_SQL, "ok"), (WINDOW_SQL, "ok")]
+        # The two cancels before execution: park a blocker in the only slot
+        # so the statement under test is certainly still queued.
+        gate.park_next = True
+        blocker = service.submit(BLOCKER_SQL, use_result_cache=False)
+        assert gate.parked.wait(timeout=60)
+        queued = service.submit(WINDOW_SQL, use_result_cache=False)
+        assert queued.state == "queued"
+        if outcome == "cancel_while_queued":
+            assert service.cancel(queued.query_id) is True
+        else:  # dispatched once the slot frees, dies on the token check
+            queued.token.cancel()
+        gate.release.set()
+        blocker.result(timeout=60)
+        with pytest.raises(QueryCancelled):
+            queued.result(timeout=60)
+        finished = [(BLOCKER_SQL, "ok"), (WINDOW_SQL, "cancelled")]
+        # A queued cancel is recorded on the spot, before the blocker ends.
+        return finished[::-1] if outcome == "cancel_while_queued" else finished
+
+
+def _matrix_db(telemetry):
+    db = make_db(telemetry, rows=600)
+    db.create_table("words", {"s": "string"})
+    db.insert("words", {"s": ["a", "b"]})
+    return db
+
+
+_MATRIX = [(o, via) for o, vias in OUTCOMES.items() for via in vias]
+
+
+class TestOneRecordPerStatement:
+    @pytest.mark.parametrize("outcome, via", _MATRIX)
+    def test_exactly_one_record(self, monkeypatch, outcome, via):
+        telemetry = fresh_telemetry()
+        db = _matrix_db(telemetry)
+        expected = _drive(outcome, via, db, RegionGate(monkeypatch))
+        records = telemetry.slowlog.snapshot()
+        assert [r["status"] for r in records] == [status for _, status in expected]
+        # Every sink saw the same statements.
+        assert telemetry.queries_recorded == len(expected)
+        assert sum(t.count for t in telemetry.workload.templates()) == len(expected)
+        finished = [
+            e
+            for e in telemetry.recorder.snapshot()
+            if e["kind"] in ("query.finish", "query.error", "query.cancel")
+        ]
+        assert [e["query_id"] for e in finished] == [r["query_id"] for r in records]
+        assert len({r["query_id"] for r in records}) == len(records)
+        # A statement that got a plan carries that plan's fingerprint however
+        # it ended; one that never did is named by its text.
+        for record, (sql, _) in zip(records, expected):
+            if outcome in ("parse_error", "bind_error"):
+                assert record["fingerprint"] not in self.plan_fingerprints(db)
+            else:
+                assert record["fingerprint"] == self.plan_fingerprints(db)[sql]
+        if outcome == "result_cache_hit":
+            assert [r["result_cache_hit"] for r in records] == [False, True]
+
+    @staticmethod
+    def plan_fingerprints(db):
+        return {
+            sql: db.prepare(sql).fingerprint("lolepop", db.config)
+            for sql in (WINDOW_SQL, BLOCKER_SQL, RUNTIME_ERROR_SQL)
+        }
+
+    @pytest.mark.parametrize("outcome, via", _MATRIX)
+    def test_disabled_builds_no_record(self, monkeypatch, outcome, via):
+        import repro.observability.telemetry as telemetry_module
+
+        constructions = []
+
+        class CountingRecord(QueryRecord):
+            def __init__(self, *args, **kwargs):
+                constructions.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(telemetry_module, "QueryRecord", CountingRecord)
+        telemetry = Telemetry(TelemetryConfig(enabled=False))
+        _drive(outcome, via, _matrix_db(telemetry), RegionGate(monkeypatch))
+        assert constructions == []
+        assert telemetry.queries_recorded == 0
+        assert len(telemetry.workload) == 0
+        assert telemetry.recorder.recorded == 0
+
+    def test_cached_statement_hashes_its_plan_once(self, monkeypatch):
+        import repro.server.cache as cache_module
+
+        hashed = []
+        real_hash = cache_module.key_hash
+
+        def counting_hash(key):
+            hashed.append(key)
+            return real_hash(key)
+
+        monkeypatch.setattr(cache_module, "key_hash", counting_hash)
+        telemetry = fresh_telemetry()
+        db = make_db(telemetry)
+        for _ in range(100):
+            db.sql(WINDOW_SQL)
+        assert telemetry.queries_recorded == 100
+        assert len(hashed) == 1
+        assert len(telemetry.workload) == 1
 
 
 # ---------------------------------------------------------------------------
