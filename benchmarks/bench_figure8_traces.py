@@ -61,7 +61,7 @@ def test_figure8_trace(benchmark, db, report, profile_dir, number):
         report.add(
             section,
             f"    {operator:<14} total work {trace.total_work(operator) * 1000:9.2f} ms "
-            f"({sum(1 for r in trace.records if r.operator == operator)} morsels)",
+            f"({sum(1 for r in trace.records if r.name == operator)} morsels)",
         )
     benchmark.extra_info["makespan"] = trace.makespan
 
@@ -77,7 +77,7 @@ def test_figure8_trace(benchmark, db, report, profile_dir, number):
                 "operator": operator,
                 "work_s": trace.total_work(operator),
                 "morsels": sum(
-                    1 for r in trace.records if r.operator == operator
+                    1 for r in trace.records if r.name == operator
                 ),
             }
             for operator in trace.operators()
@@ -93,11 +93,11 @@ def test_figure8_trace(benchmark, db, report, profile_dir, number):
     if number == 2:
         # The paper's observation: the second sort is significantly faster
         # than the first (hash partitions already sorted by the key).
-        sorts = [r for r in trace.records if r.operator == "sort"]
-        phases = sorted({r.phase for r in sorts}, key=lambda p: int(p[1:]))
+        sorts = [r for r in trace.records if r.name == "sort"]
+        phases = sorted({r.attrs["phase"] for r in sorts}, key=lambda p: int(p[1:]))
         if len(phases) >= 2:
-            first = sum(r.duration for r in sorts if r.phase == phases[0])
-            second = sum(r.duration for r in sorts if r.phase == phases[1])
+            first = sum(r.duration for r in sorts if r.attrs["phase"] == phases[0])
+            second = sum(r.duration for r in sorts if r.attrs["phase"] == phases[1])
             report.add(
                 section,
                 f"    resort vs first sort: {second / max(first, 1e-9):.2f}x "

@@ -14,8 +14,8 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import os
-import time
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .baseline import ColumnarEngine, MonolithicEngine, NaiveRowEngine
 from .errors import ReproError
 from .execution.context import EngineConfig
+from .execution.trace import ExecutionTrace
 from .logical import LogicalPlan, explain_plan
 from .logical.cardinality import CardinalityEstimator
 from .lolepop.engine import LolepopEngine, QueryResult
@@ -34,6 +35,9 @@ from .stats import StatisticsCache
 from .storage.batch import Batch
 from .storage.table import Catalog, Table
 from .types import Schema
+
+#: Stands in for the ``execute`` stage of a statement nobody is tracing.
+_NO_SPAN = contextlib.nullcontext()
 
 _ENGINES = {
     "lolepop": LolepopEngine,
@@ -218,26 +222,31 @@ class Database:
         engine: str = "lolepop",
         query_id: Optional[str] = None,
         session_id: Optional[str] = None,
+        config: Optional[EngineConfig] = None,
     ):
-        """(prepared plan, plan-cache hit, parse+bind seconds) — the front
-        half of :meth:`sql`, shared with the query service. A statement that
+        """(prepared plan, plan-cache hit, statement span tree) — the front
+        half of :meth:`sql`, shared with the query service. The statement's
+        span tree (root: ids, engine, cache flags; a ``parse_bind`` stage
+        around the lookup) is opened when telemetry is enabled or ``config``
+        collects a trace or metrics, else it is ``None``. A statement that
         fails to parse or bind is recorded here, before the error
         propagates: it will never reach :meth:`execute_prepared`."""
-        started = time.perf_counter()
+        config = config or self.config
+        if not (self.telemetry.enabled or config.collect_trace or config.collect_metrics):
+            return (*self._prepare_cached(query), None)
+        root = self.telemetry.open_statement(query, engine, query_id, session_id)
+        trace = ExecutionTrace(root)
         try:
-            prepared, cache_hit = self._prepare_cached(query)
+            with trace.enter("stage", "parse_bind"):
+                prepared, cache_hit = self._prepare_cached(query)
         except Exception as error:
             if self.telemetry.enabled:
-                self.telemetry.record_execution(
-                    engine,
-                    sql=normalize_sql(query),
-                    query_id=query_id,
-                    session_id=session_id,
-                    error=error,
-                    parse_bind_s=time.perf_counter() - started,
-                )
+                root.name = normalize_sql(query)
+                self.telemetry.record_execution(root, error=error)
             raise
-        return prepared, cache_hit, time.perf_counter() - started
+        root.name = prepared.normalized
+        root.attrs["plan_cache_hit"] = cache_hit
+        return prepared, cache_hit, trace
 
     def sql(
         self,
@@ -252,14 +261,8 @@ class Database:
         ``EXPLAIN LOLEPOP <select>`` returns the LOLEPOP DAG;
         ``EXPLAIN ANALYZE <select>`` executes the query and returns the DAG
         annotated with actual rows, estimates, and per-operator time."""
-        prepared, cache_hit, parse_bind_s = self.prepare_timed(query, engine)
-        return self.execute_prepared(
-            prepared,
-            engine=engine,
-            config=config,
-            plan_cache_hit=cache_hit,
-            parse_bind_s=parse_bind_s,
-        )
+        prepared, _, trace = self.prepare_timed(query, engine, config=config)
+        return self.execute_prepared(prepared, engine=engine, config=config, trace=trace)
 
     def run_config(
         self, engine: str, config: Optional[EngineConfig] = None
@@ -277,19 +280,19 @@ class Database:
         prepared,
         engine: str = "lolepop",
         config: Optional[EngineConfig] = None,
-        plan_cache_hit: bool = False,
-        parse_bind_s: float = 0.0,
-        queue_wait_s: float = 0.0,
+        trace: Optional[ExecutionTrace] = None,
     ) -> QueryResult:
         """Execute a :class:`~repro.server.cache.PreparedPlan` (from
         :meth:`prepare` or the plan cache) without re-parsing or
         re-binding. The query service's execution entry point.
 
-        When telemetry is enabled, every non-EXPLAIN execution (including
-        failures and cancellations) emits one
-        :class:`~repro.observability.telemetry.QueryRecord`; callers that
-        already measured parse/bind or queue time pass it through so the
-        record's latency breakdown is complete.
+        ``trace`` is the statement's span tree from :meth:`prepare_timed`
+        (the service has added ``admission`` and ``queue`` stages); without
+        one, telemetry being enabled, the root is opened here. Execution
+        runs inside an ``execute`` stage beneath the root, and when
+        telemetry is enabled every non-EXPLAIN execution (failures and
+        cancellations too) closes the root into one
+        :class:`~repro.observability.telemetry.QueryRecord`.
         """
         if isinstance(prepared.statement, ExplainStmt):
             # EXPLAIN is a diagnostic, not workload: never recorded.
@@ -301,41 +304,33 @@ class Database:
                 f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}"
             )
         run_config = self.run_config(engine, config)
-        started = time.perf_counter()
         result = error = None
+        if trace is None and self.telemetry.enabled:
+            trace = ExecutionTrace(self.telemetry.open_statement(prepared.normalized, engine))
         try:
-            if engine == "lolepop":
-                result = LolepopEngine(self.catalog, run_config, self.estimator).run(
-                    prepared.plan,
-                    query=prepared.sql,
-                    prepared=prepared if prepared.cacheable else None,
-                    plan_cache_hit=plan_cache_hit,
-                )
-            else:
-                result = _ENGINES[engine](self.catalog, run_config).run(prepared.plan)
+            with trace.enter("stage", "execute") if trace is not None else _NO_SPAN:
+                if engine == "lolepop":
+                    result = LolepopEngine(self.catalog, run_config, self.estimator).run(
+                        prepared.plan,
+                        query=prepared.sql,
+                        prepared=prepared if prepared.cacheable else None,
+                        trace=trace,
+                    )
+                else:
+                    result = _ENGINES[engine](self.catalog, run_config).run(prepared.plan)
             return result
         except BaseException as raised:  # recorded below, re-raised
             error = raised
             raise
         finally:
-            if self.telemetry.enabled:
+            if trace is not None and self.telemetry.enabled:
                 replan = self.telemetry.record_execution(
-                    engine,
-                    prepared,
-                    config=run_config,
-                    query_id=run_config.query_id,
-                    session_id=run_config.session_id,
-                    result=result,
-                    error=error,
-                    queue_wait_s=queue_wait_s,
-                    parse_bind_s=parse_bind_s,
-                    execute_s=time.perf_counter() - started,
-                    plan_cache_hit=plan_cache_hit,
-                    estimator=self.estimator,
-                    feedback=self.feedback,
+                    trace.root, prepared, run_config, result, error, self.estimator, self.feedback
                 )
                 if replan and self.plan_cache is not None:
                     self.plan_cache.discard(prepared.normalized)
+            elif trace is not None:
+                trace.root.close()
             error = None  # do not keep the traceback's frame cycle alive
 
     def _explain_statement(self, stmt, query: str, config=None) -> QueryResult:
@@ -350,9 +345,7 @@ class Database:
                 collect_metrics=True, collect_trace=True
             )
             run = LolepopEngine(self.catalog, run_config).run(plan, query=query)
-            text = render_analyze(
-                run, self.catalog, run_config, estimator=self.estimator
-            )
+            text = render_analyze(run, run_config, self.estimator)
         else:
             text = explain_plan(plan)
         batch = Batch.from_pydict(
@@ -360,10 +353,8 @@ class Database:
         )
         if run is None:
             return QueryResult(batch, 0.0, 0.0, None, [])
-        return QueryResult(
-            batch, run.serial_time, run.simulated_time, run.trace, run.dags,
-            profile=run.profile,
-        )
+        run.batch = batch  # the report, with the run's timings and profile
+        return run
 
     def explain_analyze(
         self, query: str, config: Optional[EngineConfig] = None

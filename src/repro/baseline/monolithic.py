@@ -69,8 +69,8 @@ class MonolithicEngine:
         batch = Batch.concat(batches) if batches else Batch.empty(plan.schema)
         return QueryResult(
             batch,
-            runner.ctx.serial_time,
-            runner.ctx.simulated_time,
+            runner.ctx.scheduler.serial_time,
+            runner.ctx.scheduler.sim_time,
             runner.ctx.trace,
             [],
         )

@@ -17,9 +17,9 @@ docs/architecture.md ("Execution modes") for when the simulated makespan
 and the measured parallel time should agree.
 """
 
-from .scheduler import SimulatedScheduler, SplittableTask, WorkItem
+from .scheduler import SimulatedScheduler, SplittableTask
 from .parallel import ParallelScheduler
-from .trace import ExecutionTrace, TraceRecord
+from .trace import ExecutionTrace, Span
 from .context import EXECUTION_MODES, EngineConfig, ExecutionContext
 from .cancellation import CancellationToken
 
@@ -28,9 +28,8 @@ __all__ = [
     "SimulatedScheduler",
     "ParallelScheduler",
     "SplittableTask",
-    "WorkItem",
     "ExecutionTrace",
-    "TraceRecord",
+    "Span",
     "EXECUTION_MODES",
     "EngineConfig",
     "ExecutionContext",

@@ -55,10 +55,6 @@ class EngineConfig:
         cost_based_distinct: bool = False,
         # --- service layer -------------------------------------------------
         cancellation=None,
-        query_id: Optional[str] = None,
-        session_id: Optional[str] = None,
-        queue_wait_s: float = 0.0,
-        admission_reserve_s: float = 0.0,
         # --- static plan verifier ------------------------------------------
         verify_plans: Optional[str] = None,
         # --- cross-query materialization manager ---------------------------
@@ -84,8 +80,8 @@ class EngineConfig:
         self.collect_trace = collect_trace
         #: When True the LOLEPOP engine attaches a
         #: :class:`~repro.observability.metrics.QueryProfile` to the result
-        #: and every executed operator collects
-        #: :class:`~repro.observability.metrics.OperatorStats`. Off by
+        #: and every executed operator gets a ``node``
+        #: :class:`~repro.execution.trace.Span` holding its counters. Off by
         #: default: the hot path then pays one ``None`` check per DAG node.
         self.collect_metrics = collect_metrics
         self.execution_mode = execution_mode
@@ -113,19 +109,6 @@ class EngineConfig:
         #: schedulers check it when entering every region barrier, raising
         #: :class:`~repro.errors.QueryCancelled` on cancel/timeout.
         self.cancellation = cancellation
-        #: Attribution stamped by the query service (``"q7"`` / ``"s2"``):
-        #: propagated onto the execution trace (→ Chrome-trace span args)
-        #: and into telemetry query records. Not part of
-        #: :meth:`translation_fingerprint` — ids never change the plan.
-        self.query_id = query_id
-        self.session_id = session_id
-        #: Service-layer latency attribution, stamped by the query service
-        #: before execution: seconds spent in the admission queue and in
-        #: the admission controller's reserve step. Propagated onto the
-        #: execution trace (→ Chrome-trace ``service:*`` spans). Like the
-        #: ids above, never part of :meth:`translation_fingerprint`.
-        self.queue_wait_s = queue_wait_s
-        self.admission_reserve_s = admission_reserve_s
         #: Static plan verifier mode (see :data:`VERIFY_MODES`). ``None``
         #: resolves from ``REPRO_VERIFY_PLANS`` (default ``off``); the test
         #: suite and CI set ``on``. Deliberately *not* part of
@@ -175,25 +158,28 @@ _CONFIG_FIELDS = tuple(inspect.signature(EngineConfig.__init__).parameters)[1:]
 
 
 class ExecutionContext:
-    """Per-query state: scheduler, trace, and the phase label used to group
-    trace records into pipelines."""
+    """Per-query state: scheduler, span tree, and the phase label that
+    names a pipeline in trace output."""
 
-    def __init__(self, config: Optional[EngineConfig] = None):
+    def __init__(
+        self, config: Optional[EngineConfig] = None, trace: Optional[ExecutionTrace] = None
+    ):
         self.config = config or EngineConfig()
-        self.trace = ExecutionTrace() if self.config.collect_trace else None
-        if self.trace is not None:
-            self.trace.query_id = self.config.query_id
-            self.trace.session_id = self.config.session_id
-            self.trace.queue_wait_s = self.config.queue_wait_s
-            self.trace.admission_reserve_s = self.config.admission_reserve_s
-        if self.config.execution_mode == "parallel":
-            self.scheduler = ParallelScheduler(
-                self.config.num_threads, self.trace, self.config.cancellation
-            )
-        else:
-            self.scheduler = SimulatedScheduler(
-                self.config.num_threads, self.trace, self.config.cancellation
-            )
+        #: The statement's span tree: the caller's (its root carries the
+        #: per-query attribution, its cursor sits in the ``execute`` stage),
+        #: else a bare one when a collect flag asks for nodes or regions.
+        if trace is None and (self.config.collect_trace or self.config.collect_metrics):
+            trace = ExecutionTrace()
+        self.trace = trace
+        scheduler = (
+            ParallelScheduler if self.config.execution_mode == "parallel" else SimulatedScheduler
+        )
+        # Only a scheduler that was asked for regions is handed the tree.
+        self.scheduler = scheduler(
+            self.config.num_threads,
+            self.trace if self.config.collect_trace else None,
+            self.config.cancellation,
+        )
         self._phase = "p0"
         self._phase_counter = 0
         self._spill_manager = None
@@ -230,11 +216,10 @@ class ExecutionContext:
             self._spill_manager.cleanup()
 
     # ------------------------------------------------------------------
-    def next_phase(self) -> str:
+    def next_phase(self) -> None:
         """Advance to the next pipeline phase (a scheduling barrier)."""
         self._phase_counter += 1
         self._phase = f"p{self._phase_counter}"
-        return self._phase
 
     def parallel_for(
         self,
@@ -247,12 +232,3 @@ class ExecutionContext:
         return self.scheduler.run_region(
             operator, self._phase, items, fn, splittable
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def simulated_time(self) -> float:
-        return self.scheduler.sim_time
-
-    @property
-    def serial_time(self) -> float:
-        return self.scheduler.serial_time

@@ -42,7 +42,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .scheduler import RegionScheduler, SplittableTask
-from .trace import ExecutionTrace, RegionSpan, TraceRecord
+from .trace import ExecutionTrace
 
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
@@ -84,11 +84,6 @@ class ParallelScheduler(RegionScheduler):
         """Measured parallel wall clock (sum of region spans). Named for
         API parity with the simulated scheduler."""
         return self._elapsed
-
-    def reset(self) -> None:
-        super().reset()
-        self._elapsed = 0.0
-        self._worker_ids.clear()
 
     # ------------------------------------------------------------------
     def _execute_items(
@@ -144,8 +139,7 @@ class ParallelScheduler(RegionScheduler):
             # (concurrent.futures preserves __traceback__).
             raise error
 
-        self._record(operator, phase, outcomes, region_start)
-
+        self.serial_time += sum(end - start for _, _, start, end in outcomes)
         results: List = []
         cursor = 0
         for item, plan in zip(items, plans):
@@ -157,38 +151,20 @@ class ParallelScheduler(RegionScheduler):
                 sub_results = [o[0] for o in outcomes[cursor : cursor + count]]
                 cursor += count
                 results.append(item.finalize(sub_results))
-        region_span_start = self._elapsed
+        base = self._elapsed
         self._elapsed += time.perf_counter() - region_start
         if self.trace is not None:
-            self.trace.add_region(
-                RegionSpan(
-                    operator, phase, region_span_start, self._elapsed, len(items)
-                )
-            )
+            # Spans are written here — on the submitting thread, after the
+            # barrier, so no locking is needed anywhere — from what each
+            # worker measured, re-based onto the scheduler's clock.
+            offset = base - region_start
+            workers = self._worker_ids
+            units = [
+                (workers.setdefault(ident, len(workers)), start + offset, end + offset)
+                for _, ident, start, end in outcomes
+            ]
+            self.trace.add_region(operator, phase, base, self._elapsed, units, len(items))
         return results
-
-    # ------------------------------------------------------------------
-    def _record(
-        self, operator: str, phase: str, outcomes: List, region_start: float
-    ) -> None:
-        """Accumulate serial time and emit trace records; runs on the
-        submitting thread so no locking is needed anywhere."""
-        base = self._elapsed
-        for _, ident, start, end in outcomes:
-            self.serial_time += end - start
-            if self.trace is not None:
-                worker = self._worker_ids.setdefault(
-                    ident, len(self._worker_ids)
-                )
-                self.trace.add(
-                    TraceRecord(
-                        worker,
-                        base + (start - region_start),
-                        base + (end - region_start),
-                        operator,
-                        phase,
-                    )
-                )
 
 
 def _timed(fn: Callable, *args):

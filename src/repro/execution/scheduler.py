@@ -18,10 +18,10 @@ sorting collapse (Table 3, queries 7/12/15).
 from __future__ import annotations
 
 import time
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..analysis.sanitizer import SAN as _SAN
-from .trace import ExecutionTrace, RegionSpan, TraceRecord
+from .trace import ExecutionTrace
 
 #: Minimum simulated duration of one split chunk (seconds). Splitting below
 #: this granularity would model morsels smaller than scheduling overhead.
@@ -30,13 +30,6 @@ SPLIT_QUANTUM = 0.0005
 #: Relative overhead added when an item is split (synchronization, cache
 #: effects of parallel runs + merge).
 SPLIT_OVERHEAD = 0.10
-
-
-class WorkItem(NamedTuple):
-    """A scheduled unit: measured duration plus scheduling attributes."""
-
-    duration: float
-    splittable: bool = False
 
 
 class SplittableTask:
@@ -91,12 +84,6 @@ class RegionScheduler:
         #: Total measured per-item work (the "1 thread" time).
         self.serial_time = 0.0
 
-    def reset(self) -> None:
-        self.serial_time = 0.0
-        if self.trace is not None:
-            self.trace.records.clear()
-            self.trace.regions.clear()
-
     def run_region(
         self,
         operator: str,
@@ -148,10 +135,6 @@ class SimulatedScheduler(RegionScheduler):
         """Current simulated wall clock (max over threads)."""
         return max(self._clocks)
 
-    def reset(self) -> None:
-        super().reset()
-        self._clocks = [0.0] * self.num_threads
-
     # ------------------------------------------------------------------
     def _execute_items(
         self,
@@ -190,17 +173,16 @@ class SimulatedScheduler(RegionScheduler):
             tasks.extend(self._split(duration, splittable))
         # Longest-processing-time-first greedy: near-optimal makespan and
         # deterministic.
+        units = []
         for duration in sorted(tasks, reverse=True):
             thread = min(range(self.num_threads), key=lambda t: self._clocks[t])
             start = self._clocks[thread]
             self._clocks[thread] = start + duration
             if self.trace is not None:
-                self.trace.add(
-                    TraceRecord(thread, start, start + duration, operator, phase)
-                )
-        if self.trace is not None and durations:
+                units.append((thread, start, start + duration))
+        if units:
             self.trace.add_region(
-                RegionSpan(operator, phase, barrier, self.sim_time, len(durations))
+                operator, phase, barrier, self.sim_time, units, len(durations)
             )
 
     def _split(self, duration: float, splittable: bool) -> List[float]:

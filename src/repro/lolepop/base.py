@@ -13,7 +13,7 @@ nodes in a topological order over both data and ordering edges.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ExecutionError, PlanError
 from ..execution.context import ExecutionContext
@@ -24,6 +24,39 @@ if TYPE_CHECKING:
     from ..observability.provenance import RewriteEvent
 
 OpResult = Union[List[Batch], TupleBuffer]
+
+
+#: The counters a ``node`` span starts with; ``extra`` (operator-specific
+#: details: sort mode, merge rounds, ...) rides beside them.
+NODE_COUNTERS = (
+    "rows_in", "rows_out", "batches_in", "batches_out", "peak_buffer_bytes",
+    "spill_bytes_written", "spill_bytes_read", "buffer_reuse_hits",
+    "sort_elisions", "bytes_materialized", "peak_partition_bytes",
+)
+
+
+def node_attrs() -> dict:
+    """Fresh ``attrs`` of a ``node`` span."""
+    attrs: dict = dict.fromkeys(NODE_COUNTERS, 0)
+    attrs["extra"] = {}
+    return attrs
+
+
+def _shape_of(value: object) -> Tuple[int, int, int, int]:
+    """(rows, batches, buffer bytes, largest partition bytes) of an
+    operator input/output value. The largest partition is the unit of
+    per-worker memory, so a high value is the memory-side face of skew."""
+    if isinstance(value, TupleBuffer):
+        partition_peak = max(
+            (p.approx_bytes() for p in value.partitions), default=0
+        )
+        return (
+            value.num_rows, value.num_partitions,
+            value.approx_bytes(), partition_peak,
+        )
+    if isinstance(value, (list, tuple)):
+        return sum(len(b) for b in value), len(value), 0, 0
+    return 0, 0, 0, 0
 
 
 class Lolepop:
@@ -43,9 +76,9 @@ class Lolepop:
         #: Anti-dependency edges: operators that must run before this one
         #: even though no data flows between them (buffer reordering).
         self.after: List[Lolepop] = []
-        #: :class:`~repro.observability.metrics.OperatorStats` while this
-        #: node executes under ``collect_metrics=True``; ``None`` otherwise.
-        self.stats = None
+        #: This node's ``node`` :class:`~repro.execution.trace.Span` once it
+        #: executed under ``collect_metrics=True``; ``None`` otherwise.
+        self.span = None
 
     def name(self) -> str:
         """EXPLAIN's operator legend, resolved through the contract
@@ -66,6 +99,12 @@ class Lolepop:
     def run_after(self, *ops: "Lolepop") -> "Lolepop":
         self.after.extend(ops)
         return self
+
+    def note(self, **extra) -> None:
+        """Record operator-specific details (sort mode, merge rounds, ...)
+        on this node's span: checked for by the caller (the default path
+        builds no arguments), who is on the submitting thread."""
+        self.span.attrs["extra"].update(extra)
 
 
 class SourceOp(Lolepop):
@@ -178,7 +217,7 @@ class Dag:
         """Structural copy for plan-cache reuse: fresh node instances wired
         like the originals, sharing the (read-only) operator parameters.
 
-        Execution mutates node *instances* (``stats``, SORT's split
+        Execution mutates node *instances* (``span``, SORT's split
         bookkeeping) but never the parameter lists, so a shallow per-node
         copy gives an independently executable DAG while the cached template
         stays pristine. SOURCE thunks are per-query (they close over the
@@ -193,7 +232,7 @@ class Dag:
             twin = copy.copy(node)
             twin.inputs = [mapping[id(dep)] for dep in node.inputs]
             twin.after = [mapping[id(dep)] for dep in node.after]
-            twin.stats = None
+            twin.span = None
             mapping[id(node)] = twin
             cloned.nodes.append(twin)
         cloned.sink = mapping[id(self.sink)] if self.sink is not None else None
@@ -224,49 +263,40 @@ class Dag:
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
         """Run the DAG; each operator's execution is one or more pipeline
-        phases of the simulated scheduler.
+        phases of the scheduler.
 
-        When the context carries a query profile every node gets an
-        :class:`~repro.observability.metrics.OperatorStats` — rows/batches
-        in and out, wall time, and the spill-byte delta attributed to it.
-        The default path pays exactly one ``None`` check per node.
+        Under ``collect_metrics`` every node runs inside its own ``node``
+        span (beneath whichever span is open: a nested region's nodes are
+        children of the SOURCE that ran them) whose ``attrs`` count rows and
+        batches in and out, buffer bytes and the spill bytes attributed to
+        it. The default path pays one check per node.
         """
         results: Dict[int, OpResult] = {}
-        profile = ctx.profile
+        trace = ctx.trace if ctx.config.collect_metrics else None
         for node in self.topological_order():
             ctx.next_phase()
             inputs = [results[id(dep)] for dep in node.inputs]
-            if profile is None:
+            if trace is None:
                 results[id(node)] = node.execute(ctx, inputs)
                 continue
-            results[id(node)] = self._execute_instrumented(ctx, node, inputs)
+            attrs = node_attrs()
+            for value in inputs:
+                rows, batches, _, _ = _shape_of(value)
+                attrs["rows_in"] += rows
+                attrs["batches_in"] += batches
+            spill_before = ctx.spill_counters()
+            with trace.enter("node", node.name(), attrs) as span:
+                node.span = span
+                result = results[id(node)] = node.execute(ctx, inputs)
+            spill_after = ctx.spill_counters()
+            for key in ("bytes_written", "bytes_read"):
+                attrs["spill_" + key] = spill_after[key] - spill_before[key]
+            rows, batches, buffer_bytes, partition_peak = _shape_of(result)
+            attrs["rows_out"] = rows
+            attrs["batches_out"] = batches
+            attrs["bytes_materialized"] = attrs["peak_buffer_bytes"] = buffer_bytes
+            attrs["peak_partition_bytes"] = partition_peak
         return results[id(self.sink)]
-
-    @staticmethod
-    def _execute_instrumented(
-        ctx: ExecutionContext, node: Lolepop, inputs: List[OpResult]
-    ) -> OpResult:
-        import time
-
-        from ..observability.metrics import OperatorStats
-
-        stats = OperatorStats()
-        node.stats = stats
-        for value in inputs:
-            stats.add_input(value)
-        spill_before = ctx.spill_counters()
-        start = time.perf_counter()
-        result = node.execute(ctx, inputs)
-        stats.wall_time += time.perf_counter() - start
-        spill_after = ctx.spill_counters()
-        stats.spill_bytes_written += (
-            spill_after["bytes_written"] - spill_before["bytes_written"]
-        )
-        stats.spill_bytes_read += (
-            spill_after["bytes_read"] - spill_before["bytes_read"]
-        )
-        stats.add_output(result)
-        return result
 
     # ------------------------------------------------------------------
     def explain(self) -> str:

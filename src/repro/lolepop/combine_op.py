@@ -65,8 +65,8 @@ class CombineOp(Lolepop):
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
-        if self.stats is not None:
-            self.stats.extra["producers"] = len(inputs)
+        if self.span is not None:
+            self.note(producers=len(inputs))
         if self.mode == "join":
             return self._execute_join(ctx, inputs)
         return self._execute_union(ctx, inputs)

@@ -93,8 +93,8 @@ class QueryResult:
             for name in dag.operator_names():
                 out.setdefault(name.lower(), (0.0, 0))
         for record in self.trace.records:
-            work, count = out.get(record.operator, (0.0, 0))
-            out[record.operator] = (work + record.duration, count + 1)
+            work, count = out.get(record.name, (0.0, 0))
+            out[record.name] = (work + record.duration, count + 1)
         return out
 
     def pretty(self, max_rows=50) -> str:
@@ -146,25 +146,26 @@ class LolepopEngine:
         plan: LogicalPlan,
         query: Optional[str] = None,
         prepared=None,
-        plan_cache_hit: bool = False,
+        trace: Optional[ExecutionTrace] = None,
     ) -> QueryResult:
         """Execute ``plan``. When ``prepared`` (a plan-cache entry) is given,
         translated DAG templates are reused across executions: each
         statistics region clones its cached template instead of re-running
         the translator, and a freshly translated region stores its template
-        back on the entry."""
+        back on the entry. ``trace`` is the statement's span tree, when the
+        caller opened one: what this run records (``translate`` stages;
+        nodes, regions and items under the collect flags) goes beneath its
+        open span, the caller's ``execute`` stage."""
         runner = _Runner(
             self.catalog, self.config, prepared=prepared,
-            estimator=self.estimator,
+            estimator=self.estimator, trace=trace,
         )
         profile = None
         if self.config.collect_metrics:
             from ..observability.metrics import QueryProfile
 
-            profile = QueryProfile(query)
-            profile.num_threads = self.config.num_threads
-            profile.execution_mode = self.config.execution_mode
-            if plan_cache_hit:
+            profile = QueryProfile(query, self.config)
+            if trace is not None and trace.root.attrs.get("plan_cache_hit"):
                 profile.count("plan_cache.hit")
             profile.rewrites.extend(plan.rewrites)  # logical passes first
             runner.ctx.profile = profile
@@ -175,48 +176,44 @@ class LolepopEngine:
             )
         finally:
             runner.ctx.cleanup()
-        spill = runner.ctx.spill_counters()
-        if profile is not None:
-            for key, value in spill.items():
-                if value:
-                    profile.count(f"spill.{key}", value)
-            profile.serial_time = runner.ctx.serial_time
-            profile.makespan = runner.ctx.simulated_time
-            for dag in runner.dags:
-                profile.add_dag(dag)
-        self._feed_global_metrics(runner, batch, spill)
-        return QueryResult(
+            if trace is None and runner.ctx.trace is not None:
+                runner.ctx.trace.root.close()  # the bare root is this run's
+        scheduler = runner.ctx.scheduler
+        result = QueryResult(
             batch,
-            runner.ctx.serial_time,
-            runner.ctx.simulated_time,
-            runner.ctx.trace,
+            scheduler.serial_time,
+            scheduler.sim_time,
+            runner.ctx.trace if self.config.collect_trace else None,
             runner.dags,
             profile=profile,
-            spill=spill,
+            spill=runner.ctx.spill_counters(),
             translate_s=runner.translate_time,
         )
+        if profile is not None:
+            for key, value in result.spill.items():
+                if value:
+                    profile.count(f"spill.{key}", value)
+            profile.serial_time = result.serial_time
+            profile.makespan = result.simulated_time
+            for dag in runner.dags:
+                profile.add_dag(dag)
+        self._feed_global_metrics(result)
+        return result
 
     @staticmethod
-    def _feed_global_metrics(runner: "_Runner", batch: Batch, spill: dict) -> None:
+    def _feed_global_metrics(result: QueryResult) -> None:
         """A handful of per-query increments into the process-wide registry
         (cheap: a few dict lookups per query, never per row)."""
         from ..observability.metrics import GLOBAL_METRICS
 
         GLOBAL_METRICS.counter("queries.total").inc()
-        GLOBAL_METRICS.counter("queries.rows_out").inc(len(batch))
-        GLOBAL_METRICS.counter("queries.dags").inc(len(runner.dags))
-        GLOBAL_METRICS.counter("queries.work_seconds").inc(
-            runner.ctx.serial_time
-        )
-        GLOBAL_METRICS.histogram("queries.makespan_seconds").observe(
-            runner.ctx.simulated_time
-        )
-        if spill["bytes_written"]:
-            GLOBAL_METRICS.counter("spill.bytes_written").inc(
-                spill["bytes_written"]
-            )
-        if spill["bytes_read"]:
-            GLOBAL_METRICS.counter("spill.bytes_read").inc(spill["bytes_read"])
+        GLOBAL_METRICS.counter("queries.rows_out").inc(len(result.batch))
+        GLOBAL_METRICS.counter("queries.dags").inc(len(result.dags))
+        GLOBAL_METRICS.counter("queries.work_seconds").inc(result.serial_time)
+        GLOBAL_METRICS.histogram("queries.makespan_seconds").observe(result.simulated_time)
+        for key in ("bytes_written", "bytes_read"):
+            if result.spill[key]:
+                GLOBAL_METRICS.counter(f"spill.{key}").inc(result.spill[key])
 
     def explain(self, plan: LogicalPlan) -> str:
         """Translate the topmost statistics region without executing it and
@@ -233,10 +230,10 @@ class _Runner:
 
     def __init__(
         self, catalog: Catalog, config: EngineConfig, prepared=None,
-        estimator=None,
+        estimator=None, trace: Optional[ExecutionTrace] = None,
     ):
         self.catalog = catalog
-        self.ctx = ExecutionContext(config)
+        self.ctx = ExecutionContext(config, trace)
         self.dags: List[Dag] = []
         #: Seconds spent in translate_statistics across all regions of this
         #: run (zero when every region came from a cached DAG template).
@@ -262,11 +259,14 @@ class _Runner:
     def _handle_statistics(self, plan: LogicalPlan) -> List[Batch]:
         dag = self._cached_dag(plan)
         if dag is None:
-            translate_started = time.perf_counter()
+            started = time.perf_counter()
             dag = translate_statistics(
                 plan, self.execute_stream, self.ctx.config, self.estimator
             )
-            self.translate_time += time.perf_counter() - translate_started
+            ended = time.perf_counter()
+            self.translate_time += ended - started
+            if self.ctx.trace is not None:
+                self.ctx.trace.add("stage", "translate", started, ended)
             if self._prepared is not None:
                 # Store a pristine template (cloned before execution can
                 # mutate node state) for future runs of this statement;

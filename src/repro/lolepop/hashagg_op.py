@@ -143,7 +143,7 @@ class HashAggOp(Lolepop):
             self.tasks,
             self.num_partitions,
             two_phase=ctx.config.two_phase_hashagg,
-            stats=self.stats,
+            note=self.note if self.span is not None else None,
         )
 
 
@@ -155,7 +155,7 @@ def two_phase_aggregate(
     num_partitions: int,
     operator: str = "hashagg",
     two_phase: bool = True,
-    stats=None,
+    note=None,
 ) -> List[Batch]:
     """The paper's two-phase hash aggregation (Figure 6), shared between the
     HASHAGG LOLEPOP and the monolithic baseline's GROUP BY operator.
@@ -205,10 +205,9 @@ def two_phase_aggregate(
         return aggregate_batch(batch, key_names, tasks)
 
     partials = ctx.parallel_for(operator, batches, preaggregate)
-    if stats is not None:
+    if note is not None:
         # Recorded on the submitting thread, after the region barrier.
-        stats.extra["partial_rows"] = sum(len(p) for p in partials)
-        stats.extra["preagg_partials"] = len(partials)
+        note(partial_rows=sum(len(p) for p in partials), preagg_partials=len(partials))
     # Scatter partials into hash partitions (chunk-list concatenation in the
     # paper; cheap, charged to the same operator). The scatter itself is a
     # pure per-partial function; the pieces land in the pre-allocated

@@ -63,8 +63,8 @@ class MergeOp(Lolepop):
             runs = [run.slice(0, self.limit_hint) for run in runs]
         if not runs:
             runs = [Batch.empty(buffer.schema)]
-        if self.stats is not None:
-            self.stats.extra["initial_runs"] = len(runs)
+        if self.span is not None:
+            self.note(initial_runs=len(runs))
         rounds = 0
         while len(runs) > 1:
             pairs = [
@@ -84,8 +84,8 @@ class MergeOp(Lolepop):
             runs = ctx.parallel_for("merge", pairs, merge_pair)
             ctx.next_phase()
             rounds += 1
-        if self.stats is not None:
-            self.stats.extra["merge_rounds"] = rounds
+        if self.span is not None:
+            self.note(merge_rounds=rounds)
         result = TupleBuffer(buffer.schema, 1)
         result.partitions[0].append(runs[0])
         result.set_ordering(tuple(self.keys))

@@ -94,9 +94,8 @@ class OrdAggOp(Lolepop):
         results = ctx.parallel_for(
             "ordagg", partitions, aggregate_one, splittable=True
         )
-        if self.stats is not None:
-            self.stats.extra["aggregated_partitions"] = len(partitions)
-            self.stats.extra["tasks"] = len(self.tasks)
+        if self.span is not None:
+            self.note(aggregated_partitions=len(partitions), tasks=len(self.tasks))
         outputs = [b for b in results if len(b)]
         return outputs or [Batch.empty(out_schema)]
 

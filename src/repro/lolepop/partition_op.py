@@ -99,8 +99,8 @@ class PartitionOp(Lolepop):
             spilled = ctx.parallel_for(
                 "spill", [buffer], lambda b: b.spill_over_budget()
             )
-            if self.stats is not None and spilled:
-                self.stats.extra["spilled_partitions"] = spilled[0]
+            if self.span is not None and spilled:
+                self.note(spilled_partitions=spilled[0])
         if self.compact:
             ctx.next_phase()
             ctx.parallel_for(
@@ -109,10 +109,8 @@ class PartitionOp(Lolepop):
                 lambda p: p.compact(),
                 splittable=True,
             )
-        if self.stats is not None:
-            self.stats.extra["scatter_keys"] = (
-                ",".join(self.keys) or "round-robin"
-            )
+        if self.span is not None:
+            self.note(scatter_keys=",".join(self.keys) or "round-robin")
         if self.reuse_capture is not None:
             manager = getattr(ctx.config, "reuse", None)
             if manager is not None:

@@ -67,8 +67,8 @@ class ScanOp(Lolepop):
         outputs = [b for b in outputs if len(b)] or [outputs[0]]
         if self.offset or self.limit is not None:
             outputs = _apply_limit(outputs, self.limit, self.offset)
-        if self.stats is not None and self.project is not None:
-            self.stats.extra["projected_exprs"] = len(self.project)
+        if self.span is not None and self.project is not None:
+            self.note(projected_exprs=len(self.project))
         return outputs
 
 

@@ -109,9 +109,9 @@ class SortOp(Lolepop):
         buffer: TupleBuffer = inputs[0]
         required = tuple(self.keys)
         if ctx.config.elide_sorts and buffer.ordering_satisfies(required):
-            if self.stats is not None:
-                self.stats.sort_elisions += 1
-                self.stats.extra["elided"] = True
+            if self.span is not None:
+                self.note(elided=True)
+                self.span.attrs["sort_elisions"] += 1
             return buffer
         key_names = [name for name, _ in self.keys]
         descending = [desc for _, desc in self.keys]
@@ -126,12 +126,12 @@ class SortOp(Lolepop):
             for p in buffer.partitions
             if p.num_rows > 1
         ]
-        if self.stats is not None:
+        if self.span is not None:
             # What the partitions actually did (spilled ones always permute).
-            self.stats.extra["mode"] = "/".join(
-                sorted({task.mode for task in tasks})
-            ) or mode
-            self.stats.extra["sorted_partitions"] = len(tasks)
+            self.note(
+                mode="/".join(sorted({task.mode for task in tasks})) or mode,
+                sorted_partitions=len(tasks),
+            )
         ctx.parallel_for(
             "sort", tasks, PartitionSortTask.run, splittable=True
         )

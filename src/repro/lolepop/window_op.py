@@ -99,10 +99,11 @@ class WindowOp(Lolepop):
 
         ctx.parallel_for("window", buffer.partitions, compute, splittable=True)
         buffer.columns_appended(schema)
-        if self.stats is not None:
-            self.stats.extra["window_calls"] = len(self.calls)
-            self.stats.buffer_reuse_hits += 1  # computed columns written
-            # into the shared buffer instead of a fresh materialization.
+        if self.span is not None:
+            self.note(window_calls=len(self.calls))
+            # Computed columns written into the shared buffer instead of a
+            # fresh materialization.
+            self.span.attrs["buffer_reuse_hits"] += 1
         return buffer
 
 

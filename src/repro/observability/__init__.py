@@ -1,4 +1,4 @@
-"""Engine-wide observability: metrics, per-operator stats, query profiles,
+"""Engine-wide observability: metrics, query profiles,
 EXPLAIN ANALYZE rendering, and Chrome trace export.
 
 The paper's argument (Figure 8, §6) is that decomposing aggregation into
@@ -7,11 +7,11 @@ makes that visible at every layer:
 
 - :class:`MetricsRegistry` — process-wide counters / gauges / histograms
   (``GLOBAL_METRICS`` aggregates across queries; the shell's ``.metrics``).
-- :class:`QueryProfile` — one query's operator stats, optimizer-rewrite
-  log, and counters; collected when ``EngineConfig(collect_metrics=True)``.
-- :class:`OperatorStats` — per-LOLEPOP-instance counters (rows, batches,
-  wall time, buffer bytes, spilling, elisions).
-- :func:`chrome_trace_events` — export an execution trace as Chrome
+- :class:`QueryProfile` — one query's operator counters (the ``node``
+  spans of its span tree: rows, batches, wall time, buffer bytes, spilling,
+  elisions), optimizer-rewrite log, and counters; collected when
+  ``EngineConfig(collect_metrics=True)``.
+- :func:`chrome_trace_events` — export a statement's span tree as Chrome
   ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto.
 - :func:`render_analyze` — the ``EXPLAIN ANALYZE`` DAG annotation (actual
   rows vs. cardinality estimates, per-op time share, max Q-error).
@@ -28,7 +28,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    OperatorStats,
     QueryProfile,
 )
 from .chrome import chrome_trace_events, validate_trace_events, write_chrome_trace
@@ -51,7 +50,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "OperatorStats",
     "QueryProfile",
     "chrome_trace_events",
     "validate_trace_events",

@@ -99,80 +99,65 @@ def q_error(estimate: Optional[float], actual: int) -> Optional[float]:
     return max(est / act, act / est)
 
 
-def profile_max_q_error(profile, estimator) -> Optional[float]:
-    """The worst node-level Q-error across every DAG of a
-    :class:`~repro.observability.metrics.QueryProfile` — the same number
-    EXPLAIN ANALYZE's summary line reports, exposed for the telemetry
-    layer's per-query :class:`~repro.observability.telemetry.QueryRecord`.
-    Returns ``None`` when no node has both an estimate and stats.
-    """
-    worst: Optional[float] = None
+def attach_estimates(profile, estimator) -> None:
+    """Put the estimated output rows of every executed node on its span
+    (``attrs["est_rows"]``, ``None`` where no estimate can be derived) —
+    once per profiled execution; the max Q-error, EXPLAIN ANALYZE and the
+    feedback observations all read them from there."""
+    if profile.estimated:
+        return
+    profile.estimated = True
     for dag in profile.dags:
         estimates = estimate_dag_rows(dag, estimator)
         for node in dag.topological_order():
-            stats = getattr(node, "stats", None)
-            if stats is None:
-                continue
-            node_q = q_error(estimates.get(id(node)), stats.rows_out)
-            if node_q is not None and (worst is None or node_q > worst):
-                worst = node_q
-    return worst
+            if node.span is not None:
+                node.span.attrs["est_rows"] = estimates.get(id(node))
+
+
+def worst_q_error(profile, estimator) -> Optional[tuple]:
+    """``(Q-error, dag index, node index, node)`` of the worst-estimated
+    executed node across every DAG of a
+    :class:`~repro.observability.metrics.QueryProfile` — EXPLAIN ANALYZE's
+    summary line and the ``max_q_error`` of the statement's
+    :class:`~repro.observability.telemetry.QueryRecord`. ``None`` when no
+    node has an estimate."""
+    attach_estimates(profile, estimator)
+    scored = [
+        (q_error(node.span.attrs["est_rows"], node.span.attrs["rows_out"]), dag, index, node)
+        for dag, index, node in profile.executed_nodes()
+    ]
+    return max((s for s in scored if s[0] is not None), key=lambda s: s[0], default=None)
+
+
+def region_skew(region) -> dict:
+    """Morsel-skew metrics of one ``region`` span: the skew ratio
+    ``max/mean`` of its items' durations says how badly one straggling work
+    item stretched the barrier — 1.0 is perfectly balanced, large values
+    mean the region's makespan was set by a single morsel — plus the
+    straggler's thread id so the slow-query log can attribute the stall."""
+    worst = max(region.children, key=lambda item: item.duration)
+    mean_s = sum(item.duration for item in region.children) / len(region.children)
+    return {
+        "operator": region.name,
+        "phase": region.attrs["phase"],
+        "items": region.attrs["items"],
+        "max_s": worst.duration,
+        "mean_s": mean_s,
+        "skew": worst.duration / mean_s if mean_s > 0 else 1.0,
+        "straggler_thread": worst.thread,
+    }
 
 
 def morsel_skew(trace) -> List[dict]:
-    """Per-(operator, phase) morsel-skew metrics derived from an
-    :class:`~repro.execution.trace.ExecutionTrace`.
-
-    For each parallel phase the skew ratio ``max/mean`` of per-morsel
-    durations says how badly one straggling work item stretched the
-    barrier: 1.0 is perfectly balanced, large values mean the phase's
-    makespan was set by a single morsel. Each entry carries the straggler's
-    thread id so the slow-query log can attribute the stall. Sorted worst
-    skew first. Returns ``[]`` for ``None`` / empty traces.
-    """
-    if trace is None or not getattr(trace, "records", None):
+    """:func:`region_skew` of every region of an
+    :class:`~repro.execution.trace.ExecutionTrace`, worst skew first — one
+    entry per ``run_region`` barrier, however many regions share an operator
+    and a phase label. Returns ``[]`` for ``None`` / empty traces."""
+    if trace is None:
         return []
-    groups: Dict[tuple, List] = {}
-    for record in trace.records:
-        groups.setdefault((record.operator, record.phase), []).append(record)
-    out: List[dict] = []
-    for (operator, phase), records in groups.items():
-        durations = [r.duration for r in records]
-        worst = max(records, key=lambda r: r.duration)
-        max_s = worst.duration
-        mean_s = sum(durations) / len(durations)
-        out.append(
-            {
-                "operator": operator,
-                "phase": phase,
-                "items": len(records),
-                "max_s": max_s,
-                "mean_s": mean_s,
-                "skew": max_s / mean_s if mean_s > 0 else 1.0,
-                "straggler_thread": worst.thread,
-            }
-        )
+    out = [region_skew(region) for region in trace.regions if region.children]
     out.sort(key=lambda entry: (-entry["skew"], entry["operator"]))
     return out
-
-
-def render_morsel_skew(trace, limit: int = 3, min_skew: float = 1.5) -> List[str]:
-    """Human-readable lines for the worst-skewed parallel phases (only
-    phases with more than one morsel and skew >= ``min_skew`` — a serial
-    phase cannot be skewed)."""
-    lines: List[str] = []
-    for entry in morsel_skew(trace):
-        if entry["items"] < 2 or entry["skew"] < min_skew:
-            continue
-        lines.append(
-            f"{entry['operator']}/{entry['phase']}: skew {entry['skew']:.2f} "
-            f"(max {entry['max_s'] * 1000:.2f}ms / mean "
-            f"{entry['mean_s'] * 1000:.2f}ms over {entry['items']} morsels, "
-            f"straggler T{entry['straggler_thread']})"
-        )
-        if len(lines) >= limit:
-            break
-    return lines
 
 
 def _format_bytes(num: float) -> str:
@@ -183,78 +168,68 @@ def _format_bytes(num: float) -> str:
     return f"{num:.1f}GB"
 
 
-def render_analyze(result, catalog, config, estimator=None) -> str:
+def render_analyze(result, config, estimator) -> str:
     """Render ``EXPLAIN ANALYZE`` output for an executed query.
 
     ``result`` is a :class:`~repro.lolepop.engine.QueryResult` produced with
-    ``collect_metrics=True`` (so every DAG node carries
-    :class:`~repro.observability.metrics.OperatorStats`). ``estimator``
-    lets the caller supply a calibrated
-    :class:`~repro.logical.cardinality.CardinalityEstimator` (one carrying
-    feedback-store overrides); without one a fresh uncalibrated estimator
-    is built from the catalog.
+    ``collect_metrics=True`` (so every executed DAG node carries its
+    ``node`` span). ``time=`` and ``work=`` are a node's *exclusive* time —
+    a SOURCE that ran a nested region shows what it spent outside it, so
+    the shares of all regions sum to 100 %. ``estimator`` is the database's
+    :class:`~repro.logical.cardinality.CardinalityEstimator` (the one
+    carrying feedback-store overrides).
     """
-    from ..logical.cardinality import CardinalityEstimator
-    from ..stats import StatisticsCache
-
     profile = result.profile
     if profile is None:
         raise ValueError("EXPLAIN ANALYZE requires a collected profile")
-    if estimator is None:
-        estimator = CardinalityEstimator(StatisticsCache(catalog))
     kind = "measured" if config.execution_mode == "parallel" else "simulated"
     lines: List[str] = [
         f"EXPLAIN ANALYZE (lolepop, {config.num_threads} threads, "
         f"{config.execution_mode} mode)"
     ]
+    worst = worst_q_error(profile, estimator)  # attaches the estimates
     total_time = profile.total_operator_time() or 1.0
-    worst: Optional[tuple] = None  # (q, label)
     for dag_index, dag in enumerate(profile.dags):
         from ..lolepop.verify import derive_properties
 
-        estimates = estimate_dag_rows(dag, estimator)
         derived = derive_properties(dag)
         order = dag.topological_order()
         ids = {id(node): i for i, node in enumerate(order)}
         if len(profile.dags) > 1:
             lines.append(f"-- region {dag_index} --")
         for node in order:
-            stats = getattr(node, "stats", None)
-            estimate = estimates.get(id(node))
             deps = ",".join(f"#{ids[id(i)]}" for i in node.inputs)
             describe = f" [{node.describe()}]" if node.describe() else ""
             head = f"#{ids[id(node)]} {node.name()}{describe}"
             if deps:
                 head += f" <- {deps}"
-            if stats is None:
+            if node.span is None:
                 lines.append(head + "  (not executed)")
                 continue
-            parts = [f"rows={stats.rows_out}"]
+            stats = node.span.attrs
+            estimate = stats["est_rows"]
+            parts = [f"rows={stats['rows_out']}"]
             parts.append(
                 "est=?" if estimate is None else f"est={estimate:.0f}"
             )
-            node_q = q_error(estimate, stats.rows_out)
+            node_q = q_error(estimate, stats["rows_out"])
             if node_q is not None:
                 parts.append(f"q={node_q:.2f}")
-                label = f"#{ids[id(node)]} {node.name()}"
-                if len(profile.dags) > 1:
-                    label = f"region {dag_index} {label}"
-                if worst is None or node_q > worst[0]:
-                    worst = (node_q, label)
-            parts.append(f"time={stats.wall_time / total_time * 100:.1f}%")
-            parts.append(f"work={stats.wall_time * 1000:.2f}ms")
-            if stats.peak_buffer_bytes:
-                parts.append(f"buf={_format_bytes(stats.peak_buffer_bytes)}")
-            if stats.buffer_reuse_hits:
-                parts.append(f"reuse={stats.buffer_reuse_hits}")
-            if stats.sort_elisions:
-                parts.append(f"elided={stats.sort_elisions}")
-            if stats.spill_bytes_written or stats.spill_bytes_read:
+            work = node.span.exclusive
+            parts.append(f"time={work / total_time * 100:.1f}%")
+            parts.append(f"work={work * 1000:.2f}ms")
+            if stats["peak_buffer_bytes"]:
+                parts.append(f"buf={_format_bytes(stats['peak_buffer_bytes'])}")
+            if stats["buffer_reuse_hits"]:
+                parts.append(f"reuse={stats['buffer_reuse_hits']}")
+            if stats["sort_elisions"]:
+                parts.append(f"elided={stats['sort_elisions']}")
+            if stats["spill_bytes_written"] or stats["spill_bytes_read"]:
                 parts.append(
-                    f"spillW={_format_bytes(stats.spill_bytes_written)}"
-                    f" spillR={_format_bytes(stats.spill_bytes_read)}"
+                    f"spillW={_format_bytes(stats['spill_bytes_written'])}"
+                    f" spillR={_format_bytes(stats['spill_bytes_read'])}"
                 )
-            for key, value in sorted(stats.extra.items()):
+            for key, value in sorted(stats["extra"].items()):
                 parts.append(f"{key}={value}")
             props = derived.get(id(node))
             note = props.render() if props is not None else ""
@@ -269,7 +244,9 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
             f"probe={join['probe_rows']} matched={join['matched_rows']}"
         )
     if worst is not None:
-        lines.append(f"max Q-error: {worst[0]:.2f} at {worst[1]}")
+        node_q, dag_index, node_index, node = worst
+        region = f"region {dag_index} " if len(profile.dags) > 1 else ""
+        lines.append(f"max Q-error: {node_q:.2f} at {region}#{node_index} {node.name()}")
     else:
         lines.append("max Q-error: n/a (no estimates)")
 
@@ -277,7 +254,7 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
         1 for event in profile.rewrites if event.pass_name == "buffer-reuse"
     )
     elide_total = sum(
-        stats.sort_elisions for *_rest, stats in profile.operator_stats()
+        node.span.attrs["sort_elisions"] for _, _, node in profile.executed_nodes()
     )
     spill_w = profile.counters.get("spill.bytes_written", 0)
     spill_r = profile.counters.get("spill.bytes_read", 0)
@@ -295,10 +272,17 @@ def render_analyze(result, catalog, config, estimator=None) -> str:
         for event in profile.rewrites:
             cost = event.render_cost()
             lines.append(f"  {event}" + (f"  {cost}" if cost else ""))
-    skew_lines = render_morsel_skew(result.trace)
-    if skew_lines:
+    # The worst-skewed regions (a one-item region cannot be skewed).
+    skewed = [e for e in morsel_skew(result.trace) if e["items"] >= 2 and e["skew"] >= 1.5]
+    if skewed:
         lines.append("morsel skew (top phases):")
-        lines.extend(f"  {line}" for line in skew_lines)
+    for entry in skewed[:3]:
+        lines.append(
+            f"  {entry['operator']}/{entry['phase']}: skew {entry['skew']:.2f} "
+            f"(max {entry['max_s'] * 1000:.2f}ms / mean "
+            f"{entry['mean_s'] * 1000:.2f}ms over {entry['items']} morsels, "
+            f"straggler T{entry['straggler_thread']})"
+        )
     for name in sorted(profile.counters):
         if not name.startswith("spill."):
             lines.append(f"counter {name}: {profile.counters[name]:g}")

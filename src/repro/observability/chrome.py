@@ -1,4 +1,4 @@
-"""Chrome ``trace_event`` export of execution traces.
+"""Chrome ``trace_event`` export of a statement's span tree.
 
 Emits the JSON array format understood by ``chrome://tracing`` and
 Perfetto: complete ("X") events with microsecond timestamps. Work items
@@ -27,79 +27,61 @@ _REQUIRED_KEYS = ("name", "ph", "ts", "dur", "pid", "tid")
 
 def chrome_trace_events(trace) -> List[dict]:
     """An :class:`~repro.execution.trace.ExecutionTrace` as a list of Chrome
-    ``trace_event`` dicts (times converted from seconds to microseconds)."""
-    events: List[dict] = []
-    # Query/session attribution (stamped by the query service via
-    # EngineConfig.query_id/session_id): merged into every span's args so
-    # traces from concurrent clients remain attributable per query.
+    ``trace_event`` dicts (times converted from seconds to microseconds).
+
+    Three lanes off one tree: ``item`` spans on their worker's ``tid``,
+    ``region`` spans (each with the skew of *its own* items), and the
+    root's ``queue`` / ``admission`` stages. The root's query and session
+    ids are merged into every event's args, so traces from concurrent
+    clients stay attributable per query."""
+    from .analyze import region_skew
+
+    root = trace.root
     attribution = {}
-    if getattr(trace, "query_id", None) is not None:
-        attribution["query_id"] = trace.query_id
-    if getattr(trace, "session_id", None) is not None:
-        attribution["session"] = trace.session_id
-    for record in trace.records:
-        events.append(
-            {
-                "name": record.operator,
-                "ph": "X",
-                "ts": record.start * 1e6,
-                "dur": (record.end - record.start) * 1e6,
-                "pid": WORKER_PID,
-                "tid": record.thread,
-                "args": {"phase": record.phase, **attribution},
-            }
-        )
-    skew_by_phase = {}
-    for entry in _morsel_skew(trace):
-        skew_by_phase[(entry["operator"], entry["phase"])] = entry
-    for span in getattr(trace, "regions", ()):
-        args = {"phase": span.phase, "items": span.items, **attribution}
-        skew = skew_by_phase.get((span.operator, span.phase))
-        if skew is not None and skew["items"] >= 2:
+    if root.attrs.get("query_id") is not None:
+        attribution["query_id"] = root.attrs["query_id"]
+    if root.attrs.get("session_id") is not None:
+        attribution["session"] = root.attrs["session_id"]
+    regions = trace.regions
+    events = [
+        _event(item.name, item.start, item.duration, WORKER_PID, item.thread,
+               {"phase": region.attrs["phase"], **attribution})
+        for region in regions
+        for item in region.children
+    ]
+    for region in regions:
+        items = region.attrs["items"]
+        args = {"phase": region.attrs["phase"], "items": items, **attribution}
+        if items >= 2:  # a one-item region cannot be skewed
+            skew = region_skew(region)
             args["morsel_max_ms"] = skew["max_s"] * 1e3
             args["morsel_mean_ms"] = skew["mean_s"] * 1e3
             args["morsel_skew"] = skew["skew"]
             args["straggler_thread"] = skew["straggler_thread"]
         events.append(
-            {
-                "name": f"region:{span.operator}",
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": (span.end - span.start) * 1e6,
-                "pid": REGION_PID,
-                "tid": 0,
-                "args": args,
-            }
+            _event(f"region:{region.name}", region.start, region.duration, REGION_PID, 0, args)
         )
     # Service-layer waits precede execution: render them ending at t=0 so
-    # the engine timeline (which starts at 0) reads as "after the queue".
+    # the engine timeline (the scheduler's clock starts at 0) reads as
+    # "after the queue".
+    stages = root.stages()
     waits = (
-        ("service:queue-wait", getattr(trace, "queue_wait_s", 0.0)),
-        ("service:admission-reserve", getattr(trace, "admission_reserve_s", 0.0)),
+        ("service:queue-wait", stages.get("queue", 0.0)),
+        ("service:admission-reserve", stages.get("admission", 0.0)),
     )
     offset = sum(duration for _name, duration in waits)
     for name, duration in waits:
-        if duration <= 0.0:
-            continue
-        events.append(
-            {
-                "name": name,
-                "ph": "X",
-                "ts": -offset * 1e6,
-                "dur": duration * 1e6,
-                "pid": SERVICE_PID,
-                "tid": 0,
-                "args": dict(attribution),
-            }
-        )
-        offset -= duration
+        if duration > 0.0:
+            events.append(_event(name, -offset, duration, SERVICE_PID, 0, dict(attribution)))
+            offset -= duration
     return events
 
 
-def _morsel_skew(trace):
-    from .analyze import morsel_skew
-
-    return morsel_skew(trace)
+def _event(name: str, start: float, duration: float, pid: int, tid: int, args: dict) -> dict:
+    return {
+        "name": name, "ph": "X", "ts": start * 1e6, "dur": duration * 1e6,
+        "pid": pid, "tid": tid, "args": args,
+    }
 
 
 def validate_trace_events(events) -> None:

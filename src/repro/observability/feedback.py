@@ -41,7 +41,7 @@ from ..logical.plan import key_hash
 from ..lolepop.base import SourceOp
 from ..lolepop.hashagg_op import HashAggOp
 from ..lolepop.ordagg_op import OrdAggOp
-from .analyze import _region_input_plan, estimate_dag_rows, q_error
+from .analyze import _region_input_plan, attach_estimates, q_error
 from .workload import DRIFT_THRESHOLD
 
 __all__ = [
@@ -102,20 +102,20 @@ def _operator_signature(node, context) -> Optional[str]:
 
 def profile_observations(profile, estimator) -> List[dict]:
     """Flatten one executed :class:`~repro.observability.metrics.QueryProfile`
-    into feedback observations: one dict per DAG node carrying stats, with
+    into feedback observations: one dict per DAG node carrying a span, with
     the operator's position (counted across all region DAGs), its estimate
     under ``estimator``, its actuals, and the resource-ledger fields."""
+    attach_estimates(profile, estimator)
     observations: List[dict] = []
     position = 0
     for dag in profile.dags:
-        estimates = estimate_dag_rows(dag, estimator)
         context = _region_input_plan(getattr(dag, "region_plan", None))
         for node in dag.topological_order():
-            stats = getattr(node, "stats", None)
             position += 1
-            if stats is None:
+            if node.span is None:
                 continue
-            estimate = estimates.get(id(node))
+            stats = node.span.attrs
+            estimate = stats["est_rows"]
             observations.append(
                 {
                     "position": position - 1,
@@ -123,10 +123,10 @@ def profile_observations(profile, estimator) -> List[dict]:
                     "describe": node.describe(),
                     "signature": _operator_signature(node, context),
                     "est_rows": None if estimate is None else float(estimate),
-                    "actual_rows": float(stats.rows_out),
-                    "bytes_materialized": stats.bytes_materialized,
-                    "spill_bytes_written": stats.spill_bytes_written,
-                    "peak_partition_bytes": stats.peak_partition_bytes,
+                    "actual_rows": float(stats["rows_out"]),
+                    "bytes_materialized": stats["bytes_materialized"],
+                    "spill_bytes_written": stats["spill_bytes_written"],
+                    "peak_partition_bytes": stats["peak_partition_bytes"],
                 }
             )
     return observations

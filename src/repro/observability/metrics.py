@@ -1,4 +1,4 @@
-"""Metrics primitives, per-operator stats, and the per-query profile.
+"""Metrics primitives and the per-query profile.
 
 Two scopes:
 
@@ -7,10 +7,11 @@ Two scopes:
   (queries, rows, work seconds, spill bytes). Always on; the cost is a few
   dict lookups per *query*, never per row.
 - **query scope** — :class:`QueryProfile`, created only when
-  ``EngineConfig(collect_metrics=True)``. Holds one :class:`OperatorStats`
-  per executed LOLEPOP, the optimizer-rewrite log of every DAG, and free-
-  form counters operators add (e.g. pre-aggregation partial rows). The
-  default path pays exactly one ``profile is None`` check per DAG node.
+  ``EngineConfig(collect_metrics=True)``. Reads the ``node`` spans of the
+  statement's span tree (one per executed LOLEPOP) and holds the optimizer-
+  rewrite log of every DAG and free-form counters operators add (e.g.
+  spilled partition input bytes). The default path pays exactly one check
+  per DAG node.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import (
     Union,
 )
 
+from ..execution.trace import Span
+from ..lolepop.base import NODE_COUNTERS
 from .provenance import RewriteEvent, rewrite_events_to_dicts
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "GLOBAL_METRICS",
-    "OperatorStats",
     "QueryProfile",
 ]
 
@@ -234,112 +236,30 @@ GLOBAL_METRICS = MetricsRegistry()
 # ----------------------------------------------------------------------
 
 
-class OperatorStats:
-    """Counters attached to one executed LOLEPOP instance."""
-
-    __slots__ = (
-        "rows_in", "rows_out", "batches_in", "batches_out", "wall_time",
-        "peak_buffer_bytes", "spill_bytes_written", "spill_bytes_read",
-        "buffer_reuse_hits", "sort_elisions", "bytes_materialized",
-        "peak_partition_bytes", "extra",
-    )
-
-    def __init__(self) -> None:
-        self.rows_in = 0
-        self.rows_out = 0
-        self.batches_in = 0
-        self.batches_out = 0
-        self.wall_time = 0.0
-        self.peak_buffer_bytes = 0
-        self.spill_bytes_written = 0
-        self.spill_bytes_read = 0
-        self.buffer_reuse_hits = 0
-        self.sort_elisions = 0
-        #: Resource ledger: total buffer bytes this operator emitted
-        #: (cumulative across outputs, unlike the max-tracked peak) and the
-        #: largest single partition it produced — the unit of per-worker
-        #: memory, so a high value here is the memory-side face of skew.
-        self.bytes_materialized = 0
-        self.peak_partition_bytes = 0
-        #: Operator-specific details (sort mode, merge rounds, ...).
-        self.extra: Dict[str, object] = {}
-
-    # -- accumulation ---------------------------------------------------
-    def add_input(self, value: object) -> None:
-        rows, batches, _, _ = _shape_of(value)
-        self.rows_in += rows
-        self.batches_in += batches
-
-    def add_output(self, value: object) -> None:
-        rows, batches, buffer_bytes, partition_peak = _shape_of(value)
-        self.rows_out += rows
-        self.batches_out += batches
-        self.bytes_materialized += buffer_bytes
-        if buffer_bytes > self.peak_buffer_bytes:
-            self.peak_buffer_bytes = buffer_bytes
-        if partition_peak > self.peak_partition_bytes:
-            self.peak_partition_bytes = partition_peak
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "batches_in": self.batches_in,
-            "batches_out": self.batches_out,
-            "wall_time_s": self.wall_time,
-            "peak_buffer_bytes": self.peak_buffer_bytes,
-            "spill_bytes_written": self.spill_bytes_written,
-            "spill_bytes_read": self.spill_bytes_read,
-            "buffer_reuse_hits": self.buffer_reuse_hits,
-            "sort_elisions": self.sort_elisions,
-            "bytes_materialized": self.bytes_materialized,
-            "peak_partition_bytes": self.peak_partition_bytes,
-        }
-        if self.extra:
-            out["extra"] = dict(self.extra)
-        return out
-
-
-def _shape_of(value: object) -> Tuple[int, int, int, int]:
-    """(rows, batches, buffer bytes, largest partition bytes) of an
-    operator input/output value."""
-    from ..storage.buffer import TupleBuffer
-
-    if isinstance(value, TupleBuffer):
-        partition_peak = max(
-            (p.approx_bytes() for p in value.partitions), default=0
-        )
-        return (
-            value.num_rows, value.num_partitions,
-            value.approx_bytes(), partition_peak,
-        )
-    if isinstance(value, (list, tuple)):
-        return sum(len(b) for b in value), len(value), 0, 0
-    return 0, 0, 0, 0
-
-
 class QueryProfile:
     """Everything observed about one query execution.
 
-    Populated by :meth:`Dag.execute <repro.lolepop.base.Dag.execute>` (per-
-    operator stats), the translator/optimizer (rewrite log), and the engine
-    (timings, spill totals). Serializes to a stable JSON shape consumed by
-    the shell's ``.profile json`` and the benchmark ``--profile-dir`` flag.
+    The per-operator numbers are the ``node`` spans
+    :meth:`Dag.execute <repro.lolepop.base.Dag.execute>` wrote (each DAG
+    node points at its own); the translator/optimizer add the rewrite log
+    and the engine timings and spill totals. Serializes to a stable JSON
+    shape consumed by the shell's ``.profile json``, ``tools/plan_diff.py``
+    and the benchmark ``--profile-dir`` flag.
     """
 
-    def __init__(self, query: Optional[str] = None) -> None:
+    def __init__(self, query: Optional[str], config: Any) -> None:
         self.query = query
         self.engine = "lolepop"
         self.serial_time = 0.0
         self.makespan = 0.0
-        self.num_threads = 1
-        self.execution_mode = "simulated"
+        self.num_threads = config.num_threads
+        self.execution_mode = config.execution_mode
         #: Query-level free-form counters (thread-safe: written only on the
         #: submitting thread, after region barriers).
         self.counters: Dict[str, float] = {}
         #: Optimizer / translator rewrite log across all executed DAGs.
         self.rewrites: List[RewriteEvent] = []
-        #: Executed DAGs in construction order (nodes carry their stats).
+        #: Executed DAGs in construction order (nodes carry their spans).
         #: ``Any`` (not ``object``): the DAG type lives in ``repro.lolepop``
         #: and importing it here would cycle.
         self.dags: List[Any] = []
@@ -347,6 +267,9 @@ class QueryProfile:
         #: :class:`~repro.relational.hash_join.HashJoinTable` chose plus the
         #: probe / matched row counts (appended on the submitting thread).
         self.joins: List[Dict[str, object]] = []
+        #: Set once :func:`~repro.observability.analyze.attach_estimates`
+        #: put ``est_rows`` on every node span.
+        self.estimated = False
 
     # ------------------------------------------------------------------
     def count(self, name: str, amount: float = 1.0) -> None:
@@ -357,26 +280,37 @@ class QueryProfile:
         self.rewrites.extend(getattr(dag, "rewrites", ()))
 
     # ------------------------------------------------------------------
-    def operator_stats(self) -> List[Tuple[int, int, str, str, OperatorStats]]:
-        """Flat list of (dag index, node index, name, describe, stats) over
-        every executed DAG node that collected stats."""
-        out: List[Tuple[int, int, str, str, OperatorStats]] = []
-        for dag_index, dag in enumerate(self.dags):
-            for node_index, node in enumerate(dag.topological_order()):
-                stats = getattr(node, "stats", None)
-                if stats is not None:
-                    out.append(
-                        (dag_index, node_index, node.name(), node.describe(), stats)
-                    )
-        return out
+    def executed_nodes(self) -> List[Tuple[int, int, Any]]:
+        """Flat list of (dag index, node index, node) over every DAG node
+        that executed — each carries its ``node`` span as ``node.span``."""
+        return [
+            (dag_index, node_index, node)
+            for dag_index, dag in enumerate(self.dags)
+            for node_index, node in enumerate(dag.topological_order())
+            if node.span is not None
+        ]
 
     def total_operator_time(self) -> float:
-        return sum(entry[4].wall_time for entry in self.operator_stats())
+        """Seconds spent in operators, each second counted once: a SOURCE
+        that ran a nested region contributes what it spent outside it."""
+        return sum(node.span.exclusive for _, _, node in self.executed_nodes())
 
     # ------------------------------------------------------------------
     def to_dict(self, trace: Optional[Any] = None) -> Dict[str, object]:
         """JSON-serializable profile; pass the query's ``ExecutionTrace`` to
         embed Chrome trace events."""
+        dags: List[Dict[str, Any]] = [
+            {"index": index, "operators": []} for index in range(len(self.dags))
+        ]
+        for dag_index, node_index, node in self.executed_nodes():
+            dags[dag_index]["operators"].append(
+                {
+                    "id": node_index,
+                    "name": node.name(),
+                    "describe": node.describe(),
+                    **operator_dict(node.span),
+                }
+            )
         payload: Dict[str, object] = {
             "query": self.query,
             "engine": self.engine,
@@ -388,26 +322,22 @@ class QueryProfile:
             "joins": [dict(join) for join in self.joins],
             "rewrites": [str(entry) for entry in self.rewrites],
             "rewrite_events": rewrite_events_to_dicts(self.rewrites),
-            "dags": [
-                {
-                    "index": dag_index,
-                    "operators": [
-                        {
-                            "id": node_index,
-                            "name": name,
-                            "describe": describe,
-                            **stats.to_dict(),
-                        }
-                        for d, node_index, name, describe, stats
-                        in self.operator_stats()
-                        if d == dag_index
-                    ],
-                }
-                for dag_index in range(len(self.dags))
-            ],
+            "dags": dags,
         }
         if trace is not None:
             from .chrome import chrome_trace_events
 
             payload["trace_events"] = chrome_trace_events(trace)
         return payload
+
+
+def operator_dict(span: Span) -> Dict[str, object]:
+    """The serialized counters of one ``node`` span. ``wall_time_s`` is the
+    whole span (a SOURCE's includes the nested region it ran)."""
+    attrs = span.attrs
+    out: Dict[str, object] = {key: attrs[key] for key in NODE_COUNTERS[:4]}
+    out["wall_time_s"] = span.duration
+    out.update((key, attrs[key]) for key in NODE_COUNTERS[4:])
+    if attrs["extra"]:
+        out["extra"] = dict(attrs["extra"])
+    return out

@@ -2,11 +2,11 @@
 recorder, the slow-query log, the plan-fingerprinted workload profiler,
 and the health time series.
 
-PR 2 made a *single query* observable (EXPLAIN ANALYZE, Chrome traces);
-this module makes the *service* observable: once a query finishes, a
-compact :class:`QueryRecord` survives it — normalized SQL, plan
-fingerprint, parse/bind/translate/execute latency breakdown, rows, spill,
-cache flags, max Q-error — and feeds three bounded sinks:
+EXPLAIN ANALYZE and the Chrome trace make a *single query* observable;
+this module makes the *service* observable: once a statement finishes, its
+span tree is closed into a compact :class:`QueryRecord` — normalized SQL,
+plan fingerprint, parse/bind/translate/execute latency breakdown, rows,
+spill, cache flags, max Q-error — which feeds three bounded sinks:
 
 - the :class:`~repro.observability.events.FlightRecorder` ring buffer
   (incident reconstruction: what happened, in order, just now);
@@ -21,12 +21,13 @@ A :class:`HealthSampler` thread owned by each
 rates, spill counters) into the telemetry's bounded health series.
 
 Cost model: callers test :attr:`Telemetry.enabled` once per statement, so
-a disabled server pays one branch per query and builds no record. When
-enabled, the per-query cost is one :class:`QueryRecord`, a few dict/deque
-updates under short locks, and (once per distinct prepared plan) one plan
-hash and one cardinality estimate — all per *query*, never per row. Memory
-is bounded everywhere: ring capacity, slow-log capacity, fingerprint-table
-capacity, health-series capacity.
+a disabled server pays one branch per query and builds neither root span
+nor record. When enabled, the per-query cost is the root and its stage
+spans, one :class:`QueryRecord`, a few dict/deque updates under short
+locks, and (once per distinct prepared plan) one plan hash and one
+cardinality estimate — all per *query*, never per node, region or row.
+Memory is bounded everywhere: ring capacity, slow-log capacity,
+fingerprint-table capacity, health-series capacity.
 
 :data:`GLOBAL_TELEMETRY` is the process-wide instance
 (:class:`~repro.api.Database` and the service default to it); tests and
@@ -49,8 +50,9 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from ..errors import QueryCancelled
+from ..execution.trace import Span
 from ..logical.plan import key_hash
-from .analyze import morsel_skew, profile_max_q_error, q_error
+from .analyze import morsel_skew, q_error, worst_q_error
 from .events import FlightRecorder
 from .workload import DRIFT_THRESHOLD, WorkloadStats
 
@@ -168,7 +170,7 @@ class QueryRecord:
         #: root-level Q-error from the cached plan estimate; ``None`` when
         #: no estimate exists (DDL, EXPLAIN, estimator failure).
         self.max_q_error = max_q_error
-        #: Worst per-phase morsel skew (max/mean work-item duration) and
+        #: Worst per-region morsel skew (max/mean work-item duration) and
         #: the ``"operator/phase"`` that caused it, when a trace was
         #: collected; ``None`` otherwise (the serving default).
         self.morsel_skew = morsel_skew
@@ -322,7 +324,7 @@ class Telemetry:
         self._last_error_dump = 0.0
         #: Total query records observed (all of them, not just slow ones).
         self.queries_recorded = 0
-        #: Ids (``d1``, ``d2``, ...) for statements that arrive without one —
+        #: Ids (``d1``, ``d2``, ...) for statement roots opened without one —
         #: direct ``Database.sql`` calls; the query service stamps its own.
         self._direct_ids = itertools.count(1)
         #: Zero-arg callable returning the materialization manager's stats
@@ -377,46 +379,56 @@ class Telemetry:
         limit = self.config.max_sql_chars
         return sql if len(sql) <= limit else sql[: limit - 3] + "..."
 
-    def record_execution(
+    def open_statement(
         self,
+        sql: str,
         engine: str,
-        prepared=None,
-        sql: Optional[str] = None,
-        config=None,
         query_id: Optional[str] = None,
         session_id: Optional[str] = None,
+    ) -> Span:
+        """Open the root of one statement's span tree: named by the
+        statement text, its attrs the attribution every view reads — the
+        ids the service stamped (a direct ``Database.sql`` call gets a
+        ``d<n>`` id here), the engine, the cache flags."""
+        attrs = {
+            "query_id": query_id or f"d{next(self._direct_ids)}", "session_id": session_id,
+            "engine": engine, "plan_cache_hit": False, "result_cache_hit": False,
+        }
+        return Span("statement", sql, attrs=attrs)
+
+    def record_execution(
+        self,
+        root: Span,
+        prepared=None,
+        config=None,
         result=None,
         error: Optional[BaseException] = None,
-        queue_wait_s: float = 0.0,
-        parse_bind_s: float = 0.0,
-        execute_s: float = 0.0,
-        plan_cache_hit: bool = False,
-        result_cache_hit: bool = False,
         estimator=None,
         feedback=None,
     ) -> bool:
-        """Record one finished statement — the only place a
-        :class:`QueryRecord` is built. Callers check :attr:`enabled` first,
+        """Close ``root`` and record the finished statement — the only place
+        a :class:`QueryRecord` is built. Callers check :attr:`enabled` first,
         so the disabled path does not even evaluate the arguments.
 
-        The caller passes what it holds: the ``prepared`` plan and the
-        ``config`` it ran (or would have run) under — or, for a statement
-        that never got a plan, its normalized ``sql`` text — the ids the
-        service stamped (direct calls get a ``d<n>`` id here), the
-        ``result`` or the ``error``, the stage seconds it measured, the
-        cache flags. Derived here: status, fingerprint, rows, and for a
-        statement that actually executed (not a result-cache hit) translate
-        seconds, spill, morsel skew and max Q-error against ``estimator``.
+        What the caller measured is on the tree: ids, engine and cache flags
+        in the root's attrs, queue / parse+bind / execute seconds as its
+        stages. Beside it come the ``prepared`` plan and the ``config`` it
+        ran (or would have run) under — a statement that never got a plan
+        is fingerprinted by its text — and the ``result`` or the ``error``.
+        Derived here: status, fingerprint, rows, and for a statement that
+        actually executed (not a result-cache hit) translate seconds, spill,
+        morsel skew and max Q-error against ``estimator``.
 
         The record feeds the flight recorder, the workload table, the slow
-        log and, for a successful execution, the ``feedback`` store. Returns
-        ``True`` when the store's drift check says the caller should discard
-        its cached plan. Never raises: it runs in ``finally`` blocks and
-        must not mask the query's own error.
+        log and, for a successful execution, the ``feedback`` store; ``True``
+        means its drift check wants the cached plan discarded. Never raises:
+        it runs in ``finally`` blocks and must not mask the query's error.
         """
         try:
-            if prepared is not None:
-                sql = prepared.normalized
+            root.close()
+            attrs = root.attrs
+            engine = attrs["engine"]
+            sql = root.name
             if prepared is not None and prepared.plan is not None:
                 fingerprint = prepared.fingerprint(engine, config)
             else:  # parse/bind error (or a never-run EXPLAIN): name the text
@@ -427,30 +439,40 @@ class Telemetry:
                 status, error_text = "cancelled", str(error)
             else:
                 status, error_text = "error", f"{type(error).__name__}: {error}"
-            executed = None if result_cache_hit else result
+            executed = None if attrs["result_cache_hit"] else result
             spill = getattr(executed, "spill", None) or {}
-            skew, straggler = _worst_skew(executed)
+            skew = next(
+                (e for e in morsel_skew(getattr(executed, "trace", None)) if e["items"] >= 2),
+                None,
+            )
+            stages = root.stages()
+            parse_bind_s = stages.get("parse_bind", 0.0)
+            execute_s = stages.get("execute", 0.0)
+            # Submission to pick-up, as ``QueryTicket.queue_wait`` and the
+            # ``service.queue_wait_seconds`` histogram measure it: the
+            # root opens at submission, the ``queue`` stage ends at pick-up.
+            queue = next((c for c in root.children if c.name == "queue"), None)
             record = QueryRecord(
-                query_id or f"d{next(self._direct_ids)}",
+                attrs["query_id"],
                 self.truncate_sql(sql),
                 fingerprint,
                 engine=engine,
-                session_id=session_id or "-",
+                session_id=attrs["session_id"] or "-",
                 status=status,
                 error=error_text,
                 rows=len(result.batch) if result is not None else 0,
-                plan_cache_hit=plan_cache_hit,
-                result_cache_hit=result_cache_hit,
+                plan_cache_hit=attrs["plan_cache_hit"],
+                result_cache_hit=attrs["result_cache_hit"],
                 parse_bind_s=parse_bind_s,
                 translate_s=getattr(executed, "translate_s", 0.0) or 0.0,
                 execute_s=execute_s,
                 total_s=parse_bind_s + execute_s,
-                queue_wait_s=queue_wait_s,
+                queue_wait_s=queue.end - root.start if queue is not None else 0.0,
                 spill_bytes_written=spill.get("bytes_written", 0),
                 spill_bytes_read=spill.get("bytes_read", 0),
                 max_q_error=_max_q_error(prepared, executed, estimator),
-                morsel_skew=skew,
-                straggler=straggler,
+                morsel_skew=skew and skew["skew"],
+                straggler=skew and f"{skew['operator']}/{skew['phase']}",
             )
             template = self._fan_out(record)
             if feedback is not None and status == "ok" and executed is not None:
@@ -605,19 +627,6 @@ class Telemetry:
         self.queries_recorded = 0
 
 
-def _worst_skew(result):
-    """(worst parallel-phase morsel skew, its ``operator/phase``) from a
-    collected execution trace, or ``(None, None)`` — traces are off in the
-    serving default, so this is usually one attribute check."""
-    trace = getattr(result, "trace", None)
-    if trace is None or not trace.records:
-        return None, None
-    for entry in morsel_skew(trace):
-        if entry["items"] >= 2:
-            return entry["skew"], f"{entry['operator']}/{entry['phase']}"
-    return None, None
-
-
 def _max_q_error(prepared, result, estimator) -> Optional[float]:
     """Per-query max Q-error, always on: node-level (the EXPLAIN ANALYZE
     summary's number) when a profile was collected, else the root-level
@@ -626,9 +635,9 @@ def _max_q_error(prepared, result, estimator) -> Optional[float]:
     if result is None or estimator is None or prepared.plan is None:
         return None
     if result.profile is not None and result.dags:
-        worst = profile_max_q_error(result.profile, estimator)
+        worst = worst_q_error(result.profile, estimator)
         if worst is not None:
-            return worst
+            return worst[0]
     if prepared.est_rows is None:
         try:
             prepared.est_rows = max(0.0, float(estimator.rows(prepared.plan)))

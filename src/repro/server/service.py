@@ -40,6 +40,7 @@ from typing import Dict, Optional
 
 from ..errors import AdmissionError, QueryCancelled
 from ..execution.cancellation import CancellationToken
+from ..execution.trace import ExecutionTrace
 from ..observability.metrics import GLOBAL_METRICS, MetricsRegistry
 from ..observability.telemetry import (
     GLOBAL_TELEMETRY,
@@ -103,11 +104,13 @@ class QueryTicket:
         self.est_bytes = 0.0
         self.from_result_cache = False
         self.token: Optional[CancellationToken] = None
-        #: Seconds the admission controller spent admitting/reserving this
-        #: ticket (measured around ``admission.admit``); threaded into the
-        #: execution config so Chrome traces carry a ``service:*`` lane.
-        self.admission_reserve_s = 0.0
-        self.submitted_at = time.monotonic()
+        #: The statement's span tree (``Database.prepare_timed`` opens it,
+        #: :meth:`QueryService._close_waits` adds the waits).
+        self.trace: Optional[ExecutionTrace] = None
+        self.submitted_at = time.perf_counter()
+        #: When ``admission.admit`` was entered and when it returned.
+        self._admit_started = self.submitted_at
+        self._queued_at: Optional[float] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._result = None
@@ -118,8 +121,6 @@ class QueryTicket:
         self._engine = "lolepop"
         self._config = None
         self._cache_key = None
-        self._plan_cache_hit = False
-        self._parse_bind_s = 0.0
 
     # ------------------------------------------------------------------
     @property
@@ -155,7 +156,7 @@ class QueryTicket:
         self.state = state
         self._result = result
         self._error = error
-        self.finished_at = time.monotonic()
+        self.finished_at = time.perf_counter()
         self._event.set()
 
 
@@ -264,13 +265,11 @@ class QueryService:
             sql,
             session.session_id if session is not None else "-",
         )
-        prepared, plan_hit, parse_bind_s = self.db.prepare_timed(
-            sql, engine, ticket.query_id, ticket.session_id
+        prepared, plan_hit, ticket.trace = self.db.prepare_timed(
+            sql, engine, ticket.query_id, ticket.session_id, base_config
         )
         ticket._prepared = prepared
         ticket._engine = engine
-        ticket._parse_bind_s = parse_bind_s
-        ticket._plan_cache_hit = plan_hit
         if plan_hit:
             self._count("service.plan_cache_hits")
             self.telemetry.event(
@@ -309,23 +308,17 @@ class QueryService:
                     query_id=ticket.query_id,
                     session_id=ticket.session_id,
                 )
-                # Never reaches execute_prepared: recorded here.
-                self._record(
-                    ticket,
-                    base_config,
-                    result=cached,
-                    result_cache_hit=True,
-                    execute_s=time.perf_counter() - lookup_started,
-                )
+                # Never reaches execute_prepared: recorded here, the lookup
+                # being all the executing there was.
+                if ticket.trace is not None:
+                    ticket.trace.root.attrs["result_cache_hit"] = True
+                    ticket.trace.add("stage", "execute", lookup_started, time.perf_counter())
+                self._record(ticket, base_config, result=cached)
                 return ticket
 
         token = CancellationToken.with_timeout(timeout, ticket.query_id)
         ticket.token = token
-        ticket._config = base_config.clone(
-            cancellation=token,
-            query_id=ticket.query_id,
-            session_id=ticket.session_id,
-        )
+        ticket._config = base_config.clone(cancellation=token)
         if (
             self.config.memory_budget_bytes is not None
             and prepared.plan is not None
@@ -336,7 +329,7 @@ class QueryService:
 
         with self._tickets_lock:
             self._tickets[ticket.query_id] = ticket
-        admit_started = time.monotonic()
+        ticket._admit_started = time.perf_counter()
         try:
             run_now = self.admission.admit(ticket)
         except AdmissionError as error:
@@ -352,7 +345,7 @@ class QueryService:
                 self._tickets.pop(ticket.query_id, None)
             ticket._finish("failed", error=error)
             raise
-        ticket.admission_reserve_s = time.monotonic() - admit_started
+        ticket._queued_at = time.perf_counter()
         self._count("service.admitted")
         if run_now:
             self._dispatch(ticket)
@@ -374,6 +367,7 @@ class QueryService:
             # Still queued: it never started, finish it here.
             self._gauge("service.queue_depth", self.admission.queue_depth)
             self._retire(ticket)
+            self._close_waits(ticket, time.perf_counter())
             error = QueryCancelled("cancelled while queued", query_id)
             ticket._finish("cancelled", error=error)
             self._count("service.cancelled")
@@ -391,7 +385,8 @@ class QueryService:
         self._executor.submit(self._run, ticket)
 
     def _run(self, ticket: QueryTicket) -> None:
-        ticket.started_at = time.monotonic()
+        ticket.started_at = time.perf_counter()
+        self._close_waits(ticket, ticket.started_at)
         ticket.state = "running"
         self._histogram(
             "service.queue_wait_seconds", _QUEUE_WAIT_BUCKETS
@@ -410,18 +405,11 @@ class QueryService:
             # execute_prepared emits this query's QueryRecord (including
             # error/cancel status) — one record per query, service or not.
             executed = True
-            # Stamp the measured service-layer waits onto this ticket's
-            # (private, per-query) config so the execution trace carries
-            # them (→ Chrome-trace service spans).
-            ticket._config.queue_wait_s = ticket.queue_wait or 0.0
-            ticket._config.admission_reserve_s = ticket.admission_reserve_s
             result = self.db.execute_prepared(
                 ticket._prepared,
                 engine=ticket._engine,
                 config=ticket._config,
-                plan_cache_hit=ticket._plan_cache_hit,
-                parse_bind_s=ticket._parse_bind_s,
-                queue_wait_s=ticket.queue_wait or 0.0,
+                trace=ticket.trace,
             )
         except QueryCancelled as error:
             ticket._finish("cancelled", error=error)
@@ -454,21 +442,25 @@ class QueryService:
     # ------------------------------------------------------------------
     # Telemetry hooks
     # ------------------------------------------------------------------
-    def _record(self, ticket: QueryTicket, config, **outcome) -> None:
+    @staticmethod
+    def _close_waits(ticket: QueryTicket, now: float) -> None:
+        """Write the ticket's ``admission`` and ``queue`` stages as it stops
+        waiting (starts running, or is cancelled in the queue), on the
+        thread that took it out of the queue: the tree has one writer at a
+        time. A driver that gets here before ``submit`` saw ``admit`` return
+        did not queue."""
+        if ticket.trace is not None:
+            queued_at = min(ticket._queued_at or now, now)
+            ticket.trace.add("stage", "admission", ticket._admit_started, queued_at)
+            ticket.trace.add("stage", "queue", queued_at, now)
+
+    def _record(self, ticket: QueryTicket, config, result=None, error=None) -> None:
         """Record a ticket that finished without reaching
         ``Database.execute_prepared`` (which records every statement it
         runs): a result-cache hit, or a cancel before execution started."""
-        if self.telemetry.enabled:
+        if ticket.trace is not None and self.telemetry.enabled:
             self.telemetry.record_execution(
-                ticket._engine,
-                ticket._prepared,
-                config=config,
-                query_id=ticket.query_id,
-                session_id=ticket.session_id,
-                queue_wait_s=ticket.queue_wait or 0.0,
-                parse_bind_s=ticket._parse_bind_s,
-                plan_cache_hit=ticket._plan_cache_hit,
-                **outcome,
+                ticket.trace.root, ticket._prepared, config, result, error
             )
 
     def _on_result_evict(self, key, value) -> None:

@@ -309,13 +309,12 @@ class Shell:
                 f"  {operator:<16} {work * 1000:10.3f} ms  ({count} work items)"
             )
         if result.profile is not None:
-            for _, node_index, name, describe, stats in (
-                result.profile.operator_stats()
-            ):
-                detail = f" [{describe}]" if describe else ""
+            for _, node_index, node in result.profile.executed_nodes():
+                detail = f" [{node.describe()}]" if node.describe() else ""
                 self.write(
-                    f"  #{node_index} {name}{detail}: rows_out={stats.rows_out} "
-                    f"wall={stats.wall_time * 1000:.3f} ms"
+                    f"  #{node_index} {node.name()}{detail}: "
+                    f"rows_out={node.span.attrs['rows_out']} "
+                    f"wall={node.span.duration * 1000:.3f} ms"
                 )
             for entry in result.profile.rewrites:
                 self.write(f"  rewrite: {entry}")

@@ -40,8 +40,8 @@ class TestMonolithicTraits:
         sql = "SELECT g, h, sum(x) FROM t GROUP BY GROUPING SETS ((g,h),(g),(h))"
         mono = trace_of(db, sql, "monolithic")
         lol = trace_of(db, sql, "lolepop")
-        mono_scans = sum(1 for r in mono.records if r.operator == "tablescan")
-        lol_scans = sum(1 for r in lol.records if r.operator == "tablescan")
+        mono_scans = sum(1 for r in mono.records if r.name == "tablescan")
+        lol_scans = sum(1 for r in lol.records if r.name == "tablescan")
         assert mono_scans >= 3 * lol_scans
 
     def test_ordered_set_goes_through_window(self, db):
@@ -72,8 +72,8 @@ class TestMonolithicTraits:
         config = EngineConfig(num_threads=8, num_partitions=8, collect_trace=True)
         mono = database.sql(sql, engine="monolithic", config=config)
         lol = database.sql(sql, engine="lolepop", config=config)
-        mono_sort = [r for r in mono.trace.records if "sort" in r.operator]
-        lol_sort = [r for r in lol.trace.records if r.operator == "sort"]
+        mono_sort = [r for r in mono.trace.records if "sort" in r.name]
+        lol_sort = [r for r in lol.trace.records if r.name == "sort"]
         # Monolithic: one sort work item; LOLEPOP: split into ~8 chunks.
         assert len(mono_sort) == 1
         assert len(lol_sort) >= 4

@@ -104,7 +104,7 @@ def prepare(probe, spill_dir, scheduler, budget):
     expected = normalized_rows(db.sql(FOLLOW_SQL, engine="naive"))
     probe.arm(None)
     result = db.sql(WINDOW_SQL, config=config.clone(collect_trace=True))
-    operators = {record.operator for record in result.trace.records}
+    operators = {record.name for record in result.trace.records}
     assert {"partition", "sort", "window"} <= operators
     assert bool(result.spill["bytes_written"]) == (BUDGETS[budget] is not None)
     assert probe.entered >= 3

@@ -8,14 +8,14 @@ import pytest
 from repro import Database
 from repro.errors import ReproError
 from repro.execution.context import EngineConfig
-from repro.execution.trace import ExecutionTrace, TraceRecord
+from repro.execution.trace import ExecutionTrace, Span
+from repro.lolepop.base import node_attrs
 from repro.observability import (
     GLOBAL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    OperatorStats,
     QueryProfile,
     chrome_trace_events,
     validate_trace_events,
@@ -110,7 +110,12 @@ class TestMetricsPrimitives:
 
 
 class TestOperatorStats:
+    """A ``node`` span's attrs are the operator's counters."""
+
     def test_batch_list_accounting(self, db):
+        from repro.lolepop.base import Dag, SourceOp
+        from repro.lolepop.scan_op import ScanOp
+        from repro.execution.context import ExecutionContext
         from repro.storage.batch import Batch
         from repro.types import Schema
 
@@ -119,17 +124,22 @@ class TestOperatorStats:
             Batch.from_pydict(schema, {"a": [1, 2, 3]}),
             Batch.from_pydict(schema, {"a": [4]}),
         ]
-        stats = OperatorStats()
-        stats.add_input(batches)
-        stats.add_output(batches[:1])
-        assert stats.rows_in == 4 and stats.batches_in == 2
-        assert stats.rows_out == 3 and stats.batches_out == 1
+        dag = Dag()
+        scan = ScanOp(SourceOp(lambda: batches), limit=3)
+        dag.set_sink(scan)
+        dag.execute(ExecutionContext(EngineConfig(collect_metrics=True)))
+        stats = scan.span.attrs
+        assert stats["rows_in"] == 4 and stats["batches_in"] == 2
+        assert stats["rows_out"] == 3 and stats["batches_out"] == 1
 
     def test_to_dict_includes_extra(self):
-        stats = OperatorStats()
-        stats.extra["mode"] = "inplace"
-        payload = stats.to_dict()
-        assert payload["rows_out"] == 0
+        from repro.observability.metrics import operator_dict
+
+        span = Span("node", "SORT", 1.0, 1.5, attrs=node_attrs())
+        assert "extra" not in operator_dict(span)
+        span.attrs["extra"]["mode"] = "inplace"
+        payload = operator_dict(span)
+        assert payload["rows_out"] == 0 and payload["wall_time_s"] == 0.5
         assert payload["extra"] == {"mode": "inplace"}
 
 
@@ -143,7 +153,7 @@ class TestQueryProfile:
         result = db.sql("SELECT k, sum(v) FROM r GROUP BY k")
         assert result.profile is None
         for dag in result.dags:
-            assert all(n.stats is None for n in dag.topological_order())
+            assert all(n.span is None for n in dag.topological_order())
 
     def test_profile_collection(self, db):
         config = EngineConfig(num_threads=4, collect_metrics=True)
@@ -152,12 +162,12 @@ class TestQueryProfile:
         assert isinstance(profile, QueryProfile)
         assert profile.num_threads == 4
         assert profile.serial_time > 0 and profile.makespan > 0
-        stats = profile.operator_stats()
-        assert stats, "every DAG node should carry stats"
-        names = [name for _, _, name, _, _ in stats]
+        nodes = [node for _, _, node in profile.executed_nodes()]
+        assert len(nodes) == sum(len(dag.nodes) for dag in result.dags)
+        names = [node.name() for node in nodes]
         assert "HASHAGG" in names and "SCAN" in names
-        scan = next(s for _, _, n, _, s in stats if n == "SCAN")
-        assert scan.rows_out == len(result)
+        scan = next(node for node in nodes if node.name() == "SCAN")
+        assert scan.span.attrs["rows_out"] == len(result)
         assert profile.total_operator_time() > 0
 
     def test_profile_to_dict_round_trips(self, db):
@@ -397,13 +407,13 @@ class TestTraceRegions:
         config = EngineConfig(num_threads=2, collect_trace=True)
         result = db.sql("SELECT k, sum(v) FROM r GROUP BY k", config=config)
         assert result.trace.regions
-        operators = {span.operator for span in result.trace.regions}
+        operators = {span.name for span in result.trace.regions}
         assert operators & {"hashagg", "hashagg-merge", "tablescan"}
 
     def test_legend_letters_never_collide(self):
         trace = ExecutionTrace()
         for index, operator in enumerate(["sort", "spill", "scan", "source"]):
-            trace.add(TraceRecord(0, index, index + 1, operator, "p0"))
+            trace.add_region(operator, "p0", index, index + 1, [(0, index, index + 1)])
         letters = trace.legend_letters()
         # Four operators share the initial 'S'; each must get a distinct,
         # deterministic letter (first free letter of its own name).
@@ -416,8 +426,8 @@ class TestTraceRegions:
 
     def test_legend_exhaustion_falls_back_to_alphabet(self):
         trace = ExecutionTrace()
-        trace.add(TraceRecord(0, 0.0, 1.0, "aaa", "p0"))
-        trace.add(TraceRecord(0, 1.0, 2.0, "aa", "p0"))
+        trace.add_region("aaa", "p0", 0.0, 1.0, [(0, 0.0, 1.0)])
+        trace.add_region("aa", "p0", 1.0, 2.0, [(0, 1.0, 2.0)])
         letters = trace.legend_letters()
         assert letters["aaa"] == "A"
         assert letters["aa"] != "A"
@@ -426,8 +436,8 @@ class TestTraceRegions:
 
     def test_render_uses_unique_letters(self):
         trace = ExecutionTrace()
-        trace.add(TraceRecord(0, 0.0, 0.5, "sort", "p0"))
-        trace.add(TraceRecord(1, 0.0, 0.5, "spill", "p0"))
+        trace.add_region("sort", "p0", 0.0, 0.5, [(0, 0.0, 0.5)])
+        trace.add_region("spill", "p0", 0.0, 0.5, [(1, 0.0, 0.5)])
         rendered = trace.render(width=20)
         assert "S=sort" in rendered and "P=spill" in rendered
 
@@ -443,3 +453,571 @@ class TestOperatorSummary:
         # SOURCE never emits trace records itself (its pipeline's operators
         # do), so it must appear with zero counts rather than be dropped.
         assert summary["source"] == (0.0, 0)
+
+
+# ----------------------------------------------------------------------
+# Attribution by construction: a region is one run_region call, a node's
+# time is its own
+# ----------------------------------------------------------------------
+
+
+class TestRegionsAreNotPhaseGroups:
+    """``f JOIN a JOIN b ... GROUP BY`` scans three tables in phase ``p1``
+    and aggregates twice in ``p4``: same operator, same phase label,
+    different regions."""
+
+    @pytest.fixture
+    def traced(self):
+        import numpy as np
+
+        database = Database()
+        database.create_table("f", {"a_id": "int64", "b_id": "int64", "v": "float64"})
+        database.create_table("a", {"id": "int64", "name": "string"})
+        database.create_table("b", {"id": "int64", "kind": "string"})
+        rng = np.random.default_rng(0)
+        n = 50_000
+        database.insert(
+            "f",
+            {"a_id": rng.integers(0, 8, n), "b_id": rng.integers(0, 5, n), "v": rng.random(n)},
+        )
+        database.insert("a", {"id": list(range(8)), "name": [f"a{i}" for i in range(8)]})
+        database.insert("b", {"id": list(range(5)), "kind": [f"b{i}" for i in range(5)]})
+        config = EngineConfig(num_threads=4, morsel_size=20_000, collect_trace=True)
+        return database.sql(
+            "SELECT name, kind, sum(v) FROM f JOIN a ON a_id = a.id JOIN b ON b_id = b.id "
+            "GROUP BY name, kind",
+            config=config,
+        )
+
+    def test_one_skew_entry_per_region(self, traced):
+        from repro.observability.analyze import morsel_skew
+
+        entries = morsel_skew(traced.trace)
+        assert len(entries) == len(traced.trace.regions) == 13
+        scans = sorted(e["items"] for e in entries if e["operator"] == "tablescan")
+        assert scans == [1, 1, 3]  # a, b, and f's three morsels: never one 5-item entry
+        aggs = [e for e in entries if (e["operator"], e["phase"]) == ("hashagg", "p4")]
+        assert [e["items"] for e in aggs] == [3, 3]
+
+    def test_chrome_region_lane_stamps_each_region_with_its_own_skew(self, traced):
+        lane = [e for e in chrome_trace_events(traced.trace) if e["pid"] == 1]
+        assert len(lane) == 13
+        for event in lane:
+            skewed = {"morsel_skew", "straggler_thread"} <= set(event["args"])
+            assert skewed == (event["args"]["items"] >= 2), event
+        first, second = (
+            e["args"] for e in lane
+            if e["name"] == "region:hashagg" and e["args"]["phase"] == "p4"
+        )
+        assert first["morsel_max_ms"] != second["morsel_max_ms"]
+
+
+class TestNestedRegionsAreCountedOnce:
+    """The outer region's SOURCE runs the inner region's whole DAG: its
+    span contains theirs, its *time* does not."""
+
+    SQL = (
+        "SELECT x, median(s) FROM (SELECT x, d, sum(v) AS s FROM t GROUP BY x, d) AS q "
+        "GROUP BY x"
+    )
+
+    @pytest.fixture
+    def nested(self):
+        import numpy as np
+
+        from repro.observability.telemetry import Telemetry, TelemetryConfig
+
+        telemetry = Telemetry(TelemetryConfig(enabled=True, slow_query_threshold_s=0.0))
+        database = Database(telemetry=telemetry)
+        database.create_table("t", {"x": "int64", "d": "int64", "v": "float64"})
+        rng = np.random.default_rng(0)
+        n = 60_000
+        database.insert(
+            "t", {"x": rng.integers(0, 8, n), "d": rng.integers(0, 50, n), "v": rng.random(n)}
+        )
+        return database
+
+    def test_exclusive_node_times_fit_inside_the_execute_stage(self, nested):
+        result = nested.sql(self.SQL, config=EngineConfig(collect_metrics=True))
+        (record,) = nested.telemetry.slowlog.snapshot()
+        total = result.profile.total_operator_time()
+        assert result.serial_time <= total <= 1.15 * record["execute_s"]
+        # The serialized wall time stays inclusive (tools/plan_diff.py reads it).
+        outer, inner = result.profile.to_dict()["dags"]
+        assert outer["operators"][0]["wall_time_s"] >= sum(
+            op["wall_time_s"] for op in inner["operators"]
+        )
+
+    def test_explain_analyze_shares_sum_to_one_hundred(self, nested):
+        import re
+
+        report = nested.explain_analyze(self.SQL)
+        shares = {}
+        region = None
+        for line in report.splitlines():
+            if line.startswith("-- region"):
+                region = int(line.split()[2])
+            found = re.search(r"^#\d+ (\w+) .* time=([\d.]+)%", line)
+            if found:
+                shares[(region, found.group(1))] = float(found.group(2))
+        assert len(shares) == 8
+        assert sum(shares.values()) == pytest.approx(100.0, abs=0.5)
+        # The inner HASHAGG did the work; the outer SOURCE only waited for it.
+        assert shares[(0, "SOURCE")] < shares[(1, "HASHAGG")]
+
+
+# ----------------------------------------------------------------------
+# The views of one execution, frozen
+# ----------------------------------------------------------------------
+
+#: Keys whose values are clock readings or follow from them (which virtual
+#: thread an item landed on, which region straggled).
+_TIMING_KEYS = frozenset({
+    "serial_time_s", "makespan_s", "wall_time_s", "ts", "dur", "tid", "wall",
+    "parse_bind_s", "translate_s", "execute_s", "total_s", "queue_wait_s",
+    "morsel_max_ms", "morsel_mean_ms", "morsel_skew", "straggler_thread", "straggler",
+})
+
+
+def _frozen(value):
+    """``value`` with every timing leaf replaced by ``"<t>"``: the key sets,
+    the nesting and every counted value stay."""
+    if isinstance(value, dict):
+        return {
+            key: "<t>" if key in _TIMING_KEYS else _frozen(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_frozen(item) for item in value]
+    return value
+
+
+class TestFrozenViews:
+    """``QueryProfile.to_dict``, ``QueryRecord.to_dict``, the Chrome lanes and
+    ``operator_summary`` of three statements run through the service, as
+    commit 975e4bc (flat ``TraceRecord`` / ``RegionSpan`` lists, one
+    ``OperatorStats`` per node) produced them."""
+
+    STATEMENTS = {
+        "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
+        "window_under_budget": (
+            "SELECT k, sum(v) OVER (PARTITION BY k ORDER BY v) AS c FROM r",
+            {"num_partitions": 4, "memory_budget_bytes": 1024},
+        ),
+        "nested_aggregate": (
+            "SELECT k, median(s) FROM (SELECT k, g, sum(v) AS s FROM r GROUP BY k, g) AS d "
+            "GROUP BY k",
+            {},
+        ),
+    }
+
+    # fmt: off
+    RECORDED = {
+        "group_by": {
+            "profile": {
+                "query": "SELECT k, sum(v), count(*) FROM r GROUP BY k",
+                "engine": "lolepop",
+                "execution_mode": "simulated",
+                "num_threads": 1,
+                "serial_time_s": "<t>",
+                "makespan_s": "<t>",
+                "counters": {},
+                "joins": [],
+                "rewrites": ["prune-columns: r 3→2", "remove_redundant_combines x1"],
+                "rewrite_events": [
+                    {"text": "prune-columns: r 3→2", "pass": "prune-columns", "detail": "r 3→2", "nodes": ["SCAN r"]},
+                    {
+                        "text": "remove_redundant_combines x1",
+                        "pass": "remove_redundant_combines",
+                        "detail": "x1",
+                        "nodes": ["#2 COMBINE [join on (k)]"],
+                        "cost_before": 7800.0,
+                        "cost_after": 6800.0,
+                        "cost_delta": -1000.0,
+                    },
+                ],
+            },
+            "dags": [
+                [
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
+                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"partial_rows": 24, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 6, 6, 5, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                ],
+            ],
+            "record": {
+                "query_id": "q1",
+                "session_id": "s1",
+                "sql": "select k, sum(v), count(*) from r group by k",
+                "fingerprint": "a0abef95cd3c83ac",
+                "engine": "lolepop",
+                "status": "ok",
+                "error": None,
+                "rows": 6,
+                "plan_cache_hit": False,
+                "result_cache_hit": False,
+                "parse_bind_s": "<t>",
+                "translate_s": "<t>",
+                "execute_s": "<t>",
+                "total_s": "<t>",
+                "queue_wait_s": "<t>",
+                "spill_bytes_written": 0,
+                "spill_bytes_read": 0,
+                "max_q_error": 1.0,
+                "morsel_skew": "<t>",
+                "straggler": "<t>",
+                "wall": "<t>",
+            },
+            "lane_first": {
+                0: {
+                    "name": "tablescan",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 0,
+                    "tid": "<t>",
+                    "args": {"phase": "p1", "query_id": "q1", "session": "s1"},
+                },
+                1: {
+                    "name": "region:tablescan",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 1,
+                    "tid": "<t>",
+                    "args": {
+                        "phase": "p1",
+                        "items": 4,
+                        "query_id": "q1",
+                        "session": "s1",
+                        "morsel_max_ms": "<t>",
+                        "morsel_mean_ms": "<t>",
+                        "morsel_skew": "<t>",
+                        "straggler_thread": "<t>",
+                    },
+                },
+                2: {
+                    "name": "service:queue-wait",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 2,
+                    "tid": "<t>",
+                    "args": {"query_id": "q1", "session": "s1"},
+                },
+            },
+            "lane_sizes": {0: 31, 1: 7, 2: 2},
+            "lane_names": {
+                0: ["hashagg", "hashagg-merge", "project", "scan", "tablescan"],
+                1: ["region:hashagg", "region:hashagg-merge", "region:project", "region:scan", "region:tablescan"],
+                2: ["service:admission-reserve", "service:queue-wait"],
+            },
+            "summary": {"hashagg": 8, "hashagg-merge": 5, "project": 9, "scan": 5, "source": 0, "tablescan": 4},
+        },
+        "nested_aggregate": {
+            "profile": {
+                "query": "SELECT k, median(s) FROM (SELECT k, g, sum(v) AS s FROM r GROUP BY k, g) AS d GROUP BY k",
+                "engine": "lolepop",
+                "execution_mode": "simulated",
+                "num_threads": 1,
+                "serial_time_s": "<t>",
+                "makespan_s": "<t>",
+                "counters": {},
+                "joins": [],
+                "rewrites": ["remove_redundant_combines x1", "remove_redundant_combines x1"],
+                "rewrite_events": [
+                    {
+                        "text": "remove_redundant_combines x1",
+                        "pass": "remove_redundant_combines",
+                        "detail": "x1",
+                        "nodes": ["#4 COMBINE [join on (k)]"],
+                        "cost_before": 15965.784284662088,
+                        "cost_after": 14965.784284662088,
+                        "cost_delta": -1000.0,
+                    },
+                    {
+                        "text": "remove_redundant_combines x1",
+                        "pass": "remove_redundant_combines",
+                        "detail": "x1",
+                        "nodes": ["#2 COMBINE [join on (k,g)]"],
+                        "cost_before": 7800.0,
+                        "cost_after": 6800.0,
+                        "cost_delta": -1000.0,
+                    },
+                ],
+            },
+            "dags": [
+                [
+                    [0, "SOURCE", "pipeline", 0, 24, 0, 19, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
+                    [1, "PARTITION", "k x64", 24, 24, 19, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"scatter_keys": "k"}],
+                    [2, "SORT", "k,s", 24, 24, 64, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"mode": "inplace", "sorted_partitions": 5}],
+                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 64, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 5, "tasks": 1}],
+                    [4, "SCAN", "project 2 exprs", 6, 6, 5, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
+                ],
+                [
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
+                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 19, "<t>", 0, 0, 0, 0, 0, 0, 0, {"partial_rows": 96, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 24, 24, 19, 19, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                ],
+            ],
+            "record": {
+                "query_id": "q1",
+                "session_id": "s1",
+                "sql": "select k, median(s) from (select k, g, sum(v) as s from r group by k, g) as d group by k",
+                "fingerprint": "08959590f1d7ef42",
+                "engine": "lolepop",
+                "status": "ok",
+                "error": None,
+                "rows": 6,
+                "plan_cache_hit": False,
+                "result_cache_hit": False,
+                "parse_bind_s": "<t>",
+                "translate_s": "<t>",
+                "execute_s": "<t>",
+                "total_s": "<t>",
+                "queue_wait_s": "<t>",
+                "spill_bytes_written": 0,
+                "spill_bytes_read": 0,
+                "max_q_error": 1.0,
+                "morsel_skew": "<t>",
+                "straggler": "<t>",
+                "wall": "<t>",
+            },
+            "lane_first": {
+                0: {
+                    "name": "tablescan",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 0,
+                    "tid": "<t>",
+                    "args": {"phase": "p2", "query_id": "q1", "session": "s1"},
+                },
+                1: {
+                    "name": "region:tablescan",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 1,
+                    "tid": "<t>",
+                    "args": {
+                        "phase": "p2",
+                        "items": 4,
+                        "query_id": "q1",
+                        "session": "s1",
+                        "morsel_max_ms": "<t>",
+                        "morsel_mean_ms": "<t>",
+                        "morsel_skew": "<t>",
+                        "straggler_thread": "<t>",
+                    },
+                },
+                2: {
+                    "name": "service:queue-wait",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 2,
+                    "tid": "<t>",
+                    "args": {"query_id": "q1", "session": "s1"},
+                },
+            },
+            "lane_sizes": {0: 117, 1: 13, 2: 2},
+            "lane_names": {
+                0: [
+                    "compaction",
+                    "hashagg",
+                    "hashagg-merge",
+                    "ordagg",
+                    "partition",
+                    "project",
+                    "scan",
+                    "sort",
+                    "tablescan",
+                ],
+                1: [
+                    "region:compaction",
+                    "region:hashagg",
+                    "region:hashagg-merge",
+                    "region:ordagg",
+                    "region:partition",
+                    "region:project",
+                    "region:scan",
+                    "region:sort",
+                    "region:tablescan",
+                ],
+                2: ["service:admission-reserve", "service:queue-wait"],
+            },
+            "summary": {
+                "compaction": 5,
+                "hashagg": 8,
+                "hashagg-merge": 19,
+                "ordagg": 5,
+                "partition": 19,
+                "project": 28,
+                "scan": 24,
+                "sort": 5,
+                "source": 0,
+                "tablescan": 4,
+            },
+        },
+        "window_under_budget": {
+            "profile": {
+                "query": "SELECT k, sum(v) OVER (PARTITION BY k ORDER BY v) AS c FROM r",
+                "engine": "lolepop",
+                "execution_mode": "simulated",
+                "num_threads": 1,
+                "serial_time_s": "<t>",
+                "makespan_s": "<t>",
+                "counters": {
+                    "spill.partition_input_bytes": 32000.0,
+                    "spill.bytes_written": 64000.0,
+                    "spill.bytes_read": 160000.0,
+                    "spill.events": 9.0,
+                    "spill.loads": 18.0,
+                },
+                "joins": [],
+                "rewrites": ["prune-columns: r 3→2"],
+                "rewrite_events": [{"text": "prune-columns: r 3→2", "pass": "prune-columns", "detail": "r 3→2", "nodes": ["SCAN r"]}],
+            },
+            "dags": [
+                [
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
+                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 3, "scatter_keys": "k"}],
+                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 16000, 32000, 0, 0, 0, 0, {"mode": "permutation", "sorted_partitions": 3}],
+                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 16000, 64000, 1, 0, 0, 0, {"window_calls": 1}],
+                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 3, "<t>", 0, 0, 64000, 0, 0, 0, 0, {"projected_exprs": 3}],
+                ],
+            ],
+            "record": {
+                "query_id": "q1",
+                "session_id": "s1",
+                "sql": "select k, sum(v) over (partition by k order by v) as c from r",
+                "fingerprint": "3df387a3805a6ca7",
+                "engine": "lolepop",
+                "status": "ok",
+                "error": None,
+                "rows": 2000,
+                "plan_cache_hit": False,
+                "result_cache_hit": False,
+                "parse_bind_s": "<t>",
+                "translate_s": "<t>",
+                "execute_s": "<t>",
+                "total_s": "<t>",
+                "queue_wait_s": "<t>",
+                "spill_bytes_written": 64000,
+                "spill_bytes_read": 160000,
+                "max_q_error": 1.0,
+                "morsel_skew": "<t>",
+                "straggler": "<t>",
+                "wall": "<t>",
+            },
+            "lane_first": {
+                0: {
+                    "name": "tablescan",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 0,
+                    "tid": "<t>",
+                    "args": {"phase": "p1", "query_id": "q1", "session": "s1"},
+                },
+                1: {
+                    "name": "region:tablescan",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 1,
+                    "tid": "<t>",
+                    "args": {
+                        "phase": "p1",
+                        "items": 4,
+                        "query_id": "q1",
+                        "session": "s1",
+                        "morsel_max_ms": "<t>",
+                        "morsel_mean_ms": "<t>",
+                        "morsel_skew": "<t>",
+                        "straggler_thread": "<t>",
+                    },
+                },
+                2: {
+                    "name": "service:queue-wait",
+                    "ph": "X",
+                    "ts": "<t>",
+                    "dur": "<t>",
+                    "pid": 2,
+                    "tid": "<t>",
+                    "args": {"query_id": "q1", "session": "s1"},
+                },
+            },
+            "lane_sizes": {0: 22, 1: 7, 2: 2},
+            "lane_names": {
+                0: ["partition", "project", "scan", "sort", "spill", "tablescan", "window"],
+                1: [
+                    "region:partition",
+                    "region:project",
+                    "region:scan",
+                    "region:sort",
+                    "region:spill",
+                    "region:tablescan",
+                    "region:window",
+                ],
+                2: ["service:admission-reserve", "service:queue-wait"],
+            },
+            "summary": {"partition": 4, "project": 3, "scan": 3, "sort": 3, "source": 0, "spill": 1, "tablescan": 4, "window": 4},
+        },
+    }
+    # fmt: on
+
+    #: The keys of one serialized operator, in order; ``extra`` follows when
+    #: the operator noted anything. A row below is the values in this order.
+    OPERATOR_KEYS = [
+        "id", "name", "describe", "rows_in", "rows_out", "batches_in", "batches_out",
+        "wall_time_s", "peak_buffer_bytes", "spill_bytes_written", "spill_bytes_read",
+        "buffer_reuse_hits", "sort_elisions", "bytes_materialized", "peak_partition_bytes",
+    ]
+
+    def _row(self, operator):
+        assert [key for key in operator if key != "extra"] == self.OPERATOR_KEYS
+        return [operator[key] for key in self.OPERATOR_KEYS] + [operator.get("extra", {})]
+
+    def _views(self, db, name, tmp_path):
+        from repro.observability.telemetry import Telemetry, TelemetryConfig
+        from repro.server.service import QueryService, ServiceConfig
+
+        sql, overrides = self.STATEMENTS[name]
+        telemetry = Telemetry(TelemetryConfig(enabled=True, slow_query_threshold_s=0.0))
+        db.telemetry = telemetry
+        service = QueryService(
+            db, ServiceConfig(health_interval_s=0), registry=MetricsRegistry()
+        )
+        with service:
+            session = service.session(
+                num_threads=1, morsel_size=500, collect_trace=True, collect_metrics=True,
+                spill_directory=str(tmp_path), **overrides,
+            )
+            result = session.execute(sql)
+        profile = _frozen(result.profile.to_dict(trace=result.trace))
+        events = profile.pop("trace_events")
+        dags = profile.pop("dags")
+        assert [dag["index"] for dag in dags] == list(range(len(dags)))
+        lanes = {}
+        for event in events:
+            lanes.setdefault(event["pid"], []).append(event)
+        (record,) = telemetry.slowlog.snapshot()
+        return {
+            "profile": profile,
+            "dags": [[self._row(op) for op in dag["operators"]] for dag in dags],
+            "record": _frozen(record),
+            "lane_first": {pid: lane[0] for pid, lane in sorted(lanes.items())},
+            "lane_sizes": {pid: len(lane) for pid, lane in sorted(lanes.items())},
+            "lane_names": {
+                pid: sorted({event["name"] for event in lane})
+                for pid, lane in sorted(lanes.items())
+            },
+            "summary": {
+                op: count for op, (_, count) in sorted(result.operator_summary().items())
+            },
+        }
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_views_unchanged_from_the_parent(self, db, name, tmp_path):
+        assert self._views(db, name, tmp_path) == self.RECORDED[name]

@@ -202,6 +202,174 @@ def test_reuse_sweep_exercised_the_manager(reuse_db):
 
 
 # ----------------------------------------------------------------------
+# Span-tree invariants: every statement of the corpus writes one tree
+# (statement → stage → node → region → item); what the views rely on
+# holds of it under both schedulers, with and without a buffer budget.
+# ----------------------------------------------------------------------
+TREE_SCHEDULERS = {
+    "simulated": {"execution_mode": "simulated", "num_threads": 4},
+    "parallel4": {"execution_mode": "parallel", "num_threads": 4},
+}
+TREE_BUDGETS = {"unbudgeted": None, "1KiB": 1024}
+#: Statement, stage and node spans tick on the wall clock, region and item
+#: spans on the scheduler's; a `translate` stage sits where the translation
+#: happened, which for a nested region is inside the SOURCE node.
+_WALL = {"statement", "stage", "node"}
+_MAY_HOLD = {
+    "statement": _WALL - {"statement"},
+    "stage": {"stage", "node", "region"},
+    "node": {"stage", "node", "region"},
+    "region": {"item"},
+    "item": set(),
+}
+_EPS = 1e-9
+
+
+@pytest.fixture()
+def tree_db():
+    from repro.observability.telemetry import Telemetry, TelemetryConfig
+
+    db = _make_db(random.Random(SEED))
+    db.telemetry = Telemetry(TelemetryConfig(enabled=True, slow_query_threshold_s=0.0))
+    return db
+
+
+def _check_tree(span, under_execute=False, under_node=False):
+    """Walk the tree below ``span`` asserting the structural invariants;
+    returns its item spans."""
+    assert span.end is not None and span.end >= span.start, span.name
+    under_execute = under_execute or (span.kind, span.name) == ("stage", "execute")
+    items = []
+    last_region = None
+    for child in span.children:
+        assert child.kind in _MAY_HOLD[span.kind], (span.kind, child.kind)
+        if child.kind in _WALL or child.kind == "item":  # the parent's clock
+            assert span.start - _EPS <= child.start and child.end <= span.end + _EPS
+        if child.kind == "node":
+            assert under_execute, "a node outside the execute stage"
+        if child.kind == "region":
+            assert span.kind == "node" or (under_execute and not under_node)
+            assert child.attrs["items"] >= 1 and child.children
+            if last_region is not None:  # barriers: siblings never overlap
+                assert last_region.end <= child.start + _EPS
+            last_region = child
+        if child.kind == "item":
+            assert child.attrs is span.attrs and not child.children
+            items.append(child)
+        items += _check_tree(child, under_execute, under_node or child.kind == "node")
+    return items
+
+
+@pytest.mark.parametrize("budget", sorted(TREE_BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(TREE_SCHEDULERS))
+def test_span_tree_invariants(tree_db, monkeypatch, tmp_path, scheduler, budget):
+    from repro.execution import scheduler as scheduler_module
+    from repro.observability.chrome import chrome_trace_events
+
+    # A split item is scheduled as chunks that carry the modelled overhead
+    # (SPLIT_OVERHEAD) on top of its measured time; with splitting off the
+    # scheduled units are exactly the measured work.
+    monkeypatch.setattr(scheduler_module, "SPLIT_QUANTUM", float("inf"))
+    config = EngineConfig(
+        num_partitions=8, collect_trace=True, collect_metrics=True,
+        memory_budget_bytes=TREE_BUDGETS[budget], spill_directory=str(tmp_path),
+        **TREE_SCHEDULERS[scheduler],
+    )
+    for number, sql in _plans():
+        result = tree_db.sql(sql, config=config)
+        record = tree_db.telemetry.slowlog.snapshot(last=1)[0]
+        root = result.trace.root
+        assert root.kind == "statement" and root.name == record["sql"], sql
+        assert [s.name for s in root.children] == ["parse_bind", "execute"], sql
+        items = _check_tree(root)
+        assert items == result.trace.records and items, sql
+        assert sum(i.duration for i in items) == pytest.approx(
+            result.serial_time, rel=1e-9
+        ), sql
+        # Every DAG node's span is in the tree, and the tree has no other.
+        assert sorted(map(id, root.walk("node"))) == sorted(
+            id(node.span) for _, _, node in result.profile.executed_nodes()
+        ), sql
+        assert sum(s.duration for s in root.walk("stage") if s.name == "translate") == (
+            pytest.approx(result.translate_s)
+        ), sql
+        # One id from the root to every view.
+        query_id = root.attrs["query_id"]
+        assert query_id == record["query_id"] and query_id.startswith("d"), sql
+        events = chrome_trace_events(result.trace)
+        assert {event["args"]["query_id"] for event in events} == {query_id}, sql
+        if budget == "1KiB" and " OVER (" in sql:
+            assert result.spill["bytes_written"] > 0, f"plan{number} did not spill"
+
+
+@pytest.mark.parametrize("scheduler", sorted(TREE_SCHEDULERS))
+def test_a_failed_or_cancelled_statement_closes_every_span(tree_db, monkeypatch, scheduler):
+    """Fail (and, separately, cancel) a statement on entry to its N-th
+    region, for every N it has: the root handed to ``record_execution`` has
+    no open span left below it."""
+    from repro import QueryCancelled
+    from repro.execution import CancellationToken
+    from repro.execution.scheduler import RegionScheduler
+
+    sql = next(sql for _, sql in _plans() if " OVER (" in sql)
+    config = EngineConfig(
+        num_partitions=8, collect_trace=True, collect_metrics=True,
+        **TREE_SCHEDULERS[scheduler],
+    )
+    run_region = RegionScheduler.run_region
+    state = {"entered": 0, "fail_at": None, "cancel": False}
+
+    def probed(scheduler, *args, **kwargs):
+        state["entered"] += 1
+        if state["entered"] == state["fail_at"]:
+            if not state["cancel"]:
+                raise RuntimeError("injected failure")
+            scheduler.cancellation.cancel()
+        return run_region(scheduler, *args, **kwargs)
+
+    monkeypatch.setattr(RegionScheduler, "run_region", probed)
+    tree_db.sql(sql, config=config)
+    regions = state["entered"]
+    assert regions >= 5
+    recorded = []
+    record_execution = tree_db.telemetry.record_execution
+    monkeypatch.setattr(
+        tree_db.telemetry, "record_execution",
+        lambda root, *args: recorded.append(root) or record_execution(root, *args),
+    )
+    for cancel, error in ((False, RuntimeError), (True, QueryCancelled)):
+        for fail_at in range(1, regions + 1):
+            state.update(entered=0, fail_at=fail_at, cancel=cancel)
+            with pytest.raises(error):
+                tree_db.sql(sql, config=config.clone(cancellation=CancellationToken()))
+            root = recorded[-1]
+            assert len(recorded) == (regions if cancel else 0) + fail_at
+            _check_tree(root)  # every span reachable from it is closed
+            # (An empty region is entered but leaves no span.)
+            assert len(list(root.walk("region"))) <= fail_at - 1
+            status = tree_db.telemetry.slowlog.snapshot(last=1)[0]["status"]
+            assert status == ("cancelled" if cancel else "error")
+
+
+def test_a_template_clone_starts_with_no_span(tree_db):
+    sql = next(sql for _, sql in _plans() if "GROUP BY" in sql)
+    config = EngineConfig(collect_metrics=True)
+    first = tree_db.sql(sql, config=config)
+    assert all(node.span is not None for dag in first.dags for node in dag.nodes)
+    templates = tree_db.prepare(sql).dag_templates.values()
+    assert templates
+    for template in templates:
+        assert all(node.span is None for node in template.nodes)
+        assert all(node.span is None for node in template.clone().nodes)
+    second = tree_db.sql(sql, config=config)
+    spans = [node.span for dag in second.dags for node in dag.nodes]
+    assert all(span is not None for span in spans)
+    assert not {id(span) for span in spans} & {
+        id(node.span) for dag in first.dags for node in dag.nodes
+    }
+
+
+# ----------------------------------------------------------------------
 # Sanitized slice: the runtime concurrency sanitizer rides a slice of the
 # same seeded corpus, serial and parallel, and cross-checks the static
 # analyzer — a dynamic race is a failure, and a dynamic race in a file

@@ -253,23 +253,13 @@ def test_trace_records_use_rebased_abutting_regions():
     first_region_end = sched.sim_time
     sched.run_region("b", "p1", range(3), lambda i: time.sleep(0.001))
     assert len(trace.records) == 6
-    ops_a = [r for r in trace.records if r.operator == "a"]
-    ops_b = [r for r in trace.records if r.operator == "b"]
+    ops_a = [r for r in trace.records if r.name == "a"]
+    ops_b = [r for r in trace.records if r.name == "b"]
     # Region b's records start at or after region a's span ended.
     assert min(r.start for r in ops_b) >= first_region_end - 1e-9
     assert all(r.end >= r.start for r in trace.records)
     # Worker ids are dense indices, not OS thread idents.
     assert {r.thread for r in trace.records} <= set(range(sched.num_threads))
-
-
-def test_reset_clears_all_per_query_state():
-    trace = ExecutionTrace()
-    sched = ParallelScheduler(2, trace)
-    sched.run_region("op", "p0", range(4), lambda i: i)
-    sched.reset()
-    assert sched.sim_time == 0.0
-    assert sched.serial_time == 0.0
-    assert trace.records == []
 
 
 # ----------------------------------------------------------------------

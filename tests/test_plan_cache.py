@@ -285,19 +285,21 @@ class TestDagClone:
 
     def test_clone_resets_stats(self):
         template = self._template()
+        for node in template.topological_order():
+            node.span = object()  # as if the template itself had executed
         clone = template.clone()
-        assert all(n.stats is None for n in clone.topological_order())
+        assert all(n.span is None for n in clone.topological_order())
 
     def test_templates_never_executed(self):
         # Executing a query twice must leave the cached template pristine
-        # (stats are attached per run to clones, not to the template).
+        # (spans are attached per run to clones, not to the template).
         db = make_db()
         sql = "SELECT g, median(x) FROM t GROUP BY g"
         db.sql(sql)
         db.sql(sql, config=db.config.clone(collect_metrics=True))
         entry = db.prepare(sql)
         for template in entry.dag_templates.values():
-            assert all(n.stats is None for n in template.topological_order())
+            assert all(n.span is None for n in template.topological_order())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from repro import Database
 from repro.execution.context import EngineConfig
-from repro.execution.trace import ExecutionTrace, TraceRecord
+from repro.execution.trace import ExecutionTrace
 from repro.observability.chrome import (
     REGION_PID,
     SERVICE_PID,
@@ -166,8 +166,8 @@ class TestProvenanceEndToEnd:
         result = db.sql(
             self.SQL, config=EngineConfig(collect_metrics=True)
         )
-        stats = [entry[4] for entry in result.profile.operator_stats()]
-        assert any(op.bytes_materialized > 0 for op in stats)
+        stats = [node.span.attrs for _, _, node in result.profile.executed_nodes()]
+        assert any(op["bytes_materialized"] > 0 for op in stats)
         doc = result.profile.to_dict()
         op_doc = doc["dags"][0]["operators"][0]
         assert "bytes_materialized" in op_doc
@@ -180,13 +180,9 @@ class TestProvenanceEndToEnd:
 def skewed_trace() -> ExecutionTrace:
     trace = ExecutionTrace()
     # Thread 1 is the straggler: 4x the mean morsel duration.
-    for thread, start, end in ((0, 0.0, 0.1), (1, 0.0, 0.8), (2, 0.0, 0.1)):
-        trace.records.append(
-            TraceRecord(
-                operator="HASHAGG", phase="p1",
-                thread=thread, start=start, end=end,
-            )
-        )
+    trace.add_region(
+        "HASHAGG", "p1", 0.0, 0.8, [(0, 0.0, 0.1), (1, 0.0, 0.8), (2, 0.0, 0.1)]
+    )
     return trace
 
 
@@ -208,8 +204,8 @@ class TestMorselSkew:
 class TestChromeWaitSpans:
     def test_wait_spans_schema_and_placement(self):
         trace = skewed_trace()
-        trace.queue_wait_s = 0.25
-        trace.admission_reserve_s = 0.05
+        trace.add("stage", "admission", 10.0, 10.05)
+        trace.add("stage", "queue", 10.05, 10.30)
         events = chrome_trace_events(trace)
         validate_trace_events(events)  # full span schema holds
         service = [e for e in events if e["pid"] == SERVICE_PID]
@@ -228,34 +224,34 @@ class TestChromeWaitSpans:
         assert not [e for e in events if e["pid"] == SERVICE_PID]
 
     def test_region_spans_carry_skew_args(self):
-        from repro.execution.trace import RegionSpan
-
-        trace = skewed_trace()
-        trace.add_region(
-            RegionSpan(
-                operator="HASHAGG", phase="p1", start=0.0, end=0.8, items=3
-            )
-        )
-        events = chrome_trace_events(trace)
-        region = [e for e in events if e["pid"] == REGION_PID]
-        assert region and region[0]["args"]["straggler_thread"] == 1
-        assert region[0]["args"]["morsel_skew"] > 2.0
+        events = chrome_trace_events(skewed_trace())
+        (region,) = [e for e in events if e["pid"] == REGION_PID]
+        assert region["args"]["items"] == 3
+        assert region["args"]["straggler_thread"] == 1
+        assert region["args"]["morsel_skew"] > 2.0
 
     def test_config_waits_reach_trace(self):
-        config = EngineConfig(
-            collect_trace=True, queue_wait_s=0.4, admission_reserve_s=0.1
-        )
+        """The service's waits ride on the statement's root span — per-query
+        attribution is not configuration — and reach the trace a session's
+        statement returns."""
+        from repro import QueryService, ServiceConfig
         from repro.execution.context import ExecutionContext
 
-        context = ExecutionContext(config)
-        assert context.trace.queue_wait_s == pytest.approx(0.4)
-        assert context.trace.admission_reserve_s == pytest.approx(0.1)
-        # Never part of the translation fingerprint: ids and waits do not
-        # change the plan.
-        assert (
-            config.translation_fingerprint()
-            == EngineConfig().translation_fingerprint()
-        )
+        with pytest.raises(TypeError):
+            EngineConfig(queue_wait_s=0.4)
+        assert ExecutionContext(EngineConfig(collect_trace=True)).trace.root.stages() == {}
+        db = Database(telemetry=fresh_telemetry())
+        db.create_table("t", {"g": "int64", "x": "float64"})
+        db.insert("t", {"g": [1, 2, 1], "x": [0.5, 1.5, 2.5]})
+        with QueryService(db, ServiceConfig(health_interval_s=0)) as service:
+            result = service.session(collect_trace=True).execute(
+                "SELECT g, sum(x) FROM t GROUP BY g"
+            )
+        assert set(result.trace.root.stages()) == {"parse_bind", "admission", "queue", "execute"}
+        service_lane = [e for e in chrome_trace_events(result.trace) if e["pid"] == SERVICE_PID]
+        assert {e["name"] for e in service_lane} == {
+            "service:queue-wait", "service:admission-reserve"
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class TestMapChains:
         executor = RelationalExecutor(catalog, context)
         assert rows_of(executor.execute(plan)) == [(12,), (14,), (16,), (18,)]
         # One fused region, not one per operator.
-        operators = {r.operator for r in (context.trace.records if context.trace else [])}
+        operators = {r.name for r in (context.trace.records if context.trace else [])}
         # no trace configured; just ensure results correct
 
     def test_empty_filter_result(self, setup):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.execution import ExecutionTrace, SimulatedScheduler
 from repro.execution.scheduler import SPLIT_OVERHEAD
-from repro.execution.trace import TraceRecord
+from repro.execution.trace import Span
 
 
 class TestScheduling:
@@ -54,14 +54,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             SimulatedScheduler(0)
 
-    def test_reset(self):
-        sched = SimulatedScheduler(2, ExecutionTrace())
-        sched.account("op", "p0", [1.0])
-        sched.reset()
-        assert sched.sim_time == 0.0
-        assert sched.serial_time == 0.0
-        assert sched.trace.records == []
-
 
 class TestTrace:
     def make_trace(self):
@@ -99,5 +91,5 @@ class TestTrace:
         assert ExecutionTrace().render() == "(empty trace)"
 
     def test_record_duration(self):
-        record = TraceRecord(0, 1.0, 2.5, "op", "p0")
+        record = Span("item", "op", 1.0, 2.5)
         assert record.duration == pytest.approx(1.5)

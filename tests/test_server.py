@@ -240,7 +240,7 @@ class TestCancellation:
             "SELECT g, median(x) FROM t GROUP BY g",
             config=spill_config.clone(collect_trace=True),
         )
-        assert "spill" in [r.operator for r in traced.trace.records]
+        assert "spill" in [r.name for r in traced.trace.records]
         monkeypatch.setattr(
             SpillManager, "io_hook", staticmethod(stall_first_write)
         )

@@ -248,12 +248,12 @@ class TestSpillingEndToEnd:
             collect_trace=True,
         )
         result = db.sql("SELECT g, median(x) FROM t GROUP BY g", config=config)
-        assert "spill" in [r.operator for r in result.trace.records]
+        assert "spill" in [r.name for r in result.trace.records]
 
     def test_no_budget_means_no_spill(self, db):
         config = EngineConfig(num_threads=2, collect_trace=True)
         result = db.sql("SELECT g, median(x) FROM t GROUP BY g", config=config)
-        assert "spill" not in [r.operator for r in result.trace.records]
+        assert "spill" not in [r.name for r in result.trace.records]
 
     def test_spill_files_cleaned_up(self, db, tmp_path):
         config = EngineConfig(
@@ -354,7 +354,7 @@ class TestConcurrentSpilling:
         finally:
             service.shutdown()
         for result in results:
-            assert "spill" in [r.operator for r in result.trace.records]
+            assert "spill" in [r.name for r in result.trace.records]
         assert os.listdir(str(tmp_path)) == []
 
 
@@ -528,15 +528,15 @@ class TestBudgetIsABound:
             "SELECT g, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t", config=config
         )
         def by_operator(profile):
-            return {name: stats for _, _, name, _, stats in profile.operator_stats()}
+            return {node.name(): node.span.attrs for _, _, node in profile.executed_nodes()}
 
         ordered, window = by_operator(result.profile), by_operator(windowed.profile)
         for stats in (ordered["ORDAGG"], window["SCAN"]):
-            assert stats.spill_bytes_read > 0
-            assert stats.spill_bytes_written == 0
+            assert stats["spill_bytes_read"] > 0
+            assert stats["spill_bytes_written"] == 0
         for stats in (ordered["SORT"], window["SORT"]):
             # 8 bytes a row: the permutation vector, no tuple.
-            assert stats.spill_bytes_written == 8 * 4000
+            assert stats["spill_bytes_written"] == 8 * 4000
         # Tuples once, the permutation vector, one float64 window column.
         assert windowed.spill["bytes_written"] == 4000 * (3 * 8 + 8 + 8)
 

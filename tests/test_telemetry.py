@@ -20,6 +20,7 @@ from repro import (
     ServiceConfig,
 )
 from repro.errors import PlanVerificationError, ReproError
+from repro.execution.trace import ExecutionTrace
 from repro.lolepop.base import Dag
 from repro.lolepop.verify import verify_dag
 from repro.observability.chrome import chrome_trace_events
@@ -354,7 +355,37 @@ class TestServiceTelemetry:
         assert len(starts) == 1
         assert starts[0]["query_id"] == record["query_id"]
         assert starts[0]["session_id"] == record["session_id"]
-        assert record["queue_wait_s"] >= 0.0
+        # One definition of the wait: submission to pick-up.
+        assert record["queue_wait_s"] == pytest.approx(starts[0]["queue_wait_s"], abs=1e-3)
+
+    def test_queue_wait_is_submission_to_pickup(self):
+        """``queue_wait_s`` is what ``QueryTicket.queue_wait`` measures —
+        the root opens at submission, the ``queue`` stage ends at pick-up —
+        not the ``queue`` stage alone."""
+        telemetry = fresh_telemetry()
+        trace = ExecutionTrace(telemetry.open_statement("select 1", "lolepop", "q1", "s1"))
+        t0 = trace.root.start
+        trace.add("stage", "parse_bind", t0, t0 + 0.1)
+        trace.add("stage", "admission", t0 + 0.1, t0 + 0.15)
+        trace.add("stage", "queue", t0 + 0.15, t0 + 0.4)
+        trace.add("stage", "execute", t0 + 0.4, t0 + 0.5)
+        telemetry.record_execution(trace.root)
+        record = telemetry.slowlog.snapshot()[-1]
+        assert record["queue_wait_s"] == pytest.approx(0.4)
+        assert record["total_s"] == pytest.approx(0.2)
+
+    def test_execute_prepared_opens_its_own_root(self):
+        """A prepared statement executed without the tree ``prepare_timed``
+        opens is still one record: ``execute_prepared`` opens the root."""
+        telemetry = fresh_telemetry()
+        db = make_db(telemetry)
+        prepared = db.prepare("SELECT g, sum(x) FROM t GROUP BY g")
+        assert telemetry.queries_recorded == 0
+        db.execute_prepared(prepared)
+        assert telemetry.queries_recorded == 1
+        record = telemetry.slowlog.snapshot()[-1]
+        assert record["query_id"].startswith("d") and record["status"] == "ok"
+        assert record["sql"] == prepared.normalized and record["execute_s"] > 0.0
 
     def test_result_cache_hit_recorded(self):
         telemetry = fresh_telemetry()
@@ -878,29 +909,44 @@ class TestHistogramQuantiles:
 
 
 class TestChromeTraceAttribution:
+    """The ids on a statement's root span are the ones on every Chrome
+    event and in its record."""
+
     def test_span_args_carry_query_and_session(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        config = db.config.clone(
-            collect_trace=True, query_id="q42", session_id="s7"
-        )
-        result = db.sql("SELECT g, sum(x) FROM t GROUP BY g", config=config)
-        assert result.trace.query_id == "q42"
-        assert result.trace.session_id == "s7"
+        with service_for(db, health_interval_s=0) as service:
+            session = service.session(collect_trace=True)
+            result = session.execute("SELECT g, sum(x) FROM t GROUP BY g")
+        (record,) = telemetry.slowlog.snapshot()
+        assert result.trace.root.attrs["query_id"] == record["query_id"] == "q1"
+        assert result.trace.root.attrs["session_id"] == record["session_id"] == "s1"
         events = chrome_trace_events(result.trace)
         spans = [e for e in events if e.get("ph") == "X"]
         assert spans
         for event in spans:
-            assert event["args"]["query_id"] == "q42"
-            assert event["args"]["session"] == "s7"
+            assert event["args"]["query_id"] == "q1"
+            assert event["args"]["session"] == "s1"
 
-    def test_unattributed_trace_has_no_id_args(self):
+    def test_direct_statement_carries_its_direct_id(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
         result = db.sql(
-            "SELECT count(*) FROM t",
-            config=db.config.clone(collect_trace=True),
+            "SELECT count(*) FROM t", config=db.config.clone(collect_trace=True)
         )
+        (record,) = telemetry.slowlog.snapshot()
+        assert record["query_id"].startswith("d")
+        events = chrome_trace_events(result.trace)
+        assert events and all(e["args"]["query_id"] == record["query_id"] for e in events)
+        assert all("session" not in e["args"] for e in events)
+
+    def test_unattributed_trace_has_no_id_args(self):
+        """An engine run nobody opened a statement for has a bare root."""
+        from repro import LolepopEngine
+
+        db = make_db(fresh_telemetry())
+        config = db.config.clone(collect_trace=True)
+        result = LolepopEngine(db.catalog, config).run(db.plan("SELECT count(*) FROM t"))
         events = chrome_trace_events(result.trace)
         spans = [e for e in events if e.get("ph") == "X"]
         assert spans

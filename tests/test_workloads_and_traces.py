@@ -97,10 +97,10 @@ class TestFigure8Traces:
         )
         profile = db.sql(FIGURE8_QUERIES[1], config=config).profile
         first, *reaggregations = [
-            stats for _, _, name, _, stats in profile.operator_stats() if name == "HASHAGG"
+            node.span.attrs for _, _, node in profile.executed_nodes() if node.name() == "HASHAGG"
         ]
         assert len(reaggregations) == 2
-        assert all(first.rows_in > 50 * other.rows_in for other in reaggregations)
+        assert all(first["rows_in"] > 50 * other["rows_in"] for other in reaggregations)
 
         traces = [self.run_trace(db, 1) for _ in range(5)]
         preaggregation = min(trace.total_work("hashagg") for trace in traces)
@@ -115,10 +115,10 @@ class TestFigure8Traces:
             assert op in operators
         # The window runs before the final ordagg.
         first_window = min(
-            r.start for r in trace.records if r.operator == "window"
+            r.start for r in trace.records if r.name == "window"
         )
         last_ordagg = max(
-            r.end for r in trace.records if r.operator == "ordagg"
+            r.end for r in trace.records if r.name == "ordagg"
         )
         assert first_window < last_ordagg
 
