@@ -21,7 +21,7 @@ arbitrary group element (used to make DISTINCT inputs unique).
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BindError
 from .expr.nodes import Expr
@@ -243,6 +243,10 @@ class AggregateCall:
     def spec(self) -> AggSpec:
         return lookup(self.func)
 
+    def exprs(self) -> List[Expr]:
+        """Every expression the call reads: arguments, then order keys."""
+        return [*self.args, *(expr for expr, _ in self.order_by)]
+
     def key(self) -> Tuple:
         """Structural identity of the computation, output name excluded:
         calls with equal keys compute the same column (interning)."""
@@ -301,6 +305,14 @@ class WindowCall:
     @property
     def spec(self) -> AggSpec:
         return lookup(self.func)
+
+    def exprs(self) -> List[Expr]:
+        """Every expression the call reads: arguments, partition keys,
+        order keys, then the lag/lead default."""
+        out = [*self.args, *self.partition_by, *(expr for expr, _ in self.order_by)]
+        if self.default is not None:
+            out.append(self.default)
+        return out
 
     def ordering_key(self) -> Tuple:
         """Identity of (partition_by, order_by) — window calls sharing it can

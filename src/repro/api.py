@@ -28,9 +28,10 @@ from .logical import LogicalPlan, explain_plan
 from .logical.cardinality import CardinalityEstimator
 from .lolepop.engine import LolepopEngine, QueryResult
 from .observability.telemetry import GLOBAL_TELEMETRY
-from .server.cache import PlanCache, PreparedPlan, normalize_sql, table_deps
+from .server.cache import PlanCache, PreparedPlan, table_deps
 from .sql import bind, parse_sql
 from .sql.ast import ExplainStmt
+from .sql.lexer import fill, skeleton
 from .stats import StatisticsCache
 from .storage.batch import Batch
 from .storage.table import Catalog, Table
@@ -65,9 +66,9 @@ class Database:
             num_threads=num_threads, execution_mode=execution_mode
         )
         #: LRU of prepared (parsed + bound + translated-template) plans,
-        #: keyed on normalized SQL with per-table version validation;
-        #: ``plan_cache_size=0`` disables caching entirely (every call
-        #: re-parses).
+        #: keyed on the statement skeleton and pinned literals with
+        #: per-table version validation; ``plan_cache_size=0`` disables
+        #: caching entirely (every call re-parses).
         self.plan_cache = (
             PlanCache(plan_cache_size) if plan_cache_size else None
         )
@@ -84,7 +85,7 @@ class Database:
             self.plan_cache.on_evict = lambda key, entry: self.telemetry.event(
                 "cache.evict",
                 cache="plan",
-                sql=self.telemetry.truncate_sql(key),
+                sql=self.telemetry.truncate_sql(entry.normalized),
                 catalog_version=entry.catalog_version,
             )
         #: Cross-query materialization manager (``src/repro/reuse``). Off by
@@ -194,18 +195,24 @@ class Database:
 
     def _prepare_cached(self, query: str):
         """(prepared plan, was a plan-cache hit). Parse/bind run only on a
-        miss; a hit also carries translated DAG templates the engine clones
-        instead of re-translating."""
+        miss; a hit — any statement of a cached skeleton with the entry's
+        pinned literals — also carries translated DAG templates the engine
+        clones instead of re-translating."""
         # EXPLAIN is routed around the cache by a cheap pre-parse test.
         if self.plan_cache is None or query.lstrip()[:7].lower() == "explain":
-            return self._build_prepared(query), False
+            return self._build_prepared(query, skeleton(query)), False
         return self.plan_cache.lookup(
-            query, self.catalog, lambda: self._build_prepared(query)
+            query, self.catalog, lambda shape: self._build_prepared(query, shape)
         )
 
-    def _build_prepared(self, query: str) -> PreparedPlan:
-        stmt = parse_sql(query)
-        plan = None if isinstance(stmt, ExplainStmt) else bind(stmt, self.catalog)
+    def _build_prepared(self, query: str, shape) -> PreparedPlan:
+        slots = shape[1] if shape is not None else ()
+        stmt = parse_sql(query, slots)
+        pinned = set() if slots else None
+        plan = (
+            None if isinstance(stmt, ExplainStmt)
+            else bind(stmt, self.catalog, pinned)
+        )
         return PreparedPlan(
             query,
             stmt,
@@ -214,6 +221,9 @@ class Database:
             table_deps(plan, self.catalog),
             self.catalog.ddl_version,
             cacheable=plan is not None,
+            shape=shape,
+            pinned=pinned or (),
+            reuse=self.reuse is not None,
         )
 
     def prepare_timed(
@@ -241,7 +251,8 @@ class Database:
                 prepared, cache_hit = self._prepare_cached(query)
         except Exception as error:
             if self.telemetry.enabled:
-                root.name = normalize_sql(query)
+                shape = skeleton(query)
+                root.name = fill(*shape) if shape is not None else query.strip()
                 self.telemetry.record_execution(root, error=error)
             raise
         root.name = prepared.normalized
@@ -328,7 +339,7 @@ class Database:
                     trace.root, prepared, run_config, result, error, self.estimator, self.feedback
                 )
                 if replan and self.plan_cache is not None:
-                    self.plan_cache.discard(prepared.normalized)
+                    self.plan_cache.discard(prepared.key)
             elif trace is not None:
                 trace.root.close()
             error = None  # do not keep the traceback's frame cycle alive

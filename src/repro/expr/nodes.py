@@ -8,7 +8,7 @@ and ``VAR_POP``, which requires recognizing identical expressions).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..types import DataType
 
@@ -76,13 +76,17 @@ class ColumnRef(Expr):
 
 
 class Literal(Expr):
-    """A typed constant. ``value is None`` encodes SQL NULL."""
+    """A typed constant. ``value is None`` encodes SQL NULL. ``slot`` is the
+    statement slot the constant was written in (see
+    :func:`~repro.sql.lexer.skeleton`), ``None`` for a constant the SQL
+    text does not hold as such; it is not part of :meth:`key`."""
 
-    __slots__ = ("value", "dtype")
+    __slots__ = ("value", "dtype", "slot")
 
-    def __init__(self, value: Any, dtype: DataType):
+    def __init__(self, value: Any, dtype: DataType, slot: Optional[int] = None):
         self.value = value
         self.dtype = dtype
+        self.slot = slot
 
     @classmethod
     def infer(cls, value: Any) -> "Literal":
@@ -237,3 +241,48 @@ class Cast(Expr):
 
     def __repr__(self) -> str:
         return f"cast({self.operand!r} as {self.dtype.value})"
+
+
+def rewrite(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
+    """``expr`` with every subexpression for which ``fn`` returns an
+    expression replaced by it. ``fn`` sees each node top-down, before its
+    children; a replaced node's children are not visited. Unchanged parts
+    are shared, and ``expr`` itself comes back when nothing changed."""
+    new = fn(expr)
+    if new is not None:
+        return new
+    if isinstance(expr, BinaryOp):
+        parts: Tuple = (expr.left, expr.right)
+        build = lambda left, right: BinaryOp(expr.op, left, right)  # noqa: E731
+    elif isinstance(expr, UnaryOp):
+        parts, build = (expr.operand,), lambda operand: UnaryOp(expr.op, operand)
+    elif isinstance(expr, IsNull):
+        parts, build = (expr.operand,), lambda operand: IsNull(operand, expr.negated)
+    elif isinstance(expr, Cast):
+        parts, build = (expr.operand,), lambda operand: Cast(operand, expr.dtype)
+    elif isinstance(expr, FuncCall):
+        parts, build = expr.args, lambda *args: FuncCall(expr.name, args)
+    elif isinstance(expr, InList):
+        parts = (expr.operand,) + expr.items
+        build = lambda operand, *items: InList(operand, items, expr.negated)  # noqa: E731
+    elif isinstance(expr, CaseExpr):
+        parts = sum(expr.whens, ()) + (expr.default,)
+        build = lambda *p: CaseExpr(list(zip(p[:-1:2], p[1:-1:2])), p[-1])  # noqa: E731
+    else:
+        return expr
+    new_parts = [part if part is None else rewrite(part, fn) for part in parts]
+    if all(new is old for new, old in zip(new_parts, parts)):
+        return expr
+    return build(*new_parts)
+
+
+def slotted_literals(expr: Expr) -> List[Literal]:
+    """``expr``'s :class:`Literal` leaves that carry a slot, in order."""
+    leaves: List[Literal] = []
+    rewrite(
+        expr,
+        lambda node: leaves.append(node)
+        if type(node) is Literal and node.slot is not None
+        else None,
+    )
+    return leaves

@@ -23,17 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..aggregates import AggregateCall, WindowCall
 from ..errors import BindError
 from ..expr.eval import columns_referenced
-from ..expr.nodes import (
-    BinaryOp,
-    CaseExpr,
-    Cast,
-    ColumnRef,
-    Expr,
-    FuncCall,
-    InList,
-    IsNull,
-    UnaryOp,
-)
+from ..expr.nodes import ColumnRef, Expr, rewrite
 from .plan import Aggregate, Filter, LogicalPlan, Project, Window
 
 
@@ -41,35 +31,7 @@ def substitute(expr: Expr, mapping: Dict[Tuple, ColumnRef]) -> Expr:
     """Replace every subexpression whose structural key appears in
     ``mapping`` by the mapped column reference (how SELECT items that repeat
     a GROUP BY expression resolve to the grouped column)."""
-    if expr.key() in mapping:
-        return mapping[expr.key()]
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op, substitute(expr.left, mapping), substitute(expr.right, mapping)
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, substitute(expr.operand, mapping))
-    if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, [substitute(a, mapping) for a in expr.args])
-    if isinstance(expr, CaseExpr):
-        return CaseExpr(
-            [
-                (substitute(c, mapping), substitute(v, mapping))
-                for c, v in expr.whens
-            ],
-            substitute(expr.default, mapping) if expr.default is not None else None,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            substitute(expr.operand, mapping),
-            [substitute(i, mapping) for i in expr.items],
-            expr.negated,
-        )
-    if isinstance(expr, IsNull):
-        return IsNull(substitute(expr.operand, mapping), expr.negated)
-    if isinstance(expr, Cast):
-        return Cast(substitute(expr.operand, mapping), expr.dtype)
-    return expr
+    return rewrite(expr, lambda node: mapping.get(node.key()))
 
 
 def attach_window_stage(

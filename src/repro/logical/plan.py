@@ -69,6 +69,18 @@ class LogicalPlan:
         changes its output — with the children left out."""
         raise NotImplementedError
 
+    def expressions(self) -> Tuple[Expr, ...]:
+        """Every expression this operator holds, its children's excluded."""
+        return ()
+
+    def replaced(self, children: Sequence["LogicalPlan"], **attrs) -> "LogicalPlan":
+        """A shallow copy over ``children`` with ``attrs`` set. The schema
+        is copied, not derived again: a caller changes nothing it depends on
+        (the plan cache swaps literals for literals of the same type)."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, children=list(children), **attrs)
+        return twin
+
     def key(self) -> Tuple:
         """The plan's structural identity: equal keys ⇔ the same operators
         with the same expressions, constants and columns read, whatever SQL
@@ -109,6 +121,9 @@ class Filter(LogicalPlan):
     def node_key(self) -> Tuple:
         return ("filter", self.predicate.key())
 
+    def expressions(self) -> Tuple[Expr, ...]:
+        return (self.predicate,)
+
 
 class Project(LogicalPlan):
     """Compute named expressions over the child."""
@@ -131,6 +146,9 @@ class Project(LogicalPlan):
 
     def node_key(self) -> Tuple:
         return ("project", tuple((name.lower(), expr.key()) for name, expr in self.items))
+
+    def expressions(self) -> Tuple[Expr, ...]:
+        return tuple(expr for _, expr in self.items)
 
 
 class JoinKind(enum.Enum):
@@ -197,6 +215,9 @@ class Join(LogicalPlan):
             self.residual.key() if self.residual is not None else None,
             _names(self.schema.names()),
         )
+
+    def expressions(self) -> Tuple[Expr, ...]:
+        return () if self.residual is None else (self.residual,)
 
 
 class Aggregate(LogicalPlan):
@@ -274,6 +295,9 @@ class Aggregate(LogicalPlan):
             None if sets is None else tuple(_names(gs) for gs in sets),
         )
 
+    def expressions(self) -> Tuple[Expr, ...]:
+        return tuple(expr for call in self.aggregates for expr in call.exprs())
+
 
 class Window(LogicalPlan):
     """Evaluate window expressions; output = child columns + one per call."""
@@ -296,6 +320,9 @@ class Window(LogicalPlan):
 
     def node_key(self) -> Tuple:
         return ("window", tuple((call.name.lower(), call.key()) for call in self.calls))
+
+    def expressions(self) -> Tuple[Expr, ...]:
+        return tuple(expr for call in self.calls for expr in call.exprs())
 
 
 class Sort(LogicalPlan):

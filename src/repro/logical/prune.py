@@ -113,21 +113,12 @@ class _Pruner:
             return Limit(child, plan.limit, plan.offset)
         if isinstance(plan, Window):
             own = _names(call.name for call in plan.calls)
-            reads = _refs(
-                expr
-                for call in plan.calls
-                for expr in (
-                    *call.args, *call.partition_by, call.default,
-                    *(key for key, _ in call.order_by),
-                )
-            )
+            reads = _refs(expr for call in plan.calls for expr in call.exprs())
             child = self.prune(plan.child, (required - own) | reads)
             return plan if child is plan.child else Window(child, plan.calls)
         if isinstance(plan, Aggregate):
             reads = _names(plan.group_names) | _refs(
-                expr
-                for call in plan.aggregates
-                for expr in (*call.args, *(key for key, _ in call.order_by))
+                expr for call in plan.aggregates for expr in call.exprs()
             )
             child = self.prune(plan.child, reads)
             if child is plan.child:

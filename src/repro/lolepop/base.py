@@ -213,7 +213,7 @@ class Dag:
             self.add(new)
 
     # ------------------------------------------------------------------
-    def clone(self) -> "Dag":
+    def clone(self, rebase: Optional[Callable[[object], object]] = None) -> "Dag":
         """Structural copy for plan-cache reuse: fresh node instances wired
         like the originals, sharing the (read-only) operator parameters.
 
@@ -222,7 +222,9 @@ class Dag:
         copy gives an independently executable DAG while the cached template
         stays pristine. SOURCE thunks are per-query (they close over the
         runner) and must be rebound by the caller via
-        :meth:`SourceOp.rebind`.
+        :meth:`SourceOp.rebind`. ``rebase`` maps the logical plan nodes the
+        DAG names (:attr:`region_plan`, each SOURCE's plan) onto another
+        statement's plan of the same shape.
         """
         import copy
 
@@ -233,11 +235,15 @@ class Dag:
             twin.inputs = [mapping[id(dep)] for dep in node.inputs]
             twin.after = [mapping[id(dep)] for dep in node.after]
             twin.span = None
+            if rebase is not None and isinstance(twin, SourceOp):
+                twin.plan = rebase(twin.plan)
             mapping[id(node)] = twin
             cloned.nodes.append(twin)
         cloned.sink = mapping[id(self.sink)] if self.sink is not None else None
         cloned.rewrites = list(self.rewrites)
-        cloned.region_plan = self.region_plan
+        cloned.region_plan = (
+            self.region_plan if rebase is None else rebase(self.region_plan)
+        )
         return cloned
 
     def topological_order(self) -> List[Lolepop]:

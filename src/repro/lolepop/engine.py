@@ -284,20 +284,29 @@ class _Runner:
 
     def _cached_dag(self, plan: LogicalPlan) -> Optional[Dag]:
         """Clone of the cached DAG template for this region, or ``None``.
-        The template's region plan must be the *same object* as ``plan`` —
-        plan-cache entries reuse one bound plan, so an identity mismatch
-        means the cached template belongs to a different region shape and
-        must not be reused."""
+
+        The template names nodes of the plan-cache entry's plan; a variant
+        for other literals (:meth:`~repro.server.cache.PreparedPlan.bind`)
+        maps them onto its own copies. The template's region, so mapped,
+        must be the *same object* as ``plan`` — a mismatch means it belongs
+        to a different region shape and must not be reused. Under reuse it
+        must be the template's own region: capture specs and view choices
+        name the plan they were made for."""
         if self._prepared is None:
             return None
         key = (self._fingerprint, self._region_seq)
         self._region_seq += 1
         template = self._prepared.dag_templates.get(key)
-        if template is None or template.region_plan is not plan:
+        if template is None:
+            return None
+        region = self._prepared.rebased(template.region_plan)
+        if region is not plan or (
+            self.ctx.config.reuse is not None and region is not template.region_plan
+        ):
             return None
         from .base import SourceOp
 
-        dag = template.clone()
+        dag = template.clone(self._prepared.rebased)
         for node in dag.nodes:
             if isinstance(node, SourceOp):
                 node.rebind(self.execute_stream)

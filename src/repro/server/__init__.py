@@ -27,7 +27,7 @@ generator.
 """
 
 from .admission import AdmissionController, estimate_memory_bytes
-from .cache import PlanCache, PreparedPlan, ResultCache, normalize_sql
+from .cache import PlanCache, PreparedPlan, ResultCache
 from .service import QueryService, QueryTicket, ServiceConfig
 from .session import Session
 
@@ -41,5 +41,4 @@ __all__ = [
     "ServiceConfig",
     "Session",
     "estimate_memory_bytes",
-    "normalize_sql",
 ]

@@ -293,7 +293,10 @@ class QueryService:
             # (per-table versions + DDL version), so DML on unrelated
             # tables leaves this entry servable.
             lookup_started = time.perf_counter()
-            key = (prepared.normalized, prepared.dep_token(self.db.catalog), engine)
+            key = (
+                prepared.skeleton, prepared.slots,
+                prepared.dep_token(self.db.catalog), engine,
+            )
             ticket._cache_key = key
             cached = self.result_cache.get(key)
             if cached is not None:

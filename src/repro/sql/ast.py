@@ -34,13 +34,16 @@ class SqlName(SqlExpr):
 
 
 class SqlLiteral(SqlExpr):
-    """A literal; ``kind`` in {'int','float','string','bool','null','date'}."""
+    """A literal; ``kind`` in {'int','float','string','bool','null','date'}.
+    ``slot`` is the literal's position in the statement's slot vector
+    (:func:`~repro.sql.lexer.skeleton`) when the parser was given one."""
 
-    __slots__ = ("value", "kind")
+    __slots__ = ("value", "kind", "slot")
 
-    def __init__(self, value: Any, kind: str):
+    def __init__(self, value: Any, kind: str, slot: Optional[int] = None):
         self.value = value
         self.kind = kind
+        self.slot = slot
 
     def __repr__(self) -> str:
         return repr(self.value)

@@ -24,7 +24,8 @@ Notable lowering rules (all from the paper):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import datetime
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..aggregates import (
     AggregateCall,
@@ -50,6 +51,8 @@ from ..expr.nodes import (
     IsNull,
     Literal,
     UnaryOp,
+    rewrite,
+    slotted_literals,
 )
 from ..logical import (
     Aggregate,
@@ -65,21 +68,27 @@ from ..logical import (
     Window,
 )
 from ..logical.assemble import assemble_grouped, attach_window_stage
+from ..logical.plan import template_key
 from ..logical.prune import prune_columns
 from ..storage.table import Catalog
 from ..types import DataType, parse_type
 from . import ast as sql_ast
 
 
-def bind(stmt, catalog: Catalog) -> LogicalPlan:
+def bind(stmt, catalog: Catalog, pinned: Optional[Set[int]] = None) -> LogicalPlan:
     """Bind a parsed statement against ``catalog`` and return a plan.
 
     An :class:`~repro.sql.ast.ExplainStmt` binds its inner SELECT — the
     EXPLAIN mode is handled by the API layer, not the plan. The last step
-    is column pruning (:func:`~repro.logical.prune.prune_columns`)."""
+    is column pruning (:func:`~repro.logical.prune.prune_columns`).
+
+    Literals keep their slot (:attr:`~repro.expr.nodes.Literal.slot`).
+    When ``pinned`` is given, the slots whose *values* shaped the plan —
+    beyond the ones the binder reads outright, which never become a leaf —
+    are added to it (see :meth:`_Binder._pin_related`)."""
     if isinstance(stmt, sql_ast.ExplainStmt):
         stmt = stmt.select
-    return prune_columns(_Binder(catalog).bind_statement(stmt))
+    return prune_columns(_Binder(catalog, pinned=pinned).bind_statement(stmt))
 
 
 def _split_and(expr: Optional[sql_ast.SqlExpr]) -> List[sql_ast.SqlExpr]:
@@ -165,10 +174,13 @@ class _ExprContext:
     def __init__(self) -> None:
         self.aggregates: List[AggregateCall] = []
         self.windows: List[WindowCall] = []
+        #: Every call interned, the ones merged into an earlier call too.
+        self.calls: List = []
         self._agg_index: Dict[Tuple, str] = {}
         self._win_index: Dict[Tuple, str] = {}
 
     def intern_aggregate(self, call: AggregateCall) -> str:
+        self.calls.append(call)
         key = call.key()
         if key in self._agg_index:
             return self._agg_index[key]
@@ -179,6 +191,7 @@ class _ExprContext:
         return name
 
     def intern_window(self, call: WindowCall) -> str:
+        self.calls.append(call)
         key = call.key()
         if key in self._win_index:
             return self._win_index[key]
@@ -190,13 +203,50 @@ class _ExprContext:
 
 
 class _Binder:
-    def __init__(self, catalog: Catalog, ctes: Optional[Dict[str, LogicalPlan]] = None):
+    def __init__(
+        self,
+        catalog: Catalog,
+        ctes: Optional[Dict[str, LogicalPlan]] = None,
+        pinned: Optional[Set[int]] = None,
+    ):
         self.catalog = catalog
         self.ctes: Dict[str, LogicalPlan] = dict(ctes or {})
+        #: Slots whose values shaped the plan (``None``: nobody asked).
+        self._pinned = pinned
         #: Grouping sets of the SELECT currently being bound (index tuples
         #: into its group expressions) — consumed by GROUPING().
         self._current_sets: Optional[List[Tuple[int, ...]]] = None
         self._current_group_exprs: List[Expr] = []
+
+    def _pin_related(
+        self, anchors: Sequence[Expr], others: Sequence[Expr] = ()
+    ) -> None:
+        """Pin the slots of expressions the binder may merge by value.
+
+        Equal expressions become one — one interned call, one projected or
+        grouped column, a select item resolved to its GROUP BY key — so
+        where two ``anchors``, or an anchor and one of ``others``, share a
+        literal-free shape, whether they merge depends on their literals:
+        another statement of the same skeleton could bind to another plan.
+        Their slots stay in the plan-cache key — unless all of them hold
+        the same slots (one SQL expression bound twice), which always
+        merge."""
+        if self._pinned is None:
+            return
+        shapes: Dict[Tuple, List[Expr]] = {}
+        for expr in anchors:
+            shapes.setdefault(template_key(expr.key()), []).append(expr)
+        for expr in others:
+            group = shapes.get(template_key(expr.key()))
+            if group is not None:
+                group.append(expr)
+        for group in shapes.values():
+            slots = {
+                tuple(leaf.slot for leaf in slotted_literals(expr)) for expr in group
+            }
+            if len(slots) > 1:
+                for found in slots:
+                    self._pinned.update(found)
 
     def _bind_grouping_function(
         self,
@@ -216,6 +266,7 @@ class _Binder:
         argument = self._convert(
             expr.args[0], scope, plan, context, group_exprs
         )
+        self._pin_related(self._current_group_exprs, [argument])
         position = None
         for index, key in enumerate(self._current_group_exprs):
             if key == argument:
@@ -251,7 +302,7 @@ class _Binder:
     def bind_statement(self, stmt: sql_ast.SelectStmt) -> LogicalPlan:
         binder = self
         if stmt.ctes:
-            binder = _Binder(self.catalog, self.ctes)
+            binder = _Binder(self.catalog, self.ctes, self._pinned)
             for name, cte_stmt in stmt.ctes:
                 binder.ctes[name.lower()] = binder.bind_statement(
                     _strip_order(cte_stmt)
@@ -312,6 +363,15 @@ class _Binder:
             self._current_group_exprs = saved_group_exprs
 
         is_grouped = bool(context.aggregates) or stmt.group_by is not None
+        if self._pinned is not None:
+            # Assembly merges group keys, call arguments and keys into shared
+            # columns and resolves grouped select items to their group column.
+            self._pin_related(
+                group_exprs + [e for call in context.calls for e in call.exprs()],
+                _subexpressions([core for _, core in bound_items] + [having_core])
+                if is_grouped
+                else (),
+            )
         if is_grouped:
             plan = self._plan_grouped(
                 plan, context, group_exprs, grouping_sets, bound_items, having_core
@@ -554,13 +614,18 @@ class _Binder:
             exprs = [
                 self._convert_simple(key, scope, plan) for key in clause.keys
             ]
+            self._pin_related(exprs)
             return _dedupe_exprs(exprs), None
         all_exprs: List[Expr] = []
         sets: List[Tuple[int, ...]] = []
-        for key_set in clause.sets:
+        keys = [
+            [self._convert_simple(key, scope, plan) for key in key_set]
+            for key_set in clause.sets
+        ]
+        self._pin_related([core for key_set in keys for core in key_set])
+        for key_set in keys:
             indices = []
-            for key in key_set:
-                core = self._convert_simple(key, scope, plan)
+            for core in key_set:
                 for i, existing in enumerate(all_exprs):
                     if existing == core:
                         indices.append(i)
@@ -777,19 +842,10 @@ class _Binder:
             except Exception:
                 return None
 
-        def to_date(literal: Expr) -> Expr:
-            if isinstance(literal, Literal) and literal.dtype is DataType.STRING:
-                import datetime
-
-                return Literal(
-                    datetime.date.fromisoformat(literal.value), DataType.DATE
-                )
-            return literal
-
         if dtype_of(left) is DataType.DATE:
-            right = to_date(right)
+            right = _to_date(right)
         if dtype_of(right) is DataType.DATE:
-            left = to_date(left)
+            left = _to_date(left)
         return left, right
 
     # ------------------------------------------------------------------
@@ -1231,22 +1287,56 @@ def _collect_names(expr: sql_ast.SqlExpr) -> List[Tuple[str, ...]]:
     return names
 
 
-def _bind_literal(expr: sql_ast.SqlLiteral) -> Literal:
-    if expr.kind == "int":
-        return Literal(int(expr.value), DataType.INT64)
-    if expr.kind == "float":
-        return Literal(float(expr.value), DataType.FLOAT64)
-    if expr.kind == "string":
-        return Literal(expr.value, DataType.STRING)
-    if expr.kind == "bool":
-        return Literal(bool(expr.value), DataType.BOOL)
-    if expr.kind == "null":
-        return Literal(None, DataType.INT64)
-    if expr.kind == "date":
-        import datetime
+def _subexpressions(exprs: Sequence[Optional[Expr]]) -> List[Expr]:
+    """Every node of every expression in ``exprs`` (``None`` skipped)."""
+    nodes: List[Expr] = []
+    for expr in exprs:
+        if expr is not None:
+            rewrite(expr, nodes.append)
+    return nodes
 
-        return Literal(datetime.date.fromisoformat(expr.value), DataType.DATE)
+
+def _bind_literal(expr: sql_ast.SqlLiteral) -> Literal:
+    slot = expr.slot
+    if expr.kind == "int":
+        return Literal(int(expr.value), DataType.INT64, slot)
+    if expr.kind == "float":
+        return Literal(float(expr.value), DataType.FLOAT64, slot)
+    if expr.kind == "string":
+        return Literal(expr.value, DataType.STRING, slot)
+    if expr.kind == "bool":
+        return Literal(bool(expr.value), DataType.BOOL, slot)
+    if expr.kind == "null":
+        return Literal(None, DataType.INT64, slot)
+    if expr.kind == "date":
+        return _to_date(Literal(expr.value, DataType.STRING, slot))
     raise BindError(f"unknown literal kind {expr.kind!r}")
+
+
+def _to_date(literal: Expr) -> Expr:
+    """A string literal read as a DATE (``DATE '...'``, or a string compared
+    with a DATE column); any other expression unchanged."""
+    if isinstance(literal, Literal) and literal.dtype is DataType.STRING:
+        return Literal(
+            datetime.date.fromisoformat(literal.value), DataType.DATE, literal.slot
+        )
+    return literal
+
+
+def rebind_literal(literal: Literal, text: str) -> Literal:
+    """``literal``, a bound slot of one statement, as another statement of
+    the same skeleton writes it: :func:`_bind_literal` of the slot ``text``
+    (see :func:`~repro.sql.lexer.skeleton`), then the DATE reading
+    ``literal`` went through. Raises ``ValueError`` for a text the type
+    cannot take (an invalid date)."""
+    if text[0] == "'":
+        sql = sql_ast.SqlLiteral(text[1:-1].replace("''", "'"), "string", literal.slot)
+    elif text.isdigit():
+        sql = sql_ast.SqlLiteral(int(text), "int", literal.slot)
+    else:
+        sql = sql_ast.SqlLiteral(float(text), "float", literal.slot)
+    bound = _bind_literal(sql)
+    return _to_date(bound) if literal.dtype is DataType.DATE else bound
 
 
 def _fraction_value(args: List[sql_ast.SqlExpr]) -> float:

@@ -4,12 +4,16 @@ Produces a flat list of :class:`Token`. Identifiers and keywords are folded
 to lower case (SQL case-insensitivity); double-quoted identifiers preserve
 case. String literals use single quotes with ``''`` escaping. Line comments
 (``--``) and block comments (``/* */``) are skipped.
+
+:func:`skeleton` is the pre-parse pass the plan cache keys on: one regular
+expression over the text, no tokens.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple
+import re
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import LexError
 
@@ -158,3 +162,65 @@ def tokenize(text: str) -> List[Token]:
         raise LexError(f"unexpected character {ch!r}", line, column(i))
     tokens.append(Token(TokenType.EOF, "", line, column(i)))
     return tokens
+
+
+#: What the skeleton pass rewrites: a string literal, a quoted identifier, a
+#: number that does not continue an identifier (``l_2x`` keeps its digit), a
+#: run of comments with the whitespace around them, and any whitespace but
+#: one plain space. Everything else is copied.
+_SKELETON_RE = re.compile(
+    r"""'[^']*(?:''[^']*)*'|"[^"]*"|(?<![\w.])(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"""
+    r"""|(?:\s*(?:--[^\n]*|/\*.*?\*/))+\s*|\s{2,}|[^\S ]""",
+    re.S | re.A,
+)
+
+
+def skeleton(text: str) -> Optional[Tuple[str, Tuple[str, ...]]]:
+    """``(skeleton, slots)``: the statement with whitespace collapsed,
+    comments dropped and case folded outside quoted identifiers, each
+    numeric or quoted-string literal replaced by a typed marker (``?i``
+    integer, ``?f`` float, ``?s`` string) — and the *slot vector*, the
+    literals' texts in order (strings with their quotes and ``''``
+    escapes, numbers case-folded). Statements that differ only in literal
+    values share a skeleton; :func:`fill` puts the texts back.
+
+    ``None`` when the text holds a ``?`` outside a string literal: it
+    could not be told from a marker (and is a lexer error unless inside a
+    quoted identifier)."""
+    slots: List[str] = []
+
+    def replace(match: "re.Match[str]") -> str:
+        token = match.group()
+        first = token[0]
+        if first == "'":
+            slots.append(token)
+            return "?s"
+        if first == '"':
+            return token
+        if first.isdigit() or first == ".":
+            slots.append(token.lower())
+            return "?i" if token.isdigit() else "?f"
+        return " "
+
+    out = _SKELETON_RE.sub(replace, text).strip()
+    if out.count("?") != len(slots):
+        return None
+    if '"' in out:
+        parts = out.split('"')
+        out = '"'.join(p if i % 2 else p.lower() for i, p in enumerate(parts))
+    else:
+        out = out.lower()
+    return out, tuple(slots)
+
+
+_MARKER_RE = re.compile(r'"[^"]*"|\?[ifs]')
+
+
+def fill(skeleton_text: str, slots: Tuple[str, ...]) -> str:
+    """The normalized statement: ``skeleton_text`` with its markers
+    replaced by ``slots`` (inverse of :func:`skeleton` up to whitespace,
+    case and comments)."""
+    texts = iter(slots)
+    return _MARKER_RE.sub(
+        lambda m: next(texts) if m.group()[0] == "?" else m.group(), skeleton_text
+    )

@@ -7,7 +7,7 @@ backtracking beyond single-token lookahead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ParseError
 from .ast import (
@@ -40,17 +40,48 @@ from .ast import (
 from .lexer import Token, TokenType, tokenize
 
 
-def parse_sql(text: str):
+def parse_sql(text: str, slots: Optional[Sequence[str]] = None):
     """Parse one statement (trailing semicolon allowed): a SELECT, or
     ``EXPLAIN [ANALYZE | LOLEPOP] <select>`` yielding an
-    :class:`~repro.sql.ast.ExplainStmt`."""
-    return _Parser(tokenize(text)).parse_statement()
+    :class:`~repro.sql.ast.ExplainStmt`.
+
+    ``slots`` is the text's slot vector from
+    :func:`~repro.sql.lexer.skeleton`. When the lexer's literals are
+    exactly those texts, every literal the parser builds from a token
+    carries its slot number; otherwise none does."""
+    tokens = tokenize(text)
+    return _Parser(tokens, _slot_numbers(tokens, slots)).parse_statement()
+
+
+_SLOT_TOKENS = (TokenType.INTEGER, TokenType.FLOAT, TokenType.STRING)
+
+
+def _slot_numbers(
+    tokens: List[Token], slots: Optional[Sequence[str]]
+) -> Dict[int, int]:
+    """Token position → slot number for every literal token, or ``{}``
+    when ``slots`` is not the literal texts the lexer found."""
+    if not slots:
+        return {}
+    positions = [i for i, token in enumerate(tokens) if token.type in _SLOT_TOKENS]
+    if len(positions) != len(slots):
+        return {}
+    for position, text in zip(positions, slots):
+        token = tokens[position]
+        if token.type is TokenType.STRING:
+            same = text[0] == "'" and text[1:-1].replace("''", "'") == token.value
+        else:
+            same = text == token.value.lower()
+        if not same:
+            return {}
+    return {position: slot for slot, position in enumerate(positions)}
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: List[Token], slots: Dict[int, int]):
         self._tokens = tokens
         self._pos = 0
+        self._slots = slots
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -458,6 +489,8 @@ class _Parser:
         if self._accept_symbol("-"):
             operand = self._parse_unary()
             if isinstance(operand, SqlLiteral) and operand.kind in ("int", "float"):
+                # No slot: the folded value is not the slot's text, so a
+                # cached plan cannot take another one (the slot is pinned).
                 return SqlLiteral(-operand.value, operand.kind)
             return SqlUnary("-", operand)
         if self._accept_symbol("+"):
@@ -466,15 +499,16 @@ class _Parser:
 
     def _parse_primary(self) -> SqlExpr:
         token = self._peek()
+        slot = self._slots.get(self._pos)
         if token.type is TokenType.INTEGER:
             self._advance()
-            return SqlLiteral(int(token.value), "int")
+            return SqlLiteral(int(token.value), "int", slot)
         if token.type is TokenType.FLOAT:
             self._advance()
-            return SqlLiteral(float(token.value), "float")
+            return SqlLiteral(float(token.value), "float", slot)
         if token.type is TokenType.STRING:
             self._advance()
-            return SqlLiteral(token.value, "string")
+            return SqlLiteral(token.value, "string", slot)
         if token.is_keyword("true"):
             self._advance()
             return SqlLiteral(True, "bool")
@@ -488,8 +522,9 @@ class _Parser:
             # DATE 'yyyy-mm-dd' literal; bare `date` also allowed as ident.
             if self._peek(1).type is TokenType.STRING:
                 self._advance()
+                slot = self._slots.get(self._pos)
                 value = self._advance().value
-                return SqlLiteral(value, "date")
+                return SqlLiteral(value, "date", slot)
         if token.is_keyword("exists"):
             self._advance()
             self._expect_symbol("(")

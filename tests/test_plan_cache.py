@@ -1,7 +1,11 @@
-"""Tests for SQL normalization, the plan/result caches, and DAG-template
-reuse (the parse/bind/translate-skipping fast path)."""
+"""Tests for the statement skeleton, the plan/result caches, DAG-template
+reuse (the parse/bind/translate-skipping fast path), and the differential
+corpus for template hits: statements that share a skeleton but not their
+literals."""
 
 from __future__ import annotations
+
+import datetime
 
 import pytest
 
@@ -15,8 +19,8 @@ from repro.server.cache import (
     PreparedPlan,
     ResultCache,
     _LruCache,
-    normalize_sql,
 )
+from repro.sql.lexer import fill, skeleton
 
 
 def make_db(rows=400, plan_cache_size=256):
@@ -29,8 +33,13 @@ def make_db(rows=400, plan_cache_size=256):
     return db
 
 
+def normalize_sql(text):
+    """A statement's normalized text: its skeleton with the slots put back."""
+    return fill(*skeleton(text))
+
+
 # ---------------------------------------------------------------------------
-# normalize_sql
+# Normalized text and skeleton
 # ---------------------------------------------------------------------------
 class TestNormalizeSql:
     def test_whitespace_collapses(self):
@@ -61,6 +70,66 @@ class TestNormalizeSql:
 
     def test_leading_trailing_space_ignored(self):
         assert normalize_sql("  SELECT 1 ") == "select 1"
+
+
+class TestSkeleton:
+    def test_literals_become_typed_markers(self):
+        text, slots = skeleton("SELECT x FROM t WHERE a > 5 AND b < 2.5 AND c = 'Q'")
+        assert text == "select x from t where a > ?i and b < ?f and c = ?s"
+        assert slots == ("5", "2.5", "'Q'")
+
+    def test_literal_values_do_not_change_the_skeleton(self):
+        a = skeleton("SELECT x FROM t WHERE a > 5 AND c = 'Q'")
+        b = skeleton("select  x from t where a >   77 and c = 'other'")
+        assert a[0] == b[0] and a[1] != b[1]
+
+    def test_identifiers_with_digits_are_not_literals(self):
+        text, slots = skeleton('SELECT l_2x, "col1", t1.c2 FROM t9')
+        assert text == 'select l_2x, "col1", t1.c2 from t9'
+        assert slots == ()
+
+    def test_number_spellings(self):
+        text, slots = skeleton("SELECT .5, 1e-3, 2E+4, 7., 10 FROM t")
+        assert text == "select ?f, ?f, ?f, ?f, ?i from t"
+        assert slots == (".5", "1e-3", "2e+4", "7.", "10")
+
+    def test_escaped_quotes_stay_in_one_slot(self):
+        text, slots = skeleton("SELECT 'it''s', '''' FROM t")
+        assert text == "select ?s, ?s from t"
+        assert slots == ("'it''s'", "''''")
+
+    def test_comments_dropped_with_their_digits_and_quotes(self):
+        text, slots = skeleton(
+            "SELECT x -- 42 'not a string\nFROM t /* 7 \"q\" */ WHERE y < 3"
+        )
+        assert text == "select x from t where y < ?i"
+        assert slots == ("3",)
+
+    def test_question_mark_outside_a_string_has_no_skeleton(self):
+        assert skeleton("SELECT ? FROM t") is None
+        assert skeleton("SELECT '?' FROM t") == ("select ?s from t", ("'?'",))
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT g, x FROM t WHERE g < 3 ORDER BY 2, x DESC LIMIT 7 OFFSET 1",
+            "SELECT l_2x + .5 * 1e-3 FROM t WHERE s IN ('a', 'it''s', 'b')",
+            "SELECT count(*) FROM t WHERE d < DATE '1998-09-02' AND x > -5",
+            "SELECT ntile(4) OVER (ORDER BY x ROWS BETWEEN 2 PRECEDING AND "
+            "CURRENT ROW), lag(x, 3, 0.0) OVER (ORDER BY x) FROM t -- 9 '\n",
+            "SELECT percentile_cont(0.25) WITHIN GROUP (ORDER BY x) FROM t",
+        ],
+    )
+    def test_slot_count_is_the_literal_count(self, sql):
+        from repro.sql import TokenType, tokenize
+
+        literals = [
+            token for token in tokenize(sql)
+            if token.type in (TokenType.INTEGER, TokenType.FLOAT, TokenType.STRING)
+        ]
+        text, slots = skeleton(sql)
+        assert len(slots) == len(literals) == text.count("?")
+        assert fill(text, slots) == normalize_sql(sql)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +188,13 @@ class TestPlanCache:
         real_parse = repro.api.parse_sql
         real_bind = repro.api.bind
 
-        def counting_parse(text):
+        def counting_parse(*args):
             calls["parse"] += 1
-            return real_parse(text)
+            return real_parse(*args)
 
-        def counting_bind(stmt, catalog):
+        def counting_bind(*args):
             calls["bind"] += 1
-            return real_bind(stmt, catalog)
+            return real_bind(*args)
 
         monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
         monkeypatch.setattr(repro.api, "bind", counting_bind)
@@ -172,9 +241,9 @@ class TestPlanCache:
         calls = {"parse": 0}
         real_parse = repro.api.parse_sql
 
-        def counting_parse(text):
+        def counting_parse(*args):
             calls["parse"] += 1
-            return real_parse(text)
+            return real_parse(*args)
 
         monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
         sql = "SELECT count(*) FROM t"
@@ -205,9 +274,9 @@ class TestPlanCache:
         calls = {"parse": 0}
         real_parse = repro.api.parse_sql
 
-        def counting_parse(text):
+        def counting_parse(*args):
             calls["parse"] += 1
-            return real_parse(text)
+            return real_parse(*args)
 
         monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
         sql = "SELECT count(*) FROM t"
@@ -240,11 +309,11 @@ class TestPlanCache:
         db = make_db(rows=20)
         db.create_table_as("copy_t", "SELECT g, x FROM t")
         assert db.table("copy_t").num_rows == 20
-        # Everything in the cache is a reusable SELECT. (Keys are plain
-        # normalized-SQL strings; staleness is tracked per entry via
-        # table-version dependencies, not in the key.)
-        for normalized in list(db.plan_cache._entries):
-            assert normalized.startswith("select")
+        # Everything in the cache is a reusable SELECT. (Keys are the
+        # skeleton plus the pinned slot texts; staleness is tracked per
+        # entry via table-version dependencies, not in the key.)
+        for text, _ in list(db.plan_cache._entries):
+            assert text.startswith("select")
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +404,8 @@ class TestPlanCacheLookup:
             built.append(entry)
             return entry
 
-        first, hit1 = cache.lookup("SELECT 1", catalog, build)
-        second, hit2 = cache.lookup("select  1", catalog, build)
+        first, hit1 = cache.lookup("SELECT 1", catalog, lambda shape: build())
+        second, hit2 = cache.lookup("select  1", catalog, lambda shape: build())
         assert (hit1, hit2) == (False, True)
         assert second is first
         assert len(built) == 1
@@ -344,16 +413,296 @@ class TestPlanCacheLookup:
     def test_version_change_misses(self):
         cache = PlanCache(8)
         catalog = self._FakeCatalog(version=1)
-        cache.lookup("SELECT 1", catalog, catalog.entry)
+        build = lambda shape: catalog.entry()  # noqa: E731
+        cache.lookup("SELECT 1", catalog, build)
         catalog.version = 2
-        _, hit = cache.lookup("SELECT 1", catalog, catalog.entry)
+        _, hit = cache.lookup("SELECT 1", catalog, build)
         assert hit is False
 
     def test_uncacheable_not_stored(self):
         cache = PlanCache(8)
         catalog = self._FakeCatalog()
-        build = lambda: catalog.entry("EXPLAIN SELECT 1", cacheable=False)
+        build = lambda shape: catalog.entry("EXPLAIN SELECT 1", cacheable=False)  # noqa: E731
         cache.lookup("EXPLAIN SELECT 1", catalog, build)
         _, hit = cache.lookup("EXPLAIN SELECT 1", catalog, build)
         assert hit is False
         assert len(cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# Template hits: statements of one skeleton, different literals
+# ---------------------------------------------------------------------------
+def make_corpus_db(**kwargs):
+    db = Database(num_threads=2, **kwargs)
+    rng = np.random.default_rng(11)
+    rows = 300
+    db.create_table(
+        "t",
+        {"g": "int64", "x": "float64", "o": "int64", "s": "string", "d": "date"},
+    )
+    db.insert(
+        "t",
+        {
+            "g": [int(v) for v in rng.integers(0, 5, rows)],
+            "x": [
+                None if i % 17 == 0 else float(v)
+                for i, v in enumerate(rng.random(rows).round(3))
+            ],
+            "o": [int(v) for v in rng.permutation(rows)],
+            "s": [f"s{v}" for v in rng.integers(0, 6, rows)],
+            "d": [
+                datetime.date(2020, 1, 1) + datetime.timedelta(days=int(v))
+                for v in rng.integers(0, 365, rows)
+            ],
+        },
+    )
+    db.create_table("u", {"k": "int64", "w": "float64"})
+    db.insert("u", {"k": [0, 1, 2, 3, 4, 2], "w": [0.1, 0.5, 0.9, 0.3, 0.7, 0.2]})
+    return db
+
+
+#: (template, literal tuples in the order they run). Every tuple after the
+#: first is another statement of the template's skeleton: with the plan
+#: cache on, a template hit whenever its pinned slots agree with an entry.
+TEMPLATE_CORPUS = [
+    # Free slots: evaluated by the relational executor on every run.
+    ("SELECT count(*), sum(x) FROM t WHERE o < {}", [(50,), (120,), (50,), (0,)]),
+    (
+        "SELECT t.g, count(*), sum(u.w) FROM t JOIN u ON t.g = u.k AND u.w > {} "
+        "GROUP BY t.g",
+        [(0.25,), (0.6,), (0.0,)],
+    ),
+    (
+        "SELECT g, sum(CASE WHEN x > {} THEN 1 ELSE 0 END) AS n FROM t GROUP BY g",
+        [(0.5,), (0.2,), (0.9,)],
+    ),
+    ("SELECT count(*) FROM t WHERE g - 2 > -{}", [(1,), (2,), (0,)]),
+    (
+        "SELECT count(*), min(d) FROM t WHERE d < '{}'",
+        [("2020-03-01",), ("2020-09-15",), ("2020-13-45",), ("2020-05-01",)],
+    ),
+    (
+        "SELECT count(*) FROM t WHERE d >= DATE '{}' AND o < {}",
+        [("2020-06-01", 100), ("2020-02-30", 100), ("2020-11-01", 250)],
+    ),
+    # Int and float in one position: two skeletons, both answers right.
+    ("SELECT count(*) FROM t WHERE x < {}", [(1,), (0.5,), (0,), (0.25,)]),
+    ("SELECT count(*) FROM t WHERE g IN ({})", [("1, 2",), ("3",), ("0, 4",), ("2",)]),
+    (
+        "SELECT count(*), max(o) FROM t WHERE s = '{}'",
+        [("s1",), ("absent",), ("s3",), ("it''s",)],
+    ),
+    ("SELECT count(*) FROM t -- 42 'x' \"y\"\nWHERE o < {}", [(10,), (30,)]),
+    ("SELECT g, x * {} AS y FROM t WHERE o < {} ORDER BY o", [(2, 5), (3, 8), (2, 5)]),
+    (
+        "SELECT count(*) FROM (SELECT g, sum(x) AS sx FROM t WHERE o < {} "
+        "GROUP BY g) AS q WHERE sx > {}",
+        [(100, 5.0), (200, 10.0), (100, 10.0)],
+    ),
+    (
+        "SELECT o, coalesce(NULL, x + {}) AS z FROM t WHERE o < 6 ORDER BY o",
+        [(1,), (2,)],
+    ),
+    # Pinned: read as a value by the parser or the binder.
+    ("SELECT o, x FROM t ORDER BY x, o LIMIT {}", [(3,), (5,), (3,)]),
+    ("SELECT o FROM t ORDER BY o LIMIT 4 OFFSET {}", [(2,), (7,)]),
+    ("SELECT g, o FROM t ORDER BY {}, o LIMIT 5", [(1,), (2,)]),
+    (
+        "SELECT g, percentile_disc({}) WITHIN GROUP (ORDER BY x) AS p FROM t "
+        "GROUP BY g",
+        [(0.25,), (0.75,)],
+    ),
+    (
+        "SELECT o, sum(x) OVER (ORDER BY o ROWS BETWEEN {} PRECEDING AND "
+        "CURRENT ROW) AS w FROM t WHERE o < 30",
+        [(1,), (4,)],
+    ),
+    (
+        "SELECT o, lag(x, {}) OVER (ORDER BY o) AS l, ntile({}) OVER "
+        "(ORDER BY o) AS n FROM t WHERE o < 30",
+        [(1, 2), (3, 4)],
+    ),
+    # Pinned: one literal bound twice (CASE's operand, once per WHEN).
+    (
+        "SELECT count(*) FROM t WHERE CASE g + {} WHEN 2 THEN 1 WHEN 3 THEN 1 "
+        "ELSE 0 END = 1",
+        [(1,), (0,), (2,)],
+    ),
+    # Pinned: merged by value while binding.
+    ("SELECT sum(x + {}) AS a, sum(x + {}) AS b FROM t", [(1, 1), (2, 1), (1, 2)]),
+    ("SELECT g + {} AS k, count(*) FROM t GROUP BY g + {}", [(1, 1), (2, 2), (1, 2)]),
+    (
+        "SELECT g + {} AS a, g + {} AS b, count(*) FROM t "
+        "GROUP BY ROLLUP (g + {}, g + {})",
+        [(1, 2, 1, 2), (2, 1, 2, 1), (1, 2, 2, 1)],
+    ),
+    # Pinned: baked into a LOLEPOP of the DAG template.
+    (
+        "SELECT o, lag(x, 1, {}) OVER (ORDER BY o) AS l FROM t WHERE o < 10",
+        [(0.5,), (9.0,)],
+    ),
+    (
+        "SELECT o, x * {} AS y, row_number() OVER (ORDER BY x, o) AS r FROM t "
+        "ORDER BY r LIMIT 6",
+        [(2,), (3,)],
+    ),
+    (
+        "SELECT g, sum(x * {} + coalesce(lead(x) OVER (PARTITION BY g ORDER BY o), "
+        "0.0)) AS v FROM t GROUP BY g",
+        [(2,), (3,)],
+    ),
+]
+
+CORPUS_STATEMENTS = [
+    template.format(*literals)
+    for template, runs in TEMPLATE_CORPUS
+    for literals in runs
+]
+
+
+def _answer(run, sql):
+    """``("ok", canonical rows)`` or ``("error", type and message)``."""
+    from repro.bench.corpora import canonical_rows
+
+    try:
+        return "ok", canonical_rows(run(sql))
+    except Exception as error:  # noqa: BLE001 — the error is the answer
+        return "error", f"{type(error).__name__}: {error}"
+
+
+@pytest.fixture(scope="module")
+def oracle_answers():
+    oracle = make_corpus_db(plan_cache_size=0)
+    return {
+        sql: _answer(lambda q: oracle.sql(q, engine="naive"), sql)
+        for sql in CORPUS_STATEMENTS
+    }
+
+
+class TestTemplateHitsDifferential:
+    @pytest.mark.parametrize("reuse", [False, True], ids=["reuse_off", "reuse_on"])
+    @pytest.mark.parametrize("via", ["direct", "service"])
+    @pytest.mark.parametrize("plan_cache_size", [256, 0])
+    def test_corpus_matches_oracle(self, oracle_answers, plan_cache_size, via, reuse):
+        from repro.server import QueryService, ServiceConfig
+
+        db = make_corpus_db(plan_cache_size=plan_cache_size, reuse=reuse)
+        service = None
+        run = db.sql
+        if via == "service":
+            service = QueryService(db, ServiceConfig(result_cache_size=64))
+            session = service.session()
+            run = lambda q: session.execute(q, timeout=60)  # noqa: E731
+        try:
+            wrong = [
+                sql for sql in CORPUS_STATEMENTS
+                if _answer(run, sql) != oracle_answers[sql]
+            ]
+        finally:
+            if service is not None:
+                service.shutdown()
+        assert wrong == []
+        if plan_cache_size:
+            assert db.plan_cache.hits > 0
+
+    def test_free_slots_hit_and_skip_translation(self, monkeypatch):
+        calls = {"translate": 0}
+        real = repro.lolepop.engine.translate_statistics
+
+        def counting(*args, **kwargs):
+            calls["translate"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.lolepop.engine, "translate_statistics", counting)
+        db = make_corpus_db()
+        template = "SELECT g, sum(CASE WHEN x > {} THEN 1 ELSE 0 END) AS n FROM t GROUP BY g"
+        db.sql(template.format(0.5))
+        translated = calls["translate"]
+        prepared, hit = db._prepare_cached(template.format(0.25))
+        assert hit and prepared.pinned == ()
+        db.sql(template.format(0.25))
+        assert calls["translate"] == translated
+
+    @pytest.mark.parametrize(
+        "template, first, second",
+        [
+            ("SELECT o FROM t ORDER BY o LIMIT {}", (3,), (4,)),
+            ("SELECT g, percentile_disc({}) WITHIN GROUP (ORDER BY x) FROM t GROUP BY g",
+             (0.25,), (0.5,)),
+            ("SELECT count(*) FROM t WHERE g > -{}", (1,), (2,)),
+            ("SELECT sum(x + {}), sum(x + {}) FROM t", (1, 1), (2, 1)),
+            ("SELECT o, lag(x, 1, {}) OVER (ORDER BY o) FROM t", (0.5,), (1.5,)),
+        ],
+    )
+    def test_pinned_slots_key_on_their_text(self, template, first, second):
+        db = make_corpus_db()
+        db.sql(template.format(*first))
+        prepared, hit = db._prepare_cached(template.format(*second))
+        assert not hit and prepared.pinned
+
+    def test_reuse_pins_literals_below_a_region(self):
+        template = "SELECT g, sum(x) FROM t WHERE o < {} GROUP BY g"
+        plain, reusing = make_corpus_db(), make_corpus_db(reuse=True)
+        for db in (plain, reusing):
+            db.sql(template.format(10))
+        assert plain._prepare_cached(template.format(20))[1] is True
+        assert reusing._prepare_cached(template.format(20))[1] is False
+
+
+class TestStatementsKeepTheirLiterals:
+    TEMPLATE = "SELECT count(*) FROM t WHERE o < {}"
+
+    def test_result_cache_keys_on_the_slot_values(self):
+        from repro.server import QueryService, ServiceConfig
+
+        db = make_corpus_db()
+        with QueryService(db, ServiceConfig(result_cache_size=8)) as service:
+            session = service.session()
+            first = session.submit(self.TEMPLATE.format(10))
+            second = session.submit(self.TEMPLATE.format(20))
+            again = session.submit(self.TEMPLATE.format(10))
+            rows = [t.result(timeout=60).rows() for t in (first, second, again)]
+        assert rows == [[(10,)], [(20,)], [(10,)]]
+        assert [t.from_result_cache for t in (first, second, again)] == [
+            False, False, True,
+        ]
+
+    def test_record_names_the_statement_with_its_own_literals(self):
+        from repro.observability.telemetry import Telemetry, TelemetryConfig
+
+        telemetry = Telemetry(TelemetryConfig(slow_query_threshold_s=0.0))
+        db = make_corpus_db(telemetry=telemetry)
+        db.sql(self.TEMPLATE.format(10))
+        db.sql("select  count(*) FROM t where o <   25")
+        record = telemetry.slowlog.snapshot()[-1]
+        assert record["plan_cache_hit"] is True
+        assert record["sql"] == "select count(*) from t where o < 25"
+
+    def test_drift_replan_discards_the_cached_entry(self, monkeypatch):
+        db = make_corpus_db()
+        db.sql(self.TEMPLATE.format(10))
+        entry = db.prepare(self.TEMPLATE.format(10))
+        assert db.plan_cache._entries.get(entry.key) is entry
+        monkeypatch.setattr(
+            db.telemetry, "record_execution", lambda *args, **kwargs: True
+        )
+        db.sql(self.TEMPLATE.format(30))  # a template hit that drifted
+        assert entry.key not in db.plan_cache._entries
+        assert db._prepare_cached(self.TEMPLATE.format(40))[1] is False
+
+    def test_estimates_come_from_the_statements_own_literals(self):
+        from repro.observability.telemetry import Telemetry
+
+        db = make_corpus_db(telemetry=Telemetry())
+        template = "SELECT o, x FROM t WHERE o < {} ORDER BY o"
+        db.sql(template.format(10))
+        variant, hit = db._prepare_cached(template.format(250))
+        assert hit
+        db.execute_prepared(variant)
+        own = db.estimator.rows(db.plan(template.format(250)))
+        assert variant.est_rows == own != db.estimator.rows(db.plan(template.format(10)))
+        # The DAG names the variant's plan, so EXPLAIN ANALYZE and the
+        # feedback store estimate from o < 250, not from o < 10.
+        metrics = db.config.clone(collect_metrics=True)
+        result = db.execute_prepared(variant, config=metrics)
+        assert result.dags[0].region_plan is variant.plan

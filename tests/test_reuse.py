@@ -277,9 +277,9 @@ class TestPerTableInvalidation:
         calls = {"parse": 0}
         real_parse = repro.api.parse_sql
 
-        def counting_parse(text):
+        def counting_parse(*args):
             calls["parse"] += 1
-            return real_parse(text)
+            return real_parse(*args)
 
         monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
         sql = "SELECT sum(v) FROM fact"

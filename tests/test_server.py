@@ -423,6 +423,20 @@ DIFF_QUERIES = [
     "ORDER BY o LIMIT 11",
     "SELECT t1.g, count(*) FROM t t1 JOIN t t2 "
     "ON t1.o = t2.o AND t1.g < 2 GROUP BY t1.g",
+] + [
+    # Literal-varying templates all clients share: with the plan cache on,
+    # most of these statements bind their literals into another's plan.
+    template.format(*literals)
+    for template, runs in [
+        ("SELECT count(*), sum(x) FROM t WHERE g < {}", [(1,), (3,), (5,)]),
+        ("SELECT g, x, o FROM t ORDER BY x, o LIMIT {}", [(3,), (7,)]),
+        ("SELECT count(*) FROM t WHERE g IN ({}, {})", [(0, 1), (2, 4), (3, 5)]),
+        (
+            "SELECT o, coalesce(NULL, x + {}) AS z FROM t WHERE o < 12 ORDER BY o",
+            [(1,), (2,), (2.5,)],
+        ),
+    ]
+    for literals in runs
 ]
 
 
