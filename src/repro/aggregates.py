@@ -11,11 +11,12 @@ graph, the LOLEPOP translator and all engines. Three families exist
 - **window-only** functions (ROW_NUMBER, LAG, LEAD, ...) — only meaningful
   per-row inside a WINDOW computation.
 
-*Composed* aggregates (AVG, VAR_*, STDDEV_*) are not first-class at the
-physical level: the computation graph decomposes them into the primitives
-above plus scalar expressions (paper §3.3 "Composed Aggregates"), so engines
-never see them. ``ANY`` is the paper's pseudo aggregate that keeps an
-arbitrary group element (used to make DISTINCT inputs unique).
+*Composed* aggregates (AVG, VAR_*, STDDEV_*, MAD, MSSD, ...) have no spec
+here: the computation graph decomposes them into the primitives above plus
+scalar expressions (paper §3.3 "Composed Aggregates") — one lowering each,
+registered in :data:`repro.compgraph.functions.LOWERINGS` — so engines never
+see them. ``ANY`` is the paper's pseudo aggregate that keeps an arbitrary
+group element (used to make DISTINCT inputs unique).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .types import DataType
 class AggKind(enum.Enum):
     ASSOCIATIVE = "associative"
     ORDERED_SET = "ordered-set"
-    COMPOSED = "composed"  # decomposed before reaching any engine
     WINDOW_ONLY = "window-only"
 
 
@@ -61,9 +61,7 @@ class AggSpec:
         name = self.name
         if name in ("count", "count_star", "row_number", "rank", "dense_rank", "ntile"):
             return DataType.INT64
-        if name in ("avg", "var_pop", "var_samp", "stddev_pop", "stddev_samp",
-                    "percentile_cont", "mad", "mssd", "cume_dist",
-                    "percent_rank"):
+        if name in ("percentile_cont", "cume_dist", "percent_rank"):
             return DataType.FLOAT64
         if name in ("bool_and", "bool_or"):
             return DataType.BOOL
@@ -84,10 +82,6 @@ for _name in ("sum", "min", "max", "count", "any", "bool_and", "bool_or"):
     _register(AggSpec(_name, AggKind.ASSOCIATIVE, 1))
 _register(AggSpec("count_star", AggKind.ASSOCIATIVE, 0))
 
-# Composed aggregates (decomposed by the computation graph)
-for _name in ("avg", "var_pop", "var_samp", "stddev_pop", "stddev_samp"):
-    _register(AggSpec(_name, AggKind.COMPOSED, 1))
-
 # Ordered-set aggregates
 _register(AggSpec("median", AggKind.ORDERED_SET, 1))
 _register(AggSpec("percentile_disc", AggKind.ORDERED_SET, 1,
@@ -97,10 +91,6 @@ _register(AggSpec("percentile_cont", AggKind.ORDERED_SET, 1,
 # mode() WITHIN GROUP (ORDER BY x): most frequent value; ties resolve to the
 # first value in the WITHIN GROUP order (PostgreSQL semantics).
 _register(AggSpec("mode", AggKind.ORDERED_SET, 0, needs_order=True))
-# mad() WITHIN GROUP (ORDER BY x) — nested-aggregate Low-Level-Function
-_register(AggSpec("mad", AggKind.COMPOSED, 1))
-# mssd(x ORDER BY o) — Mean Square Successive Difference (§3.4)
-_register(AggSpec("mssd", AggKind.COMPOSED, 1))
 
 # Window-only functions
 for _name, _args in (
@@ -111,20 +101,36 @@ for _name, _args in (
     _register(AggSpec(_name, AggKind.WINDOW_ONLY, _args))
 
 
+def _composed(name: str) -> bool:
+    """Whether the computation graph's registry lowers ``name``."""
+    from .compgraph.functions import LOWERINGS  # that package imports this one
+
+    return name in LOWERINGS
+
+
 def lookup(name: str) -> AggSpec:
     key = name.lower()
     if key not in _SPECS:
+        if _composed(key):
+            raise BindError(
+                f"{name} is a composed aggregate: lower it through "
+                f"repro.compgraph.functions.LOWERINGS"
+            )
         raise BindError(f"unknown aggregate/window function: {name}")
     return _SPECS[key]
 
 
 def is_aggregate_name(name: str) -> bool:
-    spec = _SPECS.get(name.lower())
-    return spec is not None and spec.kind is not AggKind.WINDOW_ONLY
+    key = name.lower()
+    spec = _SPECS.get(key)
+    if spec is None:
+        return _composed(key)
+    return spec.kind is not AggKind.WINDOW_ONLY
 
 
 def is_window_name(name: str) -> bool:
-    return name.lower() in _SPECS
+    key = name.lower()
+    return key in _SPECS or _composed(key)
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,28 @@ These are the paper's §3.4 examples — ``planMSSD`` and friends — plus the
 further statistics it name-drops (interquartile range, kurtosis, central
 moments). Each function takes an :class:`AggregatePlanner` and value nodes
 and returns a result node; none of them touch operator logic.
+
+:data:`LOWERINGS` maps a SQL function name to its lowering: it is the one
+place a composed aggregate is defined, for the planner API and the SQL
+binder alike. :func:`register` adds a statistic, which SQL can then call
+(see ``docs/sql_reference.md`` for how arguments are passed).
 """
 
 from __future__ import annotations
 
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from ..aggregates import FrameBound, FrameSpec
+from ..aggregates import FrameSpec, is_window_name
+from ..errors import BindError
+from ..expr.functions import FUNCTIONS as SCALAR_FUNCTIONS
 from .planner import AggregatePlanner, Node, NodeLike
+
+#: ORDER BY keys: one node (ascending), or (node, descending) pairs.
+OrderLike = Union[NodeLike, Sequence[Tuple[NodeLike, bool]]]
+
+
+def _value(planner: AggregatePlanner, x: NodeLike) -> Node:
+    return x if isinstance(x, Node) else planner.value(x)
 
 
 def avg(planner: AggregatePlanner, x: NodeLike) -> Node:
@@ -20,27 +35,32 @@ def avg(planner: AggregatePlanner, x: NodeLike) -> Node:
     return total.as_float() / count
 
 
-def var_pop(planner: AggregatePlanner, x: NodeLike) -> Node:
-    """VAR_POP via the moment decomposition of §3.3."""
-    x = x if isinstance(x, Node) else planner.value(x)
-    squares = planner.aggregate("sum", x * x)
-    total = planner.aggregate("sum", x)
+def _variance(planner: AggregatePlanner, x: NodeLike, sample: bool) -> Node:
+    """VAR via the moment decomposition of §3.3: (Σx² - (Σx)²/n) / n, with
+    n - 1 (NULL for one row) as the sample divisor."""
+    x = _value(planner, x)
+    total = planner.aggregate("sum", x).as_float()
     count = planner.aggregate("count", x)
-    return (squares.as_float() - total.as_float() * total / count) / count
+    squares = planner.aggregate("sum", x * x).as_float()
+    return (squares - total * total / count) / (
+        (count - 1).nullif(0) if sample else count
+    )
+
+
+def var_pop(planner: AggregatePlanner, x: NodeLike) -> Node:
+    return _variance(planner, x, sample=False)
 
 
 def var_samp(planner: AggregatePlanner, x: NodeLike) -> Node:
-    x = x if isinstance(x, Node) else planner.value(x)
-    squares = planner.aggregate("sum", x * x)
-    total = planner.aggregate("sum", x)
-    count = planner.aggregate("count", x)
-    return (squares.as_float() - total.as_float() * total / count) / (
-        count - 1
-    ).nullif(0)
+    return _variance(planner, x, sample=True)
 
 
 def stddev_pop(planner: AggregatePlanner, x: NodeLike) -> Node:
     return var_pop(planner, x).sqrt()
+
+
+def stddev_samp(planner: AggregatePlanner, x: NodeLike) -> Node:
+    return var_samp(planner, x).sqrt()
 
 
 def median(planner: AggregatePlanner, x: NodeLike) -> Node:
@@ -54,32 +74,33 @@ def percentile(planner: AggregatePlanner, x: NodeLike, fraction: float) -> Node:
 def mad(planner: AggregatePlanner, x: NodeLike) -> Node:
     """Median Absolute Deviation: MEDIAN(|x - MEDIAN(x)|), the nested
     aggregate of §3.3 — the inner median is a per-group window."""
-    x = x if isinstance(x, Node) else planner.value(x)
+    x = _value(planner, x)
     center = planner.window("percentile_cont", x, fraction=0.5)
     return planner.aggregate(
         "percentile_cont", (x - center).abs(), fraction=0.5
     )
 
 
-def mssd(planner: AggregatePlanner, x: NodeLike, order: NodeLike) -> Node:
-    """Mean Square Successive Difference — the paper's planMSSD example:
+def mssd(
+    planner: AggregatePlanner, x: NodeLike, order_by: Optional[OrderLike] = None
+) -> Node:
+    """Mean Square Successive Difference along ``order_by`` (default:
+    ``x`` ascending) — the paper's planMSSD example:
 
-        f    = WindowFrame(Rows, CurrentRow, Following(1))
-        lead = plan(LEAD, arg, key, ord, f)
+        lead = plan(LEAD, arg, key, ord)
         ssd  = plan(power(sub(lead, arg), 2))
         sum  = plan(SUM, ssd, key)
         cnt  = plan(COUNT, ssd, key)
-        res  = plan(div(sum, nullif(sub(cnt, 1), 0)))
+        res  = plan(sqrt(div(sum, cnt)))
     """
-    x = x if isinstance(x, Node) else planner.value(x)
-    frame = FrameSpec(
-        FrameBound.CURRENT_ROW, 0, FrameBound.FOLLOWING, 1
-    )
-    lead = planner.window("lead", x, order_by=[(order, False)], frame=frame)
+    x = _value(planner, x)
+    if order_by is None:
+        order_by = [(x, False)]
+    elif not isinstance(order_by, (list, tuple)):
+        order_by = [(order_by, False)]
+    lead = planner.window("lead", x, order_by=order_by)
     ssd = (lead - x) ** 2
-    total = planner.aggregate("sum", ssd)
-    count = planner.aggregate("count", ssd)
-    return (total.as_float() / count).sqrt()
+    return (planner.aggregate("sum", ssd) / planner.aggregate("count", ssd)).sqrt()
 
 
 def iqr(planner: AggregatePlanner, x: NodeLike) -> Node:
@@ -92,7 +113,7 @@ def iqr(planner: AggregatePlanner, x: NodeLike) -> Node:
 def central_moment(planner: AggregatePlanner, x: NodeLike, k: int) -> Node:
     """k-th central moment: AVG((x - AVG(x))^k); the mean is a per-group
     window aggregate, the outer average a plain aggregation."""
-    x = x if isinstance(x, Node) else planner.value(x)
+    x = _value(planner, x)
     total = planner.window("sum", x, frame=FrameSpec.whole_partition())
     count = planner.window("count", x, frame=FrameSpec.whole_partition())
     mean = total.as_float() / count
@@ -114,3 +135,30 @@ def skewness(planner: AggregatePlanner, x: NodeLike) -> Node:
     m3 = central_moment(planner, x, 3)
     m2 = central_moment(planner, x, 2)
     return m3 / (m2 * m2 * m2).sqrt().nullif(0.0)
+
+
+Lowering = Callable[..., Node]
+
+#: SQL name → lowering: every composed aggregate the binder knows.
+LOWERINGS: Dict[str, Lowering] = {
+    fn.__name__: fn
+    for fn in (
+        avg, var_pop, var_samp, stddev_pop, stddev_samp, mad, mssd, iqr,
+        central_moment, kurtosis, skewness,
+    )
+}
+
+
+def register(name: str, lowering: Lowering) -> None:
+    """Make ``lowering`` callable from SQL as ``name(...)``.
+
+    SQL arguments bind to the parameters after the planner in order: a
+    parameter annotated ``int`` takes an integer literal, any other a value
+    node. A parameter named ``order_by`` takes the WITHIN GROUP keys as
+    (node, descending) pairs; a lowering without one reads ``f() WITHIN
+    GROUP (ORDER BY x)`` as ``f(x)``. Names are never replaced, so plans
+    cached for a statement keep their meaning."""
+    key = name.lower()
+    if is_window_name(key) or key in SCALAR_FUNCTIONS:
+        raise BindError(f"function {name} is already defined")
+    LOWERINGS[key] = lowering

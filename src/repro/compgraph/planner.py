@@ -20,16 +20,19 @@ primitive computations exactly like the SQL frontend does.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import copy
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..aggregates import AggregateCall, FrameSpec, WindowCall
-from ..errors import BindError
+from ..errors import BindError, NotSupportedError
 from ..expr.nodes import BinaryOp, Cast, ColumnRef, Expr, FuncCall, ensure_expr
 from ..logical import LogicalPlan
 from ..logical.assemble import assemble_grouped
 from ..types import DataType
 
 NodeLike = Union["Node", Expr, int, float, str, bool, None]
+#: A window clause as a function: the call ``func(args)`` over it.
+WindowOf = Callable[[str, List[Expr], Optional[float]], WindowCall]
 
 
 class Node:
@@ -97,17 +100,64 @@ def _expr(value: NodeLike) -> Expr:
 
 
 class AggregatePlanner:
-    """Builds one grouped aggregation over a source plan."""
+    """Builds one grouped aggregation over a source plan.
 
-    def __init__(self, source: LogicalPlan, group_by: Sequence[Union[str, Node]] = ()):
+    The planner is also the SQL binder's interner: the binder builds one
+    per SELECT over its group expressions, interns the primitive calls it
+    binds with :meth:`intern` and runs each composed aggregate's lowering
+    (:data:`~repro.compgraph.functions.LOWERINGS`) on a :meth:`scoped` view,
+    so SQL and planner-API statistics share one interning table."""
+
+    #: Set on a :meth:`scoped` view only.
+    _call: Optional[str] = None
+    _over: Optional[WindowOf] = None
+    _distinct: Optional[Set[Tuple]] = None
+
+    def __init__(
+        self, source: LogicalPlan, group_by: Sequence[Union[str, Node, Expr]] = ()
+    ):
         self.source = source
         self.group_exprs: List[Expr] = [
-            ColumnRef(g) if isinstance(g, str) else g.expr for g in group_by
+            ColumnRef(g) if isinstance(g, str) else _expr(g) for g in group_by
         ]
-        self._aggregates: List[AggregateCall] = []
-        self._windows: List[WindowCall] = []
-        self._agg_index: Dict[Tuple, str] = {}
-        self._win_index: Dict[Tuple, str] = {}
+        self.aggregates: List[AggregateCall] = []
+        self.windows: List[WindowCall] = []
+        #: Every call interned, the ones merged into an earlier call too.
+        self.calls: List[Union[AggregateCall, WindowCall]] = []
+        self._names: Dict[Tuple, str] = {}
+
+    def scoped(
+        self,
+        call: str,
+        over: Optional[WindowOf] = None,
+        distinct: Optional[Sequence[Node]] = None,
+    ) -> "AggregatePlanner":
+        """This planner as the lowering of one SQL call ``call`` sees it
+        (the interning tables are shared). Under ``over`` — a window call
+        — each :meth:`aggregate` interns ``over(func, args, fraction)``
+        instead. With ``distinct`` — the arguments of ``call(DISTINCT
+        ...)`` — each aggregate dedups its argument, which must be one of
+        them. Either way :meth:`window` is refused: the nested window has
+        no group to partition by, or would see duplicates."""
+        view = copy.copy(self)
+        view._call = call
+        view._over = over
+        if distinct is not None:
+            view._distinct = {node.expr.key() for node in distinct}
+        return view
+
+    def intern(self, call: Union[AggregateCall, WindowCall]) -> Node:
+        """The output column of ``call``, or of the structurally equal call
+        interned before it."""
+        self.calls.append(call)
+        is_window = isinstance(call, WindowCall)
+        key = (is_window, call.key())
+        if key not in self._names:
+            calls = self.windows if is_window else self.aggregates
+            call.name = f"{'_win' if is_window else '_agg'}{len(calls)}"
+            calls.append(call)
+            self._names[key] = call.name
+        return Node(ColumnRef(self._names[key]))
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -141,18 +191,26 @@ class AggregatePlanner:
     ) -> Node:
         """A primitive aggregate node (interned)."""
         args = [] if arg is None else [self._arg(arg)]
+        if self._over is not None:
+            return self.intern(self._over(func, args, fraction))
+        if self._distinct is not None:
+            if not args or args[0].key() not in self._distinct:
+                raise NotSupportedError(
+                    f"{self._call}(DISTINCT x) is not supported: its {func} "
+                    f"term would dedup on another value than x; write "
+                    f"{self._call}(x) over a SELECT DISTINCT subquery, as in "
+                    f"SELECT g, {self._call}(x) FROM (SELECT DISTINCT g, x "
+                    f"FROM t) AS d GROUP BY g"
+                )
+            distinct = True
         order = [(self._arg(e), bool(d)) for e, d in (order_by or [])]
         if func in ("percentile_disc", "percentile_cont") and not order:
             order = [(args[0], False)]
             if fraction is None:
                 fraction = 0.5
-        call = AggregateCall("_pending", func, args, distinct, order, fraction)
-        key = call.key()
-        if key not in self._agg_index:
-            call.name = f"_agg{len(self._aggregates)}"
-            self._aggregates.append(call)
-            self._agg_index[key] = call.name
-        return Node(ColumnRef(self._agg_index[key]))
+        return self.intern(
+            AggregateCall("_pending", func, args, distinct, order, fraction)
+        )
 
     def window(
         self,
@@ -165,6 +223,12 @@ class AggregatePlanner:
     ) -> Node:
         """A window node partitioned by the group keys (the nested-aggregate
         pattern of §3.3: the inner computation runs per group, per row)."""
+        if self._over is not None:
+            raise NotSupportedError(
+                f"{self._call} is not supported as a window function"
+            )
+        if self._distinct is not None:
+            raise NotSupportedError(f"{self._call} does not support DISTINCT")
         args = [] if arg is None else [self._arg(arg)]
         order = [(self._arg(e), bool(d)) for e, d in order_by]
         if func in ("percentile_disc", "percentile_cont", "median") and frame is None:
@@ -173,17 +237,13 @@ class AggregatePlanner:
                 fraction = 0.5
             if func == "median":
                 func = "percentile_cont"
-        call = WindowCall(
-            "_pending", func, args,
-            partition_by=list(self.group_exprs),
-            order_by=order, frame=frame, offset=offset, fraction=fraction,
+        return self.intern(
+            WindowCall(
+                "_pending", func, args,
+                partition_by=list(self.group_exprs),
+                order_by=order, frame=frame, offset=offset, fraction=fraction,
+            )
         )
-        key = call.key()
-        if key not in self._win_index:
-            call.name = f"_win{len(self._windows)}"
-            self._windows.append(call)
-            self._win_index[key] = call.name
-        return Node(ColumnRef(self._win_index[key]))
 
     # ------------------------------------------------------------------
     def finish(self, outputs: Dict[str, NodeLike]) -> LogicalPlan:
@@ -191,18 +251,9 @@ class AggregatePlanner:
         items = [(name, _expr(node)) for name, node in outputs.items()]
         return assemble_grouped(
             self.source,
-            self._aggregates,
-            self._windows,
+            self.aggregates,
+            self.windows,
             list(self.group_exprs),
             None,
             items,
         )
-
-    # Introspection used by the graph renderer.
-    @property
-    def aggregates(self) -> List[AggregateCall]:
-        return list(self._aggregates)
-
-    @property
-    def windows(self) -> List[WindowCall]:
-        return list(self._windows)

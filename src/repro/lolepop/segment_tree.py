@@ -1,16 +1,13 @@
-"""Segment trees for associative window aggregation.
+"""Range-aggregation structures for associative window aggregation.
 
 The WINDOW operator evaluates associative aggregates over sliding ROWS
-frames using precomputed range-aggregation structures (Leis et al. [24]).
-Two implementations:
+frames using precomputed range-aggregation structures (Leis et al. [24]),
+answering *all* rows' range queries in one vectorized batch — the shape
+CPython needs:
 
-- :class:`SegmentTree` — the classic pointer-free array segment tree with
-  per-query O(log n) lookups. Used as the reference implementation in
-  property tests.
-- :class:`SparseTable` — a doubling table answering *all* rows' range
-  queries vectorized in O(n log n) build / O(n) batched query, which is the
-  shape CPython needs. Only valid for idempotent operations (min/max);
-  sums use prefix sums instead (exact O(1) ranges).
+- :class:`SparseTable` — a doubling table, O(n log n) build / O(n) batched
+  query. Only valid for idempotent operations (min/max).
+- :class:`PrefixSums` — exact O(1) range sums and counts.
 
 Both aggregate NULL-free float arrays; the WINDOW operator handles NULL
 masking by aggregating a parallel 0/1 validity array with ``sum``.
@@ -23,49 +20,6 @@ from typing import List
 import numpy as np
 
 from ..errors import ExecutionError
-
-_OPS = {
-    "sum": (np.add, 0.0),
-    "min": (np.minimum, np.inf),
-    "max": (np.maximum, -np.inf),
-}
-
-
-class SegmentTree:
-    """Classic bottom-up array segment tree over a fixed value array."""
-
-    def __init__(self, values: np.ndarray, op: str):
-        if op not in _OPS:
-            raise ExecutionError(f"unsupported segment tree operation: {op}")
-        self._ufunc, self._identity = _OPS[op]
-        self.op = op
-        self.n = len(values)
-        size = 1
-        while size < max(self.n, 1):
-            size *= 2
-        self._size = size
-        self._tree = np.full(2 * size, self._identity, dtype=np.float64)
-        self._tree[size : size + self.n] = values.astype(np.float64)
-        for i in range(size - 1, 0, -1):
-            self._tree[i] = self._ufunc(self._tree[2 * i], self._tree[2 * i + 1])
-
-    def query(self, lo: int, hi: int) -> float:
-        """Aggregate of values[lo:hi]; identity for empty ranges."""
-        if lo >= hi:
-            return self._identity
-        result = self._identity
-        lo += self._size
-        hi += self._size
-        while lo < hi:
-            if lo & 1:
-                result = self._ufunc(result, self._tree[lo])
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                result = self._ufunc(result, self._tree[hi])
-            lo //= 2
-            hi //= 2
-        return float(result)
 
 
 class SparseTable:

@@ -8,8 +8,11 @@ are all plain column references into explicit projections.
 
 Notable lowering rules (all from the paper):
 
-- ``AVG``/``VAR_*``/``STDDEV_*``/``MAD``/``MSSD`` stay *composed* here; the
-  computation graph (:mod:`repro.compgraph`) decomposes them.
+- ``AVG``/``VAR_*``/``STDDEV_*``/``MAD``/``MSSD`` (and any aggregate a
+  user registers) are *composed*: each call runs its one lowering from
+  :data:`repro.compgraph.functions.LOWERINGS` on the SELECT's
+  :class:`~repro.compgraph.planner.AggregatePlanner`, which interns every
+  primitive aggregate and window call the SELECT binds.
 - An aggregate nested inside another aggregate's argument (§3.3 "Nested
   aggregates", e.g. ``median(e - median(e))``) becomes a *window* call
   partitioned by the outer GROUP BY keys, evaluated below the Aggregate.
@@ -25,6 +28,7 @@ Notable lowering rules (all from the paper):
 from __future__ import annotations
 
 import datetime
+import inspect
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..aggregates import (
@@ -37,6 +41,8 @@ from ..aggregates import (
     lookup as agg_lookup,
     AggKind,
 )
+from ..compgraph.functions import LOWERINGS, Lowering
+from ..compgraph.planner import AggregatePlanner, Node, WindowOf
 from ..errors import BindError, NotSupportedError
 from ..expr import functions as scalar_functions
 from ..expr.eval import infer_dtype
@@ -65,7 +71,6 @@ from ..logical import (
     Scan,
     Sort,
     UnionAll,
-    Window,
 )
 from ..logical.assemble import assemble_grouped, attach_window_stage
 from ..logical.plan import template_key
@@ -168,40 +173,6 @@ class _Scope:
         return unique[0]
 
 
-class _ExprContext:
-    """Collects aggregate and window calls while converting expressions."""
-
-    def __init__(self) -> None:
-        self.aggregates: List[AggregateCall] = []
-        self.windows: List[WindowCall] = []
-        #: Every call interned, the ones merged into an earlier call too.
-        self.calls: List = []
-        self._agg_index: Dict[Tuple, str] = {}
-        self._win_index: Dict[Tuple, str] = {}
-
-    def intern_aggregate(self, call: AggregateCall) -> str:
-        self.calls.append(call)
-        key = call.key()
-        if key in self._agg_index:
-            return self._agg_index[key]
-        name = f"_agg{len(self.aggregates)}"
-        call.name = name
-        self.aggregates.append(call)
-        self._agg_index[key] = name
-        return name
-
-    def intern_window(self, call: WindowCall) -> str:
-        self.calls.append(call)
-        key = call.key()
-        if key in self._win_index:
-            return self._win_index[key]
-        name = f"_win{len(self.windows)}"
-        call.name = name
-        self.windows.append(call)
-        self._win_index[key] = name
-        return name
-
-
 class _Binder:
     def __init__(
         self,
@@ -216,7 +187,6 @@ class _Binder:
         #: Grouping sets of the SELECT currently being bound (index tuples
         #: into its group expressions) — consumed by GROUPING().
         self._current_sets: Optional[List[Tuple[int, ...]]] = None
-        self._current_group_exprs: List[Expr] = []
 
     def _pin_related(
         self, anchors: Sequence[Expr], others: Sequence[Expr] = ()
@@ -252,9 +222,7 @@ class _Binder:
         self,
         expr: "sql_ast.SqlFunc",
         scope: "_Scope",
-        plan: LogicalPlan,
-        context: "_ExprContext",
-        group_exprs: List[Expr],
+        planner: AggregatePlanner,
     ) -> Expr:
         """GROUPING(col): 1 when the grouping set omits the column, else 0.
         Lowered to a CASE over the grouping_id bitmask, which every engine
@@ -263,12 +231,10 @@ class _Binder:
             raise BindError("GROUPING() requires GROUPING SETS/ROLLUP/CUBE")
         if len(expr.args) != 1:
             raise BindError("GROUPING() takes exactly one argument")
-        argument = self._convert(
-            expr.args[0], scope, plan, context, group_exprs
-        )
-        self._pin_related(self._current_group_exprs, [argument])
+        argument = self._convert(expr.args[0], scope, planner)
+        self._pin_related(planner.group_exprs, [argument])
         position = None
-        for index, key in enumerate(self._current_group_exprs):
+        for index, key in enumerate(planner.group_exprs):
             if key == argument:
                 position = index
                 break
@@ -276,7 +242,7 @@ class _Binder:
             raise BindError(
                 f"GROUPING() argument {expr.args[0]!r} is not a grouping key"
             )
-        total = len(self._current_group_exprs)
+        total = len(planner.group_exprs)
         whens = []
         for indices in self._current_sets:
             mask = 0
@@ -330,21 +296,17 @@ class _Binder:
         plan, scope = self._bind_from(stmt.from_clause)
         plan = self._bind_where(plan, scope, stmt.where)
 
-        context = _ExprContext()
         group_exprs, grouping_sets = self._bind_group_by(stmt.group_by, scope, plan)
+        planner = AggregatePlanner(plan, group_exprs)
 
         saved_sets = self._current_sets
-        saved_group_exprs = self._current_group_exprs
         self._current_sets = grouping_sets
-        self._current_group_exprs = group_exprs
         try:
             select_items = self._expand_stars(stmt.items, scope)
             bound_items: List[Tuple[str, Expr]] = []
             taken_names: Dict[str, int] = {}
             for position, item in enumerate(select_items):
-                core = self._convert(
-                    item.expr, scope, plan, context, group_exprs=group_exprs
-                )
+                core = self._convert(item.expr, scope, planner)
                 name = self._item_name(item, core, position)
                 # Unaliased duplicate output names get positional suffixes.
                 if name.lower() in taken_names:
@@ -355,29 +317,29 @@ class _Binder:
                 bound_items.append((name, core))
             having_core = None
             if stmt.having is not None:
-                having_core = self._convert(
-                    stmt.having, scope, plan, context, group_exprs=group_exprs
-                )
+                having_core = self._convert(stmt.having, scope, planner)
         finally:
             self._current_sets = saved_sets
-            self._current_group_exprs = saved_group_exprs
 
-        is_grouped = bool(context.aggregates) or stmt.group_by is not None
+        is_grouped = bool(planner.aggregates) or stmt.group_by is not None
         if self._pinned is not None:
             # Assembly merges group keys, call arguments and keys into shared
             # columns and resolves grouped select items to their group column.
             self._pin_related(
-                group_exprs + [e for call in context.calls for e in call.exprs()],
+                group_exprs + [e for call in planner.calls for e in call.exprs()],
                 _subexpressions([core for _, core in bound_items] + [having_core])
                 if is_grouped
                 else (),
             )
         if is_grouped:
-            plan = self._plan_grouped(
-                plan, context, group_exprs, grouping_sets, bound_items, having_core
+            plan = assemble_grouped(
+                plan, planner.aggregates, planner.windows, group_exprs,
+                grouping_sets, bound_items, having_core,
             )
         else:
-            plan = self._plan_ungrouped(plan, context, bound_items)
+            if planner.windows:
+                plan = attach_window_stage(plan, planner.windows)
+            plan = Project(plan, bound_items)
         if stmt.distinct:
             plan = Aggregate(plan, plan.schema.names(), [])
         return plan
@@ -637,38 +599,6 @@ class _Binder:
         return all_exprs, sets
 
     # ------------------------------------------------------------------
-    # Plan assembly
-    # ------------------------------------------------------------------
-    def _plan_grouped(
-        self,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        group_exprs: List[Expr],
-        grouping_sets: Optional[List[Tuple[int, ...]]],
-        bound_items: List[Tuple[str, Expr]],
-        having_core: Optional[Expr],
-    ) -> LogicalPlan:
-        return assemble_grouped(
-            plan,
-            context.aggregates,
-            context.windows,
-            group_exprs,
-            grouping_sets,
-            bound_items,
-            having_core,
-        )
-
-    def _plan_ungrouped(
-        self,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        bound_items: List[Tuple[str, Expr]],
-    ) -> LogicalPlan:
-        if context.windows:
-            plan = attach_window_stage(plan, context.windows)
-        return Project(plan, bound_items)
-
-    # ------------------------------------------------------------------
     # ORDER BY / LIMIT
     # ------------------------------------------------------------------
     def _bind_order_limit(
@@ -749,9 +679,9 @@ class _Binder:
         self, expr: sql_ast.SqlExpr, scope: _Scope, plan: LogicalPlan
     ) -> Expr:
         """Convert an expression that may not contain aggregates/windows."""
-        context = _ExprContext()
-        core = self._convert(expr, scope, plan, context, group_exprs=[])
-        if context.aggregates or context.windows:
+        planner = AggregatePlanner(plan)
+        core = self._convert(expr, scope, planner)
+        if planner.calls:
             raise BindError(f"aggregate/window not allowed here: {expr!r}")
         return core
 
@@ -759,14 +689,15 @@ class _Binder:
         self,
         expr: sql_ast.SqlExpr,
         scope: _Scope,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        group_exprs: List[Expr],
+        planner: AggregatePlanner,
         inside_aggregate: bool = False,
     ) -> Expr:
-        recurse = lambda e, inside=inside_aggregate: self._convert(  # noqa: E731
-            e, scope, plan, context, group_exprs, inside
+        """Convert ``expr`` over ``planner.source``, interning its aggregate
+        and window calls in ``planner``."""
+        recurse = lambda e: self._convert(  # noqa: E731
+            e, scope, planner, inside_aggregate
         )
+        plan = planner.source
         if isinstance(expr, sql_ast.SqlLiteral):
             return _bind_literal(expr)
         if isinstance(expr, sql_ast.SqlName):
@@ -821,9 +752,7 @@ class _Binder:
         if isinstance(expr, sql_ast.SqlExists):
             raise NotSupportedError("EXISTS is only supported in WHERE conjuncts")
         if isinstance(expr, sql_ast.SqlFunc):
-            return self._convert_func(
-                expr, scope, plan, context, group_exprs, inside_aggregate
-            )
+            return self._convert_func(expr, scope, planner, inside_aggregate)
         if isinstance(expr, sql_ast.SqlStar):
             raise BindError("'*' is only valid as a select item or in count(*)")
         raise BindError(f"unsupported expression: {expr!r}")
@@ -853,9 +782,7 @@ class _Binder:
         self,
         expr: sql_ast.SqlFunc,
         scope: _Scope,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        group_exprs: List[Expr],
+        planner: AggregatePlanner,
         inside_aggregate: bool,
     ) -> Expr:
         name = expr.name
@@ -869,24 +796,17 @@ class _Binder:
             name = "sum"
 
         if expr.over is not None:
-            return self._bind_window_call(
-                expr, scope, plan, context, group_exprs, inside_aggregate
-            )
+            return self._bind_window_call(expr, scope, planner)
         if is_aggregate_name(name):
-            return self._bind_aggregate_call(
-                expr, scope, plan, context, group_exprs, inside_aggregate
-            )
+            return self._bind_aggregate_call(expr, scope, planner, inside_aggregate)
         if is_window_name(name):
             raise BindError(f"window function {name} requires an OVER clause")
         if name == "grouping":
-            return self._bind_grouping_function(
-                expr, scope, plan, context, group_exprs
-            )
+            return self._bind_grouping_function(expr, scope, planner)
         # Ordinary scalar function.
         scalar_functions.lookup(name)
         args = [
-            self._convert(a, scope, plan, context, group_exprs, inside_aggregate)
-            for a in expr.args
+            self._convert(a, scope, planner, inside_aggregate) for a in expr.args
         ]
         return FuncCall(name, args)
 
@@ -894,13 +814,10 @@ class _Binder:
         self,
         expr: sql_ast.SqlFunc,
         scope: _Scope,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        group_exprs: List[Expr],
+        planner: AggregatePlanner,
         inside_aggregate: bool,
     ) -> Expr:
         name = expr.name
-        spec = agg_lookup(name)
         if expr.filter_where is not None:
             # FILTER (WHERE f): rewrite to a CASE-wrapped argument — the
             # aggregate skips the NULLs the CASE produces for filtered rows.
@@ -937,7 +854,7 @@ class _Binder:
                 name, new_args, distinct=expr.distinct, within_group=within
             )
             return self._bind_aggregate_call(
-                rewritten, scope, plan, context, group_exprs, inside_aggregate
+                rewritten, scope, planner, inside_aggregate
             )
         if inside_aggregate:
             # Nested aggregate (§3.3): evaluate as a window over the group.
@@ -949,15 +866,13 @@ class _Binder:
                 over=sql_ast.WindowDef(partition_by=[], order_by=[]),
             )
             return self._bind_window_call(
-                window, scope, plan, context, group_exprs,
-                inside_aggregate=True, implicit_group_partition=True,
+                window, scope, planner, implicit_group_partition=True
             )
+        lowering = LOWERINGS.get(name)
+        if lowering is not None:
+            return self._lower(expr, lowering, scope, planner)
 
-        if spec.kind is AggKind.COMPOSED:
-            return self._decompose_aggregate(
-                expr, scope, plan, context, group_exprs
-            )
-
+        convert = lambda e: self._convert(e, scope, planner, True)  # noqa: E731
         fraction = None
         args = list(expr.args)
         order_by: List[Tuple[Expr, bool]] = []
@@ -965,9 +880,7 @@ class _Binder:
             if not expr.within_group:
                 raise BindError("mode requires WITHIN GROUP (ORDER BY ...)")
             ordered = expr.within_group[0]
-            value = self._convert(
-                ordered.expr, scope, plan, context, group_exprs, True
-            )
+            value = convert(ordered.expr)
             core_args = [value]
             order_by = [(value, ordered.descending)]
         elif name in ("percentile_disc", "percentile_cont"):
@@ -975,18 +888,14 @@ class _Binder:
                 raise BindError(f"{name} requires WITHIN GROUP (ORDER BY ...)")
             fraction = _fraction_value(args)
             ordered = expr.within_group[0]
-            value = self._convert(
-                ordered.expr, scope, plan, context, group_exprs, True
-            )
+            value = convert(ordered.expr)
             core_args = [value]
             order_by = [(value, ordered.descending)]
         elif name == "median":
             # MEDIAN is the interpolating percentile at 0.5.
             name = "percentile_cont"
             fraction = 0.5
-            value = self._convert(
-                args[0], scope, plan, context, group_exprs, True
-            )
+            value = convert(args[0])
             core_args = [value]
             order_by = [(value, False)]
         else:
@@ -996,19 +905,10 @@ class _Binder:
                 name = "count_star"
                 core_args = []
             else:
-                core_args = [
-                    self._convert(a, scope, plan, context, group_exprs, True)
-                    for a in args
-                ]
+                core_args = [convert(a) for a in args]
             if expr.within_group:
                 order_by = [
-                    (
-                        self._convert(
-                            o.expr, scope, plan, context, group_exprs, True
-                        ),
-                        o.descending,
-                    )
-                    for o in expr.within_group
+                    (convert(o.expr), o.descending) for o in expr.within_group
                 ]
         call = AggregateCall(
             name="_pending",
@@ -1018,157 +918,78 @@ class _Binder:
             order_by=order_by,
             fraction=fraction,
         )
-        return ColumnRef(context.intern_aggregate(call))
+        return planner.intern(call).expr
 
-    def _decompose_aggregate(
+    def _lower(
         self,
         expr: sql_ast.SqlFunc,
+        lowering: Lowering,
         scope: _Scope,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        group_exprs: List[Expr],
+        planner: AggregatePlanner,
+        over: Optional[WindowOf] = None,
     ) -> Expr:
-        """Lower composed aggregates to primitives plus scalar expressions
-        (paper §3.3, "Composed Aggregates"). Because primitive calls are
-        interned, SUM/COUNT shared between AVG and VAR_POP collapse into one
+        """A composed aggregate call, lowered by its registered function
+        (paper §3.3 "Composed Aggregates"). SQL arguments bind to the
+        lowering's parameters as :func:`~repro.compgraph.functions.register`
+        describes; under ``over`` — a window call — each primitive aggregate
+        becomes a window over that clause. Primitive calls are interned, so
+        SUM/COUNT shared between AVG and VAR_POP collapse into one
         computation — the sharing of Figure 3 query 0."""
-        name = expr.name
-
-        def intern(func: str, arg: Expr, distinct: bool = False) -> Expr:
-            return ColumnRef(
-                context.intern_aggregate(
-                    AggregateCall("_pending", func, [arg], distinct=distinct)
-                )
-            )
-
-        if name in ("avg", "var_pop", "var_samp", "stddev_pop", "stddev_samp"):
-            value = self._convert(
-                expr.args[0], scope, plan, context, group_exprs, True
-            )
-            total = intern("sum", value, expr.distinct)
-            count = intern("count", value, expr.distinct)
-            total_f = Cast(total, DataType.FLOAT64)
-            if name == "avg":
-                return BinaryOp("/", total_f, count)
-            squares = intern(
-                "sum", BinaryOp("*", value, value), expr.distinct
-            )
-            squares_f = Cast(squares, DataType.FLOAT64)
-            mean_square = BinaryOp(
-                "/", BinaryOp("*", total_f, total_f), count
-            )
-            numerator = BinaryOp("-", squares_f, mean_square)
-            denominator: Expr
-            if name in ("var_pop", "stddev_pop"):
-                denominator = count
-            else:
-                denominator = FuncCall(
-                    "nullif",
-                    [BinaryOp("-", count, Literal(1, DataType.INT64)),
-                     Literal(0, DataType.INT64)],
-                )
-            variance = BinaryOp("/", numerator, denominator)
-            if name.startswith("stddev"):
-                return FuncCall("sqrt", [variance])
-            return variance
-
-        if name == "mad":
-            # MAD = MEDIAN(|x - MEDIAN(x)|): the inner median is a window
-            # aggregate over the group (paper §3.3, "Nested aggregates").
-            if expr.args:
-                value_sql = expr.args[0]
-            elif expr.within_group:
-                value_sql = expr.within_group[0].expr
-            else:
-                raise BindError("mad requires an argument or WITHIN GROUP")
-            value = self._convert(
-                value_sql, scope, plan, context, group_exprs, False
-            )
-            inner = sql_ast.SqlFunc(
-                "median", [value_sql], over=sql_ast.WindowDef()
-            )
-            median_ref = self._bind_window_call(
-                inner, scope, plan, context, group_exprs,
-                inside_aggregate=True, implicit_group_partition=True,
-            )
-            deviation = FuncCall("abs", [BinaryOp("-", value, median_ref)])
-            call = AggregateCall(
-                "_pending", "percentile_cont", [deviation],
-                order_by=[(deviation, False)], fraction=0.5,
-            )
-            return ColumnRef(context.intern_aggregate(call))
-
-        if name == "mssd":
-            # Mean Square Successive Difference (paper §3.4):
-            # sqrt(sum((lead(x) - x)^2) / (n - 1)). LEAD runs as a window
-            # over the group ordered by the WITHIN GROUP key (or x itself).
-            if not expr.args:
-                raise BindError("mssd requires an argument")
-            value_sql = expr.args[0]
-            order_items = expr.within_group or [sql_ast.OrderItem(value_sql)]
-            value = self._convert(
-                value_sql, scope, plan, context, group_exprs, False
-            )
-            lead = sql_ast.SqlFunc(
-                "lead", [value_sql],
-                over=sql_ast.WindowDef(order_by=list(order_items)),
-            )
-            lead_ref = self._bind_window_call(
-                lead, scope, plan, context, group_exprs,
-                inside_aggregate=True, implicit_group_partition=True,
-            )
-            diff_sq = FuncCall(
-                "power",
-                [BinaryOp("-", lead_ref, value), Literal(2, DataType.INT64)],
-            )
-            total = intern("sum", diff_sq)
-            pairs = intern("count", diff_sq)
-            return FuncCall("sqrt", [BinaryOp("/", total, pairs)])
-
-        raise BindError(f"cannot decompose aggregate {name}")
+        params = list(inspect.signature(lowering).parameters.values())[1:]
+        takes_order = any(param.name == "order_by" for param in params)
+        params = [param for param in params if param.name != "order_by"]
+        within = expr.within_group or []
+        args = list(expr.args)
+        if not args and not takes_order:
+            args = [item.expr for item in within]  # mad() WITHIN GROUP (ORDER BY x)
+        required = sum(param.default is param.empty for param in params)
+        if not required <= len(args) <= len(params):
+            raise BindError(f"wrong number of arguments to {expr.name}")
+        inside = over is None
+        convert = lambda e: Node(self._convert(e, scope, planner, inside))  # noqa: E731
+        values = [
+            _int_literal(arg, f"{expr.name} argument {param.name}")
+            if param.annotation in (int, "int")
+            else convert(arg)
+            for param, arg in zip(params, args)
+        ]
+        kwargs = {}
+        if takes_order and within:
+            kwargs["order_by"] = [(convert(o.expr), o.descending) for o in within]
+        nodes = [value for value in values if isinstance(value, Node)]
+        view = planner.scoped(expr.name, over, nodes if expr.distinct else None)
+        return lowering(view, *values, **kwargs).expr
 
     def _bind_window_call(
         self,
         expr: sql_ast.SqlFunc,
         scope: _Scope,
-        plan: LogicalPlan,
-        context: _ExprContext,
-        group_exprs: List[Expr],
-        inside_aggregate: bool,
+        planner: AggregatePlanner,
         implicit_group_partition: bool = False,
     ) -> Expr:
         name = expr.name
         if not is_window_name(name):
             raise BindError(f"{name} cannot be used as a window function")
-        if name == "avg":
-            # Composed window aggregate: sum/count over the same window.
-            total = self._bind_window_call(
-                sql_ast.SqlFunc("sum", expr.args, over=expr.over),
-                scope, plan, context, group_exprs,
-                inside_aggregate, implicit_group_partition,
-            )
-            count = self._bind_window_call(
-                sql_ast.SqlFunc("count", expr.args, over=expr.over),
-                scope, plan, context, group_exprs,
-                inside_aggregate, implicit_group_partition,
-            )
-            return BinaryOp("/", Cast(total, DataType.FLOAT64), count)
-        if name in ("var_pop", "var_samp", "stddev_pop", "stddev_samp", "mad", "mssd"):
-            raise NotSupportedError(f"{name} is not supported as a window function")
+        if expr.distinct:
+            raise NotSupportedError(f"{name}(DISTINCT ...) as a window function")
+        convert = lambda e: self._convert(e, scope, planner)  # noqa: E731
         over = expr.over
-        partition_by = [
-            self._convert(p, scope, plan, context, group_exprs, False)
-            for p in over.partition_by
-        ]
+        partition_by = [convert(p) for p in over.partition_by]
         if implicit_group_partition:
-            partition_by = list(group_exprs)
-        order_by = [
-            (
-                self._convert(o.expr, scope, plan, context, group_exprs, False),
-                o.descending,
-            )
-            for o in over.order_by
-        ]
+            partition_by = list(planner.group_exprs)
+        order_by = [(convert(o.expr), o.descending) for o in over.order_by]
+        lowering = LOWERINGS.get(name)
+        if lowering is not None:
+            def window_of(
+                func: str, args: List[Expr], fraction: Optional[float]
+            ) -> WindowCall:
+                frame = _bind_frame(over.frame, bool(order_by), func)
+                return WindowCall(
+                    "_pending", func, args, partition_by=partition_by,
+                    order_by=order_by, frame=frame, fraction=fraction,
+                )
+
+            return self._lower(expr, lowering, scope, planner, over=window_of)
         fraction = None
         offset = 1
         default: Optional[Expr] = None
@@ -1177,40 +998,27 @@ class _Binder:
             if name == "median":
                 name = "percentile_cont"
                 fraction = 0.5
-                core_args = [
-                    self._convert(args[0], scope, plan, context, group_exprs, False)
-                ]
+                core_args = [convert(args[0])]
             else:
                 fraction = _fraction_value(args)
                 if not expr.within_group:
                     raise BindError(f"{name} requires WITHIN GROUP (ORDER BY ...)")
-                core_args = [
-                    self._convert(
-                        expr.within_group[0].expr, scope, plan, context,
-                        group_exprs, False,
-                    )
-                ]
+                core_args = [convert(expr.within_group[0].expr)]
         elif name in ("lag", "lead", "ntile", "nth_value"):
             core_args = []
             if name == "ntile":
                 offset = _int_literal(args[0], "ntile bucket count")
             else:
-                core_args = [
-                    self._convert(args[0], scope, plan, context, group_exprs, False)
-                ]
+                core_args = [convert(args[0])]
                 if name == "nth_value":
                     offset = _int_literal(args[1], "nth_value position")
                 elif len(args) >= 2:
                     offset = _int_literal(args[1], f"{name} offset")
                 if name in ("lag", "lead") and len(args) >= 3:
-                    default = self._convert(
-                        args[2], scope, plan, context, group_exprs, False
-                    )
+                    default = convert(args[2])
         else:
             core_args = [
-                self._convert(a, scope, plan, context, group_exprs, False)
-                for a in args
-                if not isinstance(a, sql_ast.SqlStar)
+                convert(a) for a in args if not isinstance(a, sql_ast.SqlStar)
             ]
             if args and isinstance(args[0], sql_ast.SqlStar):
                 name = "count_star"
@@ -1226,8 +1034,7 @@ class _Binder:
             default=default,
             fraction=fraction,
         )
-        return ColumnRef(context.intern_window(call))
-
+        return planner.intern(call).expr
 
 # ----------------------------------------------------------------------
 # Small helpers

@@ -1,5 +1,8 @@
 """Tests for semantic analysis: plan shapes, normalization, decomposition."""
 
+import hashlib
+import statistics
+
 import pytest
 
 from repro.errors import BindError, NotSupportedError
@@ -120,6 +123,143 @@ class TestDecomposition:
         )
         window = find(plan, Window)
         assert sorted(c.func for c in window.calls) == ["count", "sum"]
+
+    # Digests of repr(LogicalPlan.key()): the plan cache, the feedback store
+    # and query records key on these, so a lowering edit must not move them.
+    @pytest.mark.parametrize("sql, digest", [
+        ("SELECT avg(b) FROM r GROUP BY a", "543efc37cc4d9617"),
+        ("SELECT avg(DISTINCT b) FROM r GROUP BY a", "c101e553581d0e75"),
+        ("SELECT var_pop(b) FROM r GROUP BY a", "c25f48fa1113bdbd"),
+        ("SELECT var_samp(b) FROM r GROUP BY a", "3b740c4c8dbd5cea"),
+        ("SELECT stddev_pop(b) FROM r GROUP BY a", "e08fe3d8671fde11"),
+        ("SELECT stddev_samp(b) FROM r GROUP BY a", "6347d7ee02a8343e"),
+        ("SELECT mad(b) FROM r GROUP BY a", "d3c54da6e7c3b9ab"),
+        ("SELECT mad() WITHIN GROUP (ORDER BY b) FROM r GROUP BY a", "d3c54da6e7c3b9ab"),
+        ("SELECT mssd(b) FROM r GROUP BY a", "070f3d99408c2f49"),
+        ("SELECT mssd(b) WITHIN GROUP (ORDER BY d DESC) FROM r GROUP BY a",
+         "a51891827df3ba51"),
+        ("SELECT avg(b), var_pop(b), stddev_samp(b) FROM r", "09aa42a608d1569f"),
+        ("SELECT avg(b) OVER (PARTITION BY a ORDER BY d) FROM r", "d9a6aadcf3686865"),
+        ("SELECT avg(b) OVER (PARTITION BY a ORDER BY d "
+         "ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) FROM r", "bfbff5f726ff7b68"),
+        # Reachable from SQL only through the registry.
+        ("SELECT iqr(b) FROM r GROUP BY a", "0be01cefc6a2f02b"),
+        ("SELECT kurtosis(b) FROM r GROUP BY a", "44b9667aa404e2ea"),
+        ("SELECT skewness(b) FROM r GROUP BY a", "bf3df3320137340d"),
+        ("SELECT central_moment(b, 3) FROM r GROUP BY a", "c89324bdff22459f"),
+        ("SELECT var_samp(b) OVER (PARTITION BY a) FROM r", "820d902733cc2e86"),
+    ])
+    def test_composed_plan_key_pinned(self, catalog, sql, digest):
+        key = repr(plan_of(catalog, sql).key())
+        assert hashlib.sha256(key.encode()).hexdigest()[:16] == digest
+
+    def test_composed_aggregates_share_primitives(self, catalog):
+        agg = find(
+            plan_of(catalog, "SELECT avg(b), var_pop(b), stddev_samp(b) FROM r"),
+            Aggregate,
+        )
+        assert [c.func for c in agg.aggregates] == ["sum", "count", "sum"]
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT mad(b) OVER (PARTITION BY a) FROM r",
+        "SELECT mssd(b) OVER (PARTITION BY a) FROM r",
+        "SELECT kurtosis(b) OVER () FROM r",
+        "SELECT central_moment(b, 2) OVER () FROM r",
+        "SELECT avg(DISTINCT b) OVER () FROM r",
+        "SELECT mad(DISTINCT b) FROM r",
+    ])
+    def test_unsupported_composed_forms(self, catalog, sql):
+        with pytest.raises(NotSupportedError):
+            plan_of(catalog, sql)
+
+    def test_moment_order_must_be_an_integer_literal(self, catalog):
+        with pytest.raises(BindError, match="integer literal"):
+            plan_of(catalog, "SELECT central_moment(b, a) FROM r")
+        with pytest.raises(BindError, match="arguments"):
+            plan_of(catalog, "SELECT central_moment(b) FROM r")
+
+
+class TestDistinctVariance:
+    """``var_*(DISTINCT x)`` must not dedup on x*x: over {-1, 1, 1, 3} that
+    merges -1 with 1. The pre-grouping dedups on a call's own argument, so
+    the variance family refuses DISTINCT and names the subquery rewrite,
+    which is checked here against ``statistics`` over ``set(x)``."""
+
+    X = {1: [-1, 1, 1, 3, None], 2: [2, 2, None, 5]}
+
+    @pytest.fixture
+    def db(self):
+        from repro import Database
+
+        database = Database()
+        database.create_table("t", {"g": "int64", "x": "int64"})
+        rows = [(g, x) for g, xs in self.X.items() for x in xs]
+        database.insert("t", {"g": [g for g, _ in rows], "x": [x for _, x in rows]})
+        return database
+
+    @pytest.mark.parametrize("func", ["var_pop", "var_samp", "stddev_pop", "stddev_samp"])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_refused_with_the_rewrite(self, db, func, grouped):
+        group = " GROUP BY g" if grouped else ""
+        with pytest.raises(NotSupportedError, match="SELECT DISTINCT subquery"):
+            db.sql(f"SELECT {func}(DISTINCT x) FROM t{group}")
+
+    @pytest.mark.parametrize("func, reference", [
+        ("var_pop", statistics.pvariance),
+        ("var_samp", statistics.variance),
+        ("stddev_pop", statistics.pstdev),
+        ("stddev_samp", statistics.stdev),
+    ])
+    def test_rewrite_matches_python(self, db, func, reference):
+        def distinct(values):
+            return {x for x in values if x is not None}
+
+        everything = [x for xs in self.X.values() for x in xs]
+        (value,), = db.sql(
+            f"SELECT {func}(x) FROM (SELECT DISTINCT x FROM t) AS d"
+        ).rows()
+        assert value == pytest.approx(reference(distinct(everything)))
+        rows = db.sql(
+            f"SELECT g, {func}(x) FROM (SELECT DISTINCT g, x FROM t) AS d "
+            "GROUP BY g ORDER BY g"
+        ).rows()
+        assert rows == [
+            (g, pytest.approx(reference(distinct(xs)))) for g, xs in self.X.items()
+        ]
+
+    def test_avg_distinct_still_dedups_its_argument(self, db):
+        rows = db.sql("SELECT g, avg(DISTINCT x) FROM t GROUP BY g ORDER BY g").rows()
+        assert rows == [(1, 1.0), (2, 3.5)]
+
+
+class TestWindowComposed:
+    """Composed aggregates under OVER run their registered lowering with
+    every primitive aggregate a window over the call's clause."""
+
+    def test_variance_over_partition_matches_python(self):
+        from repro import Database
+
+        db = Database()
+        db.create_table("t", {"g": "int64", "o": "int64", "x": "float64"})
+        xs = {1: [1.0, 4.0, None, 2.5], 2: [3.0]}
+        rows = [(g, x) for g, values in xs.items() for x in values]
+        db.insert("t", {
+            "g": [g for g, _ in rows], "o": list(range(len(rows))),
+            "x": [x for _, x in rows],
+        })
+        out = db.sql(
+            "SELECT g, o, avg(x) OVER (PARTITION BY g), "
+            "var_samp(x) OVER (PARTITION BY g), "
+            "stddev_pop(x) OVER (PARTITION BY g) FROM t ORDER BY o"
+        ).rows()
+        for g, _, avg, var, std in out:
+            present = [x for x in xs[g] if x is not None]
+            assert avg == pytest.approx(statistics.mean(present))
+            if len(present) > 1:
+                assert var == pytest.approx(statistics.variance(present))
+            else:
+                assert var is None
+            assert std == pytest.approx(statistics.pstdev(present))
 
 
 class TestJoins:

@@ -93,8 +93,11 @@ class TestAggregateSpecs:
     def test_lookup_kinds(self):
         assert lookup("sum").kind is AggKind.ASSOCIATIVE
         assert lookup("percentile_disc").kind is AggKind.ORDERED_SET
-        assert lookup("avg").kind is AggKind.COMPOSED
         assert lookup("lag").kind is AggKind.WINDOW_ONLY
+        # Composed aggregates have no spec: the compgraph registry lowers them.
+        assert is_aggregate_name("avg") and is_window_name("avg")
+        with pytest.raises(BindError, match="composed"):
+            lookup("avg")
 
     def test_name_classifiers(self):
         assert is_aggregate_name("sum")
@@ -118,7 +121,7 @@ class TestAggregateSpecs:
 
     def test_result_types(self):
         assert lookup("count").result_type([DataType.STRING]) is DataType.INT64
-        assert lookup("avg").result_type([DataType.INT64]) is DataType.FLOAT64
+        assert lookup("percentile_cont").result_type([DataType.INT64]) is DataType.FLOAT64
         assert lookup("min").result_type([DataType.DATE]) is DataType.DATE
 
 

@@ -1,4 +1,4 @@
-"""Tests for segment trees / sparse tables / prefix sums."""
+"""Tests for the range-aggregation structures: sparse tables and prefix sums."""
 
 import numpy as np
 import pytest
@@ -6,28 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.lolepop.segment_tree import PrefixSums, SegmentTree, SparseTable
-
-
-class TestSegmentTree:
-    def test_basic_queries(self):
-        tree = SegmentTree(np.array([3.0, 1.0, 4.0, 1.0, 5.0]), "min")
-        assert tree.query(0, 5) == 1.0
-        assert tree.query(2, 3) == 4.0
-        assert tree.query(2, 5) == 1.0
-
-    def test_sum_tree(self):
-        tree = SegmentTree(np.array([1.0, 2.0, 3.0]), "sum")
-        assert tree.query(0, 3) == 6.0
-        assert tree.query(1, 2) == 2.0
-
-    def test_empty_range_identity(self):
-        tree = SegmentTree(np.array([1.0]), "max")
-        assert tree.query(1, 1) == -np.inf
-
-    def test_unknown_op(self):
-        with pytest.raises(ExecutionError):
-            SegmentTree(np.array([1.0]), "avg")
+from repro.lolepop.segment_tree import PrefixSums, SparseTable
 
 
 class TestSparseTable:
@@ -70,15 +49,12 @@ class TestPrefixSums:
     st.data(),
 )
 def test_segment_tree_equals_sparse_table_and_naive(values, data):
-    """Property: all three range-aggregation structures agree with a naive
-    loop for min queries."""
+    """Property: the sparse table agrees with a naive loop for min queries."""
     arr = np.array(values)
     lo = data.draw(st.integers(0, len(arr) - 1))
     hi = data.draw(st.integers(lo + 1, len(arr)))
-    tree = SegmentTree(arr, "min")
     table = SparseTable(arr, "min")
     naive = arr[lo:hi].min()
-    assert tree.query(lo, hi) == pytest.approx(naive)
     assert table.query_many(np.array([lo]), np.array([hi]))[0] == pytest.approx(naive)
 
 
