@@ -3,9 +3,19 @@
 Phase 1 pre-aggregates each incoming morsel into thread-local partial
 results (the paper's fixed-size in-cache tables; our vectorized stand-in
 groups within the morsel, which bounds partial size by the morsel's distinct
-keys the same way). Phase 2 scatters partials into hash partitions and
-merges them with the per-aggregate merge function (COUNT partials merge by
-SUM, etc. — :data:`repro.relational.kernels.MERGE_FUNC`).
+keys the same way). Phase 2 merges the partials with the per-aggregate merge
+function (COUNT partials merge by SUM, etc. —
+:data:`repro.relational.kernels.MERGE_FUNC`), and its fan-out is chosen at
+run time from the partials phase 1 produced:
+
+- **single** — when the partials hold at most ``morsel_size`` rows in
+  total, they are concatenated and merged in one work item; there is
+  nothing to spread across threads.
+- **partitioned** — otherwise each partial is scattered into at most
+  ``num_partitions`` hash partitions and every non-empty partition is
+  merged in its own work item (the paper's high-cardinality path).
+
+The choice is noted on the node span as ``merge`` and ``merge_partitions``.
 
 DISTINCT never reaches this operator: the translator lowers it to
 ``HASHAGG(ANY-group) → HASHAGG`` per the paper's §2 rewrite.
@@ -100,7 +110,7 @@ class HashAggOp(Lolepop):
         input_op: Lolepop,
         key_names: Sequence[str],
         tasks: Sequence[HashAggTask],
-        num_partitions: int = 16,
+        num_partitions: int,
     ):
         super().__init__([input_op])
         self.key_names = list(key_names)
@@ -114,18 +124,7 @@ class HashAggOp(Lolepop):
 
     # ------------------------------------------------------------------
     def output_schema(self, input_schema: Schema) -> Schema:
-        fields = [
-            Field(name, input_schema[name].dtype) for name in self.key_names
-        ]
-        for task in self.tasks:
-            if task.func in ("count", "count_star"):
-                dtype = DataType.INT64
-            elif task.arg is not None:
-                dtype = input_schema[task.arg].dtype
-            else:
-                dtype = DataType.INT64
-            fields.append(Field(task.name, dtype))
-        return Schema(fields)
+        return _output_schema(input_schema, self.key_names, self.tasks)
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
@@ -205,9 +204,7 @@ def two_phase_aggregate(
         return aggregate_batch(batch, key_names, tasks)
 
     partials = ctx.parallel_for(operator, batches, preaggregate)
-    if note is not None:
-        # Recorded on the submitting thread, after the region barrier.
-        note(partial_rows=sum(len(p) for p in partials), preagg_partials=len(partials))
+    partial_rows = sum(len(p) for p in partials)
     # Scatter partials into hash partitions (chunk-list concatenation in the
     # paper; cheap, charged to the same operator). The scatter itself is a
     # pure per-partial function; the pieces land in the pre-allocated
@@ -229,18 +226,32 @@ def two_phase_aggregate(
                 pieces.append((pid, partial.take(order[lo:hi])))
         return pieces
 
-    scattered = ctx.parallel_for(operator, partials, scatter)
-    buckets: List[List[Batch]] = [[] for _ in range(num_partitions)]
-    for piece_list in scattered:
-        for pid, piece in piece_list:
-            buckets[pid].append(piece)
+    # The fan-out follows the partials in hand: partials that fit one
+    # morsel are one bucket, larger ones are scattered.
+    if partial_rows <= ctx.config.morsel_size:
+        mode, buckets = "single", [partials]
+    else:
+        scattered = ctx.parallel_for(operator, partials, scatter)
+        partitions: List[List[Batch]] = [[] for _ in range(num_partitions)]
+        for piece_list in scattered:
+            for pid, piece in piece_list:
+                partitions[pid].append(piece)
+        mode, buckets = "partitioned", [b for b in partitions if b]
     ctx.next_phase()
 
-    # Phase 2: merge each partition with dynamically-growing tables.
+    # Phase 2: merge each bucket with dynamically-growing tables.
     def merge(bucket: List[Batch]) -> Batch:
         return aggregate_batch(Batch.concat(bucket), key_names, merge_tasks)
 
-    merged = ctx.parallel_for(f"{operator}-merge", [b for b in buckets if b], merge)
+    merged = ctx.parallel_for(f"{operator}-merge", buckets, merge)
+    if note is not None:
+        # Recorded on the submitting thread, after the region barriers.
+        note(
+            partial_rows=partial_rows,
+            preagg_partials=len(partials),
+            merge=mode,
+            merge_partitions=len(buckets),
+        )
     outputs = [Batch(out_schema, m.columns) for m in merged if len(m)]
     return outputs or [Batch.empty(out_schema)]
 

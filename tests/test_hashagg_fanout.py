@@ -1,0 +1,168 @@
+"""HASHAGG's run-time merge fan-out: the single merge (partials that fit one
+morsel, one ``aggregate_batch``) and the partitioned merge (scatter into
+hash partitions, one merge per partition) give the same groups."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.execution import EngineConfig, ExecutionContext
+from repro.lolepop.hashagg_op import HashAggTask, two_phase_aggregate
+from repro.relational.kernels import MERGE_FUNC
+from repro.storage import Batch, Column
+from repro.types import DataType, Field, Schema
+
+SCHEMA = Schema(
+    [
+        Field("ki", DataType.INT64),
+        Field("ks", DataType.STRING),
+        Field("kf", DataType.FLOAT64),
+        Field("v", DataType.INT64),
+        Field("b", DataType.BOOL),
+        Field("s", DataType.STRING),
+    ]
+)
+
+#: Every MERGE_FUNC entry, over a column it accepts.
+TASKS = [
+    HashAggTask(f"{func}_{arg or 'star'}", func, arg)
+    for func, args in {
+        "sum": ["v"],
+        "count": ["v", "s"],
+        "count_star": [None],
+        "min": ["v", "s"],
+        "max": ["v", "s"],
+        "any": ["v", "s"],
+        "bool_and": ["b"],
+        "bool_or": ["b"],
+    }.items()
+    for arg in args
+]
+assert {task.func for task in TASKS} == set(MERGE_FUNC)
+
+KEY_SETS = [["ki"], ["ks"], ["kf"], ["ki", "ks"], ["ks", "kf", "ki"]]
+
+_ROW = st.tuples(
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "b", "zz"])),
+    st.one_of(
+        st.none(),
+        st.sampled_from([0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan]),
+    ),
+    st.one_of(st.none(), st.integers(-1000, 1000)),
+    st.one_of(st.none(), st.booleans()),
+    st.one_of(st.none(), st.sampled_from(["x", "y", "", "long string"])),
+)
+
+
+def _batch(rows):
+    """One morsel; its string columns get their own dictionaries."""
+    columns = [
+        Column.from_values(field.dtype, [row[i] for row in rows])
+        for i, field in enumerate(SCHEMA.fields)
+    ]
+    return Batch(SCHEMA, columns)
+
+
+def _aggregate(batches, keys, morsel_size):
+    """``two_phase_aggregate`` under ``morsel_size``: the output rows as a
+    sorted multiset (NaN made comparable) and the merge it noted."""
+    ctx = ExecutionContext(EngineConfig(num_threads=2, morsel_size=morsel_size))
+    noted = {}
+    out = two_phase_aggregate(
+        ctx, batches, keys, TASKS, num_partitions=8, note=noted.update
+    )
+    rows = [
+        tuple("nan" if isinstance(x, float) and math.isnan(x) else x for x in row)
+        for row in Batch.concat(out).rows()
+    ]
+    return sorted(rows, key=repr), noted
+
+
+def _single_and_partitioned(batches, keys):
+    single, single_note = _aggregate(batches, keys, morsel_size=10**9)
+    partitioned, partitioned_note = _aggregate(batches, keys, morsel_size=1)
+    assert single_note["merge"] == "single"
+    assert single_note["merge_partitions"] == 1
+    if partitioned_note["partial_rows"] > 1:
+        assert partitioned_note["merge"] == "partitioned"
+    return single, partitioned
+
+
+class TestSingleEqualsPartitioned:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=5),
+        st.sampled_from(KEY_SETS),
+    )
+    def test_random_morsels(self, morsels, keys):
+        batches = [_batch(rows) for rows in morsels]
+        single, partitioned = _single_and_partitioned(batches, keys)
+        assert single == partitioned
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    def test_all_distinct_keys(self, sizes):
+        start, batches = 0, []
+        for size in sizes:
+            batches.append(
+                _batch([(start + i, str(start + i), float(i), i, True, "x") for i in range(size)])
+            )
+            start += size
+        single, partitioned = _single_and_partitioned(batches, ["ki", "ks"])
+        assert single == partitioned
+        assert len(single) == start
+
+    def test_null_keys_form_one_group(self):
+        rows = [(None, None, None, 1, True, "x")] * 3 + [(1, "a", 0.0, 2, False, None)]
+        batches = [_batch(rows[:2]), _batch(rows[2:])]
+        single, partitioned = _single_and_partitioned(batches, ["ki", "ks", "kf"])
+        assert single == partitioned
+        assert len(single) == 2
+
+    def test_empty_morsels(self):
+        rows = [(1, "a", 1.0, 5, True, "x"), (2, "b", 2.0, 6, False, "y")]
+        batches = [_batch([]), _batch(rows), _batch([]), _batch(rows)]
+        single, partitioned = _single_and_partitioned(batches, ["ks"])
+        assert single == partitioned
+        assert [row[0] for row in single] == ["a", "b"]
+
+    def test_all_morsels_empty(self):
+        single, partitioned = _single_and_partitioned([_batch([]), _batch([])], ["ki"])
+        assert single == partitioned == []
+
+
+class TestBoundary:
+    """Σ partial rows = ``morsel_size`` merges in one item; one more row than
+    ``morsel_size`` takes the partitioned merge."""
+
+    BATCHES = [
+        _batch([(i, None, None, i, None, None) for i in range(start, start + 5)])
+        for start in (0, 5)
+    ]
+
+    def _noted(self, morsel_size):
+        return _aggregate(self.BATCHES, ["ki"], morsel_size)[1]
+
+    def test_sum_equal_to_morsel_size_is_single(self):
+        noted = self._noted(10)
+        assert noted["partial_rows"] == 10
+        assert (noted["merge"], noted["merge_partitions"]) == ("single", 1)
+
+    def test_one_row_over_morsel_size_is_partitioned(self):
+        noted = self._noted(9)
+        assert noted["partial_rows"] == 10
+        assert noted["merge"] == "partitioned"
+        assert 1 <= noted["merge_partitions"] <= 8
+
+    def test_single_merge_is_one_merge_item(self):
+        for morsel_size, items in ((10, 1), (9, self._noted(9)["merge_partitions"])):
+            ctx = ExecutionContext(
+                EngineConfig(num_threads=2, morsel_size=morsel_size, collect_trace=True)
+            )
+            two_phase_aggregate(
+                ctx, self.BATCHES, ["ki"], TASKS[:1], num_partitions=8
+            )
+            merges = [r for r in ctx.trace.regions if r.name == "hashagg-merge"]
+            assert [r.attrs["items"] for r in merges] == [items]

@@ -462,9 +462,8 @@ class TestOperatorSummary:
 
 
 class TestRegionsAreNotPhaseGroups:
-    """``f JOIN a JOIN b ... GROUP BY`` scans three tables in phase ``p1``
-    and aggregates twice in ``p4``: same operator, same phase label,
-    different regions."""
+    """``f JOIN a JOIN b ... GROUP BY`` scans three tables in phase ``p1``:
+    same operator, same phase label, different regions."""
 
     @pytest.fixture
     def traced(self):
@@ -493,23 +492,29 @@ class TestRegionsAreNotPhaseGroups:
         from repro.observability.analyze import morsel_skew
 
         entries = morsel_skew(traced.trace)
-        assert len(entries) == len(traced.trace.regions) == 13
+        # HASHAGG's 40 partial rows fit one morsel, so it merges in one item
+        # and runs no scatter region: 12 regions, one ``hashagg`` in ``p4``.
+        assert len(entries) == len(traced.trace.regions) == 12
         scans = sorted(e["items"] for e in entries if e["operator"] == "tablescan")
         assert scans == [1, 1, 3]  # a, b, and f's three morsels: never one 5-item entry
         aggs = [e for e in entries if (e["operator"], e["phase"]) == ("hashagg", "p4")]
-        assert [e["items"] for e in aggs] == [3, 3]
+        assert [e["items"] for e in aggs] == [3]
 
     def test_chrome_region_lane_stamps_each_region_with_its_own_skew(self, traced):
         lane = [e for e in chrome_trace_events(traced.trace) if e["pid"] == 1]
-        assert len(lane) == 13
+        assert len(lane) == 12
         for event in lane:
             skewed = {"morsel_skew", "straggler_thread"} <= set(event["args"])
             assert skewed == (event["args"]["items"] >= 2), event
-        first, second = (
+        # The single HASHAGG merge left no second ``hashagg`` region in
+        # ``p4``; the three ``p1`` scans are the same-phase regions here, and
+        # only f's (3 items) is stamped — a per-phase group of 5 would be.
+        scans = [
             e["args"] for e in lane
-            if e["name"] == "region:hashagg" and e["args"]["phase"] == "p4"
-        )
-        assert first["morsel_max_ms"] != second["morsel_max_ms"]
+            if e["name"] == "region:tablescan" and e["args"]["phase"] == "p1"
+        ]
+        assert sorted(args["items"] for args in scans) == [1, 1, 3]
+        assert sum("morsel_skew" in args for args in scans) == 1
 
 
 class TestNestedRegionsAreCountedOnce:
@@ -596,7 +601,15 @@ class TestFrozenViews:
     """``QueryProfile.to_dict``, ``QueryRecord.to_dict``, the Chrome lanes and
     ``operator_summary`` of three statements run through the service, as
     commit 975e4bc (flat ``TraceRecord`` / ``RegionSpan`` lists, one
-    ``OperatorStats`` per node) produced them."""
+    ``OperatorStats`` per node) produced them.
+
+    ``group_by`` and ``nested_aggregate`` have since changed in one way:
+    HASHAGG's partials fit one morsel, so it merges in one item and runs no
+    scatter region. Its note gains ``merge`` / ``merge_partitions``, it emits
+    one batch (so does every node downstream of it), and the outer PARTITION
+    of ``nested_aggregate`` scatters that one batch into single-piece
+    partitions that need no compaction. ``window_under_budget`` has no
+    HASHAGG and is as recorded."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -640,8 +653,8 @@ class TestFrozenViews:
             "dags": [
                 [
                     [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"partial_rows": 24, "preagg_partials": 4}],
-                    [2, "SCAN", "project 3 exprs", 6, 6, 5, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 24, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -705,13 +718,13 @@ class TestFrozenViews:
                     "args": {"query_id": "q1", "session": "s1"},
                 },
             },
-            "lane_sizes": {0: 31, 1: 7, 2: 2},
+            "lane_sizes": {0: 15, 1: 6, 2: 2},
             "lane_names": {
                 0: ["hashagg", "hashagg-merge", "project", "scan", "tablescan"],
                 1: ["region:hashagg", "region:hashagg-merge", "region:project", "region:scan", "region:tablescan"],
                 2: ["service:admission-reserve", "service:queue-wait"],
             },
-            "summary": {"hashagg": 8, "hashagg-merge": 5, "project": 9, "scan": 5, "source": 0, "tablescan": 4},
+            "summary": {"hashagg": 4, "hashagg-merge": 1, "project": 5, "scan": 1, "source": 0, "tablescan": 4},
         },
         "nested_aggregate": {
             "profile": {
@@ -747,16 +760,16 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 24, 0, 19, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x64", 24, 24, 19, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"scatter_keys": "k"}],
+                    [0, "SOURCE", "pipeline", 0, 24, 0, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
+                    [1, "PARTITION", "k x64", 24, 24, 1, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"scatter_keys": "k"}],
                     [2, "SORT", "k,s", 24, 24, 64, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"mode": "inplace", "sorted_partitions": 5}],
                     [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 64, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 5, "tasks": 1}],
                     [4, "SCAN", "project 2 exprs", 6, 6, 5, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
                 ],
                 [
                     [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 19, "<t>", 0, 0, 0, 0, 0, 0, 0, {"partial_rows": 96, "preagg_partials": 4}],
-                    [2, "SCAN", "project 3 exprs", 24, 24, 19, 19, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 96, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -820,10 +833,9 @@ class TestFrozenViews:
                     "args": {"query_id": "q1", "session": "s1"},
                 },
             },
-            "lane_sizes": {0: 117, 1: 13, 2: 2},
+            "lane_sizes": {0: 36, 1: 11, 2: 2},
             "lane_names": {
                 0: [
-                    "compaction",
                     "hashagg",
                     "hashagg-merge",
                     "ordagg",
@@ -834,7 +846,6 @@ class TestFrozenViews:
                     "tablescan",
                 ],
                 1: [
-                    "region:compaction",
                     "region:hashagg",
                     "region:hashagg-merge",
                     "region:ordagg",
@@ -847,13 +858,12 @@ class TestFrozenViews:
                 2: ["service:admission-reserve", "service:queue-wait"],
             },
             "summary": {
-                "compaction": 5,
-                "hashagg": 8,
-                "hashagg-merge": 19,
+                "hashagg": 4,
+                "hashagg-merge": 1,
                 "ordagg": 5,
-                "partition": 19,
-                "project": 28,
-                "scan": 24,
+                "partition": 1,
+                "project": 10,
+                "scan": 6,
                 "sort": 5,
                 "source": 0,
                 "tablescan": 4,
