@@ -414,14 +414,9 @@ def main(argv=None):
             "w",
             encoding="utf-8",
         ) as handle:
-            json.dump(
-                {
-                    "stats": telemetry.slowlog.stats(),
-                    "records": telemetry.slowlog.snapshot(),
-                },
-                handle,
-                indent=1,
-            )
+            slow = telemetry.slow_queries()
+            records = slow.pop("records")
+            json.dump({"stats": slow, "records": records}, handle, indent=1)
         telemetry.dump(os.path.join(args.telemetry_dir, "telemetry.json"))
         summary = report["telemetry"]
         print(

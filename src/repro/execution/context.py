@@ -43,7 +43,6 @@ class EngineConfig:
         # --- optimizer ablation flags (LOLEPOP engine only) -------------
         reuse_buffers: bool = True,
         elide_sorts: bool = True,
-        merge_unbounded_windows: bool = True,
         remove_redundant_combines: bool = True,
         reaggregate_grouping_sets: bool = True,
         two_phase_hashagg: bool = True,
@@ -87,7 +86,6 @@ class EngineConfig:
         self.execution_mode = execution_mode
         self.reuse_buffers = reuse_buffers
         self.elide_sorts = elide_sorts
-        self.merge_unbounded_windows = merge_unbounded_windows
         self.remove_redundant_combines = remove_redundant_combines
         self.reaggregate_grouping_sets = reaggregate_grouping_sets
         self.two_phase_hashagg = two_phase_hashagg
@@ -135,7 +133,6 @@ class EngineConfig:
             self.num_partitions,
             self.reuse_buffers,
             self.elide_sorts,
-            self.merge_unbounded_windows,
             self.remove_redundant_combines,
             self.reaggregate_grouping_sets,
             self.two_phase_hashagg,

@@ -38,7 +38,6 @@ from .telemetry import (
     GLOBAL_TELEMETRY,
     HealthSampler,
     QueryRecord,
-    SlowQueryLog,
     Telemetry,
     TelemetryConfig,
     render_report,
@@ -64,7 +63,6 @@ __all__ = [
     "GLOBAL_TELEMETRY",
     "HealthSampler",
     "QueryRecord",
-    "SlowQueryLog",
     "Telemetry",
     "TelemetryConfig",
     "render_report",

@@ -5,7 +5,7 @@ admission rejections, cache hits and evictions, spilling, verifier
 diagnostics — is appended as one :class:`TelemetryEvent` with a monotonic
 timestamp and a small flat payload. The buffer is a fixed-capacity ring:
 memory stays bounded no matter how long the server runs, and when it wraps
-the *oldest* events rotate out (the ``dropped`` counter says how many — a
+the *oldest* events rotate out (``stats()["dropped"]`` says how many — a
 healthy deployment sizes the ring so steady-state inspection windows never
 drop).
 
@@ -15,18 +15,19 @@ plain dicts, :meth:`FlightRecorder.dump_json` writes them to disk, and the
 owning :class:`~repro.observability.telemetry.Telemetry` can dump
 automatically when a query errors.
 
-All methods are thread-safe (one lock around the deque); recording is a
-timestamp, a tuple construction, and a deque append — cheap enough to stay
-always-on in the serving path.
+The recorder is a :class:`~repro.bounded.Ring` that numbers and counts
+its events by kind; recording is a timestamp, a tuple construction, and a
+deque append under the ring's lock — cheap enough to stay always-on in the
+serving path.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-from collections import deque
 from typing import Dict, List, NamedTuple, Optional
+
+from ..bounded import Ring
 
 #: Event kinds the service layer emits. The recorder accepts any string —
 #: this tuple documents the vocabulary and anchors the tests.
@@ -75,72 +76,47 @@ class TelemetryEvent(NamedTuple):
         }
 
 
-class FlightRecorder:
-    """Lock-protected ring buffer of :class:`TelemetryEvent`."""
+class FlightRecorder(Ring):
+    """Ring buffer of :class:`TelemetryEvent`, numbered and counted by kind."""
 
     def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be positive")
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        #: Total events ever recorded (including rotated-out ones).
-        self.recorded = 0
+        super().__init__(capacity)
         #: Per-kind totals (bounded: one entry per event kind).
         self._by_kind: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def record(self, kind: str, **fields) -> TelemetryEvent:
-        """Append one event; returns it (mostly for tests)."""
+        """Append one event, numbered by ``recorded``; returns it (mostly
+        for tests)."""
         with self._lock:
             self.recorded += 1
             event = TelemetryEvent(
                 self.recorded, time.monotonic(), time.time(), kind, fields
             )
-            self._events.append(event)
+            self._items.append(event)
             self._by_kind[kind] = self._by_kind.get(kind, 0) + 1
         return event
 
     # ------------------------------------------------------------------
-    @property
-    def dropped(self) -> int:
-        """Events rotated out of the ring (recorded - retained)."""
-        with self._lock:
-            return self.recorded - len(self._events)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
     def snapshot(
-        self, kind: Optional[str] = None, last: Optional[int] = None
+        self, last: Optional[int] = None, kind: Optional[str] = None
     ) -> List[dict]:
         """Retained events as dicts, oldest first; optionally filtered by
         ``kind`` and truncated to the ``last`` N."""
-        with self._lock:
-            events = list(self._events)
         out = [
-            e.to_dict() for e in events if kind is None or e.kind == kind
+            e.to_dict() for e in super().snapshot() if kind is None or e.kind == kind
         ]
-        if last is not None:
-            out = out[-last:]
-        return out
+        return out if last is None else out[-last:]
 
     def stats(self) -> dict:
         with self._lock:
-            return {
-                "capacity": self.capacity,
-                "recorded": self.recorded,
-                "retained": len(self._events),
-                "dropped": self.recorded - len(self._events),
-                "by_kind": dict(sorted(self._by_kind.items())),
-            }
+            by_kind = dict(sorted(self._by_kind.items()))
+        return {**super().stats(), "by_kind": by_kind}
 
     def reset(self) -> None:
+        super().reset()
         with self._lock:
-            self._events.clear()
             self._by_kind.clear()
-            self.recorded = 0
 
     # ------------------------------------------------------------------
     def dump_json(self, path: str) -> int:

@@ -25,8 +25,10 @@ observation per fingerprint flushes immediately, then every
 ``flush_interval``-th) and atomic (temp file + ``os.replace``). A corrupt
 or partial file is tolerated on load — skipped with a
 ``feedback.load_error`` flight-recorder event — and the on-disk footprint
-is bounded by ``max_files`` with least-recently-updated eviction
-(``feedback.evict`` events).
+is bounded by ``max_files``: the entries are a :class:`~repro.bounded.Lru`
+whose eviction unlinks the file (a ``feedback.evict`` event). Loading
+inserts the files in ``updated`` order, so the LRU order survives a
+restart.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional
 
+from ..bounded import Lru
 from ..logical.plan import key_hash
 from ..lolepop.base import SourceOp
 from ..lolepop.hashagg_op import HashAggOp
@@ -221,13 +224,16 @@ class _OperatorFeedback:
 
 
 class _FingerprintFeedback:
-    __slots__ = ("fingerprint", "sql", "updated", "operators")
+    __slots__ = ("fingerprint", "sql", "updated", "operators", "pending")
 
     def __init__(self, fingerprint: str, sql: str):
         self.fingerprint = fingerprint
         self.sql = sql
         self.updated = 0.0
         self.operators: Dict[int, _OperatorFeedback] = {}
+        #: Observations folded in since this process created or loaded it
+        #: (the flush throttle's count).
+        self.pending = 0
 
     def to_dict(self) -> dict:
         return {
@@ -274,8 +280,9 @@ class FeedbackStore:
     """Persistent per-``(plan fingerprint, operator position)`` actuals.
 
     Thread-safe; all mutation happens under one lock (queries complete
-    concurrently under the service layer). Loading never raises: a corrupt
-    or partial file is skipped with a ``feedback.load_error`` event.
+    concurrently under the service layer), re-entered by the entries'
+    ``on_evict``. Loading never raises: a corrupt or partial file is
+    skipped with a ``feedback.load_error`` event.
     """
 
     def __init__(
@@ -289,15 +296,12 @@ class FeedbackStore:
         self.max_files = max(1, int(max_files))
         self.flush_interval = max(1, int(flush_interval))
         self._telemetry = telemetry
-        self._lock = threading.Lock()
-        self._entries: Dict[str, _FingerprintFeedback] = {}
-        self._pending: Dict[str, int] = {}
+        self._lock = threading.RLock()
+        self._entries = Lru(self.max_files)
+        self._entries.on_evict = self._evicted
         #: signature -> the most-observed feedback slot carrying it, so a
         #: calibration lookup is one dict probe instead of a store scan.
         self._signature_index: Dict[str, _OperatorFeedback] = {}
-        #: fingerprint -> template execution count at its last drift-triggered
-        #: replan (see :data:`REPLAN_INTERVAL`).
-        self._replanned: Dict[str, int] = {}
         os.makedirs(directory, exist_ok=True)
         self._load()
 
@@ -317,18 +321,19 @@ class FeedbackStore:
             names = sorted(os.listdir(self.directory))
         except OSError:
             return
+        loaded = []
         for name in names:
             if not (name.startswith(_FILE_PREFIX) and name.endswith(_FILE_SUFFIX)):
                 continue
             path = os.path.join(self.directory, name)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
-                    entry = _validate_document(json.load(handle))
+                    loaded.append(_validate_document(json.load(handle)))
             except (OSError, ValueError, TypeError) as exc:
                 self._event("feedback.load_error", file=name, error=str(exc))
-                continue
-            with self._lock:
-                self._entries[entry.fingerprint] = entry
+        with self._lock:
+            for entry in sorted(loaded, key=lambda e: e.updated):
+                self._entries.put(entry.fingerprint, entry)
                 for feedback in entry.operators.values():
                     self._index_locked(feedback)
 
@@ -340,15 +345,22 @@ class FeedbackStore:
         if existing is None or feedback.observations >= existing.observations:
             self._signature_index[signature] = feedback
 
-    def _reindex_locked(self) -> None:
-        self._signature_index.clear()
-        for entry in self._entries.values():
-            for feedback in entry.operators.values():
-                self._index_locked(feedback)
+    def _evicted(self, fingerprint: str, entry: _FingerprintFeedback) -> None:
+        """The entries' ``on_evict``: the file and the index slots go with
+        the entry."""
+        try:
+            os.unlink(self._path(fingerprint))
+        except OSError:
+            pass
+        self._event("feedback.evict", fingerprint=fingerprint)
+        with self._lock:
+            self._signature_index.clear()
+            for kept in self._entries.values():
+                for feedback in kept.operators.values():
+                    self._index_locked(feedback)
 
-    def _flush_locked(self, fingerprint: str) -> None:
-        entry = self._entries[fingerprint]
-        path = self._path(fingerprint)
+    def _flush_locked(self, entry: _FingerprintFeedback) -> None:
+        path = self._path(entry.fingerprint)
         tmp = path + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
@@ -360,21 +372,6 @@ class FeedbackStore:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    def _evict_locked(self) -> None:
-        evicted = False
-        while len(self._entries) > self.max_files:
-            victim = min(self._entries.values(), key=lambda e: e.updated)
-            del self._entries[victim.fingerprint]
-            self._pending.pop(victim.fingerprint, None)
-            try:
-                os.unlink(self._path(victim.fingerprint))
-            except OSError:
-                pass
-            self._event("feedback.evict", fingerprint=victim.fingerprint)
-            evicted = True
-        if evicted:
-            self._reindex_locked()
 
     # -- recording ------------------------------------------------------
     def record_execution(self, record, prepared, result, estimator, template) -> bool:
@@ -401,10 +398,10 @@ class FeedbackStore:
         if ratio is None or ratio < DRIFT_THRESHOLD:
             return False
         with self._lock:
-            last = self._replanned.get(record.fingerprint)
+            last = template.replanned_at
             if last is not None and template.count - last < REPLAN_INTERVAL:
                 return False
-            self._replanned[record.fingerprint] = template.count
+            template.replanned_at = template.count
         prepared.est_rows = None
         prepared.dag_templates.clear()
         self._event(
@@ -421,10 +418,9 @@ class FeedbackStore:
         if not observations:
             return
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                entry = _FingerprintFeedback(fingerprint, sql)
-                self._entries[fingerprint] = entry
+            entry = self._entries.get_or_put(
+                fingerprint, lambda: _FingerprintFeedback(fingerprint, sql)
+            )
             entry.updated = time.time()
             for observation in observations:
                 position = int(observation.get("position", 0))
@@ -437,44 +433,41 @@ class FeedbackStore:
                 else:
                     existing.update(observation)
                 self._index_locked(existing)
-            count = self._pending.get(fingerprint, 0)
-            self._pending[fingerprint] = count + 1
-            self._evict_locked()
-            if count % self.flush_interval == 0:
-                self._flush_locked(fingerprint)
+            if entry.pending % self.flush_interval == 0:
+                self._flush_locked(entry)
+            entry.pending += 1
 
     def flush(self) -> None:
         """Write every in-memory entry to disk (shutdown / test hook)."""
         with self._lock:
-            for fingerprint in list(self._entries):
-                self._flush_locked(fingerprint)
+            for entry in self._entries.values():
+                self._flush_locked(entry)
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def fingerprints(self) -> List[str]:
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(entry.fingerprint for entry in self._entries.values())
 
     def get(self, fingerprint: str) -> Optional[dict]:
         with self._lock:
-            entry = self._entries.get(fingerprint)
+            entry = self._entries.peek(fingerprint)
             return None if entry is None else entry.to_dict()
 
     def summary(self) -> dict:
         with self._lock:
-            operators = sum(len(e.operators) for e in self._entries.values())
+            entries = self._entries.values()
+            operators = sum(len(e.operators) for e in entries)
             worst: Optional[float] = None
-            for entry in self._entries.values():
+            for entry in entries:
                 for feedback in entry.operators.values():
                     q = feedback.q_error
                     if q is not None and (worst is None or q > worst):
                         worst = q
             return {
                 "directory": self.directory,
-                "fingerprints": len(self._entries),
+                "fingerprints": len(entries),
                 "operators": operators,
                 "max_q_error": worst,
             }

@@ -10,15 +10,15 @@ spill, cache flags, max Q-error — which feeds three bounded sinks:
 
 - the :class:`~repro.observability.events.FlightRecorder` ring buffer
   (incident reconstruction: what happened, in order, just now);
-- the :class:`SlowQueryLog` (full records for queries over a latency
+- the slow-query log (full records for queries over a latency
   threshold);
 - :class:`~repro.observability.workload.WorkloadStats` (per-template
   streaming latency/Q-error aggregates, the adaptive re-planning signal).
 
 A :class:`HealthSampler` thread owned by each
 :class:`~repro.server.service.QueryService` additionally appends periodic
-:class:`HealthSample` points (queue depth, in-flight memory, cache hit
-rates, spill counters) into the telemetry's bounded health series.
+health samples — dicts of queue depth, in-flight memory, cache hit rates
+and spill counters — into the telemetry's health series.
 
 Cost model: callers test :attr:`Telemetry.enabled` once per statement, so
 a disabled server pays one branch per query and builds neither root span
@@ -26,8 +26,9 @@ nor record. When enabled, the per-query cost is the root and its stage
 spans, one :class:`QueryRecord`, a few dict/deque updates under short
 locks, and (once per distinct prepared plan) one plan hash and one
 cardinality estimate — all per *query*, never per node, region or row.
-Memory is bounded everywhere: ring capacity, slow-log capacity,
-fingerprint-table capacity, health-series capacity.
+Memory is bounded everywhere: the recorder, the slow-query log and the
+health series are each a :class:`~repro.bounded.Ring` and the fingerprint
+table an :class:`~repro.bounded.Lru`, all sized by :class:`TelemetryConfig`.
 
 :data:`GLOBAL_TELEMETRY` is the process-wide instance
 (:class:`~repro.api.Database` and the service default to it); tests and
@@ -45,10 +46,10 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
+from ..bounded import Ring
 from ..errors import QueryCancelled
 from ..execution.trace import Span
 from ..logical.plan import key_hash
@@ -59,8 +60,6 @@ from .workload import DRIFT_THRESHOLD, WorkloadStats
 __all__ = [
     "TelemetryConfig",
     "QueryRecord",
-    "SlowQueryLog",
-    "HealthSample",
     "HealthSampler",
     "Telemetry",
     "GLOBAL_TELEMETRY",
@@ -181,66 +180,12 @@ class QueryRecord:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class SlowQueryLog:
-    """Bounded log of full :class:`QueryRecord` detail for slow queries."""
-
-    def __init__(self, capacity: int = 128, threshold_s: float = 1.0):
-        if capacity < 1:
-            raise ValueError("slow-query log capacity must be positive")
-        self.capacity = capacity
-        self.threshold_s = threshold_s
-        self._records: deque = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        #: Queries that crossed the threshold (including rotated-out ones).
-        self.observed = 0
-
-    def observe(self, record: QueryRecord) -> bool:
-        """Retain ``record`` if it is slow; returns whether it was."""
-        if record.total_s < self.threshold_s:
-            return False
-        with self._lock:
-            self.observed += 1
-            self._records.append(record)
-        return True
-
-    def snapshot(self, last: Optional[int] = None) -> List[dict]:
-        """Retained records as dicts, oldest first."""
-        with self._lock:
-            records = list(self._records)
-        if last is not None:
-            records = records[-last:]
-        return [record.to_dict() for record in records]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "threshold_s": self.threshold_s,
-                "retained": len(self._records),
-                "observed": self.observed,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.observed = 0
-
-
-class HealthSample(dict):
-    """One point of the service health time series (a plain dict subclass
-    so it serializes directly; keys documented in :meth:`HealthSampler.sample_now`)."""
-
-
 class HealthSampler:
     """Background sampler of one query service's health gauges.
 
     Owned by a :class:`~repro.server.service.QueryService`; every
-    ``interval_s`` it appends one :class:`HealthSample` into the telemetry's
-    bounded health series. ``sample_now()`` takes one sample synchronously
+    ``interval_s`` it appends one sample (:meth:`sample_now`) into the
+    telemetry's health series. ``sample_now()`` takes one sample synchronously
     (tests, the shell's ``.health``). The thread is a daemon and stops at
     service shutdown.
     """
@@ -253,10 +198,10 @@ class HealthSampler:
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
-    def sample_now(self) -> HealthSample:
+    def sample_now(self) -> dict:
         """Take one sample and append it to the telemetry health series."""
         service = self.service
-        sample = HealthSample(
+        sample = dict(
             ts=time.monotonic(),
             wall=time.time(),
             queue_depth=service.admission.queue_depth,
@@ -315,12 +260,12 @@ class Telemetry:
         self.config = config or TelemetryConfig()
         self.enabled = self.config.enabled
         self.recorder = FlightRecorder(self.config.ring_capacity)
-        self.slowlog = SlowQueryLog(
-            self.config.slowlog_capacity, self.config.slow_query_threshold_s
-        )
+        #: ``QueryRecord.to_dict()`` of every query at or over the
+        #: slow-query threshold.
+        self.slowlog = Ring(self.config.slowlog_capacity)
         self.workload = WorkloadStats(self.config.max_fingerprints)
-        self._health: deque = deque(maxlen=self.config.health_capacity)
-        self._health_lock = threading.Lock()
+        #: The :meth:`HealthSampler.sample_now` series.
+        self.health = Ring(self.config.health_capacity)
         self._last_error_dump = 0.0
         #: Total query records observed (all of them, not just slow ones).
         self.queries_recorded = 0
@@ -352,9 +297,6 @@ class Telemetry:
     # ------------------------------------------------------------------
     def enable(self) -> None:
         self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     @contextmanager
     def disabled(self):
@@ -517,16 +459,15 @@ class Telemetry:
             spill_bytes=record.spill_bytes_written,
             rows=record.rows,
         )
-        self.slowlog.observe(record)
+        if record.total_s >= self.config.slow_query_threshold_s:
+            self.slowlog.append(record.to_dict())
         if is_error and self.config.dump_on_error_dir:
             self._dump_on_error(record)
         return template
 
     def record_health(self, sample: Dict) -> None:
-        if not self.enabled:
-            return
-        with self._health_lock:
-            self._health.append(dict(sample))
+        if self.enabled:
+            self.health.append(dict(sample))
 
     # ------------------------------------------------------------------
     def _dump_on_error(self, record: QueryRecord) -> None:
@@ -547,18 +488,21 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def health_snapshot(self, last: Optional[int] = None) -> List[dict]:
-        with self._health_lock:
-            samples = list(self._health)
-        if last is not None:
-            samples = samples[-last:]
-        return samples
+    def slow_queries(self, last: Optional[int] = None) -> dict:
+        """The slow-query log's bounds, counts and (``last``) records."""
+        stats = self.slowlog.stats()
+        return {
+            "capacity": stats["capacity"],
+            "threshold_s": self.config.slow_query_threshold_s,
+            "retained": stats["retained"],
+            "observed": stats["recorded"],
+            "records": self.slowlog.snapshot(last),
+        }
 
     def report(
         self, top: int = 20, drift_threshold: float = DRIFT_THRESHOLD
     ) -> dict:
         """One JSON-serializable service-telemetry report."""
-        health = self.health_snapshot()
         return {
             "schema": 1,
             "enabled": self.enabled,
@@ -567,27 +511,15 @@ class Telemetry:
             ),
             "queries_recorded": self.queries_recorded,
             "flight_recorder": self.recorder.stats(),
-            "slow_queries": {
-                **self.slowlog.stats(),
-                "records": self.slowlog.snapshot(),
-            },
+            "slow_queries": self.slow_queries(),
             "workload": self.workload.snapshot(top=top),
             "drifting": [
-                {
-                    "fingerprint": fingerprint,
-                    "drift_ratio": entry.drift_ratio(),
-                    "q_recent": entry.q_recent,
-                    "q_baseline_mean": entry.q_baseline.mean,
-                    "count": entry.count,
-                    "example_sql": entry.example_sql,
-                }
-                for fingerprint, entry in self.workload.drifting_templates(
-                    drift_threshold
-                )
+                entry.to_dict()
+                for _, entry in self.workload.drifting_templates(drift_threshold)
             ],
             "health": {
                 "capacity": self.config.health_capacity,
-                "samples": health,
+                "samples": self.health.snapshot(),
             },
             "reuse": self.reuse_snapshot(),
         }
@@ -602,8 +534,8 @@ class Telemetry:
             "events_dropped": recorder["dropped"],
             "fingerprints": len(self.workload),
             "fingerprints_evicted": self.workload.evicted,
-            "slow_queries": self.slowlog.stats()["observed"],
-            "health_samples": len(self.health_snapshot()),
+            "slow_queries": self.slowlog.recorded,
+            "health_samples": len(self.health),
         }
         reuse = self.reuse_snapshot()
         if reuse is not None:
@@ -622,8 +554,7 @@ class Telemetry:
         self.recorder.reset()
         self.slowlog.reset()
         self.workload.reset()
-        with self._health_lock:
-            self._health.clear()
+        self.health.reset()
         self.queries_recorded = 0
 
 
@@ -683,49 +614,13 @@ def render_report(doc: dict, width: int = 100) -> str:
         f"slow queries (>= {slow['threshold_s'] * 1000:.0f}ms): "
         f"{slow['observed']} observed, {slow['retained']} retained"
     )
-    for record in slow["records"][-10:]:
-        lines.append(
-            f"  {record['query_id']:<8} {_fmt_ms(record['total_s']):>10} "
-            f"(parse {_fmt_ms(record['parse_bind_s'])}, "
-            f"translate {_fmt_ms(record['translate_s'])}, "
-            f"execute {_fmt_ms(record['execute_s'])}) "
-            f"rows={record['rows']} fp={record['fingerprint']} "
-            f"{record['sql'][:40]!r}"
-        )
-
+    lines += render_slow_records(slow["records"][-10:])
     workload = doc["workload"]
     lines.append(
         f"workload: {workload['tracked']}/{workload['capacity']} "
         f"fingerprints tracked, {workload['evicted']} evicted"
     )
-    for entry in workload["templates"][:15]:
-        q = entry["q_error"]
-        q_text = (
-            f"q-mean={q['mean']:.2f} q-max={entry['q_max']:.2f}"
-            if q["count"]
-            else "q=?"
-        )
-        latency = entry["latency"]
-        quantiles = latency.get("quantiles", {})
-        lines.append(
-            f"  {entry['fingerprint']} n={entry['count']:<6} "
-            f"p50~{_fmt_ms(quantiles.get('p50'))} "
-            f"p95~{_fmt_ms(quantiles.get('p95'))} "
-            f"{q_text} {entry['example_sql'][:45]!r}"
-        )
-
-    drifting = doc.get("drifting", [])
-    if drifting:
-        lines.append(f"drifting templates ({len(drifting)}):")
-        for entry in drifting:
-            lines.append(
-                f"  {entry['fingerprint']} drift x{entry['drift_ratio']:.2f} "
-                f"(baseline {entry['q_baseline_mean']:.2f} -> recent "
-                f"{entry['q_recent']:.2f}, n={entry['count']}) "
-                f"{entry['example_sql'][:40]!r}"
-            )
-    else:
-        lines.append("drifting templates: none")
+    lines += render_templates(workload["templates"][:15], doc.get("drifting", []))
 
     reuse = doc.get("reuse")
     if reuse is not None:
@@ -741,7 +636,58 @@ def render_report(doc: dict, width: int = 100) -> str:
 
     health = doc["health"]["samples"]
     lines.append(f"health samples: {len(health)}")
-    for sample in health[-5:]:
+    lines += render_health_samples(health[-5:])
+    return "\n".join(line[:width] for line in lines)
+
+
+def render_slow_records(records: List[dict]) -> List[str]:
+    """One line per slow-query record (the report and the shell's ``.slowlog``)."""
+    return [
+        f"  {record['query_id']:<8} {_fmt_ms(record['total_s']):>10} "
+        f"(parse {_fmt_ms(record['parse_bind_s'])}, "
+        f"translate {_fmt_ms(record['translate_s'])}, "
+        f"execute {_fmt_ms(record['execute_s'])}) "
+        f"rows={record['rows']} fp={record['fingerprint']} "
+        f"{record['sql'][:40]!r}"
+        for record in records
+    ]
+
+
+def render_templates(templates: List[dict], drifting: List[dict]) -> List[str]:
+    """One line per workload template, then the drifting ones (the report
+    and the shell's ``.fingerprints``)."""
+    lines = []
+    for entry in templates:
+        q = entry["q_error"]
+        q_text = (
+            f"q-mean={q['mean']:.2f} q-max={entry['q_max']:.2f}"
+            if q["count"]
+            else "q=?"
+        )
+        quantiles = entry["latency"].get("quantiles", {})
+        lines.append(
+            f"  {entry['fingerprint']} n={entry['count']:<6} "
+            f"p50~{_fmt_ms(quantiles.get('p50'))} "
+            f"p95~{_fmt_ms(quantiles.get('p95'))} "
+            f"{q_text} {entry['example_sql'][:45]!r}"
+        )
+    if not drifting:
+        return lines + ["drifting templates: none"]
+    lines.append(f"drifting templates ({len(drifting)}):")
+    for entry in drifting:
+        lines.append(
+            f"  {entry['fingerprint']} drift x{entry['drift_ratio']:.2f} "
+            f"(baseline {entry['q_baseline_mean']:.2f} -> recent "
+            f"{entry['q_recent']:.2f}, n={entry['count']}) "
+            f"{entry['example_sql'][:40]!r}"
+        )
+    return lines
+
+
+def render_health_samples(samples: List[dict]) -> List[str]:
+    """One line per health sample (the report and the shell's ``.health``)."""
+    lines = []
+    for sample in samples:
         plan_rate = sample.get("plan_cache_hit_rate")
         rate_text = "" if plan_rate is None else f" plan-hit={plan_rate:.2f}"
         lines.append(
@@ -749,4 +695,4 @@ def render_report(doc: dict, width: int = 100) -> str:
             f"reserved={sample['reserved_bytes']:.0f}B"
             f"{rate_text} spillW={sample.get('spill_bytes_written', 0):.0f}B"
         )
-    return "\n".join(line[:width] for line in lines)
+    return lines

@@ -19,17 +19,17 @@ signal the ROADMAP's adaptive re-planning item needs: a drifting
 fingerprint identifies a plan-cache template whose cardinality model has
 gone stale and should be re-optimized.
 
-Memory is bounded: at most ``capacity`` templates are tracked; beyond that
-the least-recently-updated template is evicted (hot templates survive) and
-the ``evicted`` counter records the loss.
+Memory is bounded: the table is a :class:`~repro.bounded.Lru` of at most
+``capacity`` templates; beyond that the least-recently-updated template is
+evicted (hot templates survive) and the ``evicted`` counter records the
+loss.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from ..bounded import Lru
 from .metrics import Histogram
 
 #: Latency buckets for per-template histograms: log-spaced seconds from
@@ -89,7 +89,7 @@ class TemplateStats:
     __slots__ = (
         "fingerprint", "example_sql", "engine", "count", "errors",
         "latency", "q_stats", "q_baseline", "q_recent", "q_max", "q_last",
-        "plan_cache_hits", "spill_bytes", "rows_out",
+        "plan_cache_hits", "spill_bytes", "rows_out", "replanned_at",
     )
 
     def __init__(self, fingerprint: str, example_sql: str, engine: str):
@@ -112,6 +112,9 @@ class TemplateStats:
         self.plan_cache_hits = 0
         self.spill_bytes = 0
         self.rows_out = 0
+        #: ``count`` at the feedback store's last drift-triggered replan of
+        #: this template (``None``: never); evicted with the template.
+        self.replanned_at: Optional[int] = None
 
     # ------------------------------------------------------------------
     def observe(
@@ -175,13 +178,8 @@ class WorkloadStats:
     """Bounded per-fingerprint aggregate table (the workload profiler)."""
 
     def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("workload capacity must be positive")
         self.capacity = capacity
-        self._templates: "OrderedDict[str, TemplateStats]" = OrderedDict()
-        self._lock = threading.Lock()
-        #: Templates dropped because the table was full (the bound held).
-        self.evicted = 0
+        self._templates = Lru(capacity)
 
     # ------------------------------------------------------------------
     def observe(
@@ -195,33 +193,27 @@ class WorkloadStats:
     ) -> TemplateStats:
         """Fold one execution into its template (created on first sight);
         ``counts`` are :meth:`TemplateStats.observe`'s keyword fields."""
-        with self._lock:
-            entry = self._templates.get(fingerprint)
-            if entry is None:
-                entry = TemplateStats(fingerprint, sql, engine)
-                self._templates[fingerprint] = entry
-                while len(self._templates) > self.capacity:
-                    self._templates.popitem(last=False)
-                    self.evicted += 1
-            # Least-recently-updated eviction order.
-            self._templates.move_to_end(fingerprint)
+        entry = self._templates.get_or_put(
+            fingerprint, lambda: TemplateStats(fingerprint, sql, engine)
+        )
         entry.observe(latency_s, q_error, **counts)
         return entry
 
     # ------------------------------------------------------------------
+    @property
+    def evicted(self) -> int:
+        """Templates dropped because the table was full (the bound held)."""
+        return self._templates.evictions
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._templates)
+        return len(self._templates)
 
     def get(self, fingerprint: str) -> Optional[TemplateStats]:
-        with self._lock:
-            return self._templates.get(fingerprint)
+        return self._templates.peek(fingerprint)
 
     def templates(self) -> List[TemplateStats]:
         """All tracked templates, most executed first."""
-        with self._lock:
-            entries = list(self._templates.values())
-        return sorted(entries, key=lambda t: -t.count)
+        return sorted(self._templates.values(), key=lambda t: -t.count)
 
     def drifting_templates(
         self, threshold: float = DRIFT_THRESHOLD, min_count: int = BASELINE_WINDOW + 4
@@ -257,6 +249,4 @@ class WorkloadStats:
         }
 
     def reset(self) -> None:
-        with self._lock:
-            self._templates.clear()
-            self.evicted = 0
+        self._templates = Lru(self.capacity)

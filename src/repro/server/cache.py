@@ -45,10 +45,9 @@ returned as-is and must be treated as immutable by callers.
 from __future__ import annotations
 
 import copy
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
+from ..bounded import Lru
 from ..expr.nodes import Literal, rewrite, slotted_literals
 from ..logical.plan import (
     Aggregate,
@@ -329,80 +328,7 @@ class PreparedPlan:
         self.dag_templates[key] = template
 
 
-class _LruCache:
-    """Thread-safe bounded LRU (shared machinery of both caches)."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = capacity
-        self._entries: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: Optional ``callback(key, value)`` invoked (outside the lock) for
-        #: every capacity eviction — the telemetry layer hooks this to emit
-        #: ``cache.evict`` flight-recorder events. Version-invalidation
-        #: ``clear()`` does not fire it: that is a correctness event, not a
-        #: capacity one.
-        self.on_evict = None
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key, value) -> None:
-        evicted = []
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                evicted.append(self._entries.popitem(last=False))
-                self.evictions += 1
-        if self.on_evict is not None:
-            for evicted_key, evicted_value in evicted:
-                try:
-                    self.on_evict(evicted_key, evicted_value)
-                except Exception:  # noqa: BLE001 — observers never break puts
-                    pass
-
-    def discard(self, key) -> None:
-        """Drop one entry if present (stale-entry invalidation; does not
-        count as a capacity eviction and does not fire ``on_evict``)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class PlanCache(_LruCache):
+class PlanCache(Lru):
     """LRU of :class:`PreparedPlan` keyed on ``(skeleton, pinned slot
     texts)`` (see the module docstring).
 
@@ -414,7 +340,7 @@ class PlanCache(_LruCache):
         super().__init__(capacity)
         #: Skeleton → the slot numbers its entries pin: which texts of a
         #: new statement make its key. Bounded like the entries.
-        self._pinned: "OrderedDict[str, Tuple[int, ...]]" = OrderedDict()
+        self._pinned = Lru(capacity)
 
     def lookup(
         self,
@@ -429,7 +355,7 @@ class PlanCache(_LruCache):
         entry is inserted if cacheable. Races between identical misses are
         benign — the last insert wins and both callers hold a valid entry."""
         shape = skeleton(sql)
-        pinned = self._pinned.get(shape[0]) if shape is not None else None
+        pinned = self._pinned.peek(shape[0]) if shape is not None else None
         # ``None`` is never a key: an unknown skeleton is counted as a miss.
         key = None if pinned is None else (shape[0], tuple(shape[1][i] for i in pinned))
         entry = self.get(key)
@@ -449,16 +375,12 @@ class PlanCache(_LruCache):
         entry = build(shape)
         if entry.cacheable:
             entry.key = (entry.skeleton, tuple(entry.slots[i] for i in entry.pinned))
-            with self._lock:
-                self._pinned[entry.skeleton] = entry.pinned
-                self._pinned.move_to_end(entry.skeleton)
-                while len(self._pinned) > self.capacity:
-                    self._pinned.popitem(last=False)
+            self._pinned.put(entry.skeleton, entry.pinned)
             self.put(entry.key, entry)
         return entry, False
 
 
-class ResultCache(_LruCache):
+class ResultCache(Lru):
     """LRU of finished query results for read-only statements.
 
     Keyed on (skeleton, slot vector, the statement's per-table dependency

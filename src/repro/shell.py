@@ -42,6 +42,11 @@ from .api import Database
 from .errors import ReproError
 from .execution.context import EngineConfig
 from .format import format_table
+from .observability.telemetry import (
+    render_health_samples,
+    render_slow_records,
+    render_templates,
+)
 
 
 class Shell:
@@ -385,21 +390,13 @@ class Shell:
         if self.service is not None and self.service.health is not None:
             # Take a fresh sample so .health is useful even between ticks.
             self.service.health.sample_now()
-        samples = telemetry.health_snapshot(last=last)
+        samples = telemetry.health.snapshot(last)
         if not samples:
             self.write(
                 "(no health samples — enable the service with .server on)"
             )
             return
-        for sample in samples:
-            plan_rate = sample.get("plan_cache_hit_rate")
-            rate = "" if plan_rate is None else f" plan-hit={plan_rate:.2f}"
-            self.write(
-                f"  queue={sample['queue_depth']} "
-                f"running={sample['running']} "
-                f"reserved={sample['reserved_bytes']:.0f}B"
-                f"{rate} spillW={sample.get('spill_bytes_written', 0):.0f}B"
-            )
+        self.write("\n".join(render_health_samples(samples)))
         recorder = telemetry.recorder.stats()
         self.write(
             f"  flight recorder: {recorder['retained']}/{recorder['capacity']}"
@@ -408,56 +405,22 @@ class Shell:
         )
 
     def _slowlog(self, argument: str) -> None:
-        telemetry = self._telemetry()
-        last = self._parse_count(argument, 10)
-        records = telemetry.slowlog.snapshot(last=last)
-        stats = telemetry.slowlog.stats()
-        if not records:
+        slow = self._telemetry().slow_queries(self._parse_count(argument, 10))
+        if not slow["records"]:
             self.write(
                 f"(slow-query log empty; threshold "
-                f"{stats['threshold_s'] * 1000:.0f} ms, "
-                f"{stats['observed']} observed)"
+                f"{slow['threshold_s'] * 1000:.0f} ms, "
+                f"{slow['observed']} observed)"
             )
             return
-        for record in records:
-            self.write(
-                f"  {record['query_id']:<8} {record['total_s'] * 1000:9.1f}ms "
-                f"(parse {record['parse_bind_s'] * 1000:.1f} / "
-                f"translate {record['translate_s'] * 1000:.1f} / "
-                f"execute {record['execute_s'] * 1000:.1f}) "
-                f"rows={record['rows']} fp={record['fingerprint']} "
-                f"{record['sql'][:50]!r}"
-            )
+        self.write("\n".join(render_slow_records(slow["records"])))
 
     def _fingerprints(self, argument: str) -> None:
-        telemetry = self._telemetry()
-        top = self._parse_count(argument, 15)
-        entries = telemetry.workload.templates()[:top]
-        if not entries:
+        doc = self._telemetry().report(top=self._parse_count(argument, 15))
+        if not doc["workload"]["templates"]:
             self.write("(no fingerprints tracked yet)")
             return
-        for entry in entries:
-            q = entry.q_stats
-            q_text = (
-                f"q-mean={q.mean:.2f} q-max={entry.q_max:.2f}"
-                if q.count
-                else "q=?"
-            )
-            self.write(
-                f"  {entry.fingerprint} n={entry.count:<6} "
-                f"p50~{entry.latency.quantile(0.5) * 1000:.1f}ms "
-                f"p95~{entry.latency.quantile(0.95) * 1000:.1f}ms "
-                f"{q_text} {entry.example_sql[:50]!r}"
-            )
-        drifting = telemetry.workload.drifting_templates()
-        if drifting:
-            self.write(f"  drifting ({len(drifting)}):")
-            for fingerprint, entry in drifting:
-                self.write(
-                    f"    {fingerprint} x{entry.drift_ratio():.2f} "
-                    f"(baseline {entry.q_baseline.mean:.2f} -> "
-                    f"recent {entry.q_recent:.2f})"
-                )
+        self.write("\n".join(render_templates(doc["workload"]["templates"], doc["drifting"])))
 
     def _reuse(self, argument: str) -> None:
         manager = getattr(self.db, "reuse", None)

@@ -661,7 +661,7 @@ class TestFrozenViews:
                 "query_id": "q1",
                 "session_id": "s1",
                 "sql": "select k, sum(v), count(*) from r group by k",
-                "fingerprint": "a0abef95cd3c83ac",
+                "fingerprint": "4cfe885702997615",
                 "engine": "lolepop",
                 "status": "ok",
                 "error": None,
@@ -776,7 +776,7 @@ class TestFrozenViews:
                 "query_id": "q1",
                 "session_id": "s1",
                 "sql": "select k, median(s) from (select k, g, sum(v) as s from r group by k, g) as d group by k",
-                "fingerprint": "08959590f1d7ef42",
+                "fingerprint": "5295b63235fc886a",
                 "engine": "lolepop",
                 "status": "ok",
                 "error": None,
@@ -901,7 +901,7 @@ class TestFrozenViews:
                 "query_id": "q1",
                 "session_id": "s1",
                 "sql": "select k, sum(v) over (partition by k order by v) as c from r",
-                "fingerprint": "3df387a3805a6ca7",
+                "fingerprint": "3feefb6873524f61",
                 "engine": "lolepop",
                 "status": "ok",
                 "error": None,

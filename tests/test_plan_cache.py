@@ -14,12 +14,7 @@ import numpy as np
 import repro.api
 import repro.lolepop.engine
 from repro import Database
-from repro.server.cache import (
-    PlanCache,
-    PreparedPlan,
-    ResultCache,
-    _LruCache,
-)
+from repro.server.cache import PlanCache, PreparedPlan, ResultCache
 from repro.sql.lexer import fill, skeleton
 
 
@@ -133,35 +128,9 @@ class TestSkeleton:
 
 
 # ---------------------------------------------------------------------------
-# LRU machinery
+# Result-cache admission (the LRU itself: tests/test_bounded.py)
 # ---------------------------------------------------------------------------
 class TestLru:
-    def test_capacity_bound_and_eviction_order(self):
-        cache = _LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a: b is now least recent
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert len(cache) == 2
-        assert cache.evictions == 1
-
-    def test_hit_rate(self):
-        cache = _LruCache(4)
-        cache.put("k", "v")
-        cache.get("k")
-        cache.get("nope")
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-        stats = cache.stats()
-        assert stats["size"] == 1 and stats["capacity"] == 4
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            _LruCache(0)
-
     def test_result_cache_row_bound(self):
         class FakeResult:
             def __init__(self, n):
@@ -312,8 +281,8 @@ class TestPlanCache:
         # Everything in the cache is a reusable SELECT. (Keys are the
         # skeleton plus the pinned slot texts; staleness is tracked per
         # entry via table-version dependencies, not in the key.)
-        for text, _ in list(db.plan_cache._entries):
-            assert text.startswith("select")
+        for entry in db.plan_cache.values():
+            assert entry.skeleton.startswith("select")
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +653,12 @@ class TestStatementsKeepTheirLiterals:
         db = make_corpus_db()
         db.sql(self.TEMPLATE.format(10))
         entry = db.prepare(self.TEMPLATE.format(10))
-        assert db.plan_cache._entries.get(entry.key) is entry
+        assert db.plan_cache.peek(entry.key) is entry
         monkeypatch.setattr(
             db.telemetry, "record_execution", lambda *args, **kwargs: True
         )
         db.sql(self.TEMPLATE.format(30))  # a template hit that drifted
-        assert entry.key not in db.plan_cache._entries
+        assert db.plan_cache.peek(entry.key) is None
         assert db._prepare_cached(self.TEMPLATE.format(40))[1] is False
 
     def test_estimates_come_from_the_statements_own_literals(self):

@@ -10,6 +10,7 @@ import json
 import os
 import pickle
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from repro.observability.telemetry import (
     Telemetry,
     TelemetryConfig,
 )
+from repro.observability.workload import BASELINE_WINDOW, WorkloadStats
 
 from tests.test_parallel_property import SEED, _make_db, _plans
 
@@ -324,6 +326,44 @@ class TestFeedbackStore:
         ]
         assert evictions
 
+    def test_restart_keeps_least_recently_updated_order(self, tmp_path):
+        store = FeedbackStore(str(tmp_path))
+        for fingerprint in ("a", "b", "c"):
+            store.observe(fingerprint, "select 1", [fake_observation()])
+        store.flush()
+        # Age order b, c, a differs from the name order a, b, c.
+        for fingerprint, updated in (("a", 300.0), ("b", 100.0), ("c", 200.0)):
+            path = tmp_path / f"fb_{fingerprint}.json"
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps(dict(doc, updated=updated)))
+        reopened = FeedbackStore(str(tmp_path), max_files=3)
+        reopened.observe("d", "select 1", [fake_observation()])
+        assert reopened.fingerprints() == ["a", "c", "d"]
+        assert not (tmp_path / "fb_b.json").exists()
+
+    def test_replan_throttle_is_evicted_with_its_template(self, tmp_path):
+        workload = WorkloadStats(capacity=1)
+        store = FeedbackStore(str(tmp_path))
+
+        def drifting(count):
+            for n in range(count):
+                q_error = 1.0 if n < BASELINE_WINDOW else 50.0
+                template = workload.observe("A", "select 1", "lolepop", 0.01, q_error)
+            assert template.count == count and template.drift_ratio() > 2.0
+            return template
+
+        def replans(template):
+            record = QueryRecord("q", "select 1", "A", rows=100)
+            prepared = SimpleNamespace(plan=FakePlan(), est_rows=10.0, dag_templates={})
+            result = SimpleNamespace(profile=None, dags=())
+            return store.record_execution(record, prepared, result, None, template)
+
+        assert replans(drifting(20)) is True
+        workload.observe("B", "select 2", "lolepop", 0.01)  # evicts A
+        assert workload.get("A") is None
+        # A's new template starts its own count: no stale throttle.
+        assert replans(drifting(12)) is True
+
     def test_calibration_lookup(self, tmp_path):
         store = FeedbackStore(str(tmp_path))
         store.observe("abc123", "select 1", [fake_observation(actual=250)])
@@ -408,6 +448,7 @@ class TestClosedLoop:
 
         class DriftingTemplate:
             count = 20
+            replanned_at = None
 
             @staticmethod
             def drift_ratio():

@@ -29,7 +29,6 @@ from repro.observability.metrics import Histogram, MetricsRegistry
 from repro.observability.telemetry import (
     GLOBAL_TELEMETRY,
     QueryRecord,
-    SlowQueryLog,
     Telemetry,
     TelemetryConfig,
     render_report,
@@ -76,7 +75,7 @@ class TestFlightRecorder:
             recorder.record("query.finish", i=i)
         assert len(recorder) == 8
         assert recorder.recorded == 20
-        assert recorder.dropped == 12
+        assert recorder.stats()["dropped"] == 12
         events = recorder.snapshot()
         # Oldest-first, the 12 oldest rotated out.
         assert [e["i"] for e in events] == list(range(12, 20))
@@ -136,33 +135,36 @@ class TestFlightRecorder:
 # ---------------------------------------------------------------------------
 # Slow-query log (unit)
 # ---------------------------------------------------------------------------
-def _record(query_id="q1", total_s=0.0, **kw):
-    kw.setdefault("sql", "select 1")
-    kw.setdefault("fingerprint", "f" * 16)
-    return QueryRecord(query_id, kw.pop("sql"), kw.pop("fingerprint"),
-                       total_s=total_s, **kw)
+def _finish(telemetry, query_id="q1", total_s=0.0):
+    """Record one finished statement that took ``total_s`` to execute."""
+    trace = ExecutionTrace(telemetry.open_statement("select 1", "lolepop", query_id, "s1"))
+    trace.add("stage", "execute", trace.root.start, trace.root.start + total_s)
+    telemetry.record_execution(trace.root)
 
 
 class TestSlowQueryLog:
     def test_threshold(self):
-        log = SlowQueryLog(capacity=8, threshold_s=0.5)
-        assert log.observe(_record(total_s=0.1)) is False
-        assert log.observe(_record(total_s=0.9)) is True
-        assert log.observed == 1 and len(log) == 1
-        assert log.snapshot()[0]["total_s"] == 0.9
+        telemetry = fresh_telemetry(slow_query_threshold_s=0.5)
+        _finish(telemetry, total_s=0.1)
+        _finish(telemetry, total_s=0.9)
+        slow = telemetry.slow_queries()
+        assert slow["observed"] == 1 and slow["retained"] == 1
+        assert slow["records"][0]["total_s"] == pytest.approx(0.9)
 
     def test_capacity_rotation_keeps_observed_count(self):
-        log = SlowQueryLog(capacity=2, threshold_s=0.0)
+        telemetry = fresh_telemetry(slowlog_capacity=2)
         for i in range(5):
-            log.observe(_record(query_id=f"q{i}", total_s=float(i)))
-        assert log.observed == 5 and len(log) == 2
-        assert [r["query_id"] for r in log.snapshot()] == ["q3", "q4"]
+            _finish(telemetry, query_id=f"q{i}", total_s=float(i))
+        slow = telemetry.slow_queries()
+        assert slow["observed"] == 5 and slow["retained"] == 2
+        assert [r["query_id"] for r in slow["records"]] == ["q3", "q4"]
 
     def test_reset(self):
-        log = SlowQueryLog(capacity=2, threshold_s=0.0)
-        log.observe(_record())
-        log.reset()
-        assert log.observed == 0 and log.snapshot() == []
+        telemetry = fresh_telemetry()
+        _finish(telemetry)
+        telemetry.reset()
+        assert telemetry.slow_queries()["observed"] == 0
+        assert telemetry.slowlog.snapshot() == []
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +470,13 @@ class TestServiceTelemetry:
         assert sample["running"] == 0
         assert "plan_cache_hit_rate" in sample
         assert "spill_bytes_written" in sample
-        assert telemetry.health_snapshot()[-1]["wall"] == sample["wall"]
+        assert telemetry.health.snapshot()[-1]["wall"] == sample["wall"]
 
     def test_health_series_is_bounded(self):
         telemetry = fresh_telemetry(health_capacity=3)
         for i in range(10):
             telemetry.record_health({"queue_depth": i})
-        samples = telemetry.health_snapshot()
+        samples = telemetry.health.snapshot()
         assert [s["queue_depth"] for s in samples] == [7, 8, 9]
 
     def test_stats_embed_telemetry_summary(self):
@@ -523,7 +525,7 @@ class TestDisabledPath:
         assert telemetry.queries_recorded == 0
         assert telemetry.recorder.recorded == 0
         assert len(telemetry.workload) == 0
-        assert telemetry.slowlog.observed == 0
+        assert telemetry.slowlog.recorded == 0
 
     def test_disabled_allocates_no_query_records(self, monkeypatch):
         # Count-based (not timing-based): the disabled path must not even
@@ -878,7 +880,7 @@ class TestReport:
         assert telemetry.queries_recorded == 0
         assert telemetry.recorder.recorded == 0
         assert len(telemetry.workload) == 0
-        assert telemetry.health_snapshot() == []
+        assert telemetry.health.snapshot() == []
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +991,7 @@ class TestConcurrentLoad:
 
         assert errors == []
         assert telemetry.queries_recorded == 32
-        assert telemetry.recorder.dropped == 0
+        assert telemetry.recorder.stats()["dropped"] == 0
         report = telemetry.report()
         assert 1 <= report["workload"]["tracked"] <= len(mix)
         assert sum(
