@@ -100,6 +100,12 @@ for _name, _args in (
 ):
     _register(AggSpec(_name, AggKind.WINDOW_ONLY, _args))
 
+#: Functions taking WITHIN GROUP (ORDER BY ...): their groups are evaluated
+#: over values sorted on the order key.
+WITHIN_GROUP_FUNCS = frozenset(
+    name for name, spec in _SPECS.items() if spec.needs_order
+)
+
 
 def _composed(name: str) -> bool:
     """Whether the computation graph's registry lowers ``name``."""

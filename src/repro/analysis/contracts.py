@@ -20,9 +20,10 @@ a :class:`~repro.observability.provenance.RewriteEvent`; use
 ``dag.record_rewrite(...)`` which builds one.
 
 (``R2-undeclared-mutation`` lives with the purity pass, whose alias
-environment it shares. There is no R4: contract-registration
-completeness is enforced by ``assert_all_registered()`` at every
-``import repro.lolepop``.)
+environment it shares. There is no R4: each operator class declares its
+contract on itself, and one without a ``legend`` is refused wherever it
+is used — ``Lolepop.name()`` raises and the plan verifier reports
+``no-contract``.)
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ The engine's parallel-execution contract (``execution/parallel.py``)
 requires every work function handed to ``ctx.parallel_for`` /
 ``scheduler.run_region`` to be *pure scatter*: it may mutate only its own
 work item and objects it freshly created — never the enclosing
-operator's ``self``, never an input buffer beyond what the operator's
-``mutates_input`` / :class:`~repro.lolepop.properties.OperatorContract`
-declaration admits, and never module-global or closure-shared state.
+operator's ``self``, never an input buffer beyond what the operator
+class's ``mutates_input`` declaration admits, and never module-global or
+closure-shared state.
 Every region call site is located, its work callable resolved (lambda,
 local def, module function, ``Class.method`` reference, bound-method
 reference), and every store in the callable's body is traced to a *root

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..aggregates import AggregateCall, FrameSpec, WindowCall
+from ..aggregates import WITHIN_GROUP_FUNCS, AggregateCall, FrameSpec, WindowCall
 from ..execution.context import EngineConfig, ExecutionContext
 from ..expr.eval import infer_dtype
 from ..expr.nodes import ColumnRef
@@ -52,8 +52,6 @@ from ..storage.column import Column
 from ..storage.keys import group_codes
 from ..storage.table import Catalog
 from ..types import DataType, Field, Schema
-
-_ORDERED_FUNCS = ("percentile_disc", "percentile_cont", "mode")
 
 
 class MonolithicEngine:
@@ -264,7 +262,7 @@ class _MonolithicRunner:
         keys: List[str],
         calls: List[AggregateCall],
     ) -> List[Batch]:
-        ordered = [c for c in calls if c.func in _ORDERED_FUNCS]
+        ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
         distinct = [c for c in calls if c.distinct and c not in ordered]
         plain = [c for c in calls if c not in ordered and c not in distinct]
 

@@ -19,9 +19,11 @@ compute    :class:`HashAggOp`        :mod:`repro.lolepop.hashagg_op`
 :mod:`repro.lolepop.translate` derives a DAG of these from a logical plan
 (the five-step algorithm of Figure 2); :mod:`repro.lolepop.optimizer`
 implements the step-E passes; :mod:`repro.lolepop.engine` executes the
-result. :mod:`repro.lolepop.properties` declares each operator's physical
-contract and :mod:`repro.lolepop.verify` statically checks any DAG against
-those contracts before execution (see docs/plan_verifier.md).
+result. Each operator class declares its own contract — stream/buffer
+signature, required and derived physical properties
+(:mod:`repro.lolepop.properties`) — and :mod:`repro.lolepop.verify`
+statically checks any DAG against those contracts before execution (see
+docs/plan_verifier.md).
 """
 
 from .base import Lolepop, SourceOp, Dag
@@ -36,19 +38,8 @@ from .window_op import WindowOp
 from .reuse_op import CachedBufferOp, ViewSourceOp
 from .engine import LolepopEngine
 from .translate import translate_statistics
-from .properties import (
-    OperatorContract,
-    PhysProps,
-    assert_all_registered,
-    contract_of,
-    operator_name,
-    registered_contracts,
-)
+from .properties import PhysProps
 from .verify import Diagnostic, check_dag, derive_properties, verify_dag
-
-# Fail at import time if any Lolepop subclass lacks a declared contract —
-# a new operator cannot ship without one.
-assert_all_registered()
 
 __all__ = [
     "Lolepop",
@@ -66,12 +57,7 @@ __all__ = [
     "WindowOp",
     "LolepopEngine",
     "translate_statistics",
-    "OperatorContract",
     "PhysProps",
-    "assert_all_registered",
-    "contract_of",
-    "operator_name",
-    "registered_contracts",
     "Diagnostic",
     "check_dag",
     "derive_properties",

@@ -19,6 +19,7 @@ from ..errors import ExecutionError, PlanError
 from ..execution.context import ExecutionContext
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
+from .properties import PhysProps
 
 if TYPE_CHECKING:
     from ..observability.provenance import RewriteEvent
@@ -60,16 +61,37 @@ def _shape_of(value: object) -> Tuple[int, int, int, int]:
 
 
 class Lolepop:
-    """Base class for all low-level plan operators."""
+    """Base class for all low-level plan operators.
 
-    #: 'stream' or 'buffer' — for explain output (Table 1's arrows).
-    consumes = "stream"
+    Each operator class declares its contract (Table 1's signature plus the
+    physical properties it needs and produces) in the class attributes and
+    the four contract methods below. EXPLAIN, the static plan verifier
+    (:mod:`repro.lolepop.verify`) and the optimizer's sort elision read it
+    from the node itself. A class that declares no ``legend`` has no
+    contract: :meth:`name` and :meth:`derive` raise
+    :class:`~repro.errors.PlanError`.
+    """
+
+    #: EXPLAIN's operator name.
+    legend: Optional[str] = None
+    #: Input kinds ``execute`` accepts ('stream' = list of batches, 'buffer'
+    #: = TupleBuffer) and the kind it produces.
+    consumes: Tuple[str, ...] = ("stream",)
     produces = "stream"
-    #: Does ``execute`` mutate its input TupleBuffer in place (SORT
-    #: reorders, WINDOW appends columns)? Must agree with the operator's
-    #: contract in :mod:`repro.lolepop.properties`; checked at registration
-    #: time and by analyzer rule ``R2-undeclared-mutation``.
+    #: How many inputs the operator takes (``max_inputs=None``: unbounded).
+    min_inputs = 1
+    max_inputs: Optional[int] = 1
+    #: 'creates' — the output is a fresh TupleBuffer; 'forwards' — the
+    #: output is the input buffer object itself; ``None`` — a stream
+    #: producer (see :func:`buffer_root`).
+    buffer_role: Optional[str] = None
+    #: Does ``execute`` mutate its input TupleBuffer in place? Checked
+    #: against the class body by analyzer rule ``R2-undeclared-mutation``.
     mutates_input = False
+    #: What that mutation changes: 'order' (SORT re-sorts) or 'schema'
+    #: (WINDOW appends columns). Drives the verifier's buffer-reuse race
+    #: check.
+    mutation_effect: Optional[str] = None
 
     def __init__(self, inputs: Sequence["Lolepop"] = ()):
         self.inputs: List[Lolepop] = list(inputs)
@@ -81,13 +103,34 @@ class Lolepop:
         self.span = None
 
     def name(self) -> str:
-        """EXPLAIN's operator legend, resolved through the contract
-        registry so the legend and the verifier can never drift apart (an
-        operator class without a contract raises
-        :class:`~repro.errors.PlanError`)."""
-        from .properties import operator_name
+        """EXPLAIN's operator legend: the class's ``legend``."""
+        if self.legend is None:
+            raise PlanError(
+                f"{type(self).__name__} declares no operator contract: every "
+                "LOLEPOP class declares its legend, consumed/produced kinds "
+                "and physical properties (requires/derive)"
+            )
+        return self.legend
 
-        return operator_name(type(self))
+    # -- contract: what the verifier checks and propagates -----------------
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        """Diagnostics for the input properties this operator needs but
+        ``ins`` (each input's derived properties) lacks."""
+        return []
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        """The physical properties of this operator's output."""
+        raise PlanError(f"{self.name()} declares no derive rule")
+
+    def order_sensitive(self) -> bool:
+        """Would this node's result change if its shared input buffer were
+        reordered between plan construction and this node's execution?"""
+        return False
+
+    def reads_full_schema(self) -> bool:
+        """Does this node read every column of its input buffer (so an
+        unordered column-appending WINDOW would change its output)?"""
+        return False
 
     def describe(self) -> str:
         """One-line parameter summary for explain output."""
@@ -111,8 +154,10 @@ class SourceOp(Lolepop):
     """DAG source: a thunk producing the input stream (the pipeline below
     the statistics region — scans, filters, joins)."""
 
-    consumes = "-"
+    legend = "SOURCE"
+    consumes = ()
     produces = "stream"
+    min_inputs = max_inputs = 0
 
     def __init__(
         self,
@@ -130,6 +175,9 @@ class SourceOp(Lolepop):
     def describe(self) -> str:
         return self._label
 
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        return PhysProps("stream", schema=getattr(self.plan, "schema", None))
+
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         return self._thunk()
 
@@ -144,6 +192,15 @@ class SourceOp(Lolepop):
             )
         plan = self.plan
         self._thunk = lambda: source(plan)
+
+
+def buffer_root(node: Lolepop) -> Optional[Lolepop]:
+    """The node whose execution created the buffer ``node`` outputs (buffers
+    flow through SORT and WINDOW unchanged), or ``None`` for a stream
+    producer."""
+    while node.buffer_role == "forwards" and node.inputs:
+        node = node.inputs[0]
+    return node if node.buffer_role == "creates" else None
 
 
 class Dag:
@@ -308,7 +365,8 @@ class Dag:
     def explain(self) -> str:
         """Stable ASCII rendering (used by plan-shape golden tests).
 
-        Each line ends with the node's statically derived physical
+        Each line shows the kinds the node receives and produces (Table 1's
+        arrows) and ends with the node's statically derived physical
         properties in braces (partitioning / per-partition ordering /
         known-unique keys) when the verifier can derive any.
         """
@@ -317,11 +375,17 @@ class Dag:
         order = self.topological_order()
         ids = {id(node): i for i, node in enumerate(order)}
         derived = derive_properties(self)
+
+        def kind(node: Lolepop) -> str:
+            props = derived.get(id(node))
+            return props.kind if props is not None else node.produces
+
         lines = []
         for node in order:
             deps = ",".join(f"#{ids[id(i)]}" for i in node.inputs)
             extra = f" [{node.describe()}]" if node.describe() else ""
-            arrow = f" ({node.consumes}->{node.produces})"
+            received = "/".join(dict.fromkeys(kind(i) for i in node.inputs))
+            arrow = f" ({received or '-'}->{kind(node)})"
             after = (
                 "  after " + ",".join(f"#{ids[id(a)]}" for a in node.after)
                 if node.after

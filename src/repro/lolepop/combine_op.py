@@ -25,6 +25,7 @@ from ..storage.column import Column
 from ..storage.keys import group_codes
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns
 
 
 def _as_batch(value: OpResult, schema_hint: Optional[Schema] = None) -> Batch:
@@ -38,8 +39,11 @@ def _as_batch(value: OpResult, schema_hint: Optional[Schema] = None) -> Batch:
 
 
 class CombineOp(Lolepop):
-    consumes = "stream"
+    legend = "COMBINE"
+    consumes = ("stream", "buffer")
     produces = "buffer"
+    max_inputs = None
+    buffer_role = "creates"
 
     def __init__(
         self,
@@ -62,6 +66,68 @@ class CombineOp(Lolepop):
     def describe(self) -> str:
         keys = ",".join(self.key_names)
         return f"{self.mode} on ({keys})"
+
+    # ------------------------------------------------------------------
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        problems: List[str] = []
+        if self.mode == "join":
+            keys = [name.lower() for name in self.key_names]
+            for index, source in enumerate(ins):
+                problems += _missing_columns(
+                    source, keys, f"COMBINE input {index}"
+                )
+                if source is None or source.unique_implies(keys) is not False:
+                    continue
+                known = " | ".join(
+                    "(" + ",".join(sorted(s)) + ")"
+                    for s in sorted(source.unique_on or (), key=sorted)
+                ) or "nothing"
+                problems.append(
+                    f"COMBINE(join) input {index} is not unique on "
+                    f"({','.join(keys) or 'ALL'}); known unique keys: {known}"
+                )
+        elif self.union_keys is not None:
+            for index, (grouping_set, source) in enumerate(
+                zip(self.union_keys, ins)
+            ):
+                keys = [name.lower() for name in grouping_set]
+                problems += _missing_columns(
+                    source, keys, f"COMBINE input {index}"
+                )
+                if source is not None and source.unique_implies(keys) is False:
+                    problems.append(
+                        f"COMBINE(union) input {index} is not unique on its "
+                        f"grouping set ({','.join(keys) or 'ALL'})"
+                    )
+        return problems
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        schema = None
+        unique: Optional[List[List[str]]] = None
+        if self.mode == "join":
+            unique = [list(self.key_names)]
+            schemas = [
+                p.schema for p in ins if p is not None and p.schema is not None
+            ]
+            if schemas and len(schemas) == len(ins):
+                try:
+                    keys = list(self.key_names)
+                    fields = [schemas[0][name] for name in keys]
+                    taken = {name.lower() for name in keys}
+                    for source_schema in schemas:
+                        for field in source_schema:
+                            if field.name.lower() not in taken:
+                                taken.add(field.name.lower())
+                                fields.append(field)
+                    schema = Schema(fields)
+                except Exception:
+                    schema = None
+        return PhysProps(
+            "buffer", schema=schema, partitioned_by=(), unique_on=unique
+        )
+
+    def reads_full_schema(self) -> bool:
+        return True
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:

@@ -35,6 +35,7 @@ from ..storage.column import Column
 from ..storage.keys import group_codes, partition_ids
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns, unique_groups
 
 
 #: Slot count of the emulated fixed-size thread-local table (Figure 6).
@@ -102,7 +103,8 @@ def aggregate_batch(
 
 
 class HashAggOp(Lolepop):
-    consumes = "stream"
+    legend = "HASHAGG"
+    consumes = ("stream", "buffer")
     produces = "stream"
 
     def __init__(
@@ -123,6 +125,15 @@ class HashAggOp(Lolepop):
         return f"[{aggs}] by ({keys})"
 
     # ------------------------------------------------------------------
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        names = list(self.key_names) + [
+            t.arg for t in self.tasks if t.arg is not None
+        ]
+        return _missing_columns(ins[0] if ins else None, names, "HASHAGG")
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        return unique_groups(ins, self.output_schema, self.key_names)
+
     def output_schema(self, input_schema: Schema) -> Schema:
         return _output_schema(input_schema, self.key_names, self.tasks)
 

@@ -18,6 +18,7 @@ from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.keys import lexsort_indices
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns
 
 
 def merge_two_sorted(left: Batch, right: Batch, keys: List[Tuple[str, bool]]) -> Batch:
@@ -38,8 +39,13 @@ def merge_two_sorted(left: Batch, right: Batch, keys: List[Tuple[str, bool]]) ->
 
 
 class MergeOp(Lolepop):
-    consumes = "buffer"
+    legend = "MERGE"
+    consumes = ("buffer",)
     produces = "buffer"
+    # MERGE reads each partition's ordered run but materializes a fresh
+    # single-partition TupleBuffer — it consumes ordering, it does not
+    # mutate the input in place (unlike SORT/WINDOW).
+    buffer_role = "creates"
 
     def __init__(
         self,
@@ -55,6 +61,39 @@ class MergeOp(Lolepop):
         keys = ",".join(f"{n}{' desc' if d else ''}" for n, d in self.keys)
         hint = f" limit {self.limit_hint}" if self.limit_hint is not None else ""
         return keys + hint
+
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        source = ins[0] if ins else None
+        problems = _missing_columns(
+            source, [name for name, _ in self.keys], "merge key"
+        )
+        if source is not None and source.kind == "buffer":
+            if not source.ordering_satisfies(self.keys):
+                want = ",".join(("-" if d else "") + n for n, d in self.keys)
+                have = ",".join(
+                    ("-" if d else "") + n for n, d in source.ordered_by
+                ) or "(unsorted)"
+                problems.append(
+                    f"MERGE requires partitions sorted on ({want}) as a "
+                    f"prefix, but the buffer is ordered on ({have})"
+                )
+        return problems
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        source = ins[0] if ins else None
+        return PhysProps(
+            "buffer",
+            schema=source.schema if source is not None else None,
+            partitioned_by=(),  # one co-located partition
+            ordered_by=tuple(self.keys),
+            unique_on=source.unique_on if source is not None else None,
+        )
+
+    def order_sensitive(self) -> bool:
+        return True
+
+    def reads_full_schema(self) -> bool:
+        return True
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         buffer: TupleBuffer = inputs[0]

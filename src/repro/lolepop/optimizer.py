@@ -17,14 +17,12 @@ passes here operate on the built DAG:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..execution.context import EngineConfig
-from .base import Dag, Lolepop
+from .base import Dag, Lolepop, buffer_root
 from .combine_op import CombineOp
-from .partition_op import PartitionOp
 from .sort_op import SortOp
-from .window_op import WindowOp
 
 
 def optimize(dag: Dag, config: EngineConfig, estimator=None) -> None:
@@ -129,32 +127,16 @@ def remove_redundant_combines(dag: Dag) -> List[str]:
     return removed
 
 
-def _buffer_root(node: Lolepop, memo: Dict[int, Optional[Lolepop]]) -> Optional[Lolepop]:
-    """The operator that *owns* the buffer a SORT/WINDOW operates on (buffers
-    flow through SORT and WINDOW unchanged; PARTITION/MERGE create them)."""
-    if id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, PartitionOp):
-        root: Optional[Lolepop] = node
-    elif isinstance(node, (SortOp, WindowOp)) and node.inputs:
-        root = _buffer_root(node.inputs[0], memo)
-    else:
-        root = node
-    memo[id(node)] = root
-    return root
-
-
 def elide_redundant_sorts(dag: Dag) -> List[str]:
     """Remove SORT operators whose requirement is a prefix of the buffer's
     ordering at that point of the (topological) execution order; returns
     the labels of the elided sorts (rewrite-event provenance)."""
-    memo: Dict[int, Optional[Lolepop]] = {}
     ordering_state: Dict[int, Tuple] = {}
     removed: List[str] = []
     for node in dag.topological_order():
         if not isinstance(node, SortOp):
             continue
-        root = _buffer_root(node, memo)
+        root = buffer_root(node)
         if root is None:
             continue
         current = ordering_state.get(id(root), ())

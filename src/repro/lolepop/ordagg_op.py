@@ -22,6 +22,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ..aggregates import WITHIN_GROUP_FUNCS
 from ..errors import ExecutionError
 from ..execution.context import ExecutionContext
 from ..relational.kernels import grouped_reduce, is_associative
@@ -30,6 +31,7 @@ from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns, unique_groups
 from .ranges import key_change_flags, ranges_of
 
 
@@ -42,7 +44,8 @@ class OrdAggTask(NamedTuple):
 
 
 class OrdAggOp(Lolepop):
-    consumes = "buffer"
+    legend = "ORDAGG"
+    consumes = ("buffer",)
     produces = "stream"
 
     def __init__(
@@ -66,6 +69,57 @@ class OrdAggOp(Lolepop):
         return f"[{aggs}] by ({keys})"
 
     # ------------------------------------------------------------------
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        source = ins[0] if ins else None
+        names = list(self.key_names) + [
+            t.arg for t in self.tasks if t.arg is not None
+        ]
+        problems = _missing_columns(source, names, "ORDAGG")
+        if source is None or source.kind != "buffer":
+            return problems
+        keys = [name.lower() for name in self.key_names]
+        if not source.grouping_is_partition_local(keys):
+            part = (
+                "round-robin"
+                if source.partitioned_by is None
+                else ",".join(source.partitioned_by)
+            )
+            problems.append(
+                f"ORDAGG groups by ({','.join(keys) or 'ALL'}) but the buffer "
+                f"is partitioned on ({part}); key ranges would span partitions"
+            )
+        prefix = [n.lower() for n in source.ordering_names()[: len(keys)]]
+        if sorted(prefix) != sorted(keys):
+            have = ",".join(source.ordering_names()) or "(unsorted)"
+            problems.append(
+                f"ORDAGG requires the buffer sorted on its group keys "
+                f"({','.join(keys) or 'none'}) as a prefix, but it is ordered "
+                f"on ({have})"
+            )
+            return problems
+        # DISTINCT and WITHIN GROUP tasks need the value order key right
+        # after the group-key prefix.
+        names_after = [n.lower() for n in source.ordering_names()[len(keys) :]]
+        for task in self.tasks:
+            if task.arg is None or not (
+                task.distinct or task.func in WITHIN_GROUP_FUNCS
+            ):
+                continue
+            if not names_after or names_after[0] != task.arg.lower():
+                problems.append(
+                    f"ORDAGG task {task.func}({task.arg}) needs the value "
+                    f"order key '{task.arg}' right after the group-key "
+                    f"prefix, but the buffer is ordered on "
+                    f"({','.join(source.ordering_names())})"
+                )
+        return problems
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        return unique_groups(ins, self.output_schema, self.key_names)
+
+    def order_sensitive(self) -> bool:
+        return True
+
     def output_schema(self, input_schema: Schema) -> Schema:
         fields = [Field(n, input_schema[n].dtype) for n in self.key_names]
         for task in self.tasks:

@@ -19,18 +19,31 @@ before PARTITION sees it, so peak memory is not bounded by the budget.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 from ..execution.context import ExecutionContext
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns
+
+
+def hash_clustering(
+    keys: Sequence[str], num_partitions: int
+) -> Optional[Tuple[str, ...]]:
+    """``PhysProps.partitioned_by`` of a buffer PARTITION builds: clustered
+    on the keys, one co-located partition, or round-robin (``None``)."""
+    if keys:
+        return tuple(keys)
+    return () if num_partitions == 1 else None
 
 
 class PartitionOp(Lolepop):
-    consumes = "stream"
+    legend = "PARTITION"
+    consumes = ("stream",)
     produces = "buffer"
+    buffer_role = "creates"
 
     def __init__(
         self,
@@ -51,6 +64,21 @@ class PartitionOp(Lolepop):
     def describe(self) -> str:
         keys = ",".join(self.keys) if self.keys else "round-robin"
         return f"{keys} x{self.num_partitions}"
+
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        return _missing_columns(ins[0] if ins else None, self.keys, "partition key")
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        source = ins[0] if ins else None
+        return PhysProps(
+            "buffer",
+            schema=source.schema if source is not None else None,
+            partitioned_by=hash_clustering(self.keys, self.num_partitions),
+            unique_on=source.unique_on if source is not None else None,
+        )
+
+    def reads_full_schema(self) -> bool:
+        return True
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         batches: List[Batch] = inputs[0]

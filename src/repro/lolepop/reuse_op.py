@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..errors import ExecutionError
 from ..execution.context import ExecutionContext
 from .base import OpResult, SourceOp
-from .partition_op import PartitionOp
-from .properties import OperatorContract, PhysProps, _register
+from .partition_op import PartitionOp, hash_clustering
+from .properties import PhysProps
 from .sort_op import SortOp
 
 
@@ -43,8 +43,12 @@ class CachedBufferOp(SourceOp):
     ordering — and offers the result back to the cache.
     """
 
-    consumes = "-"
+    legend = "CACHEDBUF"
     produces = "buffer"
+    # Every acquire returns a fresh snapshot container, and the miss path
+    # materializes a fresh buffer: downstream in-place mutators (SORT /
+    # WINDOW) only ever touch this query's private copy.
+    buffer_role = "creates"
 
     def __init__(
         self,
@@ -75,6 +79,17 @@ class CachedBufferOp(SourceOp):
             )
         return " ".join(parts)
 
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        # What PARTITION (and SORT) would have derived: the cache key pins
+        # the partitioning and the entry's stored ordering is declared
+        # outright — the contract verify_dag holds every substitution to.
+        return PhysProps(
+            "buffer",
+            schema=getattr(self.plan, "schema", None),
+            partitioned_by=hash_clustering(self.keys, self.num_partitions),
+            ordered_by=self.ordering,
+        )
+
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         manager = getattr(ctx.config, "reuse", None)
         if manager is not None:
@@ -104,8 +119,7 @@ class ViewSourceOp(SourceOp):
     entirely inside the manager — never through the engine's stream
     evaluator, which would re-enter region accounting."""
 
-    consumes = "-"
-    produces = "stream"
+    legend = "MATVIEW"
 
     def __init__(self, aggregate_plan, thunk=None):
         super().__init__(thunk, label="materialized view", plan=aggregate_plan)
@@ -113,6 +127,15 @@ class ViewSourceOp(SourceOp):
     def describe(self) -> str:
         plan = self.plan
         return "view " + ",".join(plan.group_names)
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        plan = self.plan
+        unique_on = None
+        if plan is not None and getattr(plan, "grouping_sets", None) is None:
+            unique_on = [list(plan.group_names)]
+        return PhysProps(
+            "stream", schema=getattr(plan, "schema", None), unique_on=unique_on
+        )
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         manager = getattr(ctx.config, "reuse", None)
@@ -123,67 +146,3 @@ class ViewSourceOp(SourceOp):
             )
         return manager.serve_view(self.plan)
 
-
-# ----------------------------------------------------------------------
-# Contracts (exact-class: both subclass SourceOp, whose contract would
-# otherwise win the MRO walk with the wrong produced kind).
-# ----------------------------------------------------------------------
-def _cached_buffer_derive(node: CachedBufferOp, ins) -> PhysProps:
-    # Mirrors _partition_derive: the cache key pins the partitioning, and
-    # the entry's stored ordering is declared outright — this is the
-    # contract verify_dag holds every substitution to.
-    if node.keys:
-        partitioned_by: Optional[Tuple[str, ...]] = tuple(node.keys)
-    elif node.num_partitions == 1:
-        partitioned_by = ()
-    else:
-        partitioned_by = None
-    plan = node.plan
-    schema = getattr(plan, "schema", None) if plan is not None else None
-    return PhysProps(
-        "buffer",
-        schema=schema,
-        partitioned_by=partitioned_by,
-        ordered_by=node.ordering,
-    )
-
-
-_register(
-    OperatorContract(
-        name="CACHEDBUF",
-        op=CachedBufferOp,
-        consumes=(),
-        produces="buffer",
-        min_inputs=0,
-        max_inputs=0,
-        requires=lambda node, ins: [],
-        derive=_cached_buffer_derive,
-        # Every acquire returns a fresh snapshot container, and the miss
-        # path materializes a fresh buffer: downstream in-place mutators
-        # (SORT/WINDOW) only ever touch this query's private copy.
-        buffer_role="creates",
-    )
-)
-
-
-def _view_source_derive(node: ViewSourceOp, ins) -> PhysProps:
-    plan = node.plan
-    schema = getattr(plan, "schema", None) if plan is not None else None
-    unique_on = None
-    if plan is not None and getattr(plan, "grouping_sets", None) is None:
-        unique_on = [list(plan.group_names)]
-    return PhysProps("stream", schema=schema, unique_on=unique_on)
-
-
-_register(
-    OperatorContract(
-        name="MATVIEW",
-        op=ViewSourceOp,
-        consumes=(),
-        produces="stream",
-        min_inputs=0,
-        max_inputs=0,
-        requires=lambda node, ins: [],
-        derive=_view_source_derive,
-    )
-)

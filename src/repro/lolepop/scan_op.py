@@ -8,19 +8,21 @@ into generated scan loops. A LIMIT/OFFSET hint stops the scan early.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..execution.context import ExecutionContext
-from ..expr.eval import evaluate
-from ..expr.nodes import Expr
+from ..expr.eval import evaluate, infer_dtype
+from ..expr.nodes import ColumnRef, Expr
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
-from ..types import Schema
+from ..types import Field, Schema
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns, expr_column_refs
 
 
 class ScanOp(Lolepop):
-    consumes = "buffer"
+    legend = "SCAN"
+    consumes = ("buffer", "stream")
     produces = "stream"
 
     def __init__(
@@ -44,6 +46,47 @@ class ScanOp(Lolepop):
         if self.limit is not None or self.offset:
             parts.append(f"limit {self.limit} offset {self.offset}")
         return ", ".join(parts)
+
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        if self.project is None:
+            return []
+        refs: set = set()
+        for _, expr in self.project:
+            refs |= expr_column_refs(expr)
+        return _missing_columns(
+            ins[0] if ins else None, sorted(refs), "SCAN projection"
+        )
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        source = ins[0] if ins else None
+        if self.project is None:
+            schema = source.schema if source is not None else None
+            passthrough: Optional[FrozenSet[str]] = None  # everything survives
+        else:
+            schema = self.project_schema
+            if schema is None and source is not None and source.schema is not None:
+                try:
+                    schema = Schema(
+                        Field(name, infer_dtype(expr, source.schema))
+                        for name, expr in self.project
+                    )
+                except Exception:
+                    schema = None
+            passthrough = frozenset(
+                name.lower()
+                for name, expr in self.project
+                if isinstance(expr, ColumnRef) and expr.name.lower() == name.lower()
+            )
+        unique_on = source.unique_on if source is not None else None
+        if unique_on is not None and passthrough is not None:
+            unique_on = frozenset(s for s in unique_on if s <= passthrough)
+        return PhysProps("stream", schema=schema, unique_on=unique_on)
+
+    def order_sensitive(self) -> bool:
+        return self.limit is not None or bool(self.offset)
+
+    def reads_full_schema(self) -> bool:
+        return self.project is None
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         source = inputs[0]

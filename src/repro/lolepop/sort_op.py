@@ -20,6 +20,7 @@ from ..execution.scheduler import SplittableTask
 from ..storage.buffer import BufferPartition, TupleBuffer
 from ..storage.keys import split_lexsort
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns
 
 #: Tuples at least this wide (columns) sort via permutation vectors.
 PERMUTATION_WIDTH_THRESHOLD = 8
@@ -78,9 +79,12 @@ class PartitionSortTask(SplittableTask):
 
 
 class SortOp(Lolepop):
-    consumes = "buffer"
+    legend = "SORT"
+    consumes = ("buffer",)
     produces = "buffer"
+    buffer_role = "forwards"
     mutates_input = True  # reorders the shared buffer in place
+    mutation_effect = "order"
 
     def __init__(
         self,
@@ -96,6 +100,31 @@ class SortOp(Lolepop):
     def describe(self) -> str:
         keys = ",".join(f"{n}{' desc' if d else ''}" for n, d in self.keys)
         return keys + ("" if self.mode == "auto" else f" [{self.mode}]")
+
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        return _missing_columns(
+            ins[0] if ins else None, [name for name, _ in self.keys], "sort key"
+        )
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        source = ins[0] if ins else None
+        if source is None or source.kind != "buffer":
+            return PhysProps("buffer", ordered_by=tuple(self.keys))
+        return PhysProps(
+            "buffer",
+            schema=source.schema,
+            partitioned_by=source.partitioned_by,
+            ordered_by=tuple(self.keys),
+            unique_on=source.unique_on,
+        )
+
+    def order_sensitive(self) -> bool:
+        # Runtime sort elision reads the buffer's current ordering, so an
+        # unordered peer re-sort changes what this SORT does.
+        return True
+
+    def reads_full_schema(self) -> bool:
+        return True
 
     def _resolve_mode(self, buffer: TupleBuffer, ctx: ExecutionContext) -> str:
         if self.mode != "auto":

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..aggregates import AggregateCall, WindowCall
+from ..aggregates import WITHIN_GROUP_FUNCS, AggregateCall, WindowCall
 from ..errors import NotSupportedError, PlanError
 from ..execution.context import EngineConfig
 from ..expr.nodes import ColumnRef, Expr
@@ -59,8 +59,6 @@ from .window_op import WindowOp
 from . import optimizer
 
 SourceExecutor = Callable[[LogicalPlan], List[Batch]]
-
-_ORDERED_FUNCS = ("percentile_disc", "percentile_cont", "mode")
 
 #: (order key name, desc) pairs grouped with their ordered-set calls.
 _Ordering = Tuple[Tuple[str, bool], List[AggregateCall]]
@@ -449,7 +447,7 @@ class _Translator:
         input_ctx: "_AggInput",
         source_plan: Optional[LogicalPlan] = None,
     ) -> List[Lolepop]:
-        ordered = [c for c in calls if c.func in _ORDERED_FUNCS]
+        ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
         distinct = [c for c in calls if c.distinct and c not in ordered]
         plain = [c for c in calls if c not in ordered and c not in distinct]
 
@@ -707,7 +705,7 @@ class _Translator:
                 "DISTINCT aggregates with GROUPING SETS are not supported"
             )
         sets = sorted(plan.grouping_sets, key=len, reverse=True)
-        ordered = [c for c in calls if c.func in _ORDERED_FUNCS]
+        ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
         if ordered:
             return self._ordered_grouping_sets(plan, sets, calls, input_ctx)
         return self._associative_grouping_sets(plan, sets, calls, input_ctx)
@@ -718,7 +716,7 @@ class _Translator:
         """Queries 10-12: one buffer partitioned by the first key of the
         longest set, reordered in place per set (decreasing key lengths);
         sets not containing the partition key get their own chain."""
-        ordered = [c for c in calls if c.func in _ORDERED_FUNCS]
+        ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
         plain = [c for c in calls if c not in ordered]
         orderings = self._percentile_orderings(ordered)
         primary = sets[0][0] if sets[0] else None

@@ -9,8 +9,8 @@ the state the node will observe at runtime — and reports three families of
 
 **Structural** (``no-sink`` / ``cycle`` / ``unreachable`` / ``arity`` /
 ``kind-mismatch`` / ``no-contract`` / ``unrebindable-source``): the DAG is
-well-formed, acyclic over data + ``after`` edges, single-sink, every node
-has a registered contract with compatible input kinds, and (for plan-cache
+well-formed, acyclic over data + ``after`` edges, single-sink, every node's
+class declares a contract with compatible input kinds, and (for plan-cache
 templates) every SOURCE can be rebound to a new query.
 
 **Physical properties** (``property``): each operator's requirements on
@@ -41,8 +41,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PlanError, PlanVerificationError
-from .base import Dag, Lolepop, SourceOp
-from .properties import OperatorContract, PhysProps, contract_of
+from .base import Dag, Lolepop, SourceOp, buffer_root
+from .properties import PhysProps
 
 
 class Diagnostic:
@@ -73,21 +73,6 @@ class Diagnostic:
 
     def __repr__(self) -> str:
         return f"Diagnostic({self.code!r}, {self.message!r})"
-
-
-def _buffer_root(
-    node: Lolepop, contracts: Dict[int, Optional[OperatorContract]]
-) -> Optional[Lolepop]:
-    """The node whose execution created the buffer ``node`` outputs, or
-    ``None`` for stream producers (mirrors ``optimizer._buffer_root``)."""
-    contract = contracts.get(id(node))
-    if contract is None:
-        return None
-    if contract.buffer_role == "creates":
-        return node
-    if contract.buffer_role == "forwards" and node.inputs:
-        return _buffer_root(node.inputs[0], contracts)
-    return None
 
 
 def check_dag(
@@ -127,47 +112,43 @@ def check_dag(
                 )
             )
 
-    # Resolve every node's contract up front (needed for buffer roots).
-    contracts: Dict[int, Optional[OperatorContract]] = {}
+    # A class without a legend declares no contract: report it once, and
+    # give its output only the kind its class names.
+    contractless: Set[int] = set()
     for node in order:
         try:
-            contracts[id(node)] = contract_of(node)
+            node.name()
         except PlanError as exc:
-            contracts[id(node)] = None
+            contractless.add(id(node))
             diagnostics.append(Diagnostic("no-contract", node, str(exc)))
 
     # ------------------------------------------------------------------
     # Property propagation in execution order, tracking the current state
     # of every shared buffer (its root's latest derived properties).
     # ------------------------------------------------------------------
-    root_of = {id(node): _buffer_root(node, contracts) for node in order}
+    root_of = {id(node): buffer_root(node) for node in order}
     root_state: Dict[int, PhysProps] = {}
 
     for node in order:
-        contract = contracts[id(node)]
-        if contract is None:
-            declared = getattr(node, "produces", "stream")
-            props[id(node)] = PhysProps(
-                declared if declared in ("stream", "buffer") else "stream"
-            )
+        if id(node) in contractless:
+            props[id(node)] = PhysProps(node.produces)
             continue
 
         count = len(node.inputs)
-        if count < contract.min_inputs or (
-            contract.max_inputs is not None and count > contract.max_inputs
-        ):
+        low, high = node.min_inputs, node.max_inputs
+        if count < low or (high is not None and count > high):
             expected = (
-                str(contract.min_inputs)
-                if contract.min_inputs == contract.max_inputs
-                else f"{contract.min_inputs}+"
-                if contract.max_inputs is None
-                else f"{contract.min_inputs}..{contract.max_inputs}"
+                str(low)
+                if low == high
+                else f"{low}+"
+                if high is None
+                else f"{low}..{high}"
             )
             diagnostics.append(
                 Diagnostic(
                     "arity",
                     node,
-                    f"{contract.name} takes {expected} input(s), got {count}",
+                    f"{node.name()} takes {expected} input(s), got {count}",
                 )
             )
 
@@ -183,13 +164,13 @@ def check_dag(
                     )
                 )
                 dep_props = PhysProps("stream")
-            if contract.consumes and dep_props.kind not in contract.consumes:
+            if node.consumes and dep_props.kind not in node.consumes:
                 diagnostics.append(
                     Diagnostic(
                         "kind-mismatch",
                         node,
-                        f"{contract.name} consumes "
-                        f"{'/'.join(contract.consumes)} but its input "
+                        f"{node.name()} consumes "
+                        f"{'/'.join(node.consumes)} but its input "
                         f"produces a {dep_props.kind}",
                     )
                 )
@@ -199,9 +180,9 @@ def check_dag(
                     dep_props = root_state[id(root)]
             ins.append(dep_props)
 
-        for message in contract.requires(node, ins):
+        for message in node.requires(ins):
             diagnostics.append(Diagnostic("property", node, message))
-        derived = contract.derive(node, ins)
+        derived = node.derive(ins)
         props[id(node)] = derived
         if derived.kind == "buffer":
             root = root_of.get(id(node))
@@ -223,8 +204,7 @@ def check_dag(
     consumers: Dict[int, List[Lolepop]] = {}
     mutators: Dict[int, List[Lolepop]] = {}
     for node in order:
-        contract = contracts[id(node)]
-        if contract is None:
+        if id(node) in contractless:
             continue
         seen_roots: Set[int] = set()
         for dep in node.inputs:
@@ -236,27 +216,20 @@ def check_dag(
                 continue
             seen_roots.add(id(root))
             consumers.setdefault(id(root), []).append(node)
-            if contract.mutation_effect is not None:
+            if node.mutation_effect is not None:
                 mutators.setdefault(id(root), []).append(node)
 
     ids = {id(node): i for i, node in enumerate(order)}
     for root_id, muts in mutators.items():
         for mutator in muts:
-            # A node only lands in ``mutators`` when its contract resolved
-            # (the walk above skips contract-less nodes).
-            mutator_contract = contracts[id(mutator)]
-            assert mutator_contract is not None
-            effect = mutator_contract.mutation_effect
+            effect = mutator.mutation_effect
             for consumer in consumers.get(root_id, []):
                 if consumer is mutator:
                     continue
-                contract = contracts[id(consumer)]
-                if contract is None:
-                    continue
                 if effect == "order":
-                    affected = contract.order_sensitive(consumer)
+                    affected = consumer.order_sensitive()
                 elif effect == "schema":
-                    affected = contract.reads_full_schema(consumer)
+                    affected = consumer.reads_full_schema()
                 else:
                     affected = False
                 if not affected:
@@ -272,7 +245,7 @@ def check_dag(
                             consumer,
                             f"reads a shared buffer that "
                             f"#{ids[id(mutator)]} "
-                            f"{mutator_contract.name} mutates in "
+                            f"{mutator.name()} mutates in "
                             f"place ({effect}), but no data/after edge "
                             f"orders the two — add an anti-dependency "
                             f"edge (run_after)",

@@ -33,14 +33,18 @@ from ..storage.column import Column
 from ..storage.keys import lexsort_indices
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
+from .properties import PhysProps, _missing_columns
 from .ranges import key_change_flags, ranges_of
 from .segment_tree import PrefixSums, SparseTable
 
 
 class WindowOp(Lolepop):
-    consumes = "buffer"
+    legend = "WINDOW"
+    consumes = ("buffer",)
     produces = "buffer"
+    buffer_role = "forwards"
     mutates_input = True  # appends the call columns to the shared buffer
+    mutation_effect = "schema"
 
     def __init__(
         self,
@@ -63,6 +67,73 @@ class WindowOp(Lolepop):
         if self.post_items:
             names += f" +{len(self.post_items)} exprs"
         return names
+
+    # ------------------------------------------------------------------
+    def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
+        source = ins[0] if ins else None
+        first = self.calls[0]
+        part_names = [ref.name for ref in first.partition_by]
+        order_keys = [(ref.name, bool(desc)) for ref, desc in first.order_by]
+        problems = _missing_columns(
+            source, part_names + [name for name, _ in order_keys], "WINDOW"
+        )
+        if source is None or source.kind != "buffer":
+            return problems
+        if not source.grouping_is_partition_local(part_names):
+            part = (
+                "round-robin"
+                if source.partitioned_by is None
+                else ",".join(source.partitioned_by)
+            )
+            problems.append(
+                f"WINDOW partitions by ({','.join(part_names) or 'ALL'}) but "
+                f"the buffer is partitioned on ({part})"
+            )
+        # Partition-key segment: any permutation keeps frames contiguous;
+        # order-key segment: exact (name, desc) match, right after it.
+        np_ = len(part_names)
+        have = tuple((n.lower(), d) for n, d in source.ordered_by)
+        wanted_part = sorted(n.lower() for n in part_names)
+        prefix_ok = sorted(n for n, _ in have[:np_]) == wanted_part
+        wanted_order = tuple((n.lower(), d) for n, d in order_keys)
+        order_ok = have[np_ : np_ + len(order_keys)] == wanted_order
+        if not (prefix_ok and order_ok and len(have) >= np_ + len(order_keys)):
+            want = part_names + [("-" if d else "") + n for n, d in order_keys]
+            got = ",".join(("-" if d else "") + n for n, d in have) or "(unsorted)"
+            problems.append(
+                f"WINDOW requires the buffer sorted on ({','.join(want)}), "
+                f"but it is ordered on ({got})"
+            )
+        return problems
+
+    def derive(self, ins: Sequence[Optional[PhysProps]]) -> PhysProps:
+        source = ins[0] if ins else None
+        if source is None or source.kind != "buffer":
+            return PhysProps("buffer")
+        schema = None
+        if source.schema is not None:
+            try:
+                fields = list(source.schema.fields)
+                for call in self.calls:
+                    arg_types = [infer_dtype(a, source.schema) for a in call.args]
+                    fields.append(Field(call.name, call.spec.result_type(arg_types)))
+                partial = Schema(fields)
+                for name, expr in self.post_items:
+                    fields.append(Field(name, infer_dtype(expr, partial)))
+                    partial = Schema(fields)
+                schema = partial
+            except Exception:
+                schema = None
+        return PhysProps(
+            "buffer",
+            schema=schema,
+            partitioned_by=source.partitioned_by,
+            ordered_by=source.ordered_by,  # append_columns preserves the order
+            unique_on=source.unique_on,
+        )
+
+    def order_sensitive(self) -> bool:
+        return True
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:

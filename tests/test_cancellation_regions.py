@@ -10,6 +10,10 @@ cancelled run must raise :class:`~repro.QueryCancelled` and leak nothing:
 no spill file or ``query-*`` directory, no failed spill release, no
 admission reservation — and the next query on the same ``Database`` must
 answer correctly.
+
+The same probe makes every work item of a HASHAGG merge region raise, for
+both merge fan-outs: the worker's own exception must surface, typed, with
+the same no-leak guarantees.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import Database, EngineConfig, QueryCancelled, QueryService, ServiceConfig
+from repro.errors import ExecutionError
 from repro.execution import CancellationToken
 from repro.execution.context import ExecutionContext
 from repro.execution.scheduler import RegionScheduler
@@ -39,23 +44,38 @@ SCHEDULERS = {
 BUDGETS = {"unbudgeted": None, "64KiB": 64 * 1024}
 
 
+class MergeFault(ExecutionError):
+    """Raised inside a work item of a failing region."""
+
+
+def _raise_merge_fault(item):
+    raise MergeFault("injected failure in a hashagg-merge work item")
+
+
 class RegionProbe:
     """Counts ``run_region`` entries and cancels the running query's token
-    on entry to the ``cancel_at``-th; records the spill counters every
-    execution context reports after its cleanup."""
+    on entry to the ``cancel_at``-th; makes every work item of the
+    ``fail_in`` regions raise :class:`MergeFault`; keeps the item count of
+    the last region of each name in ``items``; records the spill counters
+    every execution context reports after its cleanup."""
 
     def __init__(self, monkeypatch):
         self.entered = 0
         self.cancel_at = None
+        self.fail_in = None
+        self.items = {}
         self.spill_counters = []
         run_region = RegionScheduler.run_region
         cleanup = ExecutionContext.cleanup
 
-        def probed_run_region(scheduler, *args, **kwargs):
+        def probed_run_region(scheduler, operator, phase, items, fn, *args):
             self.entered += 1
             if self.entered == self.cancel_at:
                 scheduler.cancellation.cancel()
-            return run_region(scheduler, *args, **kwargs)
+            self.items[operator] = len(items)
+            if operator == self.fail_in:
+                fn = _raise_merge_fault
+            return run_region(scheduler, operator, phase, items, fn, *args)
 
         def probed_cleanup(ctx):
             cleanup(ctx)
@@ -159,3 +179,84 @@ def test_cancel_at_every_region_releases_the_admission_reservation(
             probe.arm(None)
             follow = service.submit(FOLLOW_SQL, config=config)
             assert normalized_rows(follow.result(timeout=60)) == expected
+
+
+# ---------------------------------------------------------------------------
+# A worker exception mid-region: every HASHAGG merge item raises. The query
+# under it first builds a WINDOW buffer, which spills under the budget, so
+# the failure lands while spill files exist.
+# ---------------------------------------------------------------------------
+_WINDOWED = "(SELECT g, o, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t) w"
+#: Merge fan-out -> a statement taking it (morsel_size 4096): six groups'
+#: partials fit one morsel and merge in one item; 20k groups' are scattered
+#: and merged one item per hash partition.
+MERGE_SQL = {
+    "single": f"SELECT g, count(*) AS n, sum(c) AS s FROM {_WINDOWED} GROUP BY g",
+    "partitioned": f"SELECT o, sum(c) AS s FROM {_WINDOWED} GROUP BY o",
+}
+
+
+def prepare_merge_failure(probe, spill_dir, scheduler, budget, merge):
+    """``(db, config, expected follow-up answer)``; checks that one
+    uncancelled run of the statement takes the ``merge`` fan-out and
+    spills under the budget."""
+    db = make_db()
+    config = EngineConfig(
+        memory_budget_bytes=BUDGETS[budget],
+        spill_directory=str(spill_dir),
+        morsel_size=4096,
+        **SCHEDULERS[scheduler],
+    )
+    expected = normalized_rows(db.sql(FOLLOW_SQL, engine="naive"))
+    result = db.sql(MERGE_SQL[merge], config=config)
+    assert bool(result.spill["bytes_written"]) == (BUDGETS[budget] is not None)
+    assert (probe.items["hashagg-merge"] == 1) == (merge == "single")
+    probe.fail_in = "hashagg-merge"
+    return db, config, expected
+
+
+@pytest.mark.parametrize("merge", sorted(MERGE_SQL))
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_failing_hashagg_merge_item_leaks_nothing(
+    probe, tmp_path, scheduler, budget, merge
+):
+    db, config, expected = prepare_merge_failure(
+        probe, tmp_path, scheduler, budget, merge
+    )
+    probe.spill_counters.clear()
+    with pytest.raises(MergeFault):
+        db.sql(MERGE_SQL[merge], config=config)
+    assert_nothing_leaked(probe, tmp_path)
+    probe.fail_in = None
+    assert normalized_rows(db.sql(FOLLOW_SQL, config=config)) == expected
+
+
+@pytest.mark.parametrize("merge", sorted(MERGE_SQL))
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_failing_hashagg_merge_item_releases_the_admission_reservation(
+    probe, tmp_path, scheduler, budget, merge
+):
+    db, config, expected = prepare_merge_failure(
+        probe, tmp_path, scheduler, budget, merge
+    )
+    service_config = ServiceConfig(
+        memory_budget_bytes=1 << 40, result_cache_size=0, health_interval_s=0
+    )
+    with QueryService(db, service_config, registry=MetricsRegistry()) as service:
+        admission = service.admission
+        probe.spill_counters.clear()
+        ticket = service.submit(MERGE_SQL[merge], config=config)
+        with pytest.raises(MergeFault):
+            ticket.result(timeout=60)
+        assert ticket.state == "failed"
+        deadline = time.monotonic() + 30
+        while admission.running and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert admission.running == 0
+        assert admission.reserved_bytes == 0.0
+        assert_nothing_leaked(probe, tmp_path)
+        probe.fail_in = None
+        follow = service.submit(FOLLOW_SQL, config=config)
+        assert normalized_rows(follow.result(timeout=60)) == expected

@@ -17,21 +17,14 @@ lists, so mutating a clone would corrupt the original's operators too).
 
 from __future__ import annotations
 
-import gc
 import random
 
 import pytest
 
 from repro import Database, EngineConfig
 from repro.errors import ExecutionError, PlanError, PlanVerificationError
-from repro.lolepop import (
-    assert_all_registered,
-    check_dag,
-    contract_of,
-    operator_name,
-    registered_contracts,
-)
-from repro.lolepop.base import Lolepop, SourceOp
+from repro.lolepop import check_dag
+from repro.lolepop.base import Dag, Lolepop, SourceOp, buffer_root
 from repro.lolepop.combine_op import CombineOp
 from repro.lolepop.engine import statistics_region
 from repro.lolepop.merge_op import MergeOp
@@ -39,7 +32,6 @@ from repro.lolepop.ordagg_op import OrdAggOp
 from repro.lolepop.partition_op import PartitionOp
 from repro.lolepop.sort_op import SortOp
 from repro.lolepop.translate import translate_statistics
-from repro.lolepop.verify import _buffer_root
 from repro.lolepop.window_op import WindowOp
 from repro.server.cache import PreparedPlan
 from repro.tpch import TPCH_QUERIES
@@ -133,9 +125,8 @@ def _race_would_open(dag) -> bool:
     in-place mutator share a buffer with an affected consumer such that
     only ``after`` edges order the two?"""
     order = dag.topological_order()
-    contracts = {id(n): contract_of(n) for n in order}
     _, props = check_dag(dag)
-    roots = {id(n): _buffer_root(n, contracts) for n in order}
+    roots = {id(n): buffer_root(n) for n in order}
     ancestors = _input_ancestors(dag)
 
     def buffer_roots(node):
@@ -146,18 +137,17 @@ def _race_would_open(dag) -> bool:
         }
 
     for mutator in order:
-        effect = contracts[id(mutator)].mutation_effect
+        effect = mutator.mutation_effect
         if effect is None:
             continue
         shared = buffer_roots(mutator)
         for consumer in order:
             if consumer is mutator or not (shared & buffer_roots(consumer)):
                 continue
-            contract = contracts[id(consumer)]
             affected = (
-                contract.order_sensitive(consumer)
+                consumer.order_sensitive()
                 if effect == "order"
-                else contract.reads_full_schema(consumer)
+                else consumer.reads_full_schema()
             )
             if not affected:
                 continue
@@ -249,7 +239,7 @@ def test_removed_partition_is_caught(corpus_db):
                 and len(node.inputs) == 1
                 and any(
                     node in consumer.inputs
-                    and "stream" not in contract_of(consumer).consumes
+                    and "stream" not in consumer.consumes
                     for consumer in dag.nodes
                 )
             ),
@@ -335,34 +325,56 @@ def test_cache_rejects_template_with_unrebindable_source(corpus_db):
 
 
 # ---------------------------------------------------------------------------
-# Registry: the EXPLAIN legend and the verifier share one source of truth.
+# Contracts: each operator class declares its own, and EXPLAIN shows what
+# the verifier derives.
 # ---------------------------------------------------------------------------
+TABLE_1 = {
+    "SOURCE", "PARTITION", "SORT", "MERGE", "SCAN", "ORDAGG", "HASHAGG",
+    "WINDOW", "COMBINE",
+}
+
+
 def test_registry_names_match_explain_legend(corpus_db):
     dag = _translate(
         corpus_db, "SELECT g, median(x) AS m FROM t GROUP BY g ORDER BY g"
     )
-    legal = {contract.name for contract in registered_contracts()}
-    assert set(dag.operator_names()) <= legal
+    assert set(dag.operator_names()) <= TABLE_1
     for node in dag.nodes:
-        assert node.name() == operator_name(type(node))
-        assert contract_of(node).name == node.name()
+        assert node.name() == type(node).legend
 
 
 def test_unregistered_operator_raises():
     class RogueOp(Lolepop):
         pass
 
-    try:
-        with pytest.raises(PlanError):
-            contract_of(RogueOp())
-        with pytest.raises(PlanError):
-            assert_all_registered()
-    finally:
-        # __subclasses__ holds weak references: dropping the class restores
-        # a clean registry for every later assert_all_registered() caller.
-        del RogueOp
-        gc.collect()
-    assert_all_registered()
+    rogue = RogueOp()
+    with pytest.raises(PlanError):
+        rogue.name()
+    with pytest.raises(PlanError):
+        rogue.derive([])
+    dag = Dag()
+    dag.set_sink(rogue)
+    diagnostics, props = check_dag(dag)
+    assert [d.code for d in diagnostics] == ["no-contract"]
+    assert props[id(rogue)].kind == "stream"
+
+
+@pytest.mark.parametrize(
+    "sql, scan_line",
+    [
+        # No statistics operator under the LIMIT: SCAN reads the SOURCE.
+        ("SELECT g, x FROM t LIMIT 3", "SCAN [limit 3 offset 0] (stream->stream)"),
+        # A single HASHAGG unit: its redundant COMBINE is spliced out.
+        ("SELECT g, sum(x) AS s FROM t GROUP BY g",
+         "SCAN [project 2 exprs] (stream->stream)"),
+        ("SELECT g, x FROM t ORDER BY x LIMIT 3",
+         "SCAN [project 2 exprs, limit 3 offset 0] (buffer->stream)"),
+    ],
+)
+def test_explain_arrows_show_the_kinds_a_node_receives(corpus_db, sql, scan_line):
+    lines = corpus_db.explain_lolepop(sql).splitlines()
+    assert lines[0] == "#0 SOURCE [pipeline] (-->stream)"
+    assert any(scan_line in line for line in lines), lines
 
 
 def test_invalid_verify_mode_rejected():
