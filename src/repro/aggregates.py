@@ -1,28 +1,33 @@
 """Aggregate and window function specifications.
 
-This registry is the vocabulary shared by the SQL binder, the computation
-graph, the LOLEPOP translator and all engines. Three families exist
-(paper §1/§2):
+This registry is the one declaration of every primitive the SQL binder,
+the computation graph, the LOLEPOP translator and all engines share. Each
+:class:`AggSpec` states the argument domain, the result type and the merge
+function; everything else is derived from those. Three families exist
+(paper §1/§2), in Gray et al.'s terms:
 
-- **associative** aggregates (SUM, COUNT, MIN, MAX, ANY, ...) — computable
-  on unordered streams, mergeable, hash-aggregation friendly;
-- **ordered-set** aggregates (MEDIAN, PERCENTILE_*) — require the group's
-  values materialized and sorted;
+- **distributive** aggregates (SUM, COUNT, MIN, MAX, ANY, ...) — declared
+  with a merge function: partial results over disjoint inputs merge into the
+  whole's (COUNT partials merge by SUM), so they run on unordered streams,
+  in two-phase hash aggregation and over window frames;
+- **holistic** (ordered-set) aggregates (PERCENTILE_*, MODE) — no merge
+  function: they need the group's values materialized and sorted;
 - **window-only** functions (ROW_NUMBER, LAG, LEAD, ...) — only meaningful
   per-row inside a WINDOW computation.
 
-*Composed* aggregates (AVG, VAR_*, STDDEV_*, MAD, MSSD, ...) have no spec
+*Composed* aggregates (AVG, VAR_*, MEDIAN, MAD, MSSD, ...) have no spec
 here: the computation graph decomposes them into the primitives above plus
 scalar expressions (paper §3.3 "Composed Aggregates") — one lowering each,
 registered in :data:`repro.compgraph.functions.LOWERINGS` — so engines never
-see them. ``ANY`` is the paper's pseudo aggregate that keeps an arbitrary
+see them. :func:`aggregate_class` classifies them by what their lowering
+emits. ``ANY`` is the paper's pseudo aggregate that keeps an arbitrary
 group element (used to make DISTINCT inputs unique).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BindError
 from .expr.nodes import Expr
@@ -35,75 +40,120 @@ class AggKind(enum.Enum):
     WINDOW_ONLY = "window-only"
 
 
+class Domain(enum.Enum):
+    """The argument types a primitive admits."""
+
+    NUMERIC = "numeric"
+    ORDERABLE = "orderable"
+    BOOL = "bool"
+    ANY = "any"
+
+    def admits(self, dtype: DataType) -> bool:
+        if self is Domain.NUMERIC:
+            return dtype.is_numeric
+        if self is Domain.ORDERABLE:
+            return dtype.is_orderable
+        if self is Domain.BOOL:
+            return dtype is DataType.BOOL
+        return True
+
+
 class AggSpec:
     """Static description of one aggregate/window function."""
 
-    __slots__ = ("name", "kind", "num_args", "needs_fraction", "needs_order")
+    __slots__ = (
+        "name", "domain", "result", "merge", "window_only",
+        "needs_fraction", "needs_order",
+    )
 
     def __init__(
         self,
         name: str,
-        kind: AggKind,
-        num_args: int,
+        domain: Optional[Domain],
+        result: Optional[DataType] = None,
+        merge: Optional[str] = None,
+        window_only: bool = False,
         needs_fraction: bool = False,
         needs_order: bool = False,
     ):
         self.name = name
-        self.kind = kind
-        self.num_args = num_args
+        #: what the value argument may be; ``None``: the call takes none
+        self.domain = domain
+        #: the result type; ``None``: the argument's type
+        self.result = result
+        #: the aggregate that merges partial results; ``None``: holistic
+        self.merge = merge
+        self.window_only = window_only
         #: percentile_disc/percentile_cont take a fraction parameter
         self.needs_fraction = needs_fraction
         #: ordered-set aggregates take WITHIN GROUP (ORDER BY ...)
         self.needs_order = needs_order
 
+    @property
+    def kind(self) -> AggKind:
+        if self.window_only:
+            return AggKind.WINDOW_ONLY
+        return AggKind.ASSOCIATIVE if self.merge is not None else AggKind.ORDERED_SET
+
     def result_type(self, arg_types: Sequence[DataType]) -> DataType:
-        """Result type given argument types."""
-        name = self.name
-        if name in ("count", "count_star", "row_number", "rank", "dense_rank", "ntile"):
-            return DataType.INT64
-        if name in ("percentile_cont", "cume_dist", "percent_rank"):
-            return DataType.FLOAT64
-        if name in ("bool_and", "bool_or"):
-            return DataType.BOOL
-        if not arg_types:
-            raise BindError(f"{name} requires an argument")
-        return arg_types[0]
+        """Result type given argument types; an argument outside the
+        declared domain is a bind error."""
+        if self.domain is not None:
+            if not arg_types:
+                raise BindError(f"{self.name} requires an argument")
+            if not self.domain.admits(arg_types[0]):
+                raise BindError(
+                    f"{self.name} takes a {self.domain.value} argument, "
+                    f"not {arg_types[0].value}"
+                )
+        return self.result or arg_types[0]
 
 
 _SPECS = {}
 
 
-def _register(spec: AggSpec) -> None:
-    _SPECS[spec.name] = spec
+def _declare(name: str, domain: Optional[Domain], result=None, **facts) -> None:
+    _SPECS[name] = AggSpec(name, domain, result, **facts)
 
 
-# Associative aggregates
-for _name in ("sum", "min", "max", "count", "any", "bool_and", "bool_or"):
-    _register(AggSpec(_name, AggKind.ASSOCIATIVE, 1))
-_register(AggSpec("count_star", AggKind.ASSOCIATIVE, 0))
+# Distributive aggregates: results over disjoint inputs merge with ``merge``.
+_declare("sum", Domain.NUMERIC, merge="sum")
+_declare("count", Domain.ANY, DataType.INT64, merge="sum")
+_declare("count_star", None, DataType.INT64, merge="sum")
+_declare("min", Domain.ORDERABLE, merge="min")
+_declare("max", Domain.ORDERABLE, merge="max")
+_declare("any", Domain.ANY, merge="any")
+_declare("bool_and", Domain.BOOL, merge="bool_and")
+_declare("bool_or", Domain.BOOL, merge="bool_or")
 
-# Ordered-set aggregates
-_register(AggSpec("median", AggKind.ORDERED_SET, 1))
-_register(AggSpec("percentile_disc", AggKind.ORDERED_SET, 1,
-                  needs_fraction=True, needs_order=True))
-_register(AggSpec("percentile_cont", AggKind.ORDERED_SET, 1,
-                  needs_fraction=True, needs_order=True))
+# Holistic (ordered-set) aggregates over the group's sorted values.
+_declare("percentile_disc", Domain.ORDERABLE, needs_fraction=True, needs_order=True)
+_declare("percentile_cont", Domain.NUMERIC, DataType.FLOAT64,
+         needs_fraction=True, needs_order=True)
 # mode() WITHIN GROUP (ORDER BY x): most frequent value; ties resolve to the
 # first value in the WITHIN GROUP order (PostgreSQL semantics).
-_register(AggSpec("mode", AggKind.ORDERED_SET, 0, needs_order=True))
+_declare("mode", Domain.ORDERABLE, needs_order=True)
 
 # Window-only functions
-for _name, _args in (
-    ("row_number", 0), ("rank", 0), ("dense_rank", 0), ("cume_dist", 0),
-    ("percent_rank", 0), ("ntile", 1), ("lag", 1), ("lead", 1),
-    ("first_value", 1), ("last_value", 1), ("nth_value", 2),
-):
-    _register(AggSpec(_name, AggKind.WINDOW_ONLY, _args))
+for _name in ("row_number", "rank", "dense_rank", "ntile"):
+    _declare(_name, None, DataType.INT64, window_only=True)
+for _name in ("cume_dist", "percent_rank"):
+    _declare(_name, None, DataType.FLOAT64, window_only=True)
+for _name in ("lag", "lead", "first_value", "last_value", "nth_value"):
+    _declare(_name, Domain.ANY, window_only=True)
+
+#: Every primitive aggregate (window-only functions excluded), by name.
+PRIMITIVES = {name: spec for name, spec in _SPECS.items() if not spec.window_only}
 
 #: Functions taking WITHIN GROUP (ORDER BY ...): their groups are evaluated
 #: over values sorted on the order key.
 WITHIN_GROUP_FUNCS = frozenset(
     name for name, spec in _SPECS.items() if spec.needs_order
+)
+
+#: Functions whose first SQL argument is a percentile fraction.
+FRACTION_FUNCS = frozenset(
+    name for name, spec in _SPECS.items() if spec.needs_fraction
 )
 
 
@@ -126,12 +176,31 @@ def lookup(name: str) -> AggSpec:
     return _SPECS[key]
 
 
+def aggregate_class(name: str) -> str:
+    """Gray et al.'s class of an aggregate: ``"distributive"`` for a
+    primitive with a merge function; for a composed function
+    ``"algebraic"`` when its lowering emits only distributive aggregates
+    (the super-aggregate follows from theirs) and ``"holistic"`` otherwise —
+    as for a primitive without a merge function."""
+    key = name.lower()
+    spec = PRIMITIVES.get(key)
+    if spec is not None:
+        return "distributive" if spec.merge is not None else "holistic"
+    from .compgraph.functions import emitted_calls  # imports this module
+
+    calls = emitted_calls(key)
+    mergeable = all(
+        isinstance(call, AggregateCall) and call.spec.merge is not None
+        for call in calls
+    )
+    return "algebraic" if mergeable else "holistic"
+
+
 def is_aggregate_name(name: str) -> bool:
     key = name.lower()
-    spec = _SPECS.get(key)
-    if spec is None:
-        return _composed(key)
-    return spec.kind is not AggKind.WINDOW_ONLY
+    if key in PRIMITIVES:
+        return True
+    return key not in _SPECS and _composed(key)
 
 
 def is_window_name(name: str) -> bool:
@@ -224,6 +293,27 @@ class FrameSpec:
             f"{self.mode.upper()} BETWEEN {bound(self.start, self.start_offset)} "
             f"AND {bound(self.end, self.end_offset)}"
         )
+
+
+def within_group_orderings(
+    calls: Sequence[AggregateCall],
+) -> List[Tuple[Tuple[str, bool], List[AggregateCall]]]:
+    """Ordered-set calls grouped by their WITHIN GROUP key ``(column,
+    descending)``, in first-seen order: one sort serves each group."""
+    groups: Dict[Tuple[str, bool], List[AggregateCall]] = {}
+    for call in calls:
+        ref, descending = call.order_by[0]
+        groups.setdefault((ref.name, descending), []).append(call)
+    return list(groups.items())
+
+
+def ordering_groups(calls: Sequence[WindowCall]) -> List[List[WindowCall]]:
+    """Window calls grouped by their (partition, order) clause, in
+    first-seen order: one sorted buffer serves each group (paper §4.3)."""
+    groups: Dict[Tuple, List[WindowCall]] = {}
+    for call in calls:
+        groups.setdefault(call.ordering_key(), []).append(call)
+    return list(groups.values())
 
 
 class AggregateCall:

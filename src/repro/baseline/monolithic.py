@@ -24,11 +24,18 @@ reproduces the behaviors the paper attributes to HyPer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..aggregates import WITHIN_GROUP_FUNCS, AggregateCall, FrameSpec, WindowCall
+from ..aggregates import (
+    WITHIN_GROUP_FUNCS,
+    AggregateCall,
+    FrameSpec,
+    WindowCall,
+    ordering_groups,
+    within_group_orderings,
+)
 from ..execution.context import EngineConfig, ExecutionContext
 from ..expr.eval import infer_dtype
 from ..expr.nodes import ColumnRef
@@ -174,7 +181,7 @@ class _MonolithicRunner:
     # ------------------------------------------------------------------
     def _window(self, plan: Window) -> List[Batch]:
         batches = self.execute_stream(plan.child)
-        groups = _ordering_groups(plan.calls)
+        groups = ordering_groups(plan.calls)
         for group in groups:
             batches = self._window_one_group(batches, group)
         # Restore the plan's column order.
@@ -270,7 +277,7 @@ class _MonolithicRunner:
         # window pass per distinct value ordering, each re-materializing.
         any_tasks: List[HashAggTask] = []
         if ordered:
-            for (arg, desc), group in _percentile_orderings(ordered):
+            for (arg, desc), group in within_group_orderings(ordered):
                 window_calls = [
                     WindowCall(
                         name=c.name,
@@ -289,10 +296,7 @@ class _MonolithicRunner:
                     HashAggTask(c.name, "any", c.name) for c in group
                 )
 
-        tasks = [
-            HashAggTask(c.name, c.func, c.args[0].name if c.args else None)
-            for c in plain
-        ] + any_tasks
+        tasks = [HashAggTask.of(c) for c in plain] + any_tasks
         units: List[List[Batch]] = []
         if tasks or not distinct:
             units.append(
@@ -371,31 +375,6 @@ class _MonolithicRunner:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-
-
-def _ordering_groups(calls: Sequence[WindowCall]) -> List[List[WindowCall]]:
-    groups: Dict[Tuple, List[WindowCall]] = {}
-    order: List[Tuple] = []
-    for call in calls:
-        key = call.ordering_key()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(call)
-    return [groups[key] for key in order]
-
-
-def _percentile_orderings(ordered: List[AggregateCall]):
-    groups: Dict[Tuple[str, bool], List[AggregateCall]] = {}
-    order: List[Tuple[str, bool]] = []
-    for call in ordered:
-        ref, desc = call.order_by[0]
-        key = (ref.name, desc)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(call)
-    return [(key, groups[key]) for key in order]
 
 
 def _conform(batch: Batch, schema: Schema) -> Batch:

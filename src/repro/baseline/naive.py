@@ -430,11 +430,13 @@ def _evaluate_window_partition(
             else:
                 target = lo + call.offset - 1
                 out[id(row)] = ordered[target][arg] if target < hi else None
-        elif func in ("percentile_disc", "percentile_cont"):
-            values = sorted(
-                v for v in (o[arg] for o in ordered) if v is not None
+        elif func in ("percentile_disc", "percentile_cont", "mode"):
+            # Over the whole partition, in ascending value order.
+            pseudo = AggregateCall(
+                "_w", func, call.args, order_by=[(call.args[0], False)],
+                fraction=call.fraction,
             )
-            out[id(row)] = _percentile(func, values, call.fraction or 0.5)
+            out[id(row)] = _evaluate_aggregate(pseudo, ordered)
         else:
             frame = call.frame or (
                 FrameSpec.running() if order_keys else FrameSpec.whole_partition()

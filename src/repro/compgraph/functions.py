@@ -13,11 +13,13 @@ binder alike. :func:`register` adds a statistic, which SQL can then call
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+import inspect
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..aggregates import FrameSpec, is_window_name
+from ..aggregates import AggregateCall, FrameSpec, WindowCall, is_window_name
 from ..errors import BindError
 from ..expr.functions import FUNCTIONS as SCALAR_FUNCTIONS
+from ..expr.nodes import ColumnRef
 from .planner import AggregatePlanner, Node, NodeLike
 
 #: ORDER BY keys: one node (ascending), or (node, descending) pairs.
@@ -143,10 +145,27 @@ Lowering = Callable[..., Node]
 LOWERINGS: Dict[str, Lowering] = {
     fn.__name__: fn
     for fn in (
-        avg, var_pop, var_samp, stddev_pop, stddev_samp, mad, mssd, iqr,
-        central_moment, kurtosis, skewness,
+        avg, var_pop, var_samp, stddev_pop, stddev_samp, median, mad, mssd,
+        iqr, central_moment, kurtosis, skewness,
     )
 }
+
+
+def emitted_calls(name: str) -> List[Union[AggregateCall, WindowCall]]:
+    """The primitive aggregate and window calls ``name``'s lowering emits
+    over one value (an ``int`` parameter gets 2, optional ones their
+    defaults)."""
+    lowering = LOWERINGS.get(name)
+    if lowering is None:
+        raise BindError(f"unknown aggregate: {name}")
+    params = list(inspect.signature(lowering).parameters.values())[1:]
+    planner = AggregatePlanner(source=None)
+    lowering(planner, *(
+        2 if param.annotation in (int, "int") else Node(ColumnRef("x"))
+        for param in params
+        if param.default is param.empty
+    ))
+    return planner.calls
 
 
 def register(name: str, lowering: Lowering) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..aggregates import AggregateCall, FrameSpec, WindowCall
+from ..aggregates import AggKind, AggregateCall, FrameSpec, WindowCall, lookup
 from ..errors import BindError, NotSupportedError
 from ..expr.nodes import BinaryOp, Cast, ColumnRef, Expr, FuncCall, ensure_expr
 from ..logical import LogicalPlan
@@ -204,10 +204,11 @@ class AggregatePlanner:
                 )
             distinct = True
         order = [(self._arg(e), bool(d)) for e, d in (order_by or [])]
-        if func in ("percentile_disc", "percentile_cont") and not order:
+        spec = lookup(func)
+        if spec.needs_order and not order:
             order = [(args[0], False)]
-            if fraction is None:
-                fraction = 0.5
+        if spec.needs_fraction and fraction is None:
+            fraction = 0.5
         return self.intern(
             AggregateCall("_pending", func, args, distinct, order, fraction)
         )
@@ -231,12 +232,11 @@ class AggregatePlanner:
             raise NotSupportedError(f"{self._call} does not support DISTINCT")
         args = [] if arg is None else [self._arg(arg)]
         order = [(self._arg(e), bool(d)) for e, d in order_by]
-        if func in ("percentile_disc", "percentile_cont", "median") and frame is None:
+        spec = lookup(func)
+        if spec.kind is AggKind.ORDERED_SET and frame is None:
             frame = FrameSpec.whole_partition()
-            if fraction is None:
-                fraction = 0.5
-            if func == "median":
-                func = "percentile_cont"
+        if spec.needs_fraction and fraction is None:
+            fraction = 0.5
         return self.intern(
             WindowCall(
                 "_pending", func, args,

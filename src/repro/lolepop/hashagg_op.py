@@ -4,9 +4,9 @@ Phase 1 pre-aggregates each incoming morsel into thread-local partial
 results (the paper's fixed-size in-cache tables; our vectorized stand-in
 groups within the morsel, which bounds partial size by the morsel's distinct
 keys the same way). Phase 2 merges the partials with the per-aggregate merge
-function (COUNT partials merge by SUM, etc. —
-:data:`repro.relational.kernels.MERGE_FUNC`), and its fan-out is chosen at
-run time from the partials phase 1 produced:
+function each aggregate declares (COUNT partials merge by SUM, etc. —
+:attr:`repro.aggregates.AggSpec.merge`), and its fan-out is chosen at run
+time from the partials phase 1 produced:
 
 - **single** — when the partials hold at most ``morsel_size`` rows in
   total, they are concatenated and merged in one work item; there is
@@ -27,8 +27,9 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ..aggregates import AggregateCall, lookup
 from ..execution.context import ExecutionContext
-from ..relational.kernels import MERGE_FUNC, grouped_reduce
+from ..relational.kernels import grouped_reduce
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
@@ -73,9 +74,14 @@ class HashAggTask(NamedTuple):
     func: str
     arg: Optional[str]
 
+    @classmethod
+    def of(cls, call: AggregateCall) -> "HashAggTask":
+        """The task computing the aggregate call ``call``."""
+        return cls(call.name, call.func, call.args[0].name if call.args else None)
+
     @property
     def merge_func(self) -> str:
-        return MERGE_FUNC[self.func]
+        return lookup(self.func).merge
 
 
 def aggregate_batch(
@@ -135,7 +141,7 @@ class HashAggOp(Lolepop):
         return unique_groups(ins, self.output_schema, self.key_names)
 
     def output_schema(self, input_schema: Schema) -> Schema:
-        return _output_schema(input_schema, self.key_names, self.tasks)
+        return aggregate_schema(input_schema, self.key_names, self.tasks)
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
@@ -175,7 +181,7 @@ def two_phase_aggregate(
     """
     key_names = list(key_names)
     tasks = list(tasks)
-    out_schema = _output_schema(batches[0].schema, key_names, tasks)
+    out_schema = aggregate_schema(batches[0].schema, key_names, tasks)
     merge_tasks = [HashAggTask(t.name, t.merge_func, t.name) for t in tasks]
 
     if not key_names:
@@ -267,16 +273,11 @@ def two_phase_aggregate(
     return outputs or [Batch.empty(out_schema)]
 
 
-def _output_schema(
-    input_schema: Schema, key_names: List[str], tasks: List[HashAggTask]
-) -> Schema:
+def aggregate_schema(input_schema: Schema, key_names, tasks) -> Schema:
+    """Keys, then one field per task typed by its aggregate's declaration
+    (HASHAGG and ORDAGG tasks alike)."""
     fields = [Field(name, input_schema[name].dtype) for name in key_names]
     for task in tasks:
-        if task.func in ("count", "count_star"):
-            dtype = DataType.INT64
-        elif task.arg is not None:
-            dtype = input_schema[task.arg].dtype
-        else:
-            dtype = DataType.INT64
-        fields.append(Field(task.name, dtype))
+        arg_types = [input_schema[task.arg].dtype] if task.arg is not None else []
+        fields.append(Field(task.name, lookup(task.func).result_type(arg_types)))
     return Schema(fields)

@@ -11,9 +11,9 @@ Supports, per task:
 - the same with ``distinct=True``, skipping duplicates positionally (valid
   only when the buffer is sorted by the task's argument — the paper's
   "duplicate-sensitive ORDAGG"),
-- ordered-set aggregates (``percentile_disc``/``percentile_cont``) computed
-  positionally on the sorted range (NULLs sort last, so the valid prefix is
-  contiguous).
+- holistic aggregates (``percentile_disc``/``percentile_cont``/``mode``),
+  computed on the sorted range by the kernel WINDOW shares (NULLs sort last,
+  so the valid prefix is contiguous).
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..aggregates import WITHIN_GROUP_FUNCS
-from ..errors import ExecutionError
+from ..aggregates import WITHIN_GROUP_FUNCS, lookup
 from ..execution.context import ExecutionContext
-from ..relational.kernels import grouped_reduce, is_associative
+from ..relational.kernels import grouped_reduce, sorted_reduce
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
-from ..types import DataType, Field, Schema
+from ..storage.keys import key_change_flags
+from ..types import Schema
 from .base import Lolepop, OpResult
+from .hashagg_op import aggregate_schema
 from .properties import PhysProps, _missing_columns, unique_groups
-from .ranges import key_change_flags, ranges_of
+from .ranges import ranges_of
 
 
 class OrdAggTask(NamedTuple):
@@ -121,18 +122,7 @@ class OrdAggOp(Lolepop):
         return True
 
     def output_schema(self, input_schema: Schema) -> Schema:
-        fields = [Field(n, input_schema[n].dtype) for n in self.key_names]
-        for task in self.tasks:
-            if task.func in ("count", "count_star"):
-                dtype = DataType.INT64
-            elif task.func == "percentile_cont":
-                dtype = DataType.FLOAT64
-            elif task.arg is not None:
-                dtype = input_schema[task.arg].dtype
-            else:
-                dtype = DataType.INT64
-            fields.append(Field(task.name, dtype))
-        return Schema(fields)
+        return aggregate_schema(input_schema, self.key_names, self.tasks)
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
@@ -163,27 +153,19 @@ class OrdAggOp(Lolepop):
             batch.column(name).take(starts) for name in self.key_names
         ]
         for task in self.tasks:
-            if task.func in ("percentile_disc", "percentile_cont"):
-                columns.append(
-                    self._percentile(task, batch, starts, codes, num_groups)
-                )
-            elif task.func == "mode":
-                columns.append(
-                    self._mode(task, batch, codes, num_groups)
-                )
+            values = batch.column(task.arg) if task.arg is not None else None
+            if lookup(task.func).merge is None:
+                columns.append(sorted_reduce(
+                    task.func, values, starts, codes, num_groups, task.fraction
+                ))
             elif task.distinct:
                 columns.append(
                     self._distinct_associative(task, batch, codes, num_groups)
                 )
-            elif is_associative(task.func):
-                values = (
-                    batch.column(task.arg) if task.arg is not None else None
-                )
+            else:
                 columns.append(
                     grouped_reduce(task.func, values, codes, num_groups)
                 )
-            else:
-                raise ExecutionError(f"ORDAGG cannot compute {task.func}")
         return Batch(out_schema, columns)
 
     def _distinct_associative(
@@ -198,56 +180,3 @@ class OrdAggOp(Lolepop):
         keep = first & arg.valid_mask()
         filtered = arg.filter(keep)
         return grouped_reduce(task.func, filtered, codes[keep], num_groups)
-
-    def _mode(
-        self, task: OrdAggTask, batch: Batch, codes: np.ndarray, num_groups: int
-    ) -> Column:
-        """Most frequent value per key range: the longest run of equal
-        values in the sorted range; ties resolve to the run appearing first
-        in the WITHIN GROUP order."""
-        arg = batch.column(task.arg)
-        valid = arg.valid_mask()
-        flags = key_change_flags(
-            [batch.column(name) for name in self.key_names] + [arg]
-        )
-        run_starts = np.flatnonzero(flags)
-        run_ends = np.append(run_starts[1:], len(batch))
-        run_lengths = (run_ends - run_starts).astype(np.int64)
-        run_codes = codes[run_starts]
-        keep = valid[run_starts]  # runs of NULLs do not vote
-        run_starts, run_lengths, run_codes = (
-            run_starts[keep], run_lengths[keep], run_codes[keep]
-        )
-        # (code asc, length desc, position asc): the first row per code is
-        # the winning run.
-        order = np.lexsort((run_starts, -run_lengths, run_codes))
-        present, first = np.unique(run_codes[order], return_index=True)
-        winner_rows = run_starts[order][first]
-        return arg.take(winner_rows).scatter(present, num_groups)
-
-    def _percentile(
-        self,
-        task: OrdAggTask,
-        batch: Batch,
-        starts: np.ndarray,
-        codes: np.ndarray,
-        num_groups: int,
-    ) -> Column:
-        arg = batch.column(task.arg)
-        valid = arg.valid_mask()
-        counts = np.bincount(codes[valid], minlength=num_groups)
-        group_valid = counts > 0
-        fraction = task.fraction if task.fraction is not None else 0.5
-        safe_counts = np.maximum(counts, 1)
-        if task.func == "percentile_disc":
-            offsets = np.ceil(fraction * safe_counts).astype(np.int64) - 1
-            offsets = np.clip(offsets, 0, safe_counts - 1)
-            return arg.take(starts + offsets).with_valid(group_valid)
-        positions = fraction * (safe_counts - 1)
-        lower = np.floor(positions).astype(np.int64)
-        upper = np.ceil(positions).astype(np.int64)
-        weights = positions - lower
-        low_vals = arg.values[starts + lower].astype(np.float64)
-        high_vals = arg.values[starts + upper].astype(np.float64)
-        values = low_vals * (1.0 - weights) + high_vals * weights
-        return Column(DataType.FLOAT64, values, group_valid)

@@ -11,24 +11,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..storage.batch import Batch
-from ..storage.column import Column
-from ..storage.keys import _normalize_values
-
-
-def key_change_flags(columns: Sequence[Column]) -> np.ndarray:
-    """Boolean array: True at row i when row i's keys differ from row i-1's.
-
-    Row 0 is always True. NULL keys compare equal to NULL (GROUP BY
-    semantics)."""
-    n = len(columns[0]) if columns else 0
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    flags = np.zeros(n, dtype=bool)
-    flags[0] = True
-    for column in columns:
-        values = _normalize_values(column)
-        flags[1:] |= values[1:] != values[:-1]
-    return flags
+from ..storage.keys import key_change_flags
 
 
 def ranges_of(

@@ -9,8 +9,10 @@ CPython needs:
   query. Only valid for idempotent operations (min/max).
 - :class:`PrefixSums` — exact O(1) range sums and counts.
 
-Both aggregate NULL-free float arrays; the WINDOW operator handles NULL
-masking by aggregating a parallel 0/1 validity array with ``sum``.
+Both keep their input's number type, so int64 arrays (the exact value
+domain of :func:`repro.relational.kernels.value_domain`) aggregate as int64.
+Inputs are NULL-free; the WINDOW operator masks NULLs with the identity
+and counts valid rows with a parallel validity sum.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import List
 import numpy as np
 
 from ..errors import ExecutionError
+from ..relational.kernels import minmax_identity
 
 
 class SparseTable:
@@ -27,11 +30,11 @@ class SparseTable:
     vectorized batched queries."""
 
     def __init__(self, values: np.ndarray, op: str):
-        if op not in ("min", "max"):
+        if op != "min" and op != "max":
             raise ExecutionError("SparseTable supports min/max only")
         self._ufunc = np.minimum if op == "min" else np.maximum
-        self._identity = np.inf if op == "min" else -np.inf
-        data = values.astype(np.float64)
+        data = np.asarray(values)
+        self._identity = minmax_identity(op, data.dtype)
         self.n = len(data)
         self._levels: List[np.ndarray] = [data]
         length = 1
@@ -46,7 +49,8 @@ class SparseTable:
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
         width = hi - lo
-        out = np.full(len(lo), self._identity, dtype=np.float64)
+        dtype = self._levels[0].dtype
+        out = np.full(len(lo), self._identity, dtype=dtype)
         nonempty = width > 0
         if not nonempty.any():
             return out
@@ -56,7 +60,7 @@ class SparseTable:
         left = lo[nonempty]
         right = hi[nonempty] - (1 << levels)
         # Gather per level (few distinct levels, loop over them).
-        result = np.empty(len(w), dtype=np.float64)
+        result = np.empty(len(w), dtype=dtype)
         for level in np.unique(levels):
             mask = levels == level
             table = self._levels[level]
@@ -68,12 +72,13 @@ class SparseTable:
 
 
 class PrefixSums:
-    """Exact O(1) range sums/counts via prefix arrays."""
+    """O(1) range sums/counts via prefix arrays. Integer sums are exact:
+    int64 prefixes wrap, and the difference of two wraps back to every
+    range sum that fits in int64."""
 
     def __init__(self, values: np.ndarray):
-        self._prefix = np.concatenate(
-            ([0.0], np.cumsum(values.astype(np.float64)))
-        )
+        # Booleans and integers accumulate as int64, floats as float64.
+        self._prefix = np.concatenate(([0], np.cumsum(values)))
 
     def query_many(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lo = np.asarray(lo, dtype=np.int64)

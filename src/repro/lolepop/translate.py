@@ -32,7 +32,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..aggregates import WITHIN_GROUP_FUNCS, AggregateCall, WindowCall
+from ..aggregates import (
+    WITHIN_GROUP_FUNCS,
+    AggregateCall,
+    ordering_groups,
+    within_group_orderings,
+)
 from ..errors import NotSupportedError, PlanError
 from ..execution.context import EngineConfig
 from ..expr.nodes import ColumnRef, Expr
@@ -44,7 +49,6 @@ from ..logical import (
     Sort,
     Window,
 )
-from ..relational.kernels import MERGE_FUNC
 from ..storage.batch import Batch
 from ..types import Schema
 from .base import Dag, Lolepop, SourceOp
@@ -282,7 +286,7 @@ class _Translator:
         """PARTITION → SORT → WINDOW (→ SORT → WINDOW ...), grouping calls by
         shared (partition, order) and reusing one buffer across ordering
         groups whenever the partitioning stays compatible (queries 13/14)."""
-        groups = self._ordering_groups(plan.calls)
+        groups = ordering_groups(plan.calls)
         source = self._source_op(plan.child)
         current: Optional[Lolepop] = None
         current_partition_keys: Optional[Tuple[str, ...]] = None
@@ -326,18 +330,6 @@ class _Translator:
         if current is None:
             raise PlanError("window node without calls")
         return current
-
-    @staticmethod
-    def _ordering_groups(calls: Sequence[WindowCall]) -> List[List[WindowCall]]:
-        groups: Dict[Tuple, List[WindowCall]] = {}
-        order: List[Tuple] = []
-        for call in calls:
-            key = call.ordering_key()
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(call)
-        return [groups[key] for key in order]
 
     # ==================================================================
     # Aggregate regions
@@ -452,7 +444,7 @@ class _Translator:
         plain = [c for c in calls if c not in ordered and c not in distinct]
 
         units: List[Lolepop] = []
-        orderings = self._percentile_orderings(ordered)
+        orderings = within_group_orderings(ordered)
         window_compatible = input_ctx.buffer_usable_for(group_names)
         consumed_distinct: List[AggregateCall] = []
         chain_buffer: Optional[Lolepop] = None
@@ -533,9 +525,7 @@ class _Translator:
             decision = choose_distinct_strategy(
                 input_rows, distinct_groups, final_groups
             )
-            if not decision.use_sort or call.func not in (
-                "sum", "count", "min", "max"
-            ):
+            if not decision.use_sort:
                 still_hash.append(call)
                 continue
             self.dag.record_rewrite(
@@ -559,19 +549,6 @@ class _Translator:
             units.append(ordagg)
             chain_last = ordagg
         return still_hash, chain_last
-
-    @staticmethod
-    def _percentile_orderings(ordered: List[AggregateCall]) -> List[_Ordering]:
-        groups: Dict[Tuple[str, bool], List[AggregateCall]] = {}
-        order: List[Tuple[str, bool]] = []
-        for call in ordered:
-            ref, desc = call.order_by[0]
-            key = (ref.name, desc)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(call)
-        return [(key, groups[key]) for key in order]
 
     def _ordered_chain(
         self,
@@ -623,7 +600,6 @@ class _Translator:
                         call.args
                         and call.args[0].name == order_key[0]
                         and not order_key[1]
-                        and call.func in ("sum", "count", "min", "max")
                     )
                     if folds:
                         tasks.append(
@@ -644,10 +620,7 @@ class _Translator:
         calls: List[AggregateCall],
         input_ctx: "_AggInput",
     ) -> Lolepop:
-        tasks = [
-            HashAggTask(c.name, c.func, c.args[0].name if c.args else None)
-            for c in calls
-        ]
+        tasks = [HashAggTask.of(c) for c in calls]
         return self.dag.add(
             HashAggOp(
                 input_ctx.stream(), group_names, tasks,
@@ -705,8 +678,7 @@ class _Translator:
                 "DISTINCT aggregates with GROUPING SETS are not supported"
             )
         sets = sorted(plan.grouping_sets, key=len, reverse=True)
-        ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
-        if ordered:
+        if any(c.spec.merge is None for c in calls):
             return self._ordered_grouping_sets(plan, sets, calls, input_ctx)
         return self._associative_grouping_sets(plan, sets, calls, input_ctx)
 
@@ -718,7 +690,7 @@ class _Translator:
         sets not containing the partition key get their own chain."""
         ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
         plain = [c for c in calls if c not in ordered]
-        orderings = self._percentile_orderings(ordered)
+        orderings = within_group_orderings(ordered)
         primary = sets[0][0] if sets[0] else None
         shared_buffer: Optional[Lolepop] = None
         previous: Optional[Lolepop] = None
@@ -772,10 +744,7 @@ class _Translator:
         from its output — the paper's alternative to UNION ALL duplication
         (query 8: group (k,n) first, re-group by (k) afterwards)."""
         first_set = sets[0]
-        base_tasks = [
-            HashAggTask(c.name, c.func, c.args[0].name if c.args else None)
-            for c in calls
-        ]
+        base_tasks = [HashAggTask.of(c) for c in calls]
         first_unit = self.dag.add(
             HashAggOp(
                 input_ctx.stream(), list(first_set), base_tasks,
@@ -792,8 +761,7 @@ class _Translator:
             )
             if reaggregable:
                 merge_tasks = [
-                    HashAggTask(c.name, MERGE_FUNC[c.func], c.name)
-                    for c in calls
+                    HashAggTask(c.name, c.spec.merge, c.name) for c in calls
                 ]
                 unit = self.dag.add(
                     HashAggOp(

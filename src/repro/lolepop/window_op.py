@@ -8,8 +8,11 @@ the heart of the MAD/MSSD plans).
 One WindowOp evaluates *multiple* calls sharing the same (partition, order)
 — the paper's observation that segment aggregation can be shared across
 frames with one ordering. Range aggregation uses prefix sums (exact) and
-doubling tables (min/max) from :mod:`repro.lolepop.segment_tree`; navigation
-and ranking functions are positional formulas on the key ranges.
+doubling tables (min/max) from :mod:`repro.lolepop.segment_tree`, in the
+value domain HASHAGG's kernels use, so a frame aggregate has the type of its
+GROUP BY form; ordered-set aggregates run ORDAGG's kernel over the whole
+partition; navigation and ranking functions are positional formulas on the
+key ranges.
 
 ``post_items`` are scalar expressions appended to the buffer after the
 window columns exist (the paper inlines these into generated code; we
@@ -27,14 +30,15 @@ from ..errors import ExecutionError
 from ..execution.context import ExecutionContext
 from ..expr.eval import evaluate, infer_dtype
 from ..expr.nodes import Expr
+from ..relational.kernels import from_domain, minmax_identity, sorted_reduce, value_domain
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
-from ..storage.keys import lexsort_indices
+from ..storage.keys import key_change_flags, lexsort_indices
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
 from .properties import PhysProps, _missing_columns
-from .ranges import key_change_flags, ranges_of
+from .ranges import ranges_of
 from .segment_tree import PrefixSums, SparseTable
 
 
@@ -113,15 +117,7 @@ class WindowOp(Lolepop):
         schema = None
         if source.schema is not None:
             try:
-                fields = list(source.schema.fields)
-                for call in self.calls:
-                    arg_types = [infer_dtype(a, source.schema) for a in call.args]
-                    fields.append(Field(call.name, call.spec.result_type(arg_types)))
-                partial = Schema(fields)
-                for name, expr in self.post_items:
-                    fields.append(Field(name, infer_dtype(expr, partial)))
-                    partial = Schema(fields)
-                schema = partial
+                schema = self._schemas(source.schema)[1]
             except Exception:
                 schema = None
         return PhysProps(
@@ -135,21 +131,25 @@ class WindowOp(Lolepop):
     def order_sensitive(self) -> bool:
         return True
 
+    def _schemas(self, schema: Schema) -> Tuple[Schema, Schema]:
+        """``schema`` with the call columns, then with the post items too."""
+        fields = list(schema.fields)
+        for call in self.calls:
+            arg_types = [infer_dtype(a, schema) for a in call.args]
+            fields.append(Field(call.name, call.spec.result_type(arg_types)))
+        window_schema = Schema(fields)
+        for name, expr in self.post_items:
+            fields.append(Field(name, infer_dtype(expr, Schema(fields))))
+        return window_schema, Schema(fields)
+
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         buffer: TupleBuffer = inputs[0]
         part_names = [ref.name for ref in self.calls[0].partition_by]
         order_names = [ref.name for ref, _ in self.calls[0].order_by]
 
-        fields: List[Field] = list(buffer.schema.fields)
-        for call in self.calls:
-            arg_types = [infer_dtype(a, buffer.schema) for a in call.args]
-            fields.append(Field(call.name, call.spec.result_type(arg_types)))
-        window_schema = Schema(fields)
-        call_fields = fields[len(buffer.schema):]
-        for name, expr in self.post_items:
-            fields.append(Field(name, infer_dtype(expr, window_schema)))
-        schema = Schema(fields) if self.post_items else window_schema
+        window_schema, schema = self._schemas(buffer.schema)
+        call_fields = window_schema.fields[len(buffer.schema):]
 
         def compute(partition) -> None:
             # One work item reads, evaluates and writes back one partition,
@@ -204,7 +204,7 @@ def evaluate_window_call(
     if func == "row_number":
         return Column(DataType.INT64, idx - range_lo + 1)
     if func in ("rank", "dense_rank", "cume_dist", "percent_rank"):
-        return _ranking(func, batch, idx, range_lo, range_hi, codes,
+        return _ranking(func, batch, idx, range_lo, range_hi,
                         part_names, order_names)
     if func == "ntile":
         return _ntile(call.offset, idx, range_lo, range_hi)
@@ -217,18 +217,18 @@ def evaluate_window_call(
             batch, part_names, order_names,
         )
         return _positional(func, call, batch, lo, hi)
-    if func in ("percentile_disc", "percentile_cont", "median"):
-        return _window_percentile(call, batch, starts, ends, codes)
-    if func == "mode":
-        return _window_mode(call, batch, starts, ends, codes)
-    if func in ("sum", "count", "count_star", "min", "max", "bool_and", "bool_or", "any"):
-        frame = call.frame or FrameSpec.whole_partition()
-        lo, hi = _frame_bounds(
-            frame, idx, range_lo, range_hi,
-            batch, part_names, order_names,
-        )
-        return _frame_aggregate(func, call, batch, lo, hi)
-    raise ExecutionError(f"unsupported window function: {func}")
+    spec = call.spec
+    if spec.window_only:
+        raise ExecutionError(f"unsupported window function: {func}")
+    values = evaluate(call.args[0], batch) if call.args else None
+    if spec.merge is None:
+        return _ordered_set(call, values, starts, codes)
+    frame = call.frame or FrameSpec.whole_partition()
+    lo, hi = _frame_bounds(
+        frame, idx, range_lo, range_hi,
+        batch, part_names, order_names,
+    )
+    return _frame_aggregate(func, values, lo, hi)
 
 
 def _peer_first_flags(
@@ -249,30 +249,23 @@ def _ranking(
     idx: np.ndarray,
     range_lo: np.ndarray,
     range_hi: np.ndarray,
-    codes: np.ndarray,
     part_names: List[str],
     order_names: List[str],
 ) -> Column:
-    peer_first = _peer_first_flags(batch, part_names, order_names)
-    if func in ("rank", "percent_rank"):
-        peer_start = np.maximum.accumulate(np.where(peer_first, idx, 0))
-        rank = peer_start - range_lo + 1
-        if func == "rank":
-            return Column(DataType.INT64, rank)
-        # percent_rank = (rank - 1) / (partition rows - 1); 0 if single row.
-        size = np.maximum(range_hi - range_lo - 1, 1)
-        values = (rank - 1).astype(np.float64) / size
-        return Column(DataType.FLOAT64, values)
     if func == "dense_rank":
-        cum = np.cumsum(peer_first)
+        cum = np.cumsum(_peer_first_flags(batch, part_names, order_names))
         return Column(DataType.INT64, cum - cum[range_lo] + 1)
+    peer_lo, peer_hi = _peer_bounds(
+        batch, part_names, order_names, idx, range_lo, range_hi
+    )
+    if func == "rank":
+        return Column(DataType.INT64, peer_lo - range_lo + 1)
+    if func == "percent_rank":
+        # (rank - 1) / (partition rows - 1); 0 for a single row.
+        size = np.maximum(range_hi - range_lo - 1, 1)
+        return Column(DataType.FLOAT64, (peer_lo - range_lo) / size)
     # cume_dist: fraction of rows whose order key <= current row's.
-    peer_positions = np.flatnonzero(peer_first)
-    peer_bounds = np.append(peer_positions, len(batch))
-    peer_id = np.cumsum(peer_first) - 1
-    peer_end = np.minimum(peer_bounds[peer_id + 1], range_hi)
-    values = (peer_end - range_lo) / (range_hi - range_lo)
-    return Column(DataType.FLOAT64, values.astype(np.float64))
+    return Column(DataType.FLOAT64, (peer_hi - range_lo) / (range_hi - range_lo))
 
 
 def _ntile(buckets: int, idx: np.ndarray, range_lo: np.ndarray, range_hi: np.ndarray) -> Column:
@@ -390,117 +383,51 @@ def _positional(
 
 
 def _frame_aggregate(
-    func: str, call: WindowCall, batch: Batch, lo: np.ndarray, hi: np.ndarray
+    func: str, values: Optional[Column], lo: np.ndarray, hi: np.ndarray
 ) -> Column:
+    """A distributive aggregate over each row's frame ``[lo, hi)``, typed
+    as its GROUP BY form: sums and extremes stay in the exact value domain
+    :func:`~repro.relational.kernels.value_domain` shares with HASHAGG."""
     if func == "count_star":
         return Column(DataType.INT64, (hi - lo).astype(np.int64))
-    values = evaluate(call.args[0], batch)
-    valid = values.valid_mask().astype(np.float64)
+    valid = values.valid_mask()
     counts = PrefixSums(valid).query_many(lo, hi)
     if func == "count":
-        return Column(DataType.INT64, counts.astype(np.int64))
+        return Column(DataType.INT64, counts)
     has_any = counts > 0
     if func == "sum":
-        data = values.values.astype(np.float64) * valid
-        sums = PrefixSums(data).query_many(lo, hi)
-        if values.dtype is DataType.INT64:
-            return Column(DataType.INT64, sums.astype(np.int64), has_any)
-        return Column(DataType.FLOAT64, sums, has_any)
-    if func in ("min", "max"):
-        fill = np.inf if func == "min" else -np.inf
-        data = np.where(valid > 0, values.values.astype(np.float64), fill)
-        table = SparseTable(data, "min" if func == "min" else "max")
-        result = table.query_many(lo, hi)
-        if values.dtype in (DataType.INT64, DataType.DATE):
-            out = np.zeros(len(result), dtype=values.dtype.numpy_dtype)
-            out[has_any] = result[has_any].astype(values.dtype.numpy_dtype)
-            return Column(values.dtype, out, has_any)
-        return Column(DataType.FLOAT64, np.where(has_any, result, 0.0), has_any)
-    if func in ("bool_and", "bool_or"):
-        flags = values.values.astype(bool) & (valid > 0)
-        trues = PrefixSums(flags.astype(np.float64)).query_many(lo, hi)
-        if func == "bool_or":
-            return Column(DataType.BOOL, trues > 0, has_any)
-        return Column(DataType.BOOL, trues >= counts, has_any)
+        sums = PrefixSums(np.where(valid, values.data, 0)).query_many(lo, hi)
+        return Column(values.dtype, sums, has_any)
+    if func == "min" or func == "max":
+        data = value_domain(values)
+        data = np.where(valid, data, minmax_identity(func, data.dtype))
+        return from_domain(values, SparseTable(data, func).query_many(lo, hi), has_any)
     if func == "any":
-        return _positional("first_value", call, batch, lo, hi)
+        # The first non-NULL row of the frame: the least valid position.
+        positions = np.where(valid, np.arange(len(valid)), len(valid))
+        first = SparseTable(positions, "min").query_many(lo, hi)
+        return values.take(np.minimum(first, len(valid) - 1)).with_valid(has_any)
+    if func == "bool_and" or func == "bool_or":
+        trues = PrefixSums(valid & values.data).query_many(lo, hi)
+        result = trues > 0 if func == "bool_or" else trues == counts
+        return Column(DataType.BOOL, result, has_any)
     raise ExecutionError(f"unsupported frame aggregate: {func}")
 
 
-def _window_mode(
-    call: WindowCall,
-    batch: Batch,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    codes: np.ndarray,
+def _ordered_set(
+    call: WindowCall, values: Column, starts: np.ndarray, codes: np.ndarray
 ) -> Column:
-    """Whole-partition mode broadcast to every row (the monolithic engine's
-    ordered-set rewrite routes mode through here)."""
+    """A holistic aggregate over the whole partition: sort each key range
+    by value, reduce it with ORDAGG's kernel, broadcast to every row."""
     frame = call.frame or FrameSpec.whole_partition()
     if not frame.is_whole_partition:
-        raise ExecutionError("mode as a window requires an unbounded frame")
-    values = evaluate(call.args[0], batch)
-    descending = bool(call.order_by[0][1]) if call.order_by else False
-    order = lexsort_indices([Column(DataType.INT64, codes), values], [False, descending])
-    sorted_vals = values.take(order)
-    sorted_codes = codes[order]
-    n = len(batch)
-    num_groups = len(starts)
-    change = key_change_flags([Column(DataType.INT64, sorted_codes), sorted_vals])
-    run_starts = np.flatnonzero(change)
-    run_ends = np.append(run_starts[1:], n)
-    run_lengths = (run_ends - run_starts).astype(np.int64)
-    run_codes = sorted_codes[run_starts]
-    keep = sorted_vals.valid_mask()[run_starts]
-    run_starts, run_lengths, run_codes = (
-        run_starts[keep], run_lengths[keep], run_codes[keep]
-    )
-    winner_order = np.lexsort((run_starts, -run_lengths, run_codes))
-    present, first = np.unique(run_codes[winner_order], return_index=True)
-    winner_rows = run_starts[winner_order][first]
-    return sorted_vals.take(winner_rows).scatter(present, num_groups).take(codes)
-
-
-def _window_percentile(
-    call: WindowCall,
-    batch: Batch,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    codes: np.ndarray,
-) -> Column:
-    """Ordered-set aggregate as a window over the whole partition: compute
-    per range on range-sorted values, broadcast to every row."""
-    frame = call.frame or FrameSpec.whole_partition()
-    if not frame.is_whole_partition:
-        raise ExecutionError(
-            "ordered-set window aggregates require an unbounded frame"
-        )
-    values = evaluate(call.args[0], batch)
+        raise ExecutionError(f"{call.func} as a window requires an unbounded frame")
     # Ordered-set windows honor their WITHIN GROUP direction (the monolithic
-    # engine's GROUP-BY rewrite routes DESC percentiles through here).
+    # engine's GROUP-BY rewrite orders the window by the value).
     descending = bool(call.order_by[0][1]) if call.order_by else False
     order = lexsort_indices([Column(DataType.INT64, codes), values], [False, descending])
-    sorted_vals = values.take(order)
-    sorted_codes = codes[order]
-    num_groups = len(starts)
-    counts = np.bincount(
-        sorted_codes[sorted_vals.valid_mask()], minlength=num_groups
+    # Codes are sorted already, so the ranges keep their starts.
+    per_range = sorted_reduce(
+        call.func, values.take(order), starts, codes, len(starts), call.fraction
     )
-    group_starts = np.searchsorted(sorted_codes, np.arange(num_groups))
-    group_valid = counts > 0
-    fraction = call.fraction if call.fraction is not None else 0.5
-    safe = np.maximum(counts, 1)
-    if call.func in ("percentile_disc",):
-        offsets = np.clip(np.ceil(fraction * safe).astype(np.int64) - 1, 0, safe - 1)
-        per_group = sorted_vals.take(group_starts + offsets)
-        return per_group.take(codes).with_valid(group_valid[codes])
-    positions = fraction * (safe - 1)
-    lower = np.floor(positions).astype(np.int64)
-    upper = np.ceil(positions).astype(np.int64)
-    weights = positions - lower
-    low_vals = sorted_vals.values[group_starts + lower].astype(np.float64)
-    high_vals = sorted_vals.values[group_starts + upper].astype(np.float64)
-    per_group = low_vals * (1.0 - weights) + high_vals * weights
-    return Column(
-        DataType.FLOAT64, per_group[codes], group_valid[codes]
-    )
+    return per_range.take(codes)

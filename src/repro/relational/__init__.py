@@ -7,20 +7,13 @@ as vectorized physical operators, plus the grouped-reduction kernels every
 aggregation operator (LOLEPOP or baseline) shares.
 """
 
-from .kernels import (
-    grouped_reduce,
-    merge_reduce,
-    percentile_from_sorted,
-    MERGE_FUNC,
-)
+from .kernels import grouped_reduce, sorted_reduce
 from .hash_join import HashJoinTable
 from .executor import RelationalExecutor
 
 __all__ = [
     "grouped_reduce",
-    "merge_reduce",
-    "percentile_from_sorted",
-    "MERGE_FUNC",
+    "sorted_reduce",
     "HashJoinTable",
     "RelationalExecutor",
 ]

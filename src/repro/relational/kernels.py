@@ -1,10 +1,13 @@
-"""Vectorized grouped-aggregation kernels.
+"""Aggregation kernels: one implementation per primitive aggregate.
 
-``grouped_reduce`` evaluates one associative aggregate over dense group
-codes; ``merge_reduce`` names the function that merges *partial* results of
-each aggregate (COUNT partials merge by SUM, etc.) — the algebra behind
-two-phase hash aggregation. ``percentile_from_sorted`` implements the
-ordered-set aggregates on a sorted value slice.
+``grouped_reduce`` evaluates one distributive aggregate over dense group
+codes; two-phase aggregation merges partial results by calling it again
+with the aggregate's declared merge function
+(:attr:`repro.aggregates.AggSpec.merge`: COUNT partials merge by SUM, etc.).
+``sorted_reduce`` evaluates one holistic (ordered-set) aggregate over key
+ranges whose values are sorted — ORDAGG's sorted partitions and WINDOW's
+sorted frames alike. :func:`value_domain` / :func:`from_domain` are the
+value domain MIN/MAX compare in, shared with WINDOW's range structures.
 
 NULL semantics: SUM/MIN/MAX ignore NULLs and return NULL for all-NULL
 groups; COUNT counts non-NULL rows; ANY returns the first value (the paper's
@@ -14,31 +17,14 @@ non-NULL one for determinism, NULL if none).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ExecutionError
 from ..storage.column import Column
+from ..storage.keys import key_change_flags
 from ..types import DataType
-
-#: How partial results of each aggregate merge in the second phase.
-MERGE_FUNC = {
-    "sum": "sum",
-    "count": "sum",
-    "count_star": "sum",
-    "min": "min",
-    "max": "max",
-    "any": "any",
-    "bool_and": "bool_and",
-    "bool_or": "bool_or",
-}
-
-_ASSOCIATIVE = set(MERGE_FUNC)
-
-
-def is_associative(func: str) -> bool:
-    return func in _ASSOCIATIVE
 
 
 def grouped_reduce(
@@ -47,7 +33,7 @@ def grouped_reduce(
     codes: np.ndarray,
     num_groups: int,
 ) -> Column:
-    """Evaluate one associative aggregate per dense group code.
+    """Evaluate one distributive aggregate per dense group code.
 
     ``values`` is ``None`` only for ``count_star``. Returns one row per
     group, indexed by code.
@@ -63,22 +49,16 @@ def grouped_reduce(
         return Column(DataType.INT64, counts.astype(np.int64))
     if func == "sum":
         return _grouped_sum(values, codes, num_groups, valid)
-    if func in ("min", "max"):
+    if func == "min" or func == "max":
         return _grouped_minmax(func, values, codes, num_groups, valid)
     if func == "any":
         return _grouped_any(values, codes, num_groups, valid)
-    if func in ("bool_and", "bool_or"):
-        data = values.values.astype(bool)
-        target = np.bincount(codes[valid], minlength=num_groups)
-        hits = np.bincount(
-            codes[valid & (data if func == "bool_or" else ~data)],
-            minlength=num_groups,
-        )
-        if func == "bool_or":
-            result = hits > 0
-        else:
-            result = hits == 0
-        group_valid = target > 0
+    if func == "bool_and" or func == "bool_or":
+        # Rows that decide the group: a TRUE for OR, a FALSE for AND.
+        deciding = values.data if func == "bool_or" else ~values.data
+        hits = np.bincount(codes[valid & deciding], minlength=num_groups)
+        group_valid = np.bincount(codes[valid], minlength=num_groups) > 0
+        result = hits > 0 if func == "bool_or" else hits == 0
         return Column(DataType.BOOL, result, group_valid)
     raise ExecutionError(f"not an associative aggregate: {func}")
 
@@ -99,28 +79,47 @@ def _grouped_sum(
     return Column(DataType.FLOAT64, out, group_valid)
 
 
+def value_domain(values: Column) -> np.ndarray:
+    """The array MIN/MAX compare ``values`` by: float64 for FLOAT64,
+    dictionary ranks for STRING, int64 for INT64/DATE/BOOL — exact for
+    every value, unlike float64."""
+    if values.dictionary is not None:
+        if not len(values.dictionary):
+            return np.zeros(len(values), dtype=np.int64)
+        return values.dictionary.rank[values.data]
+    if values.dtype is DataType.FLOAT64:
+        return values.data
+    return values.data.astype(np.int64, copy=False)
+
+
+def from_domain(values: Column, reduced: np.ndarray, valid: np.ndarray) -> Column:
+    """``reduced``, an array in the value domain of ``values``, as a column
+    of ``values``' type; NULL where ``valid`` is False."""
+    picked = np.where(valid, reduced, 0)
+    if values.dictionary is not None:
+        order = values.dictionary.order
+        codes = order[picked] if len(order) else picked
+        return Column(DataType.STRING, codes.astype(np.int32), valid, values.dictionary)
+    return Column(values.dtype, picked.astype(values.data.dtype), valid)
+
+
+def minmax_identity(func: str, dtype: np.dtype):
+    """The identity of ``func`` (min/max) over arrays of ``dtype``."""
+    if dtype.kind == "f":
+        return np.inf if func == "min" else -np.inf
+    info = np.iinfo(dtype)
+    return info.max if func == "min" else info.min
+
+
 def _grouped_minmax(
     func: str, values: Column, codes: np.ndarray, num_groups: int, valid: np.ndarray
 ) -> Column:
-    counts = np.bincount(codes[valid], minlength=num_groups)
-    group_valid = counts > 0
-    if values.dictionary is not None:
-        # Reduce per-entry ranks, then map each winning rank back to its code.
-        ranks = Column(DataType.INT64, values.dictionary.rank[values.data])
-        winners = _grouped_minmax(func, ranks, codes, num_groups, valid).data
-        winners = values.dictionary.order[winners].astype(np.int32)
-        return Column(DataType.STRING, winners, group_valid, values.dictionary)
-    fill = np.inf if func == "min" else -np.inf
-    data = values.values.astype(np.float64)
-    out = np.full(num_groups, fill, dtype=np.float64)
+    group_valid = np.bincount(codes[valid], minlength=num_groups) > 0
+    data = value_domain(values)
+    out = np.full(num_groups, minmax_identity(func, data.dtype), dtype=data.dtype)
     ufunc = np.minimum if func == "min" else np.maximum
     ufunc.at(out, codes[valid], data[valid])
-    if values.dtype in (DataType.INT64, DataType.DATE, DataType.BOOL):
-        result = np.zeros(num_groups, dtype=values.dtype.numpy_dtype)
-        result[group_valid] = out[group_valid].astype(values.dtype.numpy_dtype)
-        return Column(values.dtype, result, group_valid)
-    result = np.where(group_valid, out, 0.0)
-    return Column(DataType.FLOAT64, result, group_valid)
+    return from_domain(values, out, group_valid)
 
 
 def _grouped_any(
@@ -131,46 +130,59 @@ def _grouped_any(
     return values.take(idx).scatter(codes[idx], num_groups)
 
 
-def merge_reduce(
+def sorted_reduce(
     func: str,
-    partials: Column,
+    values: Column,
+    starts: np.ndarray,
     codes: np.ndarray,
     num_groups: int,
+    fraction: Optional[float] = None,
 ) -> Column:
-    """Merge partial aggregate results (phase 2 of two-phase aggregation)."""
-    return grouped_reduce(MERGE_FUNC[func], partials, codes, num_groups)
+    """Evaluate one holistic aggregate per key range.
 
-
-def percentile_from_sorted(
-    func: str,
-    sorted_values: np.ndarray,
-    fraction: float,
-) -> Tuple[float, bool]:
-    """Ordered-set aggregate over one group's sorted (NULL-free) values.
-
-    Returns ``(value, is_valid)``; empty input yields NULL.
+    Range ``g`` begins at row ``starts[g]``; ``codes`` gives each row's
+    range; within a range ``values`` are sorted in the WITHIN GROUP order,
+    NULLs last. Returns one row per range.
 
     - ``percentile_disc(f)``: the first value whose cumulative fraction is
       >= f (SQL standard).
     - ``percentile_cont(f)``: linear interpolation at position f·(n-1).
+    - ``mode``: the longest run of equal values; ties resolve to the run
+      first in the WITHIN GROUP order.
     """
-    n = len(sorted_values)
-    if n == 0:
-        return 0.0, False
+    if func == "mode":
+        return _sorted_mode(values, codes, num_groups)
+    counts = np.bincount(codes[values.valid_mask()], minlength=num_groups)
+    group_valid = counts > 0
+    fraction = 0.5 if fraction is None else fraction
+    safe = np.maximum(counts, 1)
     if func == "percentile_disc":
-        index = int(np.ceil(fraction * n)) - 1
-        index = min(max(index, 0), n - 1)
-        return sorted_values[index], True
-    if func == "percentile_cont":
-        position = fraction * (n - 1)
-        lower = int(np.floor(position))
-        upper = int(np.ceil(position))
-        if lower == upper:
-            return float(sorted_values[lower]), True
-        weight = position - lower
-        return (
-            float(sorted_values[lower]) * (1.0 - weight)
-            + float(sorted_values[upper]) * weight,
-            True,
+        offsets = np.clip(np.ceil(fraction * safe).astype(np.int64) - 1, 0, safe - 1)
+        return values.take(starts + offsets).with_valid(group_valid)
+    if func != "percentile_cont":
+        raise ExecutionError(f"not an ordered-set aggregate: {func}")
+    positions = fraction * (safe - 1)
+    lower = np.floor(positions).astype(np.int64)
+    upper = np.ceil(positions).astype(np.int64)
+    weights = positions - lower
+    blended = values.data[starts + lower].astype(np.float64)
+    high = values.data[starts + upper].astype(np.float64)
+    mixed = lower < upper  # elsewhere the value itself, even an infinity
+    with np.errstate(invalid="ignore"):  # -inf blended with inf is NaN
+        blended[mixed] = (
+            blended[mixed] * (1.0 - weights[mixed]) + high[mixed] * weights[mixed]
         )
-    raise ExecutionError(f"not an ordered-set aggregate: {func}")
+    return Column(DataType.FLOAT64, blended, group_valid)
+
+
+def _sorted_mode(values: Column, codes: np.ndarray, num_groups: int) -> Column:
+    flags = key_change_flags([Column(DataType.INT64, codes), values])
+    run_starts = np.flatnonzero(flags)
+    run_lengths = np.diff(np.append(run_starts, len(values)))
+    keep = values.valid_mask()[run_starts]  # runs of NULLs do not vote
+    run_starts, run_lengths = run_starts[keep], run_lengths[keep]
+    run_codes = codes[run_starts]
+    # (code asc, length desc, position asc): the first run per code wins.
+    order = np.lexsort((run_starts, -run_lengths, run_codes))
+    present, first = np.unique(run_codes[order], return_index=True)
+    return values.take(run_starts[order][first]).scatter(present, num_groups)

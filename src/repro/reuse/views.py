@@ -4,7 +4,7 @@ A *view* is the materialized state of one GROUP BY over a Scan +
 Filter/Project fragment: the distinct group keys plus one **partial**
 column per aggregate, in :func:`~repro.storage.keys.group_codes` order.
 Partials use exactly the engine's two-phase aggregation algebra
-(:data:`~repro.relational.kernels.MERGE_FUNC`), which gives two
+(:attr:`~repro.aggregates.AggSpec.merge`), which gives two
 capabilities for free:
 
 - **Delta maintenance** — an inserted base-table batch is mapped through
@@ -29,9 +29,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..aggregates import PRIMITIVES, lookup
 from ..expr.nodes import ColumnRef
 from ..logical.plan import Aggregate
-from ..relational.kernels import MERGE_FUNC, grouped_reduce, merge_reduce
+from ..relational.kernels import grouped_reduce
 from ..storage.batch import Batch
 from ..storage.column import Column
 from ..storage.keys import group_codes
@@ -39,9 +40,12 @@ from ..storage.spill import approx_column_bytes
 from ..types import DataType
 from .signature import view_fragment
 
-#: Aggregates a view can maintain and re-aggregate: associative with a
-#: declared merge function, minus the order-sensitive ``any``.
-VIEW_FUNCS = frozenset(MERGE_FUNC) - {"any"}
+#: Aggregates a view can maintain and re-aggregate: those with a declared
+#: merge function, minus the order-sensitive ``any``.
+VIEW_FUNCS = frozenset(
+    name for name, spec in PRIMITIVES.items()
+    if spec.merge is not None and name != "any"
+)
 
 #: One aggregate's identity inside a view: ``(func, arg column or None)``.
 AggId = Tuple[str, Optional[str]]
@@ -145,7 +149,9 @@ def merge_states(base: ViewState, delta: ViewState) -> ViewState:
     for agg_id, partial in base.partials.items():
         func = agg_id[0]
         combined = Column.concat([partial, delta.partials[agg_id]])
-        partials[agg_id] = merge_reduce(func, combined, codes, num_groups)
+        partials[agg_id] = grouped_reduce(
+            lookup(func).merge, combined, codes, num_groups
+        )
     return ViewState(
         base.group_cols,
         groups,
@@ -159,16 +165,11 @@ def _merge_for_output(
     func: str, partial: Column, codes: np.ndarray, num_groups: int
 ) -> Column:
     """Re-aggregate one partial column to a coarser grouping, matching the
-    engine's phase-2 output exactly: COUNT is 0 (never NULL) for a group
-    with no contributing rows — the global-aggregate-over-empty-input
-    case, where HASHAGG emits one zero-count row."""
-    merged = merge_reduce(func, partial, codes, num_groups)
-    if func in ("count", "count_star"):
-        valid = merged.valid_mask()
-        if not valid.all():
-            values = np.where(valid, merged.values, 0).astype(np.int64)
-            merged = Column(DataType.INT64, values)
-    return merged
+    engine's phase-2 output exactly. Over an empty state — the
+    global-aggregate-over-empty-input case — that is the aggregate of no
+    rows, where COUNT is 0, not the NULL its merge (SUM) gives."""
+    merge = func if not len(partial) else lookup(func).merge
+    return grouped_reduce(merge, partial, codes, num_groups)
 
 
 def serve_plan(state: ViewState, plan: Aggregate) -> List[Batch]:

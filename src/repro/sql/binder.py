@@ -32,6 +32,8 @@ import inspect
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..aggregates import (
+    FRACTION_FUNCS,
+    WITHIN_GROUP_FUNCS,
     AggregateCall,
     FrameBound,
     FrameSpec,
@@ -831,7 +833,7 @@ class _Binder:
                         None, [(condition, sql_ast.SqlLiteral(1, "int"))], None
                     )
                 ]
-            elif name in ("percentile_disc", "percentile_cont"):
+            elif name in FRACTION_FUNCS:
                 # The first argument is the fraction; the filtered value is
                 # the WITHIN GROUP expression (wrapped below).
                 new_args = list(expr.args)
@@ -876,28 +878,13 @@ class _Binder:
         fraction = None
         args = list(expr.args)
         order_by: List[Tuple[Expr, bool]] = []
-        if name == "mode":
-            if not expr.within_group:
-                raise BindError("mode requires WITHIN GROUP (ORDER BY ...)")
-            ordered = expr.within_group[0]
+        if name in WITHIN_GROUP_FUNCS:
+            ordered = _within_group(name, expr)
+            if name in FRACTION_FUNCS:
+                fraction = _fraction_value(args)
             value = convert(ordered.expr)
             core_args = [value]
             order_by = [(value, ordered.descending)]
-        elif name in ("percentile_disc", "percentile_cont"):
-            if not expr.within_group:
-                raise BindError(f"{name} requires WITHIN GROUP (ORDER BY ...)")
-            fraction = _fraction_value(args)
-            ordered = expr.within_group[0]
-            value = convert(ordered.expr)
-            core_args = [value]
-            order_by = [(value, ordered.descending)]
-        elif name == "median":
-            # MEDIAN is the interpolating percentile at 0.5.
-            name = "percentile_cont"
-            fraction = 0.5
-            value = convert(args[0])
-            core_args = [value]
-            order_by = [(value, False)]
         else:
             if args and isinstance(args[0], sql_ast.SqlStar):
                 if name != "count":
@@ -994,16 +981,11 @@ class _Binder:
         offset = 1
         default: Optional[Expr] = None
         args = list(expr.args)
-        if name in ("percentile_disc", "percentile_cont", "median"):
-            if name == "median":
-                name = "percentile_cont"
-                fraction = 0.5
-                core_args = [convert(args[0])]
-            else:
+        if name in WITHIN_GROUP_FUNCS:
+            ordered = _within_group(name, expr)
+            if name in FRACTION_FUNCS:
                 fraction = _fraction_value(args)
-                if not expr.within_group:
-                    raise BindError(f"{name} requires WITHIN GROUP (ORDER BY ...)")
-                core_args = [convert(expr.within_group[0].expr)]
+            core_args = [convert(ordered.expr)]
         elif name in ("lag", "lead", "ntile", "nth_value"):
             core_args = []
             if name == "ntile":
@@ -1146,6 +1128,13 @@ def rebind_literal(literal: Literal, text: str) -> Literal:
     return _to_date(bound) if literal.dtype is DataType.DATE else bound
 
 
+def _within_group(name: str, expr: sql_ast.SqlFunc) -> sql_ast.OrderItem:
+    """The value an ordered-set call sorts on: its WITHIN GROUP key."""
+    if not expr.within_group:
+        raise BindError(f"{name} requires WITHIN GROUP (ORDER BY ...)")
+    return expr.within_group[0]
+
+
 def _fraction_value(args: List[sql_ast.SqlExpr]) -> float:
     if not args or not isinstance(args[0], sql_ast.SqlLiteral):
         raise BindError("percentile fraction must be a literal")
@@ -1171,7 +1160,7 @@ _FRAMELESS_WINDOW_FUNCS = {
 def _bind_frame(
     frame: Optional[sql_ast.FrameDef], has_order: bool, func: str
 ) -> Optional[FrameSpec]:
-    spec = agg_lookup(func if func != "count_star" else "count")
+    spec = agg_lookup(func)
     if func in _FRAMELESS_WINDOW_FUNCS:
         return None  # ranking/navigation functions ignore frames
     if spec.kind is AggKind.WINDOW_ONLY and frame is None:

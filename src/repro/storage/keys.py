@@ -62,6 +62,24 @@ def _normalize_values(column: Column, entries: str = "rank") -> np.ndarray:
     return values
 
 
+def key_change_flags(columns: Sequence[Column]) -> np.ndarray:
+    """Boolean array: True at row i when row i's keys differ from row i-1's.
+
+    Row 0 is always True. NULL keys compare equal to NULL (GROUP BY
+    semantics) and unequal to every value."""
+    n = len(columns[0]) if columns else 0
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    flags = np.zeros(n, dtype=bool)
+    flags[0] = True
+    for column in columns:
+        values = _normalize_values(column)
+        flags[1:] |= values[1:] != values[:-1]
+        if column.valid is not None:
+            flags[1:] |= column.valid[1:] != column.valid[:-1]
+    return flags
+
+
 def _key_range(column: Column) -> Tuple[int, int]:
     """``(low, high)`` of the int64s the column's values compare by (strings:
     their dictionary's ranks, no pass over the rows); NULLs do not count."""

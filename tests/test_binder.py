@@ -408,3 +408,58 @@ class TestBindErrors:
     def test_ambiguous_column(self, catalog):
         with pytest.raises(BindError):
             plan_of(catalog, "SELECT a FROM r JOIN m ON r.a = m.a WHERE a > 0")
+
+
+class TestDomainErrors:
+    """An argument outside a primitive's declared domain is a bind error,
+    so every engine refuses it before running (composed aggregates inherit
+    it from the primitives they lower to); arguments inside it bind to the
+    declared result type."""
+
+    @pytest.fixture
+    def db(self):
+        from repro import Database
+
+        database = Database()
+        database.create_table(
+            "t",
+            {"g": "int64", "v": "int64", "f": "float64", "b": "bool",
+             "d": "date", "s": "string"},
+        )
+        database.insert("t", {
+            "g": [1, 1, 2], "v": [1, 2, 3], "f": [0.5, 1.5, 2.5],
+            "b": [True, False, True], "d": ["2020-01-01", "2020-01-02", None],
+            "s": ["x", "y", None],
+        })
+        return database
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT sum(b) FROM t",
+        "SELECT g, sum(d) FROM t GROUP BY g",
+        "SELECT median(d) FROM t",
+        "SELECT g, percentile_cont(0.5) WITHIN GROUP (ORDER BY s) FROM t GROUP BY g",
+        "SELECT avg(b) FROM t",
+        "SELECT bool_and(v) FROM t",
+        "SELECT sum(s) OVER (PARTITION BY g) FROM t",
+        "SELECT percentile_cont(0.5) WITHIN GROUP (ORDER BY d) OVER (PARTITION BY g) FROM t",
+    ])
+    @pytest.mark.parametrize("engine", ["lolepop", "monolithic", "naive"])
+    def test_outside_the_domain(self, db, sql, engine):
+        with pytest.raises(BindError, match="argument, not"):
+            db.sql(sql, engine=engine)
+
+    @pytest.mark.parametrize("sql, dtype", [
+        ("SELECT sum(v) FROM t", DataType.INT64),
+        ("SELECT sum(f) FROM t", DataType.FLOAT64),
+        ("SELECT min(b) FROM t", DataType.BOOL),
+        ("SELECT max(d) FROM t", DataType.DATE),
+        ("SELECT median(v) FROM t", DataType.FLOAT64),
+        ("SELECT percentile_disc(0.5) WITHIN GROUP (ORDER BY s) FROM t", DataType.STRING),
+        ("SELECT mode() WITHIN GROUP (ORDER BY b) FROM t", DataType.BOOL),
+        ("SELECT count(s) FROM t", DataType.INT64),
+        ("SELECT any(d) OVER (PARTITION BY g) FROM t", DataType.DATE),
+    ])
+    def test_inside_the_domain(self, db, sql, dtype):
+        assert db.plan(sql).schema.types() == [dtype]
+        result = db.sql(sql)
+        assert [column.dtype for column in result.batch.columns] == [dtype]

@@ -1,12 +1,16 @@
 """Differential tests: every vectorized engine must reproduce the naive row
 engine's answer on a battery of fixed queries plus randomized data."""
 
+import datetime
+
 import numpy as np
 import pytest
 
 from repro import Database, EngineConfig
+from repro.aggregates import PRIMITIVES
+from repro.types import DataType
 
-from tests.helpers import ENGINES, assert_engines_agree, normalized_rows
+from tests.helpers import ENGINES, assert_engines_agree, call_sql, normalized_rows
 
 FIXED_QUERIES = [
     # associative flavors
@@ -84,6 +88,9 @@ FIXED_QUERIES = [
     # strings
     "SELECT s, count(*) FROM r WHERE s LIKE '%e%' GROUP BY s",
     "SELECT upper(s) AS u, count(*) FROM r GROUP BY upper(s)",
+    # DISTINCT folded into the ORDAGG that sorts on its argument
+    "SELECT k, bool_or(DISTINCT b), bool_and(DISTINCT b), "
+    "percentile_disc(0.5) WITHIN GROUP (ORDER BY b) FROM r GROUP BY k",
 ]
 
 
@@ -443,29 +450,56 @@ def test_mixed_int_float_join_keys(sql):
 
 
 # ----------------------------------------------------------------------
-# Sort keys at the edges of their types
+# Sort keys and aggregates at the edges of their types
 # ----------------------------------------------------------------------
+#: The value columns of ``_extremes_db`` and their types.
+EXTREME_COLUMNS = {
+    "big": DataType.INT64,
+    "low": DataType.INT64,
+    "f": DataType.FLOAT64,
+    "s": DataType.STRING,
+    "b": DataType.BOOL,
+    "d": DataType.DATE,
+}
+
+#: Partitions (``p``) of ``_extremes_db``; each one's first row by ``id``
+#: holds NULL in every value column.
+EXTREME_PARTITIONS = 4
+
+
 def _extremes_db() -> Database:
     """Keys a float64 or a negation cannot carry: nullable int64 beyond
-    2**53, int64 min under DESC, infinities next to NULL, signed zeros."""
+    2**53, int64 min under DESC, infinities next to NULL, signed zeros —
+    plus a BOOL and a DATE column, and a leading all-NULL row per ``p``."""
     inf = float("inf")
     cycles = {
         "big": [2**53 + 1, 2**53, None, 2**53 + 2, -(2**53) - 1, 7],
         "low": [-(2**63), 0, 5, None, 2**63 - 1, -1, -(2**63) + 1],
         "f": [None, inf, 1.0, -inf, -0.0, 0.0, 1e308, -1e308, 0.5],
         "s": ["b", None, "", "ä", "a"],
+        "b": [True, None, False, False, True],
+        "d": [datetime.date(1970, 1, 1), datetime.date(2038, 1, 19), None,
+              datetime.date(1900, 2, 28), datetime.date(9999, 12, 31)],
     }
     database = Database()
     database.create_table(
         "x",
-        {"id": "int64", "big": "int64", "low": "int64", "f": "float64", "s": "string"},
+        {"id": "int64", "p": "int64",
+         **{name: dtype.value for name, dtype in EXTREME_COLUMNS.items()}},
     )
     rows = 63
     database.insert(
         "x",
         {
             "id": list(range(rows)),
-            **{name: [c[i % len(c)] for i in range(rows)] for name, c in cycles.items()},
+            "p": [i % EXTREME_PARTITIONS for i in range(rows)],
+            **{
+                name: [
+                    None if i < EXTREME_PARTITIONS else c[i % len(c)]
+                    for i in range(rows)
+                ]
+                for name, c in cycles.items()
+            },
         },
     )
     return database
@@ -490,7 +524,52 @@ EXTREME_WINDOW_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("sql", EXTREME_ORDER_QUERIES + EXTREME_WINDOW_QUERIES)
+def _extreme_aggregate_queries():
+    """Every declared primitive over every column its domain admits, one
+    call per query: as a GROUP BY, a DISTINCT aggregate and a whole-partition
+    / running / sliding window (holistic aggregates: whole partition only).
+    SUM runs over ``big`` only: sums over ``low`` overflow int64."""
+    windows = {
+        "whole": "PARTITION BY p",
+        "running": "PARTITION BY p ORDER BY id",
+        "sliding": "PARTITION BY p ORDER BY id ROWS BETWEEN 1 PRECEDING AND 1 FOLLOWING",
+    }
+    queries = []
+    for func, spec in PRIMITIVES.items():
+        columns = [None] if spec.domain is None else [
+            name for name, dtype in EXTREME_COLUMNS.items()
+            if spec.domain.admits(dtype) and (func != "sum" or name == "big")
+        ]
+        shapes = ["whole"] if spec.merge is None else list(windows)
+        for column in columns:
+            call = call_sql(func, spec, column)
+            queries.append(f"SELECT p, {call} FROM x GROUP BY p")
+            # ANY keeps an arbitrary element, and the DISTINCT pre-grouping
+            # does not keep input order: no oracle can state that answer.
+            if spec.merge is not None and column is not None and func != "any":
+                queries.append(f"SELECT p, {func}(DISTINCT {column}) FROM x GROUP BY p")
+            queries.extend(
+                f"SELECT id, {call} OVER ({windows[shape]}) AS w FROM x"
+                for shape in shapes
+            )
+    return queries
+
+
+EXTREME_AGGREGATE_QUERIES = _extreme_aggregate_queries()
+
+
+def _assert_declared_types(result, where):
+    """Every result column has the type its schema field declares."""
+    for field, column in zip(result.batch.schema, result.batch.columns):
+        assert column.dtype is field.dtype, (
+            f"{where}: column {field.name} is {column.dtype.value}, "
+            f"declared {field.dtype.value}"
+        )
+
+
+@pytest.mark.parametrize(
+    "sql", EXTREME_ORDER_QUERIES + EXTREME_WINDOW_QUERIES + EXTREME_AGGREGATE_QUERIES
+)
 def test_extreme_sort_keys_order_like_the_oracle(sql, tmp_path):
     database = _extremes_db()
     shape = list if sql in EXTREME_ORDER_QUERIES else normalized_rows
@@ -499,6 +578,25 @@ def test_extreme_sort_keys_order_like_the_oracle(sql, tmp_path):
         config = EngineConfig(
             num_partitions=4, morsel_size=8, spill_directory=str(tmp_path), **knobs
         )
-        got = shape(database.sql(sql, config=config).rows())
-        assert got == reference, f"{layer} diverges on: {sql}"
-    assert shape(database.sql(sql, engine="monolithic").rows()) == reference
+        result = database.sql(sql, config=config)
+        assert shape(result.rows()) == reference, f"{layer} diverges on: {sql}"
+        _assert_declared_types(result, layer)
+    result = database.sql(sql, engine="monolithic")
+    assert shape(result.rows()) == reference
+    _assert_declared_types(result, "monolithic")
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT k, count(*), sum(v) FROM t GROUP BY k",
+    "SELECT k, median(v) FROM t GROUP BY k",
+    "SELECT k, v, rank() OVER (PARTITION BY k ORDER BY v) FROM t",
+])
+def test_null_key_range_apart_from_the_value_it_encodes_as(sql):
+    """Key ranges split where validity changes: the int64 a NULL key
+    encodes as is a value too, and hashes it into the same partition."""
+    database = Database()
+    database.create_table("t", {"k": "int64", "v": "int64"})
+    database.insert(
+        "t", {"k": [-(2**63) + 1, None, -(2**63) + 1, None, 5], "v": [1, 2, 3, 4, 5]}
+    )
+    assert_engines_agree(database, sql, engines=["lolepop", "monolithic"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.execution import EngineConfig, ExecutionContext
 from repro.lolepop.hashagg_op import HashAggTask, two_phase_aggregate
-from repro.relational.kernels import MERGE_FUNC
+from repro.aggregates import PRIMITIVES
 from repro.storage import Batch, Column
 from repro.types import DataType, Field, Schema
 
@@ -24,7 +24,7 @@ SCHEMA = Schema(
     ]
 )
 
-#: Every MERGE_FUNC entry, over a column it accepts.
+#: Every aggregate with a merge function, over a column it accepts.
 TASKS = [
     HashAggTask(f"{func}_{arg or 'star'}", func, arg)
     for func, args in {
@@ -39,7 +39,9 @@ TASKS = [
     }.items()
     for arg in args
 ]
-assert {task.func for task in TASKS} == set(MERGE_FUNC)
+assert {task.func for task in TASKS} == {
+    name for name, spec in PRIMITIVES.items() if spec.merge is not None
+}
 
 KEY_SETS = [["ki"], ["ks"], ["kf"], ["ki", "ks"], ["ks", "kf", "ki"]]
 

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.lolepop.segment_tree import PrefixSums, SparseTable
+from repro.relational.kernels import from_domain, value_domain
+from repro.storage import Column
+from repro.types import DataType
 
 
 class TestSparseTable:
@@ -33,7 +36,50 @@ class TestSparseTable:
             SparseTable(np.array([1.0]), "sum")
 
 
+    def test_int64_extremes_stay_exact(self):
+        data = np.array([2**53 + 1, 2**53, 2**63 - 1, -(2**63), 7], dtype=np.int64)
+        lo, hi = np.array([0, 0, 1, 3]), np.array([2, 5, 2, 5])
+        mins = SparseTable(data, "min").query_many(lo, hi)
+        maxs = SparseTable(data, "max").query_many(lo, hi)
+        assert mins.dtype == np.int64 and maxs.dtype == np.int64
+        assert mins.tolist() == [2**53, -(2**63), 2**53, -(2**63)]
+        assert maxs.tolist() == [2**53 + 1, 2**63 - 1, 2**53, 7]
+
+    def test_string_ranks(self):
+        """Strings reduce over their dictionary ranks and map back."""
+        column = Column.from_values(DataType.STRING, ["pear", "apple", "fig", "apple"])
+        ranks = value_domain(column)
+        lo, hi = np.array([0, 2, 0]), np.array([2, 4, 4])
+        low = SparseTable(ranks, "min").query_many(lo, hi)
+        high = SparseTable(ranks, "max").query_many(lo, hi)
+        valid = np.ones(3, dtype=bool)
+        assert from_domain(column, low, valid).to_pylist() == ["apple", "apple", "apple"]
+        assert from_domain(column, high, valid).to_pylist() == ["pear", "fig", "pear"]
+
+    def test_empty_frames_give_the_identity(self):
+        data = np.array([3, 1, 2], dtype=np.int64)
+        lo, hi = np.array([1, 3, 0]), np.array([1, 3, 0])
+        assert SparseTable(data, "min").query_many(lo, hi).tolist() == [2**63 - 1] * 3
+        assert SparseTable(data, "max").query_many(lo, hi).tolist() == [-(2**63)] * 3
+
+
 class TestPrefixSums:
+    def test_int64_sums_are_exact(self):
+        data = np.array([2**53 + 1, 2**53, 3, -(2**53) - 1], dtype=np.int64)
+        sums = PrefixSums(data).query_many(np.array([0, 1, 0]), np.array([2, 4, 4]))
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [2**54 + 1, 2, 2**53 + 3]
+
+    def test_wrapped_prefixes_still_give_range_sums(self):
+        # The prefix past the first two rows wraps around int64.
+        data = np.array([2**62, 2**62, -(2**62), 5], dtype=np.int64)
+        sums = PrefixSums(data).query_many(np.array([1, 2]), np.array([3, 4]))
+        assert sums.tolist() == [0, -(2**62) + 5]
+
+    def test_empty_frames_sum_to_zero(self):
+        ps = PrefixSums(np.array([True, False, True]))
+        assert ps.query_many(np.array([0, 2, 3]), np.array([0, 2, 3])).tolist() == [0, 0, 0]
+
     def test_ranges(self):
         ps = PrefixSums(np.array([1.0, 2.0, 3.0, 4.0]))
         assert list(ps.query_many(np.array([0, 1]), np.array([4, 3]))) == [10.0, 5.0]

@@ -121,12 +121,13 @@ def test_ntile_property(rows, buckets):
 
 @profile
 @given(rows_strategy)
-def test_window_percentile_property(rows):
+def test_ordered_set_window_property(rows):
     db = build_db(rows)
     assert_engines_agree(
         db,
         "SELECT p, x, median(x) OVER (PARTITION BY p) AS med, "
-        "percentile_disc(0.25) WITHIN GROUP (ORDER BY x) OVER (PARTITION BY p) AS q1 "
+        "percentile_disc(0.25) WITHIN GROUP (ORDER BY x) OVER (PARTITION BY p) AS q1, "
+        "mode() WITHIN GROUP (ORDER BY x) OVER (PARTITION BY p) AS mo "
         "FROM w",
         engines=["lolepop"],
     )
