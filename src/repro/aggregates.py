@@ -377,7 +377,7 @@ class WindowCall:
     ... frame)``."""
 
     __slots__ = ("name", "func", "args", "partition_by", "order_by", "frame",
-                 "offset", "default", "fraction")
+                 "offset", "default", "fraction", "within_descending")
 
     def __init__(
         self,
@@ -390,6 +390,7 @@ class WindowCall:
         offset: int = 1,
         default: Optional[Expr] = None,
         fraction: Optional[float] = None,
+        within_descending: bool = False,
     ):
         self.name = name
         self.func = func.lower()
@@ -402,6 +403,9 @@ class WindowCall:
         self.default = default
         #: percentile fraction when an ordered-set agg is used as a window
         self.fraction = fraction
+        #: WITHIN GROUP direction of an ordered-set window: each partition
+        #: is sorted by the argument this way, whatever ``order_by`` says
+        self.within_descending = within_descending
         lookup(self.func)
 
     @property
@@ -426,8 +430,9 @@ class WindowCall:
 
     def key(self) -> Tuple:
         """Structural identity of the computation, output name excluded
-        (see :meth:`AggregateCall.key`)."""
-        return (
+        (see :meth:`AggregateCall.key`). A descending WITHIN GROUP adds one
+        element, so every other call keeps the plan key it always had."""
+        key = (
             self.func,
             tuple(a.key() for a in self.args),
             self.ordering_key(),
@@ -436,9 +441,12 @@ class WindowCall:
             self.default.key() if self.default is not None else None,
             self.fraction,
         )
+        return key + ("desc",) if self.within_descending else key
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)
+        if self.within_descending:
+            inner += " DESC"
         parts = []
         if self.partition_by:
             parts.append(

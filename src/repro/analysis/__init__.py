@@ -9,8 +9,8 @@ engine runs):
   assignment/aliasing dataflow over every parallel-region work callable
   (rules ``A2-*``), and the same dataflow over ``execute`` itself
   (``R2-undeclared-mutation``);
-- pass 3 — :mod:`repro.analysis.contracts`: kind-vs-return, unlocked
-  metrics writes, stringly rewrites (``R1``/``R3``/``R5``).
+- pass 3 — :mod:`repro.analysis.contracts`: kind-vs-return and stringly
+  rewrites (``R1``/``R5``).
 
 Runtime cross-check — :mod:`repro.analysis.sanitizer`: writer/reader
 epoch tracking on the storage structures (``REPRO_SANITIZE=on``), used by

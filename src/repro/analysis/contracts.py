@@ -7,11 +7,6 @@ the pass can classify: ``TupleBuffer`` constructor calls, names bound to
 one (or annotated as one), list displays/comprehensions, and
 ``x or [...]`` fallbacks.
 
-``R3-unlocked-metrics`` — outside ``observability/metrics.py`` nobody may
-assign to attributes of ``GLOBAL_METRICS`` or of the primitives it hands
-out (``GLOBAL_METRICS.counter(...).value = …``); the primitives are
-locked internally and raw attribute writes bypass the lock.
-
 ``R5-stringly-rewrite`` — nobody may append a plain string (literal,
 f-string, or string concatenation) directly to ``Dag.rewrites``. The
 optimizer provenance machinery (EXPLAIN ANALYZE cost deltas, profile
@@ -20,10 +15,11 @@ a :class:`~repro.observability.provenance.RewriteEvent`; use
 ``dag.record_rewrite(...)`` which builds one.
 
 (``R2-undeclared-mutation`` lives with the purity pass, whose alias
-environment it shares. There is no R4: each operator class declares its
-contract on itself, and one without a ``legend`` is refused wherever it
-is used — ``Lolepop.name()`` raises and the plan verifier reports
-``no-contract``.)
+environment it shares. There is no R3: it guarded a process-wide metrics
+registry that no longer exists. There is no R4: each operator class
+declares its contract on itself, and one without a ``legend`` is refused
+wherever it is used — ``Lolepop.name()`` raises and the plan verifier
+reports ``no-contract``.)
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from pathlib import Path
 from typing import List, Optional, Set
 
 from .astutils import (
-    assign_targets,
     class_constant,
     class_method,
     iter_py_files,
@@ -116,32 +111,6 @@ def _check_kind_vs_return(
 
 
 # ----------------------------------------------------------------------
-# R3: raw attribute writes on GLOBAL_METRICS primitives
-# ----------------------------------------------------------------------
-def _mentions_global_metrics(expr: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.Name) and node.id == "GLOBAL_METRICS"
-        for node in ast.walk(expr)
-    )
-
-
-def _check_unlocked_metrics(
-    path: str, tree: ast.Module, findings: List[Finding]
-) -> None:
-    for node in ast.walk(tree):
-        for target in assign_targets(node):
-            if isinstance(
-                target, (ast.Attribute, ast.Subscript)
-            ) and _mentions_global_metrics(target):
-                findings.append(Finding(
-                    "R3-unlocked-metrics", path, node.lineno,
-                    "raw write to a GLOBAL_METRICS primitive bypasses "
-                    "its lock; use .inc()/.add()/.set()/.observe()",
-                    symbol="GLOBAL_METRICS",
-                ))
-
-
-# ----------------------------------------------------------------------
 # R5: plain strings appended to Dag.rewrites (bypasses provenance)
 # ----------------------------------------------------------------------
 def _is_stringish(expr: ast.AST) -> bool:
@@ -184,8 +153,6 @@ def analyze_contracts(root) -> List[Finding]:
     for file in iter_py_files(Path(root)):
         tree = parse_file(file)
         path = str(file)
-        if file.name != "metrics.py":
-            _check_unlocked_metrics(path, tree, findings)
         _check_stringly_rewrites(path, tree, findings)
         for cls in operator_classes(tree):
             _check_kind_vs_return(path, cls, findings)

@@ -287,6 +287,7 @@ class _MonolithicRunner:
                         order_by=[(ColumnRef(arg), desc)],
                         frame=FrameSpec.whole_partition(),
                         fraction=c.fraction,
+                        within_descending=desc,
                     )
                     for c in group
                 ]

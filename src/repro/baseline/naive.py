@@ -264,7 +264,7 @@ def _evaluate_aggregate(call: AggregateCall, rows: List[Row]) -> Any:
         ref, descending = call.order_by[0]
         ordered = [v for v in nonnull]
         ordered.sort(reverse=descending)
-        return _percentile(func, ordered, call.fraction or 0.5)
+        return _percentile(func, ordered, 0.5 if call.fraction is None else call.fraction)
     if func == "mode":
         _, descending = call.order_by[0]
         ordered = sorted(nonnull, reverse=descending)
@@ -431,9 +431,9 @@ def _evaluate_window_partition(
                 target = lo + call.offset - 1
                 out[id(row)] = ordered[target][arg] if target < hi else None
         elif func in ("percentile_disc", "percentile_cont", "mode"):
-            # Over the whole partition, in ascending value order.
+            # Over the whole partition, in the WITHIN GROUP direction.
             pseudo = AggregateCall(
-                "_w", func, call.args, order_by=[(call.args[0], False)],
+                "_w", func, call.args, order_by=[(call.args[0], call.within_descending)],
                 fraction=call.fraction,
             )
             out[id(row)] = _evaluate_aggregate(pseudo, ordered)

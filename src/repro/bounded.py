@@ -3,9 +3,9 @@
 :class:`Lru` is a bounded map that evicts its least recently used entry:
 the plan cache and its pinned-slot table, the result cache, the workload
 profiler's template table and the feedback store. :class:`Ring` is a
-bounded log that rotates its oldest item out: the flight recorder, the
-slow-query log and the health series. Each holds one lock and keeps its
-own counters; neither imports anything from the rest of the package.
+bounded log that rotates its oldest item out: the flight recorder and
+the slow-query log. Each holds one lock and keeps its own counters;
+neither imports anything from the rest of the package.
 """
 
 from __future__ import annotations

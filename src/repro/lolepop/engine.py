@@ -197,23 +197,7 @@ class LolepopEngine:
             profile.makespan = result.simulated_time
             for dag in runner.dags:
                 profile.add_dag(dag)
-        self._feed_global_metrics(result)
         return result
-
-    @staticmethod
-    def _feed_global_metrics(result: QueryResult) -> None:
-        """A handful of per-query increments into the process-wide registry
-        (cheap: a few dict lookups per query, never per row)."""
-        from ..observability.metrics import GLOBAL_METRICS
-
-        GLOBAL_METRICS.counter("queries.total").inc()
-        GLOBAL_METRICS.counter("queries.rows_out").inc(len(result.batch))
-        GLOBAL_METRICS.counter("queries.dags").inc(len(result.dags))
-        GLOBAL_METRICS.counter("queries.work_seconds").inc(result.serial_time)
-        GLOBAL_METRICS.histogram("queries.makespan_seconds").observe(result.simulated_time)
-        for key in ("bytes_written", "bytes_read"):
-            if result.spill[key]:
-                GLOBAL_METRICS.counter(f"spill.{key}").inc(result.spill[key])
 
     def explain(self, plan: LogicalPlan) -> str:
         """Translate the topmost statistics region without executing it and

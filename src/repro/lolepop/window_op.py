@@ -422,10 +422,9 @@ def _ordered_set(
     frame = call.frame or FrameSpec.whole_partition()
     if not frame.is_whole_partition:
         raise ExecutionError(f"{call.func} as a window requires an unbounded frame")
-    # Ordered-set windows honor their WITHIN GROUP direction (the monolithic
-    # engine's GROUP-BY rewrite orders the window by the value).
-    descending = bool(call.order_by[0][1]) if call.order_by else False
-    order = lexsort_indices([Column(DataType.INT64, codes), values], [False, descending])
+    order = lexsort_indices(
+        [Column(DataType.INT64, codes), values], [False, call.within_descending]
+    )
     # Codes are sorted already, so the ranges keep their starts.
     per_range = sorted_reduce(
         call.func, values.take(order), starts, codes, len(starts), call.fraction

@@ -5,8 +5,9 @@ The paper's argument (Figure 8, §6) is that decomposing aggregation into
 LOLEPOPs exposes *where time goes*; this package is the machinery that
 makes that visible at every layer:
 
-- :class:`MetricsRegistry` — process-wide counters / gauges / histograms
-  (``GLOBAL_METRICS`` aggregates across queries; the shell's ``.metrics``).
+- :class:`MetricsRegistry` — named counters / gauges / histograms; each
+  query service owns one (``QueryService.stats()``, the shell's
+  ``.metrics``).
 - :class:`QueryProfile` — one query's operator counters (the ``node``
   spans of its span tree: rows, batches, wall time, buffer bytes, spilling,
   elisions), optimizer-rewrite log, and counters; collected when
@@ -18,12 +19,11 @@ makes that visible at every layer:
 - :class:`Telemetry` / ``GLOBAL_TELEMETRY`` — always-on *service*
   telemetry: the :class:`FlightRecorder` event ring, the slow-query log,
   the plan-fingerprinted :class:`WorkloadStats` profiler with Q-error
-  drift tracking, and the health time series (shell ``.health`` /
-  ``.slowlog`` / ``.fingerprints``; ``tools/telemetry_report.py``).
+  drift tracking (shell ``.slowlog`` / ``.fingerprints``;
+  ``tools/telemetry_report.py``).
 """
 
 from .metrics import (
-    GLOBAL_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -36,7 +36,6 @@ from .events import EVENT_KINDS, FlightRecorder, TelemetryEvent
 from .workload import TemplateStats, WorkloadStats
 from .telemetry import (
     GLOBAL_TELEMETRY,
-    HealthSampler,
     QueryRecord,
     Telemetry,
     TelemetryConfig,
@@ -44,7 +43,6 @@ from .telemetry import (
 )
 
 __all__ = [
-    "GLOBAL_METRICS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -61,7 +59,6 @@ __all__ = [
     "TemplateStats",
     "WorkloadStats",
     "GLOBAL_TELEMETRY",
-    "HealthSampler",
     "QueryRecord",
     "Telemetry",
     "TelemetryConfig",

@@ -41,7 +41,6 @@ EVENT_KINDS = (
     "cache.evict",
     "spill",
     "verifier.diagnostic",
-    "health.sample",
     "reuse.hit",
     "reuse.miss",
     "reuse.evict",

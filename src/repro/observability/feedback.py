@@ -248,6 +248,14 @@ class _FingerprintFeedback:
         }
 
 
+def load_document(path: str) -> _FingerprintFeedback:
+    """Read and validate one ``fb_*.json`` file: the store's loader and
+    ``tools/telemetry_report.py`` both go through here. Raises ``OSError``,
+    ``ValueError`` or ``TypeError`` for a file the store would skip."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _validate_document(json.load(handle))
+
+
 def _validate_document(doc: object) -> _FingerprintFeedback:
     """Parse one on-disk feedback document, raising ``ValueError`` on any
     schema violation (the caller turns that into a tolerated skip)."""
@@ -325,10 +333,8 @@ class FeedbackStore:
         for name in names:
             if not (name.startswith(_FILE_PREFIX) and name.endswith(_FILE_SUFFIX)):
                 continue
-            path = os.path.join(self.directory, name)
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    loaded.append(_validate_document(json.load(handle)))
+                loaded.append(load_document(os.path.join(self.directory, name)))
             except (OSError, ValueError, TypeError) as exc:
                 self._event("feedback.load_error", file=name, error=str(exc))
         with self._lock:

@@ -2,10 +2,10 @@
 
 Two scopes:
 
-- **process scope** — :data:`GLOBAL_METRICS`, a :class:`MetricsRegistry`
-  every engine run feeds a handful of cheap per-query increments into
-  (queries, rows, work seconds, spill bytes). Always on; the cost is a few
-  dict lookups per *query*, never per row.
+- **service scope** — a :class:`MetricsRegistry` of named counters, gauges
+  and histograms. Each :class:`~repro.server.service.QueryService` owns one
+  and is its only writer (the ``service.*`` admission, cache and latency
+  numbers); there is no process-wide registry.
 - **query scope** — :class:`QueryProfile`, created only when
   ``EngineConfig(collect_metrics=True)``. Reads the ``node`` spans of the
   statement's span tree (one per executed LOLEPOP) and holds the optimizer-
@@ -39,7 +39,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "GLOBAL_METRICS",
     "QueryProfile",
 ]
 
@@ -225,10 +224,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._metrics.clear()
-
-
-#: The process-wide registry the engines feed per-query aggregates into.
-GLOBAL_METRICS = MetricsRegistry()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Always-on service telemetry: the capture layer behind the flight
-recorder, the slow-query log, the plan-fingerprinted workload profiler,
-and the health time series.
+recorder, the slow-query log and the plan-fingerprinted workload profiler.
 
 EXPLAIN ANALYZE and the Chrome trace make a *single query* observable;
 this module makes the *service* observable: once a statement finishes, its
@@ -15,20 +14,15 @@ spill, cache flags, max Q-error — which feeds three bounded sinks:
 - :class:`~repro.observability.workload.WorkloadStats` (per-template
   streaming latency/Q-error aggregates, the adaptive re-planning signal).
 
-A :class:`HealthSampler` thread owned by each
-:class:`~repro.server.service.QueryService` additionally appends periodic
-health samples — dicts of queue depth, in-flight memory, cache hit rates
-and spill counters — into the telemetry's health series.
-
 Cost model: callers test :attr:`Telemetry.enabled` once per statement, so
 a disabled server pays one branch per query and builds neither root span
 nor record. When enabled, the per-query cost is the root and its stage
 spans, one :class:`QueryRecord`, a few dict/deque updates under short
 locks, and (once per distinct prepared plan) one plan hash and one
 cardinality estimate — all per *query*, never per node, region or row.
-Memory is bounded everywhere: the recorder, the slow-query log and the
-health series are each a :class:`~repro.bounded.Ring` and the fingerprint
-table an :class:`~repro.bounded.Lru`, all sized by :class:`TelemetryConfig`.
+Memory is bounded everywhere: the recorder and the slow-query log are each
+a :class:`~repro.bounded.Ring` and the fingerprint table an
+:class:`~repro.bounded.Lru`, all sized by :class:`TelemetryConfig`.
 
 :data:`GLOBAL_TELEMETRY` is the process-wide instance
 (:class:`~repro.api.Database` and the service default to it); tests and
@@ -44,10 +38,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..bounded import Ring
 from ..errors import QueryCancelled
@@ -60,7 +53,6 @@ from .workload import DRIFT_THRESHOLD, WorkloadStats
 __all__ = [
     "TelemetryConfig",
     "QueryRecord",
-    "HealthSampler",
     "Telemetry",
     "GLOBAL_TELEMETRY",
     "render_report",
@@ -84,7 +76,6 @@ class TelemetryConfig:
         slow_query_threshold_s: Optional[float] = None,
         slowlog_capacity: int = 128,
         max_fingerprints: int = 512,
-        health_capacity: int = 512,
         max_sql_chars: int = 500,
         dump_on_error_dir: Optional[str] = None,
     ):
@@ -103,7 +94,6 @@ class TelemetryConfig:
         self.slow_query_threshold_s = slow_query_threshold_s
         self.slowlog_capacity = slowlog_capacity
         self.max_fingerprints = max_fingerprints
-        self.health_capacity = health_capacity
         #: SQL stored in records/templates is truncated to this length.
         self.max_sql_chars = max_sql_chars
         #: When set, a ``query.error`` record dumps the flight recorder
@@ -180,81 +170,8 @@ class QueryRecord:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class HealthSampler:
-    """Background sampler of one query service's health gauges.
-
-    Owned by a :class:`~repro.server.service.QueryService`; every
-    ``interval_s`` it appends one sample (:meth:`sample_now`) into the
-    telemetry's health series. ``sample_now()`` takes one sample synchronously
-    (tests, the shell's ``.health``). The thread is a daemon and stops at
-    service shutdown.
-    """
-
-    def __init__(self, service, telemetry: "Telemetry", interval_s: float = 1.0):
-        self.service = service
-        self.telemetry = telemetry
-        self.interval_s = interval_s
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # ------------------------------------------------------------------
-    def sample_now(self) -> dict:
-        """Take one sample and append it to the telemetry health series."""
-        service = self.service
-        sample = dict(
-            ts=time.monotonic(),
-            wall=time.time(),
-            queue_depth=service.admission.queue_depth,
-            running=service.admission.running,
-            reserved_bytes=service.admission.reserved_bytes,
-            memory_budget_bytes=service.config.memory_budget_bytes,
-        )
-        if service.db.plan_cache is not None:
-            sample["plan_cache_hit_rate"] = service.db.plan_cache.hit_rate
-            sample["plan_cache_size"] = len(service.db.plan_cache)
-        if service.result_cache is not None:
-            sample["result_cache_hit_rate"] = service.result_cache.hit_rate
-            sample["result_cache_size"] = len(service.result_cache)
-        # Spill totals are fed into the process-wide registry by the engine
-        # (see LolepopEngine._feed_global_metrics), not the service's own.
-        from .metrics import GLOBAL_METRICS
-
-        sample["spill_bytes_written"] = GLOBAL_METRICS.counter(
-            "spill.bytes_written"
-        ).value
-        self.telemetry.record_health(sample)
-        return sample
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None or self.interval_s <= 0:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-health-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=self.interval_s + 1.0)
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.sample_now()
-            except Exception:  # noqa: BLE001 — the sampler must never kill
-                pass  # the service; a failed sample is just a gap.
-
-
 class Telemetry:
-    """One telemetry domain: recorder + slow log + workload + health."""
+    """One telemetry domain: recorder + slow log + workload."""
 
     def __init__(self, config: Optional[TelemetryConfig] = None):
         self.config = config or TelemetryConfig()
@@ -264,8 +181,6 @@ class Telemetry:
         #: slow-query threshold.
         self.slowlog = Ring(self.config.slowlog_capacity)
         self.workload = WorkloadStats(self.config.max_fingerprints)
-        #: The :meth:`HealthSampler.sample_now` series.
-        self.health = Ring(self.config.health_capacity)
         self._last_error_dump = 0.0
         #: Total query records observed (all of them, not just slow ones).
         self.queries_recorded = 0
@@ -465,10 +380,6 @@ class Telemetry:
             self._dump_on_error(record)
         return template
 
-    def record_health(self, sample: Dict) -> None:
-        if self.enabled:
-            self.health.append(dict(sample))
-
     # ------------------------------------------------------------------
     def _dump_on_error(self, record: QueryRecord) -> None:
         now = time.monotonic()
@@ -517,10 +428,6 @@ class Telemetry:
                 entry.to_dict()
                 for _, entry in self.workload.drifting_templates(drift_threshold)
             ],
-            "health": {
-                "capacity": self.config.health_capacity,
-                "samples": self.health.snapshot(),
-            },
             "reuse": self.reuse_snapshot(),
         }
 
@@ -535,7 +442,6 @@ class Telemetry:
             "fingerprints": len(self.workload),
             "fingerprints_evicted": self.workload.evicted,
             "slow_queries": self.slowlog.recorded,
-            "health_samples": len(self.health),
         }
         reuse = self.reuse_snapshot()
         if reuse is not None:
@@ -554,7 +460,6 @@ class Telemetry:
         self.recorder.reset()
         self.slowlog.reset()
         self.workload.reset()
-        self.health.reset()
         self.queries_recorded = 0
 
 
@@ -581,8 +486,8 @@ def _max_q_error(prepared, result, estimator) -> Optional[float]:
 
 #: The process-wide telemetry domain (always on unless
 #: ``REPRO_TELEMETRY=off``): :class:`~repro.api.Database` instances and the
-#: query service feed it by default, the shell's ``.health`` / ``.slowlog``
-#: / ``.fingerprints`` read it.
+#: query service feed it by default, the shell's ``.slowlog`` /
+#: ``.fingerprints`` read it.
 GLOBAL_TELEMETRY = Telemetry()
 
 
@@ -633,10 +538,6 @@ def render_report(doc: dict, width: int = 100) -> str:
             f"maintenance {_fmt_ms(reuse.get('maintenance_s', 0.0))} "
             f"over {reuse.get('maintenance_events', 0)} delta(s)"
         )
-
-    health = doc["health"]["samples"]
-    lines.append(f"health samples: {len(health)}")
-    lines += render_health_samples(health[-5:])
     return "\n".join(line[:width] for line in lines)
 
 
@@ -680,19 +581,5 @@ def render_templates(templates: List[dict], drifting: List[dict]) -> List[str]:
             f"(baseline {entry['q_baseline_mean']:.2f} -> recent "
             f"{entry['q_recent']:.2f}, n={entry['count']}) "
             f"{entry['example_sql'][:40]!r}"
-        )
-    return lines
-
-
-def render_health_samples(samples: List[dict]) -> List[str]:
-    """One line per health sample (the report and the shell's ``.health``)."""
-    lines = []
-    for sample in samples:
-        plan_rate = sample.get("plan_cache_hit_rate")
-        rate_text = "" if plan_rate is None else f" plan-hit={plan_rate:.2f}"
-        lines.append(
-            f"  queue={sample['queue_depth']} running={sample['running']} "
-            f"reserved={sample['reserved_bytes']:.0f}B"
-            f"{rate_text} spillW={sample.get('spill_bytes_written', 0):.0f}B"
         )
     return lines

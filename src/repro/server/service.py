@@ -23,11 +23,12 @@ turns the single-caller facade into a multi-client server:
   so ``cancel()`` and timeouts surface as
   :class:`~repro.errors.QueryCancelled` without killing threads.
 
-Service counters/histograms go to a
-:class:`~repro.observability.metrics.MetricsRegistry` (the process-wide
-:data:`~repro.observability.metrics.GLOBAL_METRICS` by default) under the
+Service counters/histograms go to the service's own
+:class:`~repro.observability.metrics.MetricsRegistry` under the
 ``service.`` prefix: admitted/queued/rejected/cancelled/completed/failed,
 result-cache hits, queue-depth gauge, and queue-wait / latency histograms.
+:meth:`QueryService.stats` reads them together with the admission
+controller's and the caches' state at the moment it is called.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ from typing import Dict, Optional
 from ..errors import AdmissionError, QueryCancelled
 from ..execution.cancellation import CancellationToken
 from ..execution.trace import ExecutionTrace
-from ..observability.metrics import GLOBAL_METRICS, MetricsRegistry
-from ..observability.telemetry import (
-    GLOBAL_TELEMETRY,
-    HealthSampler,
-    Telemetry,
-)
+from ..observability.metrics import MetricsRegistry
+from ..observability.telemetry import GLOBAL_TELEMETRY, Telemetry
 from .admission import AdmissionController, estimate_memory_bytes
 from .cache import ResultCache
 from .session import Session
@@ -72,7 +69,6 @@ class ServiceConfig:
         result_cache_max_rows: int = 100_000,
         default_timeout: Optional[float] = None,
         default_engine: str = "lolepop",
-        health_interval_s: float = 1.0,
     ):
         self.max_concurrent = max_concurrent
         self.max_queue = max_queue
@@ -85,10 +81,6 @@ class ServiceConfig:
         #: Applied to queries submitted without an explicit timeout.
         self.default_timeout = default_timeout
         self.default_engine = default_engine
-        #: Seconds between background health samples (queue depth, memory
-        #: reservation, cache hit rates, spill) appended to the telemetry
-        #: health time series; ``0`` disables the sampler thread.
-        self.health_interval_s = health_interval_s
 
 
 class QueryTicket:
@@ -172,7 +164,7 @@ class QueryService:
     ):
         self.db = database
         self.config = config or ServiceConfig()
-        self.metrics = registry if registry is not None else GLOBAL_METRICS
+        self.metrics = registry if registry is not None else MetricsRegistry()
         #: Service telemetry sink. Defaults to the database's (so a private
         #: Database telemetry captures its service too), falling back to
         #: the process-wide GLOBAL_TELEMETRY.
@@ -214,12 +206,6 @@ class QueryService:
         self._closed = False
         if self.result_cache is not None:
             self.result_cache.on_evict = self._on_result_evict
-        #: Background health sampler feeding the telemetry time series.
-        self.health = HealthSampler(
-            self, self.telemetry, self.config.health_interval_s
-        )
-        if self.telemetry.enabled and self.config.health_interval_s > 0:
-            self.health.start()
 
     # ------------------------------------------------------------------
     # Sessions
@@ -516,7 +502,6 @@ class QueryService:
         """Refuse new submissions and stop the driver pool. With
         ``cancel_running`` every live query is cancelled first."""
         self._closed = True
-        self.health.stop()
         if cancel_running:
             with self._tickets_lock:
                 live = list(self._tickets.values())

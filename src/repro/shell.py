@@ -18,12 +18,12 @@ commands:
     .trace json <path> <sql>   export the trace as Chrome trace_event JSON
     .profile <sql>             per-operator work breakdown
     .profile json <path> <sql> write the full query profile as JSON
-    .metrics                   process-wide metrics snapshot
-    .metrics reset             clear the process-wide metrics registry
+    .metrics                   the query service's metrics registry
+    .metrics reset             zero the query service's metrics registry
     .server                    query-service stats (admission, caches, queue)
     .server on [clients]       route SQL through a QueryService
     .server off                back to direct execution
-    .health [n]                service health time series (last n samples)
+    .health                    query-service health now (queue, memory, caches)
     .slowlog [n]               slow-query log (last n records)
     .fingerprints [n]          per-plan-fingerprint workload stats + drift
     .reuse [stats|list|clear]  materialization manager (cached buffers/views)
@@ -42,11 +42,9 @@ from .api import Database
 from .errors import ReproError
 from .execution.context import EngineConfig
 from .format import format_table
-from .observability.telemetry import (
-    render_health_samples,
-    render_slow_records,
-    render_templates,
-)
+from .observability.telemetry import render_slow_records, render_templates
+
+_NO_SERVICE = "(no query service — enable it with .server on)"
 
 
 class Shell:
@@ -152,7 +150,7 @@ class Shell:
         elif command == ".server":
             self._server(argument)
         elif command == ".health":
-            self._health(argument)
+            self._health()
         elif command == ".slowlog":
             self._slowlog(argument)
         elif command == ".fingerprints":
@@ -230,18 +228,15 @@ class Shell:
         stats = self.service.stats()
         state = "on" if self.server_enabled else "off (stats retained)"
         self.write(f"server: {state}")
+        self._write_health(stats)
+        self._write_metrics(stats["service"])
+
+    def _write_health(self, stats: dict) -> None:
+        """The admission controller's and the caches' state in ``stats``."""
         self.write(
             f"  running {stats['running']}, queued {stats['queue_depth']}, "
             f"reserved {stats['reserved_bytes']:.0f} bytes"
         )
-        for name in sorted(stats["service"]):
-            value = stats["service"][name]
-            if isinstance(value, dict):
-                self.write(
-                    f"  {name}: n={value['total']} mean={value['mean']:.6f}s"
-                )
-            else:
-                self.write(f"  {name}: {value:g}")
         for cache in ("plan_cache", "result_cache"):
             if cache in stats:
                 c = stats[cache]
@@ -250,6 +245,17 @@ class Shell:
                     f"{c['hits']} hits / {c['misses']} misses "
                     f"(rate {c['hit_rate']:.2f})"
                 )
+
+    def _write_metrics(self, snapshot: dict) -> None:
+        """One line per registry metric; a histogram as its count and mean."""
+        for name in sorted(snapshot):
+            value = snapshot[name]
+            if isinstance(value, dict):
+                self.write(
+                    f"  {name}: n={value['total']} mean={value['mean']:.6f}s"
+                )
+            else:
+                self.write(f"  {name}: {value:g}")
 
     def _run_sql(self, sql: str) -> None:
         try:
@@ -346,26 +352,22 @@ class Shell:
         )
 
     def _metrics(self, argument: str = "") -> None:
-        from .observability import GLOBAL_METRICS
-
-        if argument.strip().lower() == "reset":
-            GLOBAL_METRICS.reset()
-            self.write("metrics reset")
-            return
-        if argument.strip():
+        sub = argument.strip().lower()
+        if sub not in ("", "reset"):
             self.write("usage: .metrics [reset]")
             return
-        snapshot = GLOBAL_METRICS.snapshot()
+        if self.service is None:
+            self.write(_NO_SERVICE)
+            return
+        if sub == "reset":
+            self.service.metrics.reset()
+            self.write("metrics reset")
+            return
+        snapshot = self.service.metrics.snapshot()
         if not snapshot:
             self.write("(no metrics recorded yet)")
             return
-        for name, value in snapshot.items():
-            if isinstance(value, dict):
-                self.write(
-                    f"  {name}: n={value['total']} mean={value['mean']:.6f}s"
-                )
-            else:
-                self.write(f"  {name}: {value:g}")
+        self._write_metrics(snapshot)
 
     # ------------------------------------------------------------------
     # Service telemetry views (repro.observability.telemetry)
@@ -384,19 +386,12 @@ class Shell:
         except ValueError:
             return default
 
-    def _health(self, argument: str) -> None:
-        telemetry = self._telemetry()
-        last = self._parse_count(argument, 10)
-        if self.service is not None and self.service.health is not None:
-            # Take a fresh sample so .health is useful even between ticks.
-            self.service.health.sample_now()
-        samples = telemetry.health.snapshot(last)
-        if not samples:
-            self.write(
-                "(no health samples — enable the service with .server on)"
-            )
+    def _health(self) -> None:
+        if self.service is None:
+            self.write(_NO_SERVICE)
             return
-        self.write("\n".join(render_health_samples(samples)))
+        self._write_health(self.service.stats())
+        telemetry = self.service.telemetry
         recorder = telemetry.recorder.stats()
         self.write(
             f"  flight recorder: {recorder['retained']}/{recorder['capacity']}"

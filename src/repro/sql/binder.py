@@ -272,9 +272,7 @@ class _Binder:
         if stmt.ctes:
             binder = _Binder(self.catalog, self.ctes, self._pinned)
             for name, cte_stmt in stmt.ctes:
-                binder.ctes[name.lower()] = binder.bind_statement(
-                    _strip_order(cte_stmt)
-                )
+                binder.ctes[name.lower()] = binder.bind_statement(cte_stmt)
         plan = binder._bind_core(stmt)
         if stmt.union_all is not None:
             parts = [plan]
@@ -970,6 +968,7 @@ class _Binder:
             def window_of(
                 func: str, args: List[Expr], fraction: Optional[float]
             ) -> WindowCall:
+                _refuse_ordered_set_order(func, order_by)
                 frame = _bind_frame(over.frame, bool(order_by), func)
                 return WindowCall(
                     "_pending", func, args, partition_by=partition_by,
@@ -980,12 +979,15 @@ class _Binder:
         fraction = None
         offset = 1
         default: Optional[Expr] = None
+        within_descending = False
         args = list(expr.args)
         if name in WITHIN_GROUP_FUNCS:
+            _refuse_ordered_set_order(name, order_by)
             ordered = _within_group(name, expr)
             if name in FRACTION_FUNCS:
                 fraction = _fraction_value(args)
             core_args = [convert(ordered.expr)]
+            within_descending = ordered.descending
         elif name in ("lag", "lead", "ntile", "nth_value"):
             core_args = []
             if name == "ntile":
@@ -1015,16 +1017,13 @@ class _Binder:
             offset=offset,
             default=default,
             fraction=fraction,
+            within_descending=within_descending,
         )
         return planner.intern(call).expr
 
 # ----------------------------------------------------------------------
 # Small helpers
 # ----------------------------------------------------------------------
-
-
-def _strip_order(stmt: sql_ast.SelectStmt) -> sql_ast.SelectStmt:
-    return stmt
 
 
 def _dedupe_exprs(exprs: List[Expr]) -> List[Expr]:
@@ -1133,6 +1132,16 @@ def _within_group(name: str, expr: sql_ast.SqlFunc) -> sql_ast.OrderItem:
     if not expr.within_group:
         raise BindError(f"{name} requires WITHIN GROUP (ORDER BY ...)")
     return expr.within_group[0]
+
+
+def _refuse_ordered_set_order(func: str, order_by: List[Tuple[Expr, bool]]) -> None:
+    """An ordered-set window sorts each partition by its WITHIN GROUP key;
+    an OVER clause's ORDER BY would have nothing to order."""
+    if order_by and agg_lookup(func).kind is AggKind.ORDERED_SET:
+        raise NotSupportedError(
+            f"{func} as a window takes no ORDER BY in its OVER clause; "
+            f"order it WITHIN GROUP"
+        )
 
 
 def _fraction_value(args: List[sql_ast.SqlExpr]) -> float:

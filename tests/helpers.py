@@ -27,13 +27,13 @@ def assert_engines_agree(db, sql, engines=None, config=None):
     return reference
 
 
-def call_sql(func, spec, column=None):
+def call_sql(func, spec, column=None, fraction="0.5"):
     """SQL for the primitive aggregate ``func`` (its ``AggSpec`` ``spec``)
     over ``column``: ``count(*)`` when it takes no argument, the WITHIN
-    GROUP form (at fraction 0.5) for an ordered-set aggregate."""
+    GROUP form (at ``fraction``) for an ordered-set aggregate."""
     if spec.domain is None:
         return "count(*)"
     if spec.needs_order:
-        fraction = "0.5" if spec.needs_fraction else ""
+        fraction = fraction if spec.needs_fraction else ""
         return f"{func}({fraction}) WITHIN GROUP (ORDER BY {column})"
     return f"{func}({column})"

@@ -8,8 +8,8 @@ and symbol — and a *clean* corpus proving the fix silences it:
 - pass 2 (``A2-*``): a scatter callable that mutates operator state, an
   input buffer, or closure-shared state inside a parallel region — and
   (``R2``) an ``execute`` that mutates an input buffer undeclared;
-- pass 3 (``R1``/``R3``/``R5``): an operator returning the wrong kind, a
-  raw write to a metrics primitive, a plain string on ``Dag.rewrites``.
+- pass 3 (``R1``/``R5``): an operator returning the wrong kind, a plain
+  string on ``Dag.rewrites``.
 
 The real source tree must come out clean modulo the checked-in
 allowlist, the allowlist machinery must report stale entries, and the
@@ -368,41 +368,6 @@ def test_r1_clean_when_declaration_matches(tmp_path):
     assert analyze(root) == []
 
 
-def test_r3_unlocked_metrics_fires(tmp_path):
-    root = _write_corpus(tmp_path, {
-        "server/handlers.py": """
-            from repro.observability.metrics import GLOBAL_METRICS
-
-
-            def record(n):
-                GLOBAL_METRICS.counter("queries").value = n
-            """,
-    })
-    findings = analyze(root)
-    assert [f.rule for f in findings] == ["R3-unlocked-metrics"]
-    assert findings[0].line == _line_of(
-        root, "server/handlers.py", ".value = n"
-    )
-
-
-def test_r3_clean_through_locked_api_and_inside_metrics_py(tmp_path):
-    root = _write_corpus(tmp_path, {
-        "server/handlers.py": """
-            from repro.observability.metrics import GLOBAL_METRICS
-
-
-            def record(n):
-                GLOBAL_METRICS.counter("queries").inc(n)
-            """,
-        # The primitives' own module may touch .value directly.
-        "observability/metrics.py": """
-            def reset_for_test(metric):
-                GLOBAL_METRICS.counter("queries").value = 0.0
-            """,
-    })
-    assert analyze(root) == []
-
-
 def test_r5_flags_plain_string_appends(tmp_path):
     root = _write_corpus(tmp_path, {
         "synthetic.py": """
@@ -436,7 +401,7 @@ def test_r5_allows_record_rewrite_and_event_appends(tmp_path):
 # Real tree + allowlist
 # ----------------------------------------------------------------------
 def test_src_tree_clean_modulo_allowlist():
-    """The one real-tree check, covering every rule (A1/A2/R1/R2/R3/R5)."""
+    """The one real-tree check, covering every rule (A1/A2/R1/R2/R5)."""
     result = analyze_with_allowlist(SRC, str(ALLOWLIST))
     assert result.active == [], "\n".join(str(f) for f in result.active)
     assert result.stale == []

@@ -401,6 +401,29 @@ class TestBindErrors:
                 "FROM r GROUP BY a",
             )
 
+    @pytest.mark.parametrize("call", [
+        "percentile_disc(0.5) WITHIN GROUP (ORDER BY b)",
+        "mode() WITHIN GROUP (ORDER BY b DESC)",
+        "median(b)",
+    ])
+    def test_ordered_set_window_refuses_over_order_by(self, catalog, call):
+        """An ordered-set window sorts by its WITHIN GROUP key alone; an OVER
+        ORDER BY beside it is refused before anything runs."""
+        with pytest.raises(NotSupportedError, match="ORDER BY"):
+            plan_of(catalog, f"SELECT {call} OVER (PARTITION BY a ORDER BY c) FROM r")
+
+    def test_within_group_direction_is_part_of_a_window_call(self, catalog):
+        """The two directions are two computations: they do not intern into
+        one column, and neither reaches the OVER clause's ORDER BY."""
+        plan = plan_of(
+            catalog,
+            "SELECT percentile_disc(0.5) WITHIN GROUP (ORDER BY b) OVER (PARTITION BY a), "
+            "percentile_disc(0.5) WITHIN GROUP (ORDER BY b DESC) OVER (PARTITION BY a) FROM r",
+        )
+        calls = find(plan, Window).calls
+        assert [call.within_descending for call in calls] == [False, True]
+        assert all(call.order_by == [] for call in calls)
+
     def test_aggregate_in_where_rejected(self, catalog):
         with pytest.raises(BindError):
             plan_of(catalog, "SELECT a FROM r WHERE sum(b) > 1")

@@ -1,6 +1,6 @@
 """The bounded-container contract (:mod:`repro.bounded`): the one LRU map
 behind the plan, result, workload and feedback tables, and the one ring
-behind the flight recorder, slow-query log and health series."""
+behind the flight recorder and the slow-query log."""
 
 from __future__ import annotations
 

@@ -29,7 +29,6 @@ from repro.errors import ExecutionError
 from repro.execution import CancellationToken
 from repro.execution.context import ExecutionContext
 from repro.execution.scheduler import RegionScheduler
-from repro.observability.metrics import MetricsRegistry
 
 from tests.helpers import normalized_rows
 
@@ -159,9 +158,9 @@ def test_cancel_at_every_region_releases_the_admission_reservation(
 ):
     db, config, expected, regions = prepare(probe, tmp_path, scheduler, budget)
     service_config = ServiceConfig(
-        memory_budget_bytes=1 << 40, result_cache_size=0, health_interval_s=0
+        memory_budget_bytes=1 << 40, result_cache_size=0
     )
-    with QueryService(db, service_config, registry=MetricsRegistry()) as service:
+    with QueryService(db, service_config) as service:
         admission = service.admission
         for n in range(1, regions + 1):
             probe.arm(n)
@@ -242,9 +241,9 @@ def test_failing_hashagg_merge_item_releases_the_admission_reservation(
         probe, tmp_path, scheduler, budget, merge
     )
     service_config = ServiceConfig(
-        memory_budget_bytes=1 << 40, result_cache_size=0, health_interval_s=0
+        memory_budget_bytes=1 << 40, result_cache_size=0
     )
-    with QueryService(db, service_config, registry=MetricsRegistry()) as service:
+    with QueryService(db, service_config) as service:
         admission = service.admission
         probe.spill_counters.clear()
         ticket = service.submit(MERGE_SQL[merge], config=config)

@@ -99,6 +99,21 @@ def test_engines_agree_on_fixed_query(db, sql):
     assert_engines_agree(db, sql)
 
 
+@pytest.mark.parametrize("direction", ["", " DESC"])
+@pytest.mark.parametrize("call", [
+    "percentile_disc(0.25) WITHIN GROUP (ORDER BY q{})",
+    "percentile_cont(0.25) WITHIN GROUP (ORDER BY q{})",
+    "mode() WITHIN GROUP (ORDER BY n{})",
+])
+def test_within_group_direction_under_over(db, call, direction):
+    """An ordered-set window broadcasts its partition's GROUP BY answer, in
+    the WITHIN GROUP direction, on every engine and the oracle alike."""
+    call = call.format(direction)
+    rows = assert_engines_agree(db, f"SELECT k, {call} OVER (PARTITION BY k) AS w FROM r")
+    grouped = db.sql(f"SELECT k, {call} FROM r GROUP BY k", engine="naive")
+    assert normalized_rows(list(set(rows))) == normalized_rows(grouped)
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 def test_thread_count_does_not_change_results(db, threads):
     sql = (
@@ -541,17 +556,20 @@ def _extreme_aggregate_queries():
             if spec.domain.admits(dtype) and (func != "sum" or name == "big")
         ]
         shapes = ["whole"] if spec.merge is None else list(windows)
+        # A percentile's end points too: 0.0 is a fraction, not a default.
+        fractions = ["0.0", "0.5", "1.0"] if spec.needs_fraction else ["0.5"]
         for column in columns:
-            call = call_sql(func, spec, column)
-            queries.append(f"SELECT p, {call} FROM x GROUP BY p")
+            for fraction in fractions:
+                call = call_sql(func, spec, column, fraction)
+                queries.append(f"SELECT p, {call} FROM x GROUP BY p")
+                queries.extend(
+                    f"SELECT id, {call} OVER ({windows[shape]}) AS w FROM x"
+                    for shape in shapes
+                )
             # ANY keeps an arbitrary element, and the DISTINCT pre-grouping
             # does not keep input order: no oracle can state that answer.
             if spec.merge is not None and column is not None and func != "any":
                 queries.append(f"SELECT p, {func}(DISTINCT {column}) FROM x GROUP BY p")
-            queries.extend(
-                f"SELECT id, {call} OVER ({windows[shape]}) AS w FROM x"
-                for shape in shapes
-            )
     return queries
 
 

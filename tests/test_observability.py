@@ -11,7 +11,6 @@ from repro.execution.context import EngineConfig
 from repro.execution.trace import ExecutionTrace, Span
 from repro.lolepop.base import node_attrs
 from repro.observability import (
-    GLOBAL_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -183,12 +182,6 @@ class TestQueryProfile:
         assert decoded["dags"] and decoded["dags"][0]["operators"]
         assert decoded["trace_events"]
         validate_trace_events(decoded["trace_events"])
-
-    def test_global_metrics_fed(self, db):
-        before = GLOBAL_METRICS.counter("queries.total").value
-        db.sql("SELECT count(*) FROM r")
-        after = GLOBAL_METRICS.counter("queries.total").value
-        assert after == before + 1
 
     def test_config_clone(self):
         config = EngineConfig(num_threads=3, execution_mode="parallel")
@@ -991,15 +984,12 @@ class TestFrozenViews:
 
     def _views(self, db, name, tmp_path):
         from repro.observability.telemetry import Telemetry, TelemetryConfig
-        from repro.server.service import QueryService, ServiceConfig
+        from repro.server.service import QueryService
 
         sql, overrides = self.STATEMENTS[name]
         telemetry = Telemetry(TelemetryConfig(enabled=True, slow_query_threshold_s=0.0))
         db.telemetry = telemetry
-        service = QueryService(
-            db, ServiceConfig(health_interval_s=0), registry=MetricsRegistry()
-        )
-        with service:
+        with QueryService(db) as service:
             session = service.session(
                 num_threads=1, morsel_size=500, collect_trace=True, collect_metrics=True,
                 spill_directory=str(tmp_path), **overrides,

@@ -245,7 +245,7 @@ class TestChromeWaitSpans:
         db = Database(telemetry=fresh_telemetry())
         db.create_table("t", {"g": "int64", "x": "float64"})
         db.insert("t", {"g": [1, 2, 1], "x": [0.5, 1.5, 2.5]})
-        with QueryService(db, ServiceConfig(health_interval_s=0)) as service:
+        with QueryService(db) as service:
             result = service.session(collect_trace=True).execute(
                 "SELECT g, sum(x) FROM t GROUP BY g"
             )
@@ -308,6 +308,46 @@ class TestFeedbackStore:
             if e["kind"] == "feedback.load_error"
         ]
         assert len(warnings) == 3
+
+    def test_every_truncation_is_skipped(self, tmp_path):
+        """A file cut off at any byte is skipped with a breadcrumb, and the
+        intact file beside it still loads."""
+        store = FeedbackStore(str(tmp_path))
+        store.observe("abc123", "select 1", [fake_observation(actual=300)])
+        store.flush()
+        data = (tmp_path / "fb_abc123.json").read_bytes()
+        cut_files = [f"fb_cut{cut:05d}.json" for cut in range(len(data))]
+        for cut, name in enumerate(cut_files):
+            (tmp_path / name).write_bytes(data[:cut])
+        telemetry = fresh_telemetry(ring_capacity=2 * len(data))
+        reopened = FeedbackStore(str(tmp_path), telemetry=telemetry)
+        assert reopened.fingerprints() == ["abc123"]
+        assert reopened.rows_for(FakePlan()) == pytest.approx(300.0)
+        errors = telemetry.recorder.snapshot(kind="feedback.load_error")
+        assert sorted(e["file"] for e in errors) == cut_files
+
+    def test_failed_flush_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A flush that fails mid-write removes its temp file and keeps the
+        last good document; the query it followed still succeeds."""
+        import repro.observability.feedback as feedback_module
+
+        def failing_dump(doc, handle, **kwargs):
+            handle.write(json.dumps(doc)[:20])
+            raise OSError("no space left on device")
+
+        directory = tmp_path / "fb"
+        db = correlated_db(directory)
+        db.sql(DRIFT_SQL)  # the first observation flushes a good file
+        (good,) = directory.glob("fb_*.json")
+        written = good.read_bytes()
+        monkeypatch.setattr(
+            feedback_module, "json", SimpleNamespace(dump=failing_dump, load=json.load)
+        )
+        for _ in range(9):  # past the flush throttle's next write
+            assert len(db.sql(DRIFT_SQL).batch) == 40
+        db.feedback.flush()
+        assert [p.name for p in directory.iterdir()] == [good.name]
+        assert good.read_bytes() == written
 
     def test_bounded_size_evicts_oldest(self, tmp_path):
         telemetry = fresh_telemetry()
@@ -426,7 +466,7 @@ class TestClosedLoop:
         uncalibrated = estimate_memory_bytes(
             plan, CardinalityEstimator(StatisticsCache(second.catalog))
         )
-        config = ServiceConfig(memory_budget_bytes=1 << 40, health_interval_s=0)
+        config = ServiceConfig(memory_budget_bytes=1 << 40)
         with QueryService(second, config) as service:
             ticket = service.submit(DRIFT_SQL)
             ticket.result(timeout=30)
@@ -694,6 +734,23 @@ def _load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestFeedbackReportCheck:
+    """``--assert-feedback-nonempty`` counts what the store would load."""
+
+    def test_counts_only_documents_the_store_loads(self, tmp_path):
+        store = FeedbackStore(str(tmp_path))
+        store.observe("abc123", "select 1", [fake_observation()])
+        store.flush()
+        good = (tmp_path / "fb_abc123.json").read_text()
+        (tmp_path / "fb_cut.json").write_text(good[: len(good) // 2])
+        old = dict(json.loads(good), schema_version=1, fingerprint="old1")
+        (tmp_path / "fb_old1.json").write_text(json.dumps(old))
+        tool = _load_tool("telemetry_report")
+        assert tool._feedback_documents(str(tmp_path)) == 1
+        (tmp_path / "fb_abc123.json").unlink()
+        assert tool._feedback_documents(str(tmp_path)) == 0
 
 
 class TestPlanDiff:

@@ -234,7 +234,7 @@ def test_dynamic_race_without_static_finding_is_a_false_negative():
         path = "src/repro/reuse/manager.py"
 
     class WrongRule:  # contract-rule findings never cover a race
-        rule = "R3-unlocked-metrics"
+        rule = "R5-stringly-rewrite"
         path = "src/repro/execution/parallel.py"
 
     assert analyzer_false_negatives([race], [Elsewhere(), WrongRule()]) == [

@@ -33,10 +33,8 @@ def make_db(rows=3000, seed=1, plan_cache_size=256):
     return db
 
 
-def service_for(db, registry=None, **cfg):
-    return QueryService(
-        db, ServiceConfig(**cfg), registry=registry or MetricsRegistry()
-    )
+def service_for(db, **cfg):
+    return QueryService(db, ServiceConfig(**cfg))
 
 
 class _FakeTicket:
@@ -192,6 +190,35 @@ class TestQueryService:
         with service_for(db) as service:
             with pytest.raises(ReproError):
                 service.submit("SELEKT nonsense")
+
+    def test_services_count_apart(self):
+        """Each service owns its registry: two in one process, both built
+        without one, count only their own statements."""
+        db = make_db(rows=100)
+        with QueryService(db) as first, QueryService(db) as second:
+            first.session().execute("SELECT count(*) FROM t")
+            for _ in range(2):
+                second.session().execute("SELECT count(*) FROM t", use_result_cache=False)
+            assert first.stats()["service"]["completed"] == 1
+            assert second.stats()["service"]["completed"] == 2
+            assert first.metrics is not second.metrics
+
+    def test_no_thread_beyond_the_driver_and_worker_pools(self):
+        """A service runs its statements on its driver pool and the shared
+        worker pools, and starts no thread of its own besides; shutting it
+        down joins the driver pool."""
+        db = make_db(rows=100)
+        before = set(threading.enumerate())
+
+        def started():
+            return sorted(t.name for t in threading.enumerate() if t not in before)
+
+        service = QueryService(db)
+        service.session().execute("SELECT g, sum(x) FROM t GROUP BY g")
+        running = started()
+        service.shutdown()
+        assert all(n.startswith(("repro-service", "repro-worker")) for n in running), running
+        assert all(n.startswith("repro-worker") for n in started()), started()
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +551,7 @@ class TestConcurrentDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Metrics primitives under contention (GLOBAL_METRICS hammer)
+# Metrics primitives under contention
 # ---------------------------------------------------------------------------
 class TestMetricsThreadSafety:
     N_THREADS = 8

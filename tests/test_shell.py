@@ -34,7 +34,9 @@ def shell():
     out = io.StringIO()
     sh = Shell(out=out)
     sh.execute_line("")  # no-op
-    return sh, out
+    yield sh, out
+    if sh.service is not None:
+        sh.service.shutdown()
 
 
 def output_of(shell_tuple):
@@ -159,28 +161,31 @@ class TestShell:
         assert "work items" in text and "rows_out=" in text
 
     def test_metrics(self, shell):
+        """``.metrics`` prints the running service's own registry."""
         sh, out = shell
         sh.db.create_table("t", {"a": "int64"})
         sh.db.insert("t", {"a": [1, 2, 3]})
+        sh.execute_line(".metrics")
+        assert "no query service" in out.getvalue()
+        sh.execute_line(".server on 2")
         sh.execute_line("SELECT count(*) FROM t")
         out.truncate(0), out.seek(0)
         sh.execute_line(".metrics")
         text = out.getvalue()
-        assert "queries.total" in text
-        assert "queries.makespan_seconds" in text
+        assert "service.completed: 1" in text
+        assert "service.latency_seconds: n=1" in text
 
     def test_metrics_reset(self, shell):
         sh, out = shell
         sh.db.create_table("t", {"a": "int64"})
         sh.db.insert("t", {"a": [1, 2, 3]})
+        sh.execute_line(".server on")
         sh.execute_line("SELECT count(*) FROM t")
         sh.execute_line(".metrics reset")
         assert "metrics reset" in out.getvalue()
         out.truncate(0), out.seek(0)
         sh.execute_line(".metrics")
-        text = out.getvalue()
-        # The registry was zeroed: either empty or every counter is 0.
-        assert "queries.total: 0" in text or "(no metrics recorded yet)" in text
+        assert "(no metrics recorded yet)" in out.getvalue()
         out.truncate(0), out.seek(0)
         sh.execute_line(".metrics bogus")
         assert "usage: .metrics [reset]" in out.getvalue()
@@ -206,7 +211,21 @@ class TestShell:
         assert "n=1" in text and "p95~" in text
         out.truncate(0), out.seek(0)
         sh.execute_line(".health")
-        assert "no health samples" in out.getvalue()
+        assert "no query service" in out.getvalue()
+
+    def test_health_reads_the_service_now(self, shell):
+        """``.health`` is the service's state when asked, not a sample."""
+        sh, out = shell
+        sh.db.create_table("t", {"a": "int64"})
+        sh.db.insert("t", {"a": [1, 2, 3]})
+        sh.execute_line(".server on")
+        sh.execute_line("SELECT count(*) FROM t")
+        out.truncate(0), out.seek(0)
+        sh.execute_line(".health")
+        text = out.getvalue()
+        assert "running 0, queued 0, reserved 0 bytes" in text
+        assert "plan_cache: 1/" in text and "0 hits / 1 misses" in text
+        assert "flight recorder:" in text
 
     def test_telemetry_commands_empty_state(self, shell):
         from repro.observability.telemetry import Telemetry, TelemetryConfig

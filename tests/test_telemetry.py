@@ -1,6 +1,6 @@
 """Tests for the always-on service telemetry layer: flight recorder,
 slow-query log, plan-fingerprinted workload profiler, Q-error drift
-detection, health sampling, and the zero-allocation disabled path."""
+detection, and the zero-allocation disabled path."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from repro.lolepop.base import Dag
 from repro.lolepop.verify import verify_dag
 from repro.observability.chrome import chrome_trace_events
 from repro.observability.events import EVENT_KINDS, FlightRecorder
-from repro.observability.metrics import Histogram, MetricsRegistry
+from repro.observability.metrics import Histogram
 from repro.observability.telemetry import (
     GLOBAL_TELEMETRY,
     QueryRecord,
@@ -62,7 +62,7 @@ def make_db(telemetry, rows=2000, seed=3, plan_cache_size=256):
 
 
 def service_for(db, **cfg):
-    return QueryService(db, ServiceConfig(**cfg), registry=MetricsRegistry())
+    return QueryService(db, ServiceConfig(**cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +342,13 @@ class TestDatabaseRecords:
 
 
 # ---------------------------------------------------------------------------
-# Service-level events, attribution, health
+# Service-level events and attribution
 # ---------------------------------------------------------------------------
 class TestServiceTelemetry:
     def test_query_and_session_attribution(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session()
             session.execute("SELECT g, sum(x) FROM t GROUP BY g", timeout=60)
         record = telemetry.slowlog.snapshot()[-1]
@@ -392,7 +392,7 @@ class TestServiceTelemetry:
     def test_result_cache_hit_recorded(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session()
             sql = "SELECT g, sum(x) FROM t GROUP BY g"
             session.execute(sql, timeout=60)
@@ -410,7 +410,7 @@ class TestServiceTelemetry:
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
         with service_for(
-            db, health_interval_s=0, memory_budget_bytes=1
+            db, memory_budget_bytes=1
         ) as service:
             with pytest.raises(AdmissionError):
                 service.submit("SELECT g, median(x) FROM t GROUP BY g")
@@ -424,7 +424,7 @@ class TestServiceTelemetry:
             "SELECT g, x, sum(x) OVER (PARTITION BY g ORDER BY o) AS c, "
             "median(x) OVER (PARTITION BY g) AS m FROM t"
         )
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             ticket = service.submit(slow_sql, timeout=1e-6)
             with pytest.raises(QueryCancelled):
                 ticket.result(timeout=30)
@@ -440,7 +440,7 @@ class TestServiceTelemetry:
             "median(x) OVER (PARTITION BY g) AS m FROM t"
         )
         with service_for(
-            db, max_concurrent=1, health_interval_s=0
+            db, max_concurrent=1
         ) as service:
             running = service.submit(slow_sql, use_result_cache=False)
             queued = service.submit(
@@ -459,30 +459,10 @@ class TestServiceTelemetry:
         assert cancelled[0]["query_id"] == queued.query_id
         assert telemetry.recorder.snapshot(kind="query.cancel")
 
-    def test_health_sampler_sample_now(self):
-        telemetry = fresh_telemetry()
-        db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
-            session = service.session()
-            session.execute("SELECT count(*) FROM t", timeout=60)
-            sample = service.health.sample_now()
-        assert sample["queue_depth"] == 0
-        assert sample["running"] == 0
-        assert "plan_cache_hit_rate" in sample
-        assert "spill_bytes_written" in sample
-        assert telemetry.health.snapshot()[-1]["wall"] == sample["wall"]
-
-    def test_health_series_is_bounded(self):
-        telemetry = fresh_telemetry(health_capacity=3)
-        for i in range(10):
-            telemetry.record_health({"queue_depth": i})
-        samples = telemetry.health.snapshot()
-        assert [s["queue_depth"] for s in samples] == [7, 8, 9]
-
     def test_stats_embed_telemetry_summary(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session()
             session.execute("SELECT count(*) FROM t", timeout=60)
             summary = service.stats()["telemetry"]
@@ -560,10 +540,9 @@ class TestDisabledPath:
     def test_disabled_service_takes_no_events(self):
         telemetry = Telemetry(TelemetryConfig(enabled=False))
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session()
             session.execute("SELECT count(*) FROM t", timeout=60)
-            assert service.health.running is False
         assert telemetry.recorder.recorded == 0
 
 
@@ -643,7 +622,7 @@ def _drive(outcome, via, db, gate):
 
     budget = 1 if outcome == "admission_reject" else None
     with service_for(
-        db, max_concurrent=1, health_interval_s=0, memory_budget_bytes=budget
+        db, max_concurrent=1, memory_budget_bytes=budget
     ) as service:
         if status is not None:
             if error is None:
@@ -819,7 +798,7 @@ class TestReport:
     def _loaded_telemetry(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session()
             for sql in (
                 "SELECT g, sum(x) FROM t GROUP BY g",
@@ -827,7 +806,6 @@ class TestReport:
                 "SELECT count(*) FROM t",
             ):
                 session.execute(sql, timeout=60)
-            service.health.sample_now()
         return telemetry
 
     def test_report_document_shape(self):
@@ -838,7 +816,6 @@ class TestReport:
         assert report["flight_recorder"]["dropped"] == 0
         assert report["workload"]["tracked"] == 3
         assert report["slow_queries"]["observed"] == 3
-        assert len(report["health"]["samples"]) == 1
         json.dumps(report)  # fully serializable
 
     def test_render_report_text(self):
@@ -849,7 +826,6 @@ class TestReport:
         assert "fingerprints tracked" in text
         assert "p95~" in text
         assert "drifting templates: none" in text
-        assert "health samples: 1" in text
 
     def test_dump_and_cli_assertions(self, tmp_path):
         telemetry = self._loaded_telemetry()
@@ -880,7 +856,7 @@ class TestReport:
         assert telemetry.queries_recorded == 0
         assert telemetry.recorder.recorded == 0
         assert len(telemetry.workload) == 0
-        assert telemetry.health.snapshot() == []
+        assert telemetry.slowlog.snapshot() == []
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +893,7 @@ class TestChromeTraceAttribution:
     def test_span_args_carry_query_and_session(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session(collect_trace=True)
             result = session.execute("SELECT g, sum(x) FROM t GROUP BY g")
         (record,) = telemetry.slowlog.snapshot()
@@ -968,7 +944,7 @@ class TestConcurrentLoad:
             "SELECT g, median(x) FROM t GROUP BY g",
         ]
         errors = []
-        with service_for(db, max_concurrent=4, health_interval_s=0) as service:
+        with service_for(db, max_concurrent=4) as service:
 
             def client(index):
                 session = service.session()
@@ -987,7 +963,6 @@ class TestConcurrentLoad:
                 worker.start()
             for worker in workers:
                 worker.join(120)
-            service.health.sample_now()
 
         assert errors == []
         assert telemetry.queries_recorded == 32
@@ -997,14 +972,13 @@ class TestConcurrentLoad:
         assert sum(
             e["count"] for e in report["workload"]["templates"]
         ) == 32
-        assert report["health"]["samples"]
         text = render_report(report)
         assert "32 queries recorded" in text
 
     def test_event_kinds_stay_in_vocabulary(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
-        with service_for(db, health_interval_s=0) as service:
+        with service_for(db) as service:
             session = service.session()
             session.execute("SELECT count(*) FROM t", timeout=60)
             session.execute("SELECT count(*) FROM t", timeout=60)

@@ -2,7 +2,7 @@
 """Engine static-analyzer CLI (stdlib-only).
 
 Runs the static passes from :mod:`repro.analysis` (lockset ``A1-*``,
-scatter purity ``A2-*``, engine contract rules ``R1``/``R2``/``R3``/``R5``)
+scatter purity ``A2-*``, engine contract rules ``R1``/``R2``/``R5``)
 over a source tree and prints findings as ``path:line: [rule] message``.
 Exit status 1 when any *error* finding is active (not covered by the
 allowlist) or when the allowlist carries stale entries.

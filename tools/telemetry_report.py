@@ -34,6 +34,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
+from repro.observability.feedback import load_document  # noqa: E402
 from repro.observability.telemetry import render_report  # noqa: E402
 
 
@@ -47,20 +48,17 @@ def load_report(path: str) -> dict:
 
 
 def _feedback_documents(directory: str) -> int:
-    """Number of valid, non-empty ``fb_*.json`` feedback documents in
-    ``directory`` (0 when the directory is missing or holds only corrupt
-    or operator-less files)."""
+    """Number of ``fb_*.json`` documents in ``directory`` the feedback store
+    itself would load, with at least one operator (0 when the directory is
+    missing or holds only files the store skips)."""
     import glob
 
     count = 0
     for path in glob.glob(os.path.join(directory, "fb_*.json")):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError):
+            count += bool(load_document(path).operators)
+        except (OSError, ValueError, TypeError):
             continue
-        if isinstance(doc, dict) and doc.get("operators"):
-            count += 1
     return count
 
 
