@@ -49,6 +49,7 @@ from ..logical import (
 from ..lolepop.engine import QueryResult
 from ..lolepop.hashagg_op import HashAggTask, aggregate_batch, two_phase_aggregate
 from ..lolepop.merge_op import merge_two_sorted
+from ..lolepop.partition_op import partition_count
 from ..lolepop.ranges import ranges_of
 from ..lolepop.scan_op import _apply_limit
 from ..lolepop.window_op import evaluate_window_call
@@ -122,7 +123,8 @@ class _MonolithicRunner:
         operator: str,
     ) -> TupleBuffer:
         schema = batches[0].schema
-        num = self.config.num_partitions if partition_keys else 1
+        rows = sum(len(batch) for batch in batches)
+        num = partition_count(rows, self.config.num_partitions) if partition_keys else 1
         buffer = TupleBuffer(schema, num, partition_keys)
         # Pure per-morsel scatter + post-barrier merge, so the chunk order
         # stays deterministic under the real thread pool.

@@ -8,12 +8,18 @@ function each aggregate declares (COUNT partials merge by SUM, etc. —
 :attr:`repro.aggregates.AggSpec.merge`), and its fan-out is chosen at run
 time from the partials phase 1 produced:
 
-- **single** — when the partials hold at most ``morsel_size`` rows in
-  total, they are concatenated and merged in one work item; there is
-  nothing to spread across threads.
-- **partitioned** — otherwise each partial is scattered into at most
-  ``num_partitions`` hash partitions and every non-empty partition is
-  merged in its own work item (the paper's high-cardinality path).
+- **single** — when the partials hold at most
+  :data:`~repro.lolepop.partition_op.ROWS_PER_PARTITION` rows in total,
+  they are concatenated and merged in one work item; there is nothing to
+  spread across threads.
+- **partitioned** — otherwise each partial is scattered into
+  :func:`~repro.lolepop.partition_op.partition_count` hash partitions —
+  one per ``ROWS_PER_PARTITION`` partial rows, at most ``num_partitions``
+  — and every non-empty partition is merged in its own work item (the
+  paper's high-cardinality path).
+
+Keyed PARTITION sizes its buffers by the same rule, so a merge bucket and
+a partition are the same amount of work.
 
 The choice is noted on the node span as ``merge`` and ``merge_partitions``.
 
@@ -36,6 +42,7 @@ from ..storage.column import Column
 from ..storage.keys import group_codes, partition_ids
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
+from .partition_op import partition_count
 from .properties import PhysProps, _missing_columns, unique_groups
 
 
@@ -222,34 +229,35 @@ def two_phase_aggregate(
 
     partials = ctx.parallel_for(operator, batches, preaggregate)
     partial_rows = sum(len(p) for p in partials)
+    # The fan-out follows the partials in hand: partials that fit one
+    # partition are one bucket, larger ones are scattered.
+    num_buckets = partition_count(partial_rows, num_partitions)
+
     # Scatter partials into hash partitions (chunk-list concatenation in the
     # paper; cheap, charged to the same operator). The scatter itself is a
     # pure per-partial function; the pieces land in the pre-allocated
     # buckets after the barrier, in partial order, so the bucket contents
     # are deterministic under real threads.
-
     def scatter(partial: Batch) -> List:
         if len(partial) == 0:
             return []
         keys = [partial.column(name) for name in key_names]
-        ids = partition_ids(keys, num_partitions)
+        ids = partition_ids(keys, num_buckets)
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
-        bounds = np.searchsorted(sorted_ids, np.arange(num_partitions + 1))
+        bounds = np.searchsorted(sorted_ids, np.arange(num_buckets + 1))
         pieces = []
-        for pid in range(num_partitions):
+        for pid in range(num_buckets):
             lo, hi = bounds[pid], bounds[pid + 1]
             if lo < hi:
                 pieces.append((pid, partial.take(order[lo:hi])))
         return pieces
 
-    # The fan-out follows the partials in hand: partials that fit one
-    # morsel are one bucket, larger ones are scattered.
-    if partial_rows <= ctx.config.morsel_size:
+    if num_buckets == 1:
         mode, buckets = "single", [partials]
     else:
         scattered = ctx.parallel_for(operator, partials, scatter)
-        partitions: List[List[Batch]] = [[] for _ in range(num_partitions)]
+        partitions: List[List[Batch]] = [[] for _ in range(num_buckets)]
         for piece_list in scattered:
             for pid, piece in piece_list:
                 partitions[pid].append(piece)

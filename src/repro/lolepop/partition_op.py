@@ -6,6 +6,26 @@ whose keys are a superset of the partition keys stays partition-local).
 With no keys, morsels are scattered round-robin — the standalone-ORDER-BY
 path.
 
+The partition count of a keyed buffer is chosen at run time from the rows
+in hand; the plan's ``num_partitions`` (``EngineConfig.num_partitions``,
+the ``k x64`` of EXPLAIN) is its upper bound:
+
+- **sized** — the whole input is materialized before the first scatter,
+  so PARTITION knows its row count and builds
+  :func:`partition_count` ``(rows, num_partitions)`` partitions: one per
+  :data:`ROWS_PER_PARTITION` rows. A partition is the unit of work of
+  every per-partition SORT, ORDAGG and WINDOW item and of compaction.
+  Always building the cap cut 200 k rows into 3 k-row items whose cost
+  was mostly fixed interpreter and numpy-call overhead; sizing from the
+  rows keeps each item large enough to amortize it.
+- **fixed** — under ``memory_budget_bytes`` the partition is the spill
+  unit, so a keyed PARTITION keeps all ``num_partitions``; round-robin
+  keeps them too, since it is already sized by the number of morsels.
+
+The sized count is noted on the node span as ``partitions``. A keyed
+buffer is clustered on its keys whatever its count, so the plan-time
+properties (:func:`hash_clustering`) do not depend on the choice.
+
 Mirrors the paper's §4.4: per-thread scatter, cross-thread chunk-list merge
 (free in our single-address-space emulation), then an optional *compaction*
 step producing one chunk per partition when a downstream operator asked for
@@ -27,6 +47,19 @@ from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from .base import Lolepop, OpResult
 from .properties import PhysProps, _missing_columns
+
+
+#: Rows one run-time sized partition holds (see the module docstring). A
+#: module constant rather than a knob: it prices fixed per-item overhead
+#: against per-row work, which is a property of the engine, not the query.
+ROWS_PER_PARTITION = 16_384
+
+
+def partition_count(rows: int, cap: int) -> int:
+    """Partitions for ``rows`` rows: one per :data:`ROWS_PER_PARTITION`
+    (rounded up, at least one), at most ``cap``. Keyed PARTITION, the
+    HASHAGG merge and the monolithic baseline all size through here."""
+    return min(cap, max(1, -(-rows // ROWS_PER_PARTITION)))
 
 
 def hash_clustering(
@@ -83,7 +116,12 @@ class PartitionOp(Lolepop):
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         batches: List[Batch] = inputs[0]
         schema = batches[0].schema
-        buffer = TupleBuffer(schema, self.num_partitions, self.keys)
+        num_partitions = self.num_partitions
+        sized = bool(self.keys) and ctx.config.memory_budget_bytes is None
+        if sized:
+            rows = sum(len(batch) for batch in batches)
+            num_partitions = partition_count(rows, num_partitions)
+        buffer = TupleBuffer(schema, num_partitions, self.keys)
         if self.keys:
             # Per-morsel scatter is a pure function (no shared-buffer
             # writes from work items); the chunk-list merge appends the
@@ -139,6 +177,8 @@ class PartitionOp(Lolepop):
             )
         if self.span is not None:
             self.note(scatter_keys=",".join(self.keys) or "round-robin")
+            if sized:
+                self.note(partitions=num_partitions)
         if self.reuse_capture is not None:
             manager = getattr(ctx.config, "reuse", None)
             if manager is not None:

@@ -83,6 +83,14 @@ class CaptureSpec:
     partition keys and count, the morsel size (batch boundaries decide
     round-robin placement and chunk order), and compaction. The table
     version pins the data snapshot the signature was taken against.
+
+    ``num_partitions`` is the plan's cap: a keyed PARTITION builds
+    ``partition_count(rows, num_partitions)`` partitions, a function of the
+    fragment's row count, which the signature and table version pin. The
+    spec therefore still names one byte-identical buffer, and a miss
+    recomputed by :class:`~repro.lolepop.reuse_op.CachedBufferOp` gets the
+    same count. Spilling buffers, whose count is the cap, are never
+    captured.
     """
 
     __slots__ = (

@@ -15,7 +15,26 @@ os.environ.setdefault("REPRO_VERIFY_PLANS", "on")
 from repro import Database, EngineConfig
 from repro.tpch import populate_database
 
-from tests.helpers import ENGINES, assert_engines_agree, normalized_rows  # noqa: F401
+from tests.helpers import (  # noqa: F401
+    ENGINES,
+    assert_engines_agree,
+    normalized_rows,
+    rows_per_partition,
+)
+
+#: Rows per run-time sized partition under :func:`tiny_partitions`: the
+#: 500-row ``db`` table then fills every partition its ``num_partitions``
+#: cap allows, up to the default 64.
+TINY_ROWS_PER_PARTITION = 7
+
+
+@pytest.fixture
+def tiny_partitions():
+    """Keep multi-partition buffers and partitioned HASHAGG merges at test
+    scale: the hash scatter, per-partition SORT / WINDOW / ORDAGG items and
+    MERGE over many runs stay exercised."""
+    with rows_per_partition(TINY_ROWS_PER_PARTITION):
+        yield
 
 
 @pytest.fixture

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
+import pytest
+
+from repro.lolepop import partition_op
+
 ENGINES = ["lolepop", "monolithic", "columnar"]
 
 
@@ -37,3 +43,12 @@ def call_sql(func, spec, column=None, fraction="0.5"):
         fraction = fraction if spec.needs_fraction else ""
         return f"{func}({fraction}) WITHIN GROUP (ORDER BY {column})"
     return f"{func}({column})"
+
+
+@contextlib.contextmanager
+def rows_per_partition(rows):
+    """Size run-time partitions (keyed PARTITION, the HASHAGG merge, the
+    monolithic baseline) at ``rows`` rows each inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partition_op, "ROWS_PER_PARTITION", rows)
+        yield

@@ -29,6 +29,7 @@ from repro.errors import ExecutionError
 from repro.execution import CancellationToken
 from repro.execution.context import ExecutionContext
 from repro.execution.scheduler import RegionScheduler
+from repro.lolepop import partition_op
 
 from tests.helpers import normalized_rows
 
@@ -186,19 +187,24 @@ def test_cancel_at_every_region_releases_the_admission_reservation(
 # the failure lands while spill files exist.
 # ---------------------------------------------------------------------------
 _WINDOWED = "(SELECT g, o, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t) w"
-#: Merge fan-out -> a statement taking it (morsel_size 4096): six groups'
-#: partials fit one morsel and merge in one item; 20k groups' are scattered
-#: and merged one item per hash partition.
+#: Merge fan-out -> a statement taking it (morsel_size 4096, partitions
+#: sized at ``MERGE_ROWS_PER_PARTITION`` rows): six groups' partials fit one
+#: partition and merge in one item; 20k groups' are scattered into
+#: ceil(20k / 4096) = 5 hash partitions and merged one item per partition.
+MERGE_ROWS_PER_PARTITION = 4096
 MERGE_SQL = {
     "single": f"SELECT g, count(*) AS n, sum(c) AS s FROM {_WINDOWED} GROUP BY g",
     "partitioned": f"SELECT o, sum(c) AS s FROM {_WINDOWED} GROUP BY o",
 }
 
 
-def prepare_merge_failure(probe, spill_dir, scheduler, budget, merge):
+def prepare_merge_failure(probe, monkeypatch, spill_dir, scheduler, budget, merge):
     """``(db, config, expected follow-up answer)``; checks that one
     uncancelled run of the statement takes the ``merge`` fan-out and
     spills under the budget."""
+    monkeypatch.setattr(
+        partition_op, "ROWS_PER_PARTITION", MERGE_ROWS_PER_PARTITION
+    )
     db = make_db()
     config = EngineConfig(
         memory_budget_bytes=BUDGETS[budget],
@@ -209,7 +215,8 @@ def prepare_merge_failure(probe, spill_dir, scheduler, budget, merge):
     expected = normalized_rows(db.sql(FOLLOW_SQL, engine="naive"))
     result = db.sql(MERGE_SQL[merge], config=config)
     assert bool(result.spill["bytes_written"]) == (BUDGETS[budget] is not None)
-    assert (probe.items["hashagg-merge"] == 1) == (merge == "single")
+    merge_items = {"single": 1, "partitioned": 5}[merge]
+    assert probe.items["hashagg-merge"] == merge_items
     probe.fail_in = "hashagg-merge"
     return db, config, expected
 
@@ -218,10 +225,10 @@ def prepare_merge_failure(probe, spill_dir, scheduler, budget, merge):
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_failing_hashagg_merge_item_leaks_nothing(
-    probe, tmp_path, scheduler, budget, merge
+    probe, monkeypatch, tmp_path, scheduler, budget, merge
 ):
     db, config, expected = prepare_merge_failure(
-        probe, tmp_path, scheduler, budget, merge
+        probe, monkeypatch, tmp_path, scheduler, budget, merge
     )
     probe.spill_counters.clear()
     with pytest.raises(MergeFault):
@@ -235,10 +242,10 @@ def test_failing_hashagg_merge_item_leaks_nothing(
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_failing_hashagg_merge_item_releases_the_admission_reservation(
-    probe, tmp_path, scheduler, budget, merge
+    probe, monkeypatch, tmp_path, scheduler, budget, merge
 ):
     db, config, expected = prepare_merge_failure(
-        probe, tmp_path, scheduler, budget, merge
+        probe, monkeypatch, tmp_path, scheduler, budget, merge
     )
     service_config = ServiceConfig(
         memory_budget_bytes=1 << 40, result_cache_size=0

@@ -12,6 +12,10 @@ from repro.types import DataType
 
 from tests.helpers import ENGINES, assert_engines_agree, call_sql, normalized_rows
 
+# Partitions sized for a handful of rows, so these small tables are still
+# hash-scattered into many partitions and merged over many runs.
+pytestmark = pytest.mark.usefixtures("tiny_partitions")
+
 FIXED_QUERIES = [
     # associative flavors
     "SELECT k, sum(q), count(*), count(e), min(e), max(e) FROM r GROUP BY k",

@@ -1,6 +1,7 @@
 """HASHAGG's run-time merge fan-out: the single merge (partials that fit one
-morsel, one ``aggregate_batch``) and the partitioned merge (scatter into
-hash partitions, one merge per partition) give the same groups."""
+run-time partition, one ``aggregate_batch``) and the partitioned merge
+(scatter into hash partitions, one merge per partition) give the same
+groups."""
 
 import math
 
@@ -12,6 +13,8 @@ from repro.lolepop.hashagg_op import HashAggTask, two_phase_aggregate
 from repro.aggregates import PRIMITIVES
 from repro.storage import Batch, Column
 from repro.types import DataType, Field, Schema
+
+from tests.helpers import rows_per_partition
 
 SCHEMA = Schema(
     [
@@ -67,14 +70,16 @@ def _batch(rows):
     return Batch(SCHEMA, columns)
 
 
-def _aggregate(batches, keys, morsel_size):
-    """``two_phase_aggregate`` under ``morsel_size``: the output rows as a
-    sorted multiset (NaN made comparable) and the merge it noted."""
-    ctx = ExecutionContext(EngineConfig(num_threads=2, morsel_size=morsel_size))
+def _aggregate(batches, keys, rows):
+    """``two_phase_aggregate`` with partitions sized at ``rows`` rows: the
+    output rows as a sorted multiset (NaN made comparable) and the merge it
+    noted."""
+    ctx = ExecutionContext(EngineConfig(num_threads=2))
     noted = {}
-    out = two_phase_aggregate(
-        ctx, batches, keys, TASKS, num_partitions=8, note=noted.update
-    )
+    with rows_per_partition(rows):
+        out = two_phase_aggregate(
+            ctx, batches, keys, TASKS, num_partitions=8, note=noted.update
+        )
     rows = [
         tuple("nan" if isinstance(x, float) and math.isnan(x) else x for x in row)
         for row in Batch.concat(out).rows()
@@ -83,8 +88,8 @@ def _aggregate(batches, keys, morsel_size):
 
 
 def _single_and_partitioned(batches, keys):
-    single, single_note = _aggregate(batches, keys, morsel_size=10**9)
-    partitioned, partitioned_note = _aggregate(batches, keys, morsel_size=1)
+    single, single_note = _aggregate(batches, keys, rows=10**9)
+    partitioned, partitioned_note = _aggregate(batches, keys, rows=1)
     assert single_note["merge"] == "single"
     assert single_note["merge_partitions"] == 1
     if partitioned_note["partial_rows"] > 1:
@@ -136,35 +141,34 @@ class TestSingleEqualsPartitioned:
 
 
 class TestBoundary:
-    """Σ partial rows = ``morsel_size`` merges in one item; one more row than
-    ``morsel_size`` takes the partitioned merge."""
+    """Σ partial rows = ``ROWS_PER_PARTITION`` merges in one item; one more
+    row than ``ROWS_PER_PARTITION`` takes the partitioned merge over two
+    buckets."""
 
     BATCHES = [
         _batch([(i, None, None, i, None, None) for i in range(start, start + 5)])
         for start in (0, 5)
     ]
 
-    def _noted(self, morsel_size):
-        return _aggregate(self.BATCHES, ["ki"], morsel_size)[1]
+    def _noted(self, rows):
+        return _aggregate(self.BATCHES, ["ki"], rows)[1]
 
-    def test_sum_equal_to_morsel_size_is_single(self):
+    def test_sum_equal_to_rows_per_partition_is_single(self):
         noted = self._noted(10)
         assert noted["partial_rows"] == 10
         assert (noted["merge"], noted["merge_partitions"]) == ("single", 1)
 
-    def test_one_row_over_morsel_size_is_partitioned(self):
+    def test_one_row_over_rows_per_partition_is_partitioned(self):
         noted = self._noted(9)
         assert noted["partial_rows"] == 10
-        assert noted["merge"] == "partitioned"
-        assert 1 <= noted["merge_partitions"] <= 8
+        assert (noted["merge"], noted["merge_partitions"]) == ("partitioned", 2)
 
     def test_single_merge_is_one_merge_item(self):
-        for morsel_size, items in ((10, 1), (9, self._noted(9)["merge_partitions"])):
-            ctx = ExecutionContext(
-                EngineConfig(num_threads=2, morsel_size=morsel_size, collect_trace=True)
-            )
-            two_phase_aggregate(
-                ctx, self.BATCHES, ["ki"], TASKS[:1], num_partitions=8
-            )
+        for rows, items in ((10, 1), (9, 2)):
+            ctx = ExecutionContext(EngineConfig(num_threads=2, collect_trace=True))
+            with rows_per_partition(rows):
+                two_phase_aggregate(
+                    ctx, self.BATCHES, ["ki"], TASKS[:1], num_partitions=8
+                )
             merges = [r for r in ctx.trace.regions if r.name == "hashagg-merge"]
             assert [r.attrs["items"] for r in merges] == [items]

@@ -601,8 +601,12 @@ class TestFrozenViews:
     scatter region. Its note gains ``merge`` / ``merge_partitions``, it emits
     one batch (so does every node downstream of it), and the outer PARTITION
     of ``nested_aggregate`` scatters that one batch into single-piece
-    partitions that need no compaction. ``window_under_budget`` has no
-    HASHAGG and is as recorded."""
+    partitions that need no compaction. Since then the partition count of
+    an unbudgeted keyed PARTITION follows its rows (``k x64`` is the cap):
+    the 24 rows of ``nested_aggregate``'s outer PARTITION make one
+    partition, noted as ``partitions``, so SORT, ORDAGG and SCAN each run
+    one item. ``window_under_budget`` keeps its count under the budget and
+    is as recorded."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -754,10 +758,10 @@ class TestFrozenViews:
             "dags": [
                 [
                     [0, "SOURCE", "pipeline", 0, 24, 0, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x64", 24, 24, 1, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"scatter_keys": "k"}],
-                    [2, "SORT", "k,s", 24, 24, 64, 64, "<t>", 384, 0, 0, 0, 0, 384, 128, {"mode": "inplace", "sorted_partitions": 5}],
-                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 64, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 5, "tasks": 1}],
-                    [4, "SCAN", "project 2 exprs", 6, 6, 5, 5, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
+                    [1, "PARTITION", "k x64", 24, 24, 1, 1, "<t>", 384, 0, 0, 0, 0, 384, 384, {"scatter_keys": "k", "partitions": 1}],
+                    [2, "SORT", "k,s", 24, 24, 1, 1, "<t>", 384, 0, 0, 0, 0, 384, 384, {"mode": "inplace", "sorted_partitions": 1}],
+                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 1, "tasks": 1}],
+                    [4, "SCAN", "project 2 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
                 ],
                 [
                     [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
@@ -826,7 +830,7 @@ class TestFrozenViews:
                     "args": {"query_id": "q1", "session": "s1"},
                 },
             },
-            "lane_sizes": {0: 36, 1: 11, 2: 2},
+            "lane_sizes": {0: 20, 1: 11, 2: 2},
             "lane_names": {
                 0: [
                     "hashagg",
@@ -853,11 +857,11 @@ class TestFrozenViews:
             "summary": {
                 "hashagg": 4,
                 "hashagg-merge": 1,
-                "ordagg": 5,
+                "ordagg": 1,
                 "partition": 1,
-                "project": 10,
-                "scan": 6,
-                "sort": 5,
+                "project": 6,
+                "scan": 2,
+                "sort": 1,
                 "source": 0,
                 "tablescan": 4,
             },

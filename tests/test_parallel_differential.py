@@ -6,9 +6,16 @@ grouping-sets / window shapes) must produce the same rows under
 engine and the naive row-engine baseline. Reference answers are computed
 once per query and cached, so each extra thread count only pays for the
 parallel run itself.
+
+Every test runs under ``tiny_partitions``: with the engine's own sizing
+these small tables would make one partition each, and here they fill every
+partition the ``num_partitions`` cap allows, so real threads race over many
+partitions.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -19,6 +26,8 @@ from tests.helpers import normalized_rows
 from tests.test_engine_differential import FIXED_QUERIES
 
 THREAD_COUNTS = [2, 4, 8]
+
+pytestmark = pytest.mark.usefixtures("tiny_partitions")
 
 #: sql -> (naive_reference, serial_lolepop_rows); filled lazily per query.
 _REFERENCE_CACHE = {}
@@ -75,6 +84,15 @@ STRESS_QUERIES = [
 @pytest.mark.parametrize("sql", STRESS_QUERIES, ids=range(len(STRESS_QUERIES)))
 def test_parallel_matches_serial_on_stress_shapes(db, sql, threads):
     _assert_parallel_agrees(db, sql, threads, num_partitions=16)
+
+
+def test_stress_shapes_build_many_partitions(db):
+    """The window stress shape's PARTITION notes the count it chose from its
+    500 rows: the whole cap of 16, so the multi-partition coverage above is
+    real."""
+    config = EngineConfig(num_threads=4, execution_mode="parallel", num_partitions=16)
+    report = db.explain_analyze(STRESS_QUERIES[2], config=config)
+    assert re.findall(r"\bpartitions=(\d+)", report) == ["16"]
 
 
 # ----------------------------------------------------------------------

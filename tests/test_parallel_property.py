@@ -18,6 +18,10 @@ from repro import Database, EngineConfig
 
 from tests.helpers import normalized_rows
 
+# Partitions sized for a handful of rows, so the fuzzed plans' buffers are
+# hash-scattered into many partitions and their merges are partitioned.
+pytestmark = pytest.mark.usefixtures("tiny_partitions")
+
 N_PLANS = 50
 N_RUNS = 3
 SEED = 2026
