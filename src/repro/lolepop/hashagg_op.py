@@ -37,7 +37,7 @@ from ..aggregates import AggregateCall, lookup
 from ..execution.context import ExecutionContext
 from ..relational.kernels import grouped_reduce
 from ..storage.batch import Batch
-from ..storage.buffer import TupleBuffer
+from ..storage.buffer import TupleBuffer, scatter_rows
 from ..storage.column import Column
 from ..storage.keys import group_codes, partition_ids
 from ..types import DataType, Field, Schema
@@ -239,19 +239,7 @@ def two_phase_aggregate(
     # buckets after the barrier, in partial order, so the bucket contents
     # are deterministic under real threads.
     def scatter(partial: Batch) -> List:
-        if len(partial) == 0:
-            return []
-        keys = [partial.column(name) for name in key_names]
-        ids = partition_ids(keys, num_buckets)
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        bounds = np.searchsorted(sorted_ids, np.arange(num_buckets + 1))
-        pieces = []
-        for pid in range(num_buckets):
-            lo, hi = bounds[pid], bounds[pid + 1]
-            if lo < hi:
-                pieces.append((pid, partial.take(order[lo:hi])))
-        return pieces
+        return scatter_rows(partial, key_names, num_buckets)
 
     if num_buckets == 1:
         mode, buckets = "single", [partials]

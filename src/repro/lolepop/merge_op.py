@@ -23,8 +23,10 @@ from .properties import PhysProps, _missing_columns
 
 def merge_two_sorted(left: Batch, right: Batch, keys: List[Tuple[str, bool]]) -> Batch:
     """Stable two-way merge of batches already sorted by ``keys``: the stable
-    sort of their concatenation, which numpy *merges* when the keys pack into
-    one segment (two sorted runs back to back) and re-sorts otherwise."""
+    sort of their concatenation. Where the keys pack into one integer
+    segment, two sorted runs back to back have at most one descent, so the
+    sort kernel hands them to numpy's stable sort, which *merges* them in
+    linear time; otherwise it is one packed sort."""
     if len(left) == 0:
         return right
     if len(right) == 0:

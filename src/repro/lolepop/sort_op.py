@@ -2,7 +2,9 @@
 
 Operates *in place* on its input buffer and returns the same object; the
 paper's morsel-driven BlockQuicksort is modeled by marking the per-partition
-sort work items as splittable (DESIGN.md §4 item 2). Two access paths match
+sort work items as splittable (DESIGN.md §4 item 2), and each (sub-)sort is
+one :func:`repro.storage.keys.stable_order` — a quicksort over normalized
+keys, as in the paper. Two access paths match
 §4.2: physical reordering of the compacted chunk, or a *permutation vector*
 (indices + copied key columns) for wide tuples — and for every spilled
 partition, whose file then only grows by the vector.

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..storage.column import Column
-from ..storage.keys import key_change_flags
+from ..storage.keys import key_change_flags, stable_order
 from ..types import DataType
 
 
@@ -183,6 +183,6 @@ def _sorted_mode(values: Column, codes: np.ndarray, num_groups: int) -> Column:
     run_starts, run_lengths = run_starts[keep], run_lengths[keep]
     run_codes = codes[run_starts]
     # (code asc, length desc, position asc): the first run per code wins.
-    order = np.lexsort((run_starts, -run_lengths, run_codes))
+    order = stable_order([run_codes, -run_lengths, run_starts])
     present, first = np.unique(run_codes[order], return_index=True)
     return values.take(run_starts[order][first]).scatter(present, num_groups)

@@ -43,6 +43,21 @@ from . import keys as keys_mod
 Ordering = Tuple[Tuple[str, bool], ...]
 
 
+def scatter_rows(
+    batch: Batch, key_names: Sequence[str], count: int
+) -> List[Tuple[int, Batch]]:
+    """``(partition id, sub-batch)`` per non-empty partition of ``batch``
+    split ``count`` ways by the hash of ``key_names``; rows keep their order
+    within a partition. PARTITION and HASHAGG's merge both scatter here."""
+    ids = keys_mod.partition_ids([batch.column(name) for name in key_names], count)
+    order, bounds = keys_mod.bucket_order(ids, count)
+    return [
+        (pid, batch.take(order[bounds[pid] : bounds[pid + 1]]))
+        for pid in range(count)
+        if bounds[pid] < bounds[pid + 1]
+    ]
+
+
 class BufferPartition:
     """One hash partition: a chunk list plus optional permutation vector.
 
@@ -396,18 +411,7 @@ class TupleBuffer:
             _SAN.active.on_access(self, "r")
         if not self.partitioned_by or self.num_partitions == 1:
             return [(0, batch)]
-        key_columns = [batch.column(name) for name in self.partitioned_by]
-        ids = keys_mod.partition_ids(key_columns, self.num_partitions)
-        # Scatter via one stable argsort over partition ids.
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        bounds = np.searchsorted(sorted_ids, np.arange(self.num_partitions + 1))
-        pieces: List[Tuple[int, Batch]] = []
-        for pid in range(self.num_partitions):
-            lo, hi = bounds[pid], bounds[pid + 1]
-            if lo < hi:
-                pieces.append((pid, batch.take(order[lo:hi])))
-        return pieces
+        return scatter_rows(batch, self.partitioned_by, self.num_partitions)
 
     def append_pieces(self, pieces: Sequence[Tuple[int, Batch]]) -> None:
         """Append scattered pieces to their partitions (serial merge step)."""

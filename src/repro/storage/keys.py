@@ -12,6 +12,10 @@ only place that knows how a value becomes a key:
   direction, NULLS LAST, a new int64 segment whenever 63 bits are full, floats
   as themselves. :func:`lexsort_indices`, :func:`split_lexsort`, the MERGE
   step and ``group_codes`` past 63 bits all sort these arrays and no others.
+- :func:`stable_order` — the one sort kernel: the stable lexicographic order
+  of such segments, computed as a single unstable sort of one packed
+  ``(key, row id)`` int64 per row (unique keys, so the order is the stable
+  one). Every multi-key sort of the engine goes through it.
 - :func:`hash_codes` / :func:`partition_ids` — stable 64-bit hashes of the
   key columns, used by PARTITION and HASHAGG to scatter rows. A hash only
   ever picks a partition; no caller decides equality on it.
@@ -182,7 +186,7 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
         codes = (np.cumsum(present) - 1)[packed]
         first_index = first_row[present]
         return codes, first_index, len(first_index)
-    # Ranges too wide to pack: stable lexsort, then number the runs. Floats
+    # Ranges too wide to pack: one stable sort, then number the runs. Floats
     # group by their bits, as above; descending NULLS LAST, complemented, is
     # ascending NULLS FIRST — the order the packed path numbers groups in.
     ints = [
@@ -192,7 +196,7 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
         for column in columns
     ]
     parts = [~segment for segment in sort_segments(ints, [True] * len(ints))]
-    order = np.lexsort(parts[::-1])
+    order = stable_order(parts)
     starts = np.zeros(n, dtype=bool)
     starts[0] = True
     for part in parts:
@@ -228,6 +232,18 @@ def partition_ids(columns: Sequence[Column], num_partitions: int) -> np.ndarray:
     """Partition assignment (0..num_partitions-1) per row."""
     hashes = hash_codes(columns)
     return (hashes % np.uint64(num_partitions)).astype(np.int64)
+
+
+def bucket_order(ids: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: the stable order of rows by bucket id (``0 ≤ id <
+    count``) — bucket-major, original order within a bucket — and each
+    bucket's ``[bounds[b], bounds[b + 1])`` slice of it. Ids narrowed to
+    ``uint16`` where they fit, so numpy's stable sort is a radix sort."""
+    narrow = ids.astype(np.uint16) if count <= 1 << 16 else ids
+    order = np.argsort(narrow, kind="stable")
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=count), out=bounds[1:])
+    return order, bounds
 
 
 def sort_segments(
@@ -294,19 +310,93 @@ def sort_segments(
     return segments
 
 
+def _dense_rank(segment: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(ranks, count)``: each value's rank among the distinct values, by
+    one unstable argsort. NaN ties with NaN (numpy sorts it last) and -0.0
+    with 0.0, as in any numpy sort."""
+    order = np.argsort(segment)
+    ordered = segment[order]
+    # steps[i]: whether sorted position i starts a new value; summed in
+    # place, so no bool-to-int64 copy is made.
+    steps = np.zeros(len(segment), dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=steps[1:])
+    if segment.dtype.kind == "f":
+        steps[1:] &= ~np.isnan(ordered[:-1])
+    del ordered  # before the ranks are allocated: one array less at peak
+    np.cumsum(steps, out=steps)
+    ranks = np.empty_like(steps)
+    ranks[order] = steps
+    return ranks, int(steps[-1]) + 1
+
+
+def _packed_keys(segments: Sequence[np.ndarray], limit: int) -> Optional[np.ndarray]:
+    """The segments' digits packed mixed-radix into one int64 per row, in
+    ``[0, limit)``, or ``None`` when they do not fit."""
+    packed: Optional[np.ndarray] = None
+    capacity = 1
+    for segment in segments:
+        if segment.dtype.kind == "f":
+            digit, radix = _dense_rank(segment)
+        else:
+            low, high = int(segment.min()), int(segment.max())
+            radix = high - low + 1
+            if capacity * radix < limit:  # then the offset cannot wrap
+                digit = segment.astype(np.int64, copy=False) - low
+            else:
+                digit, radix = _dense_rank(segment)
+        if capacity * radix >= limit:
+            return None
+        if packed is None:
+            packed = digit  # offsets and ranks are fresh arrays: packing is in place
+        else:
+            packed *= radix
+            packed += digit
+        capacity *= radix
+    return packed
+
+
+def stable_order(segments: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable lexicographic order of ``segments`` (the first one most
+    significant): exactly ``np.lexsort(segments[::-1])``, by one sort.
+
+    Each segment becomes a digit — an integer its offset from its minimum
+    while the running capacity fits, a float or a too-wide integer its
+    dense rank — and the digits pack mixed-radix above the row id. The
+    packed keys are unique, so numpy's unstable (SIMD) sort yields the
+    stable order. A lone integer segment with at most one descent — sorted
+    already, or two sorted runs (MERGE, a re-sort extending earlier keys) —
+    keeps numpy's stable sort, which merges such runs in linear time. Only
+    keys too wide to pack beside the row id take the per-segment lexsort."""
+    n = len(segments[0])
+    if n <= 1:
+        return np.arange(n, dtype=np.int64)
+    only = segments[0]
+    if len(segments) == 1 and only.dtype.kind != "f":
+        if np.count_nonzero(only[1:] < only[:-1]) <= 1:
+            return np.argsort(only, kind="stable")
+    bits = (n - 1).bit_length()
+    packed = _packed_keys(segments, 1 << (63 - bits))
+    if packed is None:
+        return np.lexsort(segments[::-1])
+    packed <<= bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
+
+
 def lexsort_indices(
     columns: Sequence[Column],
     descending: Optional[Sequence[bool]] = None,
 ) -> np.ndarray:
     """Stable argsort by multiple keys (see :func:`sort_segments`); the first
-    column is the primary key. One pass per segment, and numpy's stable sort
-    is adaptive: where the keys pack into one segment, rows that are nearly
-    in order already — a re-sort extending the previous keys, two sorted runs
-    back to back — cost a merge, not a sort."""
+    column is the primary key. One :func:`stable_order` over the segments:
+    where they are one integer segment with at most one descent — a re-sort
+    extending the previous keys, two sorted runs back to back — the sort is
+    a linear merge, otherwise one packed sort."""
     if not columns:
         raise ValueError("lexsort_indices requires at least one key column")
-    # np.lexsort treats the *last* key as primary.
-    return np.lexsort(sort_segments(columns, descending)[::-1])
+    return stable_order(sort_segments(columns, descending))
 
 
 #: Below this row count, splitting a sort costs more than it saves.
@@ -346,14 +436,11 @@ def split_lexsort(
     positions = (np.arange(1, parts) * len(sample)) // parts
     splitters = sample[positions]
     buckets = np.searchsorted(splitters, primary, side="right")
-    # Stable distribution: bucket-major, original order within a bucket.
-    order = np.argsort(buckets, kind="stable")
-    bounds = np.searchsorted(buckets[order], np.arange(parts + 1))
+    order, bounds = bucket_order(buckets, parts)
 
     def make_thunk(indices: np.ndarray):
         def thunk() -> np.ndarray:
-            local = np.lexsort([segment[indices] for segment in segments[::-1]])
-            return indices[local]
+            return indices[stable_order([segment[indices] for segment in segments])]
 
         return thunk
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Database, EngineConfig
+from repro.execution.scheduler import SPLIT_OVERHEAD, SPLIT_QUANTUM
 
 from tests.helpers import normalized_rows
 
@@ -74,9 +75,16 @@ class TestMonolithicTraits:
         lol = database.sql(sql, engine="lolepop", config=config)
         mono_sort = [r for r in mono.trace.records if "sort" in r.name]
         lol_sort = [r for r in lol.trace.records if r.name == "sort"]
-        # Monolithic: one sort work item; LOLEPOP: split into ~8 chunks.
+        # Monolithic: one sort work item, unsplit.
         assert len(mono_sort) == 1
-        assert len(lol_sort) >= 4
+        # LOLEPOP: the one partition's sort is one item too, which the
+        # scheduler splits by its measured duration — each piece carries
+        # the split overhead, so the pieces sum to ``d * (1 + overhead)``.
+        (region,) = [r for r in lol.trace.regions if r.name == "sort"]
+        assert region.attrs["items"] == 1
+        duration = sum(r.duration for r in lol_sort) / (1.0 + SPLIT_OVERHEAD)
+        rule = min(config.num_threads, max(1, int(duration / SPLIT_QUANTUM)))
+        assert len(lol_sort) == rule > 1
 
     def test_results_still_correct(self, db):
         sql = "SELECT g, percentile_disc(0.5) WITHIN GROUP (ORDER BY x) FROM t GROUP BY g"
