@@ -72,32 +72,6 @@ def test_spilling_overhead(benchmark, tpch, report):
     )
 
 
-def test_cost_based_distinct(benchmark, tpch, report):
-    """Paper §3.3's priced trade: DISTINCT over a high-cardinality argument
-    with an existing sorted buffer — re-sort + dedup ORDAGG vs hash pair."""
-    sql = (
-        "SELECT l_linenumber, "
-        "percentile_disc(0.5) WITHIN GROUP (ORDER BY l_quantity), "
-        "count(DISTINCT l_extendedprice) FROM lineitem GROUP BY l_linenumber"
-    )
-
-    def run():
-        heuristic, _ = run_once(tpch, sql, "lolepop", 1)
-        priced, _ = run_once(tpch, sql, "lolepop", 1, cost_based_distinct=True)
-        return heuristic.serial_time, priced.serial_time
-
-    warm = run()
-    timed = benchmark.pedantic(run, rounds=1, iterations=1)
-    heuristic = min(warm[0], timed[0])
-    priced = min(warm[1], timed[1])
-    report.add(
-        "ABLATIONS — optimizer passes on/off",
-        f"{'cost_based_distinct':<28} work 1T: {heuristic * 1000:8.2f} -> "
-        f"{priced * 1000:8.2f} ms (x{heuristic / max(priced, 1e-9):4.2f} "
-        f"speedup from pricing)   [future-work variant]",
-    )
-
-
 @pytest.mark.parametrize("name", sorted(ABLATIONS))
 def test_ablation(benchmark, tpch, report, name):
     """Reports both total work (1-thread measured time) and parallel

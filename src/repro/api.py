@@ -117,11 +117,13 @@ class Database:
             )
         #: The one cardinality estimator of this database — telemetry's
         #: Q-error tracking, :meth:`estimate`, EXPLAIN ANALYZE, the query
-        #: service's admission estimate and the translator's cost-based
-        #: decisions all read it, so they agree on every plan. Building it
-        #: samples nothing: statistics are collected per table on first
-        #: use and invalidated per table version, and the feedback store
-        #: it consults is live.
+        #: service's admission estimate and the translator's DISTINCT
+        #: pricing on every path that translates (execution, EXPLAIN
+        #: LOLEPOP, EXPLAIN ANALYZE, :meth:`explain_lolepop`,
+        #: :meth:`verify_plan`) all read it, so they agree on every plan.
+        #: Building it samples nothing: statistics are collected per table
+        #: on first use and invalidated per table version, and the feedback
+        #: store it consults is live.
         self.estimator = CardinalityEstimator(
             StatisticsCache(self.catalog), calibration=self.feedback
         )
@@ -348,14 +350,16 @@ class Database:
         plan = bind(stmt.select, self.catalog)
         run = None
         if stmt.mode == "lolepop":
-            text = LolepopEngine(self.catalog, self.config).explain(plan)
+            text = LolepopEngine(self.catalog, self.config, self.estimator).explain(plan)
         elif stmt.mode == "analyze":
             from .observability import render_analyze
 
             run_config = (config or self.config).clone(
                 collect_metrics=True, collect_trace=True
             )
-            run = LolepopEngine(self.catalog, run_config).run(plan, query=query)
+            run = LolepopEngine(self.catalog, run_config, self.estimator).run(
+                plan, query=query
+            )
             text = render_analyze(run, run_config, self.estimator)
         else:
             text = explain_plan(plan)
@@ -388,7 +392,7 @@ class Database:
 
     def explain_lolepop(self, query: str) -> str:
         """The LOLEPOP DAG of the query's top statistics region."""
-        engine = LolepopEngine(self.catalog, self.config)
+        engine = LolepopEngine(self.catalog, self.config, self.estimator)
         return engine.explain(self.plan(query))
 
     def verify_plan(self, query: str) -> str:
@@ -406,7 +410,7 @@ class Database:
         # Translation would already raise under verify_plans != "off"; run
         # it unverified here so .verify can render the diagnostics itself.
         config = self.config.clone(verify_plans="off")
-        dag = translate_statistics(region, lambda p: [], config)
+        dag = translate_statistics(region, lambda p: [], config, self.estimator)
         diagnostics, _ = check_dag(dag, require_rebindable=True)
         lines = [dag.explain(), ""]
         if diagnostics:

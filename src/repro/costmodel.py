@@ -16,7 +16,7 @@ using cardinality estimates from :mod:`repro.logical.cardinality`.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple
 
 #: Relative unit costs (dimensionless; only ratios matter). A hash insert /
 #: probe costs a couple of sequential-scan touches while the table is
@@ -80,67 +80,47 @@ def choose_distinct_strategy(
 # Whole-DAG costing (rewrite-event provenance)
 # ----------------------------------------------------------------------
 
-#: Row count assumed for a node without a cardinality estimate. The
-#: absolute value matters little — rewrite cost *deltas* compare the same
+#: Row count every node is priced at. The absolute value matters little — rewrite cost *deltas* compare the same
 #: DAG before/after a pass, so a removed SORT shows up as ``-sort_cost(N)``
 #: whichever N is assumed.
 DEFAULT_COST_ROWS = 1000.0
 
 
-def node_cost(name: str, rows: float, input_rows: Optional[float] = None) -> float:
-    """Unit cost of one LOLEPOP given its (estimated) output rows.
+def node_cost(name: str, rows: float) -> float:
+    """Unit cost of one LOLEPOP that consumes and emits ``rows`` rows.
 
-    ``name`` is the operator legend name (``SOURCE``, ``PARTITION``, ...);
-    ``input_rows`` defaults to ``rows`` for the operators whose work is
-    driven by what they consume rather than what they emit (aggregations).
+    ``name`` is the operator legend name (``SOURCE``, ``PARTITION``, ...).
     """
-    rows = max(1.0, rows)
-    consumed = max(1.0, input_rows if input_rows is not None else rows)
     if name == "SORT":
-        return sort_cost(consumed)
-    if name in ("HASHAGG", "ORDAGG"):
-        if name == "HASHAGG":
-            return hash_aggregation_cost(consumed, rows)
-        return ordagg_cost(consumed)
+        return sort_cost(rows)
+    if name == "HASHAGG":
+        return hash_aggregation_cost(rows, rows)
+    if name == "ORDAGG":
+        return ordagg_cost(rows)
     if name == "PARTITION":
         # One hash + scatter touch per input row.
-        return HASH_BASE_COST * consumed
+        return HASH_BASE_COST * rows
     if name == "WINDOW":
         # Per-partition evaluation touches every row a couple of times.
-        return 2.0 * SCAN_COST_PER_ROW * consumed
+        return 2.0 * SCAN_COST_PER_ROW * rows
     # SOURCE / SCAN / MERGE / COMBINE and cached-buffer substitutes: one
     # sequential touch per row moved.
     return SCAN_COST_PER_ROW * rows
 
 
-def dag_cost(
-    dag,
-    row_estimates: Optional[Dict[int, Optional[float]]] = None,
-    default_rows: float = DEFAULT_COST_ROWS,
-) -> float:
+def dag_cost(dag) -> float:
     """Estimated total cost of a LOLEPOP DAG: the sum of per-node unit
-    costs over the topological order.
-
-    ``row_estimates`` maps ``id(node)`` to estimated output rows (the shape
-    :func:`repro.observability.analyze.estimate_dag_rows` returns); missing
-    or ``None`` estimates fall back to ``default_rows``. This is the price
-    tag :class:`~repro.observability.provenance.RewriteEvent` records
+    costs over the topological order, every node priced at
+    :data:`DEFAULT_COST_ROWS`. This is the price tag
+    :class:`~repro.observability.provenance.RewriteEvent` records
     before/after each optimizer pass — a *relative* measure for attributing
     plan-cost movement to rewrites, not a latency prediction.
     """
-    estimates = row_estimates or {}
-
-    def rows_of(node) -> float:
-        value = estimates.get(id(node))
-        return default_rows if value is None else max(1.0, float(value))
-
     total = 0.0
     for node in dag.topological_order():
-        inputs = getattr(node, "inputs", ())
-        input_rows = rows_of(inputs[0]) if inputs else None
         try:
             name = node.name()
         except Exception:  # noqa: BLE001 — unregistered test doubles
             name = type(node).__name__
-        total += node_cost(name, rows_of(node), input_rows)
+        total += node_cost(name, DEFAULT_COST_ROWS)
     return total

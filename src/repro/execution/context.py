@@ -29,7 +29,9 @@ class EngineConfig:
 
     The optimizer flags correspond to the DAG optimization passes of the
     paper's step E (Figure 2); disabling one is the ablation knob the
-    benchmarks sweep.
+    benchmarks sweep. The §3.3 DISTINCT lowering is not a knob: the
+    translator prices it with the cardinality estimator the query runs
+    with (:func:`~repro.lolepop.translate.translate_statistics`).
     """
 
     def __init__(
@@ -50,8 +52,6 @@ class EngineConfig:
         # --- spilling (paper §7 future work) -----------------------------
         memory_budget_bytes: Optional[int] = None,
         spill_directory: Optional[str] = None,
-        # --- cost-based decisions (paper §7 future work) ------------------
-        cost_based_distinct: bool = False,
         # --- service layer -------------------------------------------------
         cancellation=None,
         # --- static plan verifier ------------------------------------------
@@ -104,10 +104,6 @@ class EngineConfig:
         #: (docs/architecture.md §2).
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_directory = spill_directory
-        #: Use the cost model + cardinality estimates to choose between the
-        #: hash pair and the duplicate-sensitive ORDAGG for DISTINCT
-        #: aggregates (§3.3's trade). Off = the paper's heuristic default.
-        self.cost_based_distinct = cost_based_distinct
         #: Optional per-query
         #: :class:`~repro.execution.cancellation.CancellationToken`; both
         #: schedulers check it when entering every region barrier, raising
@@ -143,7 +139,6 @@ class EngineConfig:
             self.reaggregate_grouping_sets,
             self.two_phase_hashagg,
             self.permutation_vectors,
-            self.cost_based_distinct,
             self.reuse is not None,
         )
 

@@ -17,7 +17,9 @@ from ..errors import ExecutionError
 from ..execution.context import EngineConfig, ExecutionContext
 from ..execution.trace import ExecutionTrace
 from ..logical import Aggregate, Limit, LogicalPlan, Sort, Window
+from ..logical.cardinality import CardinalityEstimator
 from ..relational.executor import RelationalExecutor
+from ..stats import StatisticsCache
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.table import Catalog
@@ -123,7 +125,8 @@ def statistics_region(plan: LogicalPlan) -> Optional[LogicalPlan]:
 
 
 class LolepopEngine:
-    """Executes logical plans using LOLEPOP DAGs for all statistics."""
+    """Executes logical plans using LOLEPOP DAGs for all statistics; its
+    translator prices §3.3's DISTINCT lowering with ``estimator``."""
 
     name = "lolepop"
 
@@ -135,9 +138,13 @@ class LolepopEngine:
     ):
         self.catalog = catalog
         self.config = config or EngineConfig()
-        #: :class:`~repro.logical.cardinality.CardinalityEstimator` for the
-        #: translator's cost-based decisions (``Database`` passes its own);
-        #: without one those decisions fall back to their heuristics.
+        #: :class:`~repro.logical.cardinality.CardinalityEstimator` the
+        #: translator prices the §3.3 DISTINCT lowering with. ``Database``
+        #: passes its own, so every path that translates a statement (run,
+        #: EXPLAIN, EXPLAIN ANALYZE, ``.verify``) builds the same DAG;
+        #: without one the engine samples the catalog itself.
+        if estimator is None:
+            estimator = CardinalityEstimator(StatisticsCache(catalog))
         self.estimator = estimator
 
     # ------------------------------------------------------------------
@@ -157,8 +164,8 @@ class LolepopEngine:
         nodes, regions and items under the collect flags) goes beneath its
         open span, the caller's ``execute`` stage."""
         runner = _Runner(
-            self.catalog, self.config, prepared=prepared,
-            estimator=self.estimator, trace=trace,
+            self.catalog, self.config, self.estimator,
+            prepared=prepared, trace=trace,
         )
         profile = None
         if self.config.collect_metrics:
@@ -205,7 +212,7 @@ class LolepopEngine:
         node = statistics_region(plan)
         if node is None:
             return "(no statistics region)"
-        dag = translate_statistics(node, lambda p: [], self.config)
+        dag = translate_statistics(node, lambda p: [], self.config, self.estimator)
         return dag.explain()
 
 
@@ -213,8 +220,8 @@ class _Runner:
     """Per-query execution state."""
 
     def __init__(
-        self, catalog: Catalog, config: EngineConfig, prepared=None,
-        estimator=None, trace: Optional[ExecutionTrace] = None,
+        self, catalog: Catalog, config: EngineConfig, estimator,
+        prepared=None, trace: Optional[ExecutionTrace] = None,
     ):
         self.catalog = catalog
         self.ctx = ExecutionContext(config, trace)
@@ -222,8 +229,7 @@ class _Runner:
         #: Seconds spent in translate_statistics across all regions of this
         #: run (zero when every region came from a cached DAG template).
         self.translate_time = 0.0
-        #: Handed to the translator only for cost-based decisions.
-        self.estimator = estimator if config.cost_based_distinct else None
+        self.estimator = estimator
         #: Plan-cache entry whose ``dag_templates`` this run reads/extends;
         #: ``None`` when the query did not come through the cache.
         self._prepared = prepared

@@ -19,37 +19,35 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..costmodel import dag_cost
 from ..execution.context import EngineConfig
 from .base import Dag, Lolepop, buffer_root
 from .combine_op import CombineOp
 from .sort_op import SortOp
 
 
-def optimize(dag: Dag, config: EngineConfig, estimator=None) -> None:
+def optimize(dag: Dag, config: EngineConfig) -> None:
     """Run all enabled passes in place; record each fired pass in
     ``dag.rewrites`` as a structured
     :class:`~repro.observability.provenance.RewriteEvent` — pass name, the
     names of the nodes it removed, and the estimated whole-DAG cost
     before/after (:func:`repro.costmodel.dag_cost`) — so EXPLAIN ANALYZE
     and ``tools/plan_diff.py`` can attribute plan-cost movement to the
-    step-E decision that caused it.
-
-    ``estimator`` is an optional
-    :class:`~repro.logical.cardinality.CardinalityEstimator`; with one the
-    cost is priced from per-node cardinality estimates, without one every
-    node is priced at the neutral default row count (deltas remain
-    meaningful: a removed SORT still subtracts its term).
+    step-E decision that caused it. Every node is priced at the neutral
+    :data:`~repro.costmodel.DEFAULT_COST_ROWS`: the deltas stay meaningful
+    (a removed SORT still subtracts its term), and a plan-cache miss pays
+    no cardinality estimate for provenance.
 
     Under ``verify_plans="strict"`` the DAG is re-verified after every
     pass that fired, so a plan-breaking rewrite is attributed to the pass
     (via the entry it just appended to ``dag.rewrites``) instead of
     surfacing as a confusing post-translation failure.
     """
-    cost = _estimated_cost(dag, estimator)
+    cost = dag_cost(dag)
     if config.elide_sorts:
         removed = elide_redundant_sorts(dag)
         if removed:
-            after = _estimated_cost(dag, estimator)
+            after = dag_cost(dag)
             dag.record_rewrite(
                 f"elide_redundant_sorts x{len(removed)}",
                 pass_name="elide_redundant_sorts",
@@ -63,7 +61,7 @@ def optimize(dag: Dag, config: EngineConfig, estimator=None) -> None:
     if config.remove_redundant_combines:
         removed = remove_redundant_combines(dag)
         if removed:
-            after = _estimated_cost(dag, estimator)
+            after = dag_cost(dag)
             dag.record_rewrite(
                 f"remove_redundant_combines x{len(removed)}",
                 pass_name="remove_redundant_combines",
@@ -74,22 +72,6 @@ def optimize(dag: Dag, config: EngineConfig, estimator=None) -> None:
             )
             cost = after
             _verify_after_pass(dag, config)
-
-
-def _estimated_cost(dag: Dag, estimator) -> float:
-    """Whole-DAG cost, using cardinality estimates when an estimator is
-    available (falling back silently: costing must never fail a query)."""
-    from ..costmodel import dag_cost
-
-    estimates = None
-    if estimator is not None:
-        try:
-            from ..observability.analyze import estimate_dag_rows
-
-            estimates = estimate_dag_rows(dag, estimator)
-        except Exception:  # noqa: BLE001 — estimation is best-effort
-            estimates = None
-    return dag_cost(dag, estimates)
 
 
 def _node_label(dag: Dag, node: Lolepop) -> str:

@@ -13,8 +13,10 @@ The five steps of the paper's algorithm map to this module as follows:
 - **B — compute aggregates**: grouping sets are expanded (longest set
   first, subsets *reaggregated* from its output when possible); aggregates
   are split into ordered-set units (ORDAGG), distinct units
-  (HASHAGG∘HASHAGG), and plain associative units (HASHAGG, or riding along
-  in an ORDAGG when sorting happens anyway).
+  (HASHAGG∘HASHAGG, or — when the estimator prices it cheaper — a re-sort
+  of the ordered-set chain's buffer and a deduplicating ORDAGG, §3.3), and
+  plain associative units (HASHAGG, or riding along in an ORDAGG when
+  sorting happens anyway).
 - **C — propagate buffers**: PARTITION/SORT/SCAN are inserted around the
   compute operators; consecutive ordered-set units share one buffer and
   re-sort it in place (anti-dependency ``after`` edges keep the evaluation
@@ -72,17 +74,19 @@ def translate_statistics(
     plan: LogicalPlan,
     source_executor: SourceExecutor,
     config: EngineConfig,
-    estimator=None,
+    estimator,
 ) -> Dag:
     """Translate one statistics region rooted at ``plan`` into a DAG.
 
-    ``estimator`` is an optional
-    :class:`~repro.logical.cardinality.CardinalityEstimator` enabling the
-    cost-based decisions guarded by ``config.cost_based_distinct``."""
+    ``estimator`` is the
+    :class:`~repro.logical.cardinality.CardinalityEstimator` the statement
+    runs with: it prices paper §3.3's DISTINCT lowering (re-sort the chain
+    buffer and dedup in ORDAGG, or two hash aggregations), so every caller
+    that must show, run or verify the same DAG passes the same one."""
     translator = _Translator(source_executor, config, estimator)
     dag = translator.translate(plan)
     dag.region_plan = plan
-    optimizer.optimize(dag, config, estimator)
+    optimizer.optimize(dag, config)
     if config.verify_plans != "off":
         from .verify import verify_dag
 
@@ -95,7 +99,7 @@ class _Translator:
         self,
         source_executor: SourceExecutor,
         config: EngineConfig,
-        estimator=None,
+        estimator,
     ):
         self.source = source_executor
         self.config = config
@@ -437,7 +441,7 @@ class _Translator:
         group_names: List[str],
         calls: List[AggregateCall],
         input_ctx: "_AggInput",
-        source_plan: Optional[LogicalPlan] = None,
+        source_plan: LogicalPlan,
     ) -> List[Lolepop]:
         ordered = [c for c in calls if c.func in WITHIN_GROUP_FUNCS]
         distinct = [c for c in calls if c.distinct and c not in ordered]
@@ -476,14 +480,7 @@ class _Translator:
             units.append(self._hash_unit(group_names, plain, input_ctx))
 
         remaining = [c for c in distinct if c not in consumed_distinct]
-        if (
-            remaining
-            and chain_buffer is not None
-            and self.config.cost_based_distinct
-            and self.estimator is not None
-            and source_plan is not None
-            and self.config.reuse_buffers
-        ):
+        if remaining and chain_buffer is not None and self.config.reuse_buffers:
             remaining, chain_last = self._cost_based_distinct(
                 remaining, group_names, chain_buffer, chain_last,
                 source_plan, units,

@@ -30,9 +30,13 @@ views name the plan), and a slot whose literal appears twice or not at all.
 A hit with other free-slot texts binds them into a copy of the entry's
 plan (:meth:`PreparedPlan.bind`) and skips parse, bind, **and** translate
 — the engine clones the template, rebasing every SOURCE onto the copy,
-instead of re-running the Figure-2 algorithm. The plan is *generic*: a
-cost-based choice the translator made (``cost_based_distinct``, off by
-default) was made for the first statement's literals. This is the
+instead of re-running the Figure-2 algorithm. The plan is *generic*, and
+the bound on what that costs is this: a template hit reuses the DISTINCT
+lowering the translator priced for the first statement's literals (§3.3's
+re-sort or hash pair); both lowerings give identical answers, so a free
+Filter slot that moves the estimated input across the decision boundary
+can cost speed but never correctness; and table-version validation
+re-prices after DML, as does a feedback drift re-plan. This is the
 cross-query extension of the paper's intra-plan reuse: materialized plan
 fragments become shared state owned by the service layer.
 

@@ -658,7 +658,7 @@ class TestFrozenViews:
                 "query_id": "q1",
                 "session_id": "s1",
                 "sql": "select k, sum(v), count(*) from r group by k",
-                "fingerprint": "4cfe885702997615",
+                "fingerprint": "f16acc748f05a9b5",
                 "engine": "lolepop",
                 "status": "ok",
                 "error": None,
@@ -773,7 +773,7 @@ class TestFrozenViews:
                 "query_id": "q1",
                 "session_id": "s1",
                 "sql": "select k, median(s) from (select k, g, sum(v) as s from r group by k, g) as d group by k",
-                "fingerprint": "5295b63235fc886a",
+                "fingerprint": "7dd1e8414d5ee009",
                 "engine": "lolepop",
                 "status": "ok",
                 "error": None,
@@ -898,7 +898,7 @@ class TestFrozenViews:
                 "query_id": "q1",
                 "session_id": "s1",
                 "sql": "select k, sum(v) over (partition by k order by v) as c from r",
-                "fingerprint": "3feefb6873524f61",
+                "fingerprint": "8f1faa17431ee1a6",
                 "engine": "lolepop",
                 "status": "ok",
                 "error": None,

@@ -101,7 +101,7 @@ _GROUPING_SHAPES = [
 ]
 
 
-def _random_aggregate(rng: random.Random) -> str:
+def _random_aggregate(rng: random.Random, filters: random.Random) -> str:
     keys = rng.choice([["g"], ["h"], ["g", "h"], []])
     n_aggs = rng.randint(1, 4)
     aggs = [
@@ -110,6 +110,10 @@ def _random_aggregate(rng: random.Random) -> str:
     ]
     select = [*keys, *(f"{a} AS a{i}" for i, a in enumerate(aggs))]
     sql = f"SELECT {', '.join(select)} FROM t"
+    if filters.random() < 0.4:
+        # A tight filter leaves a handful of rows, where §3.3's re-sort of
+        # an ordered-set chain's buffer prices below the DISTINCT hash pair.
+        sql += f" WHERE x < {filters.choice([2, 5, 60])}"
     if keys:
         sql += f" GROUP BY {', '.join(keys)}"
         if len(keys) == 2 and rng.random() < 0.45:
@@ -134,13 +138,17 @@ def _random_window(rng: random.Random) -> str:
     return f"SELECT {', '.join(select)} FROM t"
 
 
-def _random_plan(rng: random.Random) -> str:
-    return _random_window(rng) if rng.random() < 0.4 else _random_aggregate(rng)
+def _random_plan(rng: random.Random, filters: random.Random) -> str:
+    if rng.random() < 0.4:
+        return _random_window(rng)
+    return _random_aggregate(rng, filters)
 
 
 def _plans():
-    rng = random.Random(SEED)
-    return [(i, _random_plan(rng)) for i in range(N_PLANS)]
+    # Filters draw from their own stream, so adding them left every other
+    # choice of the corpus as it was.
+    rng, filters = random.Random(SEED), random.Random(SEED + 1)
+    return [(i, _random_plan(rng, filters)) for i in range(N_PLANS)]
 
 
 @pytest.fixture(scope="module")
@@ -436,12 +444,26 @@ def test_sanitized_slice_instrumentation_was_live(live_sanitizer):
     assert live_sanitizer.races == []
 
 
-def test_corpus_covers_windows_and_grouping_sets():
+def test_corpus_covers_windows_and_grouping_sets(prop_db):
     """The realized 50-plan corpus must exercise every shape family the
     verifier sweep claims to cover: plain aggregates, window functions
-    (incl. framed ones), and the grouping-set lattice (GROUPING SETS /
-    ROLLUP / CUBE)."""
+    (incl. framed ones), the grouping-set lattice (GROUPING SETS /
+    ROLLUP / CUBE), and both of §3.3's DISTINCT lowerings, so the oracle
+    differential above covers the priced re-sort as well as the hash
+    pair."""
     corpus = [sql for _, sql in _plans()]
+    resorted = kept_hash_pair = 0
+    for sql in corpus:
+        ordered_set = "WITHIN GROUP" in sql or "median" in sql
+        if "DISTINCT" not in sql or not ordered_set:
+            continue
+        dags = prop_db.sql(sql).dags
+        if any(e.pass_name == "cost_based_distinct" for d in dags for e in d.rewrites):
+            resorted += 1
+        elif any(d.operator_names().count("HASHAGG") >= 2 for d in dags):
+            kept_hash_pair += 1
+    assert resorted >= 1
+    assert kept_hash_pair >= 1
     assert any(" OVER (" in sql for sql in corpus)
     assert any("ROWS BETWEEN" in sql for sql in corpus)
     assert any("GROUPING SETS" in sql for sql in corpus)
@@ -451,3 +473,48 @@ def test_corpus_covers_windows_and_grouping_sets():
         and "ROLLUP" not in sql and "CUBE" not in sql
         for sql in corpus
     )
+
+
+# ----------------------------------------------------------------------
+# Ternary logic: for any predicate p, the rows of WHERE p, WHERE NOT p and
+# WHERE (p) IS NULL partition the table, so the three filtered answers
+# recombine into the unfiltered one — a relation the oracle cannot state,
+# held on each engine over the fuzz table's NULL-bearing column x.
+# ----------------------------------------------------------------------
+_TERNARY_SELECT = "SELECT g, count(*), count(x), sum(x), min(x), max(x) FROM t"
+
+
+def _recombined(answers):
+    """Per group: the counts and sums of the parts add up, the extremes are
+    the extremes of the parts; a part with no x (NULL) drops out."""
+    parts = {}
+    for rows in answers:
+        for g, *values in rows:
+            parts.setdefault(g, []).append(values)
+    out = {}
+    for g, values in parts.items():
+        present = [[v[i] for v in values if v[i] is not None] for i in range(5)]
+        out[g] = (
+            sum(present[0]),
+            sum(present[1]),
+            round(sum(present[2]), 6) if present[2] else None,
+            min(present[3], default=None),
+            max(present[4], default=None),
+        )
+    return out
+
+
+@pytest.mark.parametrize("engine", ["lolepop", "monolithic", "naive"])
+@pytest.mark.parametrize("predicate", ["x < 40", "x BETWEEN 20 AND 60", "x = y"])
+def test_p_not_p_and_p_is_null_partition_the_table(prop_db, engine, predicate):
+    def answer(where=""):
+        return prop_db.sql(f"{_TERNARY_SELECT}{where} GROUP BY g", engine=engine).rows()
+
+    whole = _recombined([answer()])
+    parts = [
+        answer(f" WHERE {predicate}"),
+        answer(f" WHERE NOT ({predicate})"),
+        answer(f" WHERE ({predicate}) IS NULL"),
+    ]
+    assert sum(len(rows) for rows in parts) > len(whole)  # no part is the whole
+    assert _recombined(parts) == whole

@@ -677,3 +677,60 @@ class TestStatementsKeepTheirLiterals:
         metrics = db.config.clone(collect_metrics=True)
         result = db.execute_prepared(variant, config=metrics)
         assert result.dags[0].region_plan is variant.plan
+
+
+class TestGenericDistinctLowering:
+    """A template hit reuses the DISTINCT lowering the translator priced for
+    the first statement's literals. A free Filter slot can move the
+    estimated input across §3.3's decision boundary — from a handful of
+    rows (the re-sort wins) to the whole table (the hash pair wins) — which
+    may cost speed but never correctness: both lowerings agree with the
+    oracle."""
+
+    TEMPLATE = (
+        "SELECT g, median(x), count(DISTINCT h) FROM t WHERE x < {} GROUP BY g"
+    )
+
+    @staticmethod
+    def _db():
+        db = Database(num_threads=2)
+        db.create_table("t", {"g": "int64", "h": "int64", "x": "float64"})
+        rng = np.random.default_rng(3)
+        rows = 2000
+        db.insert(
+            "t",
+            {
+                "g": rng.integers(0, 5, rows),
+                "h": rng.integers(0, 10, rows),
+                "x": rng.random(rows).round(4),
+            },
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "first, second", [("0.002", "2.0"), ("2.0", "0.002")],
+        ids=["handful-then-table", "table-then-handful"],
+    )
+    def test_a_hit_keeps_the_first_lowering_and_the_answer(self, first, second):
+        from tests.helpers import normalized_rows
+
+        db = self._db()
+        lowering = {
+            lit: db.explain_lolepop(self.TEMPLATE.format(lit)).count("HASHAGG")
+            for lit in (first, second)
+        }
+        assert sorted(lowering.values()) == [0, 2]  # across the boundary
+        runs = [db.sql(self.TEMPLATE.format(first))]
+        prepared, hit = db._prepare_cached(self.TEMPLATE.format(second))
+        assert hit and prepared.pinned == ()
+        runs.append(db.sql(self.TEMPLATE.format(second)))
+        for run in runs:
+            assert run.dags[0].operator_names().count("HASHAGG") == lowering[first]
+        for lit, run in zip((first, second), runs):
+            oracle = db.sql(self.TEMPLATE.format(lit), engine="naive")
+            assert normalized_rows(run) == normalized_rows(oracle)
+        # DML moves the table version: the next statement misses and is
+        # priced for its own literal.
+        db.insert("t", {"g": [0], "h": [0], "x": [0.5]})
+        again = db.sql(self.TEMPLATE.format(second))
+        assert again.dags[0].operator_names().count("HASHAGG") == lowering[second]

@@ -3,8 +3,14 @@
 These assert the *operator sequence* of each translated plan, which is what
 the figures show. Regressions here mean the translation or an optimizer
 pass changed behaviorally.
+
+The translator prices paper §3.3's DISTINCT lowering with the table's
+statistics, so the two figures with a DISTINCT next to an ordered-set
+aggregate are pinned on inserted data: the paper's hash pair where the
+DISTINCT argument has few values, the re-sorted buffer where it has many.
 """
 
+import numpy as np
 import pytest
 
 from repro import Database, EngineConfig
@@ -23,6 +29,16 @@ def db():
     return database
 
 
+def fill(db, distinct, rows=20_000):
+    """Insert ``rows`` rows into ``r``; ``b`` and ``c`` (the DISTINCT
+    arguments below) draw from ``distinct`` values, the group keys from
+    ten."""
+    rng = np.random.default_rng(0)
+    values = rng.integers(0, distinct, rows).astype(float)
+    keys = {name: rng.integers(0, 10, rows) for name in ("a", "d", "k", "n")}
+    db.insert("r", {**keys, "b": values, "c": values, "q": rng.random(rows)})
+
+
 def ops(db, sql, **config_kwargs):
     from repro.lolepop import LolepopEngine
 
@@ -32,15 +48,33 @@ def ops(db, sql, **config_kwargs):
     return [line.split()[1] for line in dag_text.splitlines()]
 
 
+FIGURE_1 = "SELECT median(a), avg(b), sum(DISTINCT c) FROM r GROUP BY d"
+FIGURE_3_PLAN_2 = (
+    "SELECT a, sum(b), sum(DISTINCT b), "
+    "percentile_disc(0.5) WITHIN GROUP (ORDER BY c), "
+    "percentile_disc(0.5) WITHIN GROUP (ORDER BY d) FROM r GROUP BY a"
+)
+
+
 class TestFigure1:
     def test_median_avg_distinct_sum(self, db):
-        """Figure 1: PARTITION/SORT/ORDAGG + HASHAGG/HASHAGG + COMBINE/SCAN."""
-        sequence = ops(
-            db, "SELECT median(a), avg(b), sum(DISTINCT c) FROM r GROUP BY d"
-        )
-        assert sequence == [
+        """Figure 1: PARTITION/SORT/ORDAGG + HASHAGG/HASHAGG + COMBINE/SCAN —
+        the hash pair is the cheaper DISTINCT while its argument has few
+        values."""
+        fill(db, distinct=5)
+        assert ops(db, FIGURE_1) == [
             "SOURCE", "PARTITION", "SORT", "ORDAGG",
             "HASHAGG", "HASHAGG", "COMBINE", "SCAN",
+        ]
+
+    def test_many_distinct_values_resort_the_buffer(self, db):
+        """§3.3's alternative: with a near-unique argument the hash pair's
+        tables outgrow the cache, so the buffer is re-sorted by (d, c) and
+        a duplicate-sensitive ORDAGG dedups."""
+        fill(db, distinct=10**9)
+        assert ops(db, FIGURE_1) == [
+            "SOURCE", "PARTITION", "SORT", "ORDAGG", "SORT", "ORDAGG",
+            "COMBINE", "SCAN",
         ]
 
 
@@ -59,15 +93,19 @@ class TestFigure3:
         ]
 
     def test_plan_2_shared_buffer_resort(self, db):
-        sequence = ops(
-            db,
-            "SELECT a, sum(b), sum(DISTINCT b), "
-            "percentile_disc(0.5) WITHIN GROUP (ORDER BY c), "
-            "percentile_disc(0.5) WITHIN GROUP (ORDER BY d) FROM r GROUP BY a",
-        )
-        assert sequence == [
+        fill(db, distinct=5)
+        assert ops(db, FIGURE_3_PLAN_2) == [
             "SOURCE", "PARTITION", "SORT", "ORDAGG", "SORT", "ORDAGG",
             "HASHAGG", "HASHAGG", "COMBINE", "SCAN",
+        ]
+
+    def test_plan_2_many_distinct_values_resort_once_more(self, db):
+        """The DISTINCT joins the chain as a third re-sort of the shared
+        buffer; no HASHAGG pair is left."""
+        fill(db, distinct=10**9)
+        assert ops(db, FIGURE_3_PLAN_2) == [
+            "SOURCE", "PARTITION", "SORT", "ORDAGG", "SORT", "ORDAGG",
+            "SORT", "ORDAGG", "COMBINE", "SCAN",
         ]
 
     def test_plan_3_order_by_reuses_window_buffer(self, db):

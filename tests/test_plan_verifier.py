@@ -73,7 +73,7 @@ def _translate(db: Database, sql: str, parallel: bool = True):
     region = statistics_region(db.plan(sql))
     if region is None:
         return None
-    return translate_statistics(region, lambda p: [], _config(parallel))
+    return translate_statistics(region, lambda p: [], _config(parallel), db.estimator)
 
 
 def _codes(dag):
@@ -396,7 +396,7 @@ def test_tpch_queries_verify_strict(tpch_db, qid, parallel):
     # translate_statistics re-verifies after translation and after every
     # optimizer pass under strict; a diagnostic raises here.
     dag = translate_statistics(
-        region, lambda plan: [], _config(parallel, "strict")
+        region, lambda plan: [], _config(parallel, "strict"), tpch_db.estimator
     )
     diagnostics, _ = check_dag(dag, require_rebindable=True)
     assert not diagnostics, [d.render({}) for d in diagnostics]

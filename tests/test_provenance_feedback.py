@@ -585,8 +585,11 @@ class TestSevenKeyCollision:
 
 
 def _with_where(sql, predicate):
-    """A corpus statement (one ``FROM t``, no WHERE) with a filter added."""
+    """A corpus statement (one ``FROM t``) with a filter added, ANDed onto
+    the statement's own WHERE if it has one."""
     assert sql.count(" FROM t") == 1
+    if " WHERE " in sql:
+        return sql.replace(" WHERE ", f" WHERE {predicate} AND ")
     return sql.replace(" FROM t", f" FROM t WHERE {predicate}")
 
 

@@ -14,7 +14,11 @@ from tests.helpers import assert_engines_agree
 
 @pytest.fixture
 def db():
-    database = Database()
+    return _database()
+
+
+def _database(**kwargs):
+    database = Database(**kwargs)
     database.create_table(
         "t", {"k": "int64", "few": "int64", "many": "int64", "x": "float64"}
     )
@@ -173,28 +177,25 @@ class TestCostModel:
         assert not decision.use_sort
 
 
-class TestCostBasedPlans:
-    def plan_ops(self, db, sql, **flags):
-        from repro.logical.cardinality import CardinalityEstimator
-        from repro.lolepop.translate import translate_statistics
-        from repro.logical import Project, Filter
+def _legend(text):
+    """Operator names of a rendered DAG (``#i NAME ...`` lines)."""
+    return [line.split()[1] for line in text.splitlines() if line.startswith("#")]
 
-        config = EngineConfig(**flags)
-        node = db.plan(sql)
-        while isinstance(node, (Project, Filter)):
-            node = node.children[0]
-        estimator = CardinalityEstimator(StatisticsCache(db.catalog))
-        dag = translate_statistics(node, lambda p: [], config, estimator)
-        return dag.operator_names()
+
+class TestCostBasedPlans:
+    """The translator prices every DISTINCT beside an ordered-set chain with
+    the database's estimator; there is no switch."""
+
+    @staticmethod
+    def plan_ops(db, sql):
+        return _legend(db.explain_lolepop(sql))
 
     def test_high_cardinality_distinct_uses_ordagg(self, db):
         sql = (
             "SELECT few, percentile_disc(0.5) WITHIN GROUP (ORDER BY x), "
             "count(DISTINCT many) FROM t GROUP BY few"
         )
-        heuristic = self.plan_ops(db, sql)
-        assert heuristic.count("HASHAGG") == 2  # hash pair by default
-        priced = self.plan_ops(db, sql, cost_based_distinct=True)
+        priced = self.plan_ops(db, sql)
         assert priced.count("HASHAGG") == 0
         assert priced.count("ORDAGG") == 2  # extra dedup ORDAGG
 
@@ -203,13 +204,60 @@ class TestCostBasedPlans:
             "SELECT k, percentile_disc(0.5) WITHIN GROUP (ORDER BY x), "
             "sum(DISTINCT few) FROM t GROUP BY k"
         )
-        priced = self.plan_ops(db, sql, cost_based_distinct=True)
-        assert priced.count("HASHAGG") == 2
+        priced = self.plan_ops(db, sql)
+        assert priced.count("HASHAGG") == 2  # the paper's hash pair
 
     def test_results_unchanged(self, db):
         sql = (
             "SELECT few, percentile_disc(0.5) WITHIN GROUP (ORDER BY x), "
             "count(DISTINCT many), sum(x) FROM t GROUP BY few"
         )
-        config = EngineConfig(cost_based_distinct=True)
-        assert_engines_agree(db, sql, engines=["lolepop"], config=config)
+        assert "HASHAGG" not in self.plan_ops(db, sql)
+        assert_engines_agree(db, sql, engines=["lolepop"])
+
+
+class TestOneDagPerPath:
+    """Execution, EXPLAIN LOLEPOP, ``explain_lolepop``, ``verify_plan`` and
+    EXPLAIN ANALYZE all translate with the database's estimator — here the
+    feedback-calibrated one — so they show, verify and run one DAG. The
+    plan cache is off so that every path translates afresh: a cached DAG
+    template keeps the lowering it was built with (tests/test_plan_cache.py)."""
+
+    @pytest.mark.parametrize(
+        "sql, model_hashaggs, calibrated_hashaggs",
+        [
+            (  # near-unique argument: the priced re-sort
+                "SELECT few, percentile_disc(0.5) WITHIN GROUP (ORDER BY x), "
+                "count(DISTINCT many) FROM t GROUP BY few",
+                0, 0,
+            ),
+            (  # five values: the hash pair
+                "SELECT k, percentile_disc(0.5) WITHIN GROUP (ORDER BY x), "
+                "sum(DISTINCT few) FROM t GROUP BY k",
+                2, 2,
+            ),
+            (  # the model guesses a third of the rows pass; all 20k do
+                "SELECT few, percentile_disc(0.5) WITHIN GROUP (ORDER BY x), "
+                "count(DISTINCT many) FROM t WHERE many + 0 >= 0 GROUP BY few",
+                2, 0,
+            ),
+        ],
+        ids=["sort-path", "hash-pair", "calibration-flips"],
+    )
+    def test_same_dag_on_every_path(
+        self, tmp_path, sql, model_hashaggs, calibrated_hashaggs
+    ):
+        db = _database(feedback_dir=str(tmp_path), plan_cache_size=0)
+        assert _legend(db.explain_lolepop(sql)).count("HASHAGG") == model_hashaggs
+        # A profiled run feeds the store per-operator actuals, which the
+        # estimator then answers from.
+        db.sql(sql, config=EngineConfig(collect_metrics=True))
+        assert len(db.feedback) == 1
+        executed = db.sql(sql).dags[0].operator_names()
+        assert executed.count("HASHAGG") == calibrated_hashaggs
+        explained = db.sql(f"EXPLAIN LOLEPOP {sql}").batch.to_pydict()["plan"]
+        analyzed = db.sql(f"EXPLAIN ANALYZE {sql}").dags
+        assert _legend("\n".join(explained)) == executed
+        assert _legend(db.explain_lolepop(sql)) == executed
+        assert _legend(db.verify_plan(sql)) == executed
+        assert [dag.operator_names() for dag in analyzed] == [executed]
