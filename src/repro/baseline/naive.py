@@ -39,6 +39,14 @@ from ..lolepop.engine import QueryResult
 Row = Dict[str, Any]
 
 
+def _order_key(value: Any, descending: bool = False) -> Tuple[bool, Any]:
+    """What a non-NULL value sorts and ties by: itself, except that NaN
+    sorts after every number in either direction (as the engines sort it)
+    and ties with NaN."""
+    nan = isinstance(value, float) and math.isnan(value)
+    return (nan != descending, 0.0 if nan else value)
+
+
 def _null_safe_sort(
     rows: List[Row], keys: Sequence[Tuple[str, bool]]
 ) -> List[Row]:
@@ -47,7 +55,7 @@ def _null_safe_sort(
     for name, descending in reversed(list(keys)):
         nonnull = [r for r in out if r[name] is not None]
         nulls = [r for r in out if r[name] is None]
-        nonnull.sort(key=lambda r: r[name], reverse=descending)
+        nonnull.sort(key=lambda r: _order_key(r[name], descending), reverse=descending)
         out = nonnull + nulls
     return out
 
@@ -262,17 +270,21 @@ def _evaluate_aggregate(call: AggregateCall, rows: List[Row]) -> Any:
         return any(nonnull) if nonnull else None
     if func in ("percentile_disc", "percentile_cont"):
         ref, descending = call.order_by[0]
-        ordered = [v for v in nonnull]
-        ordered.sort(reverse=descending)
+        ordered = sorted(
+            nonnull, key=lambda v: _order_key(v, descending), reverse=descending
+        )
         return _percentile(func, ordered, 0.5 if call.fraction is None else call.fraction)
     if func == "mode":
         _, descending = call.order_by[0]
-        ordered = sorted(nonnull, reverse=descending)
+        ordered = sorted(
+            nonnull, key=lambda v: _order_key(v, descending), reverse=descending
+        )
+        tied = [_order_key(v) for v in ordered]
         best_value, best_length = None, 0
         position = 0
         while position < len(ordered):
             end = position
-            while end < len(ordered) and ordered[end] == ordered[position]:
+            while end < len(ordered) and tied[end] == tied[position]:
                 end += 1
             if end - position > best_length:
                 best_value, best_length = ordered[position], end - position
@@ -362,7 +374,10 @@ def _evaluate_window_partition(
     arg = call.args[0].name if call.args else None
 
     def order_tuple(row: Row) -> Tuple:
-        return tuple(row[name] for name, _ in order_keys)
+        return tuple(
+            None if row[name] is None else _order_key(row[name])
+            for name, _ in order_keys
+        )
 
     def peers_of(index: int) -> Tuple[int, int]:
         key = order_tuple(ordered[index])

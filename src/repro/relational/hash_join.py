@@ -24,7 +24,13 @@ import numpy as np
 
 from ..storage.batch import Batch
 from ..storage.column import Column
-from ..storage.keys import DIRECT_TABLE_FACTOR, encode_keys, fit_keys, group_codes
+from ..storage.keys import (
+    DIRECT_TABLE_FACTOR,
+    encode_keys,
+    fit_keys,
+    group_codes,
+    number_runs,
+)
 from ..types import DataType
 
 
@@ -54,10 +60,10 @@ class HashJoinTable:
             self.form = "direct"
             if num_slots > DIRECT_TABLE_FACTOR * len(build):
                 self.form = "sorted"
-                uniques, slots = np.unique(slots, return_inverse=True)
-                num_slots = len(uniques)
+                codes, first, num_slots = number_runs([slots])
                 # A last entry no packed key reaches: misses land on it.
-                self._uniques = np.append(uniques, np.iinfo(np.int64).max)
+                self._uniques = np.append(slots[first], np.iinfo(np.int64).max)
+                slots = codes
         #: One more slot that stays empty: where a key without a match goes.
         self._miss = num_slots
         counts = np.bincount(slots, minlength=num_slots + 1)

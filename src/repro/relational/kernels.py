@@ -184,5 +184,7 @@ def _sorted_mode(values: Column, codes: np.ndarray, num_groups: int) -> Column:
     run_codes = codes[run_starts]
     # (code asc, length desc, position asc): the first run per code wins.
     order = stable_order([run_codes, -run_lengths, run_starts])
-    present, first = np.unique(run_codes[order], return_index=True)
-    return values.take(run_starts[order][first]).scatter(present, num_groups)
+    # The first run of each code: where the ordered codes change.
+    ordered = run_codes[order]
+    first = np.flatnonzero(key_change_flags([Column(DataType.INT64, ordered)]))
+    return values.take(run_starts[order][first]).scatter(ordered[first], num_groups)

@@ -6,16 +6,20 @@ only place that knows how a value becomes a key:
 
 - :func:`fit_keys` / :func:`encode_keys` — the *packed key space*: composite
   keys as one mixed-radix int64, for equality (grouping, join build and
-  probe). :func:`group_codes` numbers the groups in it. NULL keys follow
-  GROUP BY semantics: NULL equals NULL (one NULL group).
+  probe). :func:`group_codes` numbers the groups in it: by a table over a
+  narrow space, by the runs of one sort (:func:`number_runs`) otherwise.
+  NULL keys follow GROUP BY semantics: NULL equals NULL (one NULL group).
 - :func:`sort_segments` — the same digits in ORDER BY's order: per-key
-  direction, NULLS LAST, a new int64 segment whenever 63 bits are full, floats
-  as themselves. :func:`lexsort_indices`, :func:`split_lexsort`, the MERGE
-  step and ``group_codes`` past 63 bits all sort these arrays and no others.
+  direction, NULLS LAST, a new int64 segment whenever 63 bits are full, a
+  float key a float64 segment of its own. :func:`lexsort_indices`,
+  :func:`split_lexsort`, the MERGE step and ``group_codes`` past 63 bits all
+  sort these arrays and no others.
 - :func:`stable_order` — the one sort kernel: the stable lexicographic order
   of such segments, computed as a single unstable sort of one packed
   ``(key, row id)`` int64 per row (unique keys, so the order is the stable
-  one). Every multi-key sort of the engine goes through it.
+  one). A float segment packs as exact fixed-point digits when its values
+  are decimals of at most six places (money, quantities, readings), as its
+  dense rank otherwise. Every multi-key sort of the engine goes through it.
 - :func:`hash_codes` / :func:`partition_ids` — stable 64-bit hashes of the
   key columns, used by PARTITION and HASHAGG to scatter rows. A hash only
   ever picks a partition; no caller decides equality on it.
@@ -35,9 +39,21 @@ _MIX_PRIME = np.uint64(0xBF58476D1CE4E5B9)
 
 _NULL_SENTINEL = np.iinfo(np.int64).min + 1
 
+#: The scales a float sort key is tried at as fixed-point digits: whole
+#: numbers up to six decimal places (cents, readings in thousandths).
+DECIMAL_SCALES = 10.0 ** np.arange(7)
+#: Rows a scale is tried on before every row is checked at it.
+_DECIMAL_SAMPLE = 64
+#: Every integer below this magnitude is a float64: ``rint(x·s)`` is exact.
+_EXACT = 2.0**53
+
 #: A table over the packed key range itself (grouping, join build) replaces
-#: the sort up to this many slots per row: measured 3x faster than
-#: ``np.unique`` at 2n, even at 8n, slower beyond; 2n also bounds its size.
+#: the sort (:func:`number_runs`) up to this many slots per row. Measured on
+#: uniform and clustered int64 keys, table vs sort: 1.4-2x faster at 1n;
+#: even at 2n on 16 k rows (0.42-0.63 vs 0.44-0.46 ms) and up to 1.3x slower
+#: on 200 k (8.3-10.0 vs 7.5-8.2 ms); 2.5-4x slower at 4n and 8n. The
+#: crossover is near 1.5n; 2n is kept, where the two are close and which
+#: also bounds the table's size.
 DIRECT_TABLE_FACTOR = 2
 
 
@@ -174,10 +190,7 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
     if space is not None:
         packed, capacity = encode_keys(space, columns)[0], space[1]
         if capacity > DIRECT_TABLE_FACTOR * n:
-            uniques, first_index, codes = np.unique(
-                packed, return_index=True, return_inverse=True
-            )
-            return codes.astype(np.int64), first_index.astype(np.int64), len(uniques)
+            return number_runs([packed])
         # Few possible keys per row (dictionary ranks, narrow ints): no sort.
         # Assigning rows back to front leaves each key's first row in its slot.
         first_row = np.full(capacity, n, dtype=np.int64)
@@ -186,26 +199,34 @@ def group_codes(columns: Sequence[Column]) -> Tuple[np.ndarray, np.ndarray, int]
         codes = (np.cumsum(present) - 1)[packed]
         first_index = first_row[present]
         return codes, first_index, len(first_index)
-    # Ranges too wide to pack: one stable sort, then number the runs. Floats
-    # group by their bits, as above; descending NULLS LAST, complemented, is
-    # ascending NULLS FIRST — the order the packed path numbers groups in.
+    # Ranges too wide to pack: floats group by their bits, as above;
+    # descending NULLS LAST, complemented, is ascending NULLS FIRST — the
+    # order the packed path numbers groups in.
     ints = [
         Column(DataType.INT64, _key_ints(column.data, True), column.valid)
         if column.dtype is DataType.FLOAT64
         else column
         for column in columns
     ]
-    parts = [~segment for segment in sort_segments(ints, [True] * len(ints))]
-    order = stable_order(parts)
+    return number_runs([~segment for segment in sort_segments(ints, [True] * len(ints))])
+
+
+def number_runs(segments: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """:func:`group_codes` of rows keyed by integer ``segments`` (the first one
+    most significant): one :func:`stable_order`, then its runs of equal keys
+    are numbered. Codes follow the segments' order; a group's representative
+    is its first row, the first of its run because the order is stable."""
+    n = len(segments[0])
+    order = stable_order(segments)
     starts = np.zeros(n, dtype=bool)
-    starts[0] = True
-    for part in parts:
-        ordered = part[order]
+    starts[:1] = True
+    for segment in segments:
+        ordered = segment[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
     codes = np.empty(n, dtype=np.int64)
     codes[order] = np.cumsum(starts) - 1
     first_index = order[starts]
-    return codes, first_index.astype(np.int64), len(first_index)
+    return codes, first_index, len(first_index)
 
 
 def hash_codes(columns: Sequence[Column]) -> np.ndarray:
@@ -329,30 +350,77 @@ def _dense_rank(segment: np.ndarray) -> Tuple[np.ndarray, int]:
     return ranks, int(steps[-1]) + 1
 
 
+def _decimal_digits(segment: np.ndarray, max_radix: int) -> Optional[Tuple[np.ndarray, int]]:
+    """``(digits, radix)``: a float segment as exact fixed-point integers
+    offset to ``[0, radix)``, ``radix <= max_radix``, or ``None``.
+
+    The scale is the first of ``DECIMAL_SCALES`` under which a sample of
+    rows round-trips, and every row must: ``rint(x·s) / s == x`` and
+    ``|rint(x·s)| < 2^53``. The first sample is the first rows; where some
+    row fails, the failing rows are the next sample, so whole numbers
+    followed by halves end at the scale of the halves. Division by ``s`` is
+    monotone, so under that check ``x -> rint(x·s)`` is strictly monotone
+    and one-to-one: the digits order and tie exactly as the floats do (-0.0
+    with 0.0). NaN never equals itself and ±inf is not below 2^53, so
+    neither ever passes."""
+    rows = segment[:_DECIMAL_SAMPLE]
+    fits = np.ones(len(DECIMAL_SCALES), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # x·s may overflow
+        while True:  # each round rules out the scale it tried
+            scaled = np.rint(np.multiply.outer(DECIMAL_SCALES, rows))
+            exact = scaled / DECIMAL_SCALES[:, None] == rows
+            fits &= (exact & (np.abs(scaled) < _EXACT)).all(axis=1)
+            if not fits.any():
+                return None
+            scale = DECIMAL_SCALES[fits.argmax()]
+            scaled = np.rint(segment * scale)
+            misses = scaled / scale != segment
+            if not misses.any():
+                break
+            rows = segment[np.flatnonzero(misses)[:_DECIMAL_SAMPLE]]
+    low, high = scaled.min(), scaled.max()
+    if not -_EXACT < low <= high < _EXACT or int(high) - int(low) + 1 > max_radix:
+        return None
+    digits = scaled.astype(np.int64)
+    digits -= int(low)  # in int64: a float64 subtraction could round two apart
+    return digits, int(high) - int(low) + 1
+
+
 def _packed_keys(segments: Sequence[np.ndarray], limit: int) -> Optional[np.ndarray]:
     """The segments' digits packed mixed-radix into one int64 per row, in
-    ``[0, limit)``, or ``None`` when they do not fit."""
-    packed: Optional[np.ndarray] = None
-    capacity = 1
-    for segment in segments:
-        if segment.dtype.kind == "f":
-            digit, radix = _dense_rank(segment)
-        else:
-            low, high = int(segment.min()), int(segment.max())
-            radix = high - low + 1
-            if capacity * radix < limit:  # then the offset cannot wrap
-                digit = segment.astype(np.int64, copy=False) - low
+    ``[0, limit)``, or ``None`` when they do not fit.
+
+    A decimal digit can be wider than the float's dense rank, so when the
+    digits do not fit and one of them was decimal, every float is ranked
+    instead: whatever packs with all floats ranked packs here too."""
+    for decimals in (True, False):
+        packed: Optional[np.ndarray] = None
+        capacity, fixed = 1, False
+        for segment in segments:
+            if segment.dtype.kind == "f":
+                found = _decimal_digits(segment, (limit - 1) // capacity) if decimals else None
+                fixed |= found is not None
+                digit, radix = found if found is not None else _dense_rank(segment)
             else:
-                digit, radix = _dense_rank(segment)
-        if capacity * radix >= limit:
-            return None
-        if packed is None:
-            packed = digit  # offsets and ranks are fresh arrays: packing is in place
+                low, high = int(segment.min()), int(segment.max())
+                radix = high - low + 1
+                if capacity * radix < limit:  # then the offset cannot wrap
+                    digit = segment.astype(np.int64, copy=False) - low
+                else:
+                    digit, radix = _dense_rank(segment)
+            if capacity * radix >= limit:
+                break
+            if packed is None:
+                packed = digit  # offsets, digits and ranks are fresh arrays
+            else:
+                packed *= radix
+                packed += digit
+            capacity *= radix
         else:
-            packed *= radix
-            packed += digit
-        capacity *= radix
-    return packed
+            return packed
+        if not fixed:
+            return None
+    return None
 
 
 def stable_order(segments: Sequence[np.ndarray]) -> np.ndarray:
@@ -360,13 +428,15 @@ def stable_order(segments: Sequence[np.ndarray]) -> np.ndarray:
     significant): exactly ``np.lexsort(segments[::-1])``, by one sort.
 
     Each segment becomes a digit — an integer its offset from its minimum
-    while the running capacity fits, a float or a too-wide integer its
-    dense rank — and the digits pack mixed-radix above the row id. The
-    packed keys are unique, so numpy's unstable (SIMD) sort yields the
-    stable order. A lone integer segment with at most one descent — sorted
-    already, or two sorted runs (MERGE, a re-sort extending earlier keys) —
-    keeps numpy's stable sort, which merges such runs in linear time. Only
-    keys too wide to pack beside the row id take the per-segment lexsort."""
+    while the running capacity fits, a float its exact decimal digits
+    (:func:`_decimal_digits`) while they fit, a too-wide integer or any
+    other float its dense rank — and the digits pack mixed-radix above the
+    row id. The packed keys are unique, so numpy's unstable (SIMD) sort
+    yields the stable order. A lone integer segment with at most one
+    descent — sorted already, or two sorted runs (MERGE, a re-sort
+    extending earlier keys) — keeps numpy's stable sort, which merges such
+    runs in linear time. Only keys too wide to pack beside the row id take
+    the per-segment lexsort."""
     n = len(segments[0])
     if n <= 1:
         return np.arange(n, dtype=np.int64)

@@ -622,3 +622,59 @@ def test_null_key_range_apart_from_the_value_it_encodes_as(sql):
         "t", {"k": [-(2**63) + 1, None, -(2**63) + 1, None, 5], "v": [1, 2, 3, 4, 5]}
     )
     assert_engines_agree(database, sql, engines=["lolepop", "monolithic"])
+
+
+#: ``x`` opens with 1, NaN, -2, 3, on which a Python sort of the values is
+#: undefined; then signed zeros, infinities, NULL and a second NaN.
+NAN_KEYS = [1.0, float("nan"), -2.0, 3.0, -0.0, float("inf"), 0.0, None,
+            float("-inf"), float("nan"), 0.5, -0.0]
+
+NAN_ORDER_QUERIES = [
+    "SELECT id, x FROM t ORDER BY x, id",
+    "SELECT id, x FROM t ORDER BY x DESC, id",
+    "SELECT id, g, x FROM t ORDER BY g, x DESC, id DESC",
+]
+
+NAN_QUERIES = NAN_ORDER_QUERIES + [
+    "SELECT id, row_number() OVER (ORDER BY x, id) AS rn, "
+    "rank() OVER (ORDER BY x) AS rk FROM t",
+    "SELECT id, row_number() OVER (PARTITION BY g ORDER BY x DESC, id) AS rn, "
+    "rank() OVER (PARTITION BY g ORDER BY x DESC) AS rk FROM t",
+    *(
+        f"SELECT g, percentile_disc({fraction}) WITHIN GROUP (ORDER BY x{direction}) "
+        "FROM t GROUP BY g"
+        for fraction in ("0.0", "0.5", "1.0")
+        for direction in ("", " DESC")
+    ),
+]
+
+
+def _nan_free(rows):
+    """Rows with NaN spelled out: NaN equals no value, not even itself."""
+    return [
+        tuple("NaN" if isinstance(v, float) and v != v else v for v in row) for row in rows
+    ]
+
+
+@pytest.mark.parametrize("sql", NAN_QUERIES)
+def test_nan_and_signed_zero_keys_order_alike_in_every_engine(sql):
+    """NaN sorts after every number and before NULL in both directions, and
+    ties with NaN; -0.0 ties with 0.0. The oracle sorts so as well."""
+    database = Database()
+    database.create_table("t", {"id": "int64", "g": "int64", "x": "float64"})
+    database.insert("t", {
+        "id": list(range(len(NAN_KEYS))),
+        "g": [i % 2 for i in range(len(NAN_KEYS))],
+        "x": NAN_KEYS,
+    })
+    shape = _nan_free if sql in NAN_ORDER_QUERIES else (
+        lambda rows: normalized_rows(_nan_free(rows))
+    )
+    reference = shape(database.sql(sql, engine="naive").rows())
+    if sql == NAN_ORDER_QUERIES[0]:
+        assert [x for _, x in reference] == [
+            float("-inf"), -2.0, -0.0, 0.0, -0.0, 0.5, 1.0, 3.0, float("inf"),
+            "NaN", "NaN", None,
+        ]
+    for engine in ENGINES:
+        assert shape(database.sql(sql, engine=engine).rows()) == reference, engine

@@ -382,7 +382,7 @@ _KEY_VALUES = {
         st.sampled_from([-(2**63), -(2**63) + 1, 2**53, 2**53 + 1, 2**63 - 1]),
     ),
     DataType.FLOAT64: st.one_of(
-        st.sampled_from([0.0, -0.0, 0.5, -1.5, float("inf"), float("-inf")]),
+        st.sampled_from([0.0, -0.0, 0.5, -1.5, float("inf"), float("-inf"), float("nan")]),
         st.floats(allow_nan=False),
     ),
     DataType.STRING: st.sampled_from(["", "a", "b", "ab", "B", "Zürich", "z"]),

@@ -14,14 +14,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.relational.hash_join import HashJoinTable
 from repro.storage import Batch, Column, keys
 from repro.storage.buffer import scatter_rows
 from repro.types import DataType, Field, Schema
 
 I64 = np.iinfo(np.int64)
+NAN, INF = math.nan, math.inf
 #: 0, 1 and 2 rows, and 2^k ± 1 up to past the split threshold.
 ROW_COUNTS = [0, 1, 2, 3] + [
     count for k in (3, 5, 7, 10, 12, 13) for count in (2**k - 1, 2**k, 2**k + 1)
@@ -41,10 +43,22 @@ def make_segment(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(SPECIAL_FLOATS, n)
     if kind == "distinct_float":
         return rng.permutation(n) + rng.random(n) * 0.5
+    if kind.startswith("decimal"):  # exact to the kind's number of places
+        return rng.integers(-(10**6), 10**6, n) / keys.DECIMAL_SCALES[int(kind[-1])]
+    if kind == "late_rows":  # whole numbers, then a sample of LATE_ROWS
+        values = rng.integers(-5, 6, n).astype(np.float64)
+        values[64:] = rng.choice(LATE_ROWS, max(n - 64, 0))
+        return values
     return (rng.random(n) * 4).round()  # "dup_float"
 
 
-KINDS = ["dup_int", "extreme_int", "wide_int", "special_float", "distinct_float", "dup_float"]
+#: Rows past a whole-number sample: some move the scale (0.5, 0.3), some fit
+#: any (-0.0), the rest none (0.1 + 0.2 is not 0.3; NaN, ±inf, 1e308).
+LATE_ROWS = np.array([0.5, 0.1 + 0.2, 0.3, math.nan, math.inf, -math.inf, -0.0, 1e308])
+KINDS = [
+    "dup_int", "extreme_int", "wide_int", "special_float", "distinct_float", "dup_float",
+    "late_rows", *(f"decimal{places}" for places in range(len(keys.DECIMAL_SCALES))),
+]
 
 
 def arrange(segments, layout: str, rng: np.random.Generator):
@@ -81,38 +95,98 @@ def _overflowing():
     return [make_segment("distinct_float", 2**13 + 1, rng) for _ in range(4)]
 
 
+#: Digits that would round together under a float64 subtraction of the
+#: minimum: 2^54 - 3 and 2^54 - 5 are not float64s.
+NEAR_2_53 = np.array([2.0**53 - 1, -(2.0**53 - 2), 2.0**53 - 3])
+
+
+def _wide_decimal_first():
+    """Whole floats 2^52 apart, then an int of range 2^8, then four floats
+    no scale fits, over 4 rows: the decimal digit and the offset fill the
+    2^61 the row ids leave, so the segments only pack with every float ranked."""
+    return [
+        np.array([0.0, 2.0**52, 0.0, 2.0**52]),
+        np.array([0, 255, 3, 7]),
+        np.array([1 / 3, 2 / 3, 1 / 7, 0.1 + 0.2]),
+    ]
+
+
 @pytest.fixture
 def branches(monkeypatch):
-    """Counts which branch each ``stable_order`` call took."""
+    """Counts which branch each ``stable_order`` call took and which digit
+    each float segment got, and checks that every fallback is one the
+    floats' dense ranks alone take too: a decimal digit never costs a pack."""
     seen: Counter = Counter()
-    packed_keys = keys._packed_keys
+    packed_keys, decimal_digits, dense_rank = (
+        keys._packed_keys, keys._decimal_digits, keys._dense_rank
+    )
 
     def spy(segments, limit):
         packed = packed_keys(segments, limit)
         seen["packed" if packed is not None else "fallback"] += 1
+        if packed is None:
+            with pytest.MonkeyPatch.context() as ranked:
+                ranked.setattr(keys, "_decimal_digits", lambda segment, most: None)
+                assert packed_keys(segments, limit) is None
         return packed
 
+    def spy_decimal(segment, max_radix):
+        found = decimal_digits(segment, max_radix)
+        seen["decimal"] += found is not None
+        return found
+
+    def spy_rank(segment):
+        seen["rank"] += segment.dtype.kind == "f"
+        return dense_rank(segment)
+
     monkeypatch.setattr(keys, "_packed_keys", spy)
+    monkeypatch.setattr(keys, "_decimal_digits", spy_decimal)
+    monkeypatch.setattr(keys, "_dense_rank", spy_rank)
     return seen
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stable_order_is_lexsort(branches):
     @settings(max_examples=400, deadline=None)
     @given(segment_lists())
     @example([np.sort(np.random.default_rng(1).integers(0, 50, 1025))])
     @example([np.arange(2**10 + 1)[::-1].copy()])
     @example(_overflowing())
+    @example([NEAR_2_53])
+    @example([NEAR_2_53[:2]])
+    @example([np.array([1e308, 1.5, -1e308, 1e308])])
+    @example([np.append(np.zeros(64), [INF, -INF])])  # round-trips, past 2^53
+    @example([np.array([0.1 + 0.2, 0.3, 0.1 + 0.2, 0.3])])
+    @example(_wide_decimal_first())
     def prop(segments):
-        before = sum(branches.values())
+        before = branches["packed"] + branches["fallback"]
         order = keys.stable_order(segments)
-        if len(segments[0]) > 1 and sum(branches.values()) == before:
+        if len(segments[0]) > 1 and branches["packed"] + branches["fallback"] == before:
             branches["adaptive"] += 1
         expected = np.lexsort(segments[::-1])
         assert order.dtype == expected.dtype
         np.testing.assert_array_equal(order, expected)
 
     prop()
-    assert {"adaptive", "packed", "fallback"} <= set(branches)
+    assert {"adaptive", "packed", "fallback", "decimal", "rank"} <= set(branches)
+
+
+@pytest.mark.parametrize("places", range(len(keys.DECIMAL_SCALES)))
+def test_decimals_take_the_first_scale_that_fits(places):
+    rng = np.random.default_rng(places)
+    values = rng.integers(-(10**6), 10**6, 100) / keys.DECIMAL_SCALES[places]
+    values[:2] = 1 / keys.DECIMAL_SCALES[places], -0.0  # at least ``places`` places
+    digits, radix = keys._decimal_digits(values, 2**62)
+    scaled = np.rint(values * keys.DECIMAL_SCALES[places]).astype(np.int64)
+    np.testing.assert_array_equal(digits, scaled - scaled.min())
+    assert radix == scaled.max() - scaled.min() + 1
+
+
+def test_rows_past_the_sample_move_the_scale():
+    values = np.append(np.arange(64.0), [0.5, -1.25])  # whole, then 2 places
+    digits, radix = keys._decimal_digits(values, 2**62)
+    np.testing.assert_array_equal(digits, (values * 100).astype(np.int64) + 125)
+    assert radix == 6300 + 125 + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,7 +214,6 @@ def test_split_lexsort_splits_a_large_sort():
     np.testing.assert_array_equal(finalize([thunk() for thunk in thunks]), expected)
 
 
-NAN, INF = math.nan, math.inf
 TOP = 2**63 - 1
 
 
@@ -193,6 +266,49 @@ def test_group_codes_unchanged_on_wide_and_float_keys(columns, codes, representa
     assert got_codes.tolist() == codes
     assert got_representatives.tolist() == representatives
     assert num_groups == len(representatives)
+
+
+@st.composite
+def wide_packed_spaces(draw):
+    """1-3 nullable int key columns whose packed space holds more than
+    ``DIRECT_TABLE_FACTOR`` slots per row: the sorted numbering's domain."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 64, 1000, 2**13 + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        spread = draw(st.sampled_from([3, 2**8, 2**20]))
+        data = rng.integers(-spread, spread, n) + int(rng.integers(-(2**40), 2**40))
+        valid = rng.random(n) < 0.9 if draw(st.booleans()) else None
+        columns.append(Column(DataType.INT64, data, valid))
+    space = keys.fit_keys(columns)
+    assume(space is not None and space[1] > keys.DIRECT_TABLE_FACTOR * n)
+    return columns, space
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_packed_spaces())
+def test_sorted_numbering_is_np_unique(case):
+    """``group_codes`` and the ``sorted`` join table number a wide packed
+    space exactly as ``np.unique`` does: codes, first rows, distinct keys."""
+    columns, space = case
+    packed, matchable = keys.encode_keys(space, columns)
+    uniques, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    codes, representatives, num_groups = keys.group_codes(columns)
+    np.testing.assert_array_equal(codes, inverse.reshape(-1))
+    np.testing.assert_array_equal(representatives, first)
+    assert num_groups == len(uniques)
+
+    names = [f"k{i}" for i in range(len(columns))]
+    build = Batch(Schema([Field(name, DataType.INT64) for name in names]), columns)
+    table = HashJoinTable(build, names)
+    assert table.form == "sorted"
+    matched = packed if matchable is None else packed[matchable]
+    uniques = np.unique(matched)
+    np.testing.assert_array_equal(table._uniques[:-1], uniques)
+    slots = np.searchsorted(uniques, packed)
+    if matchable is not None:
+        slots[~matchable] = len(uniques)
+    np.testing.assert_array_equal(table._slots(build, names), slots)
 
 
 def _int64_scatter(batch, key_names, count):
