@@ -9,9 +9,9 @@ one (or annotated as one), list displays/comprehensions, and
 
 ``R5-stringly-rewrite`` — nobody may append a plain string (literal,
 f-string, or string concatenation) directly to ``Dag.rewrites``. The
-optimizer provenance machinery (EXPLAIN ANALYZE cost deltas, profile
-``rewrite_events``, plan_diff attribution) only works when every entry is
-a :class:`~repro.observability.provenance.RewriteEvent`; use
+consumers that read ``pass_name`` (EXPLAIN ANALYZE's buffer-reuse count,
+plan tests) and plan_diff's ``nodes`` attribution only work when every
+entry is a :class:`~repro.observability.provenance.RewriteEvent`; use
 ``dag.record_rewrite(...)`` which builds one.
 
 (``R2-undeclared-mutation`` lives with the purity pass, whose alias

@@ -8,7 +8,6 @@ measured serial time plus the makespan at the configured thread count
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, NamedTuple, Optional
 
 from ..api import Database
@@ -40,11 +39,6 @@ class BenchResult(NamedTuple):
         if self.execution_mode == "parallel":
             return self.makespan
         return self.serial_time if self.threads == 1 else self.makespan
-
-
-def bench_scale_factor(default: float = 0.02) -> float:
-    """Benchmark scale factor, overridable via the REPRO_SF env var."""
-    return float(os.environ.get("REPRO_SF", default))
 
 
 def run_query(

@@ -61,11 +61,6 @@ def computation_graph(plan: LogicalPlan) -> List[GraphNode]:
     if isinstance(below, Window):
         window = below
 
-    def source_columns(*plans) -> None:
-        for p in plans:
-            if p is None:
-                continue
-
     # Input values: everything the pre-projection reads.
     base_schema = (window.child if window else aggregate.child).schema
     for field in base_schema.fields:

@@ -10,7 +10,10 @@ sorting. If the key range was already sorted by (a,c), a
 duplicate-sensitive ORDAGG would be preferable."
 
 This module prices exactly that trade with simple per-row unit costs,
-using cardinality estimates from :mod:`repro.logical.cardinality`.
+using cardinality estimates from :mod:`repro.logical.cardinality`. It is
+the only decision the engine prices; the materialization manager
+(:mod:`repro.reuse.manager`) reuses the same unit costs to weigh what an
+evicted entry would cost to rebuild.
 """
 
 from __future__ import annotations
@@ -75,52 +78,3 @@ def choose_distinct_strategy(
     ) + hash_aggregation_cost(distinct_groups, final_groups)
     return DistinctStrategy(via_sort < via_hash, via_sort, via_hash)
 
-
-# ----------------------------------------------------------------------
-# Whole-DAG costing (rewrite-event provenance)
-# ----------------------------------------------------------------------
-
-#: Row count every node is priced at. The absolute value matters little — rewrite cost *deltas* compare the same
-#: DAG before/after a pass, so a removed SORT shows up as ``-sort_cost(N)``
-#: whichever N is assumed.
-DEFAULT_COST_ROWS = 1000.0
-
-
-def node_cost(name: str, rows: float) -> float:
-    """Unit cost of one LOLEPOP that consumes and emits ``rows`` rows.
-
-    ``name`` is the operator legend name (``SOURCE``, ``PARTITION``, ...).
-    """
-    if name == "SORT":
-        return sort_cost(rows)
-    if name == "HASHAGG":
-        return hash_aggregation_cost(rows, rows)
-    if name == "ORDAGG":
-        return ordagg_cost(rows)
-    if name == "PARTITION":
-        # One hash + scatter touch per input row.
-        return HASH_BASE_COST * rows
-    if name == "WINDOW":
-        # Per-partition evaluation touches every row a couple of times.
-        return 2.0 * SCAN_COST_PER_ROW * rows
-    # SOURCE / SCAN / MERGE / COMBINE and cached-buffer substitutes: one
-    # sequential touch per row moved.
-    return SCAN_COST_PER_ROW * rows
-
-
-def dag_cost(dag) -> float:
-    """Estimated total cost of a LOLEPOP DAG: the sum of per-node unit
-    costs over the topological order, every node priced at
-    :data:`DEFAULT_COST_ROWS`. This is the price tag
-    :class:`~repro.observability.provenance.RewriteEvent` records
-    before/after each optimizer pass — a *relative* measure for attributing
-    plan-cost movement to rewrites, not a latency prediction.
-    """
-    total = 0.0
-    for node in dag.topological_order():
-        try:
-            name = node.name()
-        except Exception:  # noqa: BLE001 — unregistered test doubles
-            name = type(node).__name__
-        total += node_cost(name, DEFAULT_COST_ROWS)
-    return total

@@ -24,7 +24,7 @@ from ..errors import BindError, ExecutionError
 from ..storage.batch import Batch
 from ..storage.column import Column
 from ..storage.dictionary import StringDictionary, object_array
-from ..types import DataType, Schema, common_numeric_type, date_to_days
+from ..types import DataType, Schema, common_numeric_type
 from . import functions as fn_registry
 from .nodes import (
     ARITHMETIC_OPS,
@@ -127,12 +127,6 @@ def infer_dtype(expr: Expr, schema: Schema) -> DataType:
 # ----------------------------------------------------------------------
 # Vectorized evaluation
 # ----------------------------------------------------------------------
-
-
-def _literal_physical(value: Any, dtype: DataType) -> Any:
-    if dtype is DataType.DATE and value is not None:
-        return date_to_days(value)
-    return value
 
 
 def evaluate(expr: Expr, batch: Batch) -> Column:

@@ -225,8 +225,6 @@ class Dag:
         pass_name: str,
         detail: str = "",
         nodes: Sequence[str] = (),
-        cost_before: Optional[float] = None,
-        cost_after: Optional[float] = None,
     ) -> RewriteEvent:
         """Append one structured
         :class:`~repro.observability.provenance.RewriteEvent` to the
@@ -234,14 +232,7 @@ class Dag:
         analyzer rule ``R5-stringly-rewrite`` flags direct string appends."""
         from ..observability.provenance import RewriteEvent
 
-        event = RewriteEvent(
-            text,
-            pass_name,
-            detail=detail,
-            nodes=nodes,
-            cost_before=cost_before,
-            cost_after=cost_after,
-        )
+        event = RewriteEvent(text, pass_name, detail=detail, nodes=nodes)
         self.rewrites.append(event)
         return event
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..costmodel import dag_cost
 from ..execution.context import EngineConfig
 from .base import Dag, Lolepop, buffer_root
 from .combine_op import CombineOp
@@ -29,48 +28,35 @@ from .sort_op import SortOp
 def optimize(dag: Dag, config: EngineConfig) -> None:
     """Run all enabled passes in place; record each fired pass in
     ``dag.rewrites`` as a structured
-    :class:`~repro.observability.provenance.RewriteEvent` — pass name, the
-    names of the nodes it removed, and the estimated whole-DAG cost
-    before/after (:func:`repro.costmodel.dag_cost`) — so EXPLAIN ANALYZE
-    and ``tools/plan_diff.py`` can attribute plan-cost movement to the
-    step-E decision that caused it. Every node is priced at the neutral
-    :data:`~repro.costmodel.DEFAULT_COST_ROWS`: the deltas stay meaningful
-    (a removed SORT still subtracts its term), and a plan-cache miss pays
-    no cardinality estimate for provenance.
+    :class:`~repro.observability.provenance.RewriteEvent` — pass name and
+    the names of the nodes it removed — so EXPLAIN ANALYZE and
+    ``tools/plan_diff.py`` can attribute a removed operator to the step-E
+    decision that caused it. The passes are heuristics and are not priced.
 
     Under ``verify_plans="strict"`` the DAG is re-verified after every
     pass that fired, so a plan-breaking rewrite is attributed to the pass
     (via the entry it just appended to ``dag.rewrites``) instead of
     surfacing as a confusing post-translation failure.
     """
-    cost = dag_cost(dag)
     if config.elide_sorts:
         removed = elide_redundant_sorts(dag)
         if removed:
-            after = dag_cost(dag)
             dag.record_rewrite(
                 f"elide_redundant_sorts x{len(removed)}",
                 pass_name="elide_redundant_sorts",
                 detail=f"x{len(removed)}",
                 nodes=removed,
-                cost_before=cost,
-                cost_after=after,
             )
-            cost = after
             _verify_after_pass(dag, config)
     if config.remove_redundant_combines:
         removed = remove_redundant_combines(dag)
         if removed:
-            after = dag_cost(dag)
             dag.record_rewrite(
                 f"remove_redundant_combines x{len(removed)}",
                 pass_name="remove_redundant_combines",
                 detail=f"x{len(removed)}",
                 nodes=removed,
-                cost_before=cost,
-                cost_after=after,
             )
-            cost = after
             _verify_after_pass(dag, config)
 
 

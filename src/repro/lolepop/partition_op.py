@@ -27,9 +27,9 @@ buffer is clustered on its keys whatever its count, so the plan-time
 properties (:func:`hash_clustering`) do not depend on the choice.
 
 Mirrors the paper's §4.4: per-thread scatter, cross-thread chunk-list merge
-(free in our single-address-space emulation), then an optional *compaction*
-step producing one chunk per partition when a downstream operator asked for
-in-place modification (SORT does).
+(free in our single-address-space emulation), then a *compaction* step
+producing one chunk per partition, which in-place modification (SORT)
+needs.
 
 Under a memory budget the partitions that do not fit are spilled right after
 the scatter. What the budget bounds is the buffer's loaded footprint from
@@ -83,12 +83,10 @@ class PartitionOp(Lolepop):
         input_op: Lolepop,
         keys: Sequence[str],
         num_partitions: int,
-        compact: bool = True,
     ):
         super().__init__([input_op])
         self.keys = tuple(keys)
         self.num_partitions = num_partitions
-        self.compact = compact
         #: :class:`~repro.reuse.CaptureSpec` attached by the translator when
         #: the cross-query materialization manager wants this site's output
         #: offered to the buffer cache after execution.
@@ -167,14 +165,13 @@ class PartitionOp(Lolepop):
             )
             if self.span is not None and spilled:
                 self.note(spilled_partitions=spilled[0])
-        if self.compact:
-            ctx.next_phase()
-            ctx.parallel_for(
-                "compaction",
-                [p for p in buffer.partitions if not p.is_compacted],
-                lambda p: p.compact(),
-                splittable=True,
-            )
+        ctx.next_phase()
+        ctx.parallel_for(
+            "compaction",
+            [p for p in buffer.partitions if not p.is_compacted],
+            lambda p: p.compact(),
+            splittable=True,
+        )
         if self.span is not None:
             self.note(scatter_keys=",".join(self.keys) or "round-robin")
             if sized:

@@ -58,7 +58,6 @@ class CachedBufferOp(SourceOp):
         thunk,
         keys: Sequence[str],
         num_partitions: int,
-        compact: bool = True,
     ):
         super().__init__(thunk, label=f"cached {spec.describe()}", plan=source_plan)
         self.spec = spec
@@ -67,7 +66,6 @@ class CachedBufferOp(SourceOp):
         )
         self.keys = tuple(keys)
         self.num_partitions = num_partitions
-        self.compact = compact
 
     def describe(self) -> str:
         parts = [self.spec.describe()]
@@ -101,9 +99,7 @@ class CachedBufferOp(SourceOp):
         # phase structure match what translation without a cache hit
         # would have produced.
         batches = self._thunk()
-        partition = PartitionOp(
-            self, self.keys, self.num_partitions, compact=self.compact
-        )
+        partition = PartitionOp(self, self.keys, self.num_partitions)
         buffer = partition.execute(ctx, [batches])
         if self.ordering:
             buffer = SortOp(self, list(self.ordering)).execute(ctx, [buffer])

@@ -142,7 +142,6 @@ class _Translator:
         keys: Sequence[str],
         num_partitions: int,
         source_plan: Optional[LogicalPlan],
-        compact: bool = True,
         required_order=None,
     ) -> Lolepop:
         """A PARTITION over ``upstream_fn()`` — or, when the materialization
@@ -158,7 +157,7 @@ class _Translator:
         spec = None
         if manager is not None and source_plan is not None:
             spec = manager.capture_spec(
-                source_plan, keys, num_partitions, self.config, compact=compact
+                source_plan, keys, num_partitions, self.config
             )
         if spec is not None:
             ordering = manager.lookup_buffer(spec, required_order=required_order)
@@ -179,11 +178,10 @@ class _Translator:
                         lambda: self.source(source_plan),
                         keys,
                         num_partitions,
-                        compact=compact,
                     )
                 )
         partition = self.dag.add(
-            PartitionOp(upstream_fn(), tuple(keys), num_partitions, compact=compact)
+            PartitionOp(upstream_fn(), tuple(keys), num_partitions)
         )
         if spec is not None:
             partition.reuse_capture = spec
@@ -525,13 +523,16 @@ class _Translator:
             if not decision.use_sort:
                 still_hash.append(call)
                 continue
+            # The decision's own prices, the only ones the engine compares.
+            detail = (
+                f"{call.func}(DISTINCT {arg}): sort {decision.sort_cost:.3g}"
+                f" < hash {decision.hash_cost:.3g}"
+            )
             self.dag.record_rewrite(
-                f"cost_based_distinct: sort strategy for {call.name}",
+                f"cost_based_distinct: {detail}",
                 pass_name="cost_based_distinct",
-                detail=call.name,
+                detail=detail,
                 nodes=("SORT", "ORDAGG"),
-                cost_before=decision.hash_cost,
-                cost_after=decision.sort_cost,
             )
             sort_order = [(name, False) for name in group_names] + [(arg, False)]
             sort = self.dag.add(SortOp(chain_buffer, sort_order))

@@ -269,9 +269,7 @@ def render_analyze(result, config, estimator) -> str:
     )
     if profile.rewrites:
         lines.append("rewrites:")
-        for event in profile.rewrites:
-            cost = event.render_cost()
-            lines.append(f"  {event}" + (f"  {cost}" if cost else ""))
+        lines.extend(f"  {event}" for event in profile.rewrites)
     # The worst-skewed regions (a one-item region cannot be skewed).
     skewed = [e for e in morsel_skew(result.trace) if e["items"] >= 2 and e["skew"] >= 1.5]
     if skewed:

@@ -32,7 +32,7 @@ from typing import (
 
 from ..execution.trace import Span
 from ..lolepop.base import NODE_COUNTERS
-from .provenance import RewriteEvent, rewrite_events_to_dicts
+from .provenance import RewriteEvent
 
 __all__ = [
     "Counter",
@@ -315,8 +315,7 @@ class QueryProfile:
             "makespan_s": self.makespan,
             "counters": dict(self.counters),
             "joins": [dict(join) for join in self.joins],
-            "rewrites": [str(entry) for entry in self.rewrites],
-            "rewrite_events": rewrite_events_to_dicts(self.rewrites),
+            "rewrites": [event.to_dict() for event in self.rewrites],
             "dags": dags,
         }
         if trace is not None:

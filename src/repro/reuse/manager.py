@@ -6,7 +6,7 @@ Owns two stores keyed on the plan keys
 
 - **Buffer cache** — materialized :class:`~repro.storage.TupleBuffer`
   snapshots keyed on (fragment signature, partition keys, partition
-  count, morsel size, compaction) plus the buffer's per-partition
+  count, morsel size) plus the buffer's per-partition
   ordering. The translator substitutes a
   :class:`~repro.lolepop.reuse_op.CachedBufferOp` for a PARTITION (or
   PARTITION→SORT) whose spec has a fresh entry; PARTITION and SORT offer
@@ -81,7 +81,7 @@ class CaptureSpec:
     Everything that decides the buffer's exact bytes is part of the key:
     the fragment's plan key (table, columns read, stage expressions), the
     partition keys and count, the morsel size (batch boundaries decide
-    round-robin placement and chunk order), and compaction. The table
+    round-robin placement and chunk order). The table
     version pins the data snapshot the signature was taken against.
 
     ``num_partitions`` is the plan's cap: a keyed PARTITION builds
@@ -99,7 +99,6 @@ class CaptureSpec:
         "partition_keys",
         "num_partitions",
         "morsel_size",
-        "compact",
         "schema_names",
         "table_version",
     )
@@ -111,7 +110,6 @@ class CaptureSpec:
         partition_keys: Tuple[str, ...],
         num_partitions: int,
         morsel_size: int,
-        compact: bool,
         schema_names: Tuple[str, ...],
         table_version: int,
     ):
@@ -120,7 +118,6 @@ class CaptureSpec:
         self.partition_keys = partition_keys
         self.num_partitions = num_partitions
         self.morsel_size = morsel_size
-        self.compact = compact
         self.schema_names = schema_names
         self.table_version = table_version
 
@@ -131,7 +128,6 @@ class CaptureSpec:
             self.partition_keys,
             self.num_partitions,
             self.morsel_size,
-            self.compact,
         )
 
     def describe(self) -> str:
@@ -284,8 +280,9 @@ class MaterializationManager:
     # ------------------------------------------------------------------
     # Buffer cache
     # ------------------------------------------------------------------
-    def capture_spec(self, source_plan, keys, num_partitions, config,
-                     compact: bool = True) -> Optional[CaptureSpec]:
+    def capture_spec(
+        self, source_plan, keys, num_partitions, config
+    ) -> Optional[CaptureSpec]:
         """The capture spec for a PARTITION site over ``source_plan``, or
         ``None`` when the fragment shape or config is not cacheable."""
         if not self.config.enable_buffers:
@@ -306,7 +303,6 @@ class MaterializationManager:
             tuple(keys),
             num_partitions,
             config.morsel_size,
-            bool(compact),
             tuple(f.name for f in source_plan.schema),
             table.version,
         )

@@ -152,6 +152,15 @@ class PreparedPlan:
     executions of the same statement stay independent. A variant shares
     the entry's templates, fingerprints and AST (whose literals are the
     entry's) and has its own plan, slots and estimate.
+
+    A template keeps the §3.3 DISTINCT lowering it was translated with.
+    When the feedback store later calibrates an estimate across the
+    decision boundary, EXPLAIN (which translates afresh) shows the other
+    path while cached executions keep the old one, until a drift re-plan
+    or DML on a table it reads drops the templates. Drift reads the root
+    Q-error, so a misestimate below the root that the store corrects may
+    never trigger one. Both lowerings give identical answers, so this
+    bound costs speed, never correctness.
     """
 
     __slots__ = (

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..analysis.sanitizer import SAN as _SAN
 from ..errors import ExecutionError
-from ..types import DataType, Schema
+from ..types import Schema
 from .batch import Batch
 from .column import Column
 from .spill import approx_batch_bytes, flat_batch_bytes
@@ -428,19 +428,6 @@ class TupleBuffer:
         """
         self.append_pieces(self.scatter_batch(batch))
 
-    @classmethod
-    def from_batches(
-        cls,
-        schema: Schema,
-        batches: Sequence[Batch],
-        num_partitions: int = 1,
-        partitioned_by: Tuple[str, ...] = (),
-    ) -> "TupleBuffer":
-        buffer = cls(schema, num_partitions, partitioned_by)
-        for batch in batches:
-            buffer.append_partitioned(batch)
-        return buffer
-
     # ------------------------------------------------------------------
     # Consumption paths
     # ------------------------------------------------------------------
@@ -482,10 +469,6 @@ class TupleBuffer:
         if any(p.schema is not schema for p in self.partitions):
             raise ExecutionError("per-partition column count mismatch")
         self.schema = schema
-
-    def clone_layout(self) -> "TupleBuffer":
-        """An empty buffer with identical schema/partitioning."""
-        return TupleBuffer(self.schema, self.num_partitions, self.partitioned_by)
 
     def __repr__(self) -> str:
         props = []

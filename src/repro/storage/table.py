@@ -50,11 +50,6 @@ class Table:
             if observer not in self._observers:
                 self._observers.append(observer)
 
-    def remove_observer(self, observer) -> None:
-        with self._lock:
-            if observer in self._observers:
-                self._observers.remove(observer)
-
     def _notify(self, kind: str, batch: Optional[Batch]) -> None:
         for observer in list(self._observers):
             observer(kind, batch)

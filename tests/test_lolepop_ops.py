@@ -48,7 +48,7 @@ class TestPartitionOp:
         c = ctx()
         batches = [make_batch([1], [0.1]), make_batch([1], [0.2])]
         src = source(batches)
-        op = PartitionOp(src, ("k",), 2, compact=True)
+        op = PartitionOp(src, ("k",), 2)
         buffer = run(op, c, [batches])
         for partition in buffer.partitions:
             assert partition.is_compacted

@@ -1,6 +1,6 @@
-"""Tests for optimizer provenance (structured rewrite events + cost
-deltas), the per-operator resource ledger, service wait-span export, the
-persistent cardinality-feedback store, and the closed Q-error loop."""
+"""Tests for optimizer provenance (structured rewrite events), the
+per-operator resource ledger, service wait-span export, the persistent
+cardinality-feedback store, and the closed Q-error loop."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import json
 import os
 import pickle
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,10 +33,8 @@ from repro.observability.feedback import (
     plan_signature,
     root_observation,
 )
-from repro.observability.provenance import (
-    RewriteEvent,
-    rewrite_events_to_dicts,
-)
+from repro.observability.metrics import QueryProfile
+from repro.observability.provenance import RewriteEvent
 from repro.observability.telemetry import (
     QueryRecord,
     Telemetry,
@@ -81,8 +80,6 @@ class TestRewriteEvent:
             pass_name="elide_sorts",
             detail="x2",
             nodes=("#3 SORT [k ASC]", "#7 SORT [k ASC]"),
-            cost_before=900.0,
-            cost_after=400.0,
         )
 
     def test_renders_as_its_text(self):
@@ -94,15 +91,20 @@ class TestRewriteEvent:
         event = self.make()
         assert event.pass_name == "elide_sorts"
         assert event.nodes == ("#3 SORT [k ASC]", "#7 SORT [k ASC]")
-        assert event.cost_delta == pytest.approx(-500.0)
-        assert "-500" in event.render_cost()
+        assert event.detail == "x2"
 
     def test_to_dict_round_trip(self):
         doc = self.make().to_dict()
-        assert doc["text"] == "elide_redundant_sorts x2"
-        assert doc["pass"] == "elide_sorts"
-        assert doc["cost_delta"] == pytest.approx(-500.0)
+        assert doc == {
+            "text": "elide_redundant_sorts x2",
+            "pass": "elide_sorts",
+            "detail": "x2",
+            "nodes": ["#3 SORT [k ASC]", "#7 SORT [k ASC]"],
+        }
         json.dumps(doc)  # JSON-safe
+        # An event without a qualifier or nodes writes neither key.
+        bare = RewriteEvent("reuse", pass_name="reuse").to_dict()
+        assert bare == {"text": "reuse", "pass": "reuse"}
 
     def test_copy_and_pickle_survive(self):
         event = self.make()
@@ -114,7 +116,9 @@ class TestRewriteEvent:
 
     def test_event_dicts_mirror_the_log(self):
         event = self.make()
-        assert rewrite_events_to_dicts([event]) == [event.to_dict()]
+        profile = QueryProfile("q", EngineConfig())
+        profile.rewrites.append(event)
+        assert profile.to_dict()["rewrites"] == [event.to_dict()]
 
 
 # ---------------------------------------------------------------------------
@@ -136,33 +140,59 @@ class TestProvenanceEndToEnd:
     # (and sort-elision) opportunity, so rewrites fire deterministically.
     SQL = "SELECT g, sum(x), count(*) FROM t GROUP BY g ORDER BY g"
 
-    def test_dag_rewrites_are_events_with_costs(self, db):
+    def test_optimized_dag_events_have_the_record_shape(self, db):
         result = db.sql(
             self.SQL, config=EngineConfig(collect_metrics=True)
         )
         events = result.profile.rewrites
         assert events, "optimizer recorded no structured rewrite events"
         assert all(isinstance(entry, RewriteEvent) for entry in events)
-        costed = [e for e in events if e.cost_delta is not None]
-        assert costed, "no rewrite carried an estimated cost delta"
-        assert all(e.cost_delta <= 0.0 for e in costed)
+        for event in events:
+            doc = event.to_dict()
+            assert {"text", "pass"} <= set(doc) <= {
+                "text", "pass", "detail", "nodes",
+            }
+        assert "remove_redundant_combines" in {e.pass_name for e in events}
 
-    def test_profile_dict_exposes_rewrite_events(self, db):
+    def test_profile_dict_writes_the_log_once(self, db):
         result = db.sql(
             self.SQL, config=EngineConfig(collect_metrics=True)
         )
         doc = result.profile.to_dict()
-        assert all(isinstance(text, str) for text in doc["rewrites"])
-        assert doc["rewrite_events"], "rewrite_events missing from profile"
-        event = doc["rewrite_events"][0]
-        assert set(event) >= {"text", "pass"}
-        json.dumps(doc["rewrite_events"])
-
-    def test_explain_analyze_renders_cost_deltas(self, db):
+        assert "rewrite_events" not in doc
+        assert doc["rewrites"] == [e.to_dict() for e in result.profile.rewrites]
+        json.dumps(doc["rewrites"])
         text = db.explain_analyze(self.SQL)
         assert "rewrites:" in text
-        assert "Δcost" in text
-        assert "->" in text
+        for event in result.profile.rewrites:
+            assert f"  {event}\n" in text
+
+    def test_distinct_event_names_both_prices(self, db):
+        # Beside a median over 30k rows, a near-unique DISTINCT argument
+        # re-sorts the median's buffer instead of building a hash pair.
+        db.create_table("u", {"k": "int64", "v": "float64", "w": "int64"})
+        n = 30000
+        db.insert(
+            "u",
+            {"k": np.arange(n) % 7, "v": np.arange(n) % 97 * 1.0, "w": np.arange(n)},
+        )
+        result = db.sql(
+            "SELECT k, median(v), count(DISTINCT w) FROM u GROUP BY k",
+            config=EngineConfig(collect_metrics=True),
+        )
+        (event,) = [
+            e for e in result.profile.rewrites
+            if e.pass_name == "cost_based_distinct"
+        ]
+        match = re.fullmatch(
+            r"count\(DISTINCT w\): sort (\S+) < hash (\S+)", event.detail
+        )
+        assert match, event.detail
+        sort_price, hash_price = map(float, match.groups())
+        # The smaller price is the path taken: the plan re-sorts.
+        assert sort_price < hash_price
+        assert "HASHAGG" not in result.dags[0].operator_names()
+        assert event.detail in str(event)
 
     def test_ledger_fields_populated(self, db):
         result = db.sql(
@@ -767,7 +797,6 @@ class TestPlanDiff:
             }
         ]
         rewrites = []
-        events = []
         if with_sort:
             operators.append(
                 {
@@ -778,18 +807,17 @@ class TestPlanDiff:
                 }
             )
         else:
-            rewrites.append("elide_redundant_sorts x1")
-            events.append(
+            rewrites.append(
                 {
                     "text": "elide_redundant_sorts x1",
-                    "pass": "elide_sorts",
+                    "pass": "elide_redundant_sorts",
+                    "detail": "x1",
                     "nodes": ["#3 SORT [k]"],
-                    "cost_delta": -800.0,
                 }
             )
         return {
             "query": "q", "serial_time_s": wall + (0.2 if with_sort else 0.0),
-            "rewrites": rewrites, "rewrite_events": events,
+            "rewrites": rewrites,
             "dags": [{"index": 0, "operators": operators}],
         }
 
@@ -803,11 +831,61 @@ class TestPlanDiff:
         removed = report["operators_removed"]
         assert len(removed) == 1
         assert removed[0]["attributed_to"] == "elide_redundant_sorts x1"
-        assert report["rewrites_added"][0]["cost_delta"] == pytest.approx(
-            -800.0
-        )
+        (added,) = report["rewrites_added"]
+        assert added["pass"] == "elide_redundant_sorts"
         changed = report["operators_changed"]
         assert changed and changed[0]["wall_delta_s"] == pytest.approx(0.05)
+
+    def test_profile_diff_matches_operators_past_a_removed_one(self):
+        plan_diff = _load_tool("plan_diff")
+
+        def doc(names, rewrites=()):
+            operators = [
+                {"id": i, "name": name, "describe": describe, "wall_time_s": 0.1}
+                for i, (name, describe) in enumerate(names)
+            ]
+            return {"rewrites": list(rewrites), "dags": [{"index": 0, "operators": operators}]}
+
+        before = doc([("SOURCE", ""), ("SORT", "k"), ("SORT", "k"), ("MERGE", "k")])
+        after = doc(
+            [("SOURCE", ""), ("SORT", "k"), ("MERGE", "k")],
+            [
+                {"text": "buffer-reuse: x", "pass": "buffer-reuse", "nodes": ["SORT"]},
+                {"text": "elide_redundant_sorts x1", "pass": "elide_redundant_sorts",
+                 "nodes": ["#2 SORT [k]"]},
+            ],
+        )
+        report = plan_diff.diff_profiles(before, after)
+        # The MERGE moved from #3 to #2: matched, not removed and re-added.
+        assert report["operators_added"] == []
+        (removed,) = report["operators_removed"]
+        assert removed["operator"] == "region 0 #2 SORT [k]"
+        # The event naming the exact node wins over one naming only "SORT".
+        assert removed["attributed_to"] == "elide_redundant_sorts x1"
+
+    def test_engine_profiles_attribute_every_removed_operator(self):
+        plan_diff = _load_tool("plan_diff")
+        db = Database(num_threads=2)
+        db.create_table("r", {"k": "int64", "g": "int64", "v": "float64"})
+        n = 2000
+        db.insert("r", {"k": np.arange(n) % 7, "g": np.arange(n) % 3, "v": np.ones(n)})
+        sql = (
+            "SELECT k, s, sum(s) OVER (PARTITION BY k ORDER BY s) "
+            "FROM (SELECT k, g, sum(v) AS s FROM r GROUP BY k, g) AS d ORDER BY k"
+        )
+        profiles = [
+            db.sql(sql, config=EngineConfig(collect_metrics=True, **ablate))
+            .profile.to_dict()
+            for ablate in (dict(elide_sorts=False, remove_redundant_combines=False), {})
+        ]
+        report = plan_diff.diff_profiles(*profiles)
+        attributed = {e["operator"].split(" ", 3)[3]: e["attributed_to"]
+                      for e in report["operators_removed"]}
+        assert attributed == {
+            "SORT [k]": "elide_redundant_sorts x1",
+            "COMBINE [join on (k,g)]": "remove_redundant_combines x1",
+        }
+        assert report["operators_added"] == []
 
     def test_cli_rejects_a_document_that_is_not_a_profile(self, tmp_path):
         plan_diff = _load_tool("plan_diff")

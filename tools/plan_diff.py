@@ -4,12 +4,15 @@ movement to operators and rewrite events.
 
 Input is the profile JSON (``QueryProfile.to_dict``, e.g. the shell's
 ``.profile json`` or the benchmark ``--profile-dir`` output): operators are
-matched by ``(dag index, operator id, name)``; per-operator wall-time,
-rows, spill, and bytes-materialized deltas are reported, operators that
+matched by ``(dag index, name, describe)`` and their rank among equal
+ones, not by id, so an operator a rewrite removed does not shift the ids
+of those after it into false removals. Per-operator wall-time, rows,
+spill, and bytes-materialized deltas are reported, operators that
 appeared/disappeared are listed, and disappeared operators are attributed
-to the rewrite events that name them (``rewrite_events`` carries the
-optimizer's structured provenance, including per-rewrite estimated-cost
-deltas).
+to the rewrite events that name them (``rewrites`` is the optimizer's
+structured provenance: one ``{text, pass, detail, nodes}`` dict per
+rewrite that fired). An event whose node label names the operator's
+describe text wins over one that only names its operator kind.
 
 Usage::
 
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 
@@ -59,40 +64,49 @@ def _fmt_bytes(num: float) -> str:
 # Profile diff
 # ----------------------------------------------------------------------
 
-def _profile_operators(doc: dict) -> Dict[Tuple[int, int, str], dict]:
-    out: Dict[Tuple[int, int, str], dict] = {}
+#: (dag index, name, describe, rank among the dag's equal operators)
+OpKey = Tuple[int, str, str, int]
+
+
+def _profile_operators(doc: dict) -> Dict[OpKey, dict]:
+    out: Dict[OpKey, dict] = {}
     for dag in doc.get("dags", []):
         dag_index = int(dag.get("index", 0))
-        for op in dag.get("operators", []):
-            key = (dag_index, int(op.get("id", 0)), str(op.get("name", "?")))
-            out[key] = op
+        seen: Counter = Counter()
+        for op in sorted(dag.get("operators", []), key=lambda o: int(o.get("id", 0))):
+            ident = (dag_index, str(op.get("name", "?")), str(op.get("describe") or ""))
+            out[ident + (seen[ident],)] = op
+            seen[ident] += 1
     return out
 
 
-def _op_label(key: Tuple[int, int, str], op: dict) -> str:
-    dag_index, node_index, name = key
-    describe = op.get("describe") or ""
-    label = f"region {dag_index} #{node_index} {name}"
-    return f"{label} [{describe}]" if describe else label
+def _op_order(ops: Dict[OpKey, dict], keys) -> List[OpKey]:
+    return sorted(keys, key=lambda k: (k[0], int(ops[k].get("id", 0))))
 
 
-def _rewrite_texts(doc: dict) -> List[str]:
-    return [str(entry) for entry in doc.get("rewrites", [])]
+def _node_text(key: OpKey) -> str:
+    """``"SORT [k,v]"``: an optimizer node label without its ``#id``."""
+    _, name, describe, _ = key
+    return f"{name} [{describe}]" if describe else name
 
 
-def _rewrite_events(doc: dict) -> List[dict]:
-    events = doc.get("rewrite_events")
-    if isinstance(events, list):
-        return [e for e in events if isinstance(e, dict)]
-    # Old profiles: degrade the plain strings.
-    return [{"text": text} for text in _rewrite_texts(doc)]
+def _op_label(key: OpKey, op: dict) -> str:
+    return f"region {key[0]} #{int(op.get('id', 0))} {_node_text(key)}"
+
+
+def _events(doc: dict) -> List[dict]:
+    # Profiles written before the log carried structure hold plain strings.
+    return [
+        entry if isinstance(entry, dict) else {"text": str(entry)}
+        for entry in doc.get("rewrites", [])
+    ]
 
 
 def diff_profiles(before: dict, after: dict) -> dict:
     ops_a = _profile_operators(before)
     ops_b = _profile_operators(after)
     changed: List[dict] = []
-    for key in sorted(set(ops_a) & set(ops_b)):
+    for key in _op_order(ops_b, set(ops_a) & set(ops_b)):
         a, b = ops_a[key], ops_b[key]
         entry = {
             "operator": _op_label(key, b),
@@ -118,33 +132,39 @@ def diff_profiles(before: dict, after: dict) -> dict:
             changed.append(entry)
     changed.sort(key=lambda e: -abs(e["wall_delta_s"]))
 
-    texts_a, texts_b = _rewrite_texts(before), _rewrite_texts(after)
-    added_rewrites = [t for t in texts_b if t not in texts_a]
+    events_a, events_b = _events(before), _events(after)
+    texts_a = [str(e.get("text", "")) for e in events_a]
+    texts_b = [str(e.get("text", "")) for e in events_b]
+    added_rewrites = [e for e in events_b if e.get("text", "") not in texts_a]
     removed_rewrites = [t for t in texts_a if t not in texts_b]
-    events_b = {str(e.get("text", "")): e for e in _rewrite_events(after)}
 
-    def _attribute(name: str) -> Optional[str]:
-        """The rewrite event (in `after`) whose node list names ``name``."""
-        for text, event in events_b.items():
-            nodes = event.get("nodes", [])
-            if any(name in str(node) for node in nodes):
-                return text
+    def _attribute(key: OpKey) -> Optional[str]:
+        """The rewrite event (in `after`) whose node list names the
+        operator: by its describe text first, then by its kind alone."""
+        exact = _node_text(key)
+        for matches in (
+            lambda node: re.sub(r"^#\d+ ", "", node) == exact,
+            lambda node: key[1] in node,
+        ):
+            for event in events_b:
+                if any(matches(str(node)) for node in event.get("nodes", [])):
+                    return str(event.get("text", ""))
         return None
 
     removed_ops = [
         {
             "operator": _op_label(key, ops_a[key]),
             "wall_s": float(ops_a[key].get("wall_time_s", 0.0)),
-            "attributed_to": _attribute(key[2]) if key[2] else None,
+            "attributed_to": _attribute(key),
         }
-        for key in sorted(set(ops_a) - set(ops_b))
+        for key in _op_order(ops_a, set(ops_a) - set(ops_b))
     ]
     added_ops = [
         {
             "operator": _op_label(key, ops_b[key]),
             "wall_s": float(ops_b[key].get("wall_time_s", 0.0)),
         }
-        for key in sorted(set(ops_b) - set(ops_a))
+        for key in _op_order(ops_b, set(ops_b) - set(ops_a))
     ]
     return {
         "kind": "profile",
@@ -154,9 +174,7 @@ def diff_profiles(before: dict, after: dict) -> dict:
         "operators_changed": changed,
         "operators_removed": removed_ops,
         "operators_added": added_ops,
-        "rewrites_added": [
-            events_b.get(text, {"text": text}) for text in added_rewrites
-        ],
+        "rewrites_added": added_rewrites,
         "rewrites_removed": removed_rewrites,
     }
 
@@ -166,11 +184,9 @@ def _render_profile(report: dict) -> List[str]:
     lines.append(f"total work: {_fmt_s(report['total_wall_delta_s'])}")
     if report["rewrites_added"]:
         lines.append("rewrites added:")
-        for event in report["rewrites_added"]:
-            note = ""
-            if event.get("cost_delta") is not None:
-                note = f"  Δcost {event['cost_delta']:+.0f}"
-            lines.append(f"  + {event.get('text', '?')}{note}")
+        lines.extend(
+            f"  + {event.get('text', '?')}" for event in report["rewrites_added"]
+        )
     if report["rewrites_removed"]:
         lines.append("rewrites removed:")
         lines.extend(f"  - {text}" for text in report["rewrites_removed"])
