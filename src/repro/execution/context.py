@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .parallel import ParallelScheduler
 from .scheduler import SimulatedScheduler
@@ -98,15 +98,17 @@ class EngineConfig:
         self.permutation_vectors = permutation_vectors
         #: When set, the bytes a tuple buffer's partitions keep loaded
         #: *between work items* stay within this many bytes: PARTITION
-        #: spills what does not fit, and a work item of SORT / WINDOW /
-        #: ORDAGG loads at most one spilled partition. It bounds buffers,
+        #: spills what does not fit, and a chain item (the SORT / WINDOW /
+        #: ORDAGG / SCAN steps over one partition) loads at most one
+        #: spilled partition, once. It bounds buffers,
         #: not the process — operator input streams are materialized
         #: (docs/architecture.md §2).
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_directory = spill_directory
         #: Optional per-query
         #: :class:`~repro.execution.cancellation.CancellationToken`; both
-        #: schedulers check it when entering every region barrier, raising
+        #: schedulers check it when entering every region barrier and
+        #: between the steps of a chain item, raising
         #: :class:`~repro.errors.QueryCancelled` on cancel/timeout.
         self.cancellation = cancellation
         #: Static plan verifier mode (see :data:`VERIFY_MODES`). ``None``
@@ -225,8 +227,11 @@ class ExecutionContext:
         items: Sequence,
         fn: Callable,
         splittable: bool = False,
+        steps: Optional[Sequence[Tuple[str, bool]]] = None,
     ) -> List:
-        """Run one parallel region under the current phase label."""
+        """Run one parallel region under the current phase label (a chain
+        region with ``steps``: see
+        :meth:`~repro.execution.scheduler.RegionScheduler.run_region`)."""
         return self.scheduler.run_region(
-            operator, self._phase, items, fn, splittable
+            operator, self._phase, items, fn, splittable, steps
         )

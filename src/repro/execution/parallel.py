@@ -18,10 +18,16 @@ Execution contract (what the differential/property test suites lock down):
   in submission order;
 - an exception raised by a worker propagates to the caller after the
   barrier, carrying the worker's original traceback;
-- splittable items that implement
-  :class:`~repro.execution.scheduler.SplittableTask` are subdivided into at
+- a chain region's item (:func:`repro.lolepop.base.run_chain`) runs whole
+  on one worker — every step of its partition, the way parallel mode runs
+  every item: it is a determinism harness, not a speed feature
+  (docs/architecture.md §4). Its ``(step, start, end)`` marks become the
+  region's item spans;
+- items that implement :class:`~repro.execution.scheduler.SplittableTask`
+  in a region marked ``splittable`` (and no chain) are subdivided into at
   most ``num_threads`` sub-thunks when the region has fewer items than
-  threads (the morsel-driven per-partition SORT of the paper's §4.4).
+  threads. No engine operator hands it one any more: SORT, the one that
+  did, is a chain step.
 
 Timing: ``serial_time`` sums the measured per-item durations (the
 "1 thread" work, same meaning as in the simulated scheduler), while
@@ -41,7 +47,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .scheduler import RegionScheduler, SplittableTask
+from .scheduler import RegionScheduler, SplittableTask, Step
 from .trace import ExecutionTrace
 
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
@@ -93,6 +99,7 @@ class ParallelScheduler(RegionScheduler):
         items: Sequence,
         fn: Callable,
         splittable: bool,
+        steps: Optional[Sequence[Step]],
     ) -> List:
         """Run the items on the worker pool and wait for all of them."""
         items = list(items)
@@ -102,7 +109,10 @@ class ParallelScheduler(RegionScheduler):
         # Sub-thunk budget per item: only split when the region has fewer
         # items than threads, and never into more than num_threads pieces.
         max_parts = 1
-        if splittable and self.num_threads > 1 and len(items) < self.num_threads:
+        if (
+            splittable and steps is None and self.num_threads > 1
+            and len(items) < self.num_threads
+        ):
             max_parts = min(
                 self.num_threads, -(-self.num_threads // len(items)) + 1
             )
@@ -139,7 +149,6 @@ class ParallelScheduler(RegionScheduler):
             # (concurrent.futures preserves __traceback__).
             raise error
 
-        self.serial_time += sum(end - start for _, _, start, end in outcomes)
         results: List = []
         cursor = 0
         for item, plan in zip(items, plans):
@@ -151,6 +160,14 @@ class ParallelScheduler(RegionScheduler):
                 sub_results = [o[0] for o in outcomes[cursor : cursor + count]]
                 cursor += count
                 results.append(item.finalize(sub_results))
+        if steps is not None:
+            # A chain item ran whole; the steps it marked are its units.
+            outcomes = [
+                (None, ident, start, end, steps[step][0])
+                for (_, marks), ident, _, _ in outcomes
+                for step, start, end in marks
+            ]
+        self.serial_time += sum(o[3] - o[2] for o in outcomes)
         base = self._elapsed
         self._elapsed += time.perf_counter() - region_start
         if self.trace is not None:
@@ -160,8 +177,8 @@ class ParallelScheduler(RegionScheduler):
             offset = base - region_start
             workers = self._worker_ids
             units = [
-                (workers.setdefault(ident, len(workers)), start + offset, end + offset)
-                for _, ident, start, end in outcomes
+                (workers.setdefault(ident, len(workers)), start + offset, end + offset, *name)
+                for _, ident, start, end, *name in outcomes
             ]
             self.trace.add_region(operator, phase, base, self._elapsed, units, len(items))
         return results

@@ -13,12 +13,20 @@ partition is itself parallel work. A splittable item of measured duration
 Monolithic baselines schedule the same measured durations with
 ``splittable=False``, which reproduces HyPer's single-threaded per-partition
 sorting collapse (Table 3, queries 7/12/15).
+
+A *chain* region (``steps`` given) runs one item per hash partition through
+several operators (SORT → WINDOW → ... → SCAN, see
+:func:`repro.lolepop.base.run_chain`); its items report when each step ran.
+Each step is scheduled as its own unit, splittable as its operator is, in
+the shorter of two legal schedules of the same units: step by step with a
+barrier between steps (what one region per operator gives), or item by item
+with each step starting when the item's previous one ended.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.sanitizer import SAN as _SAN
 from .trace import ExecutionTrace
@@ -30,6 +38,16 @@ SPLIT_QUANTUM = 0.0005
 #: Relative overhead added when an item is split (synchronization, cache
 #: effects of parallel runs + merge).
 SPLIT_OVERHEAD = 0.10
+
+#: One step of a chain region: its operator's name and whether the
+#: simulated schedule may split the step's duration.
+Step = Tuple[str, bool]
+#: A chain item as the simulated scheduler places it: per step it ran, the
+#: step's index and the durations of its pieces.
+_StepPieces = List[Tuple[int, List[float]]]
+#: Thread clocks after a schedule, and its ``(thread, start, end, step)``
+#: units.
+_Schedule = Tuple[List[float], List[Tuple[int, float, float, str]]]
 
 
 class SplittableTask:
@@ -91,19 +109,33 @@ class RegionScheduler:
         items: Sequence,
         fn: Callable,
         splittable: bool = False,
+        steps: Optional[Sequence[Step]] = None,
     ) -> List:
         """Execute ``fn(item)`` for every item as one parallel region.
-        Returns results in item order."""
+        Returns results in item order.
+
+        With ``steps`` — ``(operator, splittable)`` per step of a chain
+        region — ``fn`` returns ``(value, marks)``, ``marks`` being the
+        ``(step index, start, end)`` ``time.perf_counter`` stamps of the
+        steps the item ran; each is scheduled and traced as its own unit,
+        named by its step's operator."""
         sanitizer = _SAN.active
         if sanitizer is not None:  # sanitizer epoch brackets the barrier
             sanitizer.begin_region(operator, phase)
         try:
             if self.cancellation is not None:
                 self.cancellation.check()
-            return self._execute_items(operator, phase, items, fn, splittable)
+            return self._execute_items(operator, phase, items, fn, splittable, steps)
         finally:
             if sanitizer is not None:
                 sanitizer.end_region()
+
+    def checkpoint(self) -> None:
+        """Raise :class:`~repro.errors.QueryCancelled` if the query was
+        cancelled — what a chain item checks before each of its steps, the
+        way ``run_region`` checks on entry."""
+        if self.cancellation is not None:
+            self.cancellation.check()
 
     def _execute_items(
         self,
@@ -112,6 +144,7 @@ class RegionScheduler:
         items: Sequence,
         fn: Callable,
         splittable: bool,
+        steps: Optional[Sequence[Step]],
     ) -> List:
         raise NotImplementedError
 
@@ -143,9 +176,14 @@ class SimulatedScheduler(RegionScheduler):
         items: Sequence,
         fn: Callable,
         splittable: bool,
+        steps: Optional[Sequence[Step]],
     ) -> List:
         """Run the items serially, measure, and schedule the measured
         durations as one region."""
+        if steps is not None:
+            results = [fn(item) for item in items]
+            self._account_chain(operator, phase, [marks for _, marks in results], steps)
+            return results
         results = []
         durations = []
         for item in items:
@@ -184,6 +222,86 @@ class SimulatedScheduler(RegionScheduler):
             self.trace.add_region(
                 operator, phase, barrier, self.sim_time, units, len(durations)
             )
+
+    def _account_chain(
+        self,
+        operator: str,
+        phase: str,
+        marks: Sequence[Sequence[Tuple[int, float, float]]],
+        steps: Sequence[Step],
+    ) -> None:
+        """Schedule a chain region's measured steps (see the module
+        docstring): ``marks`` holds each item's ``(step, start, end)``."""
+        self.serial_time += sum(end - start for item in marks for _, start, end in item)
+        barrier = self.sim_time
+        if self.num_threads == 1:
+            # One thread runs the units back to back, in any schedule.
+            clock, units = barrier, []
+            for item in marks:
+                for step, start, end in item:
+                    if self.trace is not None:
+                        units.append((0, clock, clock + end - start, steps[step][0]))
+                    clock += end - start
+            self._clocks = [clock]
+        else:
+            chains = [
+                [(step, self._split(end - start, steps[step][1])) for step, start, end in item]
+                for item in marks
+            ]
+            self._clocks, units = min(
+                self._place_by_item(chains, steps, barrier),
+                self._place_by_step(chains, steps, barrier),
+                key=lambda schedule: max(schedule[0]),
+            )
+        if units and self.trace is not None:
+            self.trace.add_region(
+                operator, phase, barrier, self.sim_time, units, len(marks)
+            )
+
+    def _place(self, clocks: List[float], ready: float, duration: float) -> Tuple[int, float]:
+        """Put one unit on the thread where it can start first, no earlier
+        than ``ready``; returns ``(thread, start)``."""
+        thread = min(range(self.num_threads), key=lambda t: (max(clocks[t], ready), t))
+        start = max(clocks[thread], ready)
+        clocks[thread] = start + duration
+        return thread, start
+
+    def _place_by_step(
+        self, chains: Sequence[_StepPieces], steps: Sequence[Step], barrier: float
+    ) -> _Schedule:
+        """One barrier per step, longest unit first: what a region per
+        operator schedules."""
+        clocks = [barrier] * self.num_threads
+        units = []
+        for index, (name, _) in enumerate(steps):
+            pieces = [
+                piece for chain in chains for step, parts in chain if step == index
+                for piece in parts
+            ]
+            for duration in sorted(pieces, reverse=True):
+                thread, start = self._place(clocks, barrier, duration)
+                units.append((thread, start, start + duration, name))
+            barrier = max(clocks)
+            clocks = [barrier] * self.num_threads
+        return clocks, units
+
+    def _place_by_item(
+        self, chains: Sequence[_StepPieces], steps: Sequence[Step], barrier: float
+    ) -> _Schedule:
+        """Longest item first, each step as soon as its item's previous
+        step (all of its pieces) ended."""
+        clocks = [barrier] * self.num_threads
+        units = []
+        for chain in sorted(chains, key=lambda c: -sum(sum(parts) for _, parts in c)):
+            ready = barrier
+            for step, parts in chain:
+                ends = []
+                for duration in parts:
+                    thread, start = self._place(clocks, ready, duration)
+                    units.append((thread, start, start + duration, steps[step][0]))
+                    ends.append(start + duration)
+                ready = max(ends)
+        return clocks, units
 
     def _split(self, duration: float, splittable: bool) -> List[float]:
         if not splittable or self.num_threads == 1:

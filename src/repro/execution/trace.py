@@ -6,7 +6,10 @@ once by whoever owns its clock (docs/observability.md has the table): the
 service and ``Database`` open the ``statement`` root and its stages when
 telemetry is on, ``Dag.execute`` one ``node`` per executed LOLEPOP under
 ``collect_metrics``, the schedulers one ``region`` per ``run_region``
-barrier with an ``item`` per scheduled unit under ``collect_trace``.
+barrier with an ``item`` per scheduled unit under ``collect_trace``. A
+chain region's items are its steps: one per operator an item ran, named by
+that operator, and the region sits beside the ``node`` spans of the steps
+(it spans several of them).
 
 Statement, stage and node spans tick on the wall clock
 (``time.perf_counter``); region and item spans on the scheduler's, which
@@ -115,17 +118,19 @@ class ExecutionTrace:
         phase: str,
         start: float,
         end: float,
-        units: Sequence[Tuple[int, float, float]],
+        units: Sequence[Tuple],
         items: Optional[int] = None,
     ) -> None:
         """:meth:`add` one ``run_region`` barrier. ``units`` are the
         ``(thread, start, end)`` of what was scheduled, ``items`` the number
-        of work items they came from (a split item is several units). Items
-        share their region's ``attrs``."""
+        of work items they came from (a split item is several units). A
+        chain region's units are ``(thread, start, end, operator)``: one per
+        step an item ran, named by the step's operator. Items share their
+        region's ``attrs``."""
         attrs = {"phase": phase, "items": len(units) if items is None else items}
         self.add("region", operator, start, end, attrs).children = [
-            Span("item", operator, unit_start, unit_end, thread, attrs)
-            for thread, unit_start, unit_end in units
+            Span("item", name[0] if name else operator, unit_start, unit_end, thread, attrs)
+            for thread, unit_start, unit_end, *name in units
         ]
 
     # -- views ----------------------------------------------------------

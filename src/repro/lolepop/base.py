@@ -9,16 +9,26 @@ paper is about. Because of that, plans are DAGs with *anti-dependencies*:
 an operator that re-sorts a buffer must run after every consumer of the
 previous ordering. :class:`Dag` tracks those as ``after`` edges and executes
 nodes in a topological order over both data and ordering edges.
+
+After a buffer is built, the operators that read it one hash partition at a
+time — SORT, WINDOW, ORDAGG and a SCAN of the buffer (Table 1) — are
+*chain steps*. :func:`partition_chains` groups each maximal run of them
+over one buffer into a chain, and :func:`run_chain` runs a chain as one
+region of one work item per partition: the item loads its partition once
+(a spilled one is read from its file once), runs every step on it in
+order, and releases it.
 """
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ExecutionError, PlanError
 from ..execution.context import ExecutionContext
+from ..execution.trace import ExecutionTrace, Span
 from ..storage.batch import Batch
-from ..storage.buffer import TupleBuffer
+from ..storage.buffer import BufferPartition, Ordering, TupleBuffer
 from .properties import PhysProps
 
 if TYPE_CHECKING:
@@ -60,6 +70,15 @@ def _shape_of(value: object) -> Tuple[int, int, int, int]:
     return 0, 0, 0, 0
 
 
+def _count_output(attrs: dict, result: object) -> None:
+    """Fill a ``node`` span's output counters from the node's result."""
+    rows, batches, buffer_bytes, partition_peak = _shape_of(result)
+    attrs["rows_out"] = rows
+    attrs["batches_out"] = batches
+    attrs["bytes_materialized"] = attrs["peak_buffer_bytes"] = buffer_bytes
+    attrs["peak_partition_bytes"] = partition_peak
+
+
 class Lolepop:
     """Base class for all low-level plan operators.
 
@@ -92,6 +111,12 @@ class Lolepop:
     #: (WINDOW appends columns). Drives the verifier's buffer-reuse race
     #: check.
     mutation_effect: Optional[str] = None
+    #: A chain step (see :func:`run_chain`) runs on every partition holding
+    #: at least this many rows; ``None``: the operator is no chain step.
+    chain_min_rows: Optional[int] = None
+    #: Does the simulated scheduler split this step's measured duration
+    #: across threads (the paper's morsel-driven per-partition work)?
+    splittable = False
 
     def __init__(self, inputs: Sequence["Lolepop"] = ()):
         self.inputs: List[Lolepop] = list(inputs)
@@ -138,6 +163,19 @@ class Lolepop:
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         raise NotImplementedError
+
+    def chain_step(self, ctx: ExecutionContext, view: "BufferView") -> "ChainStep":
+        """This chain step planned for ``view`` (the buffer as the step will
+        find it, which the step then updates): the per-partition body, run
+        inside the chain's items (``None``: nothing to do, e.g. an elided
+        SORT), and the finish, run once after them on the submitting thread
+        with the buffer and the body's result per partition (``None`` where
+        it did not run); the finish returns the step's output."""
+        raise PlanError(f"{self.name()} is no chain step")
+
+    def ends_chain(self) -> bool:
+        """Must the chain stop after this step?"""
+        return False
 
     def run_after(self, *ops: "Lolepop") -> "Lolepop":
         self.after.extend(ops)
@@ -203,6 +241,171 @@ def buffer_root(node: Lolepop) -> Optional[Lolepop]:
     return node if node.buffer_role == "creates" else None
 
 
+# ----------------------------------------------------------------------
+# Partition chains
+# ----------------------------------------------------------------------
+#: What :meth:`Lolepop.chain_step` returns: the per-partition body (or
+#: ``None``) and the finish.
+ChainStep = Tuple[
+    Optional[Callable[[BufferPartition], object]],
+    Callable[[TupleBuffer, List[object]], OpResult],
+]
+
+
+class BufferView:
+    """The schema and per-partition ordering a buffer will have when a
+    chain step runs: the steps before it in the chain have not run yet
+    when it is planned, so each step reads them here and updates them."""
+
+    __slots__ = ("schema", "ordered_by")
+
+    def __init__(self, buffer: TupleBuffer):
+        self.schema = buffer.schema
+        self.ordered_by: Ordering = buffer.ordered_by
+
+
+def chain_step_over_buffer(node: Lolepop) -> Optional[Lolepop]:
+    """The buffer root ``node`` reads one partition at a time, if ``node``
+    is a chain step; ``None`` otherwise."""
+    if node.chain_min_rows is None or not node.inputs:
+        return None
+    return buffer_root(node.inputs[0])
+
+
+def partition_chains(order: Sequence[Lolepop]) -> List[List[Lolepop]]:
+    """``order`` (a topological order) cut into execution units: each
+    maximal run of chain steps over one buffer is one unit, every other
+    node a unit of its own.
+
+    A run is consecutive in ``order``, so every input and ``after``
+    predecessor of a step is either in its chain or ran before the chain
+    started; any other node between two steps (a MERGE reading one ordering
+    before a re-sort) ends the chain there, and so does a step that
+    :meth:`~Lolepop.ends_chain`. The units follow from the DAG's structure
+    alone: a cloned plan-cache template runs the same chains."""
+    units: List[List[Lolepop]] = []
+    chain_root = None  # of the chain ``units[-1]``, if it is one
+    for node in order:
+        root = chain_step_over_buffer(node)
+        if root is not None and root is chain_root and not units[-1][-1].ends_chain():
+            units[-1].append(node)
+        else:
+            units.append([node])
+            chain_root = root
+    return units
+
+
+def run_chain(
+    ctx: ExecutionContext,
+    steps: Sequence[Lolepop],
+    buffer: TupleBuffer,
+    keep: bool,
+) -> Tuple[List[OpResult], List[float]]:
+    """Run ``steps``, a chain over ``buffer``, as one region of one work
+    item per partition that any step runs on, and return each step's
+    output and seconds.
+
+    Every step is planned first, on the submitting thread, against the
+    buffer as the steps before it will leave it (:class:`BufferView`): a
+    SORT's elision is decided there. Item ``i`` then pins partition ``i``
+    (:meth:`~repro.storage.buffer.BufferPartition.pin`), runs every step's
+    body on it in order — checking for cancellation before each — and
+    unpins it. ``keep``: a reader after the chain reads the buffer, so a
+    spilled partition appends what the steps change to its file. The
+    finishes run last, in step order. A step's seconds are its planning,
+    its body in every item and its finish."""
+    view = BufferView(buffer)
+    finishes: List[Callable[[TupleBuffer, List[object]], OpResult]] = []
+    seconds: List[float] = []
+    work = []  # (step index, its fewest rows, its body) of the steps with a body
+    for index, node in enumerate(steps):
+        started = time.perf_counter()
+        body, finish = node.chain_step(ctx, view)
+        finishes.append(finish)
+        seconds.append(time.perf_counter() - started)
+        if body is not None:
+            work.append((index, node.chain_min_rows, body))
+    checkpoint = ctx.scheduler.checkpoint
+
+    def item(entry: Tuple[BufferPartition, int]):
+        """One partition (and its row count) through every step:
+        ``(results, marks)``, the marks timing each step that ran (the load
+        and the write-back count towards the first and the last)."""
+        partition, rows = entry
+        results: List[object] = [None] * len(steps)
+        marks: List[List] = []
+        start = time.perf_counter()
+        partition.pin(keep)
+        for index, min_rows, body in work:
+            checkpoint()
+            if rows >= min_rows:
+                results[index] = body(partition)
+                end = time.perf_counter()
+                marks.append([index, start, end])
+                start = end
+        partition.unpin()
+        if marks:
+            marks[-1][2] = time.perf_counter()
+        return results, marks
+
+    outcomes: List = []
+    if work:
+        fewest = min(min_rows for _, min_rows, _ in work)
+        items = []
+        for partition in buffer.partitions:
+            rows = partition.num_rows
+            if rows >= fewest:
+                items.append((partition, rows))
+        names = [(node.legend.lower(), node.splittable) for node in steps]
+        outcomes = ctx.parallel_for(
+            "+".join(names[index][0] for index, _, _ in work), items, item, steps=names
+        )
+    for _, marks in outcomes:
+        for index, start, end in marks:
+            seconds[index] += end - start
+    outputs: List[OpResult] = []
+    for index, finish in enumerate(finishes):
+        started = time.perf_counter()
+        outputs.append(finish(buffer, [results[index] for results, _ in outcomes]))
+        seconds[index] += time.perf_counter() - started
+    return outputs, seconds
+
+
+def _traced_chain(
+    ctx: ExecutionContext,
+    trace: ExecutionTrace,
+    steps: Sequence[Lolepop],
+    buffer: TupleBuffer,
+    keep: bool,
+) -> List[OpResult]:
+    """:func:`run_chain` with a ``node`` span per step (see
+    :meth:`Dag.execute`)."""
+    rows, batches, _, _ = _shape_of(buffer)
+    for step in steps:
+        attrs = node_attrs()
+        attrs["rows_in"], attrs["batches_in"] = rows, batches
+        step.span = Span("node", step.name(), attrs=attrs)
+    spill_before = ctx.spill_counters()
+    started = time.perf_counter()
+    outputs, seconds = run_chain(ctx, steps, buffer, keep)
+    ended = time.perf_counter()
+    spill_after = ctx.spill_counters()
+    steps[0].span.attrs["spill_bytes_read"] = (
+        spill_after["bytes_read"] - spill_before["bytes_read"]
+    )
+    steps[-1].span.attrs["spill_bytes_written"] = (
+        spill_after["bytes_written"] - spill_before["bytes_written"]
+    )
+    scale = (ended - started) / (sum(seconds) or 1.0)
+    cursor = started
+    for step, output, share in zip(steps, outputs, seconds):
+        step.span.start = cursor
+        cursor = step.span.end = cursor + share * scale
+        trace.open.children.append(step.span)
+        _count_output(step.span.attrs, output)
+    return outputs
+
+
 class Dag:
     """An executable DAG of LOLEPOPs with one sink."""
 
@@ -265,10 +468,9 @@ class Dag:
         """Structural copy for plan-cache reuse: fresh node instances wired
         like the originals, sharing the (read-only) operator parameters.
 
-        Execution mutates node *instances* (``span``, SORT's split
-        bookkeeping) but never the parameter lists, so a shallow per-node
-        copy gives an independently executable DAG while the cached template
-        stays pristine. SOURCE thunks are per-query (they close over the
+        Execution mutates node *instances* (``span``) but never the
+        parameter lists, so a shallow per-node copy gives an independently
+        executable DAG while the cached template stays pristine. SOURCE thunks are per-query (they close over the
         runner) and must be rebound by the caller via
         :meth:`SourceOp.rebind`. ``rebase`` maps the logical plan nodes the
         DAG names (:attr:`region_plan`, each SOURCE's plan) onto another
@@ -316,19 +518,49 @@ class Dag:
         return order
 
     def execute(self, ctx: ExecutionContext) -> OpResult:
-        """Run the DAG; each operator's execution is one or more pipeline
-        phases of the scheduler.
+        """Run the DAG: every node in topological order, each chain of
+        partition-local steps (:func:`partition_chains`) as one region
+        (:func:`run_chain`); each unit is one or more pipeline phases of the
+        scheduler.
 
         Under ``collect_metrics`` every node runs inside its own ``node``
         span (beneath whichever span is open: a nested region's nodes are
         children of the SOURCE that ran them) whose ``attrs`` count rows and
         batches in and out, buffer bytes and the spill bytes attributed to
-        it. The default path pays one check per node.
+        it. The steps of a chain share its region, so their spans divide the
+        chain's interval in proportion to each step's seconds, and the
+        chain's spill reads (the items' loads) count towards its first step,
+        its writes towards its last. The default path pays one check per
+        unit.
         """
         results: Dict[int, OpResult] = {}
         trace = ctx.trace if ctx.config.collect_metrics else None
-        for node in self.topological_order():
+        order = self.topological_order()
+        # Position of the last reader of each buffer (the DAG's caller
+        # reads a buffer the sink outputs, after every node).
+        last_read: Dict[int, int] = {}
+        for position, reader in enumerate(order):
+            for dep in reader.inputs:
+                if dep.buffer_role is not None:
+                    last_read[id(buffer_root(dep))] = position
+        last_read[id(buffer_root(self.sink))] = len(order)
+        position = 0
+        for unit in partition_chains(order):
+            position += len(unit)
             ctx.next_phase()
+            node = unit[0]
+            root = chain_step_over_buffer(node)
+            if root is not None:
+                buffer = results[id(node.inputs[0])]
+                # Does a reader after the chain need what the steps change?
+                keep = last_read[id(root)] >= position
+                if trace is None:
+                    outputs, _ = run_chain(ctx, unit, buffer, keep)
+                else:
+                    outputs = _traced_chain(ctx, trace, unit, buffer, keep)
+                for step, output in zip(unit, outputs):
+                    results[id(step)] = output
+                continue
             inputs = [results[id(dep)] for dep in node.inputs]
             if trace is None:
                 results[id(node)] = node.execute(ctx, inputs)
@@ -345,11 +577,7 @@ class Dag:
             spill_after = ctx.spill_counters()
             for key in ("bytes_written", "bytes_read"):
                 attrs["spill_" + key] = spill_after[key] - spill_before[key]
-            rows, batches, buffer_bytes, partition_peak = _shape_of(result)
-            attrs["rows_out"] = rows
-            attrs["batches_out"] = batches
-            attrs["bytes_materialized"] = attrs["peak_buffer_bytes"] = buffer_bytes
-            attrs["peak_partition_bytes"] = partition_peak
+            _count_output(attrs, result)
         return results[id(self.sink)]
 
     # ------------------------------------------------------------------

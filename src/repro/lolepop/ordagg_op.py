@@ -14,6 +14,11 @@ Supports, per task:
 - holistic aggregates (``percentile_disc``/``percentile_cont``/``mode``),
   computed on the sorted range by the kernel WINDOW shares (NULLs sort last,
   so the valid prefix is contiguous).
+
+A chain step (:func:`repro.lolepop.base.run_chain`): each work item
+aggregates the one partition it holds, as the SORT before it in the same
+item left it, and the output stream is the items' batches in partition
+order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
 from ..storage.keys import key_change_flags
 from ..types import Schema
-from .base import Lolepop, OpResult
+from .base import BufferView, ChainStep, Lolepop, OpResult, run_chain
 from .hashagg_op import aggregate_schema
 from .properties import PhysProps, _missing_columns, unique_groups
 from .ranges import ranges_of
@@ -48,6 +53,8 @@ class OrdAggOp(Lolepop):
     legend = "ORDAGG"
     consumes = ("buffer",)
     produces = "stream"
+    chain_min_rows = 1
+    splittable = True
 
     def __init__(
         self,
@@ -126,22 +133,24 @@ class OrdAggOp(Lolepop):
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
-        buffer: TupleBuffer = inputs[0]
-        out_schema = self.output_schema(buffer.schema)
-        partitions = [p for p in buffer.partitions if p.num_rows]
+        return run_chain(ctx, [self], inputs[0], keep=True)[0][0]
 
-        def aggregate_one(partition) -> Batch:
-            return self._aggregate_partition(
-                partition.ordered_batch(), out_schema
-            )
+    def chain_step(self, ctx: ExecutionContext, view: BufferView) -> ChainStep:
+        out_schema = self.output_schema(view.schema)
 
-        results = ctx.parallel_for(
-            "ordagg", partitions, aggregate_one, splittable=True
-        )
-        if self.span is not None:
-            self.note(aggregated_partitions=len(partitions), tasks=len(self.tasks))
-        outputs = [b for b in results if len(b)]
-        return outputs or [Batch.empty(out_schema)]
+        def aggregate(partition) -> Batch:
+            return self._aggregate_partition(partition.ordered_batch(), out_schema)
+
+        def finish(buffer: TupleBuffer, results: List[Optional[Batch]]) -> List[Batch]:
+            if self.span is not None:
+                self.note(
+                    aggregated_partitions=sum(b is not None for b in results),
+                    tasks=len(self.tasks),
+                )
+            outputs = [b for b in results if b is not None and len(b)]
+            return outputs or [Batch.empty(out_schema)]
+
+        return aggregate, finish
 
     # ------------------------------------------------------------------
     def _aggregate_partition(self, batch: Batch, out_schema: Schema) -> Batch:

@@ -14,8 +14,9 @@ the ``k x64`` of EXPLAIN) is its upper bound:
   so PARTITION knows its row count and builds
   :func:`partition_count` ``(rows, num_partitions)`` partitions: one per
   :data:`ROWS_PER_PARTITION` rows. A partition is the unit of work of
-  every per-partition SORT, ORDAGG and WINDOW item and of compaction.
-  Always building the cap cut 200 k rows into 3 k-row items whose cost
+  compaction and of the chain that follows
+  (:func:`~repro.lolepop.base.run_chain`): one item takes it through
+  every SORT, WINDOW, ORDAGG and SCAN step over the buffer. Always building the cap cut 200 k rows into 3 k-row items whose cost
   was mostly fixed interpreter and numpy-call overhead; sizing from the
   rows keeps each item large enough to amortize it.
 - **fixed** — under ``memory_budget_bytes`` the partition is the spill
@@ -34,7 +35,10 @@ needs.
 Under a memory budget the partitions that do not fit are spilled right after
 the scatter. What the budget bounds is the buffer's loaded footprint from
 then on; the input stream itself is fully materialized operator-at-a-time
-before PARTITION sees it, so peak memory is not bounded by the budget.
+before PARTITION sees it, so peak memory is not bounded by the budget. This
+spill is the one write of a spilled partition's tuples: the chain after it
+reads each spilled partition once per item, and appends to its file only
+what a reader after the chain needs.
 """
 
 from __future__ import annotations

@@ -3,7 +3,14 @@
 Scans partitions in order (honoring permutation vectors through the
 buffer's ordered access path) and optionally applies a projection while
 streaming — the runtime analogue of the paper inlining expression evaluation
-into generated scan loops. A LIMIT/OFFSET hint stops the scan early.
+into generated scan loops. A LIMIT/OFFSET is applied to the scanned
+batches: every partition is scanned, and the rows before the offset and
+past the limit are trimmed afterwards.
+
+Over a buffer SCAN is a chain step (:func:`repro.lolepop.base.run_chain`):
+each work item projects the one partition it holds, usually the last step
+after the SORT and WINDOW that ran on it in the same item. Over a stream it
+is a region of its own, one item per batch.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from ..expr.nodes import ColumnRef, Expr
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..types import Field, Schema
-from .base import Lolepop, OpResult
+from .base import BufferView, ChainStep, Lolepop, OpResult, run_chain
 from .properties import PhysProps, _missing_columns, expr_column_refs
 
 
@@ -24,6 +31,7 @@ class ScanOp(Lolepop):
     legend = "SCAN"
     consumes = ("buffer", "stream")
     produces = "stream"
+    chain_min_rows = 1  # over a buffer
 
     def __init__(
         self,
@@ -91,22 +99,28 @@ class ScanOp(Lolepop):
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         source = inputs[0]
         if isinstance(source, TupleBuffer):
-            # Partitions are read (a spilled one from its file) inside the
-            # scan work items, one each.
-            items = [p for p in source.partitions if p.num_rows]
-            if not items:
-                items = [Batch.empty(source.schema)]
-        else:
-            items = source
+            return run_chain(ctx, [self], source, keep=True)[0][0]
+        return self._finish(ctx.parallel_for("scan", source, self._scan_one))
 
-        def scan_one(item) -> Batch:
-            batch = item if isinstance(item, Batch) else item.ordered_batch()
-            if self.project is not None:
-                columns = [evaluate(expr, batch) for _, expr in self.project]
-                batch = Batch(self.project_schema, columns)
-            return batch
+    def chain_step(self, ctx: ExecutionContext, view: BufferView) -> ChainStep:
+        schema = view.schema
 
-        outputs = ctx.parallel_for("scan", items, scan_one)
+        def scan(partition) -> Batch:
+            return self._scan_one(partition.ordered_batch())
+
+        def finish(buffer: TupleBuffer, results: List[Optional[Batch]]) -> List[Batch]:
+            outputs = [b for b in results if b is not None]
+            return self._finish(outputs or [self._scan_one(Batch.empty(schema))])
+
+        return scan, finish
+
+    def _scan_one(self, batch: Batch) -> Batch:
+        if self.project is not None:
+            columns = [evaluate(expr, batch) for _, expr in self.project]
+            batch = Batch(self.project_schema, columns)
+        return batch
+
+    def _finish(self, outputs: List[Batch]) -> List[Batch]:
         outputs = [b for b in outputs if len(b)] or [outputs[0]]
         if self.offset or self.limit is not None:
             outputs = _apply_limit(outputs, self.limit, self.offset)

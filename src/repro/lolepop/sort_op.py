@@ -1,16 +1,20 @@
 """SORT — sort every hash partition of a buffer (Table 1).
 
-Operates *in place* on its input buffer and returns the same object; the
-paper's morsel-driven BlockQuicksort is modeled by marking the per-partition
-sort work items as splittable (DESIGN.md §4 item 2), and each (sub-)sort is
-one :func:`repro.storage.keys.stable_order` — a quicksort over normalized
-keys, as in the paper. Two access paths match
-§4.2: physical reordering of the compacted chunk, or a *permutation vector*
-(indices + copied key columns) for wide tuples — and for every spilled
-partition, whose file then only grows by the vector.
+A chain step (:func:`repro.lolepop.base.run_chain`): it sorts *in place*,
+inside the work item that holds the partition, and returns the same buffer
+object. The paper's morsel-driven BlockQuicksort is modeled by the
+simulated scheduler splitting a sort step's measured duration across
+threads (DESIGN.md §4 item 2); each sort is one
+:func:`repro.storage.keys.stable_order` — a quicksort over normalized keys,
+as in the paper. Two access paths match §4.2: physical reordering of the
+compacted chunk, or a *permutation vector* (indices + copied key columns)
+for wide tuples — and for a spilled partition whose order a reader after
+the chain needs, so that its file only grows by the vector.
 
 Sort elision (optimizer step E): when the buffer's existing ordering already
-has the required ordering as a prefix, the sort is a no-op.
+has the required ordering as a prefix, the sort is a no-op. The chain
+decides it before its region runs, from the ordering the steps before this
+one leave (:class:`~repro.lolepop.base.BufferView`).
 """
 
 from __future__ import annotations
@@ -18,66 +22,12 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..execution.context import ExecutionContext
-from ..execution.scheduler import SplittableTask
-from ..storage.buffer import BufferPartition, TupleBuffer
-from ..storage.keys import split_lexsort
-from .base import Lolepop, OpResult
+from ..storage.buffer import TupleBuffer, ordering_satisfies
+from .base import BufferView, ChainStep, Lolepop, OpResult, run_chain
 from .properties import PhysProps, _missing_columns
 
 #: Tuples at least this wide (columns) sort via permutation vectors.
 PERMUTATION_WIDTH_THRESHOLD = 8
-
-
-class PartitionSortTask(SplittableTask):
-    """Sort one hash partition; optionally as parallel sub-sorts.
-
-    ``run`` is the whole-item path (what the simulated scheduler times and
-    what the parallel scheduler uses when the region already has enough
-    items). ``split``/``finalize`` implement the paper's morsel-driven
-    per-partition sort: range-partition on the primary key, sub-sort the
-    buckets concurrently, concatenate the orders — bit-identical to the
-    serial stable sort (see :func:`repro.storage.keys.split_lexsort`).
-    """
-
-    def __init__(
-        self,
-        partition: BufferPartition,
-        key_names: Sequence[str],
-        descending: Sequence[bool],
-        mode: str,
-    ):
-        self.partition = partition
-        self.key_names = list(key_names)
-        self.descending = list(descending)
-        # A spilled partition's tuples are written once: its sort appends a
-        # permutation vector (§4.2) instead of rewriting them.
-        self.mode = "permutation" if partition.is_spilled else mode
-        self._finalize_order = None
-
-    # -- whole-item path ----------------------------------------------
-    def run(self) -> None:
-        sort = (
-            self.partition.sort_permutation
-            if self.mode == "permutation"
-            else self.partition.sort_inplace
-        )
-        sort(self.key_names, self.descending)
-
-    # -- split path ----------------------------------------------------
-    def split(self, max_parts: int) -> Optional[List]:
-        if self.partition.is_spilled:
-            # A spilled partition is read inside one work item only.
-            return None
-        columns = self.partition.logical_columns(self.key_names)
-        plan = split_lexsort(columns, self.descending, max_parts)
-        if plan is None:
-            return None
-        thunks, self._finalize_order = plan
-        return thunks
-
-    def finalize(self, sub_results: List) -> None:
-        order = self._finalize_order(sub_results)
-        self.partition.apply_sort_order(order, self.key_names, self.mode)
 
 
 class SortOp(Lolepop):
@@ -87,6 +37,8 @@ class SortOp(Lolepop):
     buffer_role = "forwards"
     mutates_input = True  # reorders the shared buffer in place
     mutation_effect = "order"
+    chain_min_rows = 2
+    splittable = True
 
     def __init__(
         self,
@@ -128,52 +80,64 @@ class SortOp(Lolepop):
     def reads_full_schema(self) -> bool:
         return True
 
-    def _resolve_mode(self, buffer: TupleBuffer, ctx: ExecutionContext) -> str:
+    def _resolve_mode(self, width: int, ctx: ExecutionContext) -> str:
         if self.mode != "auto":
             return self.mode
         if not ctx.config.permutation_vectors:
             return "inplace"
-        wide = len(buffer.schema) >= PERMUTATION_WIDTH_THRESHOLD
-        return "permutation" if wide else "inplace"
+        return "permutation" if width >= PERMUTATION_WIDTH_THRESHOLD else "inplace"
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
-        buffer: TupleBuffer = inputs[0]
+        return run_chain(ctx, [self], inputs[0], keep=True)[0][0]
+
+    def chain_step(self, ctx: ExecutionContext, view: BufferView) -> ChainStep:
         required = tuple(self.keys)
-        if ctx.config.elide_sorts and buffer.ordering_satisfies(required):
+        if ctx.config.elide_sorts and ordering_satisfies(view.ordered_by, required):
             if self.span is not None:
                 self.note(elided=True)
                 self.span.attrs["sort_elisions"] += 1
-            return buffer
-        key_names = [name for name, _ in self.keys]
-        descending = [desc for _, desc in self.keys]
+            return None, lambda buffer, _: buffer
         # Offer the post-sort buffer to the materialization manager only
         # when this is the buffer's *first* reordering: a re-sort of an
         # already-sorted buffer is stable on the previous order, so its
         # bytes differ from a fresh PARTITION → SORT of the same fragment.
-        first_sort = not buffer.ordered_by
-        mode = self._resolve_mode(buffer, ctx)
-        tasks = [
-            PartitionSortTask(p, key_names, descending, mode)
-            for p in buffer.partitions
-            if p.num_rows > 1
-        ]
-        if self.span is not None:
-            # What the partitions actually did (spilled ones always permute).
-            self.note(
-                mode="/".join(sorted({task.mode for task in tasks})) or mode,
-                sorted_partitions=len(tasks),
-            )
-        ctx.parallel_for(
-            "sort", tasks, PartitionSortTask.run, splittable=True
-        )
-        buffer.set_ordering(required)
-        if first_sort:
-            spec = self._capture_spec()
-            if spec is not None:
-                manager = getattr(ctx.config, "reuse", None)
-                if manager is not None:
-                    manager.offer_buffer(spec, buffer)
-        return buffer
+        first_sort = not view.ordered_by
+        view.ordered_by = required
+        mode = self._resolve_mode(len(view.schema), ctx)
+        key_names = [name for name, _ in self.keys]
+        descending = [desc for _, desc in self.keys]
+
+        def sort(partition) -> str:
+            # A spilled partition's tuples are written once: when a reader
+            # after the chain needs its order, its sort appends a
+            # permutation vector (§4.2) instead of rewriting them.
+            used = "permutation" if partition.writes_through else mode
+            if used == "permutation":
+                partition.sort_permutation(key_names, descending)
+            else:
+                partition.sort_inplace(key_names, descending)
+            return used
+
+        def finish(buffer: TupleBuffer, modes: List[Optional[str]]) -> TupleBuffer:
+            ran = [m for m in modes if m is not None]
+            if self.span is not None:
+                # What the partitions actually did (spilled ones a later
+                # reader needs permute).
+                self.note(mode="/".join(sorted(set(ran))) or mode, sorted_partitions=len(ran))
+            buffer.set_ordering(required)
+            if first_sort:
+                spec = self._capture_spec()
+                if spec is not None:
+                    manager = getattr(ctx.config, "reuse", None)
+                    if manager is not None:
+                        manager.offer_buffer(spec, buffer)
+            return buffer
+
+        return sort, finish
+
+    def ends_chain(self) -> bool:
+        # The materialization manager snapshots the buffer this SORT leaves.
+        return self._capture_spec() is not None
 
     def _capture_spec(self):
         """The cache spec of the buffer being sorted, when its producer is

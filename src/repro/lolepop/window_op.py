@@ -17,6 +17,11 @@ key ranges.
 ``post_items`` are scalar expressions appended to the buffer after the
 window columns exist (the paper inlines these into generated code; we
 materialize them so later SORT/ORDAGG can use them as keys).
+
+A chain step (:func:`repro.lolepop.base.run_chain`): each work item
+evaluates the calls on the one partition it holds, which the SORT before it
+in the same item left sorted, and writes the columns back into it — to a
+spilled partition's file only when a reader after the chain needs them.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
 from ..storage.keys import key_change_flags, lexsort_indices
 from ..types import DataType, Field, Schema
-from .base import Lolepop, OpResult
+from .base import BufferView, ChainStep, Lolepop, OpResult, run_chain
 from .properties import PhysProps, _missing_columns
 from .ranges import ranges_of
 from .segment_tree import PrefixSums, SparseTable
@@ -49,6 +54,8 @@ class WindowOp(Lolepop):
     buffer_role = "forwards"
     mutates_input = True  # appends the call columns to the shared buffer
     mutation_effect = "schema"
+    chain_min_rows = 0  # an empty partition still takes the new columns
+    splittable = True
 
     def __init__(
         self,
@@ -144,16 +151,16 @@ class WindowOp(Lolepop):
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
-        buffer: TupleBuffer = inputs[0]
+        return run_chain(ctx, [self], inputs[0], keep=True)[0][0]
+
+    def chain_step(self, ctx: ExecutionContext, view: BufferView) -> ChainStep:
         part_names = [ref.name for ref in self.calls[0].partition_by]
         order_names = [ref.name for ref, _ in self.calls[0].order_by]
-
-        window_schema, schema = self._schemas(buffer.schema)
-        call_fields = window_schema.fields[len(buffer.schema):]
+        window_schema, schema = self._schemas(view.schema)
+        call_fields = window_schema.fields[len(view.schema):]
+        view.schema = schema
 
         def compute(partition) -> None:
-            # One work item reads, evaluates and writes back one partition,
-            # so a spilled buffer never has more than that one loaded.
             batch = partition.ordered_batch()
             starts, ends, codes = ranges_of(batch, part_names)
             columns = [
@@ -168,14 +175,16 @@ class WindowOp(Lolepop):
                 columns += [evaluate(expr, extended) for _, expr in self.post_items]
             partition.append_columns(schema, columns)
 
-        ctx.parallel_for("window", buffer.partitions, compute, splittable=True)
-        buffer.columns_appended(schema)
-        if self.span is not None:
-            self.note(window_calls=len(self.calls))
-            # Computed columns written into the shared buffer instead of a
-            # fresh materialization.
-            self.span.attrs["buffer_reuse_hits"] += 1
-        return buffer
+        def finish(buffer: TupleBuffer, _) -> TupleBuffer:
+            buffer.columns_appended(schema)
+            if self.span is not None:
+                self.note(window_calls=len(self.calls))
+                # Computed columns written into the shared buffer instead
+                # of a fresh materialization.
+                self.span.attrs["buffer_reuse_hits"] += 1
+            return buffer
+
+        return compute, finish
 
 
 # ----------------------------------------------------------------------

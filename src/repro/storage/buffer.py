@@ -43,6 +43,12 @@ from . import keys as keys_mod
 Ordering = Tuple[Tuple[str, bool], ...]
 
 
+def ordering_satisfies(ordering: Ordering, required: Ordering) -> bool:
+    """True if ``ordering`` has ``required`` as a prefix — the paper's
+    sort-elision condition."""
+    return tuple(ordering[: len(required)]) == tuple(required)
+
+
 def scatter_rows(
     batch: Batch, key_names: Sequence[str], count: int
 ) -> List[Tuple[int, Batch]]:
@@ -66,9 +72,19 @@ class BufferPartition:
     A partition may be *spilled*: chunk list and permutation then live in a
     :class:`~repro.storage.spill.SpillFile` and every access path reads them
     from there — transiently, the partition stays spilled, and nothing that
-    is only read is ever written again."""
+    is only read is ever written again.
 
-    __slots__ = ("schema", "chunks", "permutation", "key_cache", "_spill", "_share")
+    A chain work item pins its partition (:meth:`pin`) for its whole
+    length: a spilled one is read from its file once, a loaded one
+    compacted once, and every step of the item then works on those arrays.
+    :meth:`unpin` ends the item: a spilled partition has appended to its
+    file only what a reader after the chain needs, and a loaded one that
+    outgrew its share of the buffer's budget goes to disk (or, with no
+    reader left, is released)."""
+
+    __slots__ = (
+        "schema", "chunks", "permutation", "key_cache", "_spill", "_share", "_pin",
+    )
 
     def __init__(self, schema: Schema, chunks: Optional[List[Batch]] = None):
         self.schema = schema
@@ -86,6 +102,8 @@ class BufferPartition:
         #: budgeted buffer: its share of the buffer's memory budget (see
         #: :meth:`TupleBuffer.spill_over_budget`).
         self._share = None
+        #: The :class:`_Pin` of the chain item holding the partition.
+        self._pin = None
 
     # ------------------------------------------------------------------
     # Spilling
@@ -98,21 +116,100 @@ class BufferPartition:
         """Move the partition to disk: the chunk list is written column by
         column straight from the chunks (the file is the compacted
         partition), then the permutation vector if there is one."""
+        self._spill_state(manager, self)
+
+    def _spill_state(self, manager, state) -> None:
+        """:meth:`spill` writing ``state``'s chunks and vector (the
+        partition's own, or a :class:`_Pin`'s)."""
         if self.is_spilled or self.num_rows == 0:
             return
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        file = manager.spill_chunks(self.chunks)
-        if self.permutation is not None:
-            file.append_permutation(self.permutation)
+        file = manager.spill_chunks(state.chunks)
+        if state.permutation is not None:
+            file.append_permutation(state.permutation)
         self._spill = file
         self.chunks = []
         self.permutation = None
         self.key_cache = {}
 
     def approx_bytes(self) -> int:
-        """Loaded footprint (0 while spilled)."""
+        """Loaded footprint (0 while spilled; what a chain item holding the
+        partition works on counts once the item ends)."""
         return approx_batch_bytes(*self.chunks)
+
+    # ------------------------------------------------------------------
+    # Chain items
+    # ------------------------------------------------------------------
+    def pin(self, keep: bool) -> None:
+        """Hold the partition for one chain work item: until :meth:`unpin`
+        every access path works on a :class:`_Pin`, which holds what a
+        spilled partition read from its file, once, or the compacted chunk
+        of a loaded one with a share of a budget. ``keep``: a reader after
+        the chain reads the partition, so what the item changes must
+        outlive it."""
+        if _SAN.active is not None:
+            _SAN.active.on_access(self, "w")
+        if not self.is_spilled and self._share is None:
+            # Loaded and outside any budget: it keeps whatever the item
+            # does, so the item works on the partition itself.
+            self.compact()
+            return
+        pin = _Pin(keep)
+        if self.is_spilled:
+            pin.chunks = [self._spill.read_batch(self.schema)]
+            pin.permutation = self._spill.read_permutation()
+        else:
+            pin.chunks = [self.compact()]
+            pin.permutation, pin.key_cache = self.permutation, self.key_cache
+        self._pin = pin
+
+    def unpin(self) -> None:
+        """End the chain item holding the partition. A spilled one drops
+        what it read; with no reader left it is released, its file lacking
+        what the item appended. A loaded one takes the item's state, unless
+        that outgrew its share of the budget: then it spills, or with no
+        reader left is released."""
+        if _SAN.active is not None:
+            _SAN.active.on_access(self, "w")
+        pin, self._pin = self._pin, None
+        if pin is None:
+            return
+        if not self.is_spilled and (
+            self._share is None or approx_batch_bytes(*pin.chunks) <= self._share[1]
+        ):
+            self.chunks, self.permutation, self.key_cache = (
+                pin.chunks, pin.permutation, pin.key_cache,
+            )
+        elif not pin.keep:
+            self._release()
+        elif not self.is_spilled:
+            self._spill_state(self._share[0], pin)
+
+    def _release(self) -> None:
+        """Drop the rows (and the file) of a partition no reader needs any
+        more; it keeps its row count, and any read of it raises."""
+        rows = self.num_rows
+        if self._spill is not None:
+            self._spill.manager.release(self._spill)
+        self._spill = _Released(rows)
+        self.chunks = []
+        self.permutation = None
+        self.key_cache = {}
+
+    @property
+    def writes_through(self) -> bool:
+        """Is what changes this partition appended to its spill file? Yes
+        for a spilled one, unless the chain item holding it leaves no
+        reader behind. Such a partition sorts through a permutation vector,
+        so its tuples are written once."""
+        return self.is_spilled and (self._pin is None or self._pin.keep)
+
+    @property
+    def _state(self):
+        """Where the chunks, permutation and copied keys live: the pin
+        while a chain item holds the partition, the partition otherwise."""
+        return self._pin if self._pin is not None else self
 
     # ------------------------------------------------------------------
     @property
@@ -138,29 +235,31 @@ class BufferPartition:
 
     def compact(self) -> Batch:
         """The partition's rows in physical order as a single chunk: merges
-        the chunk list in place, or reads a spilled partition's file."""
-        if self.is_spilled:
+        the chunk list in place, or reads a spilled partition's file (not
+        while a chain item holds it: :meth:`pin` read it)."""
+        if self.is_spilled and self._pin is None:
             if _SAN.active is not None:
                 _SAN.active.on_access(self, "r")
             return self._spill.read_batch(self.schema)
+        state = self._state
         if _SAN.active is not None:
             # Rewrites the chunk list unless already compacted: two
             # concurrent lazy compactions of one partition are a real race.
             _SAN.active.on_access(
-                self, "r" if len(self.chunks) == 1 else "w"
+                self, "r" if len(state.chunks) == 1 else "w"
             )
-        if not self.chunks:
+        if not state.chunks:
             empty = Batch.empty(self.schema)
-            self.chunks = [empty]
+            state.chunks = [empty]
             return empty
-        if len(self.chunks) > 1:
-            self.chunks = [Batch.concat(self.chunks)]
-        return self.chunks[0]
+        if len(state.chunks) > 1:
+            state.chunks = [Batch.concat(state.chunks)]
+        return state.chunks[0]
 
     def _permutation(self) -> Optional[np.ndarray]:
-        if self.is_spilled:
+        if self.is_spilled and self._pin is None:
             return self._spill.read_permutation()
-        return self.permutation
+        return self._state.permutation
 
     # ------------------------------------------------------------------
     # Sorting access paths
@@ -170,7 +269,7 @@ class BufferPartition:
         permutation vector where it has them, gathered otherwise."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "r")
-        columns = [self.key_cache.get(name) for name in names]
+        columns = [self._state.key_cache.get(name) for name in names]
         if any(column is None for column in columns):
             chunk = self.compact()
             permutation = self._permutation()
@@ -189,7 +288,8 @@ class BufferPartition:
     def sort_permutation(self, key_names: Sequence[str], descending: Sequence[bool]) -> None:
         """Build a permutation vector (indices + copied keys) without moving
         the tuples themselves. A spilled partition appends the vector to its
-        file; its tuples are never written twice."""
+        file (see :attr:`writes_through`); its tuples are never written
+        twice."""
         self._sort(key_names, descending, "permutation")
 
     def _sort(self, key_names: Sequence[str], descending: Sequence[bool], mode: str) -> None:
@@ -199,7 +299,7 @@ class BufferPartition:
                 _SAN.active.on_access(self, "w")
             if mode == "permutation" and not self.is_spilled:
                 self.compact()
-                self.permutation = np.arange(rows, dtype=np.int64)
+                self._state.permutation = np.arange(rows, dtype=np.int64)
             return
         keys = self.logical_columns(key_names)
         order = keys_mod.lexsort_indices(keys, descending)
@@ -213,34 +313,35 @@ class BufferPartition:
         keys: Optional[Sequence[Column]] = None,
     ) -> None:
         """Make ``order`` — a permutation of the current *logical* order,
-        e.g. a stable sort of :meth:`logical_columns` or the merge step of a
-        parallel split sort — the new logical order. Composed with an
-        existing permutation vector (``perm[order]``), so a re-sort is stable
-        over the previous sort whichever mode either ran in. ``keys`` are the
-        sort key columns in the current logical order, if the caller has
-        them."""
+        e.g. a stable sort of :meth:`logical_columns` — the new logical
+        order. Composed with an existing permutation vector
+        (``perm[order]``), so a re-sort is stable over the previous sort
+        whichever mode either ran in. ``keys`` are the sort key columns in
+        the current logical order, if the caller has them."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
         previous = self._permutation()
         composed = order if previous is None else previous[order]
-        if self.is_spilled:
+        if self.writes_through:
             if mode != "permutation":
                 raise ExecutionError(
                     "a spilled partition is sorted through its permutation vector"
                 )
             self._spill.append_permutation(composed)
-        elif mode == "permutation":
+            if self._pin is None:
+                return
+        if mode == "permutation":
             if keys is None:
                 keys = self.logical_columns(key_names)
             self.compact()
-            self.permutation = composed
-            self.key_cache = {
+            self._state.permutation = composed
+            self._state.key_cache = {
                 name: col.take(order) for name, col in zip(key_names, keys)
             }
         else:
-            self.chunks = [self.compact().take(composed)]
-            self.permutation = None
-            self.key_cache = {}
+            self._state.chunks = [self.compact().take(composed)]
+            self._state.permutation = None
+            self._state.key_cache = {}
 
     def ordered_batch(self) -> Batch:
         """The partition's rows in logical (sorted, if any) order.
@@ -264,7 +365,7 @@ class BufferPartition:
         Tuples do not move: under a permutation vector the new columns are
         scattered back to the physical order it indexes (logical row ``i``
         is physical row ``perm[i]``), and a spilled partition appends them to
-        its file."""
+        its file — unless a later reader needs none of it (see :meth:`pin`)."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
         rows = self.num_rows
@@ -275,16 +376,10 @@ class BufferPartition:
         permutation = self._permutation()
         if permutation is not None:
             columns = [col.scatter(permutation, rows) for col in columns]
-        if not self.is_spilled:
-            chunk = Batch(schema, self.compact().columns + list(columns))
-            if self._share is None or approx_batch_bytes(chunk) <= self._share[1]:
-                self.chunks = [chunk]
-            else:
-                # It would outgrow its share of the buffer's budget: the
-                # partition goes to disk first, in this work item.
-                self.spill(self._share[0])
-        if self.is_spilled:
+        if self.writes_through:
             self._spill.append_columns([[col] for col in columns])
+        if not self.is_spilled or self._pin is not None:
+            self._state.chunks = [Batch(schema, self.compact().columns + list(columns))]
         self.schema = schema
 
     def __repr__(self) -> str:
@@ -294,6 +389,36 @@ class BufferPartition:
             )
         )
         return f"BufferPartition({self.num_rows} rows, {mode})"
+
+
+class _Pin:
+    """A partition's state while a chain item holds it (see
+    :meth:`BufferPartition.pin`): the chunk list, permutation vector and
+    copied keys every access path works on, and whether a reader after the
+    chain needs the partition."""
+
+    __slots__ = ("keep", "chunks", "permutation", "key_cache")
+
+    def __init__(self, keep: bool):
+        self.keep = keep
+        self.chunks: List[Batch] = []
+        self.permutation: Optional[np.ndarray] = None
+        self.key_cache: dict = {}
+
+
+class _Released:
+    """The stand-in spill file of a released partition: its row count
+    survives, reading or appending raises."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: int):
+        self.rows = rows
+
+    def _gone(self, *args) -> None:
+        raise ExecutionError("a partition released after its last reader was used again")
+
+    read_batch = read_permutation = append_permutation = append_columns = _gone
 
 
 class TupleBuffer:
@@ -345,9 +470,10 @@ class TupleBuffer:
 
         The partitions that stay loaded divide what is left of the budget
         among themselves in proportion to their size: a partition that a
-        later work item would grow beyond its share (WINDOW appending
-        columns) spills itself there instead, so the loaded footprint stays
-        within the budget without any further buffer-wide pass."""
+        later chain item grows beyond its share (WINDOW appending columns)
+        spills itself when that item ends (:meth:`BufferPartition.unpin`),
+        so the loaded footprint stays within the budget without any further
+        buffer-wide pass."""
         if not self.spilling:
             return 0
         budget = self.memory_budget or 0
@@ -455,18 +581,18 @@ class TupleBuffer:
     def ordering_satisfies(self, required: Ordering) -> bool:
         """True if the buffer's ordering has ``required`` as a prefix — the
         paper's sort-elision condition."""
-        if len(required) > len(self.ordered_by):
-            return False
-        return tuple(self.ordered_by[: len(required)]) == tuple(required)
+        return ordering_satisfies(self.ordered_by, required)
 
     def columns_appended(self, schema: Schema) -> None:
         """Adopt the schema every partition was extended to by
         :meth:`BufferPartition.append_columns` (the WINDOW write-back runs
         partition by partition inside work items; this is its serial
-        epilogue)."""
+        epilogue). A later WINDOW of the same chain may have extended the
+        partitions further already: their schemas start with ``schema``."""
         if _SAN.active is not None:
             _SAN.active.on_access(self, "w")
-        if any(p.schema is not schema for p in self.partitions):
+        width = len(schema)
+        if any(p.schema.fields[:width] != schema.fields for p in self.partitions):
             raise ExecutionError("per-partition column count mismatch")
         self.schema = schema
 

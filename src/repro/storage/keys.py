@@ -12,8 +12,8 @@ only place that knows how a value becomes a key:
 - :func:`sort_segments` — the same digits in ORDER BY's order: per-key
   direction, NULLS LAST, a new int64 segment whenever 63 bits are full, a
   float key a float64 segment of its own. :func:`lexsort_indices`,
-  :func:`split_lexsort`, the MERGE step and ``group_codes`` past 63 bits all
-  sort these arrays and no others.
+  the MERGE step and ``group_codes`` past 63 bits all sort these arrays and
+  no others.
 - :func:`stable_order` — the one sort kernel: the stable lexicographic order
   of such segments, computed as a single unstable sort of one packed
   ``(key, row id)`` int64 per row (unique keys, so the order is the stable
@@ -467,62 +467,3 @@ def lexsort_indices(
     if not columns:
         raise ValueError("lexsort_indices requires at least one key column")
     return stable_order(sort_segments(columns, descending))
-
-
-#: Below this row count, splitting a sort costs more than it saves.
-SPLIT_SORT_MIN_ROWS = 4096
-
-
-def split_lexsort(
-    columns: Sequence[Column],
-    descending: Optional[Sequence[bool]] = None,
-    parts: int = 2,
-):
-    """Decompose :func:`lexsort_indices` into independent sub-sorts.
-
-    The paper's SORT is a morsel-driven partition sort (§4.4): one large
-    hash partition is itself parallel work. We range-partition the rows on
-    the first sort segment using sampled splitters (all rows with an equal
-    first segment land in the same bucket, buckets are contiguous key
-    ranges), stable-sort each bucket independently — that is the thunk the
-    parallel scheduler fans out — and concatenate the per-bucket orders.
-
-    Returns ``(thunks, finalize)`` where each thunk yields the sorted row
-    indices of one bucket and ``finalize`` concatenates them into the full
-    permutation, or ``None`` when splitting is not worthwhile. The combined
-    permutation is *identical* to ``lexsort_indices(columns, descending)``:
-    both are the unique stable order, so parallel and serial SORT agree
-    bit-for-bit.
-    """
-    if not columns:
-        raise ValueError("split_lexsort requires at least one key column")
-    n = len(columns[0])
-    if parts < 2 or n < SPLIT_SORT_MIN_ROWS:
-        return None
-    segments = sort_segments(columns, descending)
-    primary = segments[0]
-    # Sampled splitters at bucket quantiles (deterministic stride sample).
-    sample = np.sort(primary[:: max(1, n // 1024)], kind="stable")
-    positions = (np.arange(1, parts) * len(sample)) // parts
-    splitters = sample[positions]
-    buckets = np.searchsorted(splitters, primary, side="right")
-    order, bounds = bucket_order(buckets, parts)
-
-    def make_thunk(indices: np.ndarray):
-        def thunk() -> np.ndarray:
-            return indices[stable_order([segment[indices] for segment in segments])]
-
-        return thunk
-
-    thunks = []
-    for b in range(parts):
-        indices = order[bounds[b] : bounds[b + 1]]
-        if len(indices):
-            thunks.append(make_thunk(indices))
-    if len(thunks) < 2:
-        return None
-
-    def finalize(pieces) -> np.ndarray:
-        return np.concatenate(pieces)
-
-    return thunks, finalize

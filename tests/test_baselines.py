@@ -72,16 +72,19 @@ class TestMonolithicTraits:
         sql = "SELECT sum(x) OVER (PARTITION BY g ORDER BY x) AS c FROM o"
         config = EngineConfig(num_threads=8, num_partitions=8, collect_trace=True)
         mono = database.sql(sql, engine="monolithic", config=config)
-        lol = database.sql(sql, engine="lolepop", config=config)
+        lol = database.sql(
+            sql, engine="lolepop", config=config.clone(collect_metrics=True)
+        )
         mono_sort = [r for r in mono.trace.records if "sort" in r.name]
         lol_sort = [r for r in lol.trace.records if r.name == "sort"]
         # Monolithic: one sort work item, unsplit.
         assert len(mono_sort) == 1
-        # LOLEPOP: the one partition's sort is one item too, which the
-        # scheduler splits by its measured duration — each piece carries
-        # the split overhead, so the pieces sum to ``d * (1 + overhead)``.
-        (region,) = [r for r in lol.trace.regions if r.name == "sort"]
-        assert region.attrs["items"] == 1
+        # LOLEPOP: the one partition's sort is one item too (a step of its
+        # sort → window → scan chain item), which the scheduler splits by
+        # its measured duration — each piece carries the split overhead, so
+        # the pieces sum to ``d * (1 + overhead)``.
+        (sort,) = [n for n in lol.dags[0].nodes if n.name() == "SORT"]
+        assert sort.span.attrs["extra"]["sorted_partitions"] == 1
         duration = sum(r.duration for r in lol_sort) / (1.0 + SPLIT_OVERHEAD)
         rule = min(config.num_threads, max(1, int(duration / SPLIT_QUANTUM)))
         assert len(lol_sort) == rule > 1

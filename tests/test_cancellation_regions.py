@@ -1,4 +1,4 @@
-"""Cancellation at every region entry.
+"""Cancellation at every region entry, and before every step of a chain.
 
 Both schedulers share one ``run_region`` bracket
 (:class:`~repro.execution.scheduler.RegionScheduler`), so one probe on it
@@ -11,6 +11,11 @@ no spill file or ``query-*`` directory, no failed spill release, no
 admission reservation — and the next query on the same ``Database`` must
 answer correctly.
 
+The SORT → WINDOW → SCAN chain of that statement is one region whose items
+run several steps each; a second probe, on the check a chain item makes
+before each step (``RegionScheduler.checkpoint``), cancels before the
+steps of the first and of the last item with the same guarantees.
+
 The same probe makes every work item of a HASHAGG merge region raise, for
 both merge fan-outs: the worker's own exception must surface, typed, with
 the same no-leak guarantees.
@@ -19,6 +24,7 @@ the same no-leak guarantees.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -93,6 +99,37 @@ class RegionProbe:
 @pytest.fixture()
 def probe(monkeypatch):
     return RegionProbe(monkeypatch)
+
+
+class StepProbe:
+    """Counts the checks chain items make before their steps (from any
+    worker thread) and cancels the running query's token at the
+    ``cancel_at``-th."""
+
+    def __init__(self, monkeypatch):
+        self.passed = 0
+        self.cancel_at = None
+        self._lock = threading.Lock()
+        checkpoint = RegionScheduler.checkpoint
+
+        def probed_checkpoint(scheduler):
+            with self._lock:
+                self.passed += 1
+                hit = self.passed == self.cancel_at
+            if hit:
+                scheduler.cancellation.cancel()
+            checkpoint(scheduler)
+
+        monkeypatch.setattr(RegionScheduler, "checkpoint", probed_checkpoint)
+
+    def arm(self, cancel_at):
+        self.passed = 0
+        self.cancel_at = cancel_at
+
+
+@pytest.fixture()
+def steps(monkeypatch):
+    return StepProbe(monkeypatch)
 
 
 def make_db():
@@ -179,6 +216,42 @@ def test_cancel_at_every_region_releases_the_admission_reservation(
             probe.arm(None)
             follow = service.submit(FOLLOW_SQL, config=config)
             assert normalized_rows(follow.result(timeout=60)) == expected
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_cancel_before_every_chain_step(probe, steps, tmp_path, scheduler, budget):
+    db, config, expected, _ = prepare(probe, tmp_path, scheduler, budget)
+    steps.arm(None)
+    db.sql(WINDOW_SQL, config=config)
+    total = steps.passed  # one check per step per item: SORT, WINDOW, SCAN
+    assert total >= 3 and total % 3 == 0
+    service_config = ServiceConfig(
+        memory_budget_bytes=1 << 40, result_cache_size=0
+    )
+    with QueryService(db, service_config) as service:
+        admission = service.admission
+        # Before each step of the first item, and of the last.
+        for n in sorted({1, 2, 3, total - 2, total - 1, total}):
+            probe.arm(None)
+            steps.arm(n)
+            with pytest.raises(QueryCancelled):
+                db.sql(WINDOW_SQL, config=config.clone(cancellation=CancellationToken()))
+            assert_nothing_leaked(probe, tmp_path)
+            probe.arm(None)
+            steps.arm(n)
+            ticket = service.submit(WINDOW_SQL, config=config)
+            with pytest.raises(QueryCancelled):
+                ticket.result(timeout=60)
+            assert ticket.state == "cancelled"
+            deadline = time.monotonic() + 30
+            while admission.running and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert admission.running == 0
+            assert admission.reserved_bytes == 0.0
+            assert_nothing_leaked(probe, tmp_path)
+            steps.arm(None)
+            assert normalized_rows(db.sql(FOLLOW_SQL, config=config)) == expected
 
 
 # ---------------------------------------------------------------------------

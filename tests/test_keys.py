@@ -1,6 +1,5 @@
 """Unit + property tests for multi-column key encoding (repro.storage.keys)."""
 
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -404,11 +403,11 @@ def sort_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sort_cases(), st.integers(2, 4), st.data())
-def test_every_sort_path_orders_like_the_row_oracle(case, parts, data):
-    """``lexsort_indices``, the split sort, a re-sort over a sorted prefix in
-    either buffer mode and the two-way merge all produce the stable NULLS
-    LAST order of the naive engine's ``_null_safe_sort``."""
+@given(sort_cases(), st.data())
+def test_every_sort_path_orders_like_the_row_oracle(case, data):
+    """``lexsort_indices``, a re-sort over a sorted prefix in either buffer
+    mode and the two-way merge all produce the stable NULLS LAST order of
+    the naive engine's ``_null_safe_sort``."""
     dtypes, values, descending = case
     names = [f"c{i}" for i in range(len(dtypes))]
     order_by = list(zip(names, descending))
@@ -426,12 +425,6 @@ def test_every_sort_path_orders_like_the_row_oracle(case, parts, data):
     batch = batch_of(rows)
     columns = [batch.column(name) for name in names]
     assert keys.lexsort_indices(columns, descending).tolist() == expected
-
-    with mock.patch.object(keys, "SPLIT_SORT_MIN_ROWS", 0):
-        plan = keys.split_lexsort(columns, descending, parts)
-    if plan is not None:
-        thunks, finalize = plan
-        assert finalize([thunk() for thunk in thunks]).tolist() == expected
 
     # Rows already sorted on a prefix of the keys: the re-sort equals the
     # fresh sort whichever mode either sort runs in.

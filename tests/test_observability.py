@@ -300,11 +300,11 @@ class TestExplainAnalyze:
             num_partitions=4, memory_budget_bytes=1024, spill_directory=str(tmp_path)
         )
         report = db.explain_analyze(sql, config=config)
-        # 2000 rows: (k, v) once, a permutation vector and one float64
-        # window column, over the 16 bytes a row that entered PARTITION
-        # (g is pruned).
-        assert "spill: 62.5KB written / " in report
-        assert f"read, {(16 + 8 + 8) / 16:.2f}× partition input" in report
+        # 2000 rows: (k, v) once, over the 16 bytes a row that entered
+        # PARTITION (g is pruned). No reader after the SORT → WINDOW → SCAN
+        # chain needs its permutation vector or window column, so neither
+        # is written, and each spilled partition is read once.
+        assert "spill: 31.2KB written / 31.2KB read, 1.00× partition input" in report
         profile = db.sql(
             sql, config=config.clone(collect_metrics=True)
         ).profile
@@ -605,8 +605,19 @@ class TestFrozenViews:
     an unbudgeted keyed PARTITION follows its rows (``k x64`` is the cap):
     the 24 rows of ``nested_aggregate``'s outer PARTITION make one
     partition, noted as ``partitions``, so SORT, ORDAGG and SCAN each run
-    one item. ``window_under_budget`` keeps its count under the budget and
-    is as recorded."""
+    one item. ``window_under_budget`` keeps its count under the budget.
+
+    Since then each run of partition-local steps over one buffer is one
+    chain region, named by its steps (``region:sort+ordagg``,
+    ``region:sort+window+scan``), whose items are still one per step and
+    partition, named by the step's operator: ``operator_summary`` and the
+    worker lane are unchanged, the region lane is shorter. A chain item
+    reads a spilled partition once, and nothing after the chain reads
+    ``window_under_budget``'s buffer, so it writes no permutation vector
+    or window column: the tuples are written once and read once, the reads
+    counting towards the chain's first step (SORT), and the spilled
+    partitions sort in place like the loaded one (``mode`` was
+    ``permutation``), their file being written no more."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -819,7 +830,7 @@ class TestFrozenViews:
                     "args": {"query_id": "q1", "session": "s1"},
                 },
             },
-            "lane_sizes": {0: 20, 1: 11, 2: 2},
+            "lane_sizes": {0: 20, 1: 10, 2: 2},
             "lane_names": {
                 0: [
                     "hashagg",
@@ -834,11 +845,10 @@ class TestFrozenViews:
                 1: [
                     "region:hashagg",
                     "region:hashagg-merge",
-                    "region:ordagg",
                     "region:partition",
                     "region:project",
                     "region:scan",
-                    "region:sort",
+                    "region:sort+ordagg",
                     "region:tablescan",
                 ],
                 2: ["service:admission-reserve", "service:queue-wait"],
@@ -865,10 +875,10 @@ class TestFrozenViews:
                 "makespan_s": "<t>",
                 "counters": {
                     "spill.partition_input_bytes": 32000.0,
-                    "spill.bytes_written": 64000.0,
-                    "spill.bytes_read": 160000.0,
-                    "spill.events": 9.0,
-                    "spill.loads": 18.0,
+                    "spill.bytes_written": 32000.0,
+                    "spill.bytes_read": 32000.0,
+                    "spill.events": 3.0,
+                    "spill.loads": 3.0,
                 },
                 "joins": [],
                 "rewrites": [{"text": "prune-columns: r 3→2", "pass": "prune-columns", "detail": "r 3→2", "nodes": ["SCAN r"]}],
@@ -877,9 +887,9 @@ class TestFrozenViews:
                 [
                     [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
                     [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 3, "scatter_keys": "k"}],
-                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 16000, 32000, 0, 0, 0, 0, {"mode": "permutation", "sorted_partitions": 3}],
-                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 16000, 64000, 1, 0, 0, 0, {"window_calls": 1}],
-                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 3, "<t>", 0, 0, 64000, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 0, 32000, 0, 0, 0, 0, {"mode": "inplace", "sorted_partitions": 3}],
+                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 1, 0, 0, 0, {"window_calls": 1}],
+                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 3, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -898,8 +908,8 @@ class TestFrozenViews:
                 "execute_s": "<t>",
                 "total_s": "<t>",
                 "queue_wait_s": "<t>",
-                "spill_bytes_written": 64000,
-                "spill_bytes_read": 160000,
+                "spill_bytes_written": 32000,
+                "spill_bytes_read": 32000,
                 "max_q_error": 1.0,
                 "morsel_skew": "<t>",
                 "straggler": "<t>",
@@ -943,17 +953,15 @@ class TestFrozenViews:
                     "args": {"query_id": "q1", "session": "s1"},
                 },
             },
-            "lane_sizes": {0: 22, 1: 7, 2: 2},
+            "lane_sizes": {0: 22, 1: 5, 2: 2},
             "lane_names": {
                 0: ["partition", "project", "scan", "sort", "spill", "tablescan", "window"],
                 1: [
                     "region:partition",
                     "region:project",
-                    "region:scan",
-                    "region:sort",
+                    "region:sort+window+scan",
                     "region:spill",
                     "region:tablescan",
-                    "region:window",
                 ],
                 2: ["service:admission-reserve", "service:queue-wait"],
             },

@@ -55,6 +55,77 @@ class TestScheduling:
             SimulatedScheduler(0)
 
 
+def _chain_region(scheduler, items, steps):
+    """Run a chain region whose item ``i`` reports ``items[i]`` as its
+    steps' ``(step, duration)``, marked back to back from time 0."""
+
+    def item(durations):
+        marks, clock = [], 0.0
+        for step, duration in durations:
+            marks.append((step, clock, clock + duration))
+            clock += duration
+        return None, marks
+
+    return scheduler.run_region("chain", "p0", items, item, steps=steps)
+
+
+class TestChainScheduling:
+    STEPS = [("sort", True), ("window", True), ("scan", False)]
+    #: One skewed partition and three small ones, sort → window → scan.
+    ITEMS = [
+        [(0, 0.004), (1, 0.004), (2, 0.001)],
+        [(0, 0.001), (1, 0.001), (2, 0.001)],
+        [(0, 0.001), (1, 0.001), (2, 0.001)],
+        [(1, 0.001), (2, 0.001)],  # one row: no sort
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    def test_never_slower_than_a_region_per_step(self, threads):
+        chain = SimulatedScheduler(threads)
+        _chain_region(chain, self.ITEMS, self.STEPS)
+        regions = SimulatedScheduler(threads)
+        for index, (name, splittable) in enumerate(self.STEPS):
+            durations = [d for item in self.ITEMS for step, d in item if step == index]
+            regions.account(name, "p0", durations, splittable)
+        assert chain.sim_time <= regions.sim_time + 1e-12
+        assert chain.serial_time == pytest.approx(regions.serial_time)
+        if threads == 1:
+            assert chain.sim_time == pytest.approx(chain.serial_time)
+
+    def test_units_are_the_steps_named_by_operator(self):
+        trace = ExecutionTrace()
+        scheduler = SimulatedScheduler(1, trace)
+        _chain_region(scheduler, self.ITEMS, self.STEPS)
+        (region,) = trace.regions
+        assert region.name == "chain" and region.attrs["items"] == 4
+        names = [item.name for item in region.children]
+        assert sorted(names) == ["scan"] * 4 + ["sort"] * 3 + ["window"] * 4
+        assert all(item.attrs is region.attrs for item in region.children)
+        assert sum(i.duration for i in region.children) == pytest.approx(scheduler.serial_time)
+
+    def test_a_splittable_step_is_split_like_its_region_was(self):
+        trace = ExecutionTrace()
+        scheduler = SimulatedScheduler(4, trace)
+        _chain_region(scheduler, [[(0, 0.008), (1, 0.0001), (2, 0.0001)]], self.STEPS)
+        sorts = [item for item in trace.records if item.name == "sort"]
+        assert len(sorts) == 4
+        assert sum(i.duration for i in sorts) == pytest.approx(0.008 * (1 + SPLIT_OVERHEAD))
+
+    def test_a_step_waits_for_its_item_not_for_a_barrier(self):
+        """Item by item, the small partition's long scan need not wait for
+        the big partition's sort: 11 ms, where a barrier after the sorts
+        gives 10 + 9 ms."""
+        steps = [("sort", False), ("scan", False)]
+        items = [[(0, 0.010), (1, 0.001)], [(0, 0.001), (1, 0.009)]]
+        chain = SimulatedScheduler(2)
+        _chain_region(chain, items, steps)
+        assert chain.sim_time == pytest.approx(0.011)
+        regions = SimulatedScheduler(2)
+        regions.account("sort", "p0", [0.010, 0.001])
+        regions.account("scan", "p1", [0.001, 0.009])
+        assert regions.sim_time == pytest.approx(0.019)
+
+
 class TestTrace:
     def make_trace(self):
         trace = ExecutionTrace()

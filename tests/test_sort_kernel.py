@@ -190,8 +190,8 @@ def test_rows_past_the_sample_move_the_scale():
 
 
 @settings(max_examples=150, deadline=None)
-@given(segment_lists(), st.lists(st.booleans(), min_size=4, max_size=4), st.integers(2, 8))
-def test_split_lexsort_concatenates_to_the_kernel(segments, descending, parts):
+@given(segment_lists(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_lexsort_indices_is_the_lexsort_of_its_segments(segments, descending):
     columns = [
         Column(DataType.FLOAT64 if s.dtype.kind == "f" else DataType.INT64, s)
         for s in segments
@@ -199,19 +199,6 @@ def test_split_lexsort_concatenates_to_the_kernel(segments, descending, parts):
     descending = descending[: len(columns)]
     expected = np.lexsort(keys.sort_segments(columns, descending)[::-1])
     np.testing.assert_array_equal(keys.lexsort_indices(columns, descending), expected)
-    plan = keys.split_lexsort(columns, descending, parts)
-    if plan is not None:
-        thunks, finalize = plan
-        np.testing.assert_array_equal(finalize([thunk() for thunk in thunks]), expected)
-
-
-def test_split_lexsort_splits_a_large_sort():
-    rng = np.random.default_rng(3)
-    columns = [Column(DataType.FLOAT64, rng.random(2**13 + 1))]
-    thunks, finalize = keys.split_lexsort(columns, [False], 4)
-    assert len(thunks) == 4
-    expected = np.lexsort(keys.sort_segments(columns, [False])[::-1])
-    np.testing.assert_array_equal(finalize([thunk() for thunk in thunks]), expected)
 
 
 TOP = 2**63 - 1

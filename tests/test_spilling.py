@@ -375,9 +375,10 @@ def _operator_classes():
 
 class TestBudgetIsABound:
     """What ``memory_budget_bytes`` promises: the loaded bytes a budgeted
-    buffer holds between work items stay within it, and a work item loads
-    at most one spilled partition. (PARTITION's input stream is outside the
-    promise: it is materialized operator-at-a-time before it is scattered.)"""
+    buffer holds between work items stay within it, and a chain item loads
+    at most one spilled partition, once. (PARTITION's input stream is
+    outside the promise: it is materialized operator-at-a-time before it is
+    scattered.)"""
 
     BUDGET = 4096
     QUERIES = [
@@ -389,7 +390,13 @@ class TestBudgetIsABound:
         "SELECT g, percentile_disc(0.25) WITHIN GROUP (ORDER BY x), "
         "percentile_disc(0.75) WITHIN GROUP (ORDER BY o) FROM t GROUP BY g",
         "SELECT g, x FROM t ORDER BY x LIMIT 10",
+        # the window buffer leaves its chain into a MERGE: the write-back
+        "SELECT g, x, rank() OVER (PARTITION BY g ORDER BY x) AS r FROM t "
+        "ORDER BY g, x LIMIT 20",
     ]
+    #: The queries whose buffer a MERGE reads after the chain; every other
+    #: chain ends in a SCAN or an ORDAGG and reads each spilled partition once.
+    LEAVE_THE_CHAIN = frozenset(QUERIES[3:])
 
     @pytest.fixture
     def db(self):
@@ -445,10 +452,10 @@ class TestBudgetIsABound:
 
         parallel_for = ExecutionContext.parallel_for
 
-        def checked_parallel_for(ctx, operator, items, fn, splittable=False):
-            if operator not in ("sort", "window", "ordagg"):
+        def checked_parallel_for(ctx, operator, items, fn, splittable=False, steps=None):
+            if steps is None:
                 return parallel_for(ctx, operator, items, fn, splittable)
-            regions.add(operator)
+            regions.update(name for name, _ in steps)
 
             def item(value):
                 reading.pop(threading.get_ident(), None)
@@ -459,7 +466,7 @@ class TestBudgetIsABound:
                 check(f"after a {operator} item")
                 return result
 
-            return parallel_for(ctx, operator, items, item, splittable)
+            return parallel_for(ctx, operator, items, item, splittable, steps)
 
         monkeypatch.setattr(TupleBuffer, "enable_spilling", enable_and_register)
         monkeypatch.setattr(SpillManager, "io_hook", staticmethod(observe_reads))
@@ -479,15 +486,29 @@ class TestBudgetIsABound:
         )
         for sql in self.QUERIES:
             expected = normalized_rows(db.sql(sql, engine="naive"))
-            assert normalized_rows(db.sql(sql, config=config)) == expected
-        assert budgeted and regions == {"sort", "window", "ordagg"}
+            result = db.sql(sql, config=config)
+            assert normalized_rows(result) == expected
+            assert result.spill["bytes_written"] > 0, sql
+            if sql not in self.LEAVE_THE_CHAIN:
+                # One load per spilled partition, no write after PARTITION's.
+                assert result.spill["bytes_read"] <= result.spill["bytes_written"], sql
+        assert budgeted and {"sort", "window", "ordagg", "scan"} <= regions
         assert violations == []
         assert sanitizer.races == []
 
     def test_a_loaded_partition_that_outgrows_its_share_spills_itself(self, tmp_path):
         """Half the buffer fits the budget and stays loaded; WINDOW then
-        widens every partition, and the loaded ones go to disk inside their
-        own work items instead of breaking the bound."""
+        widens every partition, and the loaded ones go to disk at the end of
+        their own chain items instead of breaking the bound."""
+        self._widen_every_partition(tmp_path, keep=True)
+
+    def test_a_partition_without_a_later_reader_is_released(self, tmp_path):
+        """The same, but no reader after the chain needs the buffer: a
+        loaded partition over its share is released instead of written, and
+        a spilled one appends nothing to its file and is released too."""
+        self._widen_every_partition(tmp_path, keep=False)
+
+    def _widen_every_partition(self, tmp_path, keep):
         manager = SpillManager(str(tmp_path))
         buffer = TupleBuffer(SCHEMA, 4, ("k",))
         buffer.append_partitioned(make_batch(400))
@@ -506,16 +527,28 @@ class TestBudgetIsABound:
             column = Batch.from_pydict(
                 Schema.of(("a", "float64")), {"a": [0.5] * rows}
             ).columns[0]
+            partition.pin(keep)
             partition.append_columns(wide, [column, column, column])
+            partition.unpin()
             assert buffer.approx_bytes() <= budget
         buffer.columns_appended(wide)
         assert any(p.is_spilled for p in loaded)
-        assert manager.counters()["bytes_written"] > tuples_written
-        assert sum(len(b) for b in buffer.scan_batches()) == 400
-        assert buffer.scan_batches()[0].schema == wide
+        assert sum(p.num_rows for p in buffer.partitions) == 400
+        if keep:
+            assert manager.counters()["bytes_written"] > tuples_written
+            assert sum(len(b) for b in buffer.scan_batches()) == 400
+            assert buffer.scan_batches()[0].schema == wide
+        else:
+            assert manager.counters()["bytes_written"] == tuples_written
+            assert os.listdir(manager.directory) == []
+            with pytest.raises(ExecutionError, match="released"):
+                buffer.scan_batches()
 
     def test_read_only_consumers_write_nothing(self, db, tmp_path):
-        """ORDAGG and SCAN over a spilled buffer add 0 to bytes_written."""
+        """A chain that ends in ORDAGG or SCAN leaves no reader of its
+        buffer: its steps write nothing (no permutation vector, no window
+        column), and each spilled partition is read once, by the first
+        step."""
         config = EngineConfig(
             num_partitions=8, memory_budget_bytes=1024, spill_directory=str(tmp_path),
             collect_metrics=True,
@@ -531,14 +564,17 @@ class TestBudgetIsABound:
             return {node.name(): node.span.attrs for _, _, node in profile.executed_nodes()}
 
         ordered, window = by_operator(result.profile), by_operator(windowed.profile)
-        for stats in (ordered["ORDAGG"], window["SCAN"]):
-            assert stats["spill_bytes_read"] > 0
+        for stats in (ordered["SORT"], ordered["ORDAGG"], window["SORT"],
+                      window["WINDOW"], window["SCAN"]):
             assert stats["spill_bytes_written"] == 0
-        for stats in (ordered["SORT"], window["SORT"]):
-            # 8 bytes a row: the permutation vector, no tuple.
-            assert stats["spill_bytes_written"] == 8 * 4000
-        # Tuples once, the permutation vector, one float64 window column.
-        assert windowed.spill["bytes_written"] == 4000 * (3 * 8 + 8 + 8)
+        for stats in (ordered["ORDAGG"], window["WINDOW"], window["SCAN"]):
+            assert stats["spill_bytes_read"] == 0
+        # The tuples, once: (g, x) for the ORDAGG, (g, x, o) for the window.
+        assert result.spill["bytes_written"] == 4000 * 2 * 8
+        assert windowed.spill["bytes_written"] == 4000 * 3 * 8
+        for run, stats in ((result, ordered["SORT"]), (windowed, window["SORT"])):
+            assert stats["spill_bytes_read"] == run.spill["bytes_read"]
+            assert run.spill["bytes_read"] == run.spill["bytes_written"]
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +594,16 @@ class _Fault:
 
 
 class TestSpillFaults:
+    """Every ``open`` / ``write`` / ``read`` a statement issues fails in
+    turn: PARTITION's spill, the chain item's one load and, where a MERGE
+    reads the buffer after the chain, the chain's write-back and the
+    MERGE's reads."""
+
     SQL = "SELECT g, x, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t"
+    WRITE_BACK_SQL = (
+        "SELECT g, x, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t "
+        "ORDER BY g, x LIMIT 50"
+    )
 
     @pytest.fixture
     def db(self):
@@ -577,10 +622,10 @@ class TestSpillFaults:
             num_partitions=4, memory_budget_bytes=1024, spill_directory=str(tmp_path), **knobs
         )
 
-    def count(self, db, tmp_path, monkeypatch, operation):
+    def count(self, db, tmp_path, monkeypatch, operation, sql):
         counter = _Fault(operation)
         monkeypatch.setattr(SpillManager, "io_hook", staticmethod(counter))
-        db.sql(self.SQL, config=self.config(tmp_path))
+        db.sql(sql, config=self.config(tmp_path))
         assert counter.seen >= 3
         return counter.seen
 
@@ -595,22 +640,23 @@ class TestSpillFaults:
     ):
         from repro.errors import SpillError
 
-        expected = normalized_rows(db.sql(self.SQL))
-        total = self.count(db, tmp_path, monkeypatch, operation)
-        for nth in (1, total // 2, total):
-            fault = _Fault(operation, nth)
-            monkeypatch.setattr(SpillManager, "io_hook", staticmethod(fault))
-            with pytest.raises(SpillError) as raised:
-                db.sql(self.SQL, config=self.config(tmp_path, **mode))
-            assert isinstance(raised.value, ExecutionError)
-            assert "part-0" in str(raised.value)  # names the partition file
-            assert "injected" in str(raised.value)
-            assert os.listdir(str(tmp_path)) == []  # no file, no query-* directory
-            # The hook stays installed (its count is past nth): the next
-            # query on the same database spills again and answers.
-            follow = db.sql(self.SQL, config=self.config(tmp_path, **mode))
-            assert normalized_rows(follow) == expected
-            assert follow.spill["events"] > 0 and follow.spill["release_failures"] == 0
+        for sql in (self.SQL, self.WRITE_BACK_SQL):
+            expected = normalized_rows(db.sql(sql))
+            total = self.count(db, tmp_path, monkeypatch, operation, sql)
+            for nth in range(1, total + 1):
+                fault = _Fault(operation, nth)
+                monkeypatch.setattr(SpillManager, "io_hook", staticmethod(fault))
+                with pytest.raises(SpillError) as raised:
+                    db.sql(sql, config=self.config(tmp_path, **mode))
+                assert isinstance(raised.value, ExecutionError)
+                assert "part-0" in str(raised.value)  # names the partition file
+                assert "injected" in str(raised.value)
+                assert os.listdir(str(tmp_path)) == []  # no file, no query-* directory
+                # The hook stays installed (its count is past nth): the next
+                # query on the same database spills again and answers.
+                follow = db.sql(sql, config=self.config(tmp_path, **mode))
+                assert normalized_rows(follow) == expected
+                assert follow.spill["events"] > 0 and follow.spill["release_failures"] == 0
 
     @pytest.mark.parametrize("operation", ["open", "write", "read"])
     def test_failed_query_releases_its_admission_reservation(
@@ -619,21 +665,25 @@ class TestSpillFaults:
         from repro import QueryService, ServiceConfig
         from repro.errors import SpillError
 
-        expected = normalized_rows(db.sql(self.SQL))
-        monkeypatch.setattr(
-            SpillManager, "io_hook", staticmethod(_Fault(operation, nth=3))
-        )
         config = self.config(tmp_path)
         service = QueryService(db, ServiceConfig(max_concurrent=1))
         try:
-            failed = service.submit(self.SQL, config=config, use_result_cache=False)
-            with pytest.raises(SpillError):
-                failed.result(timeout=60)
-            assert failed.state == "failed"
-            stats = service.stats()
-            assert stats["running"] == 0 and stats["reserved_bytes"] == 0
-            follow = service.submit(self.SQL, config=config, use_result_cache=False)
-            assert normalized_rows(follow.result(timeout=60)) == expected
+            for sql in (self.SQL, self.WRITE_BACK_SQL):
+                expected = normalized_rows(db.sql(sql))
+                total = self.count(db, tmp_path, monkeypatch, operation, sql)
+                for nth in range(1, total + 1):
+                    monkeypatch.setattr(
+                        SpillManager, "io_hook", staticmethod(_Fault(operation, nth))
+                    )
+                    failed = service.submit(sql, config=config, use_result_cache=False)
+                    with pytest.raises(SpillError):
+                        failed.result(timeout=60)
+                    assert failed.state == "failed"
+                    stats = service.stats()
+                    assert stats["running"] == 0 and stats["reserved_bytes"] == 0
+                    assert os.listdir(str(tmp_path)) == []
+                    follow = service.submit(sql, config=config, use_result_cache=False)
+                    assert normalized_rows(follow.result(timeout=60)) == expected
         finally:
             service.shutdown()
         assert os.listdir(str(tmp_path)) == []
