@@ -13,11 +13,11 @@ barrier", which is exactly the engine's happens-before relation.
 
 One refinement: accesses by the *region-owning* thread (the one that
 called ``begin_region``) never race. Both schedulers order them by
-construction — ``SplittableTask.split`` runs on the owner before the
-work unit is submitted to the pool, ``finalize`` runs after every
-future has resolved, and the owner otherwise blocks in the barrier —
-so owner accesses are counted (``access_count``) but excluded from
-conflict detection.
+construction — a chain's planning runs on the owner before its items
+are submitted to the pool, its finishes after every future has
+resolved, and the owner otherwise blocks in the barrier — so owner
+accesses are counted (``access_count``) but excluded from conflict
+detection.
 
 The sanitizer exists to *cross-check the static passes*: the parallel
 fuzz corpus runs with it on and asserts (a) zero dynamic races and

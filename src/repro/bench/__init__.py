@@ -17,11 +17,8 @@ from .workloads import (
 )
 from .harness import (
     BenchResult,
-    ModeComparison,
     run_query,
     measure,
-    measure_modes,
-    format_modes_row,
     format_table3_row,
 )
 
@@ -31,10 +28,7 @@ __all__ = [
     "FIGURE8_QUERIES",
     "TABLE3_CATEGORIES",
     "BenchResult",
-    "ModeComparison",
     "run_query",
     "measure",
-    "measure_modes",
-    "format_modes_row",
     "format_table3_row",
 ]

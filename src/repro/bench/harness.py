@@ -28,16 +28,11 @@ class BenchResult(NamedTuple):
     serial_time: float
     makespan: float
     rows: int
-    execution_mode: str = "simulated"
 
     @property
     def time(self) -> float:
-        """Wall time at the configured thread count. In parallel mode,
-        ``makespan`` is the *measured* parallel wall time; in simulated
-        mode it is the scheduled makespan (and the measured serial time is
-        the honest number at 1 thread)."""
-        if self.execution_mode == "parallel":
-            return self.makespan
+        """Wall time at the configured thread count: the measured serial
+        time at 1 thread, else ``makespan``."""
         return self.serial_time if self.threads == 1 else self.makespan
 
 
@@ -47,8 +42,7 @@ def run_query(
     config = EngineConfig(num_threads=threads, **config_kwargs)
     result = db.sql(sql, engine=engine, config=config)
     return BenchResult(
-        sql, engine, threads, result.serial_time, result.simulated_time,
-        len(result), config.execution_mode,
+        sql, engine, threads, result.serial_time, result.simulated_time, len(result)
     )
 
 
@@ -65,52 +59,6 @@ def measure(
         for t in threads:
             out[engine][t] = run_query(db, sql, engine, t, **config_kwargs)
     return out
-
-
-class ModeComparison(NamedTuple):
-    """One query measured under both execution modes at one thread count."""
-
-    query: str
-    engine: str
-    threads: int
-    simulated: BenchResult
-    parallel: BenchResult
-
-    @property
-    def measured_speedup(self) -> float:
-        """Measured parallel wall-time speedup over the measured serial
-        work of the same run (what multi-core hardware actually delivers;
-        ~1x on a single-core host where threads cannot overlap)."""
-        return self.parallel.serial_time / max(self.parallel.makespan, 1e-9)
-
-
-def measure_modes(
-    db: Database, sql: str, engine: str, threads: int, **config_kwargs
-) -> ModeComparison:
-    """Run one query in simulated and parallel mode at the same thread
-    count, so the predicted makespan and the measured wall time can be
-    printed side by side."""
-    simulated = run_query(
-        db, sql, engine, threads, execution_mode="simulated", **config_kwargs
-    )
-    parallel = run_query(
-        db, sql, engine, threads, execution_mode="parallel", **config_kwargs
-    )
-    return ModeComparison(sql, engine, threads, simulated, parallel)
-
-
-def format_modes_row(label: str, comparison: ModeComparison) -> str:
-    """One row comparing the simulated makespan against the measured
-    parallel wall time (and the serial work both modes agree on)."""
-    sim = comparison.simulated
-    par = comparison.parallel
-    return (
-        f"{label:<24} {comparison.threads}T "
-        f"| serial {sim.serial_time * 1000:9.1f}ms "
-        f"| simulated makespan {sim.makespan * 1000:9.1f}ms "
-        f"| measured parallel {par.makespan * 1000:9.1f}ms "
-        f"(x{comparison.measured_speedup:4.2f} over its own serial work)"
-    )
 
 
 def format_table3_row(

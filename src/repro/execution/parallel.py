@@ -18,16 +18,11 @@ Execution contract (what the differential/property test suites lock down):
   in submission order;
 - an exception raised by a worker propagates to the caller after the
   barrier, carrying the worker's original traceback;
-- a chain region's item (:func:`repro.lolepop.base.run_chain`) runs whole
-  on one worker — every step of its partition, the way parallel mode runs
-  every item: it is a determinism harness, not a speed feature
-  (docs/architecture.md §4). Its ``(step, start, end)`` marks become the
-  region's item spans;
-- items that implement :class:`~repro.execution.scheduler.SplittableTask`
-  in a region marked ``splittable`` (and no chain) are subdivided into at
-  most ``num_threads`` sub-thunks when the region has fewer items than
-  threads. No engine operator hands it one any more: SORT, the one that
-  did, is a chain step.
+- every item runs whole on one worker — a chain region's item
+  (:func:`repro.lolepop.base.run_chain`) every step of its partition, any
+  other item its region's one step: parallel mode is a determinism
+  harness, not a speed feature (docs/architecture.md §4). The ``(step,
+  start, end)`` marks an item returns become the region's item spans.
 
 Timing: ``serial_time`` sums the measured per-item durations (the
 "1 thread" work, same meaning as in the simulated scheduler), while
@@ -47,7 +42,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .scheduler import RegionScheduler, SplittableTask, Step
+from .scheduler import RegionScheduler, Step
 from .trace import ExecutionTrace
 
 _POOLS: Dict[int, ThreadPoolExecutor] = {}
@@ -98,41 +93,16 @@ class ParallelScheduler(RegionScheduler):
         phase: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool,
-        steps: Optional[Sequence[Step]],
+        steps: Sequence[Step],
     ) -> List:
         """Run the items on the worker pool and wait for all of them."""
         items = list(items)
         if not items:
             return []
         region_start = time.perf_counter()
-        # Sub-thunk budget per item: only split when the region has fewer
-        # items than threads, and never into more than num_threads pieces.
-        max_parts = 1
-        if (
-            splittable and steps is None and self.num_threads > 1
-            and len(items) < self.num_threads
-        ):
-            max_parts = min(
-                self.num_threads, -(-self.num_threads // len(items)) + 1
-            )
+        futures: List[Future] = [self._pool.submit(_on_worker, fn, item) for item in items]
 
-        # plans[i] is either ("whole",) or ("split", n_subtasks).
-        plans: List = []
-        futures: List[Future] = []
-        for item in items:
-            thunks = None
-            if max_parts > 1 and isinstance(item, SplittableTask):
-                thunks = item.split(max_parts)
-            if thunks:
-                plans.append(("split", len(thunks)))
-                for thunk in thunks:
-                    futures.append(self._pool.submit(_timed, thunk))
-            else:
-                plans.append(("whole",))
-                futures.append(self._pool.submit(_timed, fn, item))
-
-        # Barrier: wait for every unit, even past a failure, so no work of
+        # Barrier: wait for every item, even past a failure, so no work of
         # this region can leak into the next one.
         outcomes: List = []
         error: Optional[BaseException] = None
@@ -140,7 +110,6 @@ class ParallelScheduler(RegionScheduler):
             try:
                 outcomes.append(future.result())
             except BaseException as exc:  # re-raised after the barrier
-                outcomes.append(None)
                 if error is None:
                     error = exc
         if error is not None:
@@ -149,44 +118,29 @@ class ParallelScheduler(RegionScheduler):
             # (concurrent.futures preserves __traceback__).
             raise error
 
-        results: List = []
-        cursor = 0
-        for item, plan in zip(items, plans):
-            if plan[0] == "whole":
-                results.append(outcomes[cursor][0])
-                cursor += 1
-            else:
-                count = plan[1]
-                sub_results = [o[0] for o in outcomes[cursor : cursor + count]]
-                cursor += count
-                results.append(item.finalize(sub_results))
-        if steps is not None:
-            # A chain item ran whole; the steps it marked are its units.
-            outcomes = [
-                (None, ident, start, end, steps[step][0])
-                for (_, marks), ident, _, _ in outcomes
-                for step, start, end in marks
-            ]
-        self.serial_time += sum(o[3] - o[2] for o in outcomes)
+        self.serial_time += sum(
+            end - start for (_, marks), _ in outcomes for _, start, end in marks
+        )
         base = self._elapsed
         self._elapsed += time.perf_counter() - region_start
         if self.trace is not None:
             # Spans are written here — on the submitting thread, after the
-            # barrier, so no locking is needed anywhere — from what each
-            # worker measured, re-based onto the scheduler's clock.
+            # barrier, so no locking is needed anywhere — from the marks each
+            # item returned, re-based onto the scheduler's clock.
             offset = base - region_start
             workers = self._worker_ids
             units = [
-                (workers.setdefault(ident, len(workers)), start + offset, end + offset, *name)
-                for _, ident, start, end, *name in outcomes
+                (
+                    workers.setdefault(ident, len(workers)),
+                    start + offset, end + offset, steps[step][0], index,
+                )
+                for index, ((_, marks), ident) in enumerate(outcomes)
+                for step, start, end in marks
             ]
             self.trace.add_region(operator, phase, base, self._elapsed, units, len(items))
-        return results
+        return [result for result, _ in outcomes]
 
 
-def _timed(fn: Callable, *args):
-    """Worker wrapper: returns (result, thread ident, start, end)."""
-    start = time.perf_counter()
-    value = fn(*args)
-    end = time.perf_counter()
-    return value, threading.get_ident(), start, end
+def _on_worker(fn: Callable, item):
+    """Worker wrapper: ``fn(item)`` and the ident of the thread it ran on."""
+    return fn(item), threading.get_ident()

@@ -6,21 +6,23 @@ then placed onto T virtual worker threads by greedy list scheduling. Each
 the morsel-driven execution model, where a pipeline's morsels run freely in
 parallel but pipelines themselves are ordered by their data dependencies.
 
-Splittable items model intra-item parallelism: the paper's SORT is a
+Every region is a chain of one or more steps. A *chain* region runs one
+item per hash partition through several operators (SORT → WINDOW → ... →
+SCAN, see :func:`repro.lolepop.base.run_chain`); any other region is the
+one step of its operator. Items report when each step ran, and each step is
+scheduled as its own unit in the shorter of two legal schedules of the same
+units: step by step with a barrier between steps (what one region per
+operator gives), or item by item with each step starting when the item's
+previous one ended. With one step both are longest-processing-time-first
+list scheduling.
+
+Splittable steps model intra-item parallelism: the paper's SORT is a
 "morsel-driven variant of BlockQuicksort", i.e. sorting one large hash
-partition is itself parallel work. A splittable item of measured duration
-``d`` is scheduled as up to T sub-items of duration ``d·(1+overhead)/s``.
+partition is itself parallel work. A splittable step of measured duration
+``d`` is scheduled as up to T pieces of duration ``d·(1+overhead)/s``.
 Monolithic baselines schedule the same measured durations with
 ``splittable=False``, which reproduces HyPer's single-threaded per-partition
 sorting collapse (Table 3, queries 7/12/15).
-
-A *chain* region (``steps`` given) runs one item per hash partition through
-several operators (SORT → WINDOW → ... → SCAN, see
-:func:`repro.lolepop.base.run_chain`); its items report when each step ran.
-Each step is scheduled as its own unit, splittable as its operator is, in
-the shorter of two legal schedules of the same units: step by step with a
-barrier between steps (what one region per operator gives), or item by item
-with each step starting when the item's previous one ended.
 """
 
 from __future__ import annotations
@@ -39,45 +41,15 @@ SPLIT_QUANTUM = 0.0005
 #: effects of parallel runs + merge).
 SPLIT_OVERHEAD = 0.10
 
-#: One step of a chain region: its operator's name and whether the
-#: simulated schedule may split the step's duration.
+#: One step of a region: its operator's name and whether the simulated
+#: schedule may split the step's duration.
 Step = Tuple[str, bool]
-#: A chain item as the simulated scheduler places it: per step it ran, the
-#: step's index and the durations of its pieces.
-_StepPieces = List[Tuple[int, List[float]]]
-#: Thread clocks after a schedule, and its ``(thread, start, end, step)``
-#: units.
-_Schedule = Tuple[List[float], List[Tuple[int, float, float, str]]]
-
-
-class SplittableTask:
-    """A work item that can cooperatively subdivide into independent
-    sub-thunks — real intra-item parallelism for the parallel scheduler.
-
-    The simulated scheduler treats these like any other item: the region's
-    ``fn`` runs the whole task (call :meth:`run`). The parallel scheduler,
-    when a region is marked ``splittable`` and has fewer items than worker
-    threads, asks :meth:`split` for at most ``max_parts`` independent
-    sub-thunks, executes them concurrently, and calls :meth:`finalize` with
-    their results (in sub-thunk order) on the submitting thread after the
-    region barrier. ``split`` may return ``None`` to decline (the item then
-    runs whole via ``fn``); whatever it returns, the final result must be
-    identical to :meth:`run`'s — splitting is an execution strategy, never
-    a semantic change.
-    """
-
-    def run(self):
-        """Execute the whole item (the unsplit fallback)."""
-        raise NotImplementedError
-
-    def split(self, max_parts: int) -> Optional[List[Callable[[], object]]]:
-        """Return up to ``max_parts`` independent sub-thunks, or ``None``
-        to run unsplit."""
-        return None
-
-    def finalize(self, sub_results: List) -> object:
-        """Combine sub-thunk results; runs after the barrier, serially."""
-        raise NotImplementedError
+#: An item as the simulated scheduler places it: its index, and per step it
+#: ran, the step's index and the durations of its pieces.
+_StepPieces = Tuple[int, List[Tuple[int, List[float]]]]
+#: Thread clocks after a schedule, and its ``(thread, start, end, step,
+#: item)`` units.
+_Schedule = Tuple[List[float], List[Tuple[int, float, float, str, int]]]
 
 
 class RegionScheduler:
@@ -118,17 +90,24 @@ class RegionScheduler:
         region — ``fn`` returns ``(value, marks)``, ``marks`` being the
         ``(step index, start, end)`` ``time.perf_counter`` stamps of the
         steps the item ran; each is scheduled and traced as its own unit,
-        named by its step's operator."""
+        named by its step's operator. Without, the region is the one step
+        ``(operator, splittable)``: ``fn``'s bare value is marked here and
+        comes back bare."""
+        one_step = steps is None
+        if one_step:
+            steps = ((operator, splittable),)
+            fn = _one_step(fn)
         sanitizer = _SAN.active
         if sanitizer is not None:  # sanitizer epoch brackets the barrier
             sanitizer.begin_region(operator, phase)
         try:
             if self.cancellation is not None:
                 self.cancellation.check()
-            return self._execute_items(operator, phase, items, fn, splittable, steps)
+            results = self._execute_items(operator, phase, items, fn, steps)
         finally:
             if sanitizer is not None:
                 sanitizer.end_region()
+        return [value for value, _ in results] if one_step else results
 
     def checkpoint(self) -> None:
         """Raise :class:`~repro.errors.QueryCancelled` if the query was
@@ -143,10 +122,22 @@ class RegionScheduler:
         phase: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool,
-        steps: Optional[Sequence[Step]],
+        steps: Sequence[Step],
     ) -> List:
+        """Run ``fn`` over ``items``; returns its ``(value, marks)`` per item
+        in item order."""
         raise NotImplementedError
+
+
+def _one_step(fn: Callable) -> Callable:
+    """``fn`` as the one step of its region: ``(value, marks)``."""
+
+    def item(arg):
+        start = time.perf_counter()
+        value = fn(arg)
+        return value, ((0, start, time.perf_counter()),)
+
+    return item
 
 
 class SimulatedScheduler(RegionScheduler):
@@ -175,53 +166,13 @@ class SimulatedScheduler(RegionScheduler):
         phase: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool,
-        steps: Optional[Sequence[Step]],
+        steps: Sequence[Step],
     ) -> List:
-        """Run the items serially, measure, and schedule the measured
-        durations as one region."""
-        if steps is not None:
-            results = [fn(item) for item in items]
-            self._account_chain(operator, phase, [marks for _, marks in results], steps)
-            return results
-        results = []
-        durations = []
-        for item in items:
-            start = time.perf_counter()
-            results.append(fn(item))
-            durations.append(time.perf_counter() - start)
-        self.account(operator, phase, durations, splittable)
+        """Run the items serially, then schedule the steps they marked as
+        one region."""
+        results = [fn(item) for item in items]
+        self._account_chain(operator, phase, [marks for _, marks in results], steps)
         return results
-
-    def account(
-        self,
-        operator: str,
-        phase: str,
-        durations: Sequence[float],
-        splittable: bool = False,
-    ) -> None:
-        """Schedule externally-measured durations as one region."""
-        if self.cancellation is not None:
-            self.cancellation.check()
-        self.serial_time += sum(durations)
-        barrier = self.sim_time
-        self._clocks = [barrier] * self.num_threads
-        tasks: List[float] = []
-        for duration in durations:
-            tasks.extend(self._split(duration, splittable))
-        # Longest-processing-time-first greedy: near-optimal makespan and
-        # deterministic.
-        units = []
-        for duration in sorted(tasks, reverse=True):
-            thread = min(range(self.num_threads), key=lambda t: self._clocks[t])
-            start = self._clocks[thread]
-            self._clocks[thread] = start + duration
-            if self.trace is not None:
-                units.append((thread, start, start + duration))
-        if units:
-            self.trace.add_region(
-                operator, phase, barrier, self.sim_time, units, len(durations)
-            )
 
     def _account_chain(
         self,
@@ -230,23 +181,23 @@ class SimulatedScheduler(RegionScheduler):
         marks: Sequence[Sequence[Tuple[int, float, float]]],
         steps: Sequence[Step],
     ) -> None:
-        """Schedule a chain region's measured steps (see the module
-        docstring): ``marks`` holds each item's ``(step, start, end)``."""
+        """Schedule a region's measured steps (see the module docstring):
+        ``marks`` holds each item's ``(step, start, end)``."""
         self.serial_time += sum(end - start for item in marks for _, start, end in item)
         barrier = self.sim_time
         if self.num_threads == 1:
             # One thread runs the units back to back, in any schedule.
             clock, units = barrier, []
-            for item in marks:
+            for index, item in enumerate(marks):
                 for step, start, end in item:
                     if self.trace is not None:
-                        units.append((0, clock, clock + end - start, steps[step][0]))
+                        units.append((0, clock, clock + end - start, steps[step][0], index))
                     clock += end - start
             self._clocks = [clock]
         else:
             chains = [
-                [(step, self._split(end - start, steps[step][1])) for step, start, end in item]
-                for item in marks
+                (index, [(step, self._split(end - start, steps[step][1])) for step, start, end in item])
+                for index, item in enumerate(marks)
             ]
             self._clocks, units = min(
                 self._place_by_item(chains, steps, barrier),
@@ -275,12 +226,12 @@ class SimulatedScheduler(RegionScheduler):
         units = []
         for index, (name, _) in enumerate(steps):
             pieces = [
-                piece for chain in chains for step, parts in chain if step == index
-                for piece in parts
+                (piece, item) for item, chain in chains for step, parts in chain
+                if step == index for piece in parts
             ]
-            for duration in sorted(pieces, reverse=True):
+            for duration, item in sorted(pieces, key=lambda p: p[0], reverse=True):
                 thread, start = self._place(clocks, barrier, duration)
-                units.append((thread, start, start + duration, name))
+                units.append((thread, start, start + duration, name, item))
             barrier = max(clocks)
             clocks = [barrier] * self.num_threads
         return clocks, units
@@ -292,13 +243,13 @@ class SimulatedScheduler(RegionScheduler):
         step (all of its pieces) ended."""
         clocks = [barrier] * self.num_threads
         units = []
-        for chain in sorted(chains, key=lambda c: -sum(sum(parts) for _, parts in c)):
+        for item, chain in sorted(chains, key=lambda c: -sum(sum(parts) for _, parts in c[1])):
             ready = barrier
             for step, parts in chain:
                 ends = []
                 for duration in parts:
                     thread, start = self._place(clocks, ready, duration)
-                    units.append((thread, start, start + duration, steps[step][0]))
+                    units.append((thread, start, start + duration, steps[step][0], item))
                     ends.append(start + duration)
                 ready = max(ends)
         return clocks, units

@@ -1,15 +1,16 @@
 """One span tree per statement (the data behind Figures 7 and 8).
 
-A :class:`Span` is ``(kind, name, start, end, thread, attrs, children)``.
+A :class:`Span` is ``(kind, name, start, end, thread, attrs, item, children)``.
 The kinds nest ``statement → stage → node → region → item``, each written
 once by whoever owns its clock (docs/observability.md has the table): the
 service and ``Database`` open the ``statement`` root and its stages when
 telemetry is on, ``Dag.execute`` one ``node`` per executed LOLEPOP under
 ``collect_metrics``, the schedulers one ``region`` per ``run_region``
-barrier with an ``item`` per scheduled unit under ``collect_trace``. A
-chain region's items are its steps: one per operator an item ran, named by
-that operator, and the region sits beside the ``node`` spans of the steps
-(it spans several of them).
+barrier with an ``item`` span per scheduled unit under ``collect_trace``:
+one per step a work item ran, named by that step's operator and carrying
+the work item's index. A chain region's items run several steps, and the
+region sits beside the ``node`` spans of the steps (it spans several of
+them).
 
 Statement, stage and node spans tick on the wall clock
 (``time.perf_counter``); region and item spans on the scheduler's, which
@@ -28,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 class Span:
     """One interval of a statement's execution and what happened inside it."""
 
-    __slots__ = ("kind", "name", "start", "end", "thread", "attrs", "children")
+    __slots__ = ("kind", "name", "start", "end", "thread", "attrs", "item", "children")
 
     def __init__(
         self,
@@ -38,6 +39,7 @@ class Span:
         end: Optional[float] = None,
         thread: int = 0,
         attrs: Optional[dict] = None,
+        item: int = 0,
     ):
         self.kind = kind
         self.name = name
@@ -46,6 +48,9 @@ class Span:
         self.end = end
         self.thread = thread
         self.attrs: dict = {} if attrs is None else attrs
+        #: An ``item`` span's work item: its index in the region (a chain
+        #: item's steps share one).
+        self.item = item
         self.children: List[Span] = []
 
     def close(self) -> None:
@@ -118,19 +123,18 @@ class ExecutionTrace:
         phase: str,
         start: float,
         end: float,
-        units: Sequence[Tuple],
-        items: Optional[int] = None,
+        units: Sequence[Tuple[int, float, float, str, int]],
+        items: int,
     ) -> None:
-        """:meth:`add` one ``run_region`` barrier. ``units`` are the
-        ``(thread, start, end)`` of what was scheduled, ``items`` the number
-        of work items they came from (a split item is several units). A
-        chain region's units are ``(thread, start, end, operator)``: one per
-        step an item ran, named by the step's operator. Items share their
-        region's ``attrs``."""
-        attrs = {"phase": phase, "items": len(units) if items is None else items}
+        """:meth:`add` one ``run_region`` barrier of ``items`` work items.
+        ``units`` are the ``(thread, start, end, operator, item)`` of what
+        was scheduled: one per step an item ran (a split step is several),
+        named by the step's operator, ``item`` the index of the work item it
+        belongs to. Units share their region's ``attrs``."""
+        attrs = {"phase": phase, "items": items}
         self.add("region", operator, start, end, attrs).children = [
-            Span("item", name[0] if name else operator, unit_start, unit_end, thread, attrs)
-            for thread, unit_start, unit_end, *name in units
+            Span("item", name, unit_start, unit_end, thread, attrs, item)
+            for thread, unit_start, unit_end, name, item in units
         ]
 
     # -- views ----------------------------------------------------------

@@ -131,20 +131,29 @@ def worst_q_error(profile, estimator) -> Optional[tuple]:
 
 def region_skew(region) -> dict:
     """Morsel-skew metrics of one ``region`` span: the skew ratio
-    ``max/mean`` of its items' durations says how badly one straggling work
-    item stretched the barrier — 1.0 is perfectly balanced, large values
-    mean the region's makespan was set by a single morsel — plus the
-    straggler's thread id so the slow-query log can attribute the stall."""
-    worst = max(region.children, key=lambda item: item.duration)
-    mean_s = sum(item.duration for item in region.children) / len(region.children)
+    ``max/mean`` of its work items' durations says how badly one straggling
+    work item stretched the barrier — 1.0 is perfectly balanced, large
+    values mean the region's makespan was set by a single morsel — plus the
+    straggler's thread id so the slow-query log can attribute the stall. An
+    item's duration sums its units (a chain item's steps, a split step's
+    pieces), so steps of unequal weight are not skew; the straggler's thread
+    is that of its longest unit."""
+    items: Dict[int, list] = {}  # item index -> [seconds, longest unit]
+    for unit in region.children:
+        entry = items.setdefault(unit.item, [0.0, unit])
+        entry[0] += unit.duration
+        if unit.duration > entry[1].duration:
+            entry[1] = unit
+    max_s, straggler = max(items.values(), key=lambda entry: entry[0])
+    mean_s = sum(entry[0] for entry in items.values()) / len(items)
     return {
         "operator": region.name,
         "phase": region.attrs["phase"],
         "items": region.attrs["items"],
-        "max_s": worst.duration,
+        "max_s": max_s,
         "mean_s": mean_s,
-        "skew": worst.duration / mean_s if mean_s > 0 else 1.0,
-        "straggler_thread": worst.thread,
+        "skew": max_s / mean_s if mean_s > 0 else 1.0,
+        "straggler_thread": straggler.thread,
     }
 
 

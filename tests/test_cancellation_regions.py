@@ -16,9 +16,10 @@ run several steps each; a second probe, on the check a chain item makes
 before each step (``RegionScheduler.checkpoint``), cancels before the
 steps of the first and of the last item with the same guarantees.
 
-The same probe makes every work item of a HASHAGG merge region raise, for
-both merge fan-outs: the worker's own exception must surface, typed, with
-the same no-leak guarantees.
+The same probe makes every work item of a region raise — of a HASHAGG
+merge region, for both merge fan-outs, and of the statement's SORT →
+WINDOW → SCAN chain region: the worker's own exception must surface,
+typed, with the same no-leak guarantees.
 """
 
 from __future__ import annotations
@@ -50,18 +51,18 @@ SCHEDULERS = {
 BUDGETS = {"unbudgeted": None, "64KiB": 64 * 1024}
 
 
-class MergeFault(ExecutionError):
+class WorkerFault(ExecutionError):
     """Raised inside a work item of a failing region."""
 
 
-def _raise_merge_fault(item):
-    raise MergeFault("injected failure in a hashagg-merge work item")
+def _raise_worker_fault(item):
+    raise WorkerFault("injected failure in a work item")
 
 
 class RegionProbe:
     """Counts ``run_region`` entries and cancels the running query's token
     on entry to the ``cancel_at``-th; makes every work item of the
-    ``fail_in`` regions raise :class:`MergeFault`; keeps the item count of
+    ``fail_in`` regions raise :class:`WorkerFault`; keeps the item count of
     the last region of each name in ``items``; records the spill counters
     every execution context reports after its cleanup."""
 
@@ -80,7 +81,7 @@ class RegionProbe:
                 scheduler.cancellation.cancel()
             self.items[operator] = len(items)
             if operator == self.fail_in:
-                fn = _raise_merge_fault
+                fn = _raise_worker_fault
             return run_region(scheduler, operator, phase, items, fn, *args)
 
         def probed_cleanup(ctx):
@@ -294,6 +295,41 @@ def prepare_merge_failure(probe, monkeypatch, spill_dir, scheduler, budget, merg
     return db, config, expected
 
 
+def fail_directly(probe, spill_dir, db, config, sql, expected):
+    """One run of ``sql`` whose ``probe.fail_in`` region raises in every
+    item: the fault surfaces typed, nothing leaks, the follow-up answers."""
+    probe.spill_counters.clear()
+    with pytest.raises(WorkerFault):
+        db.sql(sql, config=config)
+    assert_nothing_leaked(probe, spill_dir)
+    probe.fail_in = None
+    assert normalized_rows(db.sql(FOLLOW_SQL, config=config)) == expected
+
+
+def fail_through_service(probe, spill_dir, db, config, sql, expected):
+    """:func:`fail_directly` through a :class:`~repro.QueryService`, which
+    must also release the statement's admission reservation."""
+    service_config = ServiceConfig(
+        memory_budget_bytes=1 << 40, result_cache_size=0
+    )
+    with QueryService(db, service_config) as service:
+        admission = service.admission
+        probe.spill_counters.clear()
+        ticket = service.submit(sql, config=config)
+        with pytest.raises(WorkerFault):
+            ticket.result(timeout=60)
+        assert ticket.state == "failed"
+        deadline = time.monotonic() + 30
+        while admission.running and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert admission.running == 0
+        assert admission.reserved_bytes == 0.0
+        assert_nothing_leaked(probe, spill_dir)
+        probe.fail_in = None
+        follow = service.submit(FOLLOW_SQL, config=config)
+        assert normalized_rows(follow.result(timeout=60)) == expected
+
+
 @pytest.mark.parametrize("merge", sorted(MERGE_SQL))
 @pytest.mark.parametrize("budget", sorted(BUDGETS))
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -303,12 +339,7 @@ def test_failing_hashagg_merge_item_leaks_nothing(
     db, config, expected = prepare_merge_failure(
         probe, monkeypatch, tmp_path, scheduler, budget, merge
     )
-    probe.spill_counters.clear()
-    with pytest.raises(MergeFault):
-        db.sql(MERGE_SQL[merge], config=config)
-    assert_nothing_leaked(probe, tmp_path)
-    probe.fail_in = None
-    assert normalized_rows(db.sql(FOLLOW_SQL, config=config)) == expected
+    fail_directly(probe, tmp_path, db, config, MERGE_SQL[merge], expected)
 
 
 @pytest.mark.parametrize("merge", sorted(MERGE_SQL))
@@ -320,22 +351,37 @@ def test_failing_hashagg_merge_item_releases_the_admission_reservation(
     db, config, expected = prepare_merge_failure(
         probe, monkeypatch, tmp_path, scheduler, budget, merge
     )
-    service_config = ServiceConfig(
-        memory_budget_bytes=1 << 40, result_cache_size=0
-    )
-    with QueryService(db, service_config) as service:
-        admission = service.admission
-        probe.spill_counters.clear()
-        ticket = service.submit(MERGE_SQL[merge], config=config)
-        with pytest.raises(MergeFault):
-            ticket.result(timeout=60)
-        assert ticket.state == "failed"
-        deadline = time.monotonic() + 30
-        while admission.running and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert admission.running == 0
-        assert admission.reserved_bytes == 0.0
-        assert_nothing_leaked(probe, tmp_path)
-        probe.fail_in = None
-        follow = service.submit(FOLLOW_SQL, config=config)
-        assert normalized_rows(follow.result(timeout=60)) == expected
+    fail_through_service(probe, tmp_path, db, config, MERGE_SQL[merge], expected)
+
+
+# ---------------------------------------------------------------------------
+# A worker exception inside a chain region: every item of the WINDOW
+# statement's SORT → WINDOW → SCAN region raises — after PARTITION spilled
+# under the budget, so the failure lands while spill files exist.
+# ---------------------------------------------------------------------------
+CHAIN_REGION = "sort+window+scan"
+
+
+def prepare_chain_failure(probe, spill_dir, scheduler, budget):
+    """:func:`prepare`, checking that the statement runs its chain as one
+    region, then arming the probe to fail it."""
+    db, config, expected, _ = prepare(probe, spill_dir, scheduler, budget)
+    assert probe.items[CHAIN_REGION] >= 1
+    probe.fail_in = CHAIN_REGION
+    return db, config, expected
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_failing_chain_item_leaks_nothing(probe, tmp_path, scheduler, budget):
+    db, config, expected = prepare_chain_failure(probe, tmp_path, scheduler, budget)
+    fail_directly(probe, tmp_path, db, config, WINDOW_SQL, expected)
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_failing_chain_item_releases_the_admission_reservation(
+    probe, tmp_path, scheduler, budget
+):
+    db, config, expected = prepare_chain_failure(probe, tmp_path, scheduler, budget)
+    fail_through_service(probe, tmp_path, db, config, WINDOW_SQL, expected)

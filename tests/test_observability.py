@@ -406,7 +406,9 @@ class TestTraceRegions:
     def test_legend_letters_never_collide(self):
         trace = ExecutionTrace()
         for index, operator in enumerate(["sort", "spill", "scan", "source"]):
-            trace.add_region(operator, "p0", index, index + 1, [(0, index, index + 1)])
+            trace.add_region(
+                operator, "p0", index, index + 1, [(0, index, index + 1, operator, 0)], 1
+            )
         letters = trace.legend_letters()
         # Four operators share the initial 'S'; each must get a distinct,
         # deterministic letter (first free letter of its own name).
@@ -419,8 +421,8 @@ class TestTraceRegions:
 
     def test_legend_exhaustion_falls_back_to_alphabet(self):
         trace = ExecutionTrace()
-        trace.add_region("aaa", "p0", 0.0, 1.0, [(0, 0.0, 1.0)])
-        trace.add_region("aa", "p0", 1.0, 2.0, [(0, 1.0, 2.0)])
+        trace.add_region("aaa", "p0", 0.0, 1.0, [(0, 0.0, 1.0, "aaa", 0)], 1)
+        trace.add_region("aa", "p0", 1.0, 2.0, [(0, 1.0, 2.0, "aa", 0)], 1)
         letters = trace.legend_letters()
         assert letters["aaa"] == "A"
         assert letters["aa"] != "A"
@@ -429,8 +431,8 @@ class TestTraceRegions:
 
     def test_render_uses_unique_letters(self):
         trace = ExecutionTrace()
-        trace.add_region("sort", "p0", 0.0, 0.5, [(0, 0.0, 0.5)])
-        trace.add_region("spill", "p0", 0.0, 0.5, [(1, 0.0, 0.5)])
+        trace.add_region("sort", "p0", 0.0, 0.5, [(0, 0.0, 0.5, "sort", 0)], 1)
+        trace.add_region("spill", "p0", 0.0, 0.5, [(1, 0.0, 0.5, "spill", 0)], 1)
         rendered = trace.render(width=20)
         assert "S=sort" in rendered and "P=spill" in rendered
 

@@ -67,7 +67,7 @@ def test_parallel_matches_serial_on_fixed_corpus(db, sql, threads):
 
 # ----------------------------------------------------------------------
 # Grouping sets and window shapes at higher partition counts (exercises
-# the keyed-partition scatter and per-partition sort-split paths harder).
+# the keyed-partition scatter and the per-partition chain items harder).
 # ----------------------------------------------------------------------
 STRESS_QUERIES = [
     "SELECT k, n, sum(q), count(*) FROM r GROUP BY GROUPING SETS ((k, n), (k), ())",

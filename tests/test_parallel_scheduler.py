@@ -2,8 +2,8 @@
 
 Locks down the execution contract documented in repro.execution.parallel:
 region barriers hold, worker exceptions propagate with the worker's
-traceback, splittable items are subdivided into at most num_threads
-sub-thunks, and a single-thread pool reproduces serial results bit-for-bit.
+traceback, results and trace spans come from each item run whole, and a
+single-thread pool reproduces serial results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.execution import (
     EXECUTION_MODES,
     ExecutionTrace,
     ParallelScheduler,
-    SplittableTask,
 )
 
 
@@ -137,103 +136,6 @@ def test_first_failing_item_wins_when_several_fail():
 
 
 # ----------------------------------------------------------------------
-# Splittable items
-# ----------------------------------------------------------------------
-class RecordingTask(SplittableTask):
-    """Sums a list of ints; splits into chunked sub-sums on request."""
-
-    def __init__(self, values, refuse_split=False):
-        self.values = list(values)
-        self.refuse_split = refuse_split
-        self.split_requests = []
-        self.finalized_with = None
-        self.ran_whole = False
-
-    def run(self):
-        self.ran_whole = True
-        return sum(self.values)
-
-    def split(self, max_parts):
-        self.split_requests.append(max_parts)
-        if self.refuse_split or max_parts < 2:
-            return None
-        step = -(-len(self.values) // max_parts)
-        chunks = [
-            self.values[i : i + step]
-            for i in range(0, len(self.values), step)
-        ]
-
-        def make(chunk):
-            return lambda: sum(chunk)
-
-        return [make(c) for c in chunks]
-
-    def finalize(self, sub_results):
-        self.finalized_with = list(sub_results)
-        return sum(sub_results)
-
-
-def test_splittable_item_produces_at_most_num_threads_subitems():
-    for threads in (2, 3, 4, 8):
-        sched = ParallelScheduler(threads)
-        task = RecordingTask(range(100))
-        (result,) = sched.run_region(
-            "sort", "p0", [task], RecordingTask.run, splittable=True
-        )
-        assert result == sum(range(100))
-        assert task.split_requests, "split() was never consulted"
-        assert all(parts <= threads for parts in task.split_requests)
-        assert task.finalized_with is not None
-        assert len(task.finalized_with) <= threads
-        assert not task.ran_whole
-
-
-def test_splittable_item_that_declines_runs_whole():
-    sched = ParallelScheduler(4)
-    task = RecordingTask(range(50), refuse_split=True)
-    (result,) = sched.run_region(
-        "sort", "p0", [task], RecordingTask.run, splittable=True
-    )
-    assert result == sum(range(50))
-    assert task.ran_whole
-    assert task.finalized_with is None
-
-
-def test_no_split_when_items_already_cover_the_threads():
-    """With at least as many items as threads there is nothing to gain
-    from splitting, so split() must not be consulted."""
-    sched = ParallelScheduler(2)
-    tasks = [RecordingTask(range(10)) for _ in range(4)]
-    results = sched.run_region(
-        "sort", "p0", tasks, RecordingTask.run, splittable=True
-    )
-    assert results == [sum(range(10))] * 4
-    assert all(t.split_requests == [] for t in tasks)
-    assert all(t.ran_whole for t in tasks)
-
-
-def test_no_split_on_single_thread():
-    sched = ParallelScheduler(1)
-    task = RecordingTask(range(10))
-    sched.run_region("sort", "p0", [task], RecordingTask.run, splittable=True)
-    assert task.split_requests == []
-    assert task.ran_whole
-
-
-def test_mixed_region_split_and_whole_results_stay_ordered():
-    sched = ParallelScheduler(8)
-    tasks = [
-        RecordingTask(range(20)),
-        RecordingTask(range(5), refuse_split=True),
-        RecordingTask(range(30)),
-    ]
-    results = sched.run_region(
-        "sort", "p0", tasks, RecordingTask.run, splittable=True
-    )
-    assert results == [sum(range(20)), sum(range(5)), sum(range(30))]
-
-
-# ----------------------------------------------------------------------
 # Timing, tracing
 # ----------------------------------------------------------------------
 def test_serial_time_and_wall_time_accumulate():
@@ -260,6 +162,33 @@ def test_trace_records_use_rebased_abutting_regions():
     assert all(r.end >= r.start for r in trace.records)
     # Worker ids are dense indices, not OS thread idents.
     assert {r.thread for r in trace.records} <= set(range(sched.num_threads))
+
+
+def test_item_spans_come_from_each_items_marks():
+    """A one-step region's item is one span; a chain item's is one per step
+    it marked, named by the step's operator. Each carries its item's index
+    and the one worker that ran the whole item."""
+    trace = ExecutionTrace()
+    sched = ParallelScheduler(3, trace)
+    assert sched.run_region("a", "p0", range(4), lambda i: i * 2) == [0, 2, 4, 6]
+
+    def chain_item(i):
+        start = time.perf_counter()
+        middle = time.perf_counter()
+        return i, [(0, start, middle), (1, middle, time.perf_counter())]
+
+    out = sched.run_region(
+        "sort+scan", "p1", range(5), chain_item, steps=[("sort", True), ("scan", False)]
+    )
+    assert [value for value, _ in out] == list(range(5))
+    one_step, chain = trace.regions
+    assert [(u.name, u.item) for u in one_step.children] == [("a", i) for i in range(4)]
+    assert [(u.name, u.item) for u in chain.children] == [
+        (name, i) for i in range(5) for name in ("sort", "scan")
+    ]
+    assert chain.attrs["items"] == 5
+    for i in range(5):
+        assert len({u.thread for u in chain.children if u.item == i}) == 1
 
 
 # ----------------------------------------------------------------------

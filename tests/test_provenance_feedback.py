@@ -213,7 +213,9 @@ def skewed_trace() -> ExecutionTrace:
     trace = ExecutionTrace()
     # Thread 1 is the straggler: 4x the mean morsel duration.
     trace.add_region(
-        "HASHAGG", "p1", 0.0, 0.8, [(0, 0.0, 0.1), (1, 0.0, 0.8), (2, 0.0, 0.1)]
+        "HASHAGG", "p1", 0.0, 0.8,
+        [(0, 0.0, 0.1, "HASHAGG", 0), (1, 0.0, 0.8, "HASHAGG", 1), (2, 0.0, 0.1, "HASHAGG", 2)],
+        3,
     )
     return trace
 
@@ -231,6 +233,39 @@ class TestMorselSkew:
     def test_empty_trace(self):
         assert morsel_skew(None) == []
         assert morsel_skew(ExecutionTrace()) == []
+
+    def test_chain_skew_is_taken_per_item_not_per_step(self):
+        """Four equal partitions, each a heavy SORT and a light SCAN step:
+        the steps differ 4x, the items not at all."""
+        trace = chain_trace([0.004] * 4)
+        (entry,) = morsel_skew(trace)
+        assert entry["items"] == 4
+        assert entry["skew"] == pytest.approx(1.0)
+        assert entry["max_s"] == pytest.approx(entry["mean_s"]) == pytest.approx(0.005)
+        (region,) = [e for e in chrome_trace_events(trace) if e["pid"] == REGION_PID]
+        assert region["args"]["morsel_skew"] == pytest.approx(1.0)
+
+    def test_a_straggler_chain_item_still_reads_skewed(self):
+        trace = chain_trace([0.004, 0.004, 0.004, 0.016])
+        (entry,) = morsel_skew(trace)
+        assert entry["skew"] >= 1.5
+        assert entry["max_s"] == pytest.approx(0.017)
+        assert entry["straggler_thread"] == 3
+        (region,) = [e for e in chrome_trace_events(trace) if e["pid"] == REGION_PID]
+        assert region["args"]["morsel_skew"] == pytest.approx(entry["skew"])
+        assert region["args"]["straggler_thread"] == 3
+
+
+def chain_trace(sorts) -> ExecutionTrace:
+    """A chain region of one item per entry of ``sorts``: item ``i`` runs
+    on thread ``i``, a SORT of ``sorts[i]`` seconds then a 1 ms SCAN."""
+    units = []
+    for item, sort in enumerate(sorts):
+        units.append((item, 0.0, sort, "sort", item))
+        units.append((item, sort, sort + 0.001, "scan", item))
+    trace = ExecutionTrace()
+    trace.add_region("sort+scan", "p1", 0.0, max(sorts) + 0.001, units, len(sorts))
+    return trace
 
 
 class TestChromeWaitSpans:

@@ -7,54 +7,6 @@ from repro.execution.scheduler import SPLIT_OVERHEAD
 from repro.execution.trace import Span
 
 
-class TestScheduling:
-    def test_results_in_item_order(self):
-        sched = SimulatedScheduler(4)
-        out = sched.run_region("op", "p0", [3, 1, 2], lambda x: x * 10)
-        assert out == [30, 10, 20]
-
-    def test_serial_time_accumulates(self):
-        sched = SimulatedScheduler(2)
-        sched.account("op", "p0", [0.5, 0.5])
-        assert sched.serial_time == pytest.approx(1.0)
-
-    def test_parallel_makespan_lpt(self):
-        sched = SimulatedScheduler(2)
-        sched.account("op", "p0", [4.0, 3.0, 2.0, 1.0])
-        # LPT on 2 workers: {4,1} and {3,2} -> makespan 5
-        assert sched.sim_time == pytest.approx(5.0)
-
-    def test_single_thread_equals_serial(self):
-        sched = SimulatedScheduler(1)
-        sched.account("op", "p0", [1.0, 2.0, 3.0])
-        assert sched.sim_time == pytest.approx(sched.serial_time)
-
-    def test_regions_are_barriers(self):
-        sched = SimulatedScheduler(2)
-        sched.account("a", "p0", [2.0])  # one thread busy until t=2
-        sched.account("b", "p1", [1.0])  # must start after the barrier
-        assert sched.sim_time == pytest.approx(3.0)
-
-    def test_nonsplittable_large_item_dominates(self):
-        sched = SimulatedScheduler(8)
-        sched.account("sort", "p0", [8.0], splittable=False)
-        assert sched.sim_time == pytest.approx(8.0)
-
-    def test_splittable_item_parallelizes_with_overhead(self):
-        sched = SimulatedScheduler(8)
-        sched.account("sort", "p0", [8.0], splittable=True)
-        assert sched.sim_time == pytest.approx(8.0 * (1 + SPLIT_OVERHEAD) / 8)
-
-    def test_tiny_splittable_item_not_split(self):
-        sched = SimulatedScheduler(8)
-        sched.account("sort", "p0", [0.0001], splittable=True)
-        assert sched.sim_time == pytest.approx(0.0001)
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(ValueError):
-            SimulatedScheduler(0)
-
-
 def _chain_region(scheduler, items, steps):
     """Run a chain region whose item ``i`` reports ``items[i]`` as its
     steps' ``(step, duration)``, marked back to back from time 0."""
@@ -67,6 +19,59 @@ def _chain_region(scheduler, items, steps):
         return None, marks
 
     return scheduler.run_region("chain", "p0", items, item, steps=steps)
+
+
+def _one_step_region(scheduler, name, durations, splittable=False):
+    """Run a region of one ``name`` step whose items take ``durations``."""
+    return _chain_region(scheduler, [[(0, d)] for d in durations], [(name, splittable)])
+
+
+class TestScheduling:
+    def test_results_in_item_order(self):
+        sched = SimulatedScheduler(4)
+        out = sched.run_region("op", "p0", [3, 1, 2], lambda x: x * 10)
+        assert out == [30, 10, 20]
+
+    def test_serial_time_accumulates(self):
+        sched = SimulatedScheduler(2)
+        _one_step_region(sched, "op", [0.5, 0.5])
+        assert sched.serial_time == pytest.approx(1.0)
+
+    def test_parallel_makespan_lpt(self):
+        sched = SimulatedScheduler(2)
+        _one_step_region(sched, "op", [4.0, 3.0, 2.0, 1.0])
+        # LPT on 2 workers: {4,1} and {3,2} -> makespan 5
+        assert sched.sim_time == pytest.approx(5.0)
+
+    def test_single_thread_equals_serial(self):
+        sched = SimulatedScheduler(1)
+        _one_step_region(sched, "op", [1.0, 2.0, 3.0])
+        assert sched.sim_time == pytest.approx(sched.serial_time)
+
+    def test_regions_are_barriers(self):
+        sched = SimulatedScheduler(2)
+        _one_step_region(sched, "a", [2.0])  # one thread busy until t=2
+        _one_step_region(sched, "b", [1.0])  # must start after the barrier
+        assert sched.sim_time == pytest.approx(3.0)
+
+    def test_nonsplittable_large_item_dominates(self):
+        sched = SimulatedScheduler(8)
+        _one_step_region(sched, "sort", [8.0], splittable=False)
+        assert sched.sim_time == pytest.approx(8.0)
+
+    def test_splittable_item_parallelizes_with_overhead(self):
+        sched = SimulatedScheduler(8)
+        _one_step_region(sched, "sort", [8.0], splittable=True)
+        assert sched.sim_time == pytest.approx(8.0 * (1 + SPLIT_OVERHEAD) / 8)
+
+    def test_tiny_splittable_item_not_split(self):
+        sched = SimulatedScheduler(8)
+        _one_step_region(sched, "sort", [0.0001], splittable=True)
+        assert sched.sim_time == pytest.approx(0.0001)
+
+    def test_invalid_thread_count(self):
+        with pytest.raises(ValueError):
+            SimulatedScheduler(0)
 
 
 class TestChainScheduling:
@@ -86,7 +91,7 @@ class TestChainScheduling:
         regions = SimulatedScheduler(threads)
         for index, (name, splittable) in enumerate(self.STEPS):
             durations = [d for item in self.ITEMS for step, d in item if step == index]
-            regions.account(name, "p0", durations, splittable)
+            _one_step_region(regions, name, durations, splittable)
         assert chain.sim_time <= regions.sim_time + 1e-12
         assert chain.serial_time == pytest.approx(regions.serial_time)
         if threads == 1:
@@ -102,6 +107,21 @@ class TestChainScheduling:
         assert sorted(names) == ["scan"] * 4 + ["sort"] * 3 + ["window"] * 4
         assert all(item.attrs is region.attrs for item in region.children)
         assert sum(i.duration for i in region.children) == pytest.approx(scheduler.serial_time)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_units_carry_their_item_index(self, threads):
+        """Every unit, a split SORT's pieces included, names the item it
+        came from: what morsel skew sums per item."""
+        trace = ExecutionTrace()
+        _chain_region(SimulatedScheduler(threads, trace), self.ITEMS, self.STEPS)
+        (region,) = trace.regions
+        per_item = {}
+        for unit in region.children:
+            per_item[unit.item] = per_item.get(unit.item, 0.0) + unit.duration
+        assert sorted(per_item) == [0, 1, 2, 3]
+        if threads == 1:
+            for index, item in enumerate(self.ITEMS):
+                assert per_item[index] == pytest.approx(sum(d for _, d in item))
 
     def test_a_splittable_step_is_split_like_its_region_was(self):
         trace = ExecutionTrace()
@@ -121,8 +141,8 @@ class TestChainScheduling:
         _chain_region(chain, items, steps)
         assert chain.sim_time == pytest.approx(0.011)
         regions = SimulatedScheduler(2)
-        regions.account("sort", "p0", [0.010, 0.001])
-        regions.account("scan", "p1", [0.001, 0.009])
+        _one_step_region(regions, "sort", [0.010, 0.001])
+        _one_step_region(regions, "scan", [0.001, 0.009])
         assert regions.sim_time == pytest.approx(0.019)
 
 
@@ -130,8 +150,8 @@ class TestTrace:
     def make_trace(self):
         trace = ExecutionTrace()
         sched = SimulatedScheduler(2, trace)
-        sched.account("partition", "p0", [1.0, 1.0])
-        sched.account("sort", "p1", [2.0])
+        _one_step_region(sched, "partition", [1.0, 1.0])
+        _one_step_region(sched, "sort", [2.0])
         return trace
 
     def test_records_collected(self):

@@ -55,17 +55,15 @@ class TestWorkloadDefinitions:
 
 
 class TestBenchResult:
-    def make(self, mode):
-        return BenchResult("q", "lolepop", 4, 1.0, 0.4, 10, mode)
+    def make(self, threads):
+        return BenchResult("q", "lolepop", threads, 1.0, 0.4, 10)
 
     def test_makespan_field(self):
-        assert self.make("parallel").makespan == 0.4
+        assert self.make(4).makespan == 0.4
 
     def test_time_semantics(self):
-        assert self.make("parallel").time == 0.4
-        assert self.make("simulated").time == 0.4  # threads > 1 → makespan
-        one_thread = BenchResult("q", "lolepop", 1, 1.0, 0.4, 10, "simulated")
-        assert one_thread.time == 1.0
+        assert self.make(4).time == 0.4  # threads > 1 → makespan
+        assert self.make(1).time == 1.0  # one thread → measured serial time
 
 
 class TestFigure8Traces:
