@@ -45,10 +45,7 @@ def test_figure7(benchmark, tpch, report, profile_dir, qid, variant, engine):
     if profile_dir and engine == "lolepop":
         # One extra, instrumented run — kept out of the timed path so the
         # profile's overhead never contaminates the benchmark numbers.
-        profiled, _ = run_once(
-            tpch, sql, engine, MANY_THREADS,
-            collect_metrics=True, collect_trace=True,
-        )
+        profiled, _ = run_once(tpch, sql, engine, MANY_THREADS, collect_trace=True)
         safe_variant = variant.replace("+", "plus_").replace(".", "")
         write_profile(
             profile_dir, f"figure7_{qid}_{safe_variant}", profiled, db=tpch

@@ -46,7 +46,6 @@ def test_figure8_trace(benchmark, db, report, profile_dir, number):
     sql = FIGURE8_QUERIES[number]
     config = EngineConfig(
         num_threads=THREADS, num_partitions=PARTITIONS, collect_trace=True,
-        collect_metrics=True,
     )
 
     def run():

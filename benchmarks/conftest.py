@@ -16,6 +16,7 @@ from collections import defaultdict
 import pytest
 
 from repro import Database, EngineConfig
+from repro.observability.metrics import profile_dict
 from repro.tpch import populate_database
 
 SCALE_FACTOR = float(os.environ.get("REPRO_SF", "0.02"))
@@ -47,13 +48,13 @@ def profile_dir(request):
 
 
 def write_profile(directory, name, result, db=None):
-    """Serialize one profiled QueryResult as ``<directory>/<name>.json``;
-    no-op (returns None) without a directory or profile. When ``db`` is
+    """Serialize one traced LOLEPOP QueryResult as ``<directory>/<name>.json``;
+    no-op (returns None) without a directory or trace. When ``db`` is
     given, the database's plan-cache statistics (hit rate across the
     benchmark's repeat loops) are embedded under ``"plan_cache"``."""
-    if not directory or getattr(result, "profile", None) is None:
+    if not directory or result.trace is None:
         return None
-    payload = result.profile.to_dict(trace=result.trace)
+    payload = profile_dict(result)
     if db is not None and getattr(db, "plan_cache", None) is not None:
         payload["plan_cache"] = db.plan_cache.stats()
     path = os.path.join(directory, f"{name}.json")

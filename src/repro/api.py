@@ -240,11 +240,11 @@ class Database:
         half of :meth:`sql`, shared with the query service. The statement's
         span tree (root: ids, engine, cache flags; a ``parse_bind`` stage
         around the lookup) is opened when telemetry is enabled or ``config``
-        collects a trace or metrics, else it is ``None``. A statement that
+        collects a trace, else it is ``None``. A statement that
         fails to parse or bind is recorded here, before the error
         propagates: it will never reach :meth:`execute_prepared`."""
         config = config or self.config
-        if not (self.telemetry.enabled or config.collect_trace or config.collect_metrics):
+        if not (self.telemetry.enabled or config.collect_trace):
             return (*self._prepare_cached(query), None)
         root = self.telemetry.open_statement(query, engine, query_id, session_id)
         trace = ExecutionTrace(root)
@@ -350,13 +350,14 @@ class Database:
         plan = bind(stmt.select, self.catalog)
         run = None
         if stmt.mode == "lolepop":
-            text = LolepopEngine(self.catalog, self.config, self.estimator).explain(plan)
+            engine = LolepopEngine(
+                self.catalog, self.run_config("lolepop", config), self.estimator
+            )
+            text = engine.explain(plan)
         elif stmt.mode == "analyze":
             from .observability import render_analyze
 
-            run_config = (config or self.config).clone(
-                collect_metrics=True, collect_trace=True
-            )
+            run_config = (config or self.config).clone(collect_trace=True)
             run = LolepopEngine(self.catalog, run_config, self.estimator).run(
                 plan, query=query
             )
@@ -368,7 +369,7 @@ class Database:
         )
         if run is None:
             return QueryResult(batch, 0.0, 0.0, None, [])
-        run.batch = batch  # the report, with the run's timings and profile
+        run.batch = batch  # the report, with the run's timings and span tree
         return run
 
     def explain_analyze(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..storage.spill import SPILL_COUNTERS, SpillManager
 from .parallel import ParallelScheduler
 from .scheduler import SimulatedScheduler
 from .trace import ExecutionTrace
@@ -40,7 +41,6 @@ class EngineConfig:
         num_partitions: int = 64,
         morsel_size: int = 100_000,
         collect_trace: bool = False,
-        collect_metrics: bool = False,
         execution_mode: str = "simulated",
         # --- optimizer ablation flags (LOLEPOP engine only) -------------
         reuse_buffers: bool = True,
@@ -82,13 +82,11 @@ class EngineConfig:
         #: always, builds exactly this many.
         self.num_partitions = num_partitions
         self.morsel_size = morsel_size
+        #: When True the span tree gets a ``node`` per executed operator
+        #: holding its counters, a ``region`` per barrier and an ``item`` per
+        #: scheduled unit, and the result is the query's profile. Off by
+        #: default: the hot path then pays one check per DAG unit.
         self.collect_trace = collect_trace
-        #: When True the LOLEPOP engine attaches a
-        #: :class:`~repro.observability.metrics.QueryProfile` to the result
-        #: and every executed operator gets a ``node``
-        #: :class:`~repro.execution.trace.Span` holding its counters. Off by
-        #: default: the hot path then pays one ``None`` check per DAG node.
-        self.collect_metrics = collect_metrics
         self.execution_mode = execution_mode
         self.reuse_buffers = reuse_buffers
         self.elide_sorts = elide_sorts
@@ -167,8 +165,8 @@ class ExecutionContext:
         self.config = config or EngineConfig()
         #: The statement's span tree: the caller's (its root carries the
         #: per-query attribution, its cursor sits in the ``execute`` stage),
-        #: else a bare one when a collect flag asks for nodes or regions.
-        if trace is None and (self.config.collect_trace or self.config.collect_metrics):
+        #: else a bare one when ``collect_trace`` asks for the whole tree.
+        if trace is None and self.config.collect_trace:
             trace = ExecutionTrace()
         self.trace = trace
         scheduler = (
@@ -183,29 +181,22 @@ class ExecutionContext:
         self._phase = "p0"
         self._phase_counter = 0
         self._spill_manager = None
-        #: Per-query profile, set by the LOLEPOP engine when
-        #: ``config.collect_metrics`` is on; ``None`` otherwise. Operators
-        #: check this before recording anything beyond their base stats.
-        self.profile = None
+        #: Under ``collect_trace``, one line per executed join in execution
+        #: order, appended on the submitting thread after the probe barrier.
+        self.joins: List[dict] = []
 
     @property
     def spill_manager(self):
         """Lazily created spill manager (only when a memory budget is set)."""
         if self._spill_manager is None:
-            from ..storage.spill import SpillManager
-
             self._spill_manager = SpillManager(self.config.spill_directory)
         return self._spill_manager
 
     def spill_counters(self) -> dict:
-        """Spill byte/event totals so far (zeros when nothing spilled):
-        bytes appended to / read from spill files, the number of appends
-        (``events``) and reads (``loads``), and ``release_failures`` — spill
-        files or directories that could not be deleted."""
+        """Spill totals so far by :data:`~repro.storage.spill.SPILL_COUNTERS`
+        key (zeros when nothing spilled)."""
         if self._spill_manager is None:
-            return dict.fromkeys(
-                ("bytes_written", "bytes_read", "events", "loads", "release_failures"), 0
-            )
+            return dict.fromkeys(SPILL_COUNTERS, 0)
         return self._spill_manager.counters()
 
     def cleanup(self) -> None:

@@ -4,9 +4,9 @@ A :class:`Span` is ``(kind, name, start, end, thread, attrs, item, children)``.
 The kinds nest ``statement → stage → node → region → item``, each written
 once by whoever owns its clock (docs/observability.md has the table): the
 service and ``Database`` open the ``statement`` root and its stages when
-telemetry is on, ``Dag.execute`` one ``node`` per executed LOLEPOP under
-``collect_metrics``, the schedulers one ``region`` per ``run_region``
-barrier with an ``item`` span per scheduled unit under ``collect_trace``:
+telemetry is on; under ``collect_trace``, ``Dag.execute`` writes one
+``node`` per executed LOLEPOP and the schedulers one ``region`` per
+``run_region`` barrier with an ``item`` span per scheduled unit:
 one per step a work item ran, named by that step's operator and carrying
 the work item's index. A chain region's items run several steps, and the
 region sits beside the ``node`` spans of the steps (it spans several of

@@ -124,7 +124,7 @@ class Lolepop:
         #: even though no data flows between them (buffer reordering).
         self.after: List[Lolepop] = []
         #: This node's ``node`` :class:`~repro.execution.trace.Span` once it
-        #: executed under ``collect_metrics=True``; ``None`` otherwise.
+        #: executed under ``collect_trace=True``; ``None`` otherwise.
         self.span = None
 
     def name(self) -> str:
@@ -523,7 +523,7 @@ class Dag:
         (:func:`run_chain`); each unit is one or more pipeline phases of the
         scheduler.
 
-        Under ``collect_metrics`` every node runs inside its own ``node``
+        Under ``collect_trace`` every node runs inside its own ``node``
         span (beneath whichever span is open: a nested region's nodes are
         children of the SOURCE that ran them) whose ``attrs`` count rows and
         batches in and out, buffer bytes and the spill bytes attributed to
@@ -534,7 +534,7 @@ class Dag:
         unit.
         """
         results: Dict[int, OpResult] = {}
-        trace = ctx.trace if ctx.config.collect_metrics else None
+        trace = ctx.trace if ctx.config.collect_trace else None
         order = self.topological_order()
         # Position of the last reader of each buffer (the DAG's caller
         # reads a buffer the sink outputs, after every node).

@@ -11,13 +11,14 @@ SOURCE thunk re-enters the engine.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..errors import ExecutionError
 from ..execution.context import EngineConfig, ExecutionContext
 from ..execution.trace import ExecutionTrace
 from ..logical import Aggregate, Limit, LogicalPlan, Sort, Window
 from ..logical.cardinality import CardinalityEstimator
+from ..observability.provenance import RewriteEvent
 from ..relational.executor import RelationalExecutor
 from ..stats import StatisticsCache
 from ..storage.batch import Batch
@@ -37,9 +38,12 @@ class QueryResult:
         simulated_time: float,
         trace: Optional[ExecutionTrace],
         dags: List[Dag],
-        profile=None,
         spill=None,
         translate_s: float = 0.0,
+        query: Optional[str] = None,
+        config: Optional[EngineConfig] = None,
+        rewrites: Sequence[RewriteEvent] = (),
+        joins: Sequence[dict] = (),
     ):
         #: All output rows as one batch.
         self.batch = batch
@@ -49,24 +53,32 @@ class QueryResult:
         #: list-scheduled makespan in simulated mode, the *measured* sum of
         #: region spans in parallel mode.
         self.simulated_time = simulated_time
+        #: The span tree under ``collect_trace=True``, else ``None``: a traced
+        #: run is the profile (:func:`~repro.observability.metrics.profile_dict`).
         self.trace = trace
         #: Every LOLEPOP DAG built during execution, in construction order:
         #: a region's DAG is appended before any nested region its SOURCE
         #: thunk triggers, so the query's top region always comes first and
         #: nested regions follow in the order execution reached them.
         self.dags = dags
-        #: :class:`~repro.observability.metrics.QueryProfile` when the run
-        #: was configured with ``collect_metrics=True``; ``None`` otherwise.
-        self.profile = profile
-        #: Spill counters dict (``bytes_written``/``bytes_read``/``events``/
-        #: ``loads``/``release_failures``) for LOLEPOP runs — present even without a profile so
-        #: the telemetry layer can record spill per query; ``None`` for the
-        #: baseline engines (they never spill).
+        #: Spill counters dict (the keys of
+        #: :data:`~repro.storage.spill.SPILL_COUNTERS`) for LOLEPOP runs —
+        #: present without a trace so the telemetry layer can record spill
+        #: per query; ``None`` for the baseline engines (they never spill).
         self.spill = spill
         #: Seconds spent translating statistics regions into LOLEPOP DAGs
         #: during this run (~0 on a plan-cache template hit). Part of the
         #: telemetry latency breakdown.
         self.translate_s = translate_s
+        #: The statement text and the config the LOLEPOP run executed under
+        #: (``None`` for the baseline engines).
+        self.query = query
+        self.config = config
+        #: The rewrite log: the logical plan's events, then each DAG's.
+        self.rewrites = rewrites
+        #: One line per executed join under ``collect_trace``
+        #: (:attr:`~repro.execution.context.ExecutionContext.joins`).
+        self.joins = joins
 
     @property
     def schema(self):
@@ -80,7 +92,9 @@ class QueryResult:
 
     def operator_summary(self):
         """Per-operator (total work seconds, work-item count) from the
-        execution trace; requires ``collect_trace=True`` in the config.
+        execution trace; requires ``collect_trace=True`` in the config. A
+        step of a work item counts once however many pieces the simulated
+        scheduler split it into.
 
         Every DAG node is listed, including operators that produced no
         work items (e.g. an elided SORT) — those appear with zero counts
@@ -94,9 +108,19 @@ class QueryResult:
         for dag in self.dags:
             for name in dag.operator_names():
                 out.setdefault(name.lower(), (0.0, 0))
-        for record in self.trace.records:
-            work, count = out.get(record.name, (0.0, 0))
-            out[record.name] = (work + record.duration, count + 1)
+        # A split step is several units of one item: count each item once
+        # per step of the operator in its region (an item runs all of them,
+        # which share the operator's row threshold, or none).
+        seen = set()
+        for region in self.trace.regions:
+            steps = region.name.split("+")
+            for unit in region.children:
+                work, count = out.get(unit.name, (0.0, 0))
+                item = (unit.name, id(region), unit.item)
+                if item not in seen:
+                    seen.add(item)
+                    count += steps.count(unit.name)
+                out[unit.name] = (work + unit.duration, count)
         return out
 
     def pretty(self, max_rows=50) -> str:
@@ -161,21 +185,12 @@ class LolepopEngine:
         the translator, and a freshly translated region stores its template
         back on the entry. ``trace`` is the statement's span tree, when the
         caller opened one: what this run records (``translate`` stages;
-        nodes, regions and items under the collect flags) goes beneath its
+        nodes, regions and items under ``collect_trace``) goes beneath its
         open span, the caller's ``execute`` stage."""
         runner = _Runner(
             self.catalog, self.config, self.estimator,
             prepared=prepared, trace=trace,
         )
-        profile = None
-        if self.config.collect_metrics:
-            from ..observability.metrics import QueryProfile
-
-            profile = QueryProfile(query, self.config)
-            if trace is not None and trace.root.attrs.get("plan_cache_hit"):
-                profile.count("plan_cache.hit")
-            profile.rewrites.extend(plan.rewrites)  # logical passes first
-            runner.ctx.profile = profile
         try:
             batches = runner.execute_stream(plan)
             batch = (
@@ -186,25 +201,19 @@ class LolepopEngine:
             if trace is None and runner.ctx.trace is not None:
                 runner.ctx.trace.root.close()  # the bare root is this run's
         scheduler = runner.ctx.scheduler
-        result = QueryResult(
+        return QueryResult(
             batch,
             scheduler.serial_time,
             scheduler.sim_time,
             runner.ctx.trace if self.config.collect_trace else None,
             runner.dags,
-            profile=profile,
             spill=runner.ctx.spill_counters(),
             translate_s=runner.translate_time,
+            query=query,
+            config=self.config,
+            rewrites=[*plan.rewrites, *(e for dag in runner.dags for e in dag.rewrites)],
+            joins=runner.ctx.joins,
         )
-        if profile is not None:
-            for key, value in result.spill.items():
-                if value:
-                    profile.count(f"spill.{key}", value)
-            profile.serial_time = result.serial_time
-            profile.makespan = result.simulated_time
-            for dag in runner.dags:
-                profile.add_dag(dag)
-        return result
 
     def explain(self, plan: LogicalPlan) -> str:
         """Translate the topmost statistics region without executing it and
@@ -304,6 +313,4 @@ class _Runner:
             from .verify import verify_dag
 
             verify_dag(dag, context="plan-cache hit (cloned template)")
-        if self.ctx.profile is not None:
-            self.ctx.profile.count("plan_cache.dag_reuse")
         return dag

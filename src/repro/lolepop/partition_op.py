@@ -158,11 +158,6 @@ class PartitionOp(Lolepop):
             buffer.enable_spilling(
                 ctx.spill_manager, ctx.config.memory_budget_bytes
             )
-            if ctx.profile is not None:
-                # What write amplification is measured against.
-                ctx.profile.count(
-                    "spill.partition_input_bytes", buffer.approx_bytes()
-                )
             ctx.next_phase()
             spilled = ctx.parallel_for(
                 "spill", [buffer], lambda b: b.spill_over_budget()

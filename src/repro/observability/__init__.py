@@ -8,10 +8,10 @@ makes that visible at every layer:
 - :class:`MetricsRegistry` — named counters / gauges / histograms; each
   query service owns one (``QueryService.stats()``, the shell's
   ``.metrics``).
-- :class:`QueryProfile` — one query's operator counters (the ``node``
-  spans of its span tree: rows, batches, wall time, buffer bytes, spilling,
-  elisions), optimizer-rewrite log, and counters; collected when
-  ``EngineConfig(collect_metrics=True)``.
+- :func:`profile_dict` — one traced query's profile JSON: the ``node``
+  spans of its span tree (rows, batches, wall time, buffer bytes, spilling,
+  elisions), its rewrite log, join lines and spill counters; a run under
+  ``EngineConfig(collect_trace=True)`` is the profile.
 - :func:`chrome_trace_events` — export a statement's span tree as Chrome
   ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto.
 - :func:`render_analyze` — the ``EXPLAIN ANALYZE`` DAG annotation (actual
@@ -28,7 +28,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QueryProfile,
+    profile_dict,
 )
 from .chrome import chrome_trace_events, validate_trace_events, write_chrome_trace
 from .analyze import estimate_dag_rows, render_analyze
@@ -47,7 +47,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "QueryProfile",
+    "profile_dict",
     "chrome_trace_events",
     "validate_trace_events",
     "write_chrome_trace",

@@ -28,6 +28,7 @@ from ..lolepop.partition_op import PartitionOp
 from ..lolepop.scan_op import ScanOp
 from ..lolepop.sort_op import SortOp
 from ..lolepop.window_op import WindowOp
+from .metrics import executed_nodes
 
 
 def _region_input_plan(plan: Optional[LogicalPlan]) -> Optional[LogicalPlan]:
@@ -99,32 +100,32 @@ def q_error(estimate: Optional[float], actual: int) -> Optional[float]:
     return max(est / act, act / est)
 
 
-def attach_estimates(profile, estimator) -> None:
+def attach_estimates(dags, estimator) -> None:
     """Put the estimated output rows of every executed node on its span
     (``attrs["est_rows"]``, ``None`` where no estimate can be derived) —
-    once per profiled execution; the max Q-error, EXPLAIN ANALYZE and the
-    feedback observations all read them from there."""
-    if profile.estimated:
-        return
-    profile.estimated = True
-    for dag in profile.dags:
-        estimates = estimate_dag_rows(dag, estimator)
+    once per traced execution: a span that carries one is skipped. The max
+    Q-error, EXPLAIN ANALYZE and the feedback observations all read them
+    from there."""
+    for dag in dags:
+        estimates = None
         for node in dag.topological_order():
-            if node.span is not None:
-                node.span.attrs["est_rows"] = estimates.get(id(node))
+            if node.span is None or "est_rows" in node.span.attrs:
+                continue
+            if estimates is None:
+                estimates = estimate_dag_rows(dag, estimator)
+            node.span.attrs["est_rows"] = estimates.get(id(node))
 
 
-def worst_q_error(profile, estimator) -> Optional[tuple]:
+def worst_q_error(dags, estimator) -> Optional[tuple]:
     """``(Q-error, dag index, node index, node)`` of the worst-estimated
-    executed node across every DAG of a
-    :class:`~repro.observability.metrics.QueryProfile` — EXPLAIN ANALYZE's
-    summary line and the ``max_q_error`` of the statement's
+    executed node across ``dags`` — EXPLAIN ANALYZE's summary line and the
+    ``max_q_error`` of the statement's
     :class:`~repro.observability.telemetry.QueryRecord`. ``None`` when no
     node has an estimate."""
-    attach_estimates(profile, estimator)
+    attach_estimates(dags, estimator)
     scored = [
         (q_error(node.span.attrs["est_rows"], node.span.attrs["rows_out"]), dag, index, node)
-        for dag, index, node in profile.executed_nodes()
+        for dag, index, node in executed_nodes(dags)
     ]
     return max((s for s in scored if s[0] is not None), key=lambda s: s[0], default=None)
 
@@ -181,30 +182,31 @@ def render_analyze(result, config, estimator) -> str:
     """Render ``EXPLAIN ANALYZE`` output for an executed query.
 
     ``result`` is a :class:`~repro.lolepop.engine.QueryResult` produced with
-    ``collect_metrics=True`` (so every executed DAG node carries its
+    ``collect_trace=True`` (so every executed DAG node carries its
     ``node`` span). ``time=`` and ``work=`` are a node's *exclusive* time —
     a SOURCE that ran a nested region shows what it spent outside it, so
     the shares of all regions sum to 100 %. ``estimator`` is the database's
     :class:`~repro.logical.cardinality.CardinalityEstimator` (the one
     carrying feedback-store overrides).
     """
-    profile = result.profile
-    if profile is None:
-        raise ValueError("EXPLAIN ANALYZE requires a collected profile")
+    if result.trace is None:
+        raise ValueError("EXPLAIN ANALYZE requires a traced run")
+    dags = result.dags
     kind = "measured" if config.execution_mode == "parallel" else "simulated"
     lines: List[str] = [
         f"EXPLAIN ANALYZE (lolepop, {config.num_threads} threads, "
         f"{config.execution_mode} mode)"
     ]
-    worst = worst_q_error(profile, estimator)  # attaches the estimates
-    total_time = profile.total_operator_time() or 1.0
-    for dag_index, dag in enumerate(profile.dags):
+    worst = worst_q_error(dags, estimator)  # attaches the estimates
+    executed = executed_nodes(dags)
+    total_time = sum(node.span.exclusive for _, _, node in executed) or 1.0
+    for dag_index, dag in enumerate(dags):
         from ..lolepop.verify import derive_properties
 
         derived = derive_properties(dag)
         order = dag.topological_order()
         ids = {id(node): i for i, node in enumerate(order)}
-        if len(profile.dags) > 1:
+        if len(dags) > 1:
             lines.append(f"-- region {dag_index} --")
         for node in order:
             deps = ",".join(f"#{ids[id(i)]}" for i in node.inputs)
@@ -246,7 +248,7 @@ def render_analyze(result, config, estimator) -> str:
                 parts.append("{" + note + "}")
             lines.append(head + "  " + " ".join(parts))
 
-    for join in profile.joins:
+    for join in result.joins:
         lines.append(
             f"{join['join']}  build={join['build_rows']} "
             f"keys={join['keys']} table={join['table']} {join['shape']} "
@@ -254,20 +256,18 @@ def render_analyze(result, config, estimator) -> str:
         )
     if worst is not None:
         node_q, dag_index, node_index, node = worst
-        region = f"region {dag_index} " if len(profile.dags) > 1 else ""
+        region = f"region {dag_index} " if len(dags) > 1 else ""
         lines.append(f"max Q-error: {node_q:.2f} at {region}#{node_index} {node.name()}")
     else:
         lines.append("max Q-error: n/a (no estimates)")
 
     reuse_total = sum(
-        1 for event in profile.rewrites if event.pass_name == "buffer-reuse"
+        1 for event in result.rewrites if event.pass_name == "buffer-reuse"
     )
-    elide_total = sum(
-        node.span.attrs["sort_elisions"] for _, _, node in profile.executed_nodes()
-    )
-    spill_w = profile.counters.get("spill.bytes_written", 0)
-    spill_r = profile.counters.get("spill.bytes_read", 0)
-    spill_in = profile.counters.get("spill.partition_input_bytes", 0)
+    elide_total = sum(node.span.attrs["sort_elisions"] for _, _, node in executed)
+    spill_w = result.spill["bytes_written"]
+    spill_r = result.spill["bytes_read"]
+    spill_in = result.spill["partition_input_bytes"]
     # Write amplification: bytes written per byte that entered a budgeted
     # PARTITION (1.0 = every tuple written once and nothing else).
     amplification = f", {spill_w / spill_in:.2f}× partition input" if spill_in else ""
@@ -276,9 +276,9 @@ def render_analyze(result, config, estimator) -> str:
         f"spill: {_format_bytes(spill_w)} written / {_format_bytes(spill_r)} read"
         + amplification
     )
-    if profile.rewrites:
+    if result.rewrites:
         lines.append("rewrites:")
-        lines.extend(f"  {event}" for event in profile.rewrites)
+        lines.extend(f"  {event}" for event in result.rewrites)
     # The worst-skewed regions (a one-item region cannot be skewed).
     skewed = [e for e in morsel_skew(result.trace) if e["items"] >= 2 and e["skew"] >= 1.5]
     if skewed:
@@ -290,9 +290,6 @@ def render_analyze(result, config, estimator) -> str:
             f"{entry['mean_s'] * 1000:.2f}ms over {entry['items']} morsels, "
             f"straggler T{entry['straggler_thread']})"
         )
-    for name in sorted(profile.counters):
-        if not name.startswith("spill."):
-            lines.append(f"counter {name}: {profile.counters[name]:g}")
     lines.append(
         f"total work {result.serial_time * 1000:.2f} ms, "
         f"{kind} makespan {result.simulated_time * 1000:.2f} ms"

@@ -103,15 +103,15 @@ def _operator_signature(node, context) -> Optional[str]:
     return None
 
 
-def profile_observations(profile, estimator) -> List[dict]:
-    """Flatten one executed :class:`~repro.observability.metrics.QueryProfile`
-    into feedback observations: one dict per DAG node carrying a span, with
-    the operator's position (counted across all region DAGs), its estimate
-    under ``estimator``, its actuals, and the resource-ledger fields."""
-    attach_estimates(profile, estimator)
+def profile_observations(dags, estimator) -> List[dict]:
+    """Flatten the DAGs of one traced execution into feedback observations:
+    one dict per DAG node carrying a span, with the operator's position
+    (counted across all region DAGs), its estimate under ``estimator``, its
+    actuals, and the resource-ledger fields."""
+    attach_estimates(dags, estimator)
     observations: List[dict] = []
     position = 0
-    for dag in profile.dags:
+    for dag in dags:
         context = _region_input_plan(getattr(dag, "region_plan", None))
         for node in dag.topological_order():
             position += 1
@@ -139,7 +139,7 @@ def root_observation(plan, est_rows: Optional[float], actual_rows: int) -> dict:
     """The profile-free fallback observation: the query's root cardinality
     (estimate at prepare time vs. rows actually returned). Recorded on
     every telemetry-enabled execution, so the feedback store fills even
-    when per-operator metrics collection is off (the serving default)."""
+    when tracing is off (the serving default)."""
     return {
         "position": 0,
         "name": "ROOT",
@@ -384,7 +384,7 @@ class FeedbackStore:
         """The store's one entry point, reached from
         :meth:`~repro.observability.telemetry.Telemetry.record_execution`
         for every successful execution that had a plan: fold the run's
-        actuals in (per operator when a profile was collected, else the root
+        actuals in (per operator when the run was traced, else the root
         cardinality against the prepare-time estimate), then decide from
         ``template`` — the workload profiler's aggregate for this
         fingerprint — whether the estimates have drifted far enough to
@@ -392,8 +392,8 @@ class FeedbackStore:
         templates are dropped, a ``feedback.replan`` breadcrumb is emitted
         and ``True`` tells the caller to discard its plan-cache entry, so
         the next execution plans against the now-calibrated estimator."""
-        if result.profile is not None and result.dags:
-            observations = profile_observations(result.profile, estimator)
+        if result.trace is not None and result.dags:
+            observations = profile_observations(result.dags, estimator)
         else:
             est = prepared.est_rows
             if est is not None and est < 0.0:

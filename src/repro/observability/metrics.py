@@ -6,12 +6,12 @@ Two scopes:
   and histograms. Each :class:`~repro.server.service.QueryService` owns one
   and is its only writer (the ``service.*`` admission, cache and latency
   numbers); there is no process-wide registry.
-- **query scope** — :class:`QueryProfile`, created only when
-  ``EngineConfig(collect_metrics=True)``. Reads the ``node`` spans of the
-  statement's span tree (one per executed LOLEPOP) and holds the optimizer-
-  rewrite log of every DAG and free-form counters operators add (e.g.
-  spilled partition input bytes). The default path pays exactly one check
-  per DAG node.
+- **query scope** — a traced run's
+  :class:`~repro.lolepop.engine.QueryResult` *is* the profile: the ``node``
+  spans of its span tree (one per executed LOLEPOP, each DAG node points at
+  its own), its rewrite log, join lines and spill counters.
+  :func:`profile_dict` serializes it; nothing here holds a number of its
+  own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Optional,
     Sequence,
     Tuple,
     Type,
@@ -32,14 +31,14 @@ from typing import (
 
 from ..execution.trace import Span
 from ..lolepop.base import NODE_COUNTERS
-from .provenance import RewriteEvent
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "QueryProfile",
+    "executed_nodes",
+    "profile_dict",
 ]
 
 
@@ -227,102 +226,57 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Per-query profiling
+# Per-query profile: views of a traced QueryResult
 # ----------------------------------------------------------------------
 
 
-class QueryProfile:
-    """Everything observed about one query execution.
+def executed_nodes(dags: Sequence[Any]) -> List[Tuple[int, int, Any]]:
+    """Flat list of (dag index, node index, node) over every DAG node that
+    executed under ``collect_trace`` — each carries its ``node`` span as
+    ``node.span``. ``Any``: the DAG type lives in ``repro.lolepop``."""
+    return [
+        (dag_index, node_index, node)
+        for dag_index, dag in enumerate(dags)
+        for node_index, node in enumerate(dag.topological_order())
+        if node.span is not None
+    ]
 
-    The per-operator numbers are the ``node`` spans
-    :meth:`Dag.execute <repro.lolepop.base.Dag.execute>` wrote (each DAG
-    node points at its own); the translator/optimizer add the rewrite log
-    and the engine timings and spill totals. Serializes to a stable JSON
-    shape consumed by the shell's ``.profile json``, ``tools/plan_diff.py``
-    and the benchmark ``--profile-dir`` flag.
-    """
 
-    def __init__(self, query: Optional[str], config: Any) -> None:
-        self.query = query
-        self.engine = "lolepop"
-        self.serial_time = 0.0
-        self.makespan = 0.0
-        self.num_threads = config.num_threads
-        self.execution_mode = config.execution_mode
-        #: Query-level free-form counters (thread-safe: written only on the
-        #: submitting thread, after region barriers).
-        self.counters: Dict[str, float] = {}
-        #: Optimizer / translator rewrite log across all executed DAGs.
-        self.rewrites: List[RewriteEvent] = []
-        #: Executed DAGs in construction order (nodes carry their spans).
-        #: ``Any`` (not ``object``): the DAG type lives in ``repro.lolepop``
-        #: and importing it here would cycle.
-        self.dags: List[Any] = []
-        #: One entry per executed join, in execution order: what its
-        #: :class:`~repro.relational.hash_join.HashJoinTable` chose plus the
-        #: probe / matched row counts (appended on the submitting thread).
-        self.joins: List[Dict[str, object]] = []
-        #: Set once :func:`~repro.observability.analyze.attach_estimates`
-        #: put ``est_rows`` on every node span.
-        self.estimated = False
+def profile_dict(result: Any) -> Dict[str, object]:
+    """The JSON profile of a traced LOLEPOP run — the shell's ``.profile
+    json``, ``tools/plan_diff.py`` and the benchmark ``--profile-dir`` read
+    it: run attributes, the spill counters as ``spill.*``, join lines,
+    rewrite log, one entry per executed operator and the Chrome trace
+    events."""
+    from .chrome import chrome_trace_events
 
-    # ------------------------------------------------------------------
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + amount
-
-    def add_dag(self, dag: Any) -> None:
-        self.dags.append(dag)
-        self.rewrites.extend(getattr(dag, "rewrites", ()))
-
-    # ------------------------------------------------------------------
-    def executed_nodes(self) -> List[Tuple[int, int, Any]]:
-        """Flat list of (dag index, node index, node) over every DAG node
-        that executed — each carries its ``node`` span as ``node.span``."""
-        return [
-            (dag_index, node_index, node)
-            for dag_index, dag in enumerate(self.dags)
-            for node_index, node in enumerate(dag.topological_order())
-            if node.span is not None
-        ]
-
-    def total_operator_time(self) -> float:
-        """Seconds spent in operators, each second counted once: a SOURCE
-        that ran a nested region contributes what it spent outside it."""
-        return sum(node.span.exclusive for _, _, node in self.executed_nodes())
-
-    # ------------------------------------------------------------------
-    def to_dict(self, trace: Optional[Any] = None) -> Dict[str, object]:
-        """JSON-serializable profile; pass the query's ``ExecutionTrace`` to
-        embed Chrome trace events."""
-        dags: List[Dict[str, Any]] = [
-            {"index": index, "operators": []} for index in range(len(self.dags))
-        ]
-        for dag_index, node_index, node in self.executed_nodes():
-            dags[dag_index]["operators"].append(
-                {
-                    "id": node_index,
-                    "name": node.name(),
-                    "describe": node.describe(),
-                    **operator_dict(node.span),
-                }
-            )
-        payload: Dict[str, object] = {
-            "query": self.query,
-            "engine": self.engine,
-            "execution_mode": self.execution_mode,
-            "num_threads": self.num_threads,
-            "serial_time_s": self.serial_time,
-            "makespan_s": self.makespan,
-            "counters": dict(self.counters),
-            "joins": [dict(join) for join in self.joins],
-            "rewrites": [event.to_dict() for event in self.rewrites],
-            "dags": dags,
-        }
-        if trace is not None:
-            from .chrome import chrome_trace_events
-
-            payload["trace_events"] = chrome_trace_events(trace)
-        return payload
+    dags: List[Dict[str, Any]] = [
+        {"index": index, "operators": []} for index in range(len(result.dags))
+    ]
+    for dag_index, node_index, node in executed_nodes(result.dags):
+        dags[dag_index]["operators"].append(
+            {
+                "id": node_index,
+                "name": node.name(),
+                "describe": node.describe(),
+                **operator_dict(node.span),
+            }
+        )
+    return {
+        "query": result.query,
+        "engine": "lolepop",
+        "execution_mode": result.config.execution_mode,
+        "num_threads": result.config.num_threads,
+        "serial_time_s": result.serial_time,
+        "makespan_s": result.simulated_time,
+        "counters": {
+            f"spill.{key}": float(value) for key, value in result.spill.items() if value
+        },
+        "joins": [dict(join) for join in result.joins],
+        "rewrites": [event.to_dict() for event in result.rewrites],
+        "dags": dags,
+        "trace_events": chrome_trace_events(result.trace),
+    }
 
 
 def operator_dict(span: Span) -> Dict[str, object]:

@@ -10,9 +10,12 @@ the human-readable rewrite text, and the fields carry what regression
 attribution needs — the pass name, a qualifier, and the names of the
 affected DAG nodes. It carries no price: the only prices the engine
 compares are the §3.3 decision's own, which that event writes into its
-``detail``. The serialized profile (``QueryProfile.to_dict``) writes the
-log once, as the ``rewrites`` list of :meth:`RewriteEvent.to_dict` dicts,
-which is the shape ``tools/plan_diff.py`` and ``.profile json`` read.
+``detail``. A run's :attr:`QueryResult.rewrites
+<repro.lolepop.engine.QueryResult.rewrites>` holds the logical plan's
+events, then each DAG's; the serialized profile
+(:func:`~repro.observability.metrics.profile_dict`) writes that log once,
+as the ``rewrites`` list of :meth:`RewriteEvent.to_dict` dicts, which is
+the shape ``tools/plan_diff.py`` and ``.profile json`` read.
 
 Analyzer rule ``R5-stringly-rewrite`` (:mod:`repro.analysis.contracts`)
 enforces that engine code appends through :meth:`Dag.record_rewrite

@@ -155,7 +155,7 @@ class QueryRecord:
         self.queue_wait_s = queue_wait_s
         self.spill_bytes_written = spill_bytes_written
         self.spill_bytes_read = spill_bytes_read
-        #: Worst node-level Q-error when a profile was collected, else the
+        #: Worst node-level Q-error when the run was traced, else the
         #: root-level Q-error from the cached plan estimate; ``None`` when
         #: no estimate exists (DDL, EXPLAIN, estimator failure).
         self.max_q_error = max_q_error
@@ -465,13 +465,13 @@ class Telemetry:
 
 def _max_q_error(prepared, result, estimator) -> Optional[float]:
     """Per-query max Q-error, always on: node-level (the EXPLAIN ANALYZE
-    summary's number) when a profile was collected, else the root-level
+    summary's number) when the run was traced, else the root-level
     Q-error against an estimate cached on the prepared plan — one estimator
     call per *prepared plan*, not per execution."""
     if result is None or estimator is None or prepared.plan is None:
         return None
-    if result.profile is not None and result.dags:
-        worst = worst_q_error(result.profile, estimator)
+    if result.trace is not None and result.dags:
+        worst = worst_q_error(result.dags, estimator)
         if worst is not None:
             return worst[0]
     if prepared.est_rows is None:

@@ -146,8 +146,7 @@ class RelationalExecutor:
                 return Batch(plan.schema, joined.columns)
 
         outputs = self.context.parallel_for("join-probe", probe_batches, probe)
-        profile = self.context.profile
-        if profile is not None:
+        if self.context.config.collect_trace:
             # Recorded on the submitting thread, after the region barrier. A
             # matched output row is one that is not LEFT padding (its build
             # key is not NULL) resp. not ANTI's complement.
@@ -158,7 +157,7 @@ class RelationalExecutor:
             elif plan.kind is JoinKind.LEFT:
                 key = len(plan.left.schema) + plan.right.schema.index_of(plan.right_keys[0])
                 matched -= sum(b.columns[key].null_count() for b in outputs)
-            profile.joins.append(
+            self.context.joins.append(
                 {
                     "join": plan.label(),
                     "build_rows": len(build),

@@ -66,7 +66,6 @@ class ServiceConfig:
         max_queue: int = 32,
         memory_budget_bytes: Optional[float] = None,
         result_cache_size: int = 64,
-        result_cache_max_rows: int = 100_000,
         default_timeout: Optional[float] = None,
         default_engine: str = "lolepop",
     ):
@@ -77,7 +76,6 @@ class ServiceConfig:
         self.memory_budget_bytes = memory_budget_bytes
         #: ``0`` disables the result cache.
         self.result_cache_size = result_cache_size
-        self.result_cache_max_rows = result_cache_max_rows
         #: Applied to queries submitted without an explicit timeout.
         self.default_timeout = default_timeout
         self.default_engine = default_engine
@@ -187,10 +185,7 @@ class QueryService:
             ),
         )
         self.result_cache = (
-            ResultCache(
-                self.config.result_cache_size,
-                self.config.result_cache_max_rows,
-            )
+            ResultCache(self.config.result_cache_size)
             if self.config.result_cache_size
             else None
         )
@@ -266,13 +261,12 @@ class QueryService:
             )
 
         # Result cache: only read-only statements, only when the caller is
-        # not asking for fresh traces/metrics.
+        # not asking for a fresh trace.
         cacheable = (
             self.result_cache is not None
             and use_result_cache
             and prepared.cacheable
             and not base_config.collect_trace
-            and not base_config.collect_metrics
         )
         if cacheable:
             # Version component = the statement's own table dependencies

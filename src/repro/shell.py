@@ -175,13 +175,10 @@ class Shell:
             f"({self.db.table('lineitem').num_rows} lineitem rows)"
         )
 
-    def _config(
-        self, collect_trace: bool = False, collect_metrics: bool = False
-    ) -> EngineConfig:
+    def _config(self, collect_trace: bool = False) -> EngineConfig:
         return EngineConfig(
             num_threads=self.threads,
             collect_trace=collect_trace,
-            collect_metrics=collect_metrics,
             execution_mode=self.mode,
         )
 
@@ -288,18 +285,18 @@ class Shell:
             )
 
     def _profile(self, argument: str) -> None:
+        from .observability.metrics import executed_nodes, profile_dict
+
         path, sql = self._split_json_target(argument)
         try:
             result = self.db.sql(
-                sql,
-                engine=self.engine,
-                config=self._config(collect_trace=True, collect_metrics=True),
+                sql, engine=self.engine, config=self._config(collect_trace=True)
             )
         except ReproError as error:
             self.write(f"error: {error}")
             return
         if path is not None:
-            if result.profile is None:
+            if self.engine != "lolepop":
                 self.write(
                     "error: .profile json requires the lolepop engine "
                     f"(current: {self.engine})"
@@ -308,9 +305,7 @@ class Shell:
             import json
 
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    result.profile.to_dict(trace=result.trace), handle, indent=1
-                )
+                json.dump(profile_dict(result), handle, indent=1)
             self.write(f"profile written to {path}")
             return
         for operator, (work, count) in sorted(
@@ -319,16 +314,15 @@ class Shell:
             self.write(
                 f"  {operator:<16} {work * 1000:10.3f} ms  ({count} work items)"
             )
-        if result.profile is not None:
-            for _, node_index, node in result.profile.executed_nodes():
-                detail = f" [{node.describe()}]" if node.describe() else ""
-                self.write(
-                    f"  #{node_index} {node.name()}{detail}: "
-                    f"rows_out={node.span.attrs['rows_out']} "
-                    f"wall={node.span.duration * 1000:.3f} ms"
-                )
-            for entry in result.profile.rewrites:
-                self.write(f"  rewrite: {entry}")
+        for _, node_index, node in executed_nodes(result.dags):
+            detail = f" [{node.describe()}]" if node.describe() else ""
+            self.write(
+                f"  #{node_index} {node.name()}{detail}: "
+                f"rows_out={node.span.attrs['rows_out']} "
+                f"wall={node.span.duration * 1000:.3f} ms"
+            )
+        for entry in result.rewrites:
+            self.write(f"  rewrite: {entry}")
 
     def _trace(self, argument: str) -> None:
         path, sql = self._split_json_target(argument)

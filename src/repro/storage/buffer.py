@@ -466,7 +466,9 @@ class TupleBuffer:
 
     def spill_over_budget(self) -> int:
         """Spill largest-first until the loaded footprint fits the budget;
-        returns the number of partitions spilled.
+        returns the number of partitions spilled. The footprint measured
+        first is what entered the PARTITION: the manager counts it as
+        ``partition_input_bytes``.
 
         The partitions that stay loaded divide what is left of the budget
         among themselves in proportion to their size: a partition that a
@@ -485,7 +487,9 @@ class TupleBuffer:
         loaded.sort(key=lambda entry: entry[0], reverse=True)
         flat = sum(size for size, _ in loaded)
         # Dictionaries are shared: they count as loaded while any partition is.
-        shared = self.approx_bytes() - flat
+        total = self.approx_bytes()
+        self.spill_manager.count(partition_input_bytes=total)
+        shared = total - flat
         spilled = 0
         for size, partition in loaded:
             if flat + shared <= budget:

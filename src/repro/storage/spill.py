@@ -150,7 +150,7 @@ class SpillFile:
             raise SpillError(
                 f"spill write failed for partition file {self.name}: {error}"
             ) from error
-        self.manager.count_write(offset - self.size)
+        self.manager.count(bytes_written=offset - self.size, events=1)
         self.size = offset
 
     # ------------------------------------------------------------------
@@ -215,7 +215,7 @@ class SpillFile:
             raise SpillError(
                 f"spill read failed for partition file {self.name}: {error}"
             ) from error
-        self.manager.count_read(nbytes)
+        self.manager.count(bytes_read=nbytes, loads=1)
 
 
 def _write_strings(write: Callable[..., int], column: Column) -> _Segment:
@@ -248,6 +248,13 @@ def _read_dictionary(
     ]))
 
 
+#: The keys of :meth:`SpillManager.counters`, in order.
+SPILL_COUNTERS = (
+    "bytes_written", "bytes_read", "events", "loads", "release_failures",
+    "partition_input_bytes",
+)
+
+
 class SpillManager:
     """Owns the spill directory; hands out partition files, tracks totals."""
 
@@ -270,14 +277,11 @@ class SpillManager:
         #: Guards slot allocation and counters: spilling runs inside work
         #: items, which execute on real worker threads in parallel mode.
         self._lock = threading.Lock()
-        #: Bytes appended to spill files and the number of appends.
-        self.spilled_bytes = 0
-        self.spill_events = 0
-        #: Bytes read back and the number of reads.
-        self.loaded_bytes = 0
-        self.load_events = 0
-        #: Files or directories that could not be deleted (leaked on disk).
-        self.release_failures = 0
+        #: Bytes appended to spill files and the appends (``events``), bytes
+        #: read back and the reads (``loads``), files or directories that
+        #: could not be deleted, and the bytes that entered a budgeted
+        #: PARTITION (what write amplification is measured against).
+        self._counts = dict.fromkeys(SPILL_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     def io(self, operation: str, path: str) -> None:
@@ -291,25 +295,15 @@ class SpillManager:
         # ``readinto`` per segment: no buffer to copy through.
         return open(path, mode, buffering=1 << 20 if mode == "ab" else 0)
 
-    def count_write(self, nbytes: int) -> None:
+    def count(self, **amounts: int) -> None:
+        """Add to counters named by :data:`SPILL_COUNTERS` keys."""
         with self._lock:
-            self.spilled_bytes += nbytes
-            self.spill_events += 1
-
-    def count_read(self, nbytes: int) -> None:
-        with self._lock:
-            self.loaded_bytes += nbytes
-            self.load_events += 1
+            for key, amount in amounts.items():
+                self._counts[key] += amount
 
     def counters(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "bytes_written": self.spilled_bytes,
-                "bytes_read": self.loaded_bytes,
-                "events": self.spill_events,
-                "loads": self.load_events,
-                "release_failures": self.release_failures,
-            }
+            return dict(self._counts)
 
     # ------------------------------------------------------------------
     def create(self, rows: int) -> SpillFile:
@@ -340,11 +334,7 @@ class SpillManager:
         except FileNotFoundError:
             pass  # created but never written: the first append failed
         except OSError:
-            self._count_release_failure()
-
-    def _count_release_failure(self) -> None:
-        with self._lock:
-            self.release_failures += 1
+            self.count(release_failures=1)
 
     def cleanup(self) -> None:
         """Delete every file this manager created and its (always
@@ -356,4 +346,4 @@ class SpillManager:
         except FileNotFoundError:
             pass  # already cleaned up
         except OSError:
-            self._count_release_failure()
+            self.count(release_failures=1)

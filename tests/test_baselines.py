@@ -72,9 +72,7 @@ class TestMonolithicTraits:
         sql = "SELECT sum(x) OVER (PARTITION BY g ORDER BY x) AS c FROM o"
         config = EngineConfig(num_threads=8, num_partitions=8, collect_trace=True)
         mono = database.sql(sql, engine="monolithic", config=config)
-        lol = database.sql(
-            sql, engine="lolepop", config=config.clone(collect_metrics=True)
-        )
+        lol = database.sql(sql, engine="lolepop", config=config)
         mono_sort = [r for r in mono.trace.records if "sort" in r.name]
         lol_sort = [r for r in lol.trace.records if r.name == "sort"]
         # Monolithic: one sort work item, unsplit.

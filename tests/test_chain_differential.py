@@ -104,7 +104,7 @@ def test_explain_analyze_shows_every_chain_step(db, tmp_path, shape, budget):
     time (its ``node`` span has a non-zero duration)."""
     config = EngineConfig(
         num_threads=4, memory_budget_bytes=BUDGETS[budget],
-        spill_directory=str(tmp_path), collect_metrics=True,
+        spill_directory=str(tmp_path), collect_trace=True,
     )
     result = db.sql(SHAPES[shape], config=config)
     steps = {

@@ -158,15 +158,12 @@ def test_sensor_edge_profile_actually_spills():
     after the chain needs those, so the chain releases the partitions that
     outgrow their share instead of spilling them.)"""
     db = SENSOR_EDGE_CORPUS.build_database()
-    config = SENSOR_EDGE_CORPUS.config(
-        collect_metrics=True, verify_plans="strict"
-    )
+    config = SENSOR_EDGE_CORPUS.config(verify_plans="strict")
     result = db.sql(
         SENSOR_EDGE_CORPUS.queries["se9_site_windows"], config=config
     )
-    counters = result.profile.to_dict()["counters"]
-    assert counters.get("spill.events", 0) > 0
-    assert counters.get("spill.bytes_written", 0) > 0
+    assert result.spill["events"] > 0
+    assert result.spill["bytes_written"] > 0
 
 
 def test_canonical_rows_orders_and_rounds():

@@ -15,14 +15,17 @@ from repro.observability import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QueryProfile,
     chrome_trace_events,
     validate_trace_events,
     write_chrome_trace,
 )
 from repro.observability.analyze import q_error
+from repro.observability.metrics import executed_nodes, profile_dict
 from repro.sql import parse_sql
 from repro.sql.ast import ExplainStmt
+
+#: One PARTITION by ``k`` feeding a SORT → WINDOW → SCAN chain.
+WINDOW_SQL = "SELECT k, v, row_number() OVER (PARTITION BY k ORDER BY v) FROM r"
 
 #: The acceptance query: grouping sets + window + DISTINCT (the DISTINCT
 #: aggregate lives in a nested region — combining it with grouping sets in
@@ -126,7 +129,7 @@ class TestOperatorStats:
         dag = Dag()
         scan = ScanOp(SourceOp(lambda: batches), limit=3)
         dag.set_sink(scan)
-        dag.execute(ExecutionContext(EngineConfig(collect_metrics=True)))
+        dag.execute(ExecutionContext(EngineConfig(collect_trace=True)))
         stats = scan.span.attrs
         assert stats["rows_in"] == 4 and stats["batches_in"] == 2
         assert stats["rows_out"] == 3 and stats["batches_out"] == 1
@@ -147,49 +150,70 @@ class TestOperatorStats:
 # ----------------------------------------------------------------------
 
 
-class TestQueryProfile:
+class TestProfile:
+    """A traced run's result is its profile."""
+
     def test_off_by_default(self, db):
         result = db.sql("SELECT k, sum(v) FROM r GROUP BY k")
-        assert result.profile is None
+        assert result.trace is None
         for dag in result.dags:
             assert all(n.span is None for n in dag.topological_order())
 
     def test_profile_collection(self, db):
-        config = EngineConfig(num_threads=4, collect_metrics=True)
-        result = db.sql("SELECT k, sum(v) FROM r GROUP BY k", config=config)
-        profile = result.profile
-        assert isinstance(profile, QueryProfile)
-        assert profile.num_threads == 4
-        assert profile.serial_time > 0 and profile.makespan > 0
-        nodes = [node for _, _, node in profile.executed_nodes()]
+        config = EngineConfig(num_threads=4, collect_trace=True)
+        sql = "SELECT k, sum(v) FROM r GROUP BY k"
+        result = db.sql(sql, config=config)
+        assert result.query == sql and result.config.num_threads == 4
+        assert result.serial_time > 0 and result.simulated_time > 0
+        nodes = [node for _, _, node in executed_nodes(result.dags)]
         assert len(nodes) == sum(len(dag.nodes) for dag in result.dags)
         names = [node.name() for node in nodes]
         assert "HASHAGG" in names and "SCAN" in names
         scan = next(node for node in nodes if node.name() == "SCAN")
         assert scan.span.attrs["rows_out"] == len(result)
-        assert profile.total_operator_time() > 0
+        assert sum(node.span.exclusive for node in nodes) > 0
 
     def test_profile_to_dict_round_trips(self, db):
-        config = EngineConfig(
-            num_threads=2, collect_metrics=True, collect_trace=True
-        )
+        config = EngineConfig(num_threads=2, collect_trace=True)
         result = db.sql(
             "SELECT k, median(v) FROM r GROUP BY k", config=config
         )
-        payload = result.profile.to_dict(trace=result.trace)
+        payload = profile_dict(result)
         decoded = json.loads(json.dumps(payload))
         assert decoded["num_threads"] == 2
         assert decoded["dags"] and decoded["dags"][0]["operators"]
         assert decoded["trace_events"]
         validate_trace_events(decoded["trace_events"])
 
+    @pytest.mark.parametrize("orderings", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_summary_counts_work_items_not_split_pieces(
+        self, db, tiny_partitions, monkeypatch, threads, orderings
+    ):
+        from repro.execution import scheduler
+
+        # Every step is long enough to split: on four threads the simulated
+        # scheduler runs each sort step of an item as four pieces. Two
+        # orderings put two SORT steps in each item of one chain.
+        monkeypatch.setattr(scheduler, "SPLIT_QUANTUM", 1e-9)
+        sql = WINDOW_SQL if orderings == 1 else (
+            "SELECT k, rank() OVER (PARTITION BY k ORDER BY v) AS a, "
+            "sum(v) OVER (PARTITION BY k ORDER BY g, v) AS b FROM r"
+        )
+        config = EngineConfig(num_threads=threads, num_partitions=8, collect_trace=True)
+        result = db.sql(sql, config=config)
+        sorts = [node for _, _, node in executed_nodes(result.dags) if node.name() == "SORT"]
+        assert len(sorts) == orderings
+        sorted_partitions = sum(s.span.attrs["extra"]["sorted_partitions"] for s in sorts)
+        assert result.operator_summary()["sort"][1] == sorted_partitions > orderings
+
     def test_config_clone(self):
         config = EngineConfig(num_threads=3, execution_mode="parallel")
-        clone = config.clone(collect_metrics=True)
+        clone = config.clone(collect_trace=True)
         assert clone.num_threads == 3
         assert clone.execution_mode == "parallel"
-        assert clone.collect_metrics is True
-        assert config.collect_metrics is False
+        assert clone.collect_trace is True
+        assert config.collect_trace is False
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +241,16 @@ class TestExplainParsing:
         result = db.sql("EXPLAIN LOLEPOP SELECT k, sum(v) FROM r GROUP BY k")
         text = "\n".join(result.batch.to_pydict()["plan"])
         assert "HASHAGG" in text
+
+    def test_explain_lolepop_translates_under_the_callers_config(self, db):
+        from repro.lolepop.engine import LolepopEngine
+
+        config = EngineConfig(num_partitions=8)
+        result = db.sql(f"EXPLAIN LOLEPOP {WINDOW_SQL}", config=config)
+        text = "\n".join(result.batch.to_pydict()["plan"])
+        plan = db.plan(WINDOW_SQL)
+        assert text == LolepopEngine(db.catalog, config, db.estimator).explain(plan)
+        assert "PARTITION [k x8]" in text
 
     def test_trailing_garbage_rejected(self, db):
         with pytest.raises(ReproError):
@@ -250,8 +284,8 @@ class TestExplainAnalyze:
     def test_sql_statement_form(self, db):
         result = db.sql(f"EXPLAIN ANALYZE {ACCEPTANCE_SQL}")
         assert result.schema.names() == ["plan"]
-        assert result.profile is not None
         assert result.trace is not None and result.trace.records
+        assert executed_nodes(result.dags)
 
     def test_parallel_mode(self, db):
         config = EngineConfig(num_threads=2, execution_mode="parallel")
@@ -269,8 +303,9 @@ class TestExplainAnalyze:
             "SELECT name, count(*) FROM r LEFT JOIN dim ON k = id "
             "WHERE EXISTS (SELECT 1 FROM r AS o WHERE o.g = r.k) GROUP BY name"
         )
-        result = db.sql(sql, config=config.clone(collect_metrics=True))
-        by_kind = {join["join"].split()[0]: join for join in result.profile.joins}
+        assert db.sql(sql, config=config).joins == []  # only a traced run has them
+        result = db.sql(sql, config=config.clone(collect_trace=True))
+        by_kind = {join["join"].split()[0]: join for join in result.joins}
         assert set(by_kind) == {"LEFT", "SEMI"}
         k = db.sql("SELECT k FROM r").batch.to_pydict()["k"]
         probed = sum(1 for v in k if v <= 3)  # ids and g hold 0..3, k 0..5
@@ -285,7 +320,7 @@ class TestExplainAnalyze:
             "join": "SEMI JOIN ON k=g", "build_rows": 2000, "keys": 4, "table": "direct",
             "shape": "N:M", "probe_rows": 2000, "matched_rows": probed,
         }
-        assert result.profile.to_dict()["joins"] == result.profile.joins
+        assert profile_dict(result)["joins"] == result.joins
         report = db.explain_analyze(sql, config=config)
         assert (
             f"LEFT JOIN ON k=id  build=5 keys=5 table=sorted N:1 probe=2000 "
@@ -305,20 +340,18 @@ class TestExplainAnalyze:
         # chain needs its permutation vector or window column, so neither
         # is written, and each spilled partition is read once.
         assert "spill: 31.2KB written / 31.2KB read, 1.00× partition input" in report
-        profile = db.sql(
-            sql, config=config.clone(collect_metrics=True)
-        ).profile
-        assert profile.counters["spill.partition_input_bytes"] == 2000 * 16
+        # Counted whether or not the run is traced.
+        assert db.sql(sql, config=config).spill["partition_input_bytes"] == 2000 * 16
 
     def test_pruning_is_in_the_rewrite_log(self, db):
         result = db.sql(
             "SELECT k, median(v) FROM r GROUP BY k",
-            config=EngineConfig(collect_metrics=True),
+            config=EngineConfig(collect_trace=True),
         )
-        event = result.profile.rewrites[0]
+        event = result.rewrites[0]
         assert str(event) == "prune-columns: r 3→2"
         assert event.pass_name == "prune-columns" and event.nodes == ("SCAN r",)
-        assert result.profile.to_dict()["rewrites"][0]["pass"] == "prune-columns"
+        assert profile_dict(result)["rewrites"][0]["pass"] == "prune-columns"
         assert "  prune-columns: r 3→2" in db.explain_analyze(
             "SELECT k, median(v) FROM r GROUP BY k"
         )
@@ -538,12 +571,12 @@ class TestNestedRegionsAreCountedOnce:
         return database
 
     def test_exclusive_node_times_fit_inside_the_execute_stage(self, nested):
-        result = nested.sql(self.SQL, config=EngineConfig(collect_metrics=True))
+        result = nested.sql(self.SQL, config=EngineConfig(collect_trace=True))
         (record,) = nested.telemetry.slowlog.snapshot()
-        total = result.profile.total_operator_time()
+        total = sum(node.span.exclusive for _, _, node in executed_nodes(result.dags))
         assert result.serial_time <= total <= 1.15 * record["execute_s"]
         # The serialized wall time stays inclusive (tools/plan_diff.py reads it).
-        outer, inner = result.profile.to_dict()["dags"]
+        outer, inner = profile_dict(result)["dags"]
         assert outer["operators"][0]["wall_time_s"] >= sum(
             op["wall_time_s"] for op in inner["operators"]
         )
@@ -593,7 +626,7 @@ def _frozen(value):
 
 
 class TestFrozenViews:
-    """``QueryProfile.to_dict``, ``QueryRecord.to_dict``, the Chrome lanes and
+    """The profile JSON, ``QueryRecord.to_dict``, the Chrome lanes and
     ``operator_summary`` of three statements run through the service, as
     commit 975e4bc (flat ``TraceRecord`` / ``RegionSpan`` lists, one
     ``OperatorStats`` per node) produced them.
@@ -619,7 +652,14 @@ class TestFrozenViews:
     or window column: the tuples are written once and read once, the reads
     counting towards the chain's first step (SORT), and the spilled
     partitions sort in place like the loaded one (``mode`` was
-    ``permutation``), their file being written no more."""
+    ``permutation``), their file being written no more.
+
+    Since then one flag, ``collect_trace``, writes the whole span tree and
+    the traced result is the profile: :func:`profile_dict` writes the same
+    JSON from it, its ``spill.*`` counters are ``result.spill`` (the spill
+    manager now counts ``partition_input_bytes``), and ``operator_summary``
+    counts the steps of work items rather than the pieces a split step is
+    scheduled as, which at one thread is the same count."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -993,11 +1033,11 @@ class TestFrozenViews:
         db.telemetry = telemetry
         with QueryService(db) as service:
             session = service.session(
-                num_threads=1, morsel_size=500, collect_trace=True, collect_metrics=True,
+                num_threads=1, morsel_size=500, collect_trace=True,
                 spill_directory=str(tmp_path), **overrides,
             )
             result = session.execute(sql)
-        profile = _frozen(result.profile.to_dict(trace=result.trace))
+        profile = _frozen(profile_dict(result))
         events = profile.pop("trace_events")
         dags = profile.pop("dags")
         assert [dag["index"] for dag in dags] == list(range(len(dags)))

@@ -275,18 +275,21 @@ def _check_tree(span, under_execute=False, under_node=False):
 @pytest.mark.parametrize("budget", sorted(TREE_BUDGETS))
 @pytest.mark.parametrize("scheduler", sorted(TREE_SCHEDULERS))
 def test_span_tree_invariants(tree_db, monkeypatch, tmp_path, scheduler, budget):
+    from repro.bench.corpora import canonical_rows
     from repro.execution import scheduler as scheduler_module
     from repro.observability.chrome import chrome_trace_events
+    from repro.observability.metrics import executed_nodes
 
     # A split item is scheduled as chunks that carry the modelled overhead
     # (SPLIT_OVERHEAD) on top of its measured time; with splitting off the
     # scheduled units are exactly the measured work.
     monkeypatch.setattr(scheduler_module, "SPLIT_QUANTUM", float("inf"))
     config = EngineConfig(
-        num_partitions=8, collect_trace=True, collect_metrics=True,
+        num_partitions=8, collect_trace=True,
         memory_budget_bytes=TREE_BUDGETS[budget], spill_directory=str(tmp_path),
         **TREE_SCHEDULERS[scheduler],
     )
+    untraced = config.clone(collect_trace=False)
     for number, sql in _plans():
         result = tree_db.sql(sql, config=config)
         record = tree_db.telemetry.slowlog.snapshot(last=1)[0]
@@ -300,7 +303,7 @@ def test_span_tree_invariants(tree_db, monkeypatch, tmp_path, scheduler, budget)
         ), sql
         # Every DAG node's span is in the tree, and the tree has no other.
         assert sorted(map(id, root.walk("node"))) == sorted(
-            id(node.span) for _, _, node in result.profile.executed_nodes()
+            id(node.span) for _, _, node in executed_nodes(result.dags)
         ), sql
         assert sum(s.duration for s in root.walk("stage") if s.name == "translate") == (
             pytest.approx(result.translate_s)
@@ -312,6 +315,11 @@ def test_span_tree_invariants(tree_db, monkeypatch, tmp_path, scheduler, budget)
         assert {event["args"]["query_id"] for event in events} == {query_id}, sql
         if budget == "1KiB" and " OVER (" in sql:
             assert result.spill["bytes_written"] > 0, f"plan{number} did not spill"
+        # Tracing takes its own path (traced chains, node spans, join
+        # lines); the answer must not notice.
+        assert canonical_rows(result) == canonical_rows(
+            tree_db.sql(sql, config=untraced)
+        ), sql
 
 
 @pytest.mark.parametrize("scheduler", sorted(TREE_SCHEDULERS))
@@ -325,7 +333,7 @@ def test_a_failed_or_cancelled_statement_closes_every_span(tree_db, monkeypatch,
 
     sql = next(sql for _, sql in _plans() if " OVER (" in sql)
     config = EngineConfig(
-        num_partitions=8, collect_trace=True, collect_metrics=True,
+        num_partitions=8, collect_trace=True,
         **TREE_SCHEDULERS[scheduler],
     )
     run_region = RegionScheduler.run_region
@@ -365,7 +373,7 @@ def test_a_failed_or_cancelled_statement_closes_every_span(tree_db, monkeypatch,
 
 def test_a_template_clone_starts_with_no_span(tree_db):
     sql = next(sql for _, sql in _plans() if "GROUP BY" in sql)
-    config = EngineConfig(collect_metrics=True)
+    config = EngineConfig(collect_trace=True)
     first = tree_db.sql(sql, config=config)
     assert all(node.span is not None for dag in first.dags for node in dag.nodes)
     templates = tree_db.prepare(sql).dag_templates.values()

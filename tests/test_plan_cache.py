@@ -196,14 +196,18 @@ class TestPlanCache:
         # Second run cloned the cached DAG templates instead.
         assert calls["translate"] == translated_once
 
-    def test_dag_reuse_counted_in_profile(self):
+    def test_dag_reuse_shows_in_the_trace(self):
+        # A reused DAG is one no ``translate`` stage built; the root says
+        # the plan came from the cache.
         db = make_db()
         sql = "SELECT g, median(x) FROM t GROUP BY g"
         db.sql(sql)
-        profiled = db.sql(
-            sql, config=db.config.clone(collect_metrics=True)
-        )
-        assert profiled.profile.counters.get("plan_cache.dag_reuse", 0) >= 1
+        traced = db.sql(sql, config=db.config.clone(collect_trace=True))
+        root = traced.trace.root
+        assert root.attrs["plan_cache_hit"] is True
+        assert traced.dags and not [
+            span for span in root.walk("stage") if span.name == "translate"
+        ]
 
     def test_dml_invalidates(self, monkeypatch):
         db = make_db(rows=10)
@@ -334,7 +338,7 @@ class TestDagClone:
         db = make_db()
         sql = "SELECT g, median(x) FROM t GROUP BY g"
         db.sql(sql)
-        db.sql(sql, config=db.config.clone(collect_metrics=True))
+        db.sql(sql, config=db.config.clone(collect_trace=True))
         entry = db.prepare(sql)
         for template in entry.dag_templates.values():
             assert all(n.span is None for n in template.topological_order())
@@ -674,8 +678,8 @@ class TestStatementsKeepTheirLiterals:
         assert variant.est_rows == own != db.estimator.rows(db.plan(template.format(10)))
         # The DAG names the variant's plan, so EXPLAIN ANALYZE and the
         # feedback store estimate from o < 250, not from o < 10.
-        metrics = db.config.clone(collect_metrics=True)
-        result = db.execute_prepared(variant, config=metrics)
+        traced = db.config.clone(collect_trace=True)
+        result = db.execute_prepared(variant, config=traced)
         assert result.dags[0].region_plan is variant.plan
 
 

@@ -27,13 +27,14 @@ from repro.observability.chrome import (
 )
 from repro.observability.analyze import morsel_skew
 from repro.logical import key_hash, template_key
+from repro.lolepop.engine import QueryResult
 from repro.observability.feedback import (
     FeedbackStore,
     group_signature,
     plan_signature,
     root_observation,
 )
-from repro.observability.metrics import QueryProfile
+from repro.observability.metrics import executed_nodes, profile_dict
 from repro.observability.provenance import RewriteEvent
 from repro.observability.telemetry import (
     QueryRecord,
@@ -41,6 +42,8 @@ from repro.observability.telemetry import (
     TelemetryConfig,
 )
 from repro.observability.workload import BASELINE_WINDOW, WorkloadStats
+from repro.storage import Batch
+from repro.types import Schema
 
 from tests.test_parallel_property import SEED, _make_db, _plans
 
@@ -116,9 +119,11 @@ class TestRewriteEvent:
 
     def test_event_dicts_mirror_the_log(self):
         event = self.make()
-        profile = QueryProfile("q", EngineConfig())
-        profile.rewrites.append(event)
-        assert profile.to_dict()["rewrites"] == [event.to_dict()]
+        result = QueryResult(
+            Batch.empty(Schema.of(("x", "int64"))), 0.0, 0.0, ExecutionTrace(), [],
+            spill={}, query="q", config=EngineConfig(), rewrites=[event],
+        )
+        assert profile_dict(result)["rewrites"] == [event.to_dict()]
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +146,8 @@ class TestProvenanceEndToEnd:
     SQL = "SELECT g, sum(x), count(*) FROM t GROUP BY g ORDER BY g"
 
     def test_optimized_dag_events_have_the_record_shape(self, db):
-        result = db.sql(
-            self.SQL, config=EngineConfig(collect_metrics=True)
-        )
-        events = result.profile.rewrites
+        result = db.sql(self.SQL, config=EngineConfig(collect_trace=True))
+        events = result.rewrites
         assert events, "optimizer recorded no structured rewrite events"
         assert all(isinstance(entry, RewriteEvent) for entry in events)
         for event in events:
@@ -155,16 +158,14 @@ class TestProvenanceEndToEnd:
         assert "remove_redundant_combines" in {e.pass_name for e in events}
 
     def test_profile_dict_writes_the_log_once(self, db):
-        result = db.sql(
-            self.SQL, config=EngineConfig(collect_metrics=True)
-        )
-        doc = result.profile.to_dict()
+        result = db.sql(self.SQL, config=EngineConfig(collect_trace=True))
+        doc = profile_dict(result)
         assert "rewrite_events" not in doc
-        assert doc["rewrites"] == [e.to_dict() for e in result.profile.rewrites]
+        assert doc["rewrites"] == [e.to_dict() for e in result.rewrites]
         json.dumps(doc["rewrites"])
         text = db.explain_analyze(self.SQL)
         assert "rewrites:" in text
-        for event in result.profile.rewrites:
+        for event in result.rewrites:
             assert f"  {event}\n" in text
 
     def test_distinct_event_names_both_prices(self, db):
@@ -178,10 +179,10 @@ class TestProvenanceEndToEnd:
         )
         result = db.sql(
             "SELECT k, median(v), count(DISTINCT w) FROM u GROUP BY k",
-            config=EngineConfig(collect_metrics=True),
+            config=EngineConfig(collect_trace=True),
         )
         (event,) = [
-            e for e in result.profile.rewrites
+            e for e in result.rewrites
             if e.pass_name == "cost_based_distinct"
         ]
         match = re.fullmatch(
@@ -195,12 +196,10 @@ class TestProvenanceEndToEnd:
         assert event.detail in str(event)
 
     def test_ledger_fields_populated(self, db):
-        result = db.sql(
-            self.SQL, config=EngineConfig(collect_metrics=True)
-        )
-        stats = [node.span.attrs for _, _, node in result.profile.executed_nodes()]
+        result = db.sql(self.SQL, config=EngineConfig(collect_trace=True))
+        stats = [node.span.attrs for _, _, node in executed_nodes(result.dags)]
         assert any(op["bytes_materialized"] > 0 for op in stats)
-        doc = result.profile.to_dict()
+        doc = profile_dict(result)
         op_doc = doc["dags"][0]["operators"][0]
         assert "bytes_materialized" in op_doc
         assert "peak_partition_bytes" in op_doc
@@ -460,7 +459,7 @@ class TestFeedbackStore:
         def replans(template):
             record = QueryRecord("q", "select 1", "A", rows=100)
             prepared = SimpleNamespace(plan=FakePlan(), est_rows=10.0, dag_templates={})
-            result = SimpleNamespace(profile=None, dags=())
+            result = SimpleNamespace(trace=None, dags=())
             return store.record_execution(record, prepared, result, None, template)
 
         assert replans(drifting(20)) is True
@@ -633,11 +632,11 @@ class TestSevenKeyCollision:
             agg_h.child, agg_h.group_names
         )
 
-    @pytest.mark.parametrize("collect_metrics", [False, True])
-    def test_no_shared_calibration_entry(self, tmp_path, collect_metrics):
+    @pytest.mark.parametrize("collect_trace", [False, True])
+    def test_no_shared_calibration_entry(self, tmp_path, collect_trace):
         db = wide_db(tmp_path / "fb")
         unlearned = wide_db().estimate(WIDE_H)
-        config = db.config.clone(collect_metrics=collect_metrics)
+        config = db.config.clone(collect_trace=collect_trace)
         for _ in range(3):
             assert len(db.sql(WIDE_G, config=config)) == 2
         assert db.estimate(WIDE_G) == pytest.approx(2.0)
@@ -909,8 +908,7 @@ class TestPlanDiff:
             "FROM (SELECT k, g, sum(v) AS s FROM r GROUP BY k, g) AS d ORDER BY k"
         )
         profiles = [
-            db.sql(sql, config=EngineConfig(collect_metrics=True, **ablate))
-            .profile.to_dict()
+            profile_dict(db.sql(sql, config=EngineConfig(collect_trace=True, **ablate)))
             for ablate in (dict(elide_sorts=False, remove_redundant_combines=False), {})
         ]
         report = plan_diff.diff_profiles(*profiles)

@@ -7,6 +7,7 @@ import pytest
 
 from repro import Database, EngineConfig
 from repro.errors import ExecutionError
+from repro.observability.metrics import executed_nodes
 from repro.storage import Batch, TupleBuffer
 from repro.storage.spill import SpillManager, approx_batch_bytes, approx_column_bytes
 from repro.types import Schema
@@ -551,7 +552,7 @@ class TestBudgetIsABound:
         step."""
         config = EngineConfig(
             num_partitions=8, memory_budget_bytes=1024, spill_directory=str(tmp_path),
-            collect_metrics=True,
+            collect_trace=True,
         )
         result = db.sql(
             "SELECT g, percentile_disc(0.5) WITHIN GROUP (ORDER BY x) FROM t GROUP BY g",
@@ -560,10 +561,10 @@ class TestBudgetIsABound:
         windowed = db.sql(
             "SELECT g, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t", config=config
         )
-        def by_operator(profile):
-            return {node.name(): node.span.attrs for _, _, node in profile.executed_nodes()}
+        def by_operator(run):
+            return {node.name(): node.span.attrs for _, _, node in executed_nodes(run.dags)}
 
-        ordered, window = by_operator(result.profile), by_operator(windowed.profile)
+        ordered, window = by_operator(result), by_operator(windowed)
         for stats in (ordered["SORT"], ordered["ORDAGG"], window["SORT"],
                       window["WINDOW"], window["SCAN"]):
             assert stats["spill_bytes_written"] == 0

@@ -249,9 +249,9 @@ class TestOneDagPerPath:
     ):
         db = _database(feedback_dir=str(tmp_path), plan_cache_size=0)
         assert _legend(db.explain_lolepop(sql)).count("HASHAGG") == model_hashaggs
-        # A profiled run feeds the store per-operator actuals, which the
+        # A traced run feeds the store per-operator actuals, which the
         # estimator then answers from.
-        db.sql(sql, config=EngineConfig(collect_metrics=True))
+        db.sql(sql, config=EngineConfig(collect_trace=True))
         assert len(db.feedback) == 1
         executed = db.sql(sql).dags[0].operator_names()
         assert executed.count("HASHAGG") == calibrated_hashaggs

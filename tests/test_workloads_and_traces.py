@@ -14,6 +14,7 @@ from repro.bench import (
 from repro.bench.workloads import TABLE3_PAPER_FACTORS_20T
 from repro.errors import PlanError
 from repro.lolepop.base import Dag, SourceOp
+from repro.observability.metrics import executed_nodes
 from repro.sql import parse_sql
 from repro.tpch import populate_database
 
@@ -91,11 +92,11 @@ class TestFigure8Traces:
         items of mostly fixed cost; one trace's ratio spreads 1.45-2.2), so
         times are compared best-of-five."""
         config = EngineConfig(
-            num_threads=4, num_partitions=16, morsel_size=2000, collect_metrics=True
+            num_threads=4, num_partitions=16, morsel_size=2000, collect_trace=True
         )
-        profile = db.sql(FIGURE8_QUERIES[1], config=config).profile
+        dags = db.sql(FIGURE8_QUERIES[1], config=config).dags
         first, *reaggregations = [
-            node.span.attrs for _, _, node in profile.executed_nodes() if node.name() == "HASHAGG"
+            node.span.attrs for _, _, node in executed_nodes(dags) if node.name() == "HASHAGG"
         ]
         assert len(reaggregations) == 2
         assert all(first["rows_in"] > 50 * other["rows_in"] for other in reaggregations)

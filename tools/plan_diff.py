@@ -2,7 +2,8 @@
 """Regression attribution: diff two query-profile JSONs and attribute the
 movement to operators and rewrite events.
 
-Input is the profile JSON (``QueryProfile.to_dict``, e.g. the shell's
+Input is the profile JSON of a traced run
+(``repro.observability.metrics.profile_dict``, e.g. the shell's
 ``.profile json`` or the benchmark ``--profile-dir`` output): operators are
 matched by ``(dag index, name, describe)`` and their rank among equal
 ones, not by id, so an operator a rewrite removed does not shift the ids
