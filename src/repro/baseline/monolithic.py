@@ -49,7 +49,7 @@ from ..logical import (
 from ..lolepop.engine import QueryResult
 from ..lolepop.hashagg_op import HashAggTask, aggregate_batch, two_phase_aggregate
 from ..lolepop.merge_op import merge_two_sorted
-from ..lolepop.partition_op import partition_count
+from ..lolepop.partition_op import partition_count, scatter_runs
 from ..lolepop.ranges import ranges_of
 from ..lolepop.scan_op import _apply_limit
 from ..lolepop.window_op import evaluate_window_call
@@ -126,11 +126,7 @@ class _MonolithicRunner:
         rows = sum(len(batch) for batch in batches)
         num = partition_count(rows, self.config.num_partitions) if partition_keys else 1
         buffer = TupleBuffer(schema, num, partition_keys)
-        # Pure per-morsel scatter + post-barrier merge, so the chunk order
-        # stays deterministic under the real thread pool.
-        pieces = self.ctx.parallel_for(operator, batches, buffer.scatter_batch)
-        for piece_list in pieces:
-            buffer.append_pieces(piece_list)
+        scatter_runs(self.ctx, operator, buffer, batches)
         self.ctx.next_phase()
         key_names = [name for name, _ in sort_order]
         descending = [desc for _, desc in sort_order]

@@ -39,7 +39,7 @@ from ..relational.kernels import grouped_reduce
 from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer, scatter_rows
 from ..storage.column import Column
-from ..storage.keys import group_codes, partition_ids
+from ..storage.keys import group_codes, table_slots
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
 from .partition_op import partition_count
@@ -219,7 +219,7 @@ def two_phase_aggregate(
     def preaggregate(batch: Batch) -> Batch:
         if len(batch) > _LOCAL_TABLE_SLOTS // 4:
             keys = [batch.column(name) for name in key_names]
-            buckets = partition_ids(keys, _LOCAL_TABLE_SLOTS)
+            buckets = table_slots(keys, _LOCAL_TABLE_SLOTS)
             occupancy = np.count_nonzero(
                 np.bincount(buckets, minlength=_LOCAL_TABLE_SLOTS)
             )

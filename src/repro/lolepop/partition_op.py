@@ -30,7 +30,11 @@ properties (:func:`hash_clustering`) do not depend on the choice.
 Mirrors the paper's §4.4: per-thread scatter, cross-thread chunk-list merge
 (free in our single-address-space emulation), then a *compaction* step
 producing one chunk per partition, which in-place modification (SORT)
-needs.
+needs. A keyed scatter work item takes a run of consecutive morsels
+holding at least :data:`ROWS_PER_PARTITION` rows and scatters it at once
+(:func:`scatter_runs`), by the multiply-shift hash of
+:func:`~repro.storage.keys.partition_ids`: its cost follows the rows, not
+the morsel count, and a partition gets one piece per run.
 
 Under a memory budget the partitions that do not fit are spilled right after
 the scatter. What the budget bounds is the buffer's loaded footprint from
@@ -64,6 +68,34 @@ def partition_count(rows: int, cap: int) -> int:
     (rounded up, at least one), at most ``cap``. Keyed PARTITION, the
     HASHAGG merge and the monolithic baseline all size through here."""
     return min(cap, max(1, -(-rows // ROWS_PER_PARTITION)))
+
+
+def scatter_runs(
+    ctx: ExecutionContext, operator: str, buffer: TupleBuffer, batches: List[Batch]
+) -> None:
+    """Scatter ``batches`` into ``buffer`` (§4.4's per-thread scatter and
+    chunk-list merge): one ``operator`` work item per run of consecutive
+    morsels holding at least :data:`ROWS_PER_PARTITION` rows (the last run
+    may hold fewer), which concatenates its run and scatters it once. So an
+    item's fixed cost is paid per partition's worth of rows, and each
+    partition gets one piece per run, whatever the morsel size. An unkeyed
+    buffer has nothing to scatter: each morsel is a run of its own.
+
+    Scattering is a pure function (no shared-buffer writes from work
+    items); the pieces are appended after the barrier in submission order,
+    so the chunk order is deterministic under real threads. Keyed PARTITION
+    and the monolithic baseline both scatter here."""
+    least = ROWS_PER_PARTITION if buffer.partitioned_by else 0
+    runs: List[List[Batch]] = []
+    held = least
+    for batch in batches:
+        if held >= least:
+            runs.append([])
+            held = 0
+        runs[-1].append(batch)
+        held += len(batch)
+    for pieces in ctx.parallel_for(operator, runs, buffer.scatter_run):
+        buffer.append_pieces(pieces)
 
 
 def hash_clustering(
@@ -125,13 +157,7 @@ class PartitionOp(Lolepop):
             num_partitions = partition_count(rows, num_partitions)
         buffer = TupleBuffer(schema, num_partitions, self.keys)
         if self.keys:
-            # Per-morsel scatter is a pure function (no shared-buffer
-            # writes from work items); the chunk-list merge appends the
-            # pieces after the barrier in submission order, so the chunk
-            # order is deterministic under real threads.
-            pieces = ctx.parallel_for("partition", batches, buffer.scatter_batch)
-            for piece_list in pieces:
-                buffer.append_pieces(piece_list)
+            scatter_runs(ctx, "partition", buffer, batches)
         else:
             # Round-robin scatter: group morsels by target partition so
             # each work item owns exactly one partition (disjoint writes).

@@ -528,13 +528,16 @@ class TupleBuffer:
     # ------------------------------------------------------------------
     # Build paths
     # ------------------------------------------------------------------
-    def scatter_batch(self, batch: Batch) -> List[Tuple[int, Batch]]:
-        """Pure scatter: split one batch into ``(partition id, sub-batch)``
-        pieces by the hash of ``partitioned_by`` *without mutating the
-        buffer*. This is the thread-safe half of :meth:`append_partitioned`:
-        work items scatter concurrently, and the caller appends the pieces
-        after the region barrier in deterministic submission order.
+    def scatter_run(self, run: Sequence[Batch]) -> List[Tuple[int, Batch]]:
+        """Pure scatter: split a run of consecutive batches into ``(partition
+        id, sub-batch)`` pieces by the hash of ``partitioned_by`` *without
+        mutating the buffer* — the run is concatenated and scattered once,
+        so each partition gets at most one piece, its rows in run order.
+        This is the thread-safe half of :meth:`append_partitioned`: work
+        items scatter concurrently, and the caller appends the pieces after
+        the region barrier in deterministic submission order.
         """
+        batch = run[0] if len(run) == 1 else Batch.concat(run)
         if len(batch) == 0:
             return []
         if _SAN.active is not None:
@@ -556,7 +559,7 @@ class TupleBuffer:
         With no partition keys (or a single partition) the batch is appended
         to partition 0 unchanged.
         """
-        self.append_pieces(self.scatter_batch(batch))
+        self.append_pieces(self.scatter_run([batch]))
 
     # ------------------------------------------------------------------
     # Consumption paths

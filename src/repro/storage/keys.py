@@ -20,9 +20,14 @@ only place that knows how a value becomes a key:
   one). A float segment packs as exact fixed-point digits when its values
   are decimals of at most six places (money, quantities, readings), as its
   dense rank otherwise. Every multi-key sort of the engine goes through it.
-- :func:`hash_codes` / :func:`partition_ids` — stable 64-bit hashes of the
-  key columns, used by PARTITION and HASHAGG to scatter rows. A hash only
-  ever picks a partition; no caller decides equality on it.
+- :func:`hash_codes` / :func:`partition_ids` — the scatter hash: each key
+  column's int64s (a string's FNV-1a, so equal in any dictionary) times one
+  odd constant, xor-folded column into column, and a partition picked from
+  the high bits by multiply-shift. A few array passes per key, so a scatter
+  pays for its rows. PARTITION, HASHAGG's merge scatter and the monolithic
+  baseline all scatter through it; :func:`table_slots` adds one finalizer
+  for HASHAGG's occupancy probe. A hash only ever picks a partition or a
+  slot; no caller decides equality on it.
 """
 
 from __future__ import annotations
@@ -230,29 +235,53 @@ def number_runs(segments: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray,
 
 
 def hash_codes(columns: Sequence[Column]) -> np.ndarray:
-    """Stable 64-bit composite hash of the key columns.
+    """64-bit composite hash of the key columns, deterministic across runs
+    (no ``PYTHONHASHSEED``), which traces and tests rely on.
 
-    Uses a splitmix-style multiply-xor mix per column, combined with a
-    Fibonacci constant — deterministic across runs (no PYTHONHASHSEED
-    dependence), which execution traces and tests rely on.
-    """
+    Each column's :func:`_normalize_values` int64s are multiplied by
+    ``_HASH_PRIME`` (Fibonacci hashing), the hash of the columns before it
+    xor-folded in first: one wrapping multiply per column. The high bits
+    are well spread — an arithmetic progression of keys, the common case,
+    lands evenly — the low bits are not: pick with :func:`partition_ids`,
+    never by ``%``."""
     if not columns:
         raise ValueError("hash_codes requires at least one key column")
-    n = len(columns[0])
-    acc = np.full(n, np.uint64(0x243F6A8885A308D3), dtype=np.uint64)
+    acc: Optional[np.ndarray] = None
     for column in columns:
-        values = _normalize_values(column, "hash").astype(np.uint64)
-        values = (values ^ (values >> np.uint64(30))) * _MIX_PRIME
-        values ^= values >> np.uint64(27)
-        acc = (acc ^ values) * _HASH_PRIME
-        acc ^= acc >> np.uint64(31)
+        values = _normalize_values(column, "hash").view(np.uint64)
+        if acc is None:
+            acc = values * _HASH_PRIME  # a fresh array: values may be the column's
+        else:
+            acc ^= values
+            acc *= _HASH_PRIME
     return acc
 
 
+def _pick(hashes: np.ndarray, count: int) -> np.ndarray:
+    """``((h >> 32) · count) >> 32`` per hash, in place: the bucket in
+    ``[0, count)`` that the hash's high 32 bits fall in."""
+    hashes >>= np.uint64(32)
+    hashes *= np.uint64(count)
+    hashes >>= np.uint64(32)
+    return hashes.view(np.int64)
+
+
 def partition_ids(columns: Sequence[Column], num_partitions: int) -> np.ndarray:
-    """Partition assignment (0..num_partitions-1) per row."""
+    """Partition assignment (0..num_partitions-1) per row: the high bits of
+    :func:`hash_codes` by multiply-shift."""
+    return _pick(hash_codes(columns), num_partitions)
+
+
+def table_slots(columns: Sequence[Column], count: int) -> np.ndarray:
+    """Slot (0..count-1) per row of a hash table whose slots are as good as
+    random: :func:`hash_codes` through one xor-shift-multiply finalizer.
+    Fibonacci hashing alone spreads dense keys *evenly*, which fills more
+    slots than a real table's collisions do; an occupancy test tuned for
+    random slots (HASHAGG's saturation probe) reads this instead."""
     hashes = hash_codes(columns)
-    return (hashes % np.uint64(num_partitions)).astype(np.int64)
+    hashes ^= hashes >> np.uint64(32)
+    hashes *= _MIX_PRIME
+    return _pick(hashes, count)
 
 
 def bucket_order(ids: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ groups."""
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,3 +174,41 @@ class TestBoundary:
                 )
             merges = [r for r in ctx.trace.regions if r.name == "hashagg-merge"]
             assert [r.attrs["items"] for r in merges] == [items]
+
+
+class TestSaturationProbe:
+    """Phase 1 passes a morsel through unaggregated when its keys would
+    saturate the emulated 4 096-slot local table (more than 70 % of the
+    slots hit). The probe's slots must look random: at 100 k rows a morsel
+    with a few thousand distinct keys, sequential or not, still
+    pre-aggregates, and one with well over 4 096 passes through."""
+
+    ROWS = 100_000
+    PROBE_SCHEMA = Schema([Field("k", DataType.INT64), Field("v", DataType.INT64)])
+
+    def _partial_rows(self, keys):
+        batch = Batch(self.PROBE_SCHEMA, [
+            Column(DataType.INT64, keys.astype(np.int64)),
+            Column(DataType.INT64, np.ones(len(keys), dtype=np.int64)),
+        ])
+        noted = {}
+        ctx = ExecutionContext(EngineConfig())
+        two_phase_aggregate(
+            ctx, [batch], ["k"], [HashAggTask("sum_v", "sum", "v")],
+            num_partitions=8, note=noted.update,
+        )
+        return noted["partial_rows"]
+
+    @pytest.mark.parametrize("distinct, preaggregates", [
+        (3_000, True), (4_000, True), (6_000, False), (10_000, False),
+    ])
+    @pytest.mark.parametrize("spread", ["sequential", "random"])
+    def test_passes_through_only_past_saturation(self, distinct, preaggregates, spread):
+        rng = np.random.default_rng(distinct)
+        if spread == "sequential":
+            values = np.arange(distinct)
+        else:
+            values = rng.choice(2**40, size=distinct, replace=False)
+        keys = values[rng.permutation(self.ROWS) % distinct]
+        expected = distinct if preaggregates else self.ROWS
+        assert self._partial_rows(keys) == expected

@@ -238,6 +238,82 @@ class TestHashing:
         assert len(set(ids.tolist())) == 1
 
 
+
+_N = 100_000
+_RNG = np.random.default_rng(2024)
+_SEQ = np.arange(_N, dtype=np.int64)
+_NAMES = [f"customer#{k:09d}" for k in _RNG.integers(0, 50_000, _N).tolist()]
+
+def _family(*columns, key=None):
+    """``(columns, same)``: ``same`` numbers each row's key densely, so it
+    is equal exactly where the composite key is."""
+    values = columns[0].to_pylist() if key is None else key
+    return list(columns), np.unique(values, return_inverse=True)[1]
+
+
+#: Key families a scatter meets, ``_N`` rows each.
+HASH_FAMILIES = {
+    "sequential": _family(Column(DataType.INT64, _SEQ)),
+    "stride_64": _family(Column(DataType.INT64, _SEQ * 64)),
+    "stride_4096": _family(Column(DataType.INT64, _SEQ * 4096)),
+    "shifted_32": _family(Column(DataType.INT64, _SEQ << 32)),
+    "uniform_1000": _family(Column(DataType.INT64, _RNG.integers(0, 1_000, _N))),
+    "decimal_2": _family(Column(DataType.FLOAT64, np.round(_RNG.uniform(0, 10_000, _N), 2))),
+    "whole_floats": _family(
+        Column(DataType.FLOAT64, _RNG.integers(0, 10_000, _N).astype(np.float64))
+    ),
+    "strings": _family(str_col(_NAMES)),
+    "composite": _family(
+        Column(DataType.INT64, _SEQ // 300), Column(DataType.INT64, _SEQ % 300), key=_SEQ
+    ),
+}
+
+
+class TestHashQuality:
+    """The scatter hash is one multiply per key column, picked by
+    multiply-shift: partitions stay within 1.2x of the mean size on the key
+    families a scatter meets, and a key's partition depends on its value
+    alone."""
+
+    @pytest.mark.parametrize("count", [8, 13, 64])
+    @pytest.mark.parametrize("family", sorted(HASH_FAMILIES))
+    def test_partitions_are_even(self, family, count):
+        columns, same = HASH_FAMILIES[family]
+        ids = keys.partition_ids(columns, count)
+        sizes = np.bincount(ids, minlength=count)
+        assert len(sizes) == count
+        assert sizes.max() / sizes.mean() <= 1.2
+        # Equal keys, equal partitions: one partition per key.
+        first = np.full(same.max() + 1, -1)
+        first[same] = ids
+        assert np.array_equal(first[same], ids)
+
+    @pytest.mark.parametrize("count", [8, 13, 64])
+    def test_a_string_hashes_alike_in_any_dictionary(self, count):
+        # The same strings in reverse order: a dictionary numbered the
+        # other way round.
+        backwards = str_col(_NAMES[::-1])
+        assert not np.array_equal(backwards.data[::-1], HASH_FAMILIES["strings"][0][0].data)
+        assert np.array_equal(
+            keys.partition_ids([backwards], count)[::-1],
+            keys.partition_ids(HASH_FAMILIES["strings"][0], count),
+        )
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    @pytest.mark.parametrize("family", ["sequential", "decimal_2", "strings", "composite"])
+    def test_tiny_columns(self, family, rows):
+        """The wrapping multiply over 0 and 1 rows: no scalar arithmetic
+        (which would warn on overflow), ids in range."""
+        columns = [
+            Column(c.dtype, c.data[:rows], None, c.dictionary)
+            for c in HASH_FAMILIES[family][0]
+        ]
+        for count in (8, 13, 64):
+            ids = keys.partition_ids(columns, count)
+            assert ids.dtype == np.int64 and len(ids) == rows
+            assert ((0 <= ids) & (ids < count)).all()
+        assert len(keys.table_slots(columns, 4096)) == rows
+
 class TestLexsort:
     def test_multi_key(self):
         order = keys.lexsort_indices(

@@ -659,7 +659,16 @@ class TestFrozenViews:
     JSON from it, its ``spill.*`` counters are ``result.spill`` (the spill
     manager now counts ``partition_input_bytes``), and ``operator_summary``
     counts the steps of work items rather than the pieces a split step is
-    scheduled as, which at one thread is the same count."""
+    scheduled as, which at one thread is the same count.
+
+    Since then PARTITION scatters runs of morsels and hashes by one
+    multiply: ``window_under_budget``'s four 500-row morsels are one run,
+    so it runs one ``partition`` item (was four), and its six keys now
+    reach all four partitions (they reached three). Every partition spills
+    and is loaded once (``spill.events`` / ``spill.loads`` and
+    ``spilled_partitions`` 3 → 4), so SORT sorts four partitions and
+    SORT, SCAN and PROJECT each run four items (were three); SCAN emits
+    four batches. ``group_by`` and ``nested_aggregate`` are unchanged."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -919,8 +928,8 @@ class TestFrozenViews:
                     "spill.partition_input_bytes": 32000.0,
                     "spill.bytes_written": 32000.0,
                     "spill.bytes_read": 32000.0,
-                    "spill.events": 3.0,
-                    "spill.loads": 3.0,
+                    "spill.events": 4.0,
+                    "spill.loads": 4.0,
                 },
                 "joins": [],
                 "rewrites": [{"text": "prune-columns: r 3→2", "pass": "prune-columns", "detail": "r 3→2", "nodes": ["SCAN r"]}],
@@ -928,10 +937,10 @@ class TestFrozenViews:
             "dags": [
                 [
                     [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 3, "scatter_keys": "k"}],
-                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 0, 32000, 0, 0, 0, 0, {"mode": "inplace", "sorted_partitions": 3}],
+                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 4, "scatter_keys": "k"}],
+                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 0, 32000, 0, 0, 0, 0, {"mode": "inplace", "sorted_partitions": 4}],
                     [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 1, 0, 0, 0, {"window_calls": 1}],
-                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 3, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -1007,7 +1016,7 @@ class TestFrozenViews:
                 ],
                 2: ["service:admission-reserve", "service:queue-wait"],
             },
-            "summary": {"partition": 4, "project": 3, "scan": 3, "sort": 3, "source": 0, "spill": 1, "tablescan": 4, "window": 4},
+            "summary": {"partition": 1, "project": 4, "scan": 4, "sort": 4, "source": 0, "spill": 1, "tablescan": 4, "window": 4},
         },
     }
     # fmt: on

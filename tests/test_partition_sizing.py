@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from repro.execution import ExecutionContext
 from repro.lolepop import PartitionOp, SourceOp
 from repro.lolepop.partition_op import ROWS_PER_PARTITION, partition_count
 from repro.storage import Batch
+from repro.storage.keys import partition_ids
 from repro.types import Schema
 
 from tests.helpers import normalized_rows, rows_per_partition
@@ -136,3 +138,78 @@ def test_answers_match_the_oracle_around_partition_boundaries(k, offset, cap, se
         buckets = int(re.search(r"\bmerge_partitions=(\d+)", merge).group(1))
     assert mode == ("single" if expected == 1 else "partitioned")
     assert 1 <= buckets <= expected
+
+
+RUN_SCHEMA = Schema.of(("k", "int64"), ("i", "int64"), ("s", "string"))
+
+
+def _morsels(seed):
+    """30 morsels of 1 to 3 000 rows: a random key, the row's input
+    position, and a string column whose dictionary is each morsel's own."""
+    rng = np.random.default_rng(seed)
+    morsels, start = [], 0
+    for size in rng.integers(1, 3_001, 30).tolist():
+        keys = rng.integers(0, 1_000, size)
+        morsels.append(Batch.from_pydict(RUN_SCHEMA, {
+            "k": keys.tolist(),
+            "i": list(range(start, start + size)),
+            "s": [f"s{k % 7}" for k in keys.tolist()],
+        }))
+        start += size
+    return morsels
+
+
+class TestRunScatter:
+    """A keyed PARTITION scatters runs of consecutive morsels, each run
+    concatenated and scattered once: every partition still holds exactly
+    the rows :func:`partition_ids` assigns it over the whole input, in
+    input order, and there is one ``partition`` work item per run."""
+
+    @pytest.mark.parametrize("mode", ["simulated", "parallel"])
+    @pytest.mark.parametrize("budget", [None, 64 * 1024])
+    @pytest.mark.parametrize("rows", [R, ROWS_PER_PARTITION])
+    def test_runs_scatter_like_one_scatter(self, mode, budget, rows, tmp_path):
+        morsels = _morsels(seed=rows + (budget or 0))
+        config = EngineConfig(
+            num_threads=2, num_partitions=13, execution_mode=mode, collect_trace=True,
+            memory_budget_bytes=budget, spill_directory=str(tmp_path),
+        )
+        ctx = ExecutionContext(config)
+        scattered = []
+        region = ctx.parallel_for
+
+        def spy(operator, items, fn, *args, **kwargs):
+            if operator == "partition":
+                scattered.extend(items)
+            return region(operator, items, fn, *args, **kwargs)
+
+        ctx.parallel_for = spy
+        with rows_per_partition(rows):
+            op = PartitionOp(SourceOp(lambda: morsels), ("k",), 13)
+            buffer = op.execute(ctx, [morsels])
+
+        # The runs: the morsels in order, each run the shortest prefix of
+        # what is left that holds ``rows`` rows (the last may hold fewer).
+        assert [id(m) for run in scattered for m in run] == [id(m) for m in morsels]
+        sizes = [[len(m) for m in run] for run in scattered]
+        assert all(sum(run) >= rows > sum(run[:-1]) for run in sizes[:-1])
+        assert sum(sizes[-1][:-1]) < rows
+        items = sum(
+            len(region.children) for region in ctx.trace.regions if region.name == "partition"
+        )
+        assert items == len(scattered)
+
+        whole = Batch.concat(morsels)
+        ids = partition_ids([whole.column("k")], buffer.num_partitions)
+        assert buffer.num_partitions == (13 if budget else min(13, -(-len(whole) // rows)))
+        spilled = 0
+        for pid, partition in enumerate(buffer.partitions):
+            spilled += partition.is_spilled
+            # compact() reads a spilled partition's file.
+            got = partition.compact()
+            expected = np.flatnonzero(ids == pid)
+            assert got.column("i").data.tolist() == expected.tolist()
+            assert got.column("k").data.tolist() == whole.column("k").data[expected].tolist()
+            assert got.column("s").to_pylist() == whole.column("s").take(expected).to_pylist()
+        assert (spilled > 0) == (budget is not None)
+        ctx.cleanup()
