@@ -48,7 +48,6 @@ from ..logical import (
 )
 from ..lolepop.engine import QueryResult
 from ..lolepop.hashagg_op import HashAggTask, aggregate_batch, two_phase_aggregate
-from ..lolepop.merge_op import merge_two_sorted
 from ..lolepop.partition_op import partition_count, scatter_runs
 from ..lolepop.ranges import ranges_of
 from ..lolepop.scan_op import _apply_limit
@@ -149,30 +148,11 @@ class _MonolithicRunner:
         batches = self.execute_stream(plan.child)
         buffer = self._partition_and_sort(batches, (), plan.keys, "sort")
         self.ctx.next_phase()
-        limit_hint = (limit + offset) if limit is not None else None
-        runs = [p.ordered_batch() for p in buffer.partitions if p.num_rows]
-        if limit_hint is not None:
-            runs = [run.slice(0, limit_hint) for run in runs]
-        if not runs:
-            return [Batch.empty(plan.schema)]
-        while len(runs) > 1:
-            pairs = [
-                (runs[i], runs[i + 1]) if i + 1 < len(runs) else (runs[i], None)
-                for i in range(0, len(runs), 2)
-            ]
-
-            def merge_pair(pair):
-                a, b = pair
-                if b is None:
-                    return a
-                merged = merge_two_sorted(a, b, plan.keys)
-                if limit_hint is not None:
-                    merged = merged.slice(0, limit_hint)
-                return merged
-
-            runs = self.ctx.parallel_for("sort-merge", pairs, merge_pair)
-            self.ctx.next_phase()
-        return [runs[0]]
+        # An unkeyed buffer is one partition: its sorted run is the answer.
+        batch = buffer.partitions[0].ordered_batch()
+        if limit is not None:
+            batch = batch.slice(0, limit + offset)
+        return [batch]
 
     # ------------------------------------------------------------------
     # WINDOW

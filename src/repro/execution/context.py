@@ -74,12 +74,12 @@ class EngineConfig:
                 f"choose from {VERIFY_MODES}"
             )
         self.num_threads = num_threads
-        #: Upper bound on the partitions of a keyed buffer and of a HASHAGG
-        #: merge (the ``x64`` of EXPLAIN). The count itself follows the rows
-        #: at run time, one partition per
+        #: Upper bound on the partitions of a buffer and of a HASHAGG merge
+        #: (the ``x64`` of EXPLAIN). The count itself follows the rows at run
+        #: time, one partition per
         #: :data:`~repro.lolepop.partition_op.ROWS_PER_PARTITION` rows; under
-        #: ``memory_budget_bytes`` a keyed PARTITION, and a round-robin one
-        #: always, builds exactly this many.
+        #: ``memory_budget_bytes`` a PARTITION, keyed or round-robin, builds
+        #: exactly this many.
         self.num_partitions = num_partitions
         self.morsel_size = morsel_size
         #: When True the span tree gets a ``node`` per executed operator

@@ -12,14 +12,17 @@ time from the partials phase 1 produced:
   :data:`~repro.lolepop.partition_op.ROWS_PER_PARTITION` rows in total,
   they are concatenated and merged in one work item; there is nothing to
   spread across threads.
-- **partitioned** — otherwise each partial is scattered into
+- **partitioned** — otherwise the partials are scattered into a
+  :class:`~repro.storage.buffer.TupleBuffer` of
   :func:`~repro.lolepop.partition_op.partition_count` hash partitions —
   one per ``ROWS_PER_PARTITION`` partial rows, at most ``num_partitions``
-  — and every non-empty partition is merged in its own work item (the
-  paper's high-cardinality path).
+  — by :func:`~repro.lolepop.partition_op.scatter_runs`, PARTITION's own
+  scatter, and every non-empty partition is compacted and merged in its
+  own work item (the paper's high-cardinality path).
 
-Keyed PARTITION sizes its buffers by the same rule, so a merge bucket and
-a partition are the same amount of work.
+Both are the same buffer: "single" is the one-partition buffer, which
+``scatter_runs`` fills with no scatter region. So a merge bucket and a
+partition are the same amount of work.
 
 The choice is noted on the node span as ``merge`` and ``merge_partitions``.
 
@@ -37,12 +40,12 @@ from ..aggregates import AggregateCall, lookup
 from ..execution.context import ExecutionContext
 from ..relational.kernels import grouped_reduce
 from ..storage.batch import Batch
-from ..storage.buffer import TupleBuffer, scatter_rows
+from ..storage.buffer import BufferPartition, TupleBuffer
 from ..storage.column import Column
 from ..storage.keys import group_codes, table_slots
 from ..types import DataType, Field, Schema
 from .base import Lolepop, OpResult
-from .partition_op import partition_count
+from .partition_op import partition_count, scatter_runs
 from .properties import PhysProps, _missing_columns, unique_groups
 
 
@@ -117,7 +120,7 @@ def aggregate_batch(
 
 class HashAggOp(Lolepop):
     legend = "HASHAGG"
-    consumes = ("stream", "buffer")
+    consumes = ("stream",)
     produces = "stream"
 
     def __init__(
@@ -152,16 +155,9 @@ class HashAggOp(Lolepop):
 
     # ------------------------------------------------------------------
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
-        source = inputs[0]
-        if isinstance(source, TupleBuffer):
-            batches = [p.ordered_batch() for p in source.partitions if p.num_rows]
-            if not batches:
-                batches = [Batch.empty(source.schema)]
-        else:
-            batches = source
         return two_phase_aggregate(
             ctx,
-            batches,
+            inputs[0],
             self.key_names,
             self.tasks,
             self.num_partitions,
@@ -230,31 +226,21 @@ def two_phase_aggregate(
     partials = ctx.parallel_for(operator, batches, preaggregate)
     partial_rows = sum(len(p) for p in partials)
     # The fan-out follows the partials in hand: partials that fit one
-    # partition are one bucket, larger ones are scattered.
-    num_buckets = partition_count(partial_rows, num_partitions)
-
-    # Scatter partials into hash partitions (chunk-list concatenation in the
-    # paper; cheap, charged to the same operator). The scatter itself is a
-    # pure per-partial function; the pieces land in the pre-allocated
-    # buckets after the barrier, in partial order, so the bucket contents
-    # are deterministic under real threads.
-    def scatter(partial: Batch) -> List:
-        return scatter_rows(partial, key_names, num_buckets)
-
-    if num_buckets == 1:
-        mode, buckets = "single", [partials]
-    else:
-        scattered = ctx.parallel_for(operator, partials, scatter)
-        partitions: List[List[Batch]] = [[] for _ in range(num_buckets)]
-        for piece_list in scattered:
-            for pid, piece in piece_list:
-                partitions[pid].append(piece)
-        mode, buckets = "partitioned", [b for b in partitions if b]
+    # partition are one bucket, larger ones are scattered (chunk-list
+    # concatenation in the paper; cheap, charged to the same operator).
+    buffer = TupleBuffer(
+        partials[0].schema, partition_count(partial_rows, num_partitions), key_names
+    )
+    scatter_runs(ctx, operator, buffer, partials)
+    mode = "single" if buffer.num_partitions == 1 else "partitioned"
+    # An all-empty input is one empty partition, still merged once.
+    buckets = [p for p in buffer.partitions if p.num_rows] or buffer.partitions
     ctx.next_phase()
 
-    # Phase 2: merge each bucket with dynamically-growing tables.
-    def merge(bucket: List[Batch]) -> Batch:
-        return aggregate_batch(Batch.concat(bucket), key_names, merge_tasks)
+    # Phase 2: merge each bucket with dynamically-growing tables; the item
+    # compacts its partition.
+    def merge(bucket: BufferPartition) -> Batch:
+        return aggregate_batch(bucket.compact(), key_names, merge_tasks)
 
     merged = ctx.parallel_for(f"{operator}-merge", buckets, merge)
     if note is not None:

@@ -3,38 +3,40 @@
 Consumes an unordered stream and produces a :class:`TupleBuffer` whose
 partitions are decided by the hash of the partition keys (so any grouping
 whose keys are a superset of the partition keys stays partition-local).
-With no keys, morsels are scattered round-robin — the standalone-ORDER-BY
+With no keys, morsels are dealt round-robin — the standalone-ORDER-BY
 path.
 
-The partition count of a keyed buffer is chosen at run time from the rows
-in hand; the plan's ``num_partitions`` (``EngineConfig.num_partitions``,
-the ``k x64`` of EXPLAIN) is its upper bound:
+The partition count is chosen at run time from the rows in hand; the
+plan's ``num_partitions`` (``EngineConfig.num_partitions``, the ``k x64``
+of EXPLAIN) is its upper bound. The whole input is materialized before the
+first scatter, so PARTITION knows its row count and builds
+:func:`partition_count` ``(rows, num_partitions)`` partitions: one per
+:data:`ROWS_PER_PARTITION` rows, keyed or not. A partition is the unit of
+work of the chain that follows (:func:`~repro.lolepop.base.run_chain`):
+one item takes it through every SORT, WINDOW, ORDAGG and SCAN step over
+the buffer. Always building the cap cut 200 k rows into 3 k-row items
+whose cost was mostly fixed interpreter and numpy-call overhead; sizing
+from the rows keeps each item large enough to amortize it. Under
+``memory_budget_bytes`` the partition is the spill unit, so PARTITION
+keeps all ``num_partitions``.
 
-- **sized** — the whole input is materialized before the first scatter,
-  so PARTITION knows its row count and builds
-  :func:`partition_count` ``(rows, num_partitions)`` partitions: one per
-  :data:`ROWS_PER_PARTITION` rows. A partition is the unit of work of
-  compaction and of the chain that follows
-  (:func:`~repro.lolepop.base.run_chain`): one item takes it through
-  every SORT, WINDOW, ORDAGG and SCAN step over the buffer. Always building the cap cut 200 k rows into 3 k-row items whose cost
-  was mostly fixed interpreter and numpy-call overhead; sizing from the
-  rows keeps each item large enough to amortize it.
-- **fixed** — under ``memory_budget_bytes`` the partition is the spill
-  unit, so a keyed PARTITION keeps all ``num_partitions``; round-robin
-  keeps them too, since it is already sized by the number of morsels.
-
-The sized count is noted on the node span as ``partitions``. A keyed
+An unbudgeted count is noted on the node span as ``partitions``. A keyed
 buffer is clustered on its keys whatever its count, so the plan-time
 properties (:func:`hash_clustering`) do not depend on the choice.
 
 Mirrors the paper's §4.4: per-thread scatter, cross-thread chunk-list merge
-(free in our single-address-space emulation), then a *compaction* step
-producing one chunk per partition, which in-place modification (SORT)
-needs. A keyed scatter work item takes a run of consecutive morsels
-holding at least :data:`ROWS_PER_PARTITION` rows and scatters it at once
-(:func:`scatter_runs`), by the multiply-shift hash of
-:func:`~repro.storage.keys.partition_ids`: its cost follows the rows, not
-the morsel count, and a partition gets one piece per run.
+(free in our single-address-space emulation), then a *compaction* producing
+one chunk per partition, which in-place modification (SORT) needs. Every
+buffer is built by :func:`scatter_runs`: a keyed scatter work item takes a
+run of consecutive morsels holding at least :data:`ROWS_PER_PARTITION`
+rows and scatters it at once, by the multiply-shift hash of
+:func:`~repro.storage.keys.partition_ids`, so its cost follows the rows,
+not the morsel count, and a partition gets one piece per run. Compaction
+is lazy: the first work item that reads a partition
+(:meth:`~repro.storage.buffer.BufferPartition.pin`, or
+:meth:`~repro.storage.buffer.BufferPartition.compact` in a HASHAGG merge
+item) concatenates its pieces, so PARTITION runs no compaction pass of its
+own.
 
 Under a memory budget the partitions that do not fit are spilled right after
 the scatter. What the budget bounds is the buffer's loaded footprint from
@@ -65,8 +67,8 @@ ROWS_PER_PARTITION = 16_384
 
 def partition_count(rows: int, cap: int) -> int:
     """Partitions for ``rows`` rows: one per :data:`ROWS_PER_PARTITION`
-    (rounded up, at least one), at most ``cap``. Keyed PARTITION, the
-    HASHAGG merge and the monolithic baseline all size through here."""
+    (rounded up, at least one), at most ``cap``. PARTITION, the HASHAGG
+    merge and the monolithic baseline all size through here."""
     return min(cap, max(1, -(-rows // ROWS_PER_PARTITION)))
 
 
@@ -74,22 +76,27 @@ def scatter_runs(
     ctx: ExecutionContext, operator: str, buffer: TupleBuffer, batches: List[Batch]
 ) -> None:
     """Scatter ``batches`` into ``buffer`` (§4.4's per-thread scatter and
-    chunk-list merge): one ``operator`` work item per run of consecutive
-    morsels holding at least :data:`ROWS_PER_PARTITION` rows (the last run
-    may hold fewer), which concatenates its run and scatters it once. So an
-    item's fixed cost is paid per partition's worth of rows, and each
-    partition gets one piece per run, whatever the morsel size. An unkeyed
-    buffer has nothing to scatter: each morsel is a run of its own.
+    chunk-list merge) — the one way a buffer is built. With nothing to hash
+    (no keys, or one partition) morsel ``i`` goes to partition ``i % n`` on
+    the submitting thread, with no work item. Otherwise there is one
+    ``operator`` work item per run of consecutive morsels holding at least
+    :data:`ROWS_PER_PARTITION` rows (the last run may hold fewer), which
+    concatenates its run and scatters it once. So an item's fixed cost is
+    paid per partition's worth of rows, and each partition gets one piece
+    per run, whatever the morsel size.
 
     Scattering is a pure function (no shared-buffer writes from work
     items); the pieces are appended after the barrier in submission order,
-    so the chunk order is deterministic under real threads. Keyed PARTITION
-    and the monolithic baseline both scatter here."""
-    least = ROWS_PER_PARTITION if buffer.partitioned_by else 0
+    so the chunk order is deterministic under real threads. PARTITION, the
+    HASHAGG merge and the monolithic baseline all scatter here."""
+    count = buffer.num_partitions
+    if not buffer.partitioned_by or count == 1:
+        buffer.append_pieces([(i % count, batch) for i, batch in enumerate(batches)])
+        return
     runs: List[List[Batch]] = []
-    held = least
+    held = ROWS_PER_PARTITION
     for batch in batches:
-        if held >= least:
+        if held >= ROWS_PER_PARTITION:
             runs.append([])
             held = 0
         runs[-1].append(batch)
@@ -149,57 +156,29 @@ class PartitionOp(Lolepop):
 
     def execute(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         batches: List[Batch] = inputs[0]
-        schema = batches[0].schema
+        budget = ctx.config.memory_budget_bytes
         num_partitions = self.num_partitions
-        sized = bool(self.keys) and ctx.config.memory_budget_bytes is None
-        if sized:
+        if budget is None:
             rows = sum(len(batch) for batch in batches)
             num_partitions = partition_count(rows, num_partitions)
-        buffer = TupleBuffer(schema, num_partitions, self.keys)
-        if self.keys:
-            scatter_runs(ctx, "partition", buffer, batches)
-        else:
-            # Round-robin scatter: group morsels by target partition so
-            # each work item owns exactly one partition (disjoint writes).
-            targets: List[Tuple[int, List[Batch]]] = [
-                (pid, []) for pid in range(self.num_partitions)
-            ]
-            for i, batch in enumerate(batches):
-                targets[i % self.num_partitions][1].append(batch)
-
-            def scatter(item: Tuple[int, List[Batch]]) -> None:
-                pid, parts = item
-                for batch in parts:
-                    buffer.partitions[pid].append(batch)
-
-            ctx.parallel_for(
-                "partition", [t for t in targets if t[1]], scatter
-            )
-        if ctx.config.memory_budget_bytes is not None:
+        buffer = TupleBuffer(batches[0].schema, num_partitions, self.keys)
+        scatter_runs(ctx, "partition", buffer, batches)
+        if budget is not None:
             # The spilling LOLEPOP variant (paper §7): keep the buffer's
             # loaded footprint under the memory budget. A partition goes to
             # disk straight from its scattered pieces (the file is the
-            # compacted partition), so this runs before compaction; the
-            # write cost is charged like any other work.
-            buffer.enable_spilling(
-                ctx.spill_manager, ctx.config.memory_budget_bytes
-            )
+            # compacted partition); the write cost is charged like any
+            # other work.
+            buffer.enable_spilling(ctx.spill_manager, budget)
             ctx.next_phase()
             spilled = ctx.parallel_for(
                 "spill", [buffer], lambda b: b.spill_over_budget()
             )
             if self.span is not None and spilled:
                 self.note(spilled_partitions=spilled[0])
-        ctx.next_phase()
-        ctx.parallel_for(
-            "compaction",
-            [p for p in buffer.partitions if not p.is_compacted],
-            lambda p: p.compact(),
-            splittable=True,
-        )
         if self.span is not None:
             self.note(scatter_keys=",".join(self.keys) or "round-robin")
-            if sized:
+            if budget is None:
                 self.note(partitions=num_partitions)
         if self.reuse_capture is not None:
             manager = getattr(ctx.config, "reuse", None)

@@ -194,7 +194,6 @@ class _Translator:
         self, plan: Sort, limit: Optional[int], offset: int
     ) -> Lolepop:
         keys = plan.keys
-        limit_hint = (limit + offset) if limit is not None else None
 
         # Buffer-reuse path (Figure 3, plan 3): ORDER BY directly over a
         # window region's materialized buffer, re-sorted in place.
@@ -209,13 +208,29 @@ class _Translator:
             plan.child,
             required_order=keys,
         )
-        sort = self.dag.add(SortOp(partition, keys))
+        return self._sorted_result(
+            partition, keys, self._select_items(plan.schema), plan.schema, limit, offset
+        )
+
+    def _sorted_result(
+        self,
+        buffer_op: Lolepop,
+        keys,
+        project: List[Tuple[str, Expr]],
+        schema: Schema,
+        limit: Optional[int],
+        offset: int,
+    ) -> Lolepop:
+        """The ORDER BY tail over a buffer: SORT → MERGE (truncating every
+        run at ``limit + offset``) → SCAN projecting ``project``."""
+        limit_hint = (limit + offset) if limit is not None else None
+        sort = self.dag.add(SortOp(buffer_op, keys))
         merge = self.dag.add(MergeOp(sort, keys, limit_hint=limit_hint))
         return self.dag.add(
             ScanOp(
                 merge,
-                project=self._select_items(plan.schema),
-                project_schema=plan.schema,
+                project=project,
+                project_schema=schema,
                 limit=limit,
                 offset=offset,
             )
@@ -249,18 +264,9 @@ class _Translator:
             nodes=("SORT", "WINDOW"),
         )
         buffer_keys = [(mapping[name], desc) for name, desc in keys]
-        limit_hint = (limit + offset) if limit is not None else None
-        resort = self.dag.add(SortOp(window_sink, buffer_keys))
-        merge = self.dag.add(MergeOp(resort, buffer_keys, limit_hint=limit_hint))
         project = items if items is not None else self._select_items(plan.schema)
-        return self.dag.add(
-            ScanOp(
-                merge,
-                project=project,
-                project_schema=plan.schema,
-                limit=limit,
-                offset=offset,
-            )
+        return self._sorted_result(
+            window_sink, buffer_keys, project, plan.schema, limit, offset
         )
 
     # ==================================================================

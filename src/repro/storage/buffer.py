@@ -12,7 +12,8 @@ DAG optimizer reasons about:
 Following the paper, a partition can be accessed three ways:
 
 1. via its chunk list (append path, used by PARTITION / COMBINE),
-2. via a single *compacted* chunk (required before in-place modification),
+2. via a single *compacted* chunk (required before in-place modification;
+   the first work item that reads a partition compacts it),
 3. via a *permutation vector* — a sequence of row indices paired with copied
    key columns, which makes key comparisons cheap while avoiding moving wide
    tuples (§4.2).
@@ -54,7 +55,7 @@ def scatter_rows(
 ) -> List[Tuple[int, Batch]]:
     """``(partition id, sub-batch)`` per non-empty partition of ``batch``
     split ``count`` ways by the hash of ``key_names``; rows keep their order
-    within a partition. PARTITION and HASHAGG's merge both scatter here."""
+    within a partition. :meth:`TupleBuffer.scatter_run` scatters here."""
     ids = keys_mod.partition_ids([batch.column(name) for name in key_names], count)
     order, bounds = keys_mod.bucket_order(ids, count)
     return [
@@ -217,10 +218,6 @@ class BufferPartition:
         if self.is_spilled:
             return self._spill.rows
         return sum(len(chunk) for chunk in self.chunks)
-
-    @property
-    def is_compacted(self) -> bool:
-        return len(self.chunks) <= 1
 
     def append(self, batch: Batch) -> None:
         if len(batch) == 0:
@@ -385,7 +382,7 @@ class BufferPartition:
     def __repr__(self) -> str:
         mode = "spilled" if self.is_spilled else (
             "perm" if self.permutation is not None else (
-                "compact" if self.is_compacted else f"{len(self.chunks)} chunks"
+                "compact" if len(self.chunks) <= 1 else f"{len(self.chunks)} chunks"
             )
         )
         return f"BufferPartition({self.num_rows} rows, {mode})"

@@ -51,10 +51,10 @@ class TestChunkLists:
         buffer = TupleBuffer(SCHEMA, 1)
         buffer.partitions[0].append(make_batch([1], [0.1]))
         buffer.partitions[0].append(make_batch([2], [0.2]))
-        assert not buffer.partitions[0].is_compacted
+        assert len(buffer.partitions[0].chunks) == 2
         chunk = buffer.partitions[0].compact()
         assert len(chunk) == 2
-        assert buffer.partitions[0].is_compacted
+        assert buffer.partitions[0].chunks == [chunk]
 
     def test_empty_partition_compacts_to_empty_chunk(self):
         buffer = TupleBuffer(SCHEMA, 1)

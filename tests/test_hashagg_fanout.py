@@ -176,6 +176,32 @@ class TestBoundary:
             assert [r.attrs["items"] for r in merges] == [items]
 
 
+class TestMergeScatter:
+    """The partitioned merge scatters through PARTITION's own
+    ``scatter_runs``: one ``hashagg`` scatter item per run of consecutive
+    partials holding at least ``ROWS_PER_PARTITION`` rows (the last run may
+    hold fewer); the single merge runs no scatter region."""
+
+    # Six morsels of three distinct keys: six three-row partials.
+    BATCHES = [
+        _batch([(i, None, None, i, None, None) for i in range(start, start + 3)])
+        for start in range(0, 18, 3)
+    ]
+
+    @pytest.mark.parametrize("rows, scatter_items", [
+        (10**9, 0), (5, 3), (6, 3), (7, 2), (3, 6), (1, 6),
+    ])
+    def test_one_scatter_item_per_run(self, rows, scatter_items):
+        ctx = ExecutionContext(EngineConfig(num_threads=2, collect_trace=True))
+        with rows_per_partition(rows):
+            out = two_phase_aggregate(
+                ctx, self.BATCHES, ["ki"], TASKS[:1], num_partitions=8
+            )
+        items = [r.attrs["items"] for r in ctx.trace.regions if r.name == "hashagg"]
+        assert items == [6] + ([scatter_items] if scatter_items else [])
+        assert sorted(row[0] for row in Batch.concat(out).rows()) == list(range(18))
+
+
 class TestSaturationProbe:
     """Phase 1 passes a morsel through unaggregated when its keys would
     saturate the emulated 4 096-slot local table (more than 70 % of the

@@ -1,5 +1,6 @@
 """Direct tests of the transform LOLEPOPs (PARTITION/SORT/MERGE/SCAN/COMBINE)."""
 
+import pytest
 
 from repro.execution import EngineConfig, ExecutionContext
 from repro.expr.nodes import ColumnRef
@@ -11,8 +12,11 @@ from repro.lolepop import (
     SortOp,
     SourceOp,
 )
+from repro.lolepop.hashagg_op import HashAggTask, two_phase_aggregate
 from repro.storage import Batch, TupleBuffer
 from repro.types import Schema
+
+from tests.helpers import rows_per_partition
 
 SCHEMA = Schema.of(("k", "int64"), ("v", "float64"))
 
@@ -44,20 +48,59 @@ class TestPartitionOp:
         assert buffer.num_rows == 5
         assert buffer.partitioned_by == ("k",)
 
-    def test_compaction_single_chunk(self):
-        c = ctx()
-        batches = [make_batch([1], [0.1]), make_batch([1], [0.2])]
-        src = source(batches)
-        op = PartitionOp(src, ("k",), 2)
-        buffer = run(op, c, [batches])
+    def scattered(self):
+        """A keyed PARTITION of one-row morsels, each a run of its own: a
+        partition gets one piece per row."""
+        batches = [make_batch([k], [0.1 * i]) for i, k in enumerate([1, 2, 1, 3, 1, 2])]
+        with rows_per_partition(1):
+            return run(PartitionOp(source(batches), ("k",), 4), ctx(), [batches])
+
+    def test_partition_leaves_the_chunk_lists(self):
+        buffer = self.scattered()
+        assert buffer.num_partitions == 4
+        chunks = [len(p.chunks) for p in buffer.partitions]
+        assert sum(chunks) == 6 and max(chunks) == 3
+
+    @pytest.mark.parametrize("read", ["pin", "ordered_batch"])
+    def test_the_first_reader_compacts(self, read):
+        buffer = self.scattered()
         for partition in buffer.partitions:
-            assert partition.is_compacted
+            if read == "pin":
+                partition.pin(keep=True)
+                partition.unpin()
+            else:
+                partition.ordered_batch()
+            assert len(partition.chunks) == 1
+        assert buffer.num_rows == 6
+
+    def test_a_hashagg_merge_item_compacts_its_partition(self):
+        c = ctx()
+        before, after = [], []
+        region = c.parallel_for
+
+        def spy(operator, items, fn, *args, **kwargs):
+            if operator == "hashagg-merge":
+                before.extend(len(p.chunks) for p in items)
+            out = region(operator, items, fn, *args, **kwargs)
+            if operator == "hashagg-merge":
+                after.extend(len(p.chunks) for p in items)
+            return out
+
+        c.parallel_for = spy
+        batches = [make_batch([k, k + 10], [1.0, 2.0]) for k in range(6)]
+        with rows_per_partition(1):
+            out = two_phase_aggregate(
+                c, batches, ["k"], [HashAggTask("s", "sum", "v")], num_partitions=4
+            )
+        assert max(before) > 1 and set(after) == {1}
+        assert sum(len(b) for b in out) == 12
 
     def test_round_robin_without_keys(self):
         c = ctx()
         batches = [make_batch([i], [0.0]) for i in range(6)]
         op = PartitionOp(source(batches), (), 3)
-        buffer = run(op, c, [batches])
+        with rows_per_partition(2):
+            buffer = run(op, c, [batches])
         assert [p.num_rows for p in buffer.partitions] == [2, 2, 2]
 
 

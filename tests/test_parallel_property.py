@@ -350,7 +350,9 @@ def test_a_failed_or_cancelled_statement_closes_every_span(tree_db, monkeypatch,
     monkeypatch.setattr(RegionScheduler, "run_region", probed)
     tree_db.sql(sql, config=config)
     regions = state["entered"]
-    assert regions >= 5
+    # tablescan, partition, the chain and project: PARTITION compacts
+    # nothing itself, the chain's items compact their partitions.
+    assert regions >= 4
     recorded = []
     record_execution = tree_db.telemetry.record_execution
     monkeypatch.setattr(

@@ -1,4 +1,4 @@
-"""Run-time partition sizing: a keyed PARTITION, the HASHAGG merge and the
+"""Run-time partition sizing: PARTITION, the HASHAGG merge and the
 monolithic baseline cut their input into one partition per
 ``ROWS_PER_PARTITION`` rows, with ``num_partitions`` as the upper bound.
 The count is a function of the rows alone and never changes an answer."""
@@ -67,18 +67,36 @@ class TestPartitionOp:
         assert buffer.num_rows == rows
 
     def test_budget_keeps_the_plan_count(self, tmp_path):
-        # The partition is the spill unit under a budget.
-        with rows_per_partition(R):
-            buffer = _partition(
-                2 * R, ("k",), 64,
-                memory_budget_bytes=1 << 30, spill_directory=str(tmp_path),
-            )
-        assert buffer.num_partitions == 64
+        # The partition is the spill unit under a budget, keyed or not.
+        for keys in (("k",), ()):
+            with rows_per_partition(R):
+                buffer = _partition(
+                    2 * R, keys, 64,
+                    memory_budget_bytes=1 << 30, spill_directory=str(tmp_path),
+                )
+            assert buffer.num_partitions == 64
 
-    def test_round_robin_keeps_the_plan_count(self):
+    @pytest.mark.parametrize("rows, expected", [(2 * R, 2), (2 * R + 1, 3)])
+    def test_round_robin_count_follows_the_rows(self, rows, expected):
         with rows_per_partition(R):
-            buffer = _partition(2 * R, (), 5)
-        assert buffer.num_partitions == 5
+            buffer = _partition(rows, (), 64)
+        assert buffer.num_partitions == expected
+        assert buffer.num_rows == rows
+
+    @pytest.mark.parametrize("keys", [("k",), ()], ids=["one-partition", "keyless"])
+    def test_nothing_to_hash_runs_no_partition_region(self, keys):
+        # One keyed partition, or a keyless buffer of several: morsel i is
+        # dealt to partition i % n on the submitting thread.
+        morsels = [
+            Batch.from_pydict(SCHEMA, {"k": [i] * R, "v": [float(i)] * R})
+            for i in range(5)
+        ]
+        ctx = ExecutionContext(EngineConfig(collect_trace=True))
+        with rows_per_partition(R if not keys else ROWS_PER_PARTITION):
+            op = PartitionOp(SourceOp(lambda: morsels), keys, 64)
+            buffer = op.execute(ctx, [morsels])
+        assert [p.num_rows for p in buffer.partitions] == ([5 * R] if keys else [R] * 5)
+        assert [region.name for region in ctx.trace.regions] == []
 
 
 def _db(rows, seed):

@@ -27,6 +27,7 @@ from repro.lolepop import check_dag
 from repro.lolepop.base import Dag, Lolepop, SourceOp, buffer_root
 from repro.lolepop.combine_op import CombineOp
 from repro.lolepop.engine import statistics_region
+from repro.lolepop.hashagg_op import HashAggOp, HashAggTask
 from repro.lolepop.merge_op import MergeOp
 from repro.lolepop.ordagg_op import OrdAggOp
 from repro.lolepop.partition_op import PartitionOp
@@ -255,6 +256,23 @@ def test_removed_partition_is_caught(corpus_db):
             + "\n".join(d.render({}) for d in diagnostics)
         )
     assert applicable >= 20, f"only {applicable} plans had a removable PARTITION"
+
+
+def test_hashagg_over_a_buffer_is_caught():
+    """HASHAGG consumes a stream (Table 1: stream → stream/buffer): a
+    hand-built PARTITION → HASHAGG is a kind mismatch."""
+    dag = Dag()
+    source = dag.add(SourceOp(lambda: []))
+    partition = dag.add(PartitionOp(source, ("k",), 4))
+    hashagg = dag.add(
+        HashAggOp(partition, ["k"], [HashAggTask("n", "count_star", None)], 4)
+    )
+    dag.set_sink(hashagg)
+    diagnostics, codes = _codes(dag)
+    assert codes == {"kind-mismatch"}
+    assert [d.message for d in diagnostics] == [
+        f"{hashagg.name()} consumes stream but its input produces a buffer"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,10 @@ class TestFigure8Traces:
         merge = min(trace.total_work("hashagg-merge") for trace in traces)
         assert preaggregation > 1.5 * merge
 
-    def test_query2_shared_buffer_pipeline(self, db):
-        """MAD query: partition → sort → window → (re)sort → ordagg."""
+    def test_query2_shared_buffer_pipeline(self, db, tiny_partitions):
+        """MAD query: partition → sort → window → (re)sort → ordagg. At
+        test scale the buffer fits one partition, filled with no scatter
+        region; ``tiny_partitions`` brings back the partition phase."""
         trace = self.run_trace(db, 2)
         operators = trace.operators()
         for op in ("partition", "sort", "window", "ordagg"):
