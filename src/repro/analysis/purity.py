@@ -68,7 +68,7 @@ from .findings import Finding
 DEFAULT_BUFFER_MUTATORS = frozenset({
     "set_ordering", "append_columns", "columns_appended", "sort_inplace",
     "sort_permutation", "apply_sort_order", "append_pieces",
-    "append_partitioned", "enable_spilling", "append", "pin", "unpin",
+    "enable_spilling", "append", "pin", "unpin",
 })
 
 _REGION_METHODS = {"parallel_for": 2, "run_region": 3}  # fn-arg position

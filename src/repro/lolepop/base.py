@@ -40,7 +40,7 @@ OpResult = Union[List[Batch], TupleBuffer]
 #: The counters a ``node`` span starts with; ``extra`` (operator-specific
 #: details: sort mode, merge rounds, ...) rides beside them.
 NODE_COUNTERS = (
-    "rows_in", "rows_out", "batches_in", "batches_out", "peak_buffer_bytes",
+    "rows_in", "rows_out", "batches_in", "batches_out",
     "spill_bytes_written", "spill_bytes_read", "buffer_reuse_hits",
     "sort_elisions", "bytes_materialized", "peak_partition_bytes",
 )
@@ -53,30 +53,25 @@ def node_attrs() -> dict:
     return attrs
 
 
-def _shape_of(value: object) -> Tuple[int, int, int, int]:
-    """(rows, batches, buffer bytes, largest partition bytes) of an
-    operator input/output value. The largest partition is the unit of
-    per-worker memory, so a high value is the memory-side face of skew."""
+def _rows_and_batches(value: object) -> Tuple[int, int]:
+    """(rows, batches) of an operator input/output value."""
     if isinstance(value, TupleBuffer):
-        partition_peak = max(
-            (p.approx_bytes() for p in value.partitions), default=0
-        )
-        return (
-            value.num_rows, value.num_partitions,
-            value.approx_bytes(), partition_peak,
-        )
+        return value.num_rows, value.num_partitions
     if isinstance(value, (list, tuple)):
-        return sum(len(b) for b in value), len(value), 0, 0
-    return 0, 0, 0, 0
+        return sum(len(b) for b in value), len(value)
+    return 0, 0
 
 
 def _count_output(attrs: dict, result: object) -> None:
-    """Fill a ``node`` span's output counters from the node's result."""
-    rows, batches, buffer_bytes, partition_peak = _shape_of(result)
-    attrs["rows_out"] = rows
-    attrs["batches_out"] = batches
-    attrs["bytes_materialized"] = attrs["peak_buffer_bytes"] = buffer_bytes
-    attrs["peak_partition_bytes"] = partition_peak
+    """Fill a ``node`` span's output counters from the node's result. The
+    largest partition is the unit of per-worker memory, so a high
+    ``peak_partition_bytes`` is the memory-side face of skew."""
+    attrs["rows_out"], attrs["batches_out"] = _rows_and_batches(result)
+    if isinstance(result, TupleBuffer):
+        attrs["bytes_materialized"] = result.approx_bytes()
+        attrs["peak_partition_bytes"] = max(
+            (p.approx_bytes() for p in result.partitions), default=0
+        )
 
 
 class Lolepop:
@@ -125,7 +120,7 @@ class Lolepop:
         self.after: List[Lolepop] = []
         #: This node's ``node`` :class:`~repro.execution.trace.Span` once it
         #: executed under ``collect_trace=True``; ``None`` otherwise.
-        self.span = None
+        self.span: Optional[Span] = None
 
     def name(self) -> str:
         """EXPLAIN's operator legend: the class's ``legend``."""
@@ -380,7 +375,7 @@ def _traced_chain(
 ) -> List[OpResult]:
     """:func:`run_chain` with a ``node`` span per step (see
     :meth:`Dag.execute`)."""
-    rows, batches, _, _ = _shape_of(buffer)
+    rows, batches = _rows_and_batches(buffer)
     for step in steps:
         attrs = node_attrs()
         attrs["rows_in"], attrs["batches_in"] = rows, batches
@@ -567,7 +562,7 @@ class Dag:
                 continue
             attrs = node_attrs()
             for value in inputs:
-                rows, batches, _, _ = _shape_of(value)
+                rows, batches = _rows_and_batches(value)
                 attrs["rows_in"] += rows
                 attrs["batches_in"] += batches
             spill_before = ctx.spill_counters()

@@ -140,10 +140,6 @@ class CombineOp(Lolepop):
     # ------------------------------------------------------------------
     def _execute_join(self, ctx: ExecutionContext, inputs: List[OpResult]) -> OpResult:
         batches = [_as_batch(value) for value in inputs]
-
-        def build(_) -> None:
-            return None  # cost is charged below per input
-
         # Concatenate the key columns of all inputs; dense-encode the union.
         key_columns = [
             Column.concat([batch.column(name) for batch in batches])

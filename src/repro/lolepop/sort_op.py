@@ -40,20 +40,12 @@ class SortOp(Lolepop):
     chain_min_rows = 2
     splittable = True
 
-    def __init__(
-        self,
-        input_op: Lolepop,
-        keys: Sequence[Tuple[str, bool]],
-        mode: str = "auto",
-    ):
+    def __init__(self, input_op: Lolepop, keys: Sequence[Tuple[str, bool]]):
         super().__init__([input_op])
         self.keys = [(name, bool(desc)) for name, desc in keys]
-        #: 'inplace', 'permutation', or 'auto' (pick by tuple width)
-        self.mode = mode
 
     def describe(self) -> str:
-        keys = ",".join(f"{n}{' desc' if d else ''}" for n, d in self.keys)
-        return keys + ("" if self.mode == "auto" else f" [{self.mode}]")
+        return ",".join(f"{n}{' desc' if d else ''}" for n, d in self.keys)
 
     def requires(self, ins: Sequence[Optional[PhysProps]]) -> List[str]:
         return _missing_columns(
@@ -81,8 +73,6 @@ class SortOp(Lolepop):
         return True
 
     def _resolve_mode(self, width: int, ctx: ExecutionContext) -> str:
-        if self.mode != "auto":
-            return self.mode
         if not ctx.config.permutation_vectors:
             return "inplace"
         return "permutation" if width >= PERMUTATION_WIDTH_THRESHOLD else "inplace"

@@ -7,7 +7,10 @@ operators transform cardinality (the DAG-level analogue of
 SOURCE nodes estimate their relational pipeline, HASHAGG/ORDAGG estimate
 group counts against the region's input plan, buffer movers (PARTITION /
 SORT / MERGE / WINDOW / SCAN) pass their input estimate through, COMBINE
-takes the max (join mode) or sum (union mode) of its inputs.
+takes the max (join mode) or sum (union mode) of its inputs. A node span
+holds only what was measured: the views that compare against an estimate
+(EXPLAIN ANALYZE here, the feedback observations) call
+:func:`estimate_dag_rows` for the DAGs they read.
 
 The Q-error of a node is ``max(est/actual, actual/est)`` (both clamped to
 one row) — the standard estimate-quality measure; the summary line reports
@@ -16,10 +19,10 @@ the worst node, which is where the optimizer's model is most wrong.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..logical import Aggregate, Limit, LogicalPlan, Sort, Window
-from ..lolepop.base import Dag, SourceOp
+from ..lolepop.base import Dag, Lolepop, SourceOp
 from ..lolepop.combine_op import CombineOp
 from ..lolepop.hashagg_op import HashAggOp
 from ..lolepop.merge_op import MergeOp
@@ -29,6 +32,15 @@ from ..lolepop.scan_op import ScanOp
 from ..lolepop.sort_op import SortOp
 from ..lolepop.window_op import WindowOp
 from .metrics import executed_nodes
+
+if TYPE_CHECKING:
+    from ..execution.context import EngineConfig
+    from ..execution.trace import ExecutionTrace, Span
+    from ..logical.cardinality import CardinalityEstimator
+    from ..lolepop.engine import QueryResult
+
+#: A DAG's estimated output rows per node, keyed by ``id(node)``.
+Estimates = Dict[int, Optional[float]]
 
 
 def _region_input_plan(plan: Optional[LogicalPlan]) -> Optional[LogicalPlan]:
@@ -41,7 +53,7 @@ def _region_input_plan(plan: Optional[LogicalPlan]) -> Optional[LogicalPlan]:
     return node
 
 
-def estimate_dag_rows(dag: Dag, estimator) -> Dict[int, Optional[float]]:
+def estimate_dag_rows(dag: Dag, estimator: CardinalityEstimator) -> Estimates:
     """Estimated output rows per DAG node, keyed by ``id(node)``.
 
     ``estimator`` is a
@@ -49,13 +61,18 @@ def estimate_dag_rows(dag: Dag, estimator) -> Dict[int, Optional[float]]:
     estimate cannot be derived map to ``None``.
     """
     context = _region_input_plan(getattr(dag, "region_plan", None))
-    estimates: Dict[int, Optional[float]] = {}
+    estimates: Estimates = {}
     for node in dag.topological_order():
         estimates[id(node)] = _estimate_node(node, context, estimator, estimates)
     return estimates
 
 
-def _estimate_node(node, context, estimator, estimates) -> Optional[float]:
+def _estimate_node(
+    node: Lolepop,
+    context: Optional[LogicalPlan],
+    estimator: CardinalityEstimator,
+    estimates: Estimates,
+) -> Optional[float]:
     def input_estimate() -> Optional[float]:
         if not node.inputs:
             return None
@@ -91,7 +108,7 @@ def _estimate_node(node, context, estimator, estimates) -> Optional[float]:
     return input_estimate()
 
 
-def q_error(estimate: Optional[float], actual: int) -> Optional[float]:
+def q_error(estimate: Optional[float], actual: float) -> Optional[float]:
     """max(est/actual, actual/est), both sides clamped to >= 1 row."""
     if estimate is None:
         return None
@@ -100,37 +117,7 @@ def q_error(estimate: Optional[float], actual: int) -> Optional[float]:
     return max(est / act, act / est)
 
 
-def attach_estimates(dags, estimator) -> None:
-    """Put the estimated output rows of every executed node on its span
-    (``attrs["est_rows"]``, ``None`` where no estimate can be derived) —
-    once per traced execution: a span that carries one is skipped. The max
-    Q-error, EXPLAIN ANALYZE and the feedback observations all read them
-    from there."""
-    for dag in dags:
-        estimates = None
-        for node in dag.topological_order():
-            if node.span is None or "est_rows" in node.span.attrs:
-                continue
-            if estimates is None:
-                estimates = estimate_dag_rows(dag, estimator)
-            node.span.attrs["est_rows"] = estimates.get(id(node))
-
-
-def worst_q_error(dags, estimator) -> Optional[tuple]:
-    """``(Q-error, dag index, node index, node)`` of the worst-estimated
-    executed node across ``dags`` — EXPLAIN ANALYZE's summary line and the
-    ``max_q_error`` of the statement's
-    :class:`~repro.observability.telemetry.QueryRecord`. ``None`` when no
-    node has an estimate."""
-    attach_estimates(dags, estimator)
-    scored = [
-        (q_error(node.span.attrs["est_rows"], node.span.attrs["rows_out"]), dag, index, node)
-        for dag, index, node in executed_nodes(dags)
-    ]
-    return max((s for s in scored if s[0] is not None), key=lambda s: s[0], default=None)
-
-
-def region_skew(region) -> dict:
+def region_skew(region: Span) -> Dict[str, Any]:
     """Morsel-skew metrics of one ``region`` span: the skew ratio
     ``max/mean`` of its work items' durations says how badly one straggling
     work item stretched the barrier — 1.0 is perfectly balanced, large
@@ -158,7 +145,7 @@ def region_skew(region) -> dict:
     }
 
 
-def morsel_skew(trace) -> List[dict]:
+def morsel_skew(trace: Optional[ExecutionTrace]) -> List[Dict[str, Any]]:
     """:func:`region_skew` of every region of an
     :class:`~repro.execution.trace.ExecutionTrace`, worst skew first — one
     entry per ``run_region`` barrier, however many regions share an operator
@@ -178,7 +165,9 @@ def _format_bytes(num: float) -> str:
     return f"{num:.1f}GB"
 
 
-def render_analyze(result, config, estimator) -> str:
+def render_analyze(
+    result: QueryResult, config: EngineConfig, estimator: CardinalityEstimator
+) -> str:
     """Render ``EXPLAIN ANALYZE`` output for an executed query.
 
     ``result`` is a :class:`~repro.lolepop.engine.QueryResult` produced with
@@ -197,13 +186,15 @@ def render_analyze(result, config, estimator) -> str:
         f"EXPLAIN ANALYZE (lolepop, {config.num_threads} threads, "
         f"{config.execution_mode} mode)"
     ]
-    worst = worst_q_error(dags, estimator)  # attaches the estimates
+    # The worst-estimated executed node: (Q-error, where it is).
+    worst: Optional[Tuple[float, str]] = None
     executed = executed_nodes(dags)
     total_time = sum(node.span.exclusive for _, _, node in executed) or 1.0
     for dag_index, dag in enumerate(dags):
         from ..lolepop.verify import derive_properties
 
         derived = derive_properties(dag)
+        estimates = estimate_dag_rows(dag, estimator)
         order = dag.topological_order()
         ids = {id(node): i for i, node in enumerate(order)}
         if len(dags) > 1:
@@ -218,7 +209,7 @@ def render_analyze(result, config, estimator) -> str:
                 lines.append(head + "  (not executed)")
                 continue
             stats = node.span.attrs
-            estimate = stats["est_rows"]
+            estimate = estimates[id(node)]
             parts = [f"rows={stats['rows_out']}"]
             parts.append(
                 "est=?" if estimate is None else f"est={estimate:.0f}"
@@ -226,11 +217,14 @@ def render_analyze(result, config, estimator) -> str:
             node_q = q_error(estimate, stats["rows_out"])
             if node_q is not None:
                 parts.append(f"q={node_q:.2f}")
+                if worst is None or node_q > worst[0]:
+                    region = f"region {dag_index} " if len(dags) > 1 else ""
+                    worst = (node_q, f"{region}#{ids[id(node)]} {node.name()}")
             work = node.span.exclusive
             parts.append(f"time={work / total_time * 100:.1f}%")
             parts.append(f"work={work * 1000:.2f}ms")
-            if stats["peak_buffer_bytes"]:
-                parts.append(f"buf={_format_bytes(stats['peak_buffer_bytes'])}")
+            if stats["bytes_materialized"]:
+                parts.append(f"buf={_format_bytes(stats['bytes_materialized'])}")
             if stats["buffer_reuse_hits"]:
                 parts.append(f"reuse={stats['buffer_reuse_hits']}")
             if stats["sort_elisions"]:
@@ -255,9 +249,7 @@ def render_analyze(result, config, estimator) -> str:
             f"probe={join['probe_rows']} matched={join['matched_rows']}"
         )
     if worst is not None:
-        node_q, dag_index, node_index, node = worst
-        region = f"region {dag_index} " if len(dags) > 1 else ""
-        lines.append(f"max Q-error: {node_q:.2f} at {region}#{node_index} {node.name()}")
+        lines.append(f"max Q-error: {worst[0]:.2f} at {worst[1]}")
     else:
         lines.append("max Q-error: n/a (no estimates)")
 

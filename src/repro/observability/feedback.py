@@ -1,7 +1,8 @@
 """Persistent cardinality-feedback store: the closed Q-error loop.
 
-Every executed query contributes *actuals* — observed output rows per plan
-operator — keyed by ``(plan fingerprint, operator position)``. The store
+Every executed query contributes *actuals* — the rows it returned, and
+when it was traced the observed output rows per plan operator — keyed by
+``(plan fingerprint, operator position)``. The store
 persists them as one small schema-validated JSON file per fingerprint
 under a feedback directory (``REPRO_FEEDBACK_DIR`` or the ``Database``'s
 ``feedback_dir``), survives restarts, and feeds two consumers:
@@ -44,7 +45,7 @@ from ..logical.plan import key_hash
 from ..lolepop.base import SourceOp
 from ..lolepop.hashagg_op import HashAggOp
 from ..lolepop.ordagg_op import OrdAggOp
-from .analyze import _region_input_plan, attach_estimates, q_error
+from .analyze import _region_input_plan, estimate_dag_rows, q_error
 from .workload import DRIFT_THRESHOLD
 
 __all__ = [
@@ -55,9 +56,14 @@ __all__ = [
     "profile_observations",
 ]
 
-#: 2: signatures are hashes of :meth:`LogicalPlan.key` (1 concatenated
-#: display labels, which truncate); older files are skipped on load.
-SCHEMA_VERSION = 2
+#: 3: the ROOT observation has its own slot, position -1 (2 shared slot 0
+#: with the first operator, blending their row counts); 2: signatures are
+#: hashes of :meth:`LogicalPlan.key` (1 concatenated display labels, which
+#: truncate). Older files are skipped on load.
+SCHEMA_VERSION = 3
+
+#: The slot of the ROOT observation, apart from the operators' 0, 1, ...
+ROOT_POSITION = -1
 
 #: Exponential smoothing factor for actual row counts (matches the
 #: workload profiler's recency bias).
@@ -108,17 +114,17 @@ def profile_observations(dags, estimator) -> List[dict]:
     one dict per DAG node carrying a span, with the operator's position
     (counted across all region DAGs), its estimate under ``estimator``, its
     actuals, and the resource-ledger fields."""
-    attach_estimates(dags, estimator)
     observations: List[dict] = []
     position = 0
     for dag in dags:
         context = _region_input_plan(getattr(dag, "region_plan", None))
+        estimates = estimate_dag_rows(dag, estimator)
         for node in dag.topological_order():
             position += 1
             if node.span is None:
                 continue
             stats = node.span.attrs
-            estimate = stats["est_rows"]
+            estimate = estimates[id(node)]
             observations.append(
                 {
                     "position": position - 1,
@@ -136,12 +142,12 @@ def profile_observations(dags, estimator) -> List[dict]:
 
 
 def root_observation(plan, est_rows: Optional[float], actual_rows: int) -> dict:
-    """The profile-free fallback observation: the query's root cardinality
-    (estimate at prepare time vs. rows actually returned). Recorded on
-    every telemetry-enabled execution, so the feedback store fills even
-    when tracing is off (the serving default)."""
+    """The query's root cardinality (estimate at prepare time vs. rows
+    actually returned), in its own slot. Recorded on every successful
+    telemetry-enabled execution, traced or not, so the feedback store fills
+    even when tracing is off (the serving default)."""
     return {
-        "position": 0,
+        "position": ROOT_POSITION,
         "name": "ROOT",
         "describe": "",
         "signature": plan_signature(plan),
@@ -384,21 +390,20 @@ class FeedbackStore:
         """The store's one entry point, reached from
         :meth:`~repro.observability.telemetry.Telemetry.record_execution`
         for every successful execution that had a plan: fold the run's
-        actuals in (per operator when the run was traced, else the root
-        cardinality against the prepare-time estimate), then decide from
+        actuals in (the root cardinality against the prepare-time estimate,
+        and per operator when the run was traced), then decide from
         ``template`` — the workload profiler's aggregate for this
         fingerprint — whether the estimates have drifted far enough to
         re-plan. On drift the prepared plan's cached estimate and DAG
         templates are dropped, a ``feedback.replan`` breadcrumb is emitted
         and ``True`` tells the caller to discard its plan-cache entry, so
         the next execution plans against the now-calibrated estimator."""
+        est = prepared.est_rows
+        if est is not None and est < 0.0:
+            est = None  # estimation-failure sentinel
+        observations = [root_observation(prepared.plan, est, record.rows)]
         if result.trace is not None and result.dags:
-            observations = profile_observations(result.dags, estimator)
-        else:
-            est = prepared.est_rows
-            if est is not None and est < 0.0:
-                est = None  # estimation-failure sentinel
-            observations = [root_observation(prepared.plan, est, record.rows)]
+            observations += profile_observations(result.dags, estimator)
         self.observe(record.fingerprint, record.sql, observations)
         ratio = template.drift_ratio()
         if ratio is None or ratio < DRIFT_THRESHOLD:

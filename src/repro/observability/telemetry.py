@@ -5,12 +5,13 @@ EXPLAIN ANALYZE and the Chrome trace make a *single query* observable;
 this module makes the *service* observable: once a statement finishes, its
 span tree is closed into a compact :class:`QueryRecord` — normalized SQL,
 plan fingerprint, parse/bind/translate/execute latency breakdown, rows,
-spill, cache flags, max Q-error — which feeds three bounded sinks:
+spill, cache flags, the root Q-error — which feeds three bounded sinks:
 
 - the :class:`~repro.observability.events.FlightRecorder` ring buffer
   (incident reconstruction: what happened, in order, just now);
 - the slow-query log (full records for queries over a latency
-  threshold);
+  threshold; only these carry morsel skew, derived from the span tree
+  when the record enters the log);
 - :class:`~repro.observability.workload.WorkloadStats` (per-template
   streaming latency/Q-error aggregates, the adaptive re-planning signal).
 
@@ -19,7 +20,9 @@ a disabled server pays one branch per query and builds neither root span
 nor record. When enabled, the per-query cost is the root and its stage
 spans, one :class:`QueryRecord`, a few dict/deque updates under short
 locks, and (once per distinct prepared plan) one plan hash and one
-cardinality estimate — all per *query*, never per node, region or row.
+cardinality estimate — all per *query*, never per node, region or row,
+whether or not the run was traced. Only a slow query's record walks the
+regions for skew.
 Memory is bounded everywhere: the recorder and the slow-query log are each
 a :class:`~repro.bounded.Ring` and the fingerprint table an
 :class:`~repro.bounded.Lru`, all sized by :class:`TelemetryConfig`.
@@ -46,7 +49,7 @@ from ..bounded import Ring
 from ..errors import QueryCancelled
 from ..execution.trace import Span
 from ..logical.plan import key_hash
-from .analyze import morsel_skew, q_error, worst_q_error
+from .analyze import morsel_skew, q_error
 from .events import FlightRecorder
 from .workload import DRIFT_THRESHOLD, WorkloadStats
 
@@ -132,8 +135,6 @@ class QueryRecord:
         spill_bytes_written: int = 0,
         spill_bytes_read: int = 0,
         max_q_error: Optional[float] = None,
-        morsel_skew: Optional[float] = None,
-        straggler: Optional[str] = None,
     ):
         self.query_id = query_id
         self.session_id = session_id
@@ -155,15 +156,17 @@ class QueryRecord:
         self.queue_wait_s = queue_wait_s
         self.spill_bytes_written = spill_bytes_written
         self.spill_bytes_read = spill_bytes_read
-        #: Worst node-level Q-error when the run was traced, else the
-        #: root-level Q-error from the cached plan estimate; ``None`` when
+        #: The statement's root Q-error: the row estimate cached on its
+        #: prepared plan against the rows it returned, traced or not — the
+        #: one series the workload table's drift check reads. ``None`` when
         #: no estimate exists (DDL, EXPLAIN, estimator failure).
         self.max_q_error = max_q_error
         #: Worst per-region morsel skew (max/mean work-item duration) and
-        #: the ``"operator/phase"`` that caused it, when a trace was
-        #: collected; ``None`` otherwise (the serving default).
-        self.morsel_skew = morsel_skew
-        self.straggler = straggler
+        #: the ``"operator/phase"`` that caused it — set only on a record
+        #: that enters the slow log from a traced run with a region of two
+        #: or more items; ``None`` otherwise (the serving default).
+        self.morsel_skew: Optional[float] = None
+        self.straggler: Optional[str] = None
         self.wall = time.time()
 
     def to_dict(self) -> dict:
@@ -273,8 +276,9 @@ class Telemetry:
         ran (or would have run) under — a statement that never got a plan
         is fingerprinted by its text — and the ``result`` or the ``error``.
         Derived here: status, fingerprint, rows, and for a statement that
-        actually executed (not a result-cache hit) translate seconds, spill,
-        morsel skew and max Q-error against ``estimator``.
+        actually executed (not a result-cache hit) translate seconds, spill
+        and the root Q-error against ``estimator``; morsel skew only when
+        the record enters the slow log.
 
         The record feeds the flight recorder, the workload table, the slow
         log and, for a successful execution, the ``feedback`` store; ``True``
@@ -298,10 +302,6 @@ class Telemetry:
                 status, error_text = "error", f"{type(error).__name__}: {error}"
             executed = None if attrs["result_cache_hit"] else result
             spill = getattr(executed, "spill", None) or {}
-            skew = next(
-                (e for e in morsel_skew(getattr(executed, "trace", None)) if e["items"] >= 2),
-                None,
-            )
             stages = root.stages()
             parse_bind_s = stages.get("parse_bind", 0.0)
             execute_s = stages.get("execute", 0.0)
@@ -327,11 +327,9 @@ class Telemetry:
                 queue_wait_s=queue.end - root.start if queue is not None else 0.0,
                 spill_bytes_written=spill.get("bytes_written", 0),
                 spill_bytes_read=spill.get("bytes_read", 0),
-                max_q_error=_max_q_error(prepared, executed, estimator),
-                morsel_skew=skew and skew["skew"],
-                straggler=skew and f"{skew['operator']}/{skew['phase']}",
+                max_q_error=_root_q_error(prepared, executed, estimator),
             )
-            template = self._fan_out(record)
+            template = self._fan_out(record, getattr(executed, "trace", None))
             if feedback is not None and status == "ok" and executed is not None:
                 return feedback.record_execution(
                     record, prepared, executed, estimator, template
@@ -340,8 +338,10 @@ class Telemetry:
             pass
         return False
 
-    def _fan_out(self, record: QueryRecord):
-        """Feed ``record`` into every sink; returns its workload template."""
+    def _fan_out(self, record: QueryRecord, trace):
+        """Feed ``record`` into every sink; returns its workload template.
+        A record that enters the slow log first gets the worst skew of
+        ``trace``'s regions with two or more items."""
         self.queries_recorded += 1
         is_error = record.status == "error"
         self.recorder.record(
@@ -375,6 +375,10 @@ class Telemetry:
             rows=record.rows,
         )
         if record.total_s >= self.config.slow_query_threshold_s:
+            skew = next((e for e in morsel_skew(trace) if e["items"] >= 2), None)
+            if skew is not None:
+                record.morsel_skew = skew["skew"]
+                record.straggler = f"{skew['operator']}/{skew['phase']}"
             self.slowlog.append(record.to_dict())
         if is_error and self.config.dump_on_error_dir:
             self._dump_on_error(record)
@@ -463,17 +467,12 @@ class Telemetry:
         self.queries_recorded = 0
 
 
-def _max_q_error(prepared, result, estimator) -> Optional[float]:
-    """Per-query max Q-error, always on: node-level (the EXPLAIN ANALYZE
-    summary's number) when the run was traced, else the root-level
-    Q-error against an estimate cached on the prepared plan — one estimator
-    call per *prepared plan*, not per execution."""
+def _root_q_error(prepared, result, estimator) -> Optional[float]:
+    """The statement's Q-error, traced or not: the rows it returned against
+    the root estimate cached on the prepared plan — one estimator call per
+    *prepared plan*, not per execution."""
     if result is None or estimator is None or prepared.plan is None:
         return None
-    if result.trace is not None and result.dags:
-        worst = worst_q_error(result.dags, estimator)
-        if worst is not None:
-            return worst[0]
     if prepared.est_rows is None:
         try:
             prepared.est_rows = max(0.0, float(estimator.rows(prepared.plan)))

@@ -530,9 +530,10 @@ class TupleBuffer:
         id, sub-batch)`` pieces by the hash of ``partitioned_by`` *without
         mutating the buffer* — the run is concatenated and scattered once,
         so each partition gets at most one piece, its rows in run order.
-        This is the thread-safe half of :meth:`append_partitioned`: work
-        items scatter concurrently, and the caller appends the pieces after
-        the region barrier in deterministic submission order.
+        Work items scatter concurrently, and the caller hands the pieces to
+        :meth:`append_pieces` after the region barrier, in deterministic
+        submission order. With no partition keys (or a single partition)
+        the run is one piece for partition 0.
         """
         batch = run[0] if len(run) == 1 else Batch.concat(run)
         if len(batch) == 0:
@@ -550,21 +551,9 @@ class TupleBuffer:
         for pid, piece in pieces:
             self.partitions[pid].append(piece)
 
-    def append_partitioned(self, batch: Batch) -> None:
-        """Scatter one batch into the hash partitions by ``partitioned_by``.
-
-        With no partition keys (or a single partition) the batch is appended
-        to partition 0 unchanged.
-        """
-        self.append_pieces(self.scatter_run([batch]))
-
     # ------------------------------------------------------------------
     # Consumption paths
     # ------------------------------------------------------------------
-    def partition_batches(self) -> List[Batch]:
-        """One logically-ordered batch per partition."""
-        return [p.ordered_batch() for p in self.partitions]
-
     def scan_batches(self) -> List[Batch]:
         """All partitions as a list of batches (partition order)."""
         return [p.ordered_batch() for p in self.partitions if p.num_rows > 0] or [

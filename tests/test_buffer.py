@@ -20,12 +20,12 @@ def make_batch(ks, vs):
 class TestPartitioning:
     def test_rows_preserved(self):
         buffer = TupleBuffer(SCHEMA, 4, ("k",))
-        buffer.append_partitioned(make_batch([1, 2, 3, 4, 5], [0.1] * 5))
+        buffer.append_pieces(buffer.scatter_run([make_batch([1, 2, 3, 4, 5], [0.1] * 5)]))
         assert buffer.num_rows == 5
 
     def test_keys_stay_partition_local(self):
         buffer = TupleBuffer(SCHEMA, 4, ("k",))
-        buffer.append_partitioned(make_batch([7, 8, 7, 9, 7], [0.0] * 5))
+        buffer.append_pieces(buffer.scatter_run([make_batch([7, 8, 7, 9, 7], [0.0] * 5)]))
         for partition in buffer.partitions:
             if partition.num_rows == 0:
                 continue
@@ -38,7 +38,7 @@ class TestPartitioning:
 
     def test_unpartitioned_goes_to_partition_zero(self):
         buffer = TupleBuffer(SCHEMA, 4)
-        buffer.append_partitioned(make_batch([1, 2], [0.0, 0.0]))
+        buffer.append_pieces(buffer.scatter_run([make_batch([1, 2], [0.0, 0.0])]))
         assert buffer.partitions[0].num_rows == 2
 
     def test_zero_partitions_rejected(self):
@@ -107,7 +107,8 @@ class TestAddColumns:
 
     def test_window_write_back(self):
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
-        buffer.append_partitioned(make_batch([1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4]))
+        batch = make_batch([1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4])
+        buffer.append_pieces(buffer.scatter_run([batch]))
         for partition in buffer.partitions:
             n = partition.num_rows
             partition.append_columns(
@@ -172,7 +173,7 @@ def test_partition_scatter_is_lossless(ks, parts):
     """Property: partitioning scatters rows without loss or duplication."""
     vs = [float(i) for i in range(len(ks))]
     buffer = TupleBuffer(SCHEMA, parts, ("k",))
-    buffer.append_partitioned(make_batch(ks, vs))
+    buffer.append_pieces(buffer.scatter_run([make_batch(ks, vs)]))
     collected = sorted(
         v for p in buffer.partitions for _, v in p.ordered_batch().rows()
     )

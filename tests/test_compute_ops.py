@@ -65,7 +65,7 @@ class TestHashAggOp:
 class TestOrdAggOp:
     def sorted_buffer(self, ks, vs, keys=("k", "v")):
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
-        buffer.append_partitioned(make_batch(ks, vs))
+        buffer.append_pieces(buffer.scatter_run([make_batch(ks, vs)]))
         for partition in buffer.partitions:
             partition.sort_inplace(list(keys), [False] * len(keys))
         buffer.set_ordering(tuple((k, False) for k in keys))
@@ -120,7 +120,7 @@ class TestOrdAggOp:
 class TestWindowOp:
     def sorted_buffer(self, ks, vs):
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
-        buffer.append_partitioned(make_batch(ks, vs))
+        buffer.append_pieces(buffer.scatter_run([make_batch(ks, vs)]))
         for partition in buffer.partitions:
             partition.sort_inplace(["k", "v"], [False, False])
         buffer.set_ordering((("k", False), ("v", False)))
@@ -144,7 +144,7 @@ class TestWindowOp:
 
     def rows_by_key(self, buffer):
         out = {}
-        for batch in buffer.partition_batches():
+        for batch in [p.ordered_batch() for p in buffer.partitions]:
             for row in batch.rows():
                 out.setdefault(row[0], []).append(row)
         return out

@@ -13,6 +13,7 @@ from repro.lolepop import (
     SourceOp,
 )
 from repro.lolepop.hashagg_op import HashAggTask, two_phase_aggregate
+from repro.lolepop.sort_op import PERMUTATION_WIDTH_THRESHOLD
 from repro.storage import Batch, TupleBuffer
 from repro.types import Schema
 
@@ -107,9 +108,8 @@ class TestPartitionOp:
 class TestSortOp:
     def make_buffer(self):
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
-        buffer.append_partitioned(
-            make_batch([3, 1, 2, 1], [0.3, 0.1, 0.2, 0.4])
-        )
+        batch = make_batch([3, 1, 2, 1], [0.3, 0.1, 0.2, 0.4])
+        buffer.append_pieces(buffer.scatter_run([batch]))
         return buffer
 
     def test_sorts_each_partition(self):
@@ -146,18 +146,22 @@ class TestSortOp:
         assert c.scheduler.serial_time > before
 
     def test_permutation_mode(self):
-        c = ctx()
-        buffer = self.make_buffer()
-        run(SortOp(source([]), [("v", False)], mode="permutation"), c, [buffer])
+        """Tuples of ``PERMUTATION_WIDTH_THRESHOLD`` or more columns sort
+        through a permutation vector."""
+        names = [f"c{i}" for i in range(PERMUTATION_WIDTH_THRESHOLD)]
+        wide = Schema.of(*[(name, "int64") for name in names])
+        buffer = TupleBuffer(wide, 2, ("c0",))
+        batch = Batch.from_pydict(wide, {name: [3, 1, 2, 1] for name in names})
+        buffer.append_pieces(buffer.scatter_run([batch]))
+        run(SortOp(source([]), [("c1", False)]), ctx(), [buffer])
         assert any(p.permutation is not None for p in buffer.partitions if p.num_rows > 1)
 
 
 class TestMergeOp:
     def sorted_buffer(self):
         buffer = TupleBuffer(SCHEMA, 3, ("k",))
-        buffer.append_partitioned(
-            make_batch([5, 3, 1, 4, 2, 6], [0.5, 0.3, 0.1, 0.4, 0.2, 0.6])
-        )
+        batch = make_batch([5, 3, 1, 4, 2, 6], [0.5, 0.3, 0.1, 0.4, 0.2, 0.6])
+        buffer.append_pieces(buffer.scatter_run([batch]))
         for partition in buffer.partitions:
             partition.sort_inplace(["v"], [False])
         buffer.set_ordering((("v", False),))
@@ -182,7 +186,8 @@ class TestMergeOp:
     def test_descending_merge(self):
         c = ctx()
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
-        buffer.append_partitioned(make_batch([1, 2, 3, 4], [1.0, 4.0, 3.0, 2.0]))
+        batch = make_batch([1, 2, 3, 4], [1.0, 4.0, 3.0, 2.0])
+        buffer.append_pieces(buffer.scatter_run([batch]))
         for partition in buffer.partitions:
             partition.sort_inplace(["v"], [True])
         out = run(MergeOp(source([]), [("v", True)]), c, [buffer])

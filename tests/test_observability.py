@@ -676,7 +676,14 @@ class TestFrozenViews:
     outer PARTITION runs no ``partition`` region or item (the worker and
     region lanes lose one entry each, 20/10 → 19/9, and ``operator_summary``
     counts 0 ``partition`` items). ``group_by`` and ``window_under_budget``
-    are unchanged."""
+    are unchanged.
+
+    Since then an operator's profile JSON has no ``peak_buffer_bytes``: it
+    always held the same number as ``bytes_materialized``, which stays (the
+    rows below lose that column, every other value is unchanged). The
+    record's ``max_q_error`` is the statement's root Q-error, traced or
+    not, rather than the worst node's; it reads 1.0 for all three, as
+    before."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -715,9 +722,9 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 24, "preagg_partials": 4}],
-                    [2, "SCAN", "project 3 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, {}],
+                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 24, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -816,16 +823,16 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 24, 0, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x64", 24, 24, 1, 1, "<t>", 384, 0, 0, 0, 0, 384, 384, {"scatter_keys": "k", "partitions": 1}],
-                    [2, "SORT", "k,s", 24, 24, 1, 1, "<t>", 384, 0, 0, 0, 0, 384, 384, {"mode": "inplace", "sorted_partitions": 1}],
-                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 1, "tasks": 1}],
-                    [4, "SCAN", "project 2 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
+                    [0, "SOURCE", "pipeline", 0, 24, 0, 1, "<t>", 0, 0, 0, 0, 0, 0, {}],
+                    [1, "PARTITION", "k x64", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 384, 384, {"scatter_keys": "k", "partitions": 1}],
+                    [2, "SORT", "k,s", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 384, 384, {"mode": "inplace", "sorted_partitions": 1}],
+                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 1, "tasks": 1}],
+                    [4, "SCAN", "project 2 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
                 ],
                 [
-                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 96, "preagg_partials": 4}],
-                    [2, "SCAN", "project 3 exprs", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, {}],
+                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 96, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -942,11 +949,11 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 4, "scatter_keys": "k"}],
-                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 0, 32000, 0, 0, 0, 0, {"mode": "inplace", "sorted_partitions": 4}],
-                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 1, 0, 0, 0, {"window_calls": 1}],
-                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, {}],
+                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 4, "scatter_keys": "k"}],
+                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, {"mode": "inplace", "sorted_partitions": 4}],
+                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 0, 1, 0, 0, 0, {"window_calls": 1}],
+                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -1031,7 +1038,7 @@ class TestFrozenViews:
     #: the operator noted anything. A row below is the values in this order.
     OPERATOR_KEYS = [
         "id", "name", "describe", "rows_in", "rows_out", "batches_in", "batches_out",
-        "wall_time_s", "peak_buffer_bytes", "spill_bytes_written", "spill_bytes_read",
+        "wall_time_s", "spill_bytes_written", "spill_bytes_read",
         "buffer_reuse_hits", "sort_elisions", "bytes_materialized", "peak_partition_bytes",
     ]
 

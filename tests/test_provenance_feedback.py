@@ -29,6 +29,7 @@ from repro.observability.analyze import morsel_skew
 from repro.logical import key_hash, template_key
 from repro.lolepop.engine import QueryResult
 from repro.observability.feedback import (
+    ROOT_POSITION,
     FeedbackStore,
     group_signature,
     plan_signature,
@@ -360,9 +361,11 @@ class TestFeedbackStore:
         store.flush()
         (tmp_path / "fb_dead.json").write_text("{not json")
         (tmp_path / "fb_beef.json").write_text('{"schema": 999}')
-        # A file from before signatures were plan-key hashes (schema 1).
-        old = dict(store.get("abc123"), schema_version=1, fingerprint="old1")
-        (tmp_path / "fb_old1.json").write_text(json.dumps(old))
+        # Files from before signatures were plan-key hashes (schema 1) and
+        # before ROOT had its own slot (schema 2).
+        for version in (1, 2):
+            old = dict(store.get("abc123"), schema_version=version, fingerprint=f"old{version}")
+            (tmp_path / f"fb_old{version}.json").write_text(json.dumps(old))
         telemetry = fresh_telemetry()
         reopened = FeedbackStore(str(tmp_path), telemetry=telemetry)
         assert reopened.fingerprints() == ["abc123"]  # good file survives
@@ -371,7 +374,7 @@ class TestFeedbackStore:
             for e in telemetry.recorder.snapshot()
             if e["kind"] == "feedback.load_error"
         ]
-        assert len(warnings) == 3
+        assert len(warnings) == 4
 
     def test_every_truncation_is_skipped(self, tmp_path):
         """A file cut off at any byte is skipped with a breadcrumb, and the
@@ -588,6 +591,52 @@ class TestClosedLoop:
         monkeypatch.setattr(db.feedback, "record_execution", lambda *a: True)
         db.sql(DRIFT_SQL)
         assert db.prepare(DRIFT_SQL) is not prepared
+
+
+class TestTracedAndUntracedRuns:
+    """A statement's Q-error and its feedback slots do not depend on
+    whether the run was traced."""
+
+    def test_a_traced_run_reads_the_same_q_error(self, tmp_path):
+        """The root estimate (7 groups) is right, the filter's (666 of 10
+        rows) is not: ten untraced runs and then a traced one are eleven
+        root Q-errors of 1.0, so nothing drifts and the plan is kept."""
+        telemetry = fresh_telemetry()
+        db = Database(num_threads=2, telemetry=telemetry, feedback_dir=str(tmp_path / "fb"))
+        db.create_table("t", {"g": "int64", "v": "float64"})
+        db.insert("t", {"g": np.arange(2000) % 7, "v": np.linspace(0.0, 1.0, 2000)})
+        sql = "SELECT g, count(*) FROM t WHERE v * 2 > 1.99 GROUP BY g"
+        for _ in range(10):
+            db.sql(sql)
+        db.sql(sql, config=db.config.clone(collect_trace=True))
+        (template,) = telemetry.workload.templates()
+        assert template.count == 11
+        assert template.drift_ratio() == pytest.approx(1.0)
+        assert telemetry.recorder.snapshot(kind="feedback.replan") == []
+        # The traced run still taught the store its badly estimated filter.
+        operators = db.feedback.get(template.fingerprint)["operators"]
+        assert operators["0"]["name"] == "SOURCE" and operators["0"]["q_error"] > 10.0
+
+    def test_root_and_operators_keep_their_own_slots(self, tmp_path):
+        """A traced run then an untraced one: the ROOT observation has its
+        own slot, and the first operator's slot keeps its name and rows."""
+        db = correlated_db(tmp_path / "fb")
+        db.sql(DRIFT_SQL, config=db.config.clone(collect_trace=True))
+        db.sql(DRIFT_SQL)
+        (fingerprint,) = db.feedback.fingerprints()
+        operators = db.feedback.get(fingerprint)["operators"]
+        root, first = operators[str(ROOT_POSITION)], operators["0"]
+        assert (root["name"], root["actual_rows"], root["observations"]) == ("ROOT", 40.0, 2)
+        assert (first["name"], first["actual_rows"], first["observations"]) == (
+            "SOURCE", 4000.0, 1
+        )
+        plan = db.plan(DRIFT_SQL)
+        (aggregate,) = plan.children
+        assert db.feedback.rows_for(plan) == pytest.approx(40.0)
+        assert db.feedback.rows_for(aggregate.child) == pytest.approx(4000.0)
+        assert db.feedback.groups_for(
+            aggregate.child, aggregate.group_names
+        ) == pytest.approx(40.0)
 
 
 # ---------------------------------------------------------------------------

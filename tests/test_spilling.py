@@ -112,7 +112,7 @@ class TestSpillManager:
         dictionary = batch.column("s").dictionary
         buffer = TupleBuffer(SCHEMA, 16, ("k",))
         for start in range(0, n, 64):
-            buffer.append_partitioned(batch.slice(start, start + 64))
+            buffer.append_pieces(buffer.scatter_run([batch.slice(start, start + 64)]))
         assert sum(len(p.chunks) for p in buffer.partitions) > 16
         flat = n * (8 + 8 + 4)
         assert buffer.approx_bytes() == flat + dictionary.nbytes
@@ -157,7 +157,7 @@ class TestBufferSpilling:
     def test_partition_spill_and_reload(self, tmp_path):
         manager = SpillManager(str(tmp_path))
         buffer = TupleBuffer(SCHEMA, 4, ("k",))
-        buffer.append_partitioned(make_batch(200))
+        buffer.append_pieces(buffer.scatter_run([make_batch(200)]))
         partition = next(p for p in buffer.partitions if p.num_rows)
         rows_before = list(partition.ordered_batch().rows())
         count = partition.num_rows
@@ -175,7 +175,7 @@ class TestBufferSpilling:
     def test_spill_over_budget(self, tmp_path):
         manager = SpillManager(str(tmp_path))
         buffer = TupleBuffer(SCHEMA, 4, ("k",))
-        buffer.append_partitioned(make_batch(500))
+        buffer.append_pieces(buffer.scatter_run([make_batch(500)]))
         buffer.enable_spilling(manager, memory_budget=0)
         spilled = buffer.spill_over_budget()
         assert spilled >= 1
@@ -186,7 +186,7 @@ class TestBufferSpilling:
     def test_spilled_sort_preserves_order(self, tmp_path):
         manager = SpillManager(str(tmp_path))
         buffer = TupleBuffer(SCHEMA, 2, ("k",))
-        buffer.append_partitioned(make_batch(300))
+        buffer.append_pieces(buffer.scatter_run([make_batch(300)]))
         for partition in buffer.partitions:
             partition.spill(manager)
         for partition in buffer.partitions:
@@ -512,7 +512,7 @@ class TestBudgetIsABound:
     def _widen_every_partition(self, tmp_path, keep):
         manager = SpillManager(str(tmp_path))
         buffer = TupleBuffer(SCHEMA, 4, ("k",))
-        buffer.append_partitioned(make_batch(400))
+        buffer.append_pieces(buffer.scatter_run([make_batch(400)]))
         budget = buffer.approx_bytes() // 2
         buffer.enable_spilling(manager, budget)
         spilled = buffer.spill_over_budget()

@@ -304,6 +304,30 @@ class TestDatabaseRecords:
         entry = telemetry.workload.templates()[0]
         assert entry.q_stats.count == 1
 
+    def test_skew_is_derived_only_for_the_slow_log(self, monkeypatch):
+        """Only the slow log keeps morsel skew, so a traced record under
+        the threshold never walks the regions for it."""
+        import repro.observability.telemetry as telemetry_module
+
+        calls = []
+        real = telemetry_module.morsel_skew
+        monkeypatch.setattr(
+            telemetry_module, "morsel_skew", lambda trace: calls.append(1) or real(trace)
+        )
+        sql = "SELECT g, sum(x) FROM t GROUP BY g"
+        fast = fresh_telemetry(slow_query_threshold_s=1.0)
+        db = make_db(fast)
+        config = db.config.clone(collect_trace=True, morsel_size=500)
+        db.sql(sql, config=config)
+        assert fast.queries_recorded == 1 and fast.slowlog.snapshot() == []
+        assert calls == []
+        db.telemetry = slow = fresh_telemetry(slow_query_threshold_s=0.0)
+        db.sql(sql, config=config)
+        assert calls == [1]
+        (record,) = slow.slowlog.snapshot()
+        assert record["morsel_skew"] >= 1.0
+        assert record["straggler"].count("/") == 1
+
     def test_explain_not_recorded(self):
         telemetry = fresh_telemetry()
         db = make_db(telemetry)
