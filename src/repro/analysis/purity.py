@@ -13,8 +13,7 @@ reference), and every store in the callable's body is traced to a *root
 class*:
 
 - ``item``  — the callable's parameters (incl. ``self`` when the callable
-  is an unbound task method such as ``PartitionSortTask.run``): morsel
-  state, writes allowed;
+  is an unbound task method): morsel state, writes allowed;
 - ``fresh`` — objects created in the callable or its enclosing scope
   (calls, literals, comprehensions): per-morsel outputs, writes allowed
   (the engine's disjoint-partition scatter pattern);

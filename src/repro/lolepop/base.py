@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from ..errors import ExecutionError, PlanError
 from ..execution.context import ExecutionContext
-from ..execution.trace import ExecutionTrace, Span
+from ..execution.trace import Span
 from ..storage.batch import Batch
 from ..storage.buffer import BufferPartition, Ordering, TupleBuffer
 from .properties import PhysProps
@@ -37,12 +37,15 @@ if TYPE_CHECKING:
 OpResult = Union[List[Batch], TupleBuffer]
 
 
-#: The counters a ``node`` span starts with; ``extra`` (operator-specific
-#: details: sort mode, merge rounds, ...) rides beside them.
+#: The counters a ``node`` span starts with, each written once by the node
+#: that measured it; ``extra`` (operator-specific details: sort mode, merge
+#: rounds, ...) rides beside them. ``bytes_materialized`` is what the node
+#: wrote into a buffer: a creator's buffer as built, the columns a WINDOW
+#: appended, 0 for every other node. What a node read are its inputs'
+#: ``rows_out`` / ``batches_out`` (the views derive them).
 NODE_COUNTERS = (
-    "rows_in", "rows_out", "batches_in", "batches_out",
-    "spill_bytes_written", "spill_bytes_read", "buffer_reuse_hits",
-    "sort_elisions", "bytes_materialized", "peak_partition_bytes",
+    "rows_out", "batches_out", "spill_bytes_written", "spill_bytes_read",
+    "bytes_materialized",
 )
 
 
@@ -53,25 +56,32 @@ def node_attrs() -> dict:
     return attrs
 
 
-def _rows_and_batches(value: object) -> Tuple[int, int]:
-    """(rows, batches) of an operator input/output value."""
-    if isinstance(value, TupleBuffer):
-        return value.num_rows, value.num_partitions
-    if isinstance(value, (list, tuple)):
-        return sum(len(b) for b in value), len(value)
-    return 0, 0
-
-
-def _count_output(attrs: dict, result: object) -> None:
-    """Fill a ``node`` span's output counters from the node's result. The
-    largest partition is the unit of per-worker memory, so a high
-    ``peak_partition_bytes`` is the memory-side face of skew."""
-    attrs["rows_out"], attrs["batches_out"] = _rows_and_batches(result)
-    if isinstance(result, TupleBuffer):
-        attrs["bytes_materialized"] = result.approx_bytes()
-        attrs["peak_partition_bytes"] = max(
-            (p.approx_bytes() for p in result.partitions), default=0
-        )
+def _close_spans(
+    ctx: ExecutionContext,
+    unit: Sequence[Lolepop],
+    outputs: Sequence[OpResult],
+    spill_before: dict,
+) -> None:
+    """Fill the counters of one execution unit's ``node`` spans: the unit's
+    spill reads count towards its first node, its writes towards its last,
+    and each node's output gives its ``rows_out`` / ``batches_out``. A node
+    that creates a buffer materialized it as built, before a memory budget
+    spilled any of it: what the unit counted as partition input, if any."""
+    spill = ctx.spill_counters()
+    unit[0].span.attrs["spill_bytes_read"] = spill["bytes_read"] - spill_before["bytes_read"]
+    unit[-1].span.attrs["spill_bytes_written"] = (
+        spill["bytes_written"] - spill_before["bytes_written"]
+    )
+    built = spill["partition_input_bytes"] - spill_before["partition_input_bytes"]
+    for node, output in zip(unit, outputs):
+        attrs = node.span.attrs
+        if isinstance(output, TupleBuffer):
+            attrs["rows_out"], attrs["batches_out"] = output.num_rows, output.num_partitions
+            if node.buffer_role == "creates":
+                attrs["bytes_materialized"] = built or output.approx_bytes()
+        else:
+            attrs["rows_out"] = sum(len(batch) for batch in output)
+            attrs["batches_out"] = len(output)
 
 
 class Lolepop:
@@ -366,41 +376,6 @@ def run_chain(
     return outputs, seconds
 
 
-def _traced_chain(
-    ctx: ExecutionContext,
-    trace: ExecutionTrace,
-    steps: Sequence[Lolepop],
-    buffer: TupleBuffer,
-    keep: bool,
-) -> List[OpResult]:
-    """:func:`run_chain` with a ``node`` span per step (see
-    :meth:`Dag.execute`)."""
-    rows, batches = _rows_and_batches(buffer)
-    for step in steps:
-        attrs = node_attrs()
-        attrs["rows_in"], attrs["batches_in"] = rows, batches
-        step.span = Span("node", step.name(), attrs=attrs)
-    spill_before = ctx.spill_counters()
-    started = time.perf_counter()
-    outputs, seconds = run_chain(ctx, steps, buffer, keep)
-    ended = time.perf_counter()
-    spill_after = ctx.spill_counters()
-    steps[0].span.attrs["spill_bytes_read"] = (
-        spill_after["bytes_read"] - spill_before["bytes_read"]
-    )
-    steps[-1].span.attrs["spill_bytes_written"] = (
-        spill_after["bytes_written"] - spill_before["bytes_written"]
-    )
-    scale = (ended - started) / (sum(seconds) or 1.0)
-    cursor = started
-    for step, output, share in zip(steps, outputs, seconds):
-        step.span.start = cursor
-        cursor = step.span.end = cursor + share * scale
-        trace.open.children.append(step.span)
-        _count_output(step.span.attrs, output)
-    return outputs
-
-
 class Dag:
     """An executable DAG of LOLEPOPs with one sink."""
 
@@ -521,12 +496,12 @@ class Dag:
         Under ``collect_trace`` every node runs inside its own ``node``
         span (beneath whichever span is open: a nested region's nodes are
         children of the SOURCE that ran them) whose ``attrs`` count rows and
-        batches in and out, buffer bytes and the spill bytes attributed to
-        it. The steps of a chain share its region, so their spans divide the
-        chain's interval in proportion to each step's seconds, and the
-        chain's spill reads (the items' loads) count towards its first step,
-        its writes towards its last. The default path pays one check per
-        unit.
+        batches out, the bytes it materialized and the spill bytes
+        attributed to it (:func:`_close_spans`). The steps of a chain share
+        its region, so their spans divide the chain's interval in proportion
+        to each step's seconds, and the chain's spill reads (the items'
+        loads) count towards its first step, its writes towards its last.
+        The default path pays one check per unit.
         """
         results: Dict[int, OpResult] = {}
         trace = ctx.trace if ctx.config.collect_trace else None
@@ -552,7 +527,18 @@ class Dag:
                 if trace is None:
                     outputs, _ = run_chain(ctx, unit, buffer, keep)
                 else:
-                    outputs = _traced_chain(ctx, trace, unit, buffer, keep)
+                    for step in unit:
+                        step.span = Span("node", step.name(), attrs=node_attrs())
+                    spill_before = ctx.spill_counters()
+                    started = time.perf_counter()
+                    outputs, seconds = run_chain(ctx, unit, buffer, keep)
+                    scale = (time.perf_counter() - started) / (sum(seconds) or 1.0)
+                    cursor = started
+                    for step, share in zip(unit, seconds):
+                        step.span.start = cursor
+                        cursor = step.span.end = cursor + share * scale
+                        trace.open.children.append(step.span)
+                    _close_spans(ctx, unit, outputs, spill_before)
                 for step, output in zip(unit, outputs):
                     results[id(step)] = output
                 continue
@@ -560,19 +546,11 @@ class Dag:
             if trace is None:
                 results[id(node)] = node.execute(ctx, inputs)
                 continue
-            attrs = node_attrs()
-            for value in inputs:
-                rows, batches = _rows_and_batches(value)
-                attrs["rows_in"] += rows
-                attrs["batches_in"] += batches
             spill_before = ctx.spill_counters()
-            with trace.enter("node", node.name(), attrs) as span:
+            with trace.enter("node", node.name(), node_attrs()) as span:
                 node.span = span
                 result = results[id(node)] = node.execute(ctx, inputs)
-            spill_after = ctx.spill_counters()
-            for key in ("bytes_written", "bytes_read"):
-                attrs["spill_" + key] = spill_after[key] - spill_before[key]
-            _count_output(attrs, result)
+            _close_spans(ctx, unit, [result], spill_before)
         return results[id(self.sink)]
 
     # ------------------------------------------------------------------

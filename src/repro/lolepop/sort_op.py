@@ -85,7 +85,6 @@ class SortOp(Lolepop):
         if ctx.config.elide_sorts and ordering_satisfies(view.ordered_by, required):
             if self.span is not None:
                 self.note(elided=True)
-                self.span.attrs["sort_elisions"] += 1
             return None, lambda buffer, _: buffer
         # Offer the post-sort buffer to the materialization manager only
         # when this is the buffer's *first* reordering: a re-sort of an

@@ -40,6 +40,7 @@ from ..storage.batch import Batch
 from ..storage.buffer import TupleBuffer
 from ..storage.column import Column
 from ..storage.keys import key_change_flags, lexsort_indices
+from ..storage.spill import flat_column_bytes
 from ..types import DataType, Field, Schema
 from .base import BufferView, ChainStep, Lolepop, OpResult, run_chain
 from .properties import PhysProps, _missing_columns
@@ -160,7 +161,7 @@ class WindowOp(Lolepop):
         call_fields = window_schema.fields[len(view.schema):]
         view.schema = schema
 
-        def compute(partition) -> None:
+        def compute(partition) -> int:
             batch = partition.ordered_batch()
             starts, ends, codes = ranges_of(batch, part_names)
             columns = [
@@ -174,14 +175,13 @@ class WindowOp(Lolepop):
                 extended = Batch(window_schema, batch.columns + columns)
                 columns += [evaluate(expr, extended) for _, expr in self.post_items]
             partition.append_columns(schema, columns)
+            return sum(map(flat_column_bytes, columns))
 
-        def finish(buffer: TupleBuffer, _) -> TupleBuffer:
+        def finish(buffer: TupleBuffer, appended: List[int]) -> TupleBuffer:
             buffer.columns_appended(schema)
             if self.span is not None:
                 self.note(window_calls=len(self.calls))
-                # Computed columns written into the shared buffer instead
-                # of a fresh materialization.
-                self.span.attrs["buffer_reuse_hits"] += 1
+                self.span.attrs["bytes_materialized"] = sum(appended)
             return buffer
 
         return compute, finish

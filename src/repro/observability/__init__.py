@@ -9,8 +9,8 @@ makes that visible at every layer:
   query service owns one (``QueryService.stats()``, the shell's
   ``.metrics``).
 - :func:`profile_dict` — one traced query's profile JSON: the ``node``
-  spans of its span tree (rows, batches, wall time, buffer bytes, spilling,
-  elisions), its rewrite log, join lines and spill counters; a run under
+  spans of its span tree (rows, batches, wall time, bytes written, spilling,
+  extras), its rewrite log, join lines and spill counters; a run under
   ``EngineConfig(collect_trace=True)`` is the profile.
 - :func:`chrome_trace_events` — export a statement's span tree as Chrome
   ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto.

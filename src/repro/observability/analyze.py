@@ -225,10 +225,6 @@ def render_analyze(
             parts.append(f"work={work * 1000:.2f}ms")
             if stats["bytes_materialized"]:
                 parts.append(f"buf={_format_bytes(stats['bytes_materialized'])}")
-            if stats["buffer_reuse_hits"]:
-                parts.append(f"reuse={stats['buffer_reuse_hits']}")
-            if stats["sort_elisions"]:
-                parts.append(f"elided={stats['sort_elisions']}")
             if stats["spill_bytes_written"] or stats["spill_bytes_read"]:
                 parts.append(
                     f"spillW={_format_bytes(stats['spill_bytes_written'])}"
@@ -256,7 +252,7 @@ def render_analyze(
     reuse_total = sum(
         1 for event in result.rewrites if event.pass_name == "buffer-reuse"
     )
-    elide_total = sum(node.span.attrs["sort_elisions"] for _, _, node in executed)
+    elide_total = sum(1 for _, _, node in executed if node.span.attrs["extra"].get("elided"))
     spill_w = result.spill["bytes_written"]
     spill_r = result.spill["bytes_read"]
     spill_in = result.spill["partition_input_bytes"]

@@ -112,8 +112,8 @@ def _operator_signature(node, context) -> Optional[str]:
 def profile_observations(dags, estimator) -> List[dict]:
     """Flatten the DAGs of one traced execution into feedback observations:
     one dict per DAG node carrying a span, with the operator's position
-    (counted across all region DAGs), its estimate under ``estimator``, its
-    actuals, and the resource-ledger fields."""
+    (counted across all region DAGs), its estimate under ``estimator`` and
+    its actual rows."""
     observations: List[dict] = []
     position = 0
     for dag in dags:
@@ -133,9 +133,6 @@ def profile_observations(dags, estimator) -> List[dict]:
                     "signature": _operator_signature(node, context),
                     "est_rows": None if estimate is None else float(estimate),
                     "actual_rows": float(stats["rows_out"]),
-                    "bytes_materialized": stats["bytes_materialized"],
-                    "spill_bytes_written": stats["spill_bytes_written"],
-                    "peak_partition_bytes": stats["peak_partition_bytes"],
                 }
             )
     return observations
@@ -153,9 +150,6 @@ def root_observation(plan, est_rows: Optional[float], actual_rows: int) -> dict:
         "signature": plan_signature(plan),
         "est_rows": None if est_rows is None else float(est_rows),
         "actual_rows": float(actual_rows),
-        "bytes_materialized": 0,
-        "spill_bytes_written": 0,
-        "peak_partition_bytes": 0,
     }
 
 
@@ -163,9 +157,7 @@ class _OperatorFeedback:
     """Smoothed actuals for one ``(fingerprint, position)`` slot."""
 
     __slots__ = (
-        "name", "describe", "signature", "est_rows", "actual_rows",
-        "observations", "bytes_materialized", "spill_bytes_written",
-        "peak_partition_bytes",
+        "name", "describe", "signature", "est_rows", "actual_rows", "observations",
     )
 
     def __init__(self, observation: dict):
@@ -177,9 +169,6 @@ class _OperatorFeedback:
         self.est_rows = None if est is None else float(est)
         self.actual_rows = float(observation.get("actual_rows", 0.0))
         self.observations = int(observation.get("observations", 1))
-        self.bytes_materialized = int(observation.get("bytes_materialized", 0))
-        self.spill_bytes_written = int(observation.get("spill_bytes_written", 0))
-        self.peak_partition_bytes = int(observation.get("peak_partition_bytes", 0))
 
     def update(self, observation: dict) -> None:
         self.name = str(observation.get("name", self.name))
@@ -195,17 +184,6 @@ class _OperatorFeedback:
             (1.0 - ACTUAL_ALPHA) * self.actual_rows + ACTUAL_ALPHA * actual
         )
         self.observations += 1
-        self.bytes_materialized = max(
-            self.bytes_materialized, int(observation.get("bytes_materialized", 0))
-        )
-        self.spill_bytes_written = max(
-            self.spill_bytes_written,
-            int(observation.get("spill_bytes_written", 0)),
-        )
-        self.peak_partition_bytes = max(
-            self.peak_partition_bytes,
-            int(observation.get("peak_partition_bytes", 0)),
-        )
 
     @property
     def q_error(self) -> Optional[float]:
@@ -219,9 +197,6 @@ class _OperatorFeedback:
             "est_rows": self.est_rows,
             "actual_rows": self.actual_rows,
             "observations": self.observations,
-            "bytes_materialized": self.bytes_materialized,
-            "spill_bytes_written": self.spill_bytes_written,
-            "peak_partition_bytes": self.peak_partition_bytes,
         }
         q = self.q_error
         if q is not None:

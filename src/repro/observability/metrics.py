@@ -29,8 +29,7 @@ from typing import (
     Union,
 )
 
-from ..execution.trace import Span
-from ..lolepop.base import NODE_COUNTERS
+from ..lolepop.base import NODE_COUNTERS, Lolepop
 
 __all__ = [
     "Counter",
@@ -259,7 +258,7 @@ def profile_dict(result: Any) -> Dict[str, object]:
                 "id": node_index,
                 "name": node.name(),
                 "describe": node.describe(),
-                **operator_dict(node.span),
+                **operator_dict(node),
             }
         )
     return {
@@ -279,13 +278,22 @@ def profile_dict(result: Any) -> Dict[str, object]:
     }
 
 
-def operator_dict(span: Span) -> Dict[str, object]:
-    """The serialized counters of one ``node`` span. ``wall_time_s`` is the
-    whole span (a SOURCE's includes the nested region it ran)."""
+def operator_dict(node: Lolepop) -> Dict[str, object]:
+    """The serialized counters of one executed node. ``rows_in`` /
+    ``batches_in`` are what its inputs output; ``wall_time_s`` is the whole
+    span (a SOURCE's includes the nested region it ran)."""
+    span = node.span
+    assert span is not None, f"{node.name()} did not execute under collect_trace"
     attrs = span.attrs
-    out: Dict[str, object] = {key: attrs[key] for key in NODE_COUNTERS[:4]}
-    out["wall_time_s"] = span.duration
-    out.update((key, attrs[key]) for key in NODE_COUNTERS[4:])
+    inputs = [dep.span.attrs for dep in node.inputs if dep.span is not None]
+    out: Dict[str, object] = {
+        "rows_in": sum(stats["rows_out"] for stats in inputs),
+        "rows_out": attrs["rows_out"],
+        "batches_in": sum(stats["batches_out"] for stats in inputs),
+        "batches_out": attrs["batches_out"],
+        "wall_time_s": span.duration,
+    }
+    out.update((key, attrs[key]) for key in NODE_COUNTERS[2:])
     if attrs["extra"]:
         out["extra"] = dict(attrs["extra"])
     return out

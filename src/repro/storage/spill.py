@@ -45,7 +45,8 @@ from .column import Column
 from .dictionary import StringDictionary, object_array
 
 
-def _flat_bytes(column: Column) -> int:
+def flat_column_bytes(column: Column) -> int:
+    """The column's value and validity arrays, without its dictionary."""
     return column.data.nbytes + (0 if column.valid is None else column.valid.nbytes)
 
 
@@ -53,13 +54,13 @@ def approx_column_bytes(column: Column) -> int:
     """Rough in-memory footprint: the flat arrays, plus a string column's
     dictionary counted once (not per row)."""
     if column.dictionary is None:
-        return _flat_bytes(column)
-    return _flat_bytes(column) + column.dictionary.nbytes
+        return flat_column_bytes(column)
+    return flat_column_bytes(column) + column.dictionary.nbytes
 
 
 def flat_batch_bytes(*batches: Batch) -> int:
     """The batches' value and validity arrays, without any dictionary."""
-    return sum(_flat_bytes(column) for batch in batches for column in batch.columns)
+    return sum(flat_column_bytes(column) for batch in batches for column in batch.columns)
 
 
 def approx_batch_bytes(*batches: Batch) -> int:

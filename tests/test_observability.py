@@ -20,7 +20,7 @@ from repro.observability import (
     write_chrome_trace,
 )
 from repro.observability.analyze import q_error
-from repro.observability.metrics import executed_nodes, profile_dict
+from repro.observability.metrics import executed_nodes, operator_dict, profile_dict
 from repro.sql import parse_sql
 from repro.sql.ast import ExplainStmt
 
@@ -130,19 +130,92 @@ class TestOperatorStats:
         scan = ScanOp(SourceOp(lambda: batches), limit=3)
         dag.set_sink(scan)
         dag.execute(ExecutionContext(EngineConfig(collect_trace=True)))
-        stats = scan.span.attrs
+        stats = operator_dict(scan)
         assert stats["rows_in"] == 4 and stats["batches_in"] == 2
         assert stats["rows_out"] == 3 and stats["batches_out"] == 1
 
     def test_to_dict_includes_extra(self):
-        from repro.observability.metrics import operator_dict
+        from repro.lolepop.base import SourceOp
 
-        span = Span("node", "SORT", 1.0, 1.5, attrs=node_attrs())
-        assert "extra" not in operator_dict(span)
-        span.attrs["extra"]["mode"] = "inplace"
-        payload = operator_dict(span)
+        node = SourceOp(lambda: [])
+        node.span = Span("node", "SOURCE", 1.0, 1.5, attrs=node_attrs())
+        assert "extra" not in operator_dict(node)
+        node.span.attrs["extra"]["mode"] = "inplace"
+        payload = operator_dict(node)
         assert payload["rows_out"] == 0 and payload["wall_time_s"] == 0.5
         assert payload["extra"] == {"mode": "inplace"}
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            # A two-input COMBINE reads what both HASHAGGs output.
+            (
+                "SELECT k, g, sum(v) FROM r GROUP BY GROUPING SETS ((k), (g))",
+                [(0, "SOURCE", 0, 0), (0, "HASHAGG", 2000, 4), (0, "HASHAGG", 2000, 4),
+                 (0, "COMBINE", 10, 7), (0, "SCAN", 10, 1)],
+            ),
+            # Every step of the SORT → WINDOW → SCAN chain reads the buffer.
+            (
+                WINDOW_SQL,
+                [(0, "SOURCE", 0, 0), (0, "PARTITION", 2000, 4), (0, "SORT", 2000, 64),
+                 (0, "WINDOW", 2000, 64), (0, "SCAN", 2000, 64)],
+            ),
+            # The outer SOURCE runs the nested region but has no input.
+            (
+                "SELECT k, median(s) FROM (SELECT k, g, sum(v) AS s FROM r GROUP BY k, g) AS d "
+                "GROUP BY k",
+                [(0, "SOURCE", 0, 0), (0, "PARTITION", 24, 12), (0, "SORT", 24, 4),
+                 (0, "ORDAGG", 24, 4), (0, "SCAN", 6, 4),
+                 (1, "SOURCE", 0, 0), (1, "HASHAGG", 2000, 4), (1, "SCAN", 24, 12)],
+            ),
+        ],
+    )
+    def test_rows_in_are_what_the_inputs_output(self, db, tiny_partitions, sql, expected):
+        config = EngineConfig(num_threads=4, morsel_size=500, collect_trace=True)
+        result = db.sql(sql, config=config)
+        read = []
+        for dag_index, _, node in executed_nodes(result.dags):
+            stats = operator_dict(node)
+            read.append((dag_index, node.name(), stats["rows_in"], stats["batches_in"]))
+        assert read == expected
+
+    def test_bytes_are_counted_where_they_are_written(self, monkeypatch):
+        """PARTITION writes the buffer, each WINDOW its one column, and a
+        SORT only reorders: together they wrote the final buffer once."""
+        import numpy as np
+
+        from repro.lolepop import base
+
+        buffers = []
+
+        def spy(ctx, steps, buffer, keep):
+            buffers.append(buffer)
+            return run_chain(ctx, steps, buffer, keep)
+
+        run_chain = base.run_chain
+        monkeypatch.setattr(base, "run_chain", spy)
+        database = Database()
+        database.create_table("w", {"k": "int64", "v": "float64", "o": "int64"})
+        n = 2000
+        database.insert(
+            "w", {"k": np.arange(n) % 7, "v": np.arange(n) * 0.5, "o": np.arange(n)[::-1]}
+        )
+        result = database.sql(
+            "SELECT k, rank() OVER (PARTITION BY k ORDER BY v, o), "
+            "sum(v) OVER (PARTITION BY k ORDER BY o) FROM w",
+            config=EngineConfig(collect_trace=True),
+        )
+        written = {
+            f"{node.name()} {node.describe()}": node.span.attrs["bytes_materialized"]
+            for _, _, node in executed_nodes(result.dags)
+        }
+        assert written == {
+            "SOURCE pipeline": 0, "PARTITION k x64": n * 3 * 8, "SORT k,v,o": 0,
+            "WINDOW rank->_win0": n * 8, "SORT k,o": 0, "WINDOW sum->_win1": n * 8,
+            "SCAN project 5 exprs": 0,
+        }
+        (buffer,) = set(buffers)
+        assert sum(written.values()) == buffer.approx_bytes() == n * 5 * 8
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +756,19 @@ class TestFrozenViews:
     rows below lose that column, every other value is unchanged). The
     record's ``max_q_error`` is the statement's root Q-error, traced or
     not, rather than the worst node's; it reads 1.0 for all three, as
-    before."""
+    before.
+
+    Since then a node records only what it measured itself, and an
+    operator's profile JSON loses ``buffer_reuse_hits`` (a constant 1 on
+    every WINDOW), ``sort_elisions`` (``extra["elided"]`` is the record) and
+    ``peak_partition_bytes``. ``bytes_materialized`` is what the node wrote
+    into a buffer: ``nested_aggregate``'s SORT wrote nothing (384 → 0),
+    ``window_under_budget``'s PARTITION wrote its buffer as built, before
+    the budget spilled all of it (0 → 32000, its ``partition_input_bytes``),
+    and its WINDOW wrote its one 2000-row column (0 → 16000).
+    ``rows_in`` / ``batches_in`` are the inputs' ``rows_out`` /
+    ``batches_out``; every one of them and every other value is
+    unchanged."""
 
     STATEMENTS = {
         "group_by": ("SELECT k, sum(v), count(*) FROM r GROUP BY k", {}),
@@ -722,9 +807,9 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, {}],
-                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 24, "preagg_partials": 4}],
-                    [2, "SCAN", "project 3 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, {}],
+                    [1, "HASHAGG", "[sum(v), count_star(*)] by (k)", 2000, 6, 4, 1, "<t>", 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 24, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -823,16 +908,16 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 24, 0, 1, "<t>", 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x64", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 384, 384, {"scatter_keys": "k", "partitions": 1}],
-                    [2, "SORT", "k,s", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 384, 384, {"mode": "inplace", "sorted_partitions": 1}],
-                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"aggregated_partitions": 1, "tasks": 1}],
-                    [4, "SCAN", "project 2 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 2}],
+                    [0, "SOURCE", "pipeline", 0, 24, 0, 1, "<t>", 0, 0, 0, {}],
+                    [1, "PARTITION", "k x64", 24, 24, 1, 1, "<t>", 0, 0, 384, {"scatter_keys": "k", "partitions": 1}],
+                    [2, "SORT", "k,s", 24, 24, 1, 1, "<t>", 0, 0, 0, {"mode": "inplace", "sorted_partitions": 1}],
+                    [3, "ORDAGG", "[percentile_cont(s, 0.5)] by (k)", 24, 6, 1, 1, "<t>", 0, 0, 0, {"aggregated_partitions": 1, "tasks": 1}],
+                    [4, "SCAN", "project 2 exprs", 6, 6, 1, 1, "<t>", 0, 0, 0, {"projected_exprs": 2}],
                 ],
                 [
-                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, {}],
-                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 1, "<t>", 0, 0, 0, 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 96, "preagg_partials": 4}],
-                    [2, "SCAN", "project 3 exprs", 24, 24, 1, 1, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, {}],
+                    [1, "HASHAGG", "[sum(v)] by (k,g)", 2000, 24, 4, 1, "<t>", 0, 0, 0, {"merge": "single", "merge_partitions": 1, "partial_rows": 96, "preagg_partials": 4}],
+                    [2, "SCAN", "project 3 exprs", 24, 24, 1, 1, "<t>", 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -949,11 +1034,11 @@ class TestFrozenViews:
             },
             "dags": [
                 [
-                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, 0, 0, 0, {}],
-                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 32000, 0, 0, 0, 0, 0, {"spilled_partitions": 4, "scatter_keys": "k"}],
-                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, 0, 0, 0, {"mode": "inplace", "sorted_partitions": 4}],
-                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 0, 1, 0, 0, 0, {"window_calls": 1}],
-                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 4, "<t>", 0, 0, 0, 0, 0, 0, {"projected_exprs": 3}],
+                    [0, "SOURCE", "pipeline", 0, 2000, 0, 4, "<t>", 0, 0, 0, {}],
+                    [1, "PARTITION", "k x4", 2000, 2000, 4, 4, "<t>", 32000, 0, 32000, {"spilled_partitions": 4, "scatter_keys": "k"}],
+                    [2, "SORT", "k,v", 2000, 2000, 4, 4, "<t>", 0, 32000, 0, {"mode": "inplace", "sorted_partitions": 4}],
+                    [3, "WINDOW", "sum->_win0", 2000, 2000, 4, 4, "<t>", 0, 0, 16000, {"window_calls": 1}],
+                    [4, "SCAN", "project 3 exprs", 2000, 2000, 4, 4, "<t>", 0, 0, 0, {"projected_exprs": 3}],
                 ],
             ],
             "record": {
@@ -1038,8 +1123,7 @@ class TestFrozenViews:
     #: the operator noted anything. A row below is the values in this order.
     OPERATOR_KEYS = [
         "id", "name", "describe", "rows_in", "rows_out", "batches_in", "batches_out",
-        "wall_time_s", "spill_bytes_written", "spill_bytes_read",
-        "buffer_reuse_hits", "sort_elisions", "bytes_materialized", "peak_partition_bytes",
+        "wall_time_s", "spill_bytes_written", "spill_bytes_read", "bytes_materialized",
     ]
 
     def _row(self, operator):

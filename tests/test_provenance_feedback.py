@@ -35,7 +35,7 @@ from repro.observability.feedback import (
     plan_signature,
     root_observation,
 )
-from repro.observability.metrics import executed_nodes, profile_dict
+from repro.observability.metrics import profile_dict
 from repro.observability.provenance import RewriteEvent
 from repro.observability.telemetry import (
     QueryRecord,
@@ -195,15 +195,6 @@ class TestProvenanceEndToEnd:
         assert sort_price < hash_price
         assert "HASHAGG" not in result.dags[0].operator_names()
         assert event.detail in str(event)
-
-    def test_ledger_fields_populated(self, db):
-        result = db.sql(self.SQL, config=EngineConfig(collect_trace=True))
-        stats = [node.span.attrs for _, _, node in executed_nodes(result.dags)]
-        assert any(op["bytes_materialized"] > 0 for op in stats)
-        doc = profile_dict(result)
-        op_doc = doc["dags"][0]["operators"][0]
-        assert "bytes_materialized" in op_doc
-        assert "peak_partition_bytes" in op_doc
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +366,26 @@ class TestFeedbackStore:
             if e["kind"] == "feedback.load_error"
         ]
         assert len(warnings) == 4
+
+    def test_retired_byte_fields_still_load(self, tmp_path):
+        """A schema-3 file whose slots still carry the byte fields the store
+        no longer keeps loads, calibrates, and drops them."""
+        store = FeedbackStore(str(tmp_path))
+        store.observe("abc123", "select 1", [fake_observation(actual=300)])
+        store.flush()
+        path = tmp_path / "fb_abc123.json"
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 3
+        for slot in doc["operators"].values():
+            slot.update(bytes_materialized=4096, spill_bytes_written=512, peak_partition_bytes=2048)
+        path.write_text(json.dumps(doc))
+        telemetry = fresh_telemetry()
+        reopened = FeedbackStore(str(tmp_path), telemetry=telemetry)
+        assert telemetry.recorder.snapshot(kind="feedback.load_error") == []
+        assert reopened.fingerprints() == ["abc123"]
+        assert reopened.rows_for(FakePlan()) == pytest.approx(300.0)
+        (slot,) = reopened.get("abc123")["operators"].values()
+        assert not {"bytes_materialized", "spill_bytes_written", "peak_partition_bytes"} & set(slot)
 
     def test_every_truncation_is_skipped(self, tmp_path):
         """A file cut off at any byte is skipped with a breadcrumb, and the

@@ -545,6 +545,23 @@ class TestBudgetIsABound:
             with pytest.raises(ExecutionError, match="released"):
                 buffer.scan_batches()
 
+    def test_partition_counts_the_buffer_it_built(self, db, tmp_path):
+        """A PARTITION over a 64 KiB budget spills part of its buffer, yet
+        it materialized all of it: the bytes that entered it."""
+        config = EngineConfig(
+            num_partitions=8, memory_budget_bytes=64 * 1024, spill_directory=str(tmp_path),
+            collect_trace=True,
+        )
+        result = db.sql(
+            "SELECT g, sum(x) OVER (PARTITION BY g ORDER BY o) AS c FROM t", config=config
+        )
+        (partition,) = [
+            node for _, _, node in executed_nodes(result.dags) if node.name() == "PARTITION"
+        ]
+        assert partition.span.attrs["extra"]["spilled_partitions"] > 0
+        assert partition.span.attrs["bytes_materialized"] == 4000 * 3 * 8
+        assert partition.span.attrs["bytes_materialized"] == result.spill["partition_input_bytes"]
+
     def test_read_only_consumers_write_nothing(self, db, tmp_path):
         """A chain that ends in ORDAGG or SCAN leaves no reader of its
         buffer: its steps write nothing (no permutation vector, no window

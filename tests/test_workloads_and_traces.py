@@ -14,7 +14,7 @@ from repro.bench import (
 from repro.bench.workloads import TABLE3_PAPER_FACTORS_20T
 from repro.errors import PlanError
 from repro.lolepop.base import Dag, SourceOp
-from repro.observability.metrics import executed_nodes
+from repro.observability.metrics import executed_nodes, operator_dict
 from repro.sql import parse_sql
 from repro.tpch import populate_database
 
@@ -96,7 +96,7 @@ class TestFigure8Traces:
         )
         dags = db.sql(FIGURE8_QUERIES[1], config=config).dags
         first, *reaggregations = [
-            node.span.attrs for _, _, node in executed_nodes(dags) if node.name() == "HASHAGG"
+            operator_dict(node) for _, _, node in executed_nodes(dags) if node.name() == "HASHAGG"
         ]
         assert len(reaggregations) == 2
         assert all(first["rows_in"] > 50 * other["rows_in"] for other in reaggregations)

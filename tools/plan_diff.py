@@ -8,7 +8,10 @@ Input is the profile JSON of a traced run
 matched by ``(dag index, name, describe)`` and their rank among equal
 ones, not by id, so an operator a rewrite removed does not shift the ids
 of those after it into false removals. Per-operator wall-time, rows,
-spill, and bytes-materialized deltas are reported, operators that
+spill, and bytes-materialized deltas are reported (``materialized_delta_bytes``
+is the change in what the operator wrote into a buffer: a PARTITION, MERGE
+or COMBINE's buffer as built, before a memory budget spilled any of it, or
+the columns a WINDOW appended; every other operator writes 0), operators that
 appeared/disappeared are listed, and disappeared operators are attributed
 to the rewrite events that name them (``rewrites`` is the optimizer's
 structured provenance: one ``{text, pass, detail, nodes}`` dict per
