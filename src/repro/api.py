@@ -86,7 +86,6 @@ class Database:
                 "cache.evict",
                 cache="plan",
                 sql=self.telemetry.truncate_sql(entry.normalized),
-                catalog_version=entry.catalog_version,
             )
         #: Cross-query materialization manager (``src/repro/reuse``). Off by
         #: default; pass ``reuse=True`` for defaults or a
@@ -219,7 +218,6 @@ class Database:
             query,
             stmt,
             plan,
-            self.catalog.version,
             table_deps(plan, self.catalog),
             self.catalog.ddl_version,
             cacheable=plan is not None,

@@ -129,12 +129,12 @@ class _MonolithicRunner:
         self.ctx.next_phase()
         key_names = [name for name, _ in sort_order]
         descending = [desc for _, desc in sort_order]
-        # HyPer sorts each partition on a single thread: not splittable.
+        # HyPer sorts each partition on a single thread: a one-step region
+        # is never split.
         self.ctx.parallel_for(
             f"{operator}-sort",
             [p for p in buffer.partitions if p.num_rows > 1],
             lambda p: p.sort_inplace(key_names, descending),
-            splittable=False,
         )
         buffer.set_ordering(tuple(sort_order))
         return buffer
@@ -204,7 +204,6 @@ class _MonolithicRunner:
             "window",
             [p for p in buffer.partitions if p.num_rows],
             evaluate_partition,
-            splittable=False,
         )
         if not outputs:
             out_schema = Schema(

@@ -217,12 +217,11 @@ class ExecutionContext:
         operator: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool = False,
         steps: Optional[Sequence[Tuple[str, bool]]] = None,
     ) -> List:
         """Run one parallel region under the current phase label (a chain
         region with ``steps``: see
         :meth:`~repro.execution.scheduler.RegionScheduler.run_region`)."""
         return self.scheduler.run_region(
-            operator, self._phase, items, fn, splittable, steps
+            operator, self._phase, items, fn, steps
         )

@@ -20,9 +20,10 @@ Splittable steps model intra-item parallelism: the paper's SORT is a
 "morsel-driven variant of BlockQuicksort", i.e. sorting one large hash
 partition is itself parallel work. A splittable step of measured duration
 ``d`` is scheduled as up to T pieces of duration ``d·(1+overhead)/s``.
-Monolithic baselines schedule the same measured durations with
-``splittable=False``, which reproduces HyPer's single-threaded per-partition
-sorting collapse (Table 3, queries 7/12/15).
+Only a chain region's steps are splittable (their operators say so); a
+one-step region never is. Monolithic baselines run every region as one
+step, which reproduces HyPer's single-threaded per-partition sorting
+collapse (Table 3, queries 7/12/15).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ class RegionScheduler:
         phase: str,
         items: Sequence,
         fn: Callable,
-        splittable: bool = False,
         steps: Optional[Sequence[Step]] = None,
     ) -> List:
         """Execute ``fn(item)`` for every item as one parallel region.
@@ -91,11 +91,11 @@ class RegionScheduler:
         ``(step index, start, end)`` ``time.perf_counter`` stamps of the
         steps the item ran; each is scheduled and traced as its own unit,
         named by its step's operator. Without, the region is the one step
-        ``(operator, splittable)``: ``fn``'s bare value is marked here and
-        comes back bare."""
+        ``(operator, False)``, never split: ``fn``'s bare value is marked
+        here and comes back bare."""
         one_step = steps is None
         if one_step:
-            steps = ((operator, splittable),)
+            steps = ((operator, False),)
             fn = _one_step(fn)
         sanitizer = _SAN.active
         if sanitizer is not None:  # sanitizer epoch brackets the barrier

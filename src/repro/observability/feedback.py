@@ -15,15 +15,17 @@ under a feedback directory (``REPRO_FEEDBACK_DIR`` or the ``Database``'s
   observed, the smoothed actual row count overrides the statistics-model
   estimate.
 - the drift→replan decision (:meth:`FeedbackStore.record_execution`): when
-  the workload profiler's template for the statement shows its Q-error
-  drifting, the caller is told to drop its cached plan so the next
-  execution re-plans — now against the calibrated estimator — closing the
+  the workload profiler's template for the statement is drifting
+  (:meth:`~repro.observability.workload.TemplateStats.drifting`, the rule
+  the telemetry report's ``drifting`` list applies too), the caller is
+  told to drop its cached plan so the next execution re-plans — now
+  against the calibrated estimator — closing the
   loop the :class:`~repro.observability.workload.WorkloadStats` drift
   detector only *reported* before.
 
 Durability model: actuals are advisory, so writes are throttled (first
 observation per fingerprint flushes immediately, then every
-``flush_interval``-th) and atomic (temp file + ``os.replace``). A corrupt
+:data:`FLUSH_INTERVAL`-th) and atomic (temp file + ``os.replace``). A corrupt
 or partial file is tolerated on load — skipped with a
 ``feedback.load_error`` flight-recorder event — and the on-disk footprint
 is bounded by ``max_files``: the entries are a :class:`~repro.bounded.Lru`
@@ -46,7 +48,6 @@ from ..lolepop.base import SourceOp
 from ..lolepop.hashagg_op import HashAggOp
 from ..lolepop.ordagg_op import OrdAggOp
 from .analyze import _region_input_plan, estimate_dag_rows, q_error
-from .workload import DRIFT_THRESHOLD
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -75,6 +76,10 @@ _FILE_SUFFIX = ".json"
 #: Per-fingerprint operator cap: a file stays a few KB no matter how many
 #: regions a query compiles to.
 MAX_OPERATORS_PER_FINGERPRINT = 64
+
+#: After a fingerprint's first flush, every this-many-th observation of it
+#: flushes its file.
+FLUSH_INTERVAL = 8
 
 #: After a drift-triggered replan, the same template's next one waits for
 #: this many further executions, so a persistently drifting template does
@@ -278,12 +283,10 @@ class FeedbackStore:
         self,
         directory: str,
         max_files: int = 256,
-        flush_interval: int = 8,
         telemetry=None,
     ):
         self.directory = directory
         self.max_files = max(1, int(max_files))
-        self.flush_interval = max(1, int(flush_interval))
         self._telemetry = telemetry
         self._lock = threading.RLock()
         self._entries = Lru(self.max_files)
@@ -380,8 +383,7 @@ class FeedbackStore:
         if result.trace is not None and result.dags:
             observations += profile_observations(result.dags, estimator)
         self.observe(record.fingerprint, record.sql, observations)
-        ratio = template.drift_ratio()
-        if ratio is None or ratio < DRIFT_THRESHOLD:
+        if not template.drifting():
             return False
         with self._lock:
             last = template.replanned_at
@@ -393,7 +395,7 @@ class FeedbackStore:
         self._event(
             "feedback.replan",
             fingerprint=record.fingerprint,
-            drift_ratio=ratio,
+            drift_ratio=template.drift_ratio(),
             sql=record.sql,
         )
         return True
@@ -419,7 +421,7 @@ class FeedbackStore:
                 else:
                     existing.update(observation)
                 self._index_locked(existing)
-            if entry.pending % self.flush_interval == 0:
+            if entry.pending % FLUSH_INTERVAL == 0:
                 self._flush_locked(entry)
             entry.pending += 1
 

@@ -171,7 +171,6 @@ class PreparedPlan:
         "key",
         "statement",
         "plan",
-        "catalog_version",
         "ddl_version",
         "table_deps",
         "cacheable",
@@ -189,7 +188,6 @@ class PreparedPlan:
         sql: str,
         statement,
         plan,
-        catalog_version: int,
         table_deps: Tuple[Tuple[str, int], ...],
         ddl_version: int,
         cacheable: bool = True,
@@ -203,9 +201,6 @@ class PreparedPlan:
         self.skeleton, self.slots = shape if shape is not None else (None, ())
         self.statement = statement
         self.plan = plan
-        #: Catalog-wide version at build time; informational only (the
-        #: ``cache.evict`` breadcrumb reports it), never validated against.
-        self.catalog_version = catalog_version
         #: Per-table dependency versions ``((table, version), ...)`` at build
         #: time, paired with the catalog's DDL version.
         self.table_deps = table_deps
@@ -226,7 +221,7 @@ class PreparedPlan:
         self.dag_templates: Dict[Tuple, object] = {}
         #: Cached root-cardinality estimate for telemetry Q-error tracking:
         #: ``None`` = not computed yet, ``< 0`` = estimation failed (don't
-        #: retry every execution). Valid for this entry's catalog version.
+        #: retry every execution). Valid while :meth:`is_current` holds.
         self.est_rows: Optional[float] = None
         self._fingerprints: Dict[Tuple, str] = {}
         #: A variant's ``id`` of entry plan node → its own copy; ``None``

@@ -17,7 +17,8 @@ turns the single-caller facade into a multi-client server:
   :class:`~repro.errors.AdmissionError`.
 - plan caching lives on the database (shared by every session); this layer
   adds a bounded LRU **result cache** for read-only statements, invalidated
-  like the plan cache by the catalog version counter.
+  like the plan cache by the versions of the tables a statement reads and
+  the catalog's DDL version.
 - every query gets a :class:`~repro.execution.cancellation.CancellationToken`
   with an optional deadline; both schedulers check it at region barriers,
   so ``cancel()`` and timeouts surface as
@@ -67,7 +68,6 @@ class ServiceConfig:
         memory_budget_bytes: Optional[float] = None,
         result_cache_size: int = 64,
         default_timeout: Optional[float] = None,
-        default_engine: str = "lolepop",
     ):
         self.max_concurrent = max_concurrent
         self.max_queue = max_queue
@@ -78,7 +78,6 @@ class ServiceConfig:
         self.result_cache_size = result_cache_size
         #: Applied to queries submitted without an explicit timeout.
         self.default_timeout = default_timeout
-        self.default_engine = default_engine
 
 
 class QueryTicket:
@@ -228,9 +227,7 @@ class QueryService:
         if self._closed:
             raise AdmissionError("service is shut down", reason="shutdown")
         self._count("service.submitted")
-        engine = engine or (
-            session.engine if session is not None else self.config.default_engine
-        )
+        engine = engine or (session.engine if session is not None else "lolepop")
         if config is None and session is not None:
             config = session.engine_config()
         base_config = self.db.run_config(engine, config)

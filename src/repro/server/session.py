@@ -8,7 +8,8 @@ object, no threads — and a client may hold several.
 
 Sessions are the unit of configuration, not of isolation: all sessions see
 one shared catalog, and the service's plan/result caches are shared too
-(keyed on SQL + catalog version, so they never leak config-dependent
+(keyed on SQL, valid while the tables read and the catalog's DDL are
+unchanged, so they never leak config-dependent
 *results* across sessions — result-cache keys are engine-scoped and traced
 runs bypass it).
 """

@@ -19,8 +19,10 @@ Following the paper, a partition can be accessed three ways:
    tuples (§4.2).
 
 ``SORT`` can therefore run in two modes: ``inplace`` (physically reorder the
-compacted chunk) or ``permutation`` (only build the permutation vector). The
-optimizer picks the mode from the tuple width; consumers go through
+compacted chunk) or ``permutation`` (only build the permutation vector).
+``SortOp._resolve_mode`` picks the mode at run time from the tuple width,
+and a spilled partition that a later reader needs always permutes, since
+its tuples are written once. Consumers go through
 :meth:`BufferPartition.ordered_batch`, which hides the distinction — the
 iterator-abstraction trick of Figure 5. It also hides where the partition
 lives: under a memory budget a partition may be *spilled*

@@ -33,9 +33,6 @@ class Table:
         #: RLock so one lock orders all DDL/DML across concurrent sessions;
         #: a free-standing table gets its own.
         self._lock = threading.RLock()
-        #: Called (under the lock) after every mutation; the owning catalog
-        #: installs this to advance its global version counter.
-        self._on_mutate = None
         #: Additional mutation observers, called (under the lock, after the
         #: version bump) as ``observer(kind, batch)`` where ``kind`` is
         #: ``"insert"`` (``batch`` is the appended delta) or ``"truncate"``
@@ -120,8 +117,6 @@ class Table:
                     for mine, theirs in zip(self._columns, batch.columns)
                 ]
             self.version += 1
-            if self._on_mutate is not None:
-                self._on_mutate()
             self._notify("insert", batch)
 
     def truncate(self) -> None:
@@ -131,8 +126,6 @@ class Table:
                 for f in self.schema
             ]
             self.version += 1
-            if self._on_mutate is not None:
-                self._on_mutate()
             self._notify("truncate", None)
 
     # ------------------------------------------------------------------
@@ -162,33 +155,24 @@ class Catalog:
     """Name → table mapping with case-insensitive lookup.
 
     DDL (``create_table``/``drop_table``) and DML (inserts into catalog-owned
-    tables) are serialized by one reentrant lock and advance a global
-    :attr:`version` counter. The plan and result caches of the query service
-    key their invalidation on that counter: any schema or data change makes
-    every previously cached plan/result stale.
+    tables) are serialized by one reentrant lock. DDL advances
+    :attr:`ddl_version` and DML the written table's :attr:`Table.version`;
+    the plan and result caches of the query service validate an entry on
+    the two, so a change to one table leaves entries over other tables
+    valid.
     """
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._lock = threading.RLock()
-        #: Bumped (under the lock) by every DDL statement and every mutation
-        #: of a catalog-owned table. Kept as the coarse fallback key for
-        #: cache entries that cannot enumerate their table dependencies.
-        self.version = 0
         #: Bumped only by DDL (create/drop table) — never by DML. Cache
-        #: entries that track per-table versions pair them with this, so an
-        #: insert into one table no longer invalidates entries that only
-        #: touch other tables.
+        #: entries pair it with the per-table versions they read.
         self.ddl_version = 0
 
     @property
     def lock(self) -> threading.RLock:
         """The catalog-wide DDL/DML lock (shared with owned tables)."""
         return self._lock
-
-    def _bump_version(self) -> None:
-        with self._lock:
-            self.version += 1
 
     def create_table(
         self, name: str, schema: Union[Schema, Sequence, Dict[str, Any]]
@@ -203,9 +187,7 @@ class Catalog:
                 raise CatalogError(f"table already exists: {name!r}")
             table = Table(name, schema)
             table._lock = self._lock
-            table._on_mutate = self._bump_version
             self._tables[key] = table
-            self.version += 1
             self.ddl_version += 1
             return table
 
@@ -214,9 +196,7 @@ class Catalog:
         with self._lock:
             if key not in self._tables:
                 raise CatalogError(f"unknown table: {name!r}")
-            table = self._tables.pop(key)
-            table._on_mutate = None
-            self.version += 1
+            self._tables.pop(key)
             self.ddl_version += 1
 
     def has(self, name: str) -> bool:

@@ -138,6 +138,18 @@ class TestErrorPaths:
         with pytest.raises(NotSupportedError):
             db.plan("SELECT 1 FROM t SEMI JOIN u ON t.a = u.a AND t.a < u.b")
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT 1 FROM t LEFT JOIN u ON t.a = u.a AND t.s = 'x'",
+        "SELECT 1 FROM t LEFT JOIN u ON t.a = u.a AND t.a < u.b",
+        "SELECT 1 FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE u.a = t.a AND t.s = 'x')",
+    ])
+    def test_preserved_side_conjunct_rejected(self, db, sql):
+        """A LEFT or ANTI join keeps its left rows that fail the condition,
+        so a conjunct over them filters neither below nor above the join."""
+        db.create_table("u", {"a": "int64", "b": "int64"})
+        with pytest.raises(NotSupportedError):
+            db.plan(sql)
+
     def test_distinct_with_grouping_sets_rejected(self, db):
         with pytest.raises(NotSupportedError):
             db.sql(

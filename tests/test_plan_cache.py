@@ -222,7 +222,7 @@ class TestPlanCache:
         sql = "SELECT count(*) FROM t"
         assert db.sql(sql).rows() == [(10,)]
         db.insert("t", {"g": [9], "x": [1.0]})
-        # Catalog version moved: the old entry no longer matches.
+        # t's version moved: the old entry no longer matches.
         assert db.sql(sql).rows() == [(11,)]
         assert calls["parse"] == 2
 
@@ -361,7 +361,7 @@ class TestPlanCacheLookup:
 
         def entry(self, sql="SELECT 1", **kwargs):
             return PreparedPlan(
-                sql, None, None, self.version,
+                sql, None, None,
                 table_deps=(("t", self.version),),
                 ddl_version=self.ddl_version,
                 **kwargs,

@@ -325,7 +325,7 @@ def test_cache_rejects_template_with_unrebindable_source(corpus_db):
         if isinstance(node, SourceOp):
             node.plan = None
 
-    prepared = PreparedPlan(sql, None, None, 0, table_deps=(), ddl_version=0)
+    prepared = PreparedPlan(sql, None, None, table_deps=(), ddl_version=0)
     with pytest.raises(PlanVerificationError) as excinfo:
         prepared.store_template(("fp", 0), dag, _config(True, "strict"))
     assert any(

@@ -346,7 +346,7 @@ class TestResultCache:
             session = service.session()
             sql = "SELECT count(*) FROM t"
             session.execute(sql)
-            db.create_table("other", {"a": "int64"})  # bumps catalog version
+            db.create_table("other", {"a": "int64"})  # bumps the DDL version
             session.execute(sql)
             assert service.stats()["service"].get("result_cache_hits", 0) == 0
 
@@ -412,29 +412,31 @@ class TestSessions:
 
 
 # ---------------------------------------------------------------------------
-# Catalog versioning (plan/result-cache invalidation signal)
+# Catalog versioning (plan/result-cache invalidation signal): the DDL
+# version and the per-table versions the caches validate on
 # ---------------------------------------------------------------------------
 class TestCatalogVersion:
     def test_ddl_and_dml_bump_version(self):
         db = Database()
-        v0 = db.catalog.version
-        db.create_table("a", {"x": "int64"})
-        v1 = db.catalog.version
-        assert v1 > v0
+        ddl0 = db.catalog.ddl_version
+        table = db.create_table("a", {"x": "int64"})
+        ddl1 = db.catalog.ddl_version
+        assert ddl1 > ddl0
+        v0 = table.version
         db.insert("a", {"x": [1, 2, 3]})
-        v2 = db.catalog.version
-        assert v2 > v1
+        v1 = table.version
+        assert v1 > v0
         db.table("a").truncate()
-        v3 = db.catalog.version
-        assert v3 > v2
+        assert table.version > v1
+        assert db.catalog.ddl_version == ddl1  # DML moves only the table
         db.drop_table("a")
-        assert db.catalog.version > v3
+        assert db.catalog.ddl_version > ddl1
 
     def test_reads_do_not_bump_version(self):
         db = make_db(rows=50)
-        before = db.catalog.version
+        before = (db.catalog.ddl_version, db.table("t").version)
         db.sql("SELECT g, sum(x) FROM t GROUP BY g")
-        assert db.catalog.version == before
+        assert (db.catalog.ddl_version, db.table("t").version) == before
 
 
 # ---------------------------------------------------------------------------

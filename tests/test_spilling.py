@@ -453,9 +453,9 @@ class TestBudgetIsABound:
 
         parallel_for = ExecutionContext.parallel_for
 
-        def checked_parallel_for(ctx, operator, items, fn, splittable=False, steps=None):
+        def checked_parallel_for(ctx, operator, items, fn, steps=None):
             if steps is None:
-                return parallel_for(ctx, operator, items, fn, splittable)
+                return parallel_for(ctx, operator, items, fn)
             regions.update(name for name, _ in steps)
 
             def item(value):
@@ -467,7 +467,7 @@ class TestBudgetIsABound:
                 check(f"after a {operator} item")
                 return result
 
-            return parallel_for(ctx, operator, items, item, splittable, steps)
+            return parallel_for(ctx, operator, items, item, steps)
 
         monkeypatch.setattr(TupleBuffer, "enable_spilling", enable_and_register)
         monkeypatch.setattr(SpillManager, "io_hook", staticmethod(observe_reads))
