@@ -51,7 +51,7 @@ from ..execution.trace import Span
 from ..logical.plan import key_hash
 from .analyze import morsel_skew, q_error
 from .events import FlightRecorder
-from .workload import DRIFT_THRESHOLD, WorkloadStats
+from .workload import WorkloadStats
 
 __all__ = [
     "TelemetryConfig",
@@ -414,9 +414,7 @@ class Telemetry:
             "records": self.slowlog.snapshot(last),
         }
 
-    def report(
-        self, top: int = 20, drift_threshold: float = DRIFT_THRESHOLD
-    ) -> dict:
+    def report(self, top: int = 20) -> dict:
         """One JSON-serializable service-telemetry report."""
         return {
             "schema": 1,
@@ -430,7 +428,7 @@ class Telemetry:
             "workload": self.workload.snapshot(top=top),
             "drifting": [
                 entry.to_dict()
-                for _, entry in self.workload.drifting_templates(drift_threshold)
+                for _, entry in self.workload.drifting_templates()
             ],
             "reuse": self.reuse_snapshot(),
         }

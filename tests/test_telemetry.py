@@ -33,7 +33,12 @@ from repro.observability.telemetry import (
     TelemetryConfig,
     render_report,
 )
-from repro.observability.workload import BASELINE_WINDOW, WorkloadStats
+from repro.observability.workload import (
+    BASELINE_WINDOW,
+    DRIFT_MIN_COUNT,
+    DRIFT_THRESHOLD,
+    WorkloadStats,
+)
 
 
 def fresh_telemetry(**overrides) -> Telemetry:
@@ -189,7 +194,7 @@ class TestWorkloadStats:
         # The cardinality model goes stale: recent Q-errors degrade.
         for _ in range(10):
             stats.observe("fp", "sql", "lolepop", 0.01, q_error=8.0)
-        drifting = stats.drifting_templates(threshold=2.0)
+        drifting = stats.drifting_templates()
         assert [fp for fp, _ in drifting] == ["fp"]
         entry = drifting[0][1]
         assert entry.drift_ratio() > 2.0
@@ -200,13 +205,19 @@ class TestWorkloadStats:
         stats = WorkloadStats()
         for _ in range(BASELINE_WINDOW + 20):
             stats.observe("fp", "sql", "lolepop", 0.01, q_error=3.0)
-        assert stats.drifting_templates(threshold=2.0) == []
+        assert stats.drifting_templates() == []
 
     def test_min_count_guards_young_templates(self):
+        # The Q-error degrades early: the ratio is past the threshold at
+        # 11 executions, but the template drifts only from the 12th.
         stats = WorkloadStats()
-        for _ in range(3):
-            stats.observe("fp", "sql", "lolepop", 0.01, q_error=50.0)
-        assert stats.drifting_templates(threshold=1.1) == []
+        for q_error in [1.0] * 7 + [100.0] * 4:
+            stats.observe("fp", "sql", "lolepop", 0.01, q_error=q_error)
+        assert stats.get("fp").drift_ratio() >= DRIFT_THRESHOLD
+        assert stats.drifting_templates() == []
+        stats.observe("fp", "sql", "lolepop", 0.01, q_error=100.0)
+        assert stats.get("fp").count == DRIFT_MIN_COUNT
+        assert [fp for fp, _ in stats.drifting_templates()] == ["fp"]
 
     def test_snapshot_shape(self):
         stats = WorkloadStats(capacity=4)
