@@ -8,9 +8,9 @@ SOURCE nodes estimate their relational pipeline, HASHAGG/ORDAGG estimate
 group counts against the region's input plan, buffer movers (PARTITION /
 SORT / MERGE / WINDOW / SCAN) pass their input estimate through, COMBINE
 takes the max (join mode) or sum (union mode) of its inputs. A node span
-holds only what was measured: the views that compare against an estimate
-(EXPLAIN ANALYZE here, the feedback observations) call
-:func:`estimate_dag_rows` for the DAGs they read.
+holds only what was measured, and so does the feedback store: EXPLAIN
+ANALYZE, the one view that compares against an estimate, calls
+:func:`estimate_dag_rows` for the DAGs it reads.
 
 The Q-error of a node is ``max(est/actual, actual/est)`` (both clamped to
 one row) — the standard estimate-quality measure; the summary line reports

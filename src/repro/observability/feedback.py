@@ -1,37 +1,38 @@
 """Persistent cardinality-feedback store: the closed Q-error loop.
 
-Every executed query contributes *actuals* — the rows it returned, and
-when it was traced the observed output rows per plan operator — keyed by
-``(plan fingerprint, operator position)``. The store
-persists them as one small schema-validated JSON file per fingerprint
-under a feedback directory (``REPRO_FEEDBACK_DIR`` or the ``Database``'s
-``feedback_dir``), survives restarts, and feeds two consumers:
+Every executed query contributes *actuals*: the rows it returned, and
+when it was traced the output rows of each executed SOURCE, HASHAGG and
+ORDAGG. Each actual answers one question the
+:class:`~repro.logical.cardinality.CardinalityEstimator` asks — how many
+rows does this plan return (:meth:`FeedbackStore.rows_for`), how many
+groups do these keys form over this plan (:meth:`~FeedbackStore.groups_for`)
+— and is kept under that question's *signature*: the hash of the logical
+subplan's :meth:`~repro.logical.plan.LogicalPlan.key`, literals included.
+Once a signature has been observed, its smoothed actual overrides the
+statistics-model estimate. The slots are grouped by plan fingerprint,
+one small schema-validated JSON file per fingerprint under a feedback
+directory (``REPRO_FEEDBACK_DIR`` or the ``Database``'s ``feedback_dir``),
+so they survive restarts.
 
-- :class:`~repro.logical.cardinality.CardinalityEstimator`, which
-  consults the store (:meth:`FeedbackStore.rows_for` /
-  :meth:`~FeedbackStore.groups_for`): once an operator's *plan signature*
-  (the hash of the logical subplan's
-  :meth:`~repro.logical.plan.LogicalPlan.key`, literals included) has been
-  observed, the smoothed actual row count overrides the statistics-model
-  estimate.
-- the drift→replan decision (:meth:`FeedbackStore.record_execution`): when
-  the workload profiler's template for the statement is drifting
-  (:meth:`~repro.observability.workload.TemplateStats.drifting`, the rule
-  the telemetry report's ``drifting`` list applies too), the caller is
-  told to drop its cached plan so the next execution re-plans — now
-  against the calibrated estimator — closing the
-  loop the :class:`~repro.observability.workload.WorkloadStats` drift
-  detector only *reported* before.
+The store also owns the drift→replan decision
+(:meth:`FeedbackStore.record_execution`): when the workload profiler's
+template for the statement is drifting
+(:meth:`~repro.observability.workload.TemplateStats.drifting`, the rule
+the telemetry report's ``drifting`` list applies too), the caller is told
+to drop its cached plan so the next execution re-plans — now against the
+calibrated estimator.
 
 Durability model: actuals are advisory, so writes are throttled (first
 observation per fingerprint flushes immediately, then every
 :data:`FLUSH_INTERVAL`-th) and atomic (temp file + ``os.replace``). A corrupt
 or partial file is tolerated on load — skipped with a
 ``feedback.load_error`` flight-recorder event — and the on-disk footprint
-is bounded by ``max_files``: the entries are a :class:`~repro.bounded.Lru`
-whose eviction unlinks the file (a ``feedback.evict`` event). Loading
-inserts the files in ``updated`` order, so the LRU order survives a
-restart.
+is bounded twice: a file holds at most
+:data:`MAX_SIGNATURES_PER_FINGERPRINT` slots (the least recently observed
+goes), and the directory at most :data:`MAX_FILES` files (the entries are
+a :class:`~repro.bounded.Lru` whose eviction unlinks the file, a
+``feedback.evict`` event). Loading inserts the files in ``updated`` order,
+so the LRU order survives a restart.
 """
 
 from __future__ import annotations
@@ -40,31 +41,27 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bounded import Lru
 from ..logical.plan import key_hash
 from ..lolepop.base import SourceOp
 from ..lolepop.hashagg_op import HashAggOp
 from ..lolepop.ordagg_op import OrdAggOp
-from .analyze import _region_input_plan, estimate_dag_rows, q_error
+from .analyze import _region_input_plan
 
 __all__ = [
     "SCHEMA_VERSION",
     "FeedbackStore",
     "plan_signature",
     "group_signature",
-    "profile_observations",
 ]
 
-#: 3: the ROOT observation has its own slot, position -1 (2 shared slot 0
-#: with the first operator, blending their row counts); 2: signatures are
-#: hashes of :meth:`LogicalPlan.key` (1 concatenated display labels, which
-#: truncate). Older files are skipped on load.
-SCHEMA_VERSION = 3
-
-#: The slot of the ROOT observation, apart from the operators' 0, 1, ...
-ROOT_POSITION = -1
+#: 4: slots are keyed by signature (3 keyed them by operator position, so
+#: literal variants of one fingerprint blended their actuals); 3: the ROOT
+#: observation had its own slot; 2: signatures are hashes of
+#: :meth:`LogicalPlan.key`. Older files are skipped on load.
+SCHEMA_VERSION = 4
 
 #: Exponential smoothing factor for actual row counts (matches the
 #: workload profiler's recency bias).
@@ -73,9 +70,12 @@ ACTUAL_ALPHA = 0.3
 _FILE_PREFIX = "fb_"
 _FILE_SUFFIX = ".json"
 
-#: Per-fingerprint operator cap: a file stays a few KB no matter how many
-#: regions a query compiles to.
-MAX_OPERATORS_PER_FINGERPRINT = 64
+#: Fingerprint files kept in the feedback directory.
+MAX_FILES = 256
+
+#: Per-fingerprint slot cap: a statement run with many literal sets keeps
+#: its most recently observed signatures, and its file stays a few KB.
+MAX_SIGNATURES_PER_FINGERPRINT = 64
 
 #: After a fingerprint's first flush, every this-many-th observation of it
 #: flushes its file.
@@ -85,6 +85,9 @@ FLUSH_INTERVAL = 8
 #: this many further executions, so a persistently drifting template does
 #: not discard its plan on every query.
 REPLAN_INTERVAL = 8
+
+#: One execution's actual for one estimator question.
+Observation = Tuple[str, float]
 
 
 def plan_signature(plan) -> str:
@@ -114,109 +117,42 @@ def _operator_signature(node, context) -> Optional[str]:
     return None
 
 
-def profile_observations(dags, estimator) -> List[dict]:
-    """Flatten the DAGs of one traced execution into feedback observations:
-    one dict per DAG node carrying a span, with the operator's position
-    (counted across all region DAGs), its estimate under ``estimator`` and
-    its actual rows."""
-    observations: List[dict] = []
-    position = 0
+def _traced_observations(dags) -> List[Observation]:
+    """The measured output rows of every executed node of a traced run
+    whose cardinality answers an estimator question."""
+    observations: List[Observation] = []
     for dag in dags:
         context = _region_input_plan(getattr(dag, "region_plan", None))
-        estimates = estimate_dag_rows(dag, estimator)
         for node in dag.topological_order():
-            position += 1
-            if node.span is None:
-                continue
-            stats = node.span.attrs
-            estimate = estimates[id(node)]
-            observations.append(
-                {
-                    "position": position - 1,
-                    "name": node.name(),
-                    "describe": node.describe(),
-                    "signature": _operator_signature(node, context),
-                    "est_rows": None if estimate is None else float(estimate),
-                    "actual_rows": float(stats["rows_out"]),
-                }
-            )
+            signature = None if node.span is None else _operator_signature(node, context)
+            if signature is not None:
+                observations.append((signature, float(node.span.attrs["rows_out"])))
     return observations
 
 
-def root_observation(plan, est_rows: Optional[float], actual_rows: int) -> dict:
-    """The query's root cardinality (estimate at prepare time vs. rows
-    actually returned), in its own slot. Recorded on every successful
-    telemetry-enabled execution, traced or not, so the feedback store fills
-    even when tracing is off (the serving default)."""
-    return {
-        "position": ROOT_POSITION,
-        "name": "ROOT",
-        "describe": "",
-        "signature": plan_signature(plan),
-        "est_rows": None if est_rows is None else float(est_rows),
-        "actual_rows": float(actual_rows),
-    }
+class _Slot:
+    """The smoothed actual rows of one signature."""
 
+    __slots__ = ("rows", "observations")
 
-class _OperatorFeedback:
-    """Smoothed actuals for one ``(fingerprint, position)`` slot."""
+    def __init__(self, rows: float, observations: int = 1):
+        self.rows = rows
+        self.observations = observations
 
-    __slots__ = (
-        "name", "describe", "signature", "est_rows", "actual_rows", "observations",
-    )
-
-    def __init__(self, observation: dict):
-        self.name = str(observation.get("name", "?"))
-        self.describe = str(observation.get("describe", ""))
-        signature = observation.get("signature")
-        self.signature = None if signature is None else str(signature)
-        est = observation.get("est_rows")
-        self.est_rows = None if est is None else float(est)
-        self.actual_rows = float(observation.get("actual_rows", 0.0))
-        self.observations = int(observation.get("observations", 1))
-
-    def update(self, observation: dict) -> None:
-        self.name = str(observation.get("name", self.name))
-        self.describe = str(observation.get("describe", self.describe))
-        signature = observation.get("signature")
-        if signature is not None:
-            self.signature = str(signature)
-        est = observation.get("est_rows")
-        if est is not None:
-            self.est_rows = float(est)
-        actual = float(observation.get("actual_rows", self.actual_rows))
-        self.actual_rows = (
-            (1.0 - ACTUAL_ALPHA) * self.actual_rows + ACTUAL_ALPHA * actual
-        )
+    def update(self, rows: float) -> None:
+        self.rows = (1.0 - ACTUAL_ALPHA) * self.rows + ACTUAL_ALPHA * rows
         self.observations += 1
-
-    @property
-    def q_error(self) -> Optional[float]:
-        return q_error(self.est_rows, self.actual_rows)
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "describe": self.describe,
-            "signature": self.signature,
-            "est_rows": self.est_rows,
-            "actual_rows": self.actual_rows,
-            "observations": self.observations,
-        }
-        q = self.q_error
-        if q is not None:
-            out["q_error"] = q
-        return out
 
 
 class _FingerprintFeedback:
-    __slots__ = ("fingerprint", "sql", "updated", "operators", "pending")
+    __slots__ = ("fingerprint", "sql", "updated", "slots", "pending")
 
     def __init__(self, fingerprint: str, sql: str):
         self.fingerprint = fingerprint
         self.sql = sql
         self.updated = 0.0
-        self.operators: Dict[int, _OperatorFeedback] = {}
+        #: signature -> slot, least recently observed first.
+        self.slots: Dict[str, _Slot] = {}
         #: Observations folded in since this process created or loaded it
         #: (the flush throttle's count).
         self.pending = 0
@@ -227,9 +163,9 @@ class _FingerprintFeedback:
             "fingerprint": self.fingerprint,
             "sql": self.sql,
             "updated": self.updated,
-            "operators": {
-                str(position): feedback.to_dict()
-                for position, feedback in sorted(self.operators.items())
+            "slots": {
+                signature: {"rows": slot.rows, "observations": slot.observations}
+                for signature, slot in self.slots.items()
             },
         }
 
@@ -254,24 +190,22 @@ def _validate_document(doc: object) -> _FingerprintFeedback:
     fingerprint = doc.get("fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint:
         raise ValueError("feedback document missing fingerprint")
-    operators = doc.get("operators")
-    if not isinstance(operators, dict):
-        raise ValueError("feedback document missing operators object")
+    slots = doc.get("slots")
+    if not isinstance(slots, dict):
+        raise ValueError("feedback document missing slots object")
     entry = _FingerprintFeedback(fingerprint, str(doc.get("sql", "")))
     entry.updated = float(doc.get("updated", 0.0))
-    for key, payload in operators.items():
-        position = int(key)
-        if not isinstance(payload, dict):
-            raise ValueError(f"operator {key} payload is not an object")
-        if "actual_rows" not in payload:
-            raise ValueError(f"operator {key} missing actual_rows")
-        float(payload["actual_rows"])  # must be numeric
-        entry.operators[position] = _OperatorFeedback(payload)
+    for signature, payload in slots.items():
+        if not isinstance(payload, dict) or "rows" not in payload:
+            raise ValueError(f"slot {signature} has no rows")
+        entry.slots[signature] = _Slot(
+            float(payload["rows"]), int(payload.get("observations", 1))
+        )
     return entry
 
 
 class FeedbackStore:
-    """Persistent per-``(plan fingerprint, operator position)`` actuals.
+    """Persistent smoothed actuals per estimator-question signature.
 
     Thread-safe; all mutation happens under one lock (queries complete
     concurrently under the service layer), re-entered by the entries'
@@ -279,21 +213,15 @@ class FeedbackStore:
     skipped with a ``feedback.load_error`` event.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        max_files: int = 256,
-        telemetry=None,
-    ):
+    def __init__(self, directory: str, telemetry=None):
         self.directory = directory
-        self.max_files = max(1, int(max_files))
         self._telemetry = telemetry
         self._lock = threading.RLock()
-        self._entries = Lru(self.max_files)
+        self._entries = Lru(MAX_FILES)
         self._entries.on_evict = self._evicted
-        #: signature -> the most-observed feedback slot carrying it, so a
+        #: signature -> the most-observed slot carrying it, so a
         #: calibration lookup is one dict probe instead of a store scan.
-        self._signature_index: Dict[str, _OperatorFeedback] = {}
+        self._signature_index: Dict[str, _Slot] = {}
         os.makedirs(directory, exist_ok=True)
         self._load()
 
@@ -324,16 +252,24 @@ class FeedbackStore:
         with self._lock:
             for entry in sorted(loaded, key=lambda e: e.updated):
                 self._entries.put(entry.fingerprint, entry)
-                for feedback in entry.operators.values():
-                    self._index_locked(feedback)
+                for signature, slot in entry.slots.items():
+                    self._index_locked(signature, slot)
 
-    def _index_locked(self, feedback: _OperatorFeedback) -> None:
-        signature = feedback.signature
-        if signature is None:
-            return
+    def _index_locked(self, signature: str, slot: _Slot) -> None:
         existing = self._signature_index.get(signature)
-        if existing is None or feedback.observations >= existing.observations:
-            self._signature_index[signature] = feedback
+        if existing is None or slot.observations >= existing.observations:
+            self._signature_index[signature] = slot
+
+    def _unindex_locked(self, signature: str, slot: _Slot) -> None:
+        """``slot`` left the store: if the index pointed at it, point it at
+        the most-observed slot of ``signature`` still kept, if any."""
+        if self._signature_index.get(signature) is not slot:
+            return
+        del self._signature_index[signature]
+        for entry in self._entries.values():
+            kept = entry.slots.get(signature)
+            if kept is not None:
+                self._index_locked(signature, kept)
 
     def _evicted(self, fingerprint: str, entry: _FingerprintFeedback) -> None:
         """The entries' ``on_evict``: the file and the index slots go with
@@ -344,10 +280,8 @@ class FeedbackStore:
             pass
         self._event("feedback.evict", fingerprint=fingerprint)
         with self._lock:
-            self._signature_index.clear()
-            for kept in self._entries.values():
-                for feedback in kept.operators.values():
-                    self._index_locked(feedback)
+            for signature, slot in entry.slots.items():
+                self._unindex_locked(signature, slot)
 
     def _flush_locked(self, entry: _FingerprintFeedback) -> None:
         path = self._path(entry.fingerprint)
@@ -364,24 +298,21 @@ class FeedbackStore:
                 pass
 
     # -- recording ------------------------------------------------------
-    def record_execution(self, record, prepared, result, estimator, template) -> bool:
+    def record_execution(self, record, prepared, result, template) -> bool:
         """The store's one entry point, reached from
         :meth:`~repro.observability.telemetry.Telemetry.record_execution`
         for every successful execution that had a plan: fold the run's
-        actuals in (the root cardinality against the prepare-time estimate,
-        and per operator when the run was traced), then decide from
+        actuals in (the rows returned under the plan's signature, and the
+        traced nodes' rows when the run was traced), then decide from
         ``template`` — the workload profiler's aggregate for this
         fingerprint — whether the estimates have drifted far enough to
         re-plan. On drift the prepared plan's cached estimate and DAG
         templates are dropped, a ``feedback.replan`` breadcrumb is emitted
         and ``True`` tells the caller to discard its plan-cache entry, so
         the next execution plans against the now-calibrated estimator."""
-        est = prepared.est_rows
-        if est is not None and est < 0.0:
-            est = None  # estimation-failure sentinel
-        observations = [root_observation(prepared.plan, est, record.rows)]
-        if result.trace is not None and result.dags:
-            observations += profile_observations(result.dags, estimator)
+        observations = [(plan_signature(prepared.plan), float(record.rows))]
+        if result.trace is not None:
+            observations += _traced_observations(result.dags)
         self.observe(record.fingerprint, record.sql, observations)
         if not template.drifting():
             return False
@@ -400,9 +331,12 @@ class FeedbackStore:
         )
         return True
 
-    def observe(self, fingerprint: str, sql: str, observations: List[dict]) -> None:
-        """Fold one execution's observations into the store and flush the
-        fingerprint's file per the throttle policy."""
+    def observe(
+        self, fingerprint: str, sql: str, observations: List[Observation]
+    ) -> None:
+        """Fold one execution's ``(signature, actual rows)`` observations
+        into the store and flush the fingerprint's file per the throttle
+        policy. A signature observed twice in one execution counts once."""
         if not observations:
             return
         with self._lock:
@@ -410,17 +344,18 @@ class FeedbackStore:
                 fingerprint, lambda: _FingerprintFeedback(fingerprint, sql)
             )
             entry.updated = time.time()
-            for observation in observations:
-                position = int(observation.get("position", 0))
-                if position >= MAX_OPERATORS_PER_FINGERPRINT:
-                    continue
-                existing = entry.operators.get(position)
-                if existing is None:
-                    existing = _OperatorFeedback(observation)
-                    entry.operators[position] = existing
+            slots = entry.slots
+            for signature, rows in dict(observations).items():
+                slot = slots.pop(signature, None)  # re-inserted as the newest
+                if slot is None:
+                    slot = _Slot(rows)
                 else:
-                    existing.update(observation)
-                self._index_locked(existing)
+                    slot.update(rows)
+                slots[signature] = slot
+                self._index_locked(signature, slot)
+            while len(slots) > MAX_SIGNATURES_PER_FINGERPRINT:
+                oldest = next(iter(slots))
+                self._unindex_locked(oldest, slots.pop(oldest))
             if entry.pending % FLUSH_INTERVAL == 0:
                 self._flush_locked(entry)
             entry.pending += 1
@@ -443,23 +378,6 @@ class FeedbackStore:
             entry = self._entries.peek(fingerprint)
             return None if entry is None else entry.to_dict()
 
-    def summary(self) -> dict:
-        with self._lock:
-            entries = self._entries.values()
-            operators = sum(len(e.operators) for e in entries)
-            worst: Optional[float] = None
-            for entry in entries:
-                for feedback in entry.operators.values():
-                    q = feedback.q_error
-                    if q is not None and (worst is None or q > worst):
-                        worst = q
-            return {
-                "directory": self.directory,
-                "fingerprints": len(entries),
-                "operators": operators,
-                "max_q_error": worst,
-            }
-
     # -- calibration ----------------------------------------------------
     # The feedback-source protocol of
     # :class:`~repro.logical.cardinality.CardinalityEstimator`: a live view,
@@ -474,5 +392,5 @@ class FeedbackStore:
 
     def _lookup_signature(self, signature: str) -> Optional[float]:
         with self._lock:
-            feedback = self._signature_index.get(signature)
-            return None if feedback is None else feedback.actual_rows
+            slot = self._signature_index.get(signature)
+            return None if slot is None else slot.rows

@@ -65,6 +65,9 @@ __all__ = [
 #: telemetry layer into a disk-filling loop).
 ERROR_DUMP_MIN_INTERVAL_S = 5.0
 
+#: SQL stored in records and templates is truncated to this length.
+MAX_SQL_CHARS = 500
+
 #: Flight-recorder event kind of a finished query, by record status.
 _EVENT_KIND = {"ok": "query.finish", "error": "query.error", "cancelled": "query.cancel"}
 
@@ -79,7 +82,6 @@ class TelemetryConfig:
         slow_query_threshold_s: Optional[float] = None,
         slowlog_capacity: int = 128,
         max_fingerprints: int = 512,
-        max_sql_chars: int = 500,
         dump_on_error_dir: Optional[str] = None,
     ):
         if enabled is None:
@@ -97,8 +99,6 @@ class TelemetryConfig:
         self.slow_query_threshold_s = slow_query_threshold_s
         self.slowlog_capacity = slowlog_capacity
         self.max_fingerprints = max_fingerprints
-        #: SQL stored in records/templates is truncated to this length.
-        self.max_sql_chars = max_sql_chars
         #: When set, a ``query.error`` record dumps the flight recorder
         #: into this directory (rate-limited).
         self.dump_on_error_dir = dump_on_error_dir
@@ -236,8 +236,7 @@ class Telemetry:
         self.recorder.record(kind, **fields)
 
     def truncate_sql(self, sql: str) -> str:
-        limit = self.config.max_sql_chars
-        return sql if len(sql) <= limit else sql[: limit - 3] + "..."
+        return sql if len(sql) <= MAX_SQL_CHARS else sql[: MAX_SQL_CHARS - 3] + "..."
 
     def open_statement(
         self,
@@ -331,9 +330,7 @@ class Telemetry:
             )
             template = self._fan_out(record, getattr(executed, "trace", None))
             if feedback is not None and status == "ok" and executed is not None:
-                return feedback.record_execution(
-                    record, prepared, executed, estimator, template
-                )
+                return feedback.record_execution(record, prepared, executed, template)
         except Exception:  # noqa: BLE001 — telemetry never takes queries down
             pass
         return False

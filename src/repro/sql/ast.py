@@ -258,11 +258,13 @@ class DerivedTable(TableRef):
 
 class JoinedTable(TableRef):
     """``left <kind> JOIN right ON condition``; kind in
-    {'inner','left','semi','anti'}."""
+    {'inner','left','semi','anti'}. A comma join has no condition."""
 
     __slots__ = ("left", "right", "kind", "condition")
 
-    def __init__(self, left: TableRef, right: TableRef, kind: str, condition: SqlExpr):
+    def __init__(
+        self, left: TableRef, right: TableRef, kind: str, condition: Optional[SqlExpr]
+    ):
         self.left = left
         self.right = right
         self.kind = kind

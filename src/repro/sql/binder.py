@@ -288,8 +288,11 @@ class _Binder:
     def _bind_core(self, stmt: sql_ast.SelectStmt) -> LogicalPlan:
         if stmt.from_clause is None:
             raise NotSupportedError("SELECT without FROM is not supported")
-        plan, scope = self._bind_from(stmt.from_clause)
-        plan = self._bind_where(plan, scope, stmt.where)
+        where = _split_and(stmt.where)
+        plan, scope = self._bind_from(stmt.from_clause, where)
+        for parts in _collect_names(stmt.where):  # a comma join saw only its sides
+            scope.resolve(parts)
+        plan = self._bind_where(plan, scope, where)
 
         group_exprs, grouping_sets = self._bind_group_by(stmt.group_by, scope, plan)
         planner = AggregatePlanner(plan, group_exprs)
@@ -342,7 +345,11 @@ class _Binder:
     # ------------------------------------------------------------------
     # FROM / WHERE
     # ------------------------------------------------------------------
-    def _bind_from(self, ref: sql_ast.TableRef) -> Tuple[LogicalPlan, _Scope]:
+    def _bind_from(
+        self, ref: sql_ast.TableRef, where: Optional[List[sql_ast.SqlExpr]] = None
+    ) -> Tuple[LogicalPlan, _Scope]:
+        """Bind a FROM clause. ``where`` is its query's WHERE conjuncts: each
+        comma join takes the plain ones over its two sides as its ON clause."""
         if isinstance(ref, sql_ast.NamedTable):
             key = ref.name.lower()
             if key in self.ctes:
@@ -355,15 +362,31 @@ class _Binder:
             plan = self.bind_statement(ref.select)
             return plan, _Scope.for_table(ref.alias, plan.schema.names())
         if isinstance(ref, sql_ast.JoinedTable):
-            return self._bind_join(ref)
+            return self._bind_join(ref, where)
         raise BindError(f"unsupported table reference: {ref!r}")
 
-    def _bind_join(self, ref: sql_ast.JoinedTable) -> Tuple[LogicalPlan, _Scope]:
-        left_plan, left_scope = self._bind_from(ref.left)
-        right_plan, right_scope = self._bind_from(ref.right)
+    def _bind_join(
+        self, ref: sql_ast.JoinedTable, where: Optional[List[sql_ast.SqlExpr]]
+    ) -> Tuple[LogicalPlan, _Scope]:
+        left_plan, left_scope = self._bind_from(ref.left, where)
+        right_plan, right_scope = self._bind_from(ref.right, where)
+        conjuncts = _split_and(ref.condition)
+        if ref.condition is None:
+            if where is None:
+                raise NotSupportedError(
+                    "comma joins are only supported in a query's own FROM; use JOIN ... ON"
+                )
+            rest: List[sql_ast.SqlExpr] = []
+            for c in where:
+                plain = not isinstance(c, (sql_ast.SqlExists, sql_ast.SqlInSubquery))
+                over_sides = all(
+                    left_scope.resolve(p) or right_scope.resolve(p) for p in _collect_names(c)
+                )
+                (conjuncts if plain and over_sides else rest).append(c)
+            where[:] = rest
         return self._join(
             left_plan, left_scope, right_plan, right_scope,
-            JoinKind(ref.kind), _split_and(ref.condition),
+            JoinKind(ref.kind), conjuncts,
         )
 
     def _join(
@@ -400,8 +423,6 @@ class _Binder:
         keys: List[Tuple[str, str]] = []
         residuals: List[sql_ast.SqlExpr] = []
         for conjunct in conjuncts:
-            if isinstance(conjunct, sql_ast.SqlLiteral) and conjunct.value is True:
-                continue
             if (
                 isinstance(conjunct, sql_ast.SqlBinary)
                 and conjunct.op == "="
@@ -442,10 +463,10 @@ class _Binder:
         self,
         plan: LogicalPlan,
         scope: _Scope,
-        where: Optional[sql_ast.SqlExpr],
+        where: List[sql_ast.SqlExpr],
     ) -> LogicalPlan:
         predicates: List[Expr] = []
-        for conjunct in _split_and(where):
+        for conjunct in where:
             if isinstance(conjunct, sql_ast.SqlExists):
                 plan = self._bind_exists(plan, scope, conjunct)
             elif isinstance(conjunct, sql_ast.SqlInSubquery):

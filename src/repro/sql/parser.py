@@ -269,9 +269,8 @@ class _Parser:
             elif self._accept_keyword("join"):
                 kind = "inner"
             elif self._accept_symbol(","):
-                # comma join = inner join with TRUE condition (WHERE filters)
-                right = self._parse_table_ref()
-                ref = JoinedTable(ref, right, "inner", SqlLiteral(True, "bool"))
+                # A comma join has no condition: its keys come from WHERE.
+                ref = JoinedTable(ref, self._parse_table_ref(), "inner", None)
                 continue
             else:
                 break

@@ -349,6 +349,69 @@ class TestJoins:
         with pytest.raises(NotSupportedError):
             plan_of(catalog, "SELECT 1 FROM r JOIN m ON b < v")
 
+    @pytest.mark.parametrize("engine", ["lolepop", "naive"])
+    @pytest.mark.parametrize(
+        "comma, explicit",
+        [
+            ("SELECT x, w FROM a, b WHERE x = y", "SELECT x, w FROM a JOIN b ON x = y"),
+            (
+                "SELECT x, w, u FROM a, b, c WHERE x = y AND c.z = b.y AND v > 1 AND u + w > 38",
+                "SELECT x, w, u FROM a JOIN b ON x = y JOIN c ON c.z = b.y "
+                "WHERE v > 1 AND u + w > 38",
+            ),
+            (
+                "SELECT x, u FROM a, b, c WHERE x = y AND c.z = a.x "
+                "AND EXISTS (SELECT 1 FROM b WHERE b.y = a.x)",
+                "SELECT x, u FROM a JOIN b ON x = y JOIN c ON c.z = a.x "
+                "WHERE EXISTS (SELECT 1 FROM b WHERE b.y = a.x)",
+            ),
+        ],
+    )
+    def test_comma_join_takes_its_keys_from_where(self, engine, comma, explicit):
+        """A comma join's keys are the WHERE conjuncts over its two sides; it
+        returns the rows of its ``JOIN ... ON`` spelling (the naive oracle
+        binds both through the same code, so the spellings are compared)."""
+        from repro import Database
+
+        db = Database()
+        db.create_table("a", {"x": "int64", "v": "float64"})
+        db.insert("a", {"x": [1, 2, 3, 3], "v": [1.0, 2.0, 3.0, 4.0]})
+        db.create_table("b", {"y": "int64", "w": "float64"})
+        db.insert("b", {"y": [1, 3, 3, 5], "w": [10.0, 30.0, 31.0, 50.0]})
+        db.create_table("c", {"z": "int64", "u": "int64"})
+        db.insert("c", {"z": [1, 3, 5], "u": [7, 8, 9]})
+        rows = sorted(db.sql(comma, engine=engine).rows())
+        assert rows and rows == sorted(db.sql(explicit, engine=engine).rows())
+
+    def test_comma_join_keys_and_filters(self, catalog):
+        plan = plan_of(catalog, "SELECT v FROM r, m WHERE r.a = m.a AND v > 3 AND b < v")
+        join = find(plan, Join)
+        assert join.left_keys == ["a"] and join.right_keys == ["a"]
+        assert isinstance(join.right, Filter)  # v > 3
+        assert isinstance(find(plan, Project).child, Filter)  # b < v
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT v FROM r, m", "equality key"),
+            ("SELECT v FROM r, m WHERE b < v", "equality key"),
+            (
+                "SELECT b FROM r WHERE EXISTS (SELECT 1 FROM m, m AS n WHERE m.a = n.a "
+                "AND m.a = r.a)",
+                "comma joins",
+            ),
+        ],
+    )
+    def test_comma_join_refusals(self, catalog, sql, message):
+        with pytest.raises(NotSupportedError, match=message):
+            plan_of(catalog, sql)
+
+    def test_comma_join_name_is_ambiguous_over_the_whole_from(self, catalog):
+        """``v`` is in n and m: the first comma join sees only n, but the
+        statement's FROM has both."""
+        with pytest.raises(BindError, match="ambiguous"):
+            plan_of(catalog, "SELECT b FROM m AS n, r, m WHERE n.a = r.a AND r.a = m.a AND v > 3")
+
     def test_self_join_renames(self, catalog):
         plan = plan_of(
             catalog, "SELECT m1.v, m2.v FROM m m1 JOIN m m2 ON m1.a = m2.a"

@@ -656,20 +656,28 @@ class TestNestedRegionsAreCountedOnce:
 
     def test_explain_analyze_shares_sum_to_one_hundred(self, nested):
         import re
+        import statistics
 
-        report = nested.explain_analyze(self.SQL)
-        shares = {}
-        region = None
-        for line in report.splitlines():
-            if line.startswith("-- region"):
-                region = int(line.split()[2])
-            found = re.search(r"^#\d+ (\w+) .* time=([\d.]+)%", line)
-            if found:
-                shares[(region, found.group(1))] = float(found.group(2))
-        assert len(shares) == 8
-        assert sum(shares.values()) == pytest.approx(100.0, abs=0.5)
+        runs = []
+        for _ in range(5):
+            shares = {}
+            region = None
+            for line in nested.explain_analyze(self.SQL).splitlines():
+                if line.startswith("-- region"):
+                    region = int(line.split()[2])
+                found = re.search(r"^#\d+ (\w+) .* time=([\d.]+)%", line)
+                if found:
+                    shares[(region, found.group(1))] = float(found.group(2))
+            assert len(shares) == 8
+            assert sum(shares.values()) == pytest.approx(100.0, abs=0.5)
+            runs.append(shares)
         # The inner HASHAGG did the work; the outer SOURCE only waited for it.
-        assert shares[(0, "SOURCE")] < shares[(1, "HASHAGG")]
+        # Medians over runs: one collector pause inside the SOURCE's fraction
+        # of a millisecond can outweigh a single run's HASHAGG.
+        def median(node):
+            return statistics.median(shares[node] for shares in runs)
+
+        assert median((0, "SOURCE")) < median((1, "HASHAGG"))
 
 
 # ----------------------------------------------------------------------

@@ -28,12 +28,12 @@ from repro.observability.chrome import (
 from repro.observability.analyze import morsel_skew
 from repro.logical import key_hash, template_key
 from repro.lolepop.engine import QueryResult
+import repro.observability.analyze as analyze_module
+import repro.observability.feedback as feedback_module
 from repro.observability.feedback import (
-    ROOT_POSITION,
     FeedbackStore,
     group_signature,
     plan_signature,
-    root_observation,
 )
 from repro.observability.metrics import profile_dict
 from repro.observability.provenance import RewriteEvent
@@ -320,8 +320,8 @@ class FakePlan:
         return ("scan", "fake", ())
 
 
-def fake_observation(actual=100, est=10.0):
-    return root_observation(FakePlan(), est, actual)
+def fake_observation(actual=100):
+    return (plan_signature(FakePlan()), float(actual))
 
 
 class TestFeedbackStore:
@@ -332,19 +332,16 @@ class TestFeedbackStore:
         reopened = FeedbackStore(str(tmp_path))
         assert reopened.fingerprints() == ["abc123"]
         doc = reopened.get("abc123")
-        assert doc["operators"]
-        only = next(iter(doc["operators"].values()))
-        assert only["actual_rows"] == pytest.approx(300.0)
-        assert only["signature"] == plan_signature(FakePlan())
+        assert doc["schema_version"] == 4
+        assert doc["slots"] == {plan_signature(FakePlan()): {"rows": 300.0, "observations": 1}}
 
     def test_actuals_smooth_with_ewma(self, tmp_path):
         store = FeedbackStore(str(tmp_path))
         store.observe("abc123", "select 1", [fake_observation(actual=100)])
         store.observe("abc123", "select 1", [fake_observation(actual=200)])
-        doc = store.get("abc123")
-        only = next(iter(doc["operators"].values()))
+        (only,) = store.get("abc123")["slots"].values()
         # EWMA: 0.7 * 100 + 0.3 * 200
-        assert only["actual_rows"] == pytest.approx(130.0)
+        assert only == {"rows": pytest.approx(130.0), "observations": 2}
 
     def test_corrupt_file_tolerated_with_warning(self, tmp_path):
         store = FeedbackStore(str(tmp_path))
@@ -352,9 +349,10 @@ class TestFeedbackStore:
         store.flush()
         (tmp_path / "fb_dead.json").write_text("{not json")
         (tmp_path / "fb_beef.json").write_text('{"schema": 999}')
-        # Files from before signatures were plan-key hashes (schema 1) and
-        # before ROOT had its own slot (schema 2).
-        for version in (1, 2):
+        # Files from before signatures were plan-key hashes (schema 1),
+        # before ROOT had its own slot (schema 2) and before slots were
+        # keyed by signature (schema 3).
+        for version in (1, 2, 3):
             old = dict(store.get("abc123"), schema_version=version, fingerprint=f"old{version}")
             (tmp_path / f"fb_old{version}.json").write_text(json.dumps(old))
         telemetry = fresh_telemetry()
@@ -365,27 +363,59 @@ class TestFeedbackStore:
             for e in telemetry.recorder.snapshot()
             if e["kind"] == "feedback.load_error"
         ]
-        assert len(warnings) == 4
+        assert len(warnings) == 5
+
+    def test_schema_3_file_is_skipped(self, tmp_path):
+        """A file of the position-keyed schema, as the store wrote it
+        before slots were keyed by signature: one ``feedback.load_error``,
+        no exception, nothing calibrated from it."""
+        slot = {
+            "name": "ROOT", "describe": "", "signature": plan_signature(FakePlan()),
+            "est_rows": 10.0, "actual_rows": 300.0, "observations": 1, "q_error": 30.0,
+        }
+        doc = {
+            "schema_version": 3, "fingerprint": "abc123", "sql": "select 1",
+            "updated": 1.0, "operators": {"-1": slot, "0": dict(slot, name="SOURCE")},
+        }
+        (tmp_path / "fb_abc123.json").write_text(json.dumps(doc))
+        telemetry = fresh_telemetry()
+        store = FeedbackStore(str(tmp_path), telemetry=telemetry)
+        (error,) = telemetry.recorder.snapshot(kind="feedback.load_error")
+        assert error["file"] == "fb_abc123.json" and "schema_version 3" in error["error"]
+        assert store.fingerprints() == [] and store.rows_for(FakePlan()) is None
+
+    def test_slot_without_rows_is_a_value_error(self, tmp_path):
+        store = FeedbackStore(str(tmp_path))
+        store.observe("abc123", "select 1", [fake_observation()])
+        store.flush()
+        path = tmp_path / "fb_abc123.json"
+        doc = json.loads(path.read_text())
+        for payload in ({"observations": 1}, 300.0):
+            doc["slots"] = {plan_signature(FakePlan()): payload}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="has no rows"):
+                feedback_module.load_document(str(path))
 
     def test_retired_byte_fields_still_load(self, tmp_path):
-        """A schema-3 file whose slots still carry the byte fields the store
-        no longer keeps loads, calibrates, and drops them."""
+        """A slot that still carries fields the store no longer keeps (the
+        byte counters and the stored estimate of older slots) loads,
+        calibrates, and drops them."""
         store = FeedbackStore(str(tmp_path))
         store.observe("abc123", "select 1", [fake_observation(actual=300)])
         store.flush()
         path = tmp_path / "fb_abc123.json"
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 3
-        for slot in doc["operators"].values():
-            slot.update(bytes_materialized=4096, spill_bytes_written=512, peak_partition_bytes=2048)
+        retired = {"bytes_materialized": 4096, "est_rows": 10.0, "q_error": 30.0, "name": "ROOT"}
+        for slot in doc["slots"].values():
+            slot.update(retired)
         path.write_text(json.dumps(doc))
         telemetry = fresh_telemetry()
         reopened = FeedbackStore(str(tmp_path), telemetry=telemetry)
         assert telemetry.recorder.snapshot(kind="feedback.load_error") == []
         assert reopened.fingerprints() == ["abc123"]
         assert reopened.rows_for(FakePlan()) == pytest.approx(300.0)
-        (slot,) = reopened.get("abc123")["operators"].values()
-        assert not {"bytes_materialized", "spill_bytes_written", "peak_partition_bytes"} & set(slot)
+        (slot,) = reopened.get("abc123")["slots"].values()
+        assert not set(retired) & set(slot)
 
     def test_every_truncation_is_skipped(self, tmp_path):
         """A file cut off at any byte is skipped with a breadcrumb, and the
@@ -427,9 +457,10 @@ class TestFeedbackStore:
         assert [p.name for p in directory.iterdir()] == [good.name]
         assert good.read_bytes() == written
 
-    def test_bounded_size_evicts_oldest(self, tmp_path):
+    def test_bounded_size_evicts_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feedback_module, "MAX_FILES", 3)
         telemetry = fresh_telemetry()
-        store = FeedbackStore(str(tmp_path), max_files=3, telemetry=telemetry)
+        store = FeedbackStore(str(tmp_path), telemetry=telemetry)
         for index in range(5):
             store.observe(f"fp{index}", "select 1", [fake_observation()])
         store.flush()
@@ -444,7 +475,8 @@ class TestFeedbackStore:
         ]
         assert evictions
 
-    def test_restart_keeps_least_recently_updated_order(self, tmp_path):
+    def test_restart_keeps_least_recently_updated_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(feedback_module, "MAX_FILES", 3)
         store = FeedbackStore(str(tmp_path))
         for fingerprint in ("a", "b", "c"):
             store.observe(fingerprint, "select 1", [fake_observation()])
@@ -454,7 +486,7 @@ class TestFeedbackStore:
             path = tmp_path / f"fb_{fingerprint}.json"
             doc = json.loads(path.read_text())
             path.write_text(json.dumps(dict(doc, updated=updated)))
-        reopened = FeedbackStore(str(tmp_path), max_files=3)
+        reopened = FeedbackStore(str(tmp_path))
         reopened.observe("d", "select 1", [fake_observation()])
         assert reopened.fingerprints() == ["a", "c", "d"]
         assert not (tmp_path / "fb_b.json").exists()
@@ -474,7 +506,7 @@ class TestFeedbackStore:
             record = QueryRecord("q", "select 1", "A", rows=100)
             prepared = SimpleNamespace(plan=FakePlan(), est_rows=10.0, dag_templates={})
             result = SimpleNamespace(trace=None, dags=())
-            return store.record_execution(record, prepared, result, None, template)
+            return store.record_execution(record, prepared, result, template)
 
         assert replans(drifting(20)) is True
         workload.observe("B", "select 2", "lolepop", 0.01)  # evicts A
@@ -493,7 +525,7 @@ class TestFeedbackStore:
         for n in range(12):
             template = workload.observe("A", "select 1", "lolepop", 0.01, 1.0 if n < 7 else 100.0)
             prepared = SimpleNamespace(plan=FakePlan(), est_rows=10.0, dag_templates={})
-            replanned = store.record_execution(record, prepared, result, None, template)
+            replanned = store.record_execution(record, prepared, result, template)
             assert replanned is (n == 11)
             assert replanned is bool(workload.drifting_templates())
         assert template.count == 12
@@ -594,7 +626,7 @@ class TestClosedLoop:
 
         # The store's entry point, as Telemetry.record_execution calls it.
         record = QueryRecord("d0", DRIFT_SQL, fingerprint, rows=len(result))
-        args = (record, prepared, result, db.estimator, DriftingTemplate())
+        args = (record, prepared, result, DriftingTemplate())
         assert db.feedback.record_execution(*args) is True
         assert prepared.est_rows is None
         assert not prepared.dag_templates
@@ -645,29 +677,78 @@ class TestTracedAndUntracedRuns:
         assert template.drift_ratio() == pytest.approx(1.0)
         assert telemetry.recorder.snapshot(kind="feedback.replan") == []
         # The traced run still taught the store its badly estimated filter.
-        operators = db.feedback.get(template.fingerprint)["operators"]
-        assert operators["0"]["name"] == "SOURCE" and operators["0"]["q_error"] > 10.0
+        from repro.logical.cardinality import CardinalityEstimator
+        from repro.stats import StatisticsCache
+
+        (aggregate,) = db.plan(sql).children
+        assert db.feedback.rows_for(aggregate.child) == 10.0
+        assert CardinalityEstimator(StatisticsCache(db.catalog)).rows(aggregate.child) > 100.0
 
     def test_root_and_operators_keep_their_own_slots(self, tmp_path):
-        """A traced run then an untraced one: the ROOT observation has its
-        own slot, and the first operator's slot keeps its name and rows."""
+        """A traced run then an untraced one: the root's signature has its
+        own slot, and the SOURCE's slot keeps its rows."""
         db = correlated_db(tmp_path / "fb")
         db.sql(DRIFT_SQL, config=db.config.clone(collect_trace=True))
         db.sql(DRIFT_SQL)
         (fingerprint,) = db.feedback.fingerprints()
-        operators = db.feedback.get(fingerprint)["operators"]
-        root, first = operators[str(ROOT_POSITION)], operators["0"]
-        assert (root["name"], root["actual_rows"], root["observations"]) == ("ROOT", 40.0, 2)
-        assert (first["name"], first["actual_rows"], first["observations"]) == (
-            "SOURCE", 4000.0, 1
-        )
+        slots = db.feedback.get(fingerprint)["slots"]
         plan = db.plan(DRIFT_SQL)
         (aggregate,) = plan.children
+        assert slots[plan_signature(plan)] == {"rows": 40.0, "observations": 2}
+        assert slots[plan_signature(aggregate.child)] == {"rows": 4000.0, "observations": 1}
         assert db.feedback.rows_for(plan) == pytest.approx(40.0)
         assert db.feedback.rows_for(aggregate.child) == pytest.approx(4000.0)
         assert db.feedback.groups_for(
             aggregate.child, aggregate.group_names
         ) == pytest.approx(40.0)
+
+    def test_a_traced_run_estimates_no_node(self, tmp_path, monkeypatch):
+        """The store keeps measurements only: a traced run with a store
+        records its nodes' rows without asking the estimator about them."""
+        calls = []
+
+        def estimate_dag_rows(*args):
+            calls.append(args)
+            raise AssertionError("a traced run estimated its nodes")
+
+        monkeypatch.setattr(analyze_module, "estimate_dag_rows", estimate_dag_rows)
+        monkeypatch.setattr(feedback_module, "estimate_dag_rows", estimate_dag_rows, raising=False)
+        db = correlated_db(tmp_path / "fb")
+        db.sql(DRIFT_SQL, config=db.config.clone(collect_trace=True))
+        assert calls == []
+        (aggregate,) = db.plan(DRIFT_SQL).children
+        assert db.feedback.rows_for(aggregate.child) == 4000.0
+
+
+class TestLiteralVariants:
+    """Two literal sets of one statement share a fingerprint but not a
+    signature: each calibrates to its own rows, not to a blend of both."""
+
+    SQL = "SELECT g, count(*) FROM t WHERE v > {} GROUP BY g"
+
+    def test_literal_variants_calibrate_separately(self, tmp_path):
+        db = Database(telemetry=fresh_telemetry(), feedback_dir=str(tmp_path / "fb"))
+        db.create_table("t", {"g": "int64", "v": "float64"})
+        db.insert("t", {"g": np.arange(2000), "v": (np.arange(2000) + 0.5) / 2000})
+        wide, narrow = self.SQL.format(0.5), self.SQL.format(0.9)
+        assert len(db.sql(wide)) == 1000 and len(db.sql(narrow)) == 200
+        assert len(db.feedback.fingerprints()) == 1
+        assert db.feedback.rows_for(db.plan(wide)) == pytest.approx(1000.0)
+        assert db.feedback.rows_for(db.plan(narrow)) == pytest.approx(200.0)
+
+    def test_signature_cap_drops_the_least_recently_observed(self, tmp_path, monkeypatch):
+        """A fingerprint keeps its newest signatures; a dropped one falls
+        back to the same signature's slot under another fingerprint."""
+        monkeypatch.setattr(feedback_module, "MAX_SIGNATURES_PER_FINGERPRINT", 2)
+        store = FeedbackStore(str(tmp_path))
+        store.observe("a", "select 1", [("s1", 10.0), ("s2", 20.0)])
+        store.observe("a", "select 1", [("s1", 10.0)])
+        store.observe("b", "select 2", [("s2", 50.0)])
+        store.observe("a", "select 1", [("s3", 30.0)])  # s2 is a's oldest
+        assert list(store.get("a")["slots"]) == ["s1", "s3"]
+        assert [store._lookup_signature(s) for s in ("s1", "s2", "s3")] == [10.0, 50.0, 30.0]
+        store.flush()
+        assert list(FeedbackStore(str(tmp_path)).get("a")["slots"]) == ["s1", "s3"]
 
 
 # ---------------------------------------------------------------------------
@@ -892,12 +973,31 @@ class TestFeedbackReportCheck:
         store.flush()
         good = (tmp_path / "fb_abc123.json").read_text()
         (tmp_path / "fb_cut.json").write_text(good[: len(good) // 2])
-        old = dict(json.loads(good), schema_version=1, fingerprint="old1")
-        (tmp_path / "fb_old1.json").write_text(json.dumps(old))
+        old = dict(json.loads(good), schema_version=3, fingerprint="old3")
+        (tmp_path / "fb_old3.json").write_text(json.dumps(old))
         tool = _load_tool("telemetry_report")
-        assert tool._feedback_documents(str(tmp_path)) == 1
+        count, skipped = tool._feedback_documents(str(tmp_path))
+        assert count == 1
+        assert [name.split()[0] for name in skipped] == ["fb_cut.json", "fb_old3.json"]
         (tmp_path / "fb_abc123.json").unlink()
-        assert tool._feedback_documents(str(tmp_path)) == 0
+        assert tool._feedback_documents(str(tmp_path))[0] == 0
+
+    def test_a_skipped_document_fails_the_check(self, tmp_path, capsys):
+        """A fresh directory that holds a document the store would skip
+        means its writer and its loader disagree: exit 1, even beside a
+        good document."""
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(fresh_telemetry().report()))
+        feedback = tmp_path / "fb"
+        store = FeedbackStore(str(feedback))
+        store.observe("abc123", "select 1", [fake_observation()])
+        store.flush()
+        tool = _load_tool("telemetry_report")
+        argv = [str(report), "--assert-feedback-nonempty", str(feedback)]
+        assert tool.main(argv) == 0
+        (feedback / "fb_cut.json").write_text("{")
+        assert tool.main(argv) == 1
+        assert "would skip fb_cut.json" in capsys.readouterr().err
 
 
 class TestPlanDiff:

@@ -26,6 +26,7 @@ from repro.lolepop.verify import verify_dag
 from repro.observability.chrome import chrome_trace_events
 from repro.observability.events import EVENT_KINDS, FlightRecorder
 from repro.observability.metrics import Histogram
+import repro.observability.telemetry as telemetry_module
 from repro.observability.telemetry import (
     GLOBAL_TELEMETRY,
     QueryRecord,
@@ -366,8 +367,9 @@ class TestDatabaseRecords:
         evictions = telemetry.recorder.snapshot(kind="cache.evict")
         assert evictions and evictions[0]["cache"] == "plan"
 
-    def test_sql_truncation(self):
-        telemetry = fresh_telemetry(max_sql_chars=30)
+    def test_sql_truncation(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "MAX_SQL_CHARS", 30)
+        telemetry = fresh_telemetry()
         db = make_db(telemetry)
         db.sql(
             "SELECT g, sum(x), min(x), max(x), count(*) FROM t GROUP BY g"

@@ -18,7 +18,8 @@ The ``--assert-*`` flags make the renderer double as a CI check: exit 1
 when the report has fewer tracked fingerprints than required, when the
 flight recorder dropped events (i.e. the ring was undersized for the run),
 or when the cardinality feedback store directory holds no persisted
-observations (the feedback loop never closed).
+observations (the feedback loop never closed) or a document the store
+would skip on load.
 
 Exit status: 0 ok, 1 assertion failed, 2 bad arguments / unreadable input.
 """
@@ -47,19 +48,19 @@ def load_report(path: str) -> dict:
     return doc
 
 
-def _feedback_documents(directory: str) -> int:
-    """Number of ``fb_*.json`` documents in ``directory`` the feedback store
-    itself would load, with at least one operator (0 when the directory is
-    missing or holds only files the store skips)."""
+def _feedback_documents(directory: str):
+    """``(count, skipped)`` over the ``fb_*.json`` documents in
+    ``directory``: how many the feedback store would load with at least one
+    signature slot, and the names of those it would skip."""
     import glob
 
-    count = 0
-    for path in glob.glob(os.path.join(directory, "fb_*.json")):
+    count, skipped = 0, []
+    for path in sorted(glob.glob(os.path.join(directory, "fb_*.json"))):
         try:
-            count += bool(load_document(path).operators)
-        except (OSError, ValueError, TypeError):
-            continue
-    return count
+            count += bool(load_document(path).slots)
+        except (OSError, ValueError, TypeError) as error:
+            skipped.append(f"{os.path.basename(path)} ({error})")
+    return count, skipped
 
 
 def main(argv=None) -> int:
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
         metavar="DIR",
         default=None,
         help="exit 1 unless DIR holds at least one non-empty persisted "
-        "cardinality-feedback document (fb_*.json)",
+        "cardinality-feedback document (fb_*.json) and none the store skips",
     )
     args = parser.parse_args(argv)
 
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
                 "(ring capacity too small for the run)"
             )
     if args.assert_feedback_nonempty is not None:
-        count = _feedback_documents(args.assert_feedback_nonempty)
+        count, skipped = _feedback_documents(args.assert_feedback_nonempty)
         if count == 0:
             failures.append(
                 f"feedback store {args.assert_feedback_nonempty!r} holds no "
@@ -131,6 +132,11 @@ def main(argv=None) -> int:
             )
         else:
             print(f"feedback store: {count} persisted fingerprint(s)")
+        if skipped:
+            failures.append(
+                "the feedback store would skip " + ", ".join(skipped)
+                + " (its writer and its loader disagree)"
+            )
     for failure in failures:
         print(f"ASSERTION FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0
