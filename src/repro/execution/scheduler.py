@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..analysis.sanitizer import SAN as _SAN
 from .trace import ExecutionTrace
 
 #: Minimum simulated duration of one split chunk (seconds). Splitting below
@@ -56,8 +55,8 @@ _Schedule = Tuple[List[float], List[Tuple[int, float, float, str, int]]]
 class RegionScheduler:
     """What every scheduler shares: per-query state and the region
     bracket. ``run_region`` is one parallel region with a barrier at both
-    ends — sanitizer epoch, cancellation check on entry, then the
-    subclass's :meth:`_execute_items`."""
+    ends — a cancellation check on entry, then the subclass's
+    :meth:`_execute_items`."""
 
     def __init__(
         self,
@@ -97,16 +96,9 @@ class RegionScheduler:
         if one_step:
             steps = ((operator, False),)
             fn = _one_step(fn)
-        sanitizer = _SAN.active
-        if sanitizer is not None:  # sanitizer epoch brackets the barrier
-            sanitizer.begin_region(operator, phase)
-        try:
-            if self.cancellation is not None:
-                self.cancellation.check()
-            results = self._execute_items(operator, phase, items, fn, steps)
-        finally:
-            if sanitizer is not None:
-                sanitizer.end_region()
+        if self.cancellation is not None:
+            self.cancellation.check()
+        results = self._execute_items(operator, phase, items, fn, steps)
         return [value for value, _ in results] if one_step else results
 
     def checkpoint(self) -> None:

@@ -109,12 +109,9 @@ class Lolepop:
     #: output is the input buffer object itself; ``None`` — a stream
     #: producer (see :func:`buffer_root`).
     buffer_role: Optional[str] = None
-    #: Does ``execute`` mutate its input TupleBuffer in place? Checked
-    #: against the class body by analyzer rule ``R2-undeclared-mutation``.
-    mutates_input = False
-    #: What that mutation changes: 'order' (SORT re-sorts) or 'schema'
-    #: (WINDOW appends columns). Drives the verifier's buffer-reuse race
-    #: check.
+    #: What ``execute`` changes of its input TupleBuffer in place, if
+    #: anything: 'order' (SORT re-sorts) or 'schema' (WINDOW appends
+    #: columns). Drives the verifier's buffer-reuse race check.
     mutation_effect: Optional[str] = None
     #: A chain step (see :func:`run_chain`) runs on every partition holding
     #: at least this many rows; ``None``: the operator is no chain step.
@@ -385,8 +382,7 @@ class Dag:
         #: Rewrite log: which optimizer passes / translator reuse decisions
         #: fired while building this DAG. Entries are
         #: :class:`~repro.observability.provenance.RewriteEvent` records
-        #: appended via :meth:`record_rewrite` — never bare strings
-        #: (analyzer rule ``R5-stringly-rewrite``).
+        #: appended via :meth:`record_rewrite`, never bare strings.
         self.rewrites: List[RewriteEvent] = []
         #: The statistics-region logical plan this DAG implements, when
         #: known — EXPLAIN ANALYZE uses it for cardinality estimates.
@@ -401,8 +397,7 @@ class Dag:
     ) -> RewriteEvent:
         """Append one structured
         :class:`~repro.observability.provenance.RewriteEvent` to the
-        rewrite log and return it. The single sanctioned append path —
-        analyzer rule ``R5-stringly-rewrite`` flags direct string appends."""
+        rewrite log and return it: the one append path."""
         from ..observability.provenance import RewriteEvent
 
         event = RewriteEvent(text, pass_name, detail=detail, nodes=nodes)

@@ -35,8 +35,7 @@ class SortOp(Lolepop):
     consumes = ("buffer",)
     produces = "buffer"
     buffer_role = "forwards"
-    mutates_input = True  # reorders the shared buffer in place
-    mutation_effect = "order"
+    mutation_effect = "order"  # reorders the shared buffer in place
     chain_min_rows = 2
     splittable = True
 

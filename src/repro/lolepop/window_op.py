@@ -53,8 +53,7 @@ class WindowOp(Lolepop):
     consumes = ("buffer",)
     produces = "buffer"
     buffer_role = "forwards"
-    mutates_input = True  # appends the call columns to the shared buffer
-    mutation_effect = "schema"
+    mutation_effect = "schema"  # appends the call columns to the shared buffer
     chain_min_rows = 0  # an empty partition still takes the new columns
     splittable = True
 

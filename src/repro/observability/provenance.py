@@ -17,10 +17,9 @@ events, then each DAG's; the serialized profile
 as the ``rewrites`` list of :meth:`RewriteEvent.to_dict` dicts, which is
 the shape ``tools/plan_diff.py`` and ``.profile json`` read.
 
-Analyzer rule ``R5-stringly-rewrite`` (:mod:`repro.analysis.contracts`)
-enforces that engine code appends through :meth:`Dag.record_rewrite
+Engine code appends through :meth:`Dag.record_rewrite
 <repro.lolepop.base.Dag.record_rewrite>` (which constructs events), never a
-bare string.
+bare string: a string in the log breaks every reader of the fields.
 """
 
 from __future__ import annotations

@@ -483,12 +483,15 @@ class _Binder:
         scope: _Scope,
         predicate: "sql_ast.SqlInSubquery",
     ) -> LogicalPlan:
-        """``x [NOT] IN (SELECT ...)`` lowers to a SEMI/ANTI join on the
-        subquery's single output column.
+        """``x IN (SELECT s ...)`` lowers to a SEMI join on ``x = s``.
 
-        Note: ``NOT IN`` is lowered to an ANTI join, which matches SQL only
-        when the subquery produces no NULLs (SQL's three-valued NOT IN
-        yields no rows otherwise) — the usual optimizer restriction.
+        ``x NOT IN`` is three-valued. An empty subquery keeps every row;
+        otherwise a NULL ``s`` keeps none, and a row survives if its ``x``
+        is not NULL and matches no ``s``. So an ANTI join on ``x = s`` is
+        joined on a constant key with the subquery's one row
+        ``count(*) AS n, count(s) AS nn``, filtered on
+        ``n = 0 OR (n = nn AND x IS NOT NULL)``, and ``n``, ``nn`` are
+        projected away.
         """
         operand = self._convert_simple(predicate.operand, scope, plan)
         if not isinstance(operand, ColumnRef):
@@ -498,11 +501,28 @@ class _Binder:
         sub_plan = self.bind_statement(predicate.subquery)
         if len(sub_plan.schema) != 1:
             raise BindError("IN subquery must produce exactly one column")
-        kind = JoinKind.ANTI if predicate.negated else JoinKind.SEMI
-        return Join(
-            plan, sub_plan, kind,
-            [operand.name], [sub_plan.schema.fields[0].name],
+        inner = sub_plan.schema.fields[0].name
+        if not predicate.negated:
+            return Join(plan, sub_plan, JoinKind.SEMI, [operand.name], [inner])
+        anti = Join(plan, sub_plan, JoinKind.ANTI, [operand.name], [inner])
+        n, nn = ColumnRef("_in_n"), ColumnRef("_in_nn")
+        counts = Aggregate(sub_plan, [], [
+            AggregateCall(n.name, "count_star", []),
+            AggregateCall(nn.name, "count", [ColumnRef(inner)]),
+        ])
+        one = Literal(1, DataType.INT64)
+        names = plan.schema.names()
+        joined = Join(
+            Project(anti, [(name, ColumnRef(name)) for name in names] + [("_in_key", one)]),
+            Project(counts, [("_in_one", one), (n.name, n), (nn.name, nn)]),
+            JoinKind.INNER, ["_in_key"], ["_in_one"],
         )
+        keep = BinaryOp(
+            "or",
+            BinaryOp("=", n, Literal(0, DataType.INT64)),
+            BinaryOp("and", BinaryOp("=", n, nn), IsNull(operand, negated=True)),
+        )
+        return Project(Filter(joined, keep), [(name, ColumnRef(name)) for name in names])
 
     def _bind_exists(
         self,

@@ -35,7 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import SAN as _SAN
 from ..errors import ExecutionError
 from ..types import Schema
 from .batch import Batch
@@ -126,8 +125,6 @@ class BufferPartition:
         partition's own, or a :class:`_Pin`'s)."""
         if self.is_spilled or self.num_rows == 0:
             return
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         file = manager.spill_chunks(state.chunks)
         if state.permutation is not None:
             file.append_permutation(state.permutation)
@@ -151,8 +148,6 @@ class BufferPartition:
         of a loaded one with a share of a budget. ``keep``: a reader after
         the chain reads the partition, so what the item changes must
         outlive it."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         if not self.is_spilled and self._share is None:
             # Loaded and outside any budget: it keeps whatever the item
             # does, so the item works on the partition itself.
@@ -173,8 +168,6 @@ class BufferPartition:
         what the item appended. A loaded one takes the item's state, unless
         that outgrew its share of the budget: then it spills, or with no
         reader left is released."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         pin, self._pin = self._pin, None
         if pin is None:
             return
@@ -224,8 +217,6 @@ class BufferPartition:
     def append(self, batch: Batch) -> None:
         if len(batch) == 0:
             return
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         if self.is_spilled:
             raise ExecutionError("cannot append rows to a spilled partition")
         if self.permutation is not None:
@@ -237,16 +228,8 @@ class BufferPartition:
         the chunk list in place, or reads a spilled partition's file (not
         while a chain item holds it: :meth:`pin` read it)."""
         if self.is_spilled and self._pin is None:
-            if _SAN.active is not None:
-                _SAN.active.on_access(self, "r")
             return self._spill.read_batch(self.schema)
         state = self._state
-        if _SAN.active is not None:
-            # Rewrites the chunk list unless already compacted: two
-            # concurrent lazy compactions of one partition are a real race.
-            _SAN.active.on_access(
-                self, "r" if len(state.chunks) == 1 else "w"
-            )
         if not state.chunks:
             empty = Batch.empty(self.schema)
             state.chunks = [empty]
@@ -266,8 +249,6 @@ class BufferPartition:
     def logical_columns(self, names: Sequence[str]) -> List[Column]:
         """The named columns in logical row order — the copied keys of the
         permutation vector where it has them, gathered otherwise."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "r")
         columns = [self._state.key_cache.get(name) for name in names]
         if any(column is None for column in columns):
             chunk = self.compact()
@@ -294,8 +275,6 @@ class BufferPartition:
     def _sort(self, key_names: Sequence[str], descending: Sequence[bool], mode: str) -> None:
         rows = self.num_rows
         if rows <= 1:
-            if _SAN.active is not None:
-                _SAN.active.on_access(self, "w")
             if mode == "permutation" and not self.is_spilled:
                 self.compact()
                 self._state.permutation = np.arange(rows, dtype=np.int64)
@@ -317,8 +296,6 @@ class BufferPartition:
         (``perm[order]``), so a re-sort is stable over the previous sort
         whichever mode either ran in. ``keys`` are the sort key columns in
         the current logical order, if the caller has them."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         previous = self._permutation()
         composed = order if previous is None else previous[order]
         if self.writes_through:
@@ -348,8 +325,6 @@ class BufferPartition:
         This is the runtime face of the paper's compile-time iterator
         abstraction: consumers never branch on the storage layout.
         """
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "r")
         chunk = self.compact()
         permutation = self._permutation()
         if permutation is None:
@@ -365,8 +340,6 @@ class BufferPartition:
         scattered back to the physical order it indexes (logical row ``i``
         is physical row ``perm[i]``), and a spilled partition appends them to
         its file — unless a later reader needs none of it (see :meth:`pin`)."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         rows = self.num_rows
         if len(schema) != len(self.schema) + len(columns) or any(
             len(col) != rows for col in columns
@@ -451,8 +424,6 @@ class TupleBuffer:
         return self.spill_manager is not None
 
     def enable_spilling(self, manager, memory_budget: int) -> None:
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         self.spill_manager = manager
         self.memory_budget = memory_budget
 
@@ -540,16 +511,12 @@ class TupleBuffer:
         batch = run[0] if len(run) == 1 else Batch.concat(run)
         if len(batch) == 0:
             return []
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "r")
         if not self.partitioned_by or self.num_partitions == 1:
             return [(0, batch)]
         return scatter_rows(batch, self.partitioned_by, self.num_partitions)
 
     def append_pieces(self, pieces: Sequence[Tuple[int, Batch]]) -> None:
         """Append scattered pieces to their partitions (serial merge step)."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         for pid, piece in pieces:
             self.partitions[pid].append(piece)
 
@@ -569,8 +536,6 @@ class TupleBuffer:
     # Property bookkeeping
     # ------------------------------------------------------------------
     def set_ordering(self, ordering: Ordering) -> None:
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         self.ordered_by = tuple(ordering)
 
     def ordering_satisfies(self, required: Ordering) -> bool:
@@ -584,8 +549,6 @@ class TupleBuffer:
         partition by partition inside work items; this is its serial
         epilogue). A later WINDOW of the same chain may have extended the
         partitions further already: their schemas start with ``schema``."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "w")
         width = len(schema)
         if any(p.schema.fields[:width] != schema.fields for p in self.partitions):
             raise ExecutionError("per-partition column count mismatch")

@@ -21,7 +21,6 @@ from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.sanitizer import SAN as _SAN
 from ..errors import ExecutionError
 from ..types import DataType, date_to_days, days_to_date
 from .dictionary import EMPTY, StringDictionary, object_array
@@ -163,14 +162,10 @@ class Column:
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "Column":
         """Gather rows by position (the permutation-vector access path)."""
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "r")
         valid = None if self.valid is None else self.valid[indices]
         return Column(self.dtype, self.data[indices], valid, self.dictionary)
 
     def filter(self, mask: np.ndarray) -> "Column":
-        if _SAN.active is not None:
-            _SAN.active.on_access(self, "r")
         valid = None if self.valid is None else self.valid[mask]
         return Column(self.dtype, self.data[mask], valid, self.dictionary)
 

