@@ -66,9 +66,10 @@ class Database:
             num_threads=num_threads, execution_mode=execution_mode
         )
         #: LRU of prepared (parsed + bound + translated-template) plans,
-        #: keyed on the statement skeleton and pinned literals with
-        #: per-table version validation; ``plan_cache_size=0`` disables
-        #: caching entirely (every call re-parses).
+        #: keyed on the statement skeleton and pinned literals, current
+        #: until a table they read is stale (:func:`repro.stats.is_stale`);
+        #: ``plan_cache_size=0`` disables caching entirely (every call
+        #: re-parses).
         self.plan_cache = (
             PlanCache(plan_cache_size) if plan_cache_size else None
         )
@@ -121,8 +122,8 @@ class Database:
         #: LOLEPOP, EXPLAIN ANALYZE, :meth:`explain_lolepop`,
         #: :meth:`verify_plan`) all read it, so they agree on every plan.
         #: Building it samples nothing: statistics are collected per table
-        #: on first use and invalidated per table version, and the feedback
-        #: store it consults is live.
+        #: on first use and re-collected once that table is stale (the plan
+        #: cache's rule too), and the feedback store it consults is live.
         self.estimator = CardinalityEstimator(
             StatisticsCache(self.catalog), calibration=self.feedback
         )

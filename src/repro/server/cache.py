@@ -4,12 +4,16 @@ Both caches key on a statement's **skeleton** (:func:`repro.sql.lexer.skeleton`)
 its text with whitespace collapsed, comments dropped, case folded outside
 quoted identifiers and every numeric or string literal replaced by a typed
 marker — a *pre-parse* key, so a hit skips the parser. Beside it comes the
-**slot vector**, the literals' texts. Validity is checked against a version
-token describing the catalog state an entry was built against:
-**per-table version counters** of the tables the statement reads plus the
-catalog's DDL version (:attr:`repro.storage.table.Catalog.ddl_version`),
-so DML on one table does not invalidate plans and results that only touch
-other tables.
+**slot vector**, the literals' texts. Both caches pair the catalog's DDL
+version (:attr:`repro.storage.table.Catalog.ddl_version`) with the
+**per-table version counters** (rows written) of the tables the statement
+reads, so DML on one table leaves plans and results over other tables
+valid. A result names a data snapshot and needs equal versions. A plan
+names no data — the binder reads schemas, SOURCE and Scan read the table
+when they run — and the one choice that reads data, §3.3's priced
+DISTINCT lowering, reads statistics: so a plan stays current while the
+statistics it could have been priced on do, under the one staleness rule
+:func:`repro.stats.is_stale`.
 
 The plan cache holds :class:`PreparedPlan` entries: the parsed AST, the
 bound logical plan, and (filled in lazily by the LOLEPOP engine) translated
@@ -35,8 +39,9 @@ the bound on what that costs is this: a template hit reuses the DISTINCT
 lowering the translator priced for the first statement's literals (§3.3's
 re-sort or hash pair); both lowerings give identical answers, so a free
 Filter slot that moves the estimated input across the decision boundary
-can cost speed but never correctness; and table-version validation
-re-prices after DML, as does a feedback drift re-plan. This is the
+can cost speed but never correctness; and an entry re-prices once its
+tables have moved enough to re-collect their statistics, as it does on a
+feedback drift re-plan. This is the
 cross-query extension of the paper's intra-plan reuse: materialized plan
 fragments become shared state owned by the service layer.
 
@@ -66,16 +71,17 @@ from ..logical.plan import (
 )
 from ..sql.binder import rebind_literal
 from ..sql.lexer import fill, skeleton
+from ..stats import is_stale
 
 #: A statement's ``(skeleton, slot vector)``, ``None`` when it has none.
 Shape = Optional[Tuple[str, Tuple[str, ...]]]
 
 
-def table_deps(plan, catalog) -> Tuple[Tuple[str, int], ...]:
-    """``((table, version), ...)`` for every base table the bound ``plan``
-    scans, at the tables' current versions (``()`` for no plan: EXPLAIN
-    entries are never cached) — what :meth:`PreparedPlan.is_current` later
-    validates against."""
+def table_deps(plan, catalog) -> Tuple[Tuple[str, int, int], ...]:
+    """``((table, version, rows), ...)`` for every base table the bound
+    ``plan`` scans, at the tables' current versions and row counts (``()``
+    for no plan: EXPLAIN entries are never cached) — what
+    :meth:`PreparedPlan.is_current` later validates against."""
     names = set()
     stack = [plan] if plan is not None else []
     while stack:
@@ -83,7 +89,8 @@ def table_deps(plan, catalog) -> Tuple[Tuple[str, int], ...]:
         if isinstance(node, Scan):
             names.add(node.table_name.lower())
         stack.extend(node.children)
-    return tuple((name, catalog.get(name).version) for name in sorted(names))
+    tables = [(name, catalog.get(name)) for name in sorted(names)]
+    return tuple((name, table.version, table.num_rows) for name, table in tables)
 
 
 def _free_slots(plan, reuse: bool) -> Dict[int, Tuple[Literal, Tuple[int, ...]]]:
@@ -154,13 +161,19 @@ class PreparedPlan:
     entry's) and has its own plan, slots and estimate.
 
     A template keeps the §3.3 DISTINCT lowering it was translated with.
-    When the feedback store later calibrates an estimate across the
-    decision boundary, EXPLAIN (which translates afresh) shows the other
-    path while cached executions keep the old one, until a drift re-plan
-    or DML on a table it reads drops the templates. Drift reads the root
-    Q-error, so a misestimate below the root that the store corrects may
-    never trigger one. Both lowerings give identical answers, so this
-    bound costs speed, never correctness.
+    The entry, templates and root estimate included, stays current across
+    appends until a table it reads is stale (:func:`repro.stats.is_stale`:
+    the churn that re-collects the statistics the lowering was priced on)
+    or DDL moves the catalog. When the feedback store calibrates an
+    estimate across the decision boundary, EXPLAIN (which translates
+    afresh) shows the other path while cached executions keep the old one,
+    until a drift re-plan or that churn drops the templates. Drift reads
+    the root Q-error, so a misestimate below the root that the store
+    corrects may never trigger one. Both lowerings give identical answers,
+    so this bound costs speed, never correctness.
+
+    Under ``reuse`` a template names the captured snapshot its SOURCEs
+    read, so such an entry needs equal table versions instead.
     """
 
     __slots__ = (
@@ -173,6 +186,7 @@ class PreparedPlan:
         "plan",
         "ddl_version",
         "table_deps",
+        "exact",
         "cacheable",
         "dag_templates",
         "est_rows",
@@ -188,7 +202,7 @@ class PreparedPlan:
         sql: str,
         statement,
         plan,
-        table_deps: Tuple[Tuple[str, int], ...],
+        table_deps: Tuple[Tuple[str, int, int], ...],
         ddl_version: int,
         cacheable: bool = True,
         shape: Shape = None,
@@ -201,10 +215,12 @@ class PreparedPlan:
         self.skeleton, self.slots = shape if shape is not None else (None, ())
         self.statement = statement
         self.plan = plan
-        #: Per-table dependency versions ``((table, version), ...)`` at build
+        #: Per-table dependencies ``((table, version, rows), ...)`` at build
         #: time, paired with the catalog's DDL version.
         self.table_deps = table_deps
         self.ddl_version = ddl_version
+        #: Validate on equal table versions (a ``reuse`` template).
+        self.exact = reuse
         self.cacheable = cacheable and self.skeleton is not None
         free = _free_slots(plan, reuse) if plan is not None and self.slots else {}
         #: Free slot → its leaf in ``plan``; ``pinned`` are the binder's.
@@ -221,7 +237,8 @@ class PreparedPlan:
         self.dag_templates: Dict[Tuple, object] = {}
         #: Cached root-cardinality estimate for telemetry Q-error tracking:
         #: ``None`` = not computed yet, ``< 0`` = estimation failed (don't
-        #: retry every execution). Valid while :meth:`is_current` holds.
+        #: retry every execution). Valid while :meth:`is_current` holds,
+        #: i.e. while the statistics it was estimated on are current.
         self.est_rows: Optional[float] = None
         self._fingerprints: Dict[Tuple, str] = {}
         #: A variant's ``id`` of entry plan node → its own copy; ``None``
@@ -285,16 +302,17 @@ class PreparedPlan:
 
     def is_current(self, catalog) -> bool:
         """Is this entry still valid against ``catalog``? The catalog's DDL
-        version and every depended-on table's version must match the values
-        recorded at build time."""
+        version must match the one recorded at build time, and no
+        depended-on table may be stale (:func:`repro.stats.is_stale`) since
+        then — or, for an :attr:`exact` entry, have moved at all."""
         if getattr(catalog, "ddl_version", None) != self.ddl_version:
             return False
-        for table_name, version in self.table_deps:
+        for table_name, version, rows in self.table_deps:
             try:
                 table = catalog.get(table_name)
             except Exception:
                 return False
-            if table.version != version:
+            if table.version != version if self.exact else is_stale(version, rows, table):
                 return False
         return True
 
@@ -305,7 +323,7 @@ class PreparedPlan:
         cached before DML on a depended-on table can never be served after
         it, while DML on unrelated tables leaves the key unchanged."""
         token: list = [getattr(catalog, "ddl_version", None)]
-        for table_name, _ in self.table_deps:
+        for table_name, *_ in self.table_deps:
             try:
                 token.append((table_name, catalog.get(table_name).version))
             except Exception:
@@ -340,9 +358,10 @@ class PlanCache(Lru):
     """LRU of :class:`PreparedPlan` keyed on ``(skeleton, pinned slot
     texts)`` (see the module docstring).
 
-    Version validation happens at lookup time via
-    :meth:`PreparedPlan.is_current`, so entries survive DML on tables they
-    do not read. A stale hit is discarded and counts as a miss."""
+    Validation happens at lookup time via :meth:`PreparedPlan.is_current`,
+    so entries survive DML on tables they do not read and appends below the
+    staleness threshold on tables they do. A stale hit is discarded and
+    counts as a miss."""
 
     def __init__(self, capacity: int):
         super().__init__(capacity)

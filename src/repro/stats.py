@@ -11,8 +11,10 @@ statistics by sampling:
   number of values seen exactly once/twice — a standard species-richness
   estimator that behaves well on both low- and high-cardinality columns).
 
-Statistics are cached per table and invalidated by inserts into that
-table (tables carry a version counter).
+Statistics are cached per table and re-collected once the table has
+moved: :func:`is_stale` is the one staleness rule, shared with the plan
+cache (:meth:`repro.server.cache.PreparedPlan.is_current`), so a cached
+plan is re-priced after the same churn that re-samples its statistics.
 """
 
 from __future__ import annotations
@@ -27,6 +29,18 @@ from .storage.keys import _normalize_values
 from .storage.table import Table
 
 DEFAULT_SAMPLE_SIZE = 10_000
+
+#: A snapshot of a table goes stale once the rows written since it was
+#: taken exceed this fraction of the rows the table had then (PostgreSQL's
+#: auto-analyze scale factor).
+STALE_FRACTION = 0.1
+
+
+def is_stale(version: int, rows: int, table: Table) -> bool:
+    """Has ``table`` moved past the snapshot taken at ``version`` (its rows
+    written, :attr:`Table.version`) when it held ``rows`` rows? A table
+    that was empty then is stale after any write."""
+    return table.version - version > STALE_FRACTION * rows
 
 
 class ColumnStats:
@@ -131,9 +145,9 @@ def collect_table_stats(
 
 class StatisticsCache:
     """Per-catalog statistics, invalidated per table: an entry is reused
-    only for the same :class:`Table` object at the same version, so an
-    insert re-samples that table alone and a dropped-and-recreated name
-    never serves its predecessor's statistics."""
+    for the same :class:`Table` object until :func:`is_stale` says it has
+    moved, so churn on one table re-samples that table alone and a
+    dropped-and-recreated name never serves its predecessor's statistics."""
 
     def __init__(self, catalog, sample_size: int = DEFAULT_SAMPLE_SIZE):
         self._catalog = catalog
@@ -144,14 +158,14 @@ class StatisticsCache:
     def table_stats(self, name: str) -> TableStats:
         table = self._catalog.get(name)
         key = name.lower()
-        version = getattr(table, "version", table.num_rows)
         cached = self._cache.get(key)
         if (
             cached is not None
             and cached[0]() is table
-            and cached[1] == version
+            and not is_stale(cached[1], cached[2].rows, table)
         ):
             return cached[2]
+        version = table.version
         stats = collect_table_stats(table, self._sample_size)
         self._cache[key] = (weakref.ref(table), version, stats)
         return stats

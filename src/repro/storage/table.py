@@ -24,7 +24,10 @@ class Table:
     def __init__(self, name: str, schema: Schema):
         self.name = name
         self.schema = schema
-        #: Bumped on every mutation; statistics caches key on it.
+        #: Rows written: appended plus truncated away, bumped under the lock.
+        #: Equal versions name one data snapshot (the result cache and
+        #: ``reuse`` key on it); the difference of two is the churn between
+        #: them (:func:`repro.stats.is_stale` reads it).
         self.version = 0
         self._columns: List[Column] = [
             Column(f.dtype, np.empty(0, dtype=f.dtype.numpy_dtype)) for f in schema
@@ -116,16 +119,17 @@ class Table:
                     Column.concat([mine, theirs])
                     for mine, theirs in zip(self._columns, batch.columns)
                 ]
-            self.version += 1
+            self.version += len(batch)
             self._notify("insert", batch)
 
     def truncate(self) -> None:
         with self._lock:
+            rows = self.num_rows
             self._columns = [
                 Column(f.dtype, np.empty(0, dtype=f.dtype.numpy_dtype))
                 for f in self.schema
             ]
-            self.version += 1
+            self.version += rows
             self._notify("truncate", None)
 
     # ------------------------------------------------------------------
@@ -156,10 +160,10 @@ class Catalog:
 
     DDL (``create_table``/``drop_table``) and DML (inserts into catalog-owned
     tables) are serialized by one reentrant lock. DDL advances
-    :attr:`ddl_version` and DML the written table's :attr:`Table.version`;
-    the plan and result caches of the query service validate an entry on
-    the two, so a change to one table leaves entries over other tables
-    valid.
+    :attr:`ddl_version` and DML the written table's :attr:`Table.version`
+    by the rows it wrote. The result cache validates an entry on equal
+    versions, the plan cache on :func:`repro.stats.is_stale`, so a change
+    to one table leaves entries over other tables valid.
     """
 
     def __init__(self) -> None:

@@ -16,6 +16,7 @@ partitions.
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
@@ -127,3 +128,32 @@ def test_parallel_respects_config_knobs(db, config_kwargs):
         "GROUP BY k ORDER BY k"
     )
     _assert_parallel_agrees(db, sql, 4, **config_kwargs)
+
+
+def test_combine_union_lists_grouping_sets_in_item_order(db, monkeypatch):
+    """COMBINE's union items may finish in any order; the result lists the
+    grouping sets in item order whatever the finishing order. Item 0 sleeps,
+    so on 4 threads it finishes last."""
+    from repro.execution.context import ExecutionContext
+
+    parallel_for = ExecutionContext.parallel_for
+
+    def first_item_late(self, operator, items, fn, steps=None):
+        if operator == "combine":
+            work = fn
+
+            def fn(item):
+                if item[0] == 0:
+                    time.sleep(0.05)
+                return work(item)
+
+        return parallel_for(self, operator, items, fn, steps)
+
+    monkeypatch.setattr(ExecutionContext, "parallel_for", first_item_late)
+    sql = (
+        "SELECT k, s, count(*) AS c, min(q) AS lo FROM r "
+        "GROUP BY GROUPING SETS ((k), (s), ())"
+    )
+    serial = db.sql(sql, config=EngineConfig(num_threads=1)).rows()
+    config = EngineConfig(num_threads=4, execution_mode="parallel")
+    assert db.sql(sql, config=config).rows() == serial

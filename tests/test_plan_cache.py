@@ -17,6 +17,8 @@ from repro import Database
 from repro.server.cache import PlanCache, PreparedPlan, ResultCache
 from repro.sql.lexer import fill, skeleton
 
+from tests.helpers import normalized_rows
+
 
 def make_db(rows=400, plan_cache_size=256):
     db = Database(num_threads=2, plan_cache_size=plan_cache_size)
@@ -221,9 +223,14 @@ class TestPlanCache:
         monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
         sql = "SELECT count(*) FROM t"
         assert db.sql(sql).rows() == [(10,)]
+        # One row written into ten is not more than STALE_FRACTION of them:
+        # the entry stays current and its plan reads the appended row.
         db.insert("t", {"g": [9], "x": [1.0]})
-        # t's version moved: the old entry no longer matches.
         assert db.sql(sql).rows() == [(11,)]
+        assert calls["parse"] == 1
+        # A second row is: t is stale since the build, the entry misses.
+        db.insert("t", {"g": [9], "x": [1.0]})
+        assert db.sql(sql).rows() == [(12,)]
         assert calls["parse"] == 2
 
     def test_ddl_invalidates(self):
@@ -349,20 +356,22 @@ class TestDagClone:
 # ---------------------------------------------------------------------------
 class TestPlanCacheLookup:
     class _FakeCatalog:
-        """One table ``t`` whose version the test moves by hand."""
+        """One table ``t`` whose version (rows written) and row count the
+        test moves by hand."""
 
-        def __init__(self, version=7):
+        def __init__(self, version=7, num_rows=100):
             self.version = version
+            self.num_rows = num_rows
             self.ddl_version = 1
 
         def get(self, name):
             assert name == "t"
-            return self  # stands in for the table: carries ``version``
+            return self  # stands in for the table: ``version``, ``num_rows``
 
         def entry(self, sql="SELECT 1", **kwargs):
             return PreparedPlan(
                 sql, None, None,
-                table_deps=(("t", self.version),),
+                table_deps=(("t", self.version, self.num_rows),),
                 ddl_version=self.ddl_version,
                 **kwargs,
             )
@@ -385,10 +394,27 @@ class TestPlanCacheLookup:
 
     def test_version_change_misses(self):
         cache = PlanCache(8)
-        catalog = self._FakeCatalog(version=1)
+        catalog = self._FakeCatalog(version=100, num_rows=100)
         build = lambda shape: catalog.entry()  # noqa: E731
         cache.lookup("SELECT 1", catalog, build)
-        catalog.version = 2
+        # Ten rows written into a hundred: not yet stale.
+        catalog.version, catalog.num_rows = 110, 110
+        _, hit = cache.lookup("SELECT 1", catalog, build)
+        assert hit is True
+        # Eleven are: the entry misses and is rebuilt.
+        catalog.version, catalog.num_rows = 111, 111
+        _, hit = cache.lookup("SELECT 1", catalog, build)
+        assert hit is False
+
+    def test_reuse_entries_need_equal_versions(self):
+        # A template under ``reuse`` names the snapshot it captured.
+        cache = PlanCache(8)
+        catalog = self._FakeCatalog(version=100, num_rows=100)
+        build = lambda shape: catalog.entry(reuse=True)  # noqa: E731
+        cache.lookup("SELECT 1", catalog, build)
+        _, hit = cache.lookup("SELECT 1", catalog, build)
+        assert hit is True
+        catalog.version += 1
         _, hit = cache.lookup("SELECT 1", catalog, build)
         assert hit is False
 
@@ -716,8 +742,6 @@ class TestGenericDistinctLowering:
         ids=["handful-then-table", "table-then-handful"],
     )
     def test_a_hit_keeps_the_first_lowering_and_the_answer(self, first, second):
-        from tests.helpers import normalized_rows
-
         db = self._db()
         lowering = {
             lit: db.explain_lolepop(self.TEMPLATE.format(lit)).count("HASHAGG")
@@ -733,8 +757,123 @@ class TestGenericDistinctLowering:
         for lit, run in zip((first, second), runs):
             oracle = db.sql(self.TEMPLATE.format(lit), engine="naive")
             assert normalized_rows(run) == normalized_rows(oracle)
-        # DML moves the table version: the next statement misses and is
-        # priced for its own literal.
+        # An append below the staleness threshold keeps the entry and its
+        # lowering; one past it re-collects the statistics, and the next
+        # statement misses and is priced for its own literal.
         db.insert("t", {"g": [0], "h": [0], "x": [0.5]})
+        kept = db.sql(self.TEMPLATE.format(second))
+        assert kept.dags[0].operator_names().count("HASHAGG") == lowering[first]
+        rows = db.table("t").num_rows // 10 + 1
+        db.insert("t", {"g": [0] * rows, "h": [0] * rows, "x": [0.5] * rows})
+        _, hit = db._prepare_cached(self.TEMPLATE.format(second))
+        assert not hit
         again = db.sql(self.TEMPLATE.format(second))
         assert again.dags[0].operator_names().count("HASHAGG") == lowering[second]
+
+
+# ---------------------------------------------------------------------------
+# Answers across appends: an entry stays current until its tables are stale
+# (``repro.stats.is_stale``), and a hit reads the rows appended since
+# ---------------------------------------------------------------------------
+class TestAnswersAcrossAppends:
+    SCHEMA = {"g": "int64", "x": "float64", "s": "string"}
+
+    def _db(self, rows=200):
+        """A cached database over ``t`` and the rows it holds, column-wise."""
+        rng = np.random.default_rng(5)
+        data = {
+            "g": [int(v) for v in rng.integers(0, 5, rows)],
+            "x": [float(v) for v in rng.random(rows).round(4)],
+            "s": [["alpha", "beta", "gamma"][int(v)] for v in rng.integers(0, 3, rows)],
+        }
+        db = Database(num_threads=2)
+        db.create_table("t", self.SCHEMA)
+        db.insert("t", data)
+        return db, data
+
+    @staticmethod
+    def _append(db, data, rows):
+        db.insert("t", rows)
+        for name, values in rows.items():
+            data[name].extend(values)
+
+    def _check(self, db, data, sql, hit=True):
+        """Run ``sql`` as a plan-cache hit (or miss); its rows must equal
+        the naive engine's and a fresh database's."""
+        counter = "hits" if hit else "misses"
+        before = getattr(db.plan_cache, counter)
+        got = normalized_rows(db.sql(sql))
+        assert getattr(db.plan_cache, counter) == before + 1
+        fresh = Database(num_threads=2, plan_cache_size=0)
+        fresh.create_table("t", self.SCHEMA)
+        if data["g"]:
+            fresh.insert("t", data)
+        assert got == normalized_rows(db.sql(sql, engine="naive"))
+        assert got == normalized_rows(fresh.sql(sql))
+        return got
+
+    def test_a_string_appended_after_the_build_is_found_through_a_hit(self):
+        db, data = self._db()
+        template = "SELECT s, count(*), sum(x) FROM t WHERE s = '{}' GROUP BY s"
+        # Built while 'zeta' is in no dictionary of t.
+        assert db.sql(template.format("zeta")).rows() == []
+        self._append(db, data, {"g": [1, 2], "x": [0.5, 0.25], "s": ["zeta", "omega"]})
+        assert self._check(db, data, template.format("zeta")) == [("zeta", 1, 0.5)]
+        # Another literal binds into the same plan: a template hit.
+        assert self._check(db, data, template.format("omega")) == [("omega", 1, 0.25)]
+
+    def test_an_int_key_far_past_the_old_maximum_through_a_hit(self):
+        db, data = self._db()
+        template = "SELECT g, s, count(*), sum(x) FROM t WHERE x < {} GROUP BY g, s"
+        db.sql(template.format(0.5))
+        far = 1 << 40
+        self._append(
+            db, data,
+            {"g": [far, far, -far], "x": [0.125, 0.25, 0.375], "s": ["alpha"] * 3},
+        )
+        for literal in (0.5, 0.75):
+            got = self._check(db, data, template.format(literal))
+            assert (far, "alpha", 2, 0.375) in got and (-far, "alpha", 1, 0.375) in got
+
+    def test_the_threshold_keeps_then_drops_the_entry_and_the_statistics(
+        self, monkeypatch
+    ):
+        db, data = self._db(rows=200)
+        calls = {"parse": 0}
+        real_parse = repro.api.parse_sql
+
+        def counting_parse(*args):
+            calls["parse"] += 1
+            return real_parse(*args)
+
+        monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
+        template = "SELECT g, median(x), count(DISTINCT s) FROM t WHERE x < {} GROUP BY g"
+        db.sql(template.format(0.5))
+        statistics = db.estimator._statistics
+        stats = statistics.table_stats("t")
+        # 20 rows written into 200: not more than STALE_FRACTION of them.
+        self._append(db, data, {"g": [7] * 20, "x": [0.125] * 20, "s": ["delta"] * 20})
+        db.sql(template.format(0.25))
+        assert calls["parse"] == 1
+        self._check(db, data, template.format(0.25))
+        assert statistics.table_stats("t") is stats
+        # One more row is: the statistics are re-collected and the entry misses.
+        self._append(db, data, {"g": [7], "x": [0.125], "s": ["delta"]})
+        recollected = statistics.table_stats("t")
+        assert recollected is not stats and recollected.rows == 221
+        parsed = calls["parse"]
+        self._check(db, data, template.format(0.25), hit=False)
+        assert calls["parse"] > parsed
+
+    def test_a_truncate_replans(self):
+        db, data = self._db()
+        sql = "SELECT g, count(*), sum(x) FROM t GROUP BY g"
+        db.sql(sql)
+        db.table("t").truncate()
+        refill = {name: values[:50] for name, values in data.items()}
+        for values in data.values():
+            values.clear()
+        assert self._check(db, data, sql, hit=False) == []
+        self._append(db, data, refill)
+        self._check(db, data, sql, hit=False)
+        self._check(db, data, sql)

@@ -289,7 +289,33 @@ class TestPerTableInvalidation:
         assert calls["parse"] == 1  # dim DML left the fact entry current
         db.insert("fact", {"k": [1], "g": [0], "h": [0], "v": [1.0]})
         db.sql(sql)
-        assert calls["parse"] == 2  # fact DML invalidated it
+        assert calls["parse"] == 1  # one row of 40: fact is not stale
+        db.insert("fact", {"k": [1] * 4, "g": [0] * 4, "h": [0] * 4, "v": [1.0] * 4})
+        db.sql(sql)
+        assert calls["parse"] == 2  # five rows of 40 are: fact DML invalidated it
+
+    def test_reuse_plan_cache_entries_need_equal_versions(self, monkeypatch):
+        """Under reuse a template names the snapshot it captured: any
+        write to a table it reads invalidates the entry."""
+        import repro.api
+
+        db = Database(reuse=True)
+        _populate(db, rows=40)
+        calls = {"parse": 0}
+        real_parse = repro.api.parse_sql
+
+        def counting_parse(*args):
+            calls["parse"] += 1
+            return real_parse(*args)
+
+        monkeypatch.setattr(repro.api, "parse_sql", counting_parse)
+        sql = "SELECT sum(v) FROM fact"
+        db.sql(sql)
+        db.sql(sql)
+        assert calls["parse"] == 1
+        db.insert("fact", {"k": [1], "g": [0], "h": [0], "v": [1.0]})
+        assert db.sql(sql).rows() == db.sql(sql, engine="naive").rows()
+        assert calls["parse"] == 2
 
     def test_plan_cache_ddl_still_invalidates(self):
         db = self._db()

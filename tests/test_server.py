@@ -515,6 +515,80 @@ class TestConcurrentDifferential:
         assert errors == []
         assert mismatches == []
 
+    @pytest.mark.parametrize("caches", ["on", "off"])
+    def test_eight_clients_across_appends(self, caches):
+        """Three rounds of eight clients. Before the second, two appends stay
+        below the staleness threshold (cached plans stay current and read
+        the new rows); before the third, one crosses it (they re-plan).
+        Every answer equals a reference from a cache-free database holding
+        that round's rows."""
+        rows = 1500
+        db = make_db(rows=rows, plan_cache_size=256 if caches == "on" else 0)
+        table = db.table("t")
+        data = {
+            name: column.to_pylist()
+            for name, column in zip(table.schema.names(), table.columns())
+        }
+        rng = np.random.default_rng(9)
+        use_result_cache = caches == "on"
+        mismatches, errors, misses = [], [], []
+        with service_for(
+            db,
+            max_concurrent=4,
+            max_queue=256,
+            result_cache_size=64 if use_result_cache else 0,
+        ) as service:
+            # 40 + 50 rows written into 1500 stay within STALE_FRACTION; 100 more do not.
+            for round_no, appends in enumerate([[], [40, 50], [100]]):
+                for count in appends:
+                    start = len(data["o"])
+                    new = {
+                        "g": [int(v) for v in rng.integers(0, 8, count)],
+                        "x": [float(v) for v in rng.random(count).round(4)],
+                        "o": list(range(start, start + count)),
+                    }
+                    db.insert("t", new)
+                    for name, values in new.items():
+                        data[name].extend(values)
+                reference = Database(num_threads=2, plan_cache_size=0)
+                reference.create_table("t", {"g": "int64", "x": "float64", "o": "int64"})
+                reference.insert("t", data)
+                expected = {sql: reference.sql(sql).rows() for sql in DIFF_QUERIES}
+
+                def client(picks, expected=expected, round_no=round_no):
+                    session = service.session()
+                    try:
+                        for sql in picks:
+                            got = session.execute(
+                                sql, timeout=120, use_result_cache=use_result_cache
+                            ).rows()
+                            if got != expected[sql]:
+                                mismatches.append((round_no, sql))
+                    except Exception as error:  # noqa: BLE001
+                        errors.append(repr(error))
+
+                if round_no == 0:
+                    client(DIFF_QUERIES)  # every statement once: all plans are cached
+                threads = [
+                    threading.Thread(
+                        target=client,
+                        args=([DIFF_QUERIES[i] for i in rng.integers(len(DIFF_QUERIES), size=8)],),
+                    )
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=180)
+                assert not any(t.is_alive() for t in threads), "client deadlock"
+                if caches == "on":
+                    misses.append(db.plan_cache.misses)
+        assert errors == []
+        assert mismatches == []
+        if caches == "on":
+            # The second round re-planned nothing, the third did.
+            assert misses[1] == misses[0] < misses[2]
+
     def test_tpch_under_concurrency(self, tpch_db):
         from repro.tpch import TPCH_QUERIES
 

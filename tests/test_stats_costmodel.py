@@ -73,10 +73,20 @@ class TestStatistics:
 
     def test_cache_invalidation(self, db):
         cache = StatisticsCache(db.catalog)
-        before = cache.table_stats("t").rows
+        before = cache.table_stats("t")
+        # Up to STALE_FRACTION of the table's rows written: kept as-is.
+        append = {c: np.ones(before.rows // 10, dtype=np.int64) for c in ("k", "few", "many")}
+        append["x"] = np.full(before.rows // 10, 0.5)
+        db.insert("t", append)
+        assert cache.table_stats("t") is before
+        # One row more: re-collected, with the rows the table has now.
         db.insert("t", {"k": [1], "few": [1], "many": [1], "x": [0.5]})
-        after = cache.table_stats("t").rows
-        assert after == before + 1
+        after = cache.table_stats("t")
+        assert after is not before
+        assert after.rows == before.rows + before.rows // 10 + 1
+        # A truncate writes every row away.
+        db.table("t").truncate()
+        assert cache.table_stats("t").rows == 0
 
     def test_insert_into_one_table_does_not_resample_another(
         self, db, monkeypatch
