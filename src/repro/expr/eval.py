@@ -219,6 +219,10 @@ def _eval_case(expr: CaseExpr, batch: Batch) -> Column:
     return result
 
 
+#: Functions whose integer literal exponent is passed to numpy as a scalar.
+_SCALAR_EXPONENT = frozenset({"pow", "power"})
+
+
 def _eval_func(expr: FuncCall, batch: Batch) -> Column:
     func = fn_registry.lookup(expr.name)
     func.check_arity(len(expr.args))
@@ -245,7 +249,19 @@ def _eval_func(expr: FuncCall, batch: Batch) -> Column:
             return Column(result_type, mapping[text.data], valid, dictionary)
         raw = raw[text.data]
     else:
-        raw = func.vector_fn(*[a.values for a in args])
+        operands = [a.values for a in args]
+        exponent = expr.args[1] if func.name in _SCALAR_EXPONENT else None
+        if (
+            isinstance(exponent, Literal)
+            and exponent.dtype is DataType.INT64
+            and exponent.value is not None
+        ):
+            # numpy's power takes its scalar fast paths (a square for 2) only
+            # for a scalar exponent; a broadcast one runs pow on every row.
+            # Integers only: a scalar 0.5 would be sqrt, which differs from
+            # pow at -inf and -0.0.
+            operands[1] = int(exponent.value)
+        raw = func.vector_fn(*operands)
     if result_type is not DataType.STRING and raw.dtype != result_type.numpy_dtype:
         raw = raw.astype(result_type.numpy_dtype)
     return Column(result_type, raw, valid)

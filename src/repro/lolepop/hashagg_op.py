@@ -5,9 +5,13 @@ results (the paper's fixed-size in-cache tables; our vectorized stand-in
 groups within the morsel, which bounds partial size by the morsel's distinct
 keys the same way). Phase 2 merges the partials with the per-aggregate merge
 function each aggregate declares (COUNT partials merge by SUM, etc. —
-:attr:`repro.aggregates.AggSpec.merge`), and its fan-out is chosen at run
-time from the partials phase 1 produced:
+:attr:`repro.aggregates.AggSpec.merge`). Whether phase 2 runs, and its
+fan-out, are chosen at run time from the partials phase 1 produced:
 
+- **none** — one morsel whose partial is grouped (not a saturated
+  pass-through) already holds every group once, in key order: that partial
+  is the result, and no merge region runs. A keyless aggregate over one
+  morsel takes the same shortcut.
 - **single** — when the partials hold at most
   :data:`~repro.lolepop.partition_op.ROWS_PER_PARTITION` rows in total,
   they are concatenated and merged in one work item; there is nothing to
@@ -20,11 +24,12 @@ time from the partials phase 1 produced:
   scatter, and every non-empty partition is compacted and merged in its
   own work item (the paper's high-cardinality path).
 
-Both are the same buffer: "single" is the one-partition buffer, which
-``scatter_runs`` fills with no scatter region. So a merge bucket and a
-partition are the same amount of work.
+The last two are the same buffer: "single" is the one-partition buffer,
+which ``scatter_runs`` fills with no scatter region. So a merge bucket and
+a partition are the same amount of work.
 
-The choice is noted on the node span as ``merge`` and ``merge_partitions``.
+The choice is noted on the node span as ``merge`` and ``merge_partitions``
+(0 for ``none``).
 
 DISTINCT never reaches this operator: the translator lowers it to
 ``HASHAGG(ANY-group) → HASHAGG`` per the paper's §2 rewrite.
@@ -32,7 +37,7 @@ DISTINCT never reaches this operator: the translator lowers it to
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +71,8 @@ def _passthrough_partial(
             columns.append(Column(DataType.INT64, np.ones(n, dtype=np.int64)))
             fields.append(Field(task.name, DataType.INT64))
         elif task.func == "count":
-            flags = batch.column(task.arg).valid_mask().astype(np.int64)
+            valid = batch.column(task.arg).valid
+            flags = np.ones(n, dtype=np.int64) if valid is None else valid.astype(np.int64)
             columns.append(Column(DataType.INT64, flags))
             fields.append(Field(task.name, DataType.INT64))
         else:
@@ -188,17 +194,19 @@ def two_phase_aggregate(
     merge_tasks = [HashAggTask(t.name, t.merge_func, t.name) for t in tasks]
 
     if not key_names:
-        # Global aggregate: partials are single rows; one merge region.
+        # Global aggregate: partials are single rows; one merge region,
+        # unless one morsel's partial is already the answer.
         partials = ctx.parallel_for(
             operator, batches, lambda b: aggregate_batch(b, [], tasks)
         )
-        ctx.next_phase()
-        merged = ctx.parallel_for(
-            f"{operator}-merge",
-            [Batch.concat(partials)],
-            lambda b: aggregate_batch(b, [], merge_tasks),
-        )
-        return [Batch(out_schema, merged[0].columns)]
+        if len(partials) > 1:
+            ctx.next_phase()
+            partials = ctx.parallel_for(
+                f"{operator}-merge",
+                [Batch.concat(partials)],
+                lambda b: aggregate_batch(b, [], merge_tasks),
+            )
+        return [Batch(out_schema, partials[0].columns)]
 
     if not two_phase:
         whole = Batch.concat(batches)
@@ -212,7 +220,9 @@ def two_phase_aggregate(
     # with high-cardinality keys they degrade to a cheap pass-through
     # instead of paying a full grouping that reduces nothing. We emulate
     # the saturation test with one O(n) bucket-occupancy probe.
-    def preaggregate(batch: Batch) -> Batch:
+    def preaggregate(batch: Batch) -> Tuple[Batch, bool]:
+        """The morsel's partial, and whether it is grouped (one row per
+        key) rather than passed through."""
         if len(batch) > _LOCAL_TABLE_SLOTS // 4:
             keys = [batch.column(name) for name in key_names]
             buckets = table_slots(keys, _LOCAL_TABLE_SLOTS)
@@ -220,36 +230,44 @@ def two_phase_aggregate(
                 np.bincount(buckets, minlength=_LOCAL_TABLE_SLOTS)
             )
             if occupancy > _LOCAL_TABLE_SLOTS * 0.7:
-                return _passthrough_partial(batch, key_names, tasks)
-        return aggregate_batch(batch, key_names, tasks)
+                return _passthrough_partial(batch, key_names, tasks), False
+        return aggregate_batch(batch, key_names, tasks), True
 
-    partials = ctx.parallel_for(operator, batches, preaggregate)
+    outcomes = ctx.parallel_for(operator, batches, preaggregate)
+    partials = [partial for partial, _ in outcomes]
     partial_rows = sum(len(p) for p in partials)
-    # The fan-out follows the partials in hand: partials that fit one
-    # partition are one bucket, larger ones are scattered (chunk-list
-    # concatenation in the paper; cheap, charged to the same operator).
-    buffer = TupleBuffer(
-        partials[0].schema, partition_count(partial_rows, num_partitions), key_names
-    )
-    scatter_runs(ctx, operator, buffer, partials)
-    mode = "single" if buffer.num_partitions == 1 else "partitioned"
-    # An all-empty input is one empty partition, still merged once.
-    buckets = [p for p in buffer.partitions if p.num_rows] or buffer.partitions
-    ctx.next_phase()
+    if len(outcomes) == 1 and outcomes[0][1]:
+        # One grouped partial holds every group once: nothing to merge.
+        mode, merged, merge_partitions = "none", partials, 0
+    else:
+        # The fan-out follows the partials in hand: partials that fit one
+        # partition are one bucket, larger ones are scattered (chunk-list
+        # concatenation in the paper; cheap, charged to the same operator).
+        buffer = TupleBuffer(
+            partials[0].schema,
+            partition_count(partial_rows, num_partitions),
+            key_names,
+        )
+        scatter_runs(ctx, operator, buffer, partials)
+        mode = "single" if buffer.num_partitions == 1 else "partitioned"
+        # An all-empty input is one empty partition, still merged once.
+        buckets = [p for p in buffer.partitions if p.num_rows] or buffer.partitions
+        merge_partitions = len(buckets)
+        ctx.next_phase()
 
-    # Phase 2: merge each bucket with dynamically-growing tables; the item
-    # compacts its partition.
-    def merge(bucket: BufferPartition) -> Batch:
-        return aggregate_batch(bucket.compact(), key_names, merge_tasks)
+        # Phase 2: merge each bucket with dynamically-growing tables; the
+        # item compacts its partition.
+        def merge(bucket: BufferPartition) -> Batch:
+            return aggregate_batch(bucket.compact(), key_names, merge_tasks)
 
-    merged = ctx.parallel_for(f"{operator}-merge", buckets, merge)
+        merged = ctx.parallel_for(f"{operator}-merge", buckets, merge)
     if note is not None:
         # Recorded on the submitting thread, after the region barriers.
         note(
             partial_rows=partial_rows,
             preagg_partials=len(partials),
             merge=mode,
-            merge_partitions=len(buckets),
+            merge_partitions=merge_partitions,
         )
     outputs = [Batch(out_schema, m.columns) for m in merged if len(m)]
     return outputs or [Batch.empty(out_schema)]

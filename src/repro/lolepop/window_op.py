@@ -395,28 +395,39 @@ def _frame_aggregate(
 ) -> Column:
     """A distributive aggregate over each row's frame ``[lo, hi)``, typed
     as its GROUP BY form: sums and extremes stay in the exact value domain
-    :func:`~repro.relational.kernels.value_domain` shares with HASHAGG."""
+    :func:`~repro.relational.kernels.value_domain` shares with HASHAGG.
+    A NULL-free column (no mask) is read as it is: its frame count is the
+    frame's width, and its sums and extremes run over the data directly."""
     if func == "count_star":
         return Column(DataType.INT64, (hi - lo).astype(np.int64))
-    valid = values.valid_mask()
-    counts = PrefixSums(valid).query_many(lo, hi)
+    valid = values.valid
+    if valid is None:
+        counts = (hi - lo).astype(np.int64)
+    else:
+        counts = PrefixSums(valid).query_many(lo, hi)
     if func == "count":
         return Column(DataType.INT64, counts)
     has_any = counts > 0
     if func == "sum":
-        sums = PrefixSums(np.where(valid, values.data, 0)).query_many(lo, hi)
-        return Column(values.dtype, sums, has_any)
+        data = values.data if valid is None else np.where(valid, values.data, 0)
+        return Column(values.dtype, PrefixSums(data).query_many(lo, hi), has_any)
     if func == "min" or func == "max":
         data = value_domain(values)
-        data = np.where(valid, data, minmax_identity(func, data.dtype))
+        if valid is not None:
+            data = np.where(valid, data, minmax_identity(func, data.dtype))
         return from_domain(values, SparseTable(data, func).query_many(lo, hi), has_any)
     if func == "any":
         # The first non-NULL row of the frame: the least valid position.
-        positions = np.where(valid, np.arange(len(valid)), len(valid))
-        first = SparseTable(positions, "min").query_many(lo, hi)
-        return values.take(np.minimum(first, len(valid) - 1)).with_valid(has_any)
+        last = len(values) - 1
+        if valid is None:
+            first = np.where(has_any, lo, last)
+        else:
+            positions = np.where(valid, np.arange(len(valid)), len(valid))
+            first = SparseTable(positions, "min").query_many(lo, hi)
+        return values.take(np.minimum(first, last)).with_valid(has_any)
     if func == "bool_and" or func == "bool_or":
-        trues = PrefixSums(valid & values.data).query_many(lo, hi)
+        data = values.data if valid is None else valid & values.data
+        trues = PrefixSums(data).query_many(lo, hi)
         result = trues > 0 if func == "bool_or" else trues == counts
         return Column(DataType.BOOL, result, has_any)
     raise ExecutionError(f"unsupported frame aggregate: {func}")

@@ -36,47 +36,53 @@ def grouped_reduce(
     """Evaluate one distributive aggregate per dense group code.
 
     ``values`` is ``None`` only for ``count_star``. Returns one row per
-    group, indexed by code.
+    group, indexed by code. NULLs take part in no aggregate, so a column
+    with a mask is compressed once and every kernel below reads a
+    NULL-free column; one without a mask is read as it is.
     """
     if func == "count_star":
         counts = np.bincount(codes, minlength=num_groups)
         return Column(DataType.INT64, counts.astype(np.int64))
     if values is None:
         raise ExecutionError(f"{func} requires an argument column")
-    valid = values.valid_mask()
-    if func == "count":
-        counts = np.bincount(codes[valid], minlength=num_groups)
-        return Column(DataType.INT64, counts.astype(np.int64))
-    if func == "sum":
-        return _grouped_sum(values, codes, num_groups, valid)
-    if func == "min" or func == "max":
-        return _grouped_minmax(func, values, codes, num_groups, valid)
+    if values.valid is not None:
+        codes = codes[values.valid]
+        values = Column(
+            values.dtype, values.data[values.valid], None, values.dictionary
+        )
     if func == "any":
-        return _grouped_any(values, codes, num_groups, valid)
+        # First value per group: write back-to-front so the first wins.
+        idx = np.arange(len(codes))[::-1]
+        return values.take(idx).scatter(codes[idx], num_groups)
+    # A group is NULL when no row reaches it: codes are dense, yet a
+    # keyless aggregate over no rows still has its one group.
+    counts = np.bincount(codes, minlength=num_groups)
+    if func == "count":
+        return Column(DataType.INT64, counts.astype(np.int64))
+    group_valid = counts > 0
+    if func == "sum":
+        if values.dtype is DataType.INT64:
+            # np.add.at is exact for int64 (bincount weights would round
+            # through float64).
+            out = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(out, codes, values.data)
+            return Column(DataType.INT64, out, group_valid)
+        data = values.data.astype(np.float64, copy=False)
+        out = np.bincount(codes, weights=data, minlength=num_groups)
+        return Column(DataType.FLOAT64, out, group_valid)
+    if func == "min" or func == "max":
+        data = value_domain(values)
+        out = np.full(num_groups, minmax_identity(func, data.dtype), dtype=data.dtype)
+        ufunc = np.minimum if func == "min" else np.maximum
+        ufunc.at(out, codes, data)
+        return from_domain(values, out, group_valid)
     if func == "bool_and" or func == "bool_or":
         # Rows that decide the group: a TRUE for OR, a FALSE for AND.
         deciding = values.data if func == "bool_or" else ~values.data
-        hits = np.bincount(codes[valid & deciding], minlength=num_groups)
-        group_valid = np.bincount(codes[valid], minlength=num_groups) > 0
+        hits = np.bincount(codes[deciding], minlength=num_groups)
         result = hits > 0 if func == "bool_or" else hits == 0
         return Column(DataType.BOOL, result, group_valid)
     raise ExecutionError(f"not an associative aggregate: {func}")
-
-
-def _grouped_sum(
-    values: Column, codes: np.ndarray, num_groups: int, valid: np.ndarray
-) -> Column:
-    counts = np.bincount(codes[valid], minlength=num_groups)
-    group_valid = counts > 0
-    if values.dtype is DataType.INT64:
-        # np.add.at is exact for int64 (bincount weights would round through
-        # float64).
-        out = np.zeros(num_groups, dtype=np.int64)
-        np.add.at(out, codes[valid], values.values[valid])
-        return Column(DataType.INT64, out, group_valid)
-    data = values.values.astype(np.float64)
-    out = np.bincount(codes[valid], weights=data[valid], minlength=num_groups)
-    return Column(DataType.FLOAT64, out, group_valid)
 
 
 def value_domain(values: Column) -> np.ndarray:
@@ -111,25 +117,6 @@ def minmax_identity(func: str, dtype: np.dtype):
     return info.max if func == "min" else info.min
 
 
-def _grouped_minmax(
-    func: str, values: Column, codes: np.ndarray, num_groups: int, valid: np.ndarray
-) -> Column:
-    group_valid = np.bincount(codes[valid], minlength=num_groups) > 0
-    data = value_domain(values)
-    out = np.full(num_groups, minmax_identity(func, data.dtype), dtype=data.dtype)
-    ufunc = np.minimum if func == "min" else np.maximum
-    ufunc.at(out, codes[valid], data[valid])
-    return from_domain(values, out, group_valid)
-
-
-def _grouped_any(
-    values: Column, codes: np.ndarray, num_groups: int, valid: np.ndarray
-) -> Column:
-    # First non-NULL value per group: write back-to-front so the first wins.
-    idx = np.flatnonzero(valid)[::-1]
-    return values.take(idx).scatter(codes[idx], num_groups)
-
-
 def sorted_reduce(
     func: str,
     values: Column,
@@ -152,15 +139,19 @@ def sorted_reduce(
     """
     if func == "mode":
         return _sorted_mode(values, codes, num_groups)
-    counts = np.bincount(codes[values.valid_mask()], minlength=num_groups)
+    if func not in ("percentile_disc", "percentile_cont"):
+        raise ExecutionError(f"not an ordered-set aggregate: {func}")
+    if not len(values):  # a keyless aggregate over no rows: one NULL range
+        dtype = values.dtype if func == "percentile_disc" else DataType.FLOAT64
+        return Column.nulls(dtype, num_groups)
+    valued = codes if values.valid is None else codes[values.valid]
+    counts = np.bincount(valued, minlength=num_groups)
     group_valid = counts > 0
     fraction = 0.5 if fraction is None else fraction
     safe = np.maximum(counts, 1)
     if func == "percentile_disc":
         offsets = np.clip(np.ceil(fraction * safe).astype(np.int64) - 1, 0, safe - 1)
         return values.take(starts + offsets).with_valid(group_valid)
-    if func != "percentile_cont":
-        raise ExecutionError(f"not an ordered-set aggregate: {func}")
     positions = fraction * (safe - 1)
     lower = np.floor(positions).astype(np.int64)
     upper = np.ceil(positions).astype(np.int64)
@@ -179,8 +170,9 @@ def _sorted_mode(values: Column, codes: np.ndarray, num_groups: int) -> Column:
     flags = key_change_flags([Column(DataType.INT64, codes), values])
     run_starts = np.flatnonzero(flags)
     run_lengths = np.diff(np.append(run_starts, len(values)))
-    keep = values.valid_mask()[run_starts]  # runs of NULLs do not vote
-    run_starts, run_lengths = run_starts[keep], run_lengths[keep]
+    if values.valid is not None:
+        keep = values.valid[run_starts]  # runs of NULLs do not vote
+        run_starts, run_lengths = run_starts[keep], run_lengths[keep]
     run_codes = codes[run_starts]
     # (code asc, length desc, position asc): the first run per code wins.
     order = stable_order([run_codes, -run_lengths, run_starts])

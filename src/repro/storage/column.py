@@ -2,7 +2,10 @@
 
 A :class:`Column` is the smallest physical unit: a flat numpy array plus an
 optional boolean validity mask (``True`` = value present). A missing mask
-means "no nulls", which keeps the common all-valid path allocation-free.
+means "no nulls", which keeps the common all-valid path allocation-free as
+long as hot paths branch on ``valid is None`` themselves: the aggregation
+kernels (HASHAGG, ORDAGG, WINDOW) read a NULL-free column as it is, and
+:meth:`Column.valid_mask` materializes an all-true mask.
 
 ``STRING`` columns are dictionary-encoded: ``data`` holds int32 codes into an
 immutable :class:`~repro.storage.dictionary.StringDictionary` that ``take`` /
@@ -10,9 +13,9 @@ immutable :class:`~repro.storage.dictionary.StringDictionary` that ``take`` /
 fresh object array per call — result rendering, CSV and the row oracles read
 it; the data plane works on codes). NULL rows carry an arbitrary valid code.
 
-SQL null semantics live here in one place: :meth:`Column.valid_mask` and the
-constructors normalize the representation so operators never need to branch
-on "mask or no mask" more than once.
+SQL null semantics live here in one place: the constructors normalize the
+representation (an all-true mask is dropped) so operators never need to
+branch on "mask or no mask" more than once.
 """
 
 from __future__ import annotations
@@ -123,7 +126,9 @@ class Column:
         return self.valid is not None
 
     def valid_mask(self) -> np.ndarray:
-        """A boolean mask (always materialized) of non-null positions."""
+        """A boolean mask of non-null positions, always materialized: a
+        column without NULLs allocates an all-true one on every call, so a
+        hot path branches on ``valid is None`` instead."""
         if self.valid is None:
             return np.ones(len(self.data), dtype=bool)
         return self.valid
@@ -213,7 +218,7 @@ class Column:
         data = np.zeros(length, dtype=self.data.dtype)
         valid = np.zeros(length, dtype=bool)
         data[positions] = self.data
-        valid[positions] = self.valid_mask()
+        valid[positions] = True if self.valid is None else self.valid
         return Column(self.dtype, data, valid, self.dictionary)
 
     @staticmethod

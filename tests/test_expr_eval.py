@@ -2,11 +2,16 @@
 (the row evaluator is the differential oracle's foundation)."""
 
 import datetime
+import math
+import struct
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.errors import BindError, ExecutionError
 from repro.expr import BinaryOp, CaseExpr, Cast, ColumnRef, FuncCall, InList, IsNull, UnaryOp, col, evaluate, evaluate_row, infer_dtype, lit, columns_referenced
 from repro.storage import Batch
@@ -309,3 +314,69 @@ def test_vector_scalar_agreement_property(pairs):
         ],
     )
     both_ways(expr, rows)
+
+
+class TestIntegerPowerExponent:
+    """``power(x, <integer literal>)`` hands numpy a scalar exponent (its
+    fast paths: a square for 2, a reciprocal for -1); any other exponent
+    stays an array. Where pow is exact the two agree bit for bit, also at
+    the IEEE special values; elsewhere the scalar path is the correctly
+    rounded product and the array path within one ulp of it."""
+
+    BASES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.0, 3.0, 0.25, -0.5, 10.0]
+    #: Exponent written as a literal, and the column carrying it.
+    EXPONENTS = [("2", "i2"), ("3", "i3"), ("-1", "im1"), ("0", "i0"),
+                 ("0.5", "f05"), ("NULL", "inull"), ("y", "y")]
+    #: The naive engine's Python ``**`` raises for 0.0 ** -1 and yields a
+    #: complex number for a negative base ** 0.5, so it is compared only
+    #: where Python has a real answer.
+    CASES = [
+        (engine, literal, column)
+        for literal, column in EXPONENTS
+        for engine in ("lolepop", "monolithic", "columnar", "naive")
+        if engine != "naive" or literal not in ("-1", "0.5")
+    ]
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        n = len(self.BASES)
+        db = Database()
+        db.create_table("t", {
+            "x": "float64", "y": "int64", "i2": "int64", "i3": "int64",
+            "im1": "int64", "i0": "int64", "f05": "float64", "inull": "int64",
+        })
+        db.insert("t", {
+            "x": self.BASES, "y": [2, 3, -1, 0, 5, -2, 1, 2, 3, -1, 4][:n],
+            "i2": [2] * n, "i3": [3] * n, "im1": [-1] * n, "i0": [0] * n,
+            "f05": [0.5] * n, "inull": [None] * n,
+        })
+        return db
+
+    @staticmethod
+    def bits(rows):
+        return [
+            None if v is None else ("nan" if math.isnan(v) else struct.pack("<d", v))
+            for (v,) in rows
+        ]
+
+    @pytest.mark.parametrize("engine, literal, column", CASES)
+    def test_literal_matches_array_exponent(self, database, engine, literal, column):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0.0 ** -1, -2 ** 0.5
+            as_literal = database.sql(f"SELECT power(x, {literal}) FROM t", engine=engine)
+            as_column = database.sql(f"SELECT pow(x, {column}) FROM t", engine=engine)
+            reference = database.sql(f"SELECT pow(x, {column}) FROM t", engine="lolepop")
+        assert self.bits(as_literal.rows()) == self.bits(as_column.rows())
+        assert self.bits(as_literal.rows()) == self.bits(reference.rows())
+
+    @pytest.mark.parametrize("exponent", [2, 3, -1, 7])
+    def test_finite_bases_round_within_one_ulp(self, exponent):
+        values = np.random.default_rng(5).normal(size=2_000) * 100
+        batch = Batch.from_pydict(Schema.of(("x", "float64"), ("e", "int64")), {
+            "x": values.tolist(), "e": [exponent] * len(values),
+        })
+        scalar = evaluate(FuncCall("power", [col("x"), lit(exponent)]), batch).data
+        array = evaluate(FuncCall("power", [col("x"), col("e")]), batch).data
+        assert np.all(np.abs(scalar - array) <= np.spacing(np.abs(scalar)))
+        if exponent == 2:
+            assert scalar.tobytes() == (values * values).tobytes()

@@ -1,7 +1,8 @@
 """HASHAGG's run-time merge fan-out: the single merge (partials that fit one
 run-time partition, one ``aggregate_batch``) and the partitioned merge
 (scatter into hash partitions, one merge per partition) give the same
-groups."""
+groups, and so does a lone morsel's grouped partial, which merges nothing
+(``none``)."""
 
 import math
 
@@ -90,12 +91,25 @@ def _aggregate(batches, keys, rows):
 
 
 def _single_and_partitioned(batches, keys):
-    single, single_note = _aggregate(batches, keys, rows=10**9)
-    partitioned, partitioned_note = _aggregate(batches, keys, rows=1)
+    """The single and the partitioned merge of ``batches``, a lone morsel
+    split in two so that there are partials to merge. A lone morsel's
+    grouped partial is also aggregated as it is: no merge (``none``), and
+    the partitioned merge's rows."""
+    merged = batches
+    if len(batches) == 1:
+        half = len(batches[0]) // 2
+        merged = [batches[0].slice(0, half), batches[0].slice(half, len(batches[0]))]
+    single, single_note = _aggregate(merged, keys, rows=10**9)
+    partitioned, partitioned_note = _aggregate(merged, keys, rows=1)
     assert single_note["merge"] == "single"
     assert single_note["merge_partitions"] == 1
     if partitioned_note["partial_rows"] > 1:
         assert partitioned_note["merge"] == "partitioned"
+    if len(batches) == 1:
+        alone, alone_note = _aggregate(batches, keys, rows=1)
+        assert (alone_note["merge"], alone_note["merge_partitions"]) == ("none", 0)
+        assert alone_note["preagg_partials"] == 1
+        assert alone == partitioned
     return single, partitioned
 
 
@@ -136,6 +150,17 @@ class TestSingleEqualsPartitioned:
         single, partitioned = _single_and_partitioned(batches, ["ks"])
         assert single == partitioned
         assert [row[0] for row in single] == ["a", "b"]
+
+    def test_one_saturated_morsel_still_merges(self):
+        # 10 000 distinct keys hit more than 70 % of the 4 096 local slots:
+        # the lone partial is a pass-through, one row per input row.
+        rows = [(i, str(i % 3), float(i % 5), i % 7, i % 2 == 0, "x") for i in range(10_000)]
+        batches = [_batch(rows)]
+        for partition_rows, mode in ((10**9, "single"), (4_000, "partitioned")):
+            out, noted = _aggregate(batches, ["ki"], partition_rows)
+            assert (noted["merge"], noted["partial_rows"]) == (mode, 10_000)
+            assert len(out) == 10_000
+        assert _aggregate(batches, ["ki"], 10**9)[0] == out
 
     def test_all_morsels_empty(self):
         single, partitioned = _single_and_partitioned([_batch([]), _batch([])], ["ki"])

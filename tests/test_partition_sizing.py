@@ -138,11 +138,13 @@ QUERIES = [
 def test_answers_match_the_oracle_around_partition_boundaries(k, offset, cap, seed):
     """At k·R − 1, k·R and k·R + 1 rows and caps 1, 2 and 64, the LOLEPOP
     and monolithic engines agree with the naive oracle, and PARTITION and
-    the HASHAGG merge chose ``min(cap, ceil(rows / R))`` partitions."""
+    the HASHAGG merge chose ``min(cap, ceil(rows / R))`` partitions. The
+    table is scanned as two morsels, so HASHAGG has two partials to merge;
+    scanned as one, its one grouped partial is the result (``merge=none``)."""
     rows = k * R + offset
     db = _db(rows, seed)
     expected = min(cap, -(-rows // R))
-    config = EngineConfig(num_partitions=cap)
+    config = EngineConfig(num_partitions=cap, morsel_size=-(-rows // 2))
     with rows_per_partition(R):
         for sql in QUERIES:
             reference = normalized_rows(db.sql(sql, engine="naive"))
@@ -154,8 +156,11 @@ def test_answers_match_the_oracle_around_partition_boundaries(k, offset, cap, se
         merge = db.explain_analyze(QUERIES[2], config=config)
         mode = re.search(r"\bmerge=(\w+)", merge).group(1)
         buckets = int(re.search(r"\bmerge_partitions=(\d+)", merge).group(1))
+        alone = db.explain_analyze(QUERIES[2], config=EngineConfig(num_partitions=cap))
     assert mode == ("single" if expected == 1 else "partitioned")
     assert 1 <= buckets <= expected
+    assert re.search(r"\bmerge=(\w+)", alone).group(1) == "none"
+    assert re.search(r"\bmerge_partitions=(\d+)", alone).group(1) == "0"
 
 
 RUN_SCHEMA = Schema.of(("k", "int64"), ("i", "int64"), ("s", "string"))
