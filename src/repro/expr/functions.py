@@ -100,27 +100,39 @@ register(
         type_fn=_float_result,
     )
 )
-register(
-    ScalarFunction(
-        "pow", 2,
-        vector_fn=lambda x, y: np.power(x.astype(np.float64), y),
-        scalar_fn=lambda x, y: float(x) ** y,
-        type_fn=_float_result,
+def _ieee(kernel: Callable) -> Callable:
+    """``kernel`` answering IEEE inf / NaN without a warning: ``power(0.0,
+    -1)`` is inf, ``power(-3.0, 0.5)`` and ``ln(-1.0)`` are NaN, ``ln(0.0)``
+    is -inf."""
+
+    def quiet(*args):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return kernel(*args)
+
+    return quiet
+
+
+def _power(x, y):
+    return np.power(np.asarray(x, dtype=np.float64), y)
+
+
+for _name in ("pow", "power"):
+    register(
+        ScalarFunction(
+            _name, 2,
+            vector_fn=_ieee(_power),
+            # numpy's pow, not Python's ``**``, which raises for 0.0 ** -1
+            # and turns -3.0 ** 0.5 complex. An array exponent, as a column
+            # is: a scalar 0.5 would be sqrt, which differs at -0.0.
+            scalar_fn=_ieee(lambda x, y: float(_power(x, np.array([y], np.float64))[0])),
+            type_fn=_float_result,
+        )
     )
-)
-register(
-    ScalarFunction(
-        "power", 2,
-        vector_fn=lambda x, y: np.power(x.astype(np.float64), y),
-        scalar_fn=lambda x, y: float(x) ** y,
-        type_fn=_float_result,
-    )
-)
 register(
     ScalarFunction(
         "ln", 1,
-        vector_fn=lambda x: np.log(x.astype(np.float64)),
-        scalar_fn=lambda x: float(np.log(x)),
+        vector_fn=_ieee(lambda x: np.log(x.astype(np.float64))),
+        scalar_fn=_ieee(lambda x: float(np.log(np.float64(x)))),
         type_fn=_float_result,
     )
 )

@@ -387,6 +387,10 @@ class Dag:
         #: The statistics-region logical plan this DAG implements, when
         #: known — EXPLAIN ANALYZE uses it for cardinality estimates.
         self.region_plan = None
+        #: :attr:`nodes` once they are in topological order and the DAG is
+        #: done changing: a clone's (see :meth:`clone`). ``None`` while the
+        #: DAG is built; :meth:`add` and :meth:`replace` reset it.
+        self._order: Optional[List[Lolepop]] = None
 
     def record_rewrite(
         self,
@@ -406,6 +410,7 @@ class Dag:
 
     def add(self, op: Lolepop) -> Lolepop:
         if op not in self.nodes:
+            self._order = None
             # Inputs must be registered too (tolerate out-of-order adds).
             for dep in op.inputs:
                 self.add(dep)
@@ -418,6 +423,7 @@ class Dag:
 
     def replace(self, old: Lolepop, new: Lolepop) -> None:
         """Splice ``new`` in place of ``old`` everywhere (optimizer passes)."""
+        self._order = None
         for node in self.nodes:
             node.inputs = [new if i is old else i for i in node.inputs]
             node.after = [new if a is old else a for a in node.after]
@@ -434,19 +440,22 @@ class Dag:
         like the originals, sharing the (read-only) operator parameters.
 
         Execution mutates node *instances* (``span``) but never the
-        parameter lists, so a shallow per-node copy gives an independently
-        executable DAG while the cached template stays pristine. SOURCE thunks are per-query (they close over the
-        runner) and must be rebound by the caller via
-        :meth:`SourceOp.rebind`. ``rebase`` maps the logical plan nodes the
-        DAG names (:attr:`region_plan`, each SOURCE's plan) onto another
-        statement's plan of the same shape.
+        parameter lists, so a shallow per-node copy (a bare instance of the
+        node's class taking its ``__dict__``) gives an independently
+        executable DAG while the cached template stays pristine. The copy
+        walks the topological order, which is sorted once per DAG: a clone
+        keeps its nodes in that order (:attr:`_order`), so cloning a stored
+        template again, or executing a clone, sorts nothing. SOURCE thunks
+        are per-query (they close over the runner) and must be rebound by
+        the caller via :meth:`SourceOp.rebind`. ``rebase`` maps the logical
+        plan nodes the DAG names (:attr:`region_plan`, each SOURCE's plan)
+        onto another statement's plan of the same shape.
         """
-        import copy
-
         mapping: Dict[int, Lolepop] = {}
         cloned = Dag()
-        for node in self.topological_order():
-            twin = copy.copy(node)
+        for node in self._order or self.topological_order():
+            twin = object.__new__(type(node))
+            twin.__dict__.update(node.__dict__)
             twin.inputs = [mapping[id(dep)] for dep in node.inputs]
             twin.after = [mapping[id(dep)] for dep in node.after]
             twin.span = None
@@ -455,6 +464,7 @@ class Dag:
             mapping[id(node)] = twin
             cloned.nodes.append(twin)
         cloned.sink = mapping[id(self.sink)] if self.sink is not None else None
+        cloned._order = cloned.nodes
         cloned.rewrites = list(self.rewrites)
         cloned.region_plan = (
             self.region_plan if rebase is None else rebase(self.region_plan)
@@ -500,7 +510,7 @@ class Dag:
         """
         results: Dict[int, OpResult] = {}
         trace = ctx.trace if ctx.config.collect_trace else None
-        order = self.topological_order()
+        order = self._order or self.topological_order()
         # Position of the last reader of each buffer (the DAG's caller
         # reads a buffer the sink outputs, after every node).
         last_read: Dict[int, int] = {}

@@ -148,6 +148,10 @@ class OrdAggOp(Lolepop):
                     tasks=len(self.tasks),
                 )
             outputs = [b for b in results if b is not None and len(b)]
+            if not outputs and not self.key_names:
+                # A keyless aggregate over no rows still has its one group
+                # (empty partitions run no item).
+                return [self._aggregate_partition(Batch.empty(buffer.schema), out_schema)]
             return outputs or [Batch.empty(out_schema)]
 
         return aggregate, finish

@@ -332,6 +332,8 @@ class PreparedPlan:
 
     def store_template(self, key: Tuple, dag, config) -> None:
         """Insert a pristine clone of ``dag`` as the template for ``key``.
+        The clone holds its nodes in topological order, so the clone each
+        hit makes (:meth:`~repro.lolepop.base.Dag.clone`) sorts nothing.
 
         Under ``verify_plans="strict"`` the clone is verified *at insert
         time* — including that every SOURCE still carries the logical plan

@@ -3,9 +3,18 @@
 :class:`QueryService` sits in front of a :class:`~repro.api.Database` and
 turns the single-caller facade into a multi-client server:
 
-- submissions arrive from many threads and run on a bounded driver pool
-  (one worker per admission slot); the per-query *work items* still execute
-  on the process-wide PR-1 scheduler pools
+- submissions arrive from many threads. A submission admitted to a free
+  slot is *ready*: it holds its slot, but no thread is woken for it. The
+  first thread to wait for it without a shorter timeout
+  (:meth:`QueryTicket.result`, and so :meth:`Session.execute`) runs it
+  itself. Anything else that reaches the service first (a later
+  :meth:`~QueryService.submit`, :meth:`~QueryService.cancel`,
+  :meth:`~QueryService.stats`, :meth:`~QueryService.shutdown`, a
+  :attr:`QueryTicket.done` poll or a wait with a shorter timeout) hands
+  the ready tickets to a bounded driver pool (one worker per admission
+  slot), as does a slot freed for a queued ticket. Either way the one
+  :meth:`QueryService._run` runs it. The per-query *work items* still
+  execute on the process-wide scheduler pools
   (:func:`repro.execution.parallel.shared_pool`), which all concurrent
   queries share. The driver pool is deliberately a separate executor: if
   query drivers and their own work items shared one pool, drivers occupying
@@ -105,6 +114,9 @@ class QueryTicket:
         self._result = None
         self._error: Optional[BaseException] = None
         self._event = threading.Event()
+        #: The service that admitted this ticket (see :meth:`result`);
+        #: ``None`` for one that never waits for a slot.
+        self._service: Optional["QueryService"] = None
         # Set by the service at submit time; consumed by _run.
         self._prepared = None
         self._engine = "lolepop"
@@ -114,13 +126,24 @@ class QueryTicket:
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
+        """Has the query finished? A poll hands ready tickets to the driver
+        pool, so a polled ticket finishes without a waiter."""
+        if not self._event.is_set() and self._service is not None:
+            self._service._start_ready()
         return self._event.is_set()
 
     def result(self, timeout: Optional[float] = None):
         """Block until the query finishes; returns its
         :class:`~repro.lolepop.engine.QueryResult` or raises the query's
         error (:class:`~repro.errors.QueryCancelled` after cancel/timeout,
-        :class:`~repro.errors.AdmissionError` if it never ran, ...)."""
+        :class:`~repro.errors.AdmissionError` if it never ran, ...).
+
+        A ready ticket (admitted to a free slot, no thread yet) runs on the
+        calling thread when the wait has no timeout or the ticket's own
+        deadline ends no later than the wait's; otherwise it goes to the
+        driver pool and this thread only waits."""
+        if not self._event.is_set() and self._service is not None:
+            self._service._serve_waiter(self, timeout)
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"query {self.query_id} still {self.state} after {timeout}s"
@@ -196,6 +219,10 @@ class QueryService:
         self._session_ids = itertools.count(1)
         #: Live (not yet finished) tickets by query id.
         self._tickets: Dict[str, QueryTicket] = {}
+        #: Ready tickets (admitted, holding a slot, run by no thread yet) by
+        #: query id, in submission order. Whoever pops one runs it or hands
+        #: it to the driver pool: exactly one thread claims it.
+        self._ready: Dict[str, QueryTicket] = {}
         self._tickets_lock = threading.Lock()
         self._closed = False
         if self.result_cache is not None:
@@ -226,6 +253,7 @@ class QueryService:
         when the service refuses the query (full queue / over budget)."""
         if self._closed:
             raise AdmissionError("service is shut down", reason="shutdown")
+        self._start_ready()
         self._count("service.submitted")
         engine = engine or (session.engine if session is not None else "lolepop")
         if config is None and session is not None:
@@ -307,11 +335,16 @@ class QueryService:
                 prepared.plan, self.db.estimator
             )
 
-        with self._tickets_lock:
-            self._tickets[ticket.query_id] = ticket
+        ticket._service = self
         ticket._admit_started = time.perf_counter()
         try:
-            run_now = self.admission.admit(ticket)
+            with self._tickets_lock:
+                run_now = self.admission.admit(ticket)
+                self._tickets[ticket.query_id] = ticket
+                if run_now:
+                    # Ready as it is admitted: a submit queued behind it
+                    # finds it here and starts it.
+                    self._ready[ticket.query_id] = ticket
         except AdmissionError as error:
             self._count("service.rejected")
             self.telemetry.event(
@@ -321,27 +354,28 @@ class QueryService:
                 reason=error.reason,
                 est_bytes=ticket.est_bytes,
             )
-            with self._tickets_lock:
-                self._tickets.pop(ticket.query_id, None)
             ticket._finish("failed", error=error)
             raise
         ticket._queued_at = time.perf_counter()
         self._count("service.admitted")
-        if run_now:
-            self._dispatch(ticket)
-        else:
+        if not run_now:
             self._count("service.queued")
             self._gauge("service.queue_depth", self.admission.queue_depth)
+            self._start_ready()  # the tickets holding the slots it waits for
         return ticket
 
     # ------------------------------------------------------------------
     def cancel(self, query_id: str) -> bool:
         """Cancel a queued or running query. Queued queries die immediately;
         running ones stop at their next region barrier. Returns False when
-        the id is unknown or already finished."""
+        the id is unknown or already finished. A ready ticket is finished
+        ``cancelled`` on this thread; the other ready tickets go to the
+        driver pool."""
         with self._tickets_lock:
             ticket = self._tickets.get(query_id)
-        if ticket is None or ticket.done:
+        ready = ticket is not None and self._claim(ticket)
+        self._start_ready()
+        if ticket is None or ticket._event.is_set():
             return False
         if self.admission.remove(ticket):
             # Still queued: it never started, finish it here.
@@ -355,6 +389,8 @@ class QueryService:
             return True
         if ticket.token is not None:
             ticket.token.cancel()
+            if ready:
+                self._run(ticket)  # dies at its first token check
             return True
         return False
 
@@ -363,6 +399,36 @@ class QueryService:
     # ------------------------------------------------------------------
     def _dispatch(self, ticket: QueryTicket) -> None:
         self._executor.submit(self._run, ticket)
+
+    def _claim(self, ticket: QueryTicket) -> bool:
+        """Take ``ticket`` out of the ready set; True for the one thread
+        that did, which must run or dispatch it."""
+        with self._tickets_lock:
+            return self._ready.pop(ticket.query_id, None) is not None
+
+    def _start_ready(self) -> None:
+        """Hand every ready ticket to the driver pool."""
+        if not self._ready:
+            return
+        with self._tickets_lock:
+            ready = list(self._ready.values())
+            self._ready.clear()
+        for ticket in ready:
+            self._dispatch(ticket)
+
+    def _serve_waiter(self, ticket: QueryTicket, timeout: Optional[float]) -> None:
+        """A thread is about to wait ``timeout`` seconds for ``ticket``: run
+        it here if it is ready and the wait outlasts it (no timeout, or a
+        deadline no later than the wait's end); else start every ready
+        ticket on the driver pool."""
+        deadline = ticket.token.deadline if ticket.token is not None else None
+        if (
+            timeout is None
+            or (deadline is not None and deadline <= time.monotonic() + timeout)
+        ) and self._claim(ticket):
+            self._run(ticket)
+        else:
+            self._start_ready()
 
     def _run(self, ticket: QueryTicket) -> None:
         ticket.started_at = time.perf_counter()
@@ -426,9 +492,9 @@ class QueryService:
     def _close_waits(ticket: QueryTicket, now: float) -> None:
         """Write the ticket's ``admission`` and ``queue`` stages as it stops
         waiting (starts running, or is cancelled in the queue), on the
-        thread that took it out of the queue: the tree has one writer at a
-        time. A driver that gets here before ``submit`` saw ``admit`` return
-        did not queue."""
+        thread that runs it or cancels it in the queue: the tree has one
+        writer at a time. A thread that gets here before ``submit`` saw
+        ``admit`` return found the ticket not queued."""
         if ticket.trace is not None:
             queued_at = min(ticket._queued_at or now, now)
             ticket.trace.add("stage", "admission", ticket._admit_started, queued_at)
@@ -468,6 +534,7 @@ class QueryService:
 
     def stats(self) -> dict:
         """One JSON-serializable snapshot of the whole service layer."""
+        self._start_ready()
         service = {
             name.split(".", 1)[1]: value
             for name, value in self.metrics.snapshot().items()
@@ -490,14 +557,16 @@ class QueryService:
         return out
 
     def shutdown(self, wait: bool = True, cancel_running: bool = False) -> None:
-        """Refuse new submissions and stop the driver pool. With
-        ``cancel_running`` every live query is cancelled first."""
+        """Refuse new submissions, start every ready ticket on the driver
+        pool and stop the pool. With ``cancel_running`` every live query is
+        cancelled first."""
         self._closed = True
         if cancel_running:
             with self._tickets_lock:
                 live = list(self._tickets.values())
             for ticket in live:
                 self.cancel(ticket.query_id)
+        self._start_ready()
         self._executor.shutdown(wait=wait)
 
     def __enter__(self) -> "QueryService":

@@ -85,7 +85,8 @@ class Session:
         use_result_cache: bool = True,
     ):
         """Submit and block for the result
-        (:class:`~repro.lolepop.engine.QueryResult`)."""
+        (:class:`~repro.lolepop.engine.QueryResult`). A statement admitted
+        to a free slot runs on this thread."""
         return self.submit(
             sql,
             timeout=timeout,

@@ -2,6 +2,8 @@
 engine's answer on a battery of fixed queries plus randomized data."""
 
 import datetime
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +131,48 @@ def test_not_in_keeps_no_row_of_r(db, engine, subquery):
     neither does a NULL ``n`` (the oracle computed a plain anti join too)."""
     sql = f"SELECT count(*) FROM r WHERE n NOT IN ({subquery})"
     assert db.sql(sql, engine=engine).rows() == [(0,)]
+
+
+@pytest.mark.parametrize("source", ["r WHERE q > 2", "empty_r"])
+@pytest.mark.parametrize("call", [
+    "median(q)",
+    "percentile_cont(0.25) WITHIN GROUP (ORDER BY q)",
+    "percentile_disc(0.25) WITHIN GROUP (ORDER BY n)",
+    "mode() WITHIN GROUP (ORDER BY n)",
+])
+def test_keyless_ordered_aggregate_over_no_rows(db, call, source):
+    """A keyless ORDAGG over no rows still has its one group: one NULL row,
+    on every engine alike, whether the table is empty or a WHERE keeps
+    nothing of it."""
+    db.create_table("empty_r", {"q": "float64", "n": "int64"})
+    for engine in ENGINES + ["naive"]:
+        assert db.sql(f"SELECT {call} FROM {source}", engine=engine).rows() == [(None,)]
+    assert_engines_agree(db, f"SELECT {call}, count(*) FROM {source}")
+
+
+#: Every call's IEEE answer: a zero or negative operand gives inf or NaN,
+#: never a Python error and never a numpy warning.
+IEEE_EDGE_CALLS = {
+    "power(0.0, -1)": math.inf,
+    "power(-0.0, -1)": -math.inf,
+    "pow(-3.0, 0.5)": math.nan,
+    "power(10.0, 400)": math.inf,
+    "ln(0.0)": -math.inf,
+    "ln(-1.0)": math.nan,
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES + ["naive"])
+@pytest.mark.parametrize("call", list(IEEE_EDGE_CALLS))
+def test_power_and_ln_answer_ieee_without_a_warning(db, engine, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((value,),) = db.sql(f"SELECT {call} FROM r WHERE k = 0 LIMIT 1", engine=engine).rows()
+    expected = IEEE_EDGE_CALLS[call]
+    if math.isnan(expected):
+        assert math.isnan(value)
+    else:
+        assert value == expected and math.copysign(1, value) == math.copysign(1, expected)
 
 
 @pytest.mark.parametrize("threads", [1, 4])

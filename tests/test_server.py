@@ -4,6 +4,7 @@ cancellation, result caching, and concurrent differential correctness."""
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -204,9 +205,9 @@ class TestQueryService:
             assert first.metrics is not second.metrics
 
     def test_no_thread_beyond_the_driver_and_worker_pools(self):
-        """A service runs its statements on its driver pool and the shared
-        worker pools, and starts no thread of its own besides; shutting it
-        down joins the driver pool."""
+        """A service runs its statements on the waiting thread, its driver
+        pool and the shared worker pools, and starts no thread of its own
+        besides; shutting it down joins the driver pool."""
         db = make_db(rows=100)
         before = set(threading.enumerate())
 
@@ -219,6 +220,155 @@ class TestQueryService:
         service.shutdown()
         assert all(n.startswith(("repro-service", "repro-worker")) for n in running), running
         assert all(n.startswith("repro-worker") for n in started()), started()
+
+
+# ---------------------------------------------------------------------------
+# Which thread runs a ticket
+# ---------------------------------------------------------------------------
+def record_runs(monkeypatch):
+    """Patch ``QueryService._run`` to log the ident and name of each thread
+    that runs a ticket."""
+    runs = []
+    original = QueryService._run
+
+    def run(self, ticket):
+        current = threading.current_thread()
+        runs.append((ticket.query_id, current.ident, current.name))
+        original(self, ticket)
+
+    monkeypatch.setattr(QueryService, "_run", run)
+    return runs
+
+
+def wait_for_state(ticket, state, seconds=30):
+    """Poll ``ticket.state``, which, unlike ``done`` or ``result``, never
+    starts a ready ticket."""
+    deadline = time.monotonic() + seconds
+    while ticket.state != state and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return ticket.state
+
+
+class TestDispatch:
+    SQL = "SELECT g, sum(x) FROM t GROUP BY g"
+
+    def test_submit_then_wait_runs_on_the_callers_thread(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        db = make_db(rows=200)
+        expected = db.sql(self.SQL).rows()
+        before = set(threading.enumerate())
+        with service_for(db) as service:
+            session = service.session()
+            for _ in range(5):
+                assert session.execute(self.SQL, use_result_cache=False).rows() == expected
+            ticket = session.submit(self.SQL, timeout=60, use_result_cache=False)
+            assert ticket.result(timeout=60).rows() == expected  # outlasts its deadline
+            started = [t.name for t in threading.enumerate() if t not in before]
+        assert [ident for _, ident, _ in runs] == [threading.get_ident()] * 6
+        assert not any(name.startswith("repro-service") for name in started), started
+
+    def test_unwaited_ticket_starts_at_the_next_submit(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        db = make_db(rows=200)
+        with service_for(db) as service:
+            first = service.submit(self.SQL, use_result_cache=False)
+            assert wait_for_state(first, "done", seconds=0.05) == "queued"
+            second = service.submit("SELECT count(*) FROM t", use_result_cache=False)
+            assert wait_for_state(first, "done") == "done"
+            assert second.result().rows() == [(200,)]
+        assert runs[0][0] == first.query_id and runs[0][2].startswith("repro-service")
+
+    def test_unwaited_ticket_starts_when_polled(self):
+        db = make_db(rows=200)
+        with service_for(db) as service:
+            ticket = service.submit(self.SQL, use_result_cache=False)
+            deadline = time.monotonic() + 30
+            while not ticket.done and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert ticket.state == "done"
+
+    def test_unwaited_ticket_finishes_before_shutdown_returns(self):
+        db = make_db(rows=200)
+        service = service_for(db)
+        ticket = service.submit(self.SQL, use_result_cache=False)
+        service.shutdown(wait=True)
+        assert ticket.state == "done"
+        assert ticket.result().rows() == db.sql(self.SQL).rows()
+        assert service.admission.running == 0
+
+    def test_shorter_wait_hands_the_ticket_to_the_pool(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        db = make_db(rows=200)
+        gate = threading.Event()
+        execute = db.execute_prepared
+
+        def gated(*args, **kwargs):
+            gate.wait(30)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(db, "execute_prepared", gated)
+        with service_for(db) as service:
+            ticket = service.submit(self.SQL, timeout=60, use_result_cache=False)
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                ticket.result(timeout=0.05)
+            assert time.monotonic() - started < 5
+            gate.set()
+            assert ticket.result().rows() == db.sql(self.SQL).rows()
+        assert len(runs) == 1 and runs[0][2].startswith("repro-service")
+
+    def test_two_waiters_run_the_ticket_once(self, monkeypatch):
+        """Two waiters race a poller for each ticket, under a short switch
+        interval: each ticket runs once, on one of its waiters or the pool,
+        and every slot comes back."""
+        runs = record_runs(monkeypatch)
+        db = make_db(rows=200)
+        expected = db.sql(self.SQL).rows()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with service_for(db, max_concurrent=2) as service:
+                for _ in range(20):
+                    ticket = service.submit(self.SQL, use_result_cache=False)
+                    barrier = threading.Barrier(3)
+                    results = []
+
+                    def wait(ticket=ticket, barrier=barrier, results=results):
+                        barrier.wait(30)
+                        results.append(ticket.result())
+
+                    def poll(ticket=ticket, barrier=barrier):
+                        barrier.wait(30)
+                        ticket.done
+
+                    threads = [threading.Thread(target=f) for f in (wait, wait, poll)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(60)
+                    assert not any(t.is_alive() for t in threads)
+                    assert len(results) == 2 and results[0] is results[1]
+                    assert results[0].rows() == expected
+                assert service.admission.running == 0
+                assert service.stats()["service"]["completed"] == 20
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [query_id for query_id, _, _ in runs]
+        assert len(ids) == 20 == len(set(ids))
+
+    def test_cancel_a_ready_ticket(self):
+        db = make_db(rows=200)
+        with service_for(db, max_concurrent=1) as service:
+            ticket = service.submit(self.SQL, use_result_cache=False)
+            assert service.cancel(ticket.query_id) is True
+            assert ticket.state == "cancelled"
+            with pytest.raises(QueryCancelled):
+                ticket.result()
+            assert service.admission.running == 0
+            # The freed slot takes the next statement.
+            follow = service.submit("SELECT count(*) FROM t", use_result_cache=False)
+            assert follow.result().rows() == [(200,)]
+            assert service.stats()["service"]["cancelled"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +454,24 @@ class TestCancellation:
         db = make_db(rows=60000)
         with service_for(db) as service:
             ticket = service.submit(SLOW_SQL, use_result_cache=False)
-            deadline = time.monotonic() + 30
-            while ticket.state == "queued" and time.monotonic() < deadline:
-                time.sleep(0.001)
+            errors = []
+
+            def wait():  # runs the ticket on this thread
+                try:
+                    ticket.result()
+                except QueryCancelled as error:
+                    errors.append(error)
+
+            waiter = threading.Thread(target=wait)
+            waiter.start()
+            wait_for_state(ticket, "running")
             assert service.cancel(ticket.query_id) is True
+            waiter.join(60)
+            assert not waiter.is_alive()
             with pytest.raises(QueryCancelled):
                 ticket.result(timeout=60)
             assert ticket.state == "cancelled"
+            assert len(errors) == 1
 
     def test_cancel_unknown_id(self):
         db = make_db(rows=10)

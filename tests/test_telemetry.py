@@ -681,6 +681,8 @@ def _drive(outcome, via, db, gate):
         # so the statement under test is certainly still queued.
         gate.park_next = True
         blocker = service.submit(BLOCKER_SQL, use_result_cache=False)
+        waiter = threading.Thread(target=blocker.result)  # runs the blocker
+        waiter.start()
         assert gate.parked.wait(timeout=60)
         queued = service.submit(WINDOW_SQL, use_result_cache=False)
         assert queued.state == "queued"
@@ -689,6 +691,8 @@ def _drive(outcome, via, db, gate):
         else:  # dispatched once the slot frees, dies on the token check
             queued.token.cancel()
         gate.release.set()
+        waiter.join(timeout=60)
+        assert not waiter.is_alive()
         blocker.result(timeout=60)
         with pytest.raises(QueryCancelled):
             queued.result(timeout=60)
